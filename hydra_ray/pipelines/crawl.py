@@ -184,25 +184,16 @@ class CrawlEngine:
             # resource_id already exists (a refresh of itself). Without
             # this, a reload could insert a second resource pointing at
             # an already-seen URL. Above the driver-merge threshold the
-            # membership probe runs over the resource_id column only.
+            # membership probe reads only the incoming ids' rows — the
+            # full id column never reaches the driver.
             from hydra_ray.sources.store import DRIVER_MERGE_MAX_ROWS
 
             if self.catalog.count() <= DRIVER_MERGE_MAX_ROWS:
                 existing = self.catalog.read_arrow(columns=["resource_id"])["resource_id"]
             else:
-                # semi-join probe: broadcast the (small) incoming id set,
-                # stream the catalog, return only matching ids — the full
-                # id column never reaches the driver
-                import ray as _ray
-
-                inc_ref = _ray.put(tbl["resource_id"].combine_chunks())
-
-                def probe(b: pa.Table) -> pa.Table:
-                    return b.filter(pc.is_in(b["resource_id"], value_set=_ray.get(inc_ref)))
-
                 existing = _ds_to_arrow(
-                    self.catalog.read(columns=["resource_id"]).map_batches(
-                        probe, batch_format="pyarrow"
+                    self.catalog.read_where(
+                        "resource_id", tbl["resource_id"].to_pylist(), columns=["resource_id"]
                     )
                 )["resource_id"]
             known_rid = pc.is_in(
@@ -874,15 +865,8 @@ class CrawlEngine:
             return None
         if self.catalog.count() <= self.CACHE_MAX_ROWS:
             return self.catalog.read_arrow(columns=have)
-        import ray as _ray
-
-        ids_ref = _ray.put(ids.combine_chunks() if isinstance(ids, pa.ChunkedArray) else ids)
-
-        def probe(b: pa.Table) -> pa.Table:
-            return b.filter(pc.is_in(b["resource_id"], value_set=_ray.get(ids_ref)))
-
         return _ds_to_arrow(
-            self.catalog.read(columns=have).map_batches(probe, batch_format="pyarrow")
+            self.catalog.read_where("resource_id", ids.to_pylist(), columns=have)
         )
 
     def _carry_stored_columns(

@@ -7,15 +7,16 @@ the engine's own operators, all streaming:
     → quality gate            (stages/text.py::quality_batch — Arrow kernels)
     → exact dedup             (stages/dedup.py::dedup_exact — hash shuffle,
                                min-id winner per content hash)
-    → semi-join survivors     (stages/joins.py::semi_join — one keyed
-                               shuffle, no broadcast: survivor set is
-                               corpus-sized at scale)
+    → semi-join survivors     (stages/joins.py::semi_join — a broadcast
+                               filter while the survivor set fits
+                               KEYS_BROADCAST_MAX, one keyed shuffle once
+                               it is corpus-sized)
     → context-window chunking (stages/text.py::chunk_documents — shuffle-free)
     → per-language stats      (stages/agg.py::grouped_agg — partial agg)
 
-No stage materializes the corpus on the driver; the only all-to-all
-exchanges are the dedup hash shuffle and the survivor semi-join, both
-keyed on doc identity.
+No stage materializes the corpus on the driver; the all-to-all
+exchanges are the dedup hash shuffle and, above KEYS_BROADCAST_MAX
+survivors, the survivor semi-join, both keyed on doc identity.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def curate_corpus(
     exact-deduplicated corpus. With ``near_dup_threshold`` set, a
     MinHash-LSH near-dup pass follows exact dedup and the HIGHER
     doc_id of every verified near-dup pair is dropped (greedy
-    keep-smallest, via one anti-semi-join shuffle)."""
+    keep-smallest, via one anti-semi-join)."""
     from hydra_ray.stages.agg import grouped_agg
     from hydra_ray.stages.dedup import dedup_exact, dedup_minhash
     from hydra_ray.stages.joins import semi_join

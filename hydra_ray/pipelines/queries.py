@@ -391,11 +391,6 @@ def q_cors_stats_analogue(sf_dir: str):
 
 
 ORACLE_CORS_STATS_ANALOGUE = """
-    SELECT CASE WHEN bool_or(value > 50.0) THEN 'hit' ELSE 'quiet' END AS class_per_user, count(*) AS n
-    FROM events GROUP BY user_id
-"""  # placeholder — replaced below with the two-level form
-
-ORACLE_CORS_STATS_ANALOGUE = """
     WITH per_user AS (
         SELECT user_id, bool_or(value > 50.0) AS any_hit FROM events GROUP BY user_id
     )
@@ -4322,9 +4317,9 @@ ORACLES["knn_hnsw"] = ORACLE_ANN_RECALL
 def q_bloom_semi_join(sf_dir: str):
     """Bloom-prefiltered semi-join (stages/joins.py::bloom_semi_join):
     lineitem rows whose order is status 'F' — the key set's 1 MB bitmap
-    broadcasts once and definite-negative rows never enter the hash
-    shuffle; the exact semi_join on survivors removes false positives,
-    so the result equals the plain IN-subquery."""
+    broadcasts once and definite-negative rows are dropped before the
+    exact semi_join, which removes the false positives, so the result
+    equals the plain IN-subquery."""
     from hydra_ray.stages.joins import bloom_semi_join
 
     keys = (

@@ -583,7 +583,9 @@ class VersionedTable:
         """Point/set lookup: zone-map-prune the manifest's files, then
         read only the surviving files and row-filter. A lookup of k keys
         against a 10^10-row table touches O(files whose range matches),
-        never the whole table."""
+        never the whole table. The value set ships to the read tasks
+        once (``ray.put``), so a seed-sized key set is not pickled into
+        every task."""
         import pyarrow.compute as pc
 
         m = self._load_manifest(None)
@@ -591,13 +593,12 @@ class VersionedTable:
         deletes = m.get("deletes") or {}
         added = m.get("added_columns") or []
         eq = m.get("eq_deletes") or []
-        value_set = pa.array(sorted(set(values)))
         cols_read = (
             columns if columns is None or key in columns else list(columns) + [key]
         )
 
         def only_matching(tbl: pa.Table) -> pa.Table:
-            out = tbl.filter(pc.is_in(tbl[key], value_set=value_set))
+            out = tbl.filter(pc.is_in(tbl[key], value_set=ray.get(value_ref)))
             return out.select(columns) if columns is not None else out
 
         if not files:
@@ -606,6 +607,7 @@ class VersionedTable:
             if not m["files"]:
                 raise ValueError(f"table {self.path} is empty")
             return rd.from_arrow(self._empty_canonical_table(m, columns))
+        value_ref = ray.put(pa.array(sorted(set(values))))
         # layout_files pins the canonical layout to the FULL manifest:
         # pruning must never change the output schema (a heterogeneous
         # append's column could exist only in pruned-away files)

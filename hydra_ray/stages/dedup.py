@@ -754,7 +754,6 @@ def decontaminate(
     n: int = 5,
     id_col: str = "doc_id",
     text_col: str = "text",
-    broadcast_max: int = 2_000_000,
     num_parts: int = 64,
 ) -> "rd.Dataset":
     """Benchmark decontamination (the GPT-3 appendix-C / PaLM recipe):
@@ -763,27 +762,27 @@ def decontaminate(
     training corpora. Output one row per corpus doc: (id, n_overlap =
     distinct overlapping grams, contaminated).
 
-    Scale shape: eval sets are tiny by definition, so the default path
-    collects the DISTINCT bench grams once, ``ray.put``s the set, and
-    scores each corpus batch vectorized in an actor pool — zero
-    shuffles, one pass over the corpus. A doc's grams never span
-    batches (one row = one doc), so per-batch distinct-hit counts are
-    exact. If the bench gram count exceeds ``broadcast_max`` the op
-    falls back to a distributed gram semi-join (union + one keyed
-    shuffle, the asof_join pattern) plus a per-doc count merge — no
-    driver materialization on either side."""
+    Scale shape: eval sets are tiny by definition, so while the bench
+    gram count is at most joins.KEYS_BROADCAST_MAX the op collects the
+    DISTINCT bench grams once, ``ray.put``s the set, and scores each
+    corpus batch vectorized in an actor pool — zero shuffles, one pass
+    over the corpus. A doc's grams never span batches (one row = one
+    doc), so per-batch distinct-hit counts are exact. Above that the
+    corpus's per-doc distinct grams go through semi_join against the
+    bench grams (its keyed-shuffle route) and a per-doc count merge —
+    no driver materialization on either side."""
     import ray
 
     from hydra_ray.sources.store import ds_to_tables
+    from hydra_ray.stages import joins
     from hydra_ray.stages.agg import grouped_agg
-    from hydra_ray.stages.keyed import keyed_map_partitions
 
     def bench_grams(t: pa.Table) -> pa.Table:
         _, _, grams = _emit_kgrams(t[text_col], n)
         return pa.table({"gram": pc.unique(grams)})
 
-    bench_gram_ds = bench.map_batches(bench_grams, batch_format="pyarrow")
-    if bench_gram_ds.count() <= broadcast_max:
+    bench_gram_ds = bench.map_batches(bench_grams, batch_format="pyarrow").materialize()
+    if bench_gram_ds.count() <= joins.KEYS_BROADCAST_MAX:
         tables = [t for t in ds_to_tables(bench_gram_ds) if t.num_rows]
         gram_set: set[str] = set()
         for t in tables:
@@ -798,7 +797,6 @@ def decontaminate(
             concurrency=(1, 8),
         )
 
-    # distributed fallback: gram semi-join + per-doc count merge
     def corpus_grams(t: pa.Table) -> pa.Table:
         doc_idx, _, grams = _emit_kgrams(t[text_col], n)
         ids = pc.cast(t[id_col].combine_chunks(), pa.int64())
@@ -806,40 +804,23 @@ def decontaminate(
         # distinct per doc (group_by with no aggregates = distinct keys)
         return g.group_by([id_col, "gram"]).aggregate([])
 
-    cg = ds.map_batches(corpus_grams, batch_format="pyarrow").map_batches(
-        lambda t: t.append_column("_src", pa.array(np.zeros(len(t), dtype=np.int64))),
-        batch_format="pyarrow",
-    )
-    bg = bench_gram_ds.map_batches(
-        lambda t: pa.table(
+    def per_doc(t: pa.Table, hit: bool) -> pa.Table:
+        return pa.table(
             {
-                id_col: pa.array(np.full(len(t), -1, dtype=np.int64)),
-                "gram": t["gram"],
-                "_src": pa.array(np.ones(len(t), dtype=np.int64)),
+                id_col: pc.cast(t[id_col], pa.int64()),
+                "n_overlap": pa.array(np.full(len(t), int(hit), dtype=np.int64)),
             }
-        ),
-        batch_format="pyarrow",
-    )
+        )
 
-    def hits(df: pd.DataFrame) -> pd.DataFrame:
-        bench_here = set(df.loc[df["_src"] == 1, "gram"])
-        c = df[df["_src"] == 0]
-        hit = c[c["gram"].isin(bench_here)]
-        out = hit.groupby(id_col, sort=False).size().reset_index(name="n_overlap")
-        return out.astype({id_col: "int64", "n_overlap": "int64"})
-
-    hit_counts = keyed_map_partitions(cg.union(bg), ["gram"], hits, num_parts=num_parts)
-    zero = ds.map_batches(
-        lambda t: pa.table(
-            {
-                id_col: t[id_col],
-                "n_overlap": pa.array(np.zeros(len(t), dtype=np.int64)),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    # one row per (doc, overlapping gram), plus a zero row per doc so
+    # clean docs are scored too
+    hits = joins.semi_join(
+        ds.map_batches(corpus_grams, batch_format="pyarrow"), bench_gram_ds, "gram",
+        num_parts=num_parts,
+    ).map_batches(lambda t: per_doc(t, True), batch_format="pyarrow")
+    zero = ds.map_batches(lambda t: per_doc(t, False), batch_format="pyarrow")
     totals = grouped_agg(
-        hit_counts.union(zero), keys=[id_col], aggs=[("n_overlap", "sum", "n_overlap")]
+        hits.union(zero), keys=[id_col], aggs=[("n_overlap", "sum", "n_overlap")]
     )
     return totals.map_batches(
         lambda t: t.append_column("contaminated", pc.greater(t["n_overlap"], 0)),

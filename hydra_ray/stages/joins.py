@@ -162,6 +162,12 @@ def range_join(
     )
 
 
+# Key sets at or below this many rows ship to every task once
+# (``ray.put``); larger ones go through the keyed shuffle. Tests patch
+# it to 0 to drive the shuffle route on small inputs.
+KEYS_BROADCAST_MAX = 2_000_000
+
+
 def semi_join(
     left: "rd.Dataset",
     keys: "rd.Dataset",
@@ -169,13 +175,23 @@ def semi_join(
     num_parts: int = DEFAULT_PARTS,
     anti: bool = False,
 ) -> "rd.Dataset":
-    """Distributed semi-join: keep left rows whose ``key`` appears in
-    the 1-column ``keys`` dataset (``anti=True`` inverts: keep rows
-    whose key does NOT appear — the near-dup-removal filter). Both
-    sides go through ONE hash shuffle on the key — no driver
-    materialization, no broadcast — so it holds when the key set is
-    corpus-sized (e.g. dedup survivors). Left row order within a
-    partition is preserved."""
+    """The key-set filter: keep left rows whose ``key`` appears in the
+    ``key`` column of ``keys`` (``anti=True`` inverts: keep rows whose
+    key does NOT appear — the near-dup-removal filter).
+
+    Routed by the size of the key set, which is materialized and
+    counted first:
+
+    - at most ``KEYS_BROADCAST_MAX`` keys: the distinct keys are
+      ``ray.put`` once and every left block is filtered with
+      ``pc.is_in`` — no shuffle, left blocks keep schema and order;
+    - more: both sides go through ONE hash shuffle on the key, so it
+      holds when the key set is corpus-sized (e.g. dedup survivors)
+      and never reaches the driver. Left row order within a partition
+      is preserved."""
+    keys = keys.materialize()
+    if keys.count() <= KEYS_BROADCAST_MAX:
+        return _broadcast_semi_join(left, keys, key, anti)
 
     def tag_left(t: pa.Table) -> pa.Table:
         return t.append_column("_side", pa.array(np.zeros(t.num_rows, dtype=np.int8)))
@@ -184,8 +200,6 @@ def semi_join(
         return pa.table(
             {key: t[key], "_side": pa.array(np.ones(t.num_rows, dtype=np.int8))}
         )
-
-    left_cols = None
 
     def pad_keys_like_left(t: pa.Table, schema: pa.Schema) -> pa.Table:
         for f in schema:
@@ -216,6 +230,30 @@ def semi_join(
         return out
 
     return keyed_map_partitions(lt.union(kt), [key], keep_members, num_parts=num_parts)
+
+
+def _broadcast_semi_join(
+    left: "rd.Dataset", keys: "rd.Dataset", key: str, anti: bool
+) -> "rd.Dataset":
+    """semi_join's small-key-set route: one ``ray.put`` of the distinct
+    keys, then a shuffle-free ``pc.is_in`` filter per left block."""
+    import pyarrow.compute as pc
+
+    from hydra_ray.sources.store import ds_to_tables
+
+    cols = [t[key] for t in ds_to_tables(keys) if t.num_rows]
+    if not cols:  # empty key set: nothing is a member
+        return left if anti else left.map_batches(
+            lambda t: t.slice(0, 0), batch_format="pyarrow"
+        )
+    keys_ref = ray.put(pc.unique(pa.chunked_array([c for col in cols for c in col.chunks])))
+
+    def keep(t: pa.Table) -> pa.Table:
+        col = t[key]
+        hit = pc.is_in(col, value_set=ray.get(keys_ref).cast(col.type))
+        return t.filter(pc.invert(hit) if anti else hit)
+
+    return left.map_batches(keep, batch_format="pyarrow")
 
 
 def hash_join(
@@ -346,7 +384,8 @@ def build_bloom(
 
     bits = np.zeros(nbits // 8, dtype=np.uint8)
     for t in ds_to_tables(keys.map_batches(partial, batch_format="pyarrow")):
-        for row in t["bm"].to_pylist():
+        # an empty key set leaves one schema-less empty block: no bits
+        for row in t["bm"].to_pylist() if t.num_rows else ():
             bits |= np.frombuffer(row, dtype=np.uint8)
     return bits, n_hashes
 
@@ -358,48 +397,19 @@ def bloom_semi_join(
     nbits: int = 1 << 23,
     n_hashes: int = 5,
     num_parts: int = DEFAULT_PARTS,
-    exact_broadcast_max: int = 2_000_000,
 ) -> "rd.Dataset":
     """semi_join with a Bloom pre-filter: the key set's bitmap (nbits/8
-    bytes, vs the keys themselves) broadcasts once; every left block
-    drops its definite-negatives BEFORE the hash shuffle, so the
-    all-to-all exchange only moves probable matches — at 100 TB with a
-    selective key set this is the difference between shuffling the
-    corpus and shuffling a few percent of it. False positives are
-    removed by the exact semi_join on the survivors, so results are
-    IDENTICAL to semi_join (and to the SQL IN-subquery oracle)."""
-    import ray
-
+    bytes, vs the keys themselves) broadcasts once and every left block
+    drops its definite-negatives BEFORE semi_join runs — so when the key
+    set is too large to broadcast, the all-to-all exchange only moves
+    probable matches: at 100 TB with a selective key set this is the
+    difference between shuffling the corpus and shuffling a few percent
+    of it. False positives are removed by semi_join on the survivors,
+    so results are IDENTICAL to semi_join (and to the SQL IN-subquery
+    oracle)."""
     from hydra_ray.state.cuckoo import _mix64
 
-    # auto-route (the nn_all pattern): below exact_broadcast_max keys
-    # the EXACT key set broadcasts and the join is one shuffle-free
-    # filter; the Bloom+shuffle path is for corpus-sized key sets where
-    # the exact set can't ship
     keys = keys.materialize()
-    if keys.count() <= exact_broadcast_max:
-        import pyarrow as _pa
-        import pyarrow.compute as _pc
-
-        from hydra_ray.sources.store import ds_to_tables
-
-        non_empty = [t for t in ds_to_tables(keys) if t.num_rows]
-        if not non_empty:
-            # empty key set → empty result (same contract as semi_join)
-            return left.map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow")
-        kt = pa.concat_tables(non_empty)
-        key_set = _pc.unique(kt[key].combine_chunks())
-        set_ref = ray.put(key_set)
-
-        def exact_filter(t: pa.Table) -> pa.Table:
-            vals = ray.get(set_ref)
-            col = t[key]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            return t.filter(_pc.is_in(col, value_set=vals.cast(col.type)))
-
-        return left.map_batches(exact_filter, batch_format="pyarrow")
-
     bits, nh = build_bloom(keys, key, nbits=nbits, n_hashes=n_hashes)
     bits_ref = ray.put(bits)
     mask = np.uint64(nbits - 1)

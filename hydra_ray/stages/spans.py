@@ -215,12 +215,13 @@ def span_near_dup(
 
     Scale shape: candidates/verify inherit dedup_minhash's routing
     (broadcast verify below BROADCAST_DOCS_MAX span-docs, co-partition
-    joins above); the only new exchange is the doc-keyed reassembly.
-    The dropped-key set is LSH-output-sized, broadcast once.
+    joins above); the dropped keys (``doc_b`` of every verified pair)
+    are removed by semi_join's anti route — broadcast below
+    KEYS_BROADCAST_MAX, one keyed shuffle above, never collected on the
+    driver — then one doc-keyed reassembly.
     """
-    import ray as _ray
-
     from hydra_ray.stages.dedup import dedup_minhash
+    from hydra_ray.stages.joins import semi_join
     from hydra_ray.stages.keyed import keyed_map_partitions_arrow
     from hydra_ray.stages.text import _tokens_arr
 
@@ -249,21 +250,13 @@ def span_near_dup(
         shingle_k=shingle_k,
         concurrency=concurrency,
     )
-    drop_keys = pa.array(
-        sorted({r["doc_b"] for r in pairs.select_columns(["doc_b"]).take_all()}),
-        type=pa.string(),
+    drop_keys = pairs.map_batches(
+        lambda t: pa.table({"_k": t["doc_b"]}), batch_format="pyarrow"
     )
-    drop_ref = _ray.put(drop_keys)
-
-    class Survivors:
-        def __init__(self):
-            self.drop = _ray.get(drop_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            dup = pc.is_in(span_key(t), value_set=self.drop)
-            return t.filter(pc.invert(dup))
-
-    surv = flat.map_batches(Survivors, batch_format="pyarrow", concurrency=concurrency)
+    keyed = flat.map_batches(
+        lambda t: t.append_column("_k", span_key(t)), batch_format="pyarrow"
+    )
+    surv = semi_join(keyed, drop_keys, "_k", num_parts=num_parts, anti=True)
     return keyed_map_partitions_arrow(surv, ["doc_id"], _assemble_spans, num_parts=num_parts)
 
 

@@ -47,3 +47,14 @@ def make_crawl_engine():
     yield _make
     for eng in engines:
         eng.shutdown()
+
+
+@pytest.fixture(params=["broadcast", "shuffle"])
+def keyset_route(request, monkeypatch):
+    """Run a key-set-filter test on both semi_join routes: the default
+    broadcast filter, and the keyed shuffle (KEYS_BROADCAST_MAX → 0)."""
+    if request.param == "shuffle":
+        from hydra_ray.stages import joins
+
+        monkeypatch.setattr(joins, "KEYS_BROADCAST_MAX", 0)
+    return request.param

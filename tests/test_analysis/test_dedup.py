@@ -231,12 +231,13 @@ def test_duplicated_passages_gram_frequency_cap_and_invariance():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_decontaminate_paths_agree():
+def test_decontaminate_paths_agree(monkeypatch):
     """Broadcast and distributed semi-join decontamination paths
     produce identical (doc, n_overlap, contaminated) rows; planted
     overlaps are found, clean docs score zero."""
     import ray.data as rd
 
+    from hydra_ray.stages import joins
     from hydra_ray.stages.dedup import decontaminate
 
     bench = pa.table(
@@ -258,19 +259,19 @@ def test_decontaminate_paths_agree():
         }
     )
 
-    def run(broadcast_max):
+    def run():
         return (
             decontaminate(
-                rd.from_arrow(corpus).repartition(2), rd.from_arrow(bench),
-                n=5, broadcast_max=broadcast_max,
+                rd.from_arrow(corpus).repartition(2), rd.from_arrow(bench), n=5
             )
             .to_pandas()
             .sort_values("doc_id")
             .reset_index(drop=True)
         )
 
-    a = run(2_000_000)  # broadcast path
-    b = run(0)          # distributed semi-join path
+    a = run()  # broadcast path
+    monkeypatch.setattr(joins, "KEYS_BROADCAST_MAX", 0)
+    b = run()  # distributed semi-join path
     assert a.equals(b)
     got = a.set_index("doc_id")
     assert bool(got.loc[1, "contaminated"]) and got.loc[1, "n_overlap"] == 1

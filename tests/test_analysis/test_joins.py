@@ -156,7 +156,7 @@ def test_windowed_agg_rejects_non_multiple_slide():
                      aggs=[("v", "sum", "s")])
 
 
-@pytest.mark.usefixtures("ray_session")
+@pytest.mark.usefixtures("ray_session", "keyset_route")
 def test_semi_join_keeps_only_members():
     from hydra_ray.stages.joins import semi_join
 
@@ -205,7 +205,7 @@ def test_curate_corpus_pipeline_counts():
     assert out.loc["en", "sum_toks"] == 10
 
 
-@pytest.mark.usefixtures("ray_session")
+@pytest.mark.usefixtures("ray_session", "keyset_route")
 def test_anti_semi_join():
     from hydra_ray.stages.joins import semi_join
 
@@ -221,7 +221,7 @@ def test_anti_semi_join():
     assert out["doc_id"].tolist() == [1, 3]
 
 
-@pytest.mark.usefixtures("ray_session")
+@pytest.mark.usefixtures("ray_session", "keyset_route")
 def test_curate_corpus_near_dup_removal():
     """With near_dup_threshold set, a near-duplicate (one word changed)
     of a kept doc is dropped (higher doc_id loses); without it, both
@@ -322,7 +322,7 @@ def test_joins_tolerate_empty_sides():
     # empty right: inner empty, left keeps its rows
     assert hash_join(rd.from_arrow(t), empty, "k").count() == 0
     assert hash_join(rd.from_arrow(t), empty, "k", how="left").count() == 2
-    # empty key set through bloom's exact-broadcast route: empty result,
+    # empty key set through semi_join's broadcast route: empty result,
     # no ArrowInvalid from pa.concat_tables([])
     from hydra_ray.stages.joins import bloom_semi_join
 
@@ -366,13 +366,14 @@ def test_bloom_semi_join_equals_exact(ray_session):
     assert bits.any()
 
 
-def test_bloom_semi_join_paths_identical(ray_session):
-    """broadcast-exact route == bloom+shuffle route == plain semi_join."""
+def test_bloom_semi_join_paths_identical(ray_session, monkeypatch):
+    """bloom+broadcast route == bloom+shuffle route == plain semi_join."""
     import numpy as np
     import pyarrow as pa
 
     import ray.data as rd
 
+    from hydra_ray.stages import joins
     from hydra_ray.stages.joins import bloom_semi_join
 
     left = pa.table(
@@ -382,16 +383,17 @@ def test_bloom_semi_join_paths_identical(ray_session):
         }
     )
     keys = pa.table({"k": pa.array(np.arange(0, 500, 11, dtype=np.int64))})
-    fast = (
-        bloom_semi_join(rd.from_arrow(left).repartition(4), rd.from_arrow(keys), "k")
-        .to_pandas().sort_values("k").reset_index(drop=True)
-    )
-    slow = (
-        bloom_semi_join(
-            rd.from_arrow(left).repartition(4), rd.from_arrow(keys), "k",
-            nbits=1 << 14, exact_broadcast_max=0,
+
+    def run():
+        return (
+            bloom_semi_join(
+                rd.from_arrow(left).repartition(4), rd.from_arrow(keys), "k", nbits=1 << 14
+            )
+            .to_pandas().sort_values("k").reset_index(drop=True)
         )
-        .to_pandas().sort_values("k").reset_index(drop=True)
-    )
+
+    fast = run()
+    monkeypatch.setattr(joins, "KEYS_BROADCAST_MAX", 0)  # keyed-shuffle route
+    slow = run()
     assert fast.equals(slow)
     assert set(fast["k"]) == set(range(0, 500, 11))

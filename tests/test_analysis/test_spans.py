@@ -246,7 +246,7 @@ def test_span_dedup_incremental_vs_corpus(ray_session):
     assert [s["offset"] for s in rows["10"]] == [0, 1, 2]
 
 
-def test_span_near_dup_fuzzy_removal(ray_session):
+def test_span_near_dup_fuzzy_removal(ray_session, keyset_route):
     """Near-identical (not byte-equal) chunks drop; short spans with no
     full shingle always survive; media survives."""
     import ray
@@ -271,7 +271,7 @@ def test_span_near_dup_fuzzy_removal(ray_session):
     assert [s["text"] for s in rows["3"]] == ["aa bb"]
 
 
-def test_span_near_dup_exact_dup_still_drops(ray_session):
+def test_span_near_dup_exact_dup_still_drops(ray_session, keyset_route):
     """Byte-equal spans are trivially Jaccard 1.0 — subsumes span_dedup
     on candidates; first-wins order matches the oracle's string keys."""
     import ray
@@ -285,3 +285,45 @@ def test_span_near_dup_exact_dup_still_drops(ray_session):
     out = span_near_dup(ray.data.from_arrow(docs), threshold=0.5, num_parts=4)
     rows = {r["doc_id"]: r["spans"] for r in out.take_all()}
     assert set(rows) == {"7"}
+
+
+def test_span_near_dup_shuffle_route_matches_broadcast(ray_session, monkeypatch):
+    """Many byte-identical docs: the dropped-key set is as large as the
+    input. The keyed-shuffle route returns the same spans as the
+    broadcast route, and neither route collects the dropped keys on
+    the driver (Dataset.take_all is never called)."""
+    import ray
+    from ray.data import Dataset
+
+    from hydra_ray.stages import joins
+    from hydra_ray.stages.spans import span_near_dup
+
+    def no_take_all(self, *args, **kwargs):
+        raise AssertionError("span_near_dup called Dataset.take_all")
+
+    monkeypatch.setattr(Dataset, "take_all", no_take_all)
+    t = "one two three four five six " * 4
+    n = 40
+    docs = pa.table(
+        {
+            "doc_id": pa.array(range(100, 100 + n), type=pa.int64()),
+            "text": [t] * n,
+        }
+    )
+
+    def run():
+        out = span_near_dup(
+            ray.data.from_arrow(docs).repartition(4), threshold=0.5, num_parts=4
+        ).to_pandas()
+        return {
+            d: [(s["kind"], s["text"], s["offset"]) for s in spans]
+            for d, spans in zip(out["doc_id"], out["spans"])
+        }
+
+    broadcast = run()
+    monkeypatch.setattr(joins, "KEYS_BROADCAST_MAX", 0)
+    shuffle = run()
+    assert shuffle == broadcast
+    # every copy after the first is dropped; the first keeps its span
+    assert list(broadcast) == ["100"]
+    assert broadcast["100"] == [("text", t, 0)]

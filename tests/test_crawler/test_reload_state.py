@@ -90,6 +90,51 @@ def test_reload_preserves_crawl_state(tmp_path, make_crawl_engine):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_reload_above_driver_thresholds(tmp_path, make_crawl_engine, monkeypatch):
+    """Reload with both catalog probes on their large path (the
+    resource_id membership probe and the stored-state read, each a
+    read_where lookup): crawl state is carried, new rows enter fresh,
+    and a new resource_id pointing at an already-seen URL is refused."""
+    import hydra_ray.sources.store as store_mod
+
+    docs = pa.table({"doc_id": pa.array(np.arange(30), type=pa.int64())})
+    seed = catalog_from_documents(docs)
+    eng = make_crawl_engine(str(tmp_path / "wd"), **KW)
+    eng.load_catalog(seed)
+    eng.run(2)
+    before = _state_by_rid(eng.catalog.read_arrow())
+    checked = {k: v for k, v in before.items() if v["last_check_id"] is not None}
+    assert checked
+
+    monkeypatch.setattr(store_mod, "DRIVER_MERGE_MAX_ROWS", 0)
+    eng.CACHE_MAX_ROWS = 0
+    eng.invalidate_frontier_cache()
+    url_dup = seed.slice(0, 1).set_column(
+        seed.column_names.index("resource_id"), "resource_id", pa.array(["url-dup"])
+    )
+    refreshed = seed.set_column(
+        seed.column_names.index("title"),
+        "title",
+        pa.array([f"refreshed {i}" for i in range(seed.num_rows)]),
+    )
+    new_docs = pa.table({"doc_id": pa.array(np.arange(30, 35), type=pa.int64())})
+    eng.load_catalog(
+        pa.concat_tables([refreshed, catalog_from_documents(new_docs), url_dup])
+    )
+
+    cat = eng.catalog.read_arrow()
+    titles = dict(zip(cat["resource_id"].to_pylist(), cat["title"].to_pylist()))
+    assert all(titles[rid].startswith("refreshed ") for rid in before)
+    after = _state_by_rid(cat)
+    assert "url-dup" not in after
+    assert len(after) == 35
+    for rid, prev in checked.items():
+        assert after[rid] == prev
+    for rid in catalog_from_documents(new_docs)["resource_id"].to_pylist():
+        assert after[rid]["last_check_id"] is None
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_reload_explicit_state_wins(tmp_path, make_crawl_engine):
     """State columns the CALLER provides in the seed override the stored
     values — preservation only fills what the seed leaves unspecified."""
