@@ -118,58 +118,58 @@ def _shingle_hashes(text: str, k: int = 3) -> np.ndarray:
     return np.unique(acc)
 
 
-class MinHasher:
-    """Actor-pool stage: permutation params computed once per actor."""
+_PERM_A, _PERM_B = _perm_params()  # once at import; the SQL oracle inlines the same
 
-    def __init__(self, n_perm: int = N_PERM, shingle_k: int = 3):
-        self.a, self.b = _perm_params(n_perm)
-        self.n_perm = n_perm
-        self.k = shingle_k
 
-    def signature(self, text: str) -> np.ndarray:
-        h = _shingle_hashes(text, self.k)
-        # (n_shingles, n_perm) permuted values; min over shingles
-        vals = (h[:, None] * self.a[None, :] + self.b[None, :]) % np.uint64(_MERSENNE)
-        return vals.min(axis=0)
+def _permuted(h: np.ndarray) -> np.ndarray:
+    """(n_shingles,) hashes → (n_shingles, N_PERM) permuted values."""
+    return (h[:, None] * _PERM_A[None, :] + _PERM_B[None, :]) % np.uint64(_MERSENNE)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        """Batch-vectorized banding: shingle hashes of all documents are
-        concatenated, permuted once as a single (total_shingles, n_perm)
-        matrix, signatures taken with a segmented min (reduceat), and
-        all band hashes mixed in one shot — no per-document matrices."""
-        doc_ids = batch["doc_id"]
-        texts = batch["text"].to_pylist()
-        n = len(texts)
-        if n == 0:
-            return pa.table(
-                {
-                    "doc_id": doc_ids,
-                    "band_id": pa.array([], type=pa.int32()),
-                    "band_hash": pa.array([], type=pa.int64()),
-                }
-            )
-        per_doc = [_shingle_hashes(t or "", self.k) for t in texts]
-        counts = np.array([len(h) for h in per_doc], dtype=np.int64)  # all >= 1
-        flat = np.concatenate(per_doc)
-        vals = (flat[:, None] * self.a[None, :] + self.b[None, :]) % np.uint64(_MERSENNE)
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        sigs = np.minimum.reduceat(vals, starts, axis=0)  # (n_docs, n_perm)
-        bands = sigs.reshape(n, N_BANDS, ROWS_PER_BAND)
-        bh = _mix64(
-            bands[..., 0]
-            ^ _mix64(bands[..., 1] ^ _mix64(bands[..., 2] ^ _mix64(bands[..., 3])))
-        ).view(np.int64)
-        idx = np.repeat(np.arange(n), N_BANDS)
+
+def minhash_signature(text: str, shingle_k: int = 3) -> np.ndarray:
+    """N_PERM-long MinHash signature: min permuted value over shingles."""
+    return _permuted(_shingle_hashes(text, shingle_k)).min(axis=0)
+
+
+def minhash_bands_batch(batch: pa.Table, shingle_k: int = 3) -> pa.Table:
+    """(doc_id, text) → (doc_id, band_id, band_hash), N_BANDS rows per doc.
+
+    Batch-vectorized: shingle hashes of all documents are concatenated,
+    permuted once as a single (total_shingles, N_PERM) matrix,
+    signatures taken with a segmented min (reduceat), and all band
+    hashes mixed in one shot — no per-document matrices."""
+    doc_ids = batch["doc_id"]
+    texts = batch["text"].to_pylist()
+    n = len(texts)
+    if n == 0:
         return pa.table(
             {
-                "doc_id": pc.take(
-                    doc_ids.combine_chunks() if isinstance(doc_ids, pa.ChunkedArray) else doc_ids,
-                    pa.array(idx),
-                ),
-                "band_id": pa.array(np.tile(np.arange(N_BANDS, dtype=np.int32), n)),
-                "band_hash": pa.array(bh.reshape(-1)),
+                "doc_id": doc_ids,
+                "band_id": pa.array([], type=pa.int32()),
+                "band_hash": pa.array([], type=pa.int64()),
             }
         )
+    per_doc = [_shingle_hashes(t or "", shingle_k) for t in texts]
+    counts = np.array([len(h) for h in per_doc], dtype=np.int64)  # all >= 1
+    vals = _permuted(np.concatenate(per_doc))
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    sigs = np.minimum.reduceat(vals, starts, axis=0)  # (n_docs, n_perm)
+    bands = sigs.reshape(n, N_BANDS, ROWS_PER_BAND)
+    bh = _mix64(
+        bands[..., 0]
+        ^ _mix64(bands[..., 1] ^ _mix64(bands[..., 2] ^ _mix64(bands[..., 3])))
+    ).view(np.int64)
+    idx = np.repeat(np.arange(n), N_BANDS)
+    return pa.table(
+        {
+            "doc_id": pc.take(
+                doc_ids.combine_chunks() if isinstance(doc_ids, pa.ChunkedArray) else doc_ids,
+                pa.array(idx),
+            ),
+            "band_id": pa.array(np.tile(np.arange(N_BANDS, dtype=np.int32), n)),
+            "band_hash": pa.array(bh.reshape(-1)),
+        }
+    )
 
 
 def jaccard(text_a: str, text_b: str, k: int = 3) -> float:
@@ -238,33 +238,37 @@ def _verify_distributed(
     shuffles of the tiny pair table), then the two halves meet under a
     (doc_a, doc_b) co-partition where true Jaccard is computed.
 
-    Requires an int64-castable id column (the broadcast path has no such
-    constraint). side: 0=doc row, 1=pair half keyed on doc_a, 2=on doc_b.
+    Ids keep the docs table's own type (int or string) throughout.
+    side: 0=doc row (doc_a/doc_b repeat its key, unused), 1=pair half
+    keyed on doc_a, 2=on doc_b.
     """
     from hydra_ray.stages.keyed import keyed_map_partitions
 
+    schema = ds.schema()
+    id_type = schema.types[schema.names.index("doc_id")]
+
     def pairs_to_halves(t: pa.Table) -> pa.Table:
-        a = pc.cast(t["doc_a"], pa.int64()).to_numpy(zero_copy_only=False).astype(np.int64)
-        b = pc.cast(t["doc_b"], pa.int64()).to_numpy(zero_copy_only=False).astype(np.int64)
+        a = pc.cast(t["doc_a"], id_type).combine_chunks()
+        b = pc.cast(t["doc_b"], id_type).combine_chunks()
         n = len(t)
         return pa.table(
             {
-                "key": pa.array(np.concatenate([a, b]), type=pa.int64()),
-                "doc_a": pa.array(np.concatenate([a, a]), type=pa.int64()),
-                "doc_b": pa.array(np.concatenate([b, b]), type=pa.int64()),
+                "key": pa.concat_arrays([a, b]),
+                "doc_a": pa.concat_arrays([a, a]),
+                "doc_b": pa.concat_arrays([b, b]),
                 "side": pa.array([1] * n + [2] * n, type=pa.int8()),
                 "text": pa.nulls(2 * n, pa.string()),
             }
         )
 
     def docs_to_u(t: pa.Table) -> pa.Table:
-        n = len(t)
+        key = pc.cast(t["doc_id"], id_type)
         return pa.table(
             {
-                "key": pc.cast(t["doc_id"], pa.int64()),
-                "doc_a": pa.array([-1] * n, type=pa.int64()),
-                "doc_b": pa.array([-1] * n, type=pa.int64()),
-                "side": pa.array([0] * n, type=pa.int8()),
+                "key": key,
+                "doc_a": key,
+                "doc_b": key,
+                "side": pa.array([0] * len(t), type=pa.int8()),
                 "text": pc.cast(t["text"], pa.string()),
             }
         )
@@ -300,8 +304,8 @@ def _verify_distributed(
         if m.empty:
             return pd.DataFrame(
                 {
-                    "doc_a": pd.Series(dtype="int64"),
-                    "doc_b": pd.Series(dtype="int64"),
+                    "doc_a": pd.Series(dtype=df["doc_a"].dtype),
+                    "doc_b": pd.Series(dtype=df["doc_b"].dtype),
                     "jaccard": pd.Series(dtype="float64"),
                 }
             )
@@ -326,14 +330,14 @@ def dedup_minhash(
     ds: "rd.Dataset",
     threshold: float = 0.7,
     shingle_k: int = 3,
-    concurrency: tuple = (1, 2),
     distributed: bool | None = None,
     cross_of=None,
 ) -> "rd.Dataset":
     """MinHash-LSH near-duplicate pairs, verified by true Jaccard.
 
-    shingle→minhash per batch (actor pool) → band rows → distributed
-    bucket-collision pair emission (lsh_candidate_pairs) → verify.
+    shingle→minhash per batch (minhash_bands_batch, a stateless task) →
+    band rows → distributed bucket-collision pair emission
+    (lsh_candidate_pairs) → verify.
 
     ``cross_of`` (ids → bool array) switches to INCREMENTAL mode: only
     pairs spanning the two sides are emitted/verified — the streaming
@@ -343,7 +347,8 @@ def dedup_minhash(
     Verify routing: above BROADCAST_DOCS_MAX docs (or distributed=True)
     texts are attached by co-partitioned joins — no driver
     materialization anywhere, driver memory O(1). Below the threshold a
-    broadcast text map is cheaper (one ray.put, no text shuffle).
+    broadcast text map is cheaper (one ray.put, read by each verify
+    task; no text shuffle).
     """
     import ray
 
@@ -352,10 +357,7 @@ def dedup_minhash(
         distributed = mat.count() > BROADCAST_DOCS_MAX
 
     bands = mat.map_batches(
-        MinHasher,
-        fn_constructor_kwargs={"shingle_k": shingle_k},
-        batch_format="pyarrow",
-        concurrency=concurrency,
+        minhash_bands_batch, fn_kwargs={"shingle_k": shingle_k}, batch_format="pyarrow"
     )
 
     if distributed:
@@ -367,24 +369,18 @@ def dedup_minhash(
     texts_tbl = mat.select_columns(["doc_id", "text"]).to_pandas()
     text_ref = ray.put(dict(zip(texts_tbl["doc_id"], texts_tbl["text"])))
 
-    class Verify:
-        def __init__(self):
-            self.texts = ray.get(text_ref)
-            self.k = shingle_k
+    def verify(batch: pd.DataFrame) -> pd.DataFrame:
+        if batch.empty:
+            return batch.assign(jaccard=pd.Series(dtype="float64"))
+        texts = ray.get(text_ref)
+        jac = [
+            round(jaccard(texts.get(a, ""), texts.get(b, ""), shingle_k), 6)
+            for a, b in zip(batch["doc_a"], batch["doc_b"])
+        ]
+        batch = batch.assign(jaccard=jac)
+        return batch[batch["jaccard"] >= threshold]
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            if batch.empty:
-                return batch.assign(jaccard=pd.Series(dtype="float64"))
-            jac = [
-                round(jaccard(self.texts.get(a, ""), self.texts.get(b, ""), self.k), 6)
-                for a, b in zip(batch["doc_a"], batch["doc_b"])
-            ]
-            batch = batch.assign(jaccard=jac)
-            return batch[batch["jaccard"] >= threshold]
-
-    return pairs.map_batches(
-        Verify, batch_format="pandas", batch_size=2048, concurrency=concurrency
-    )
+    return pairs.map_batches(verify, batch_format="pandas", batch_size=2048)
 
 
 def duplicate_clusters(pairs: pd.DataFrame, id_a: str = "doc_a", id_b: str = "doc_b") -> pd.DataFrame:
@@ -523,9 +519,9 @@ def simhash_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """64-bit SimHash over word hashes.
 
     Vectorized over the whole batch: words are hashed once each through
-    the memoized md5 token cache (shared with MinHasher), bit votes are
-    a single segmented reduction over the flat (token, bit) matrix —
-    no per-document recomputation.
+    the memoized md5 token cache (shared with MinHash shingling), bit
+    votes are a single segmented reduction over the flat (token, bit)
+    matrix — no per-document recomputation.
     """
     texts = batch[text_col].to_pylist()
     n = len(texts)

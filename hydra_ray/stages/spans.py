@@ -194,7 +194,6 @@ def span_near_dup(
     threshold: float = 0.5,
     shingle_k: int = 3,
     num_parts: int = 32,
-    concurrency: tuple = (1, 2),
 ):
     """MinHash-LSH NEAR-duplicate span removal over interleaved docs —
     the fuzzy sibling of span_dedup: text spans whose shingle-set
@@ -204,7 +203,7 @@ def span_near_dup(
     Each text span becomes a MinHash "document" keyed by
     ``doc_id:offset`` (offset zero-padded so string order is span
     order) and the whole stages/dedup.py pipeline runs unchanged:
-    shingle → per-batch banding (actor pool) → distributed bucket
+    shingle → per-batch banding (stateless tasks) → distributed bucket
     collision → true-Jaccard verify. Removal mirrors curate_near_dup:
     the larger key of every verified pair is dropped (one anti-join).
 
@@ -248,7 +247,6 @@ def span_near_dup(
         flat.map_batches(candidates, batch_format="pyarrow"),
         threshold=threshold,
         shingle_k=shingle_k,
-        concurrency=concurrency,
     )
     drop_keys = pairs.map_batches(
         lambda t: pa.table({"_k": t["doc_b"]}), batch_format="pyarrow"

@@ -7,11 +7,12 @@ import pytest
 import ray.data as rd
 
 from hydra_ray.stages.dedup import (
-    MinHasher,
+    N_PERM,
     dedup_exact,
     dedup_minhash,
     hamming64,
     jaccard,
+    minhash_signature,
     ngram_jaccard_pairs,
     simhash_batch,
 )
@@ -79,8 +80,9 @@ class TestDedup:
         assert d_near <= 12
 
     def test_minhash_signature_deterministic(self):
-        m1, m2 = MinHasher(), MinHasher()
-        assert (m1.signature(BASE) == m2.signature(BASE)).all()
+        s1, s2 = minhash_signature(BASE), minhash_signature(BASE)
+        assert s1.shape == (N_PERM,)
+        assert (s1 == s2).all()
 
     def test_minhash_distributed_matches_broadcast(self):
         """The co-partitioned verify path (no driver materialization,
@@ -529,3 +531,54 @@ def test_minhash_cross_of_incremental_mode(ray_session):
             expect[["doc_a", "doc_b"]].astype(str)
         ), distributed
     assert len(expect) >= 1  # the 0-1 near-dup pair spans the sides
+
+
+def test_minhash_distributed_matches_broadcast_string_ids(ray_session):
+    """String ids (span_near_dup's ``doc_id:offset`` keys) keep their
+    type through the co-partitioned verify, which returns the same
+    pairs, dtypes included, as the broadcast verify."""
+    t = corpus()
+    ids = pa.array([f"d{i:02d}" for i in t["doc_id"].to_pylist()])
+    t = t.set_column(0, "doc_id", ids)
+
+    def run(distributed):
+        return (
+            dedup_minhash(rd.from_arrow(t), threshold=0.5, distributed=distributed)
+            .to_pandas()
+            .sort_values(["doc_a", "doc_b"])
+            .reset_index(drop=True)
+        )
+
+    b, d = run(False), run(True)
+    assert d.equals(b)
+    assert {("d00", "d01"), ("d02", "d03")} <= set(zip(b["doc_a"], b["doc_b"]))
+
+
+def test_minhash_paths_run_as_tasks(ray_session, monkeypatch):
+    """dedup_minhash (both verify routes), span_near_dup and
+    curate_corpus hand map_batches only plain functions: no class UDF
+    (an actor pool) and no ``concurrency``."""
+    import inspect
+
+    from ray.data import Dataset
+
+    from hydra_ray.pipelines.curate import curate_corpus
+    from hydra_ray.stages.spans import span_near_dup
+
+    pools = []
+    map_batches = Dataset.map_batches
+
+    def recording(self, fn, *args, **kwargs):
+        if inspect.isclass(fn) or "concurrency" in kwargs:
+            pools.append(getattr(fn, "__name__", repr(fn)))
+        return map_batches(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "map_batches", recording)
+    docs = corpus()
+    for distributed in (False, True):
+        dedup_minhash(rd.from_arrow(docs), threshold=0.5, distributed=distributed).materialize()
+    spans_in = rd.from_arrow(docs.select(["doc_id", "text"]))
+    span_near_dup(spans_in, threshold=0.5, num_parts=4).materialize()
+    with_lang = docs.append_column("lang", pa.array(["en"] * len(docs)))
+    curate_corpus(rd.from_arrow(with_lang), near_dup_threshold=0.5).materialize()
+    assert pools == []

@@ -327,3 +327,40 @@ def test_span_near_dup_shuffle_route_matches_broadcast(ray_session, monkeypatch)
     # every copy after the first is dropped; the first keeps its span
     assert list(broadcast) == ["100"]
     assert broadcast["100"] == [("text", t, 0)]
+
+
+def test_span_near_dup_distributed_verify_matches_broadcast(ray_session, monkeypatch):
+    """Above dedup.BROADCAST_DOCS_MAX span-docs the verify attaches
+    texts by co-partitioning on the ``doc_id:offset`` string keys; it
+    returns the same spans as the broadcast verify."""
+    import ray
+
+    from hydra_ray.stages import dedup
+    from hydra_ray.stages.spans import span_near_dup
+
+    base = "alpha beta gamma delta epsilon zeta eta theta " * 5
+    near = base.replace("theta", "thetaX", 1)
+    other = " ".join(f"w{i}" for i in range(30))
+    docs = pa.table(
+        {
+            "doc_id": pa.array([1, 2, 3, 4, 5], type=pa.int64()),
+            "text": [base, near, "aa bb", other, base + "b" * CHUNK],
+        }
+    )
+
+    def run():
+        out = span_near_dup(
+            ray.data.from_arrow(docs).repartition(2), threshold=0.5, num_parts=4
+        ).to_pandas()
+        return {
+            d: [(s["kind"], s["text"], s["offset"]) for s in spans]
+            for d, spans in zip(out["doc_id"], out["spans"])
+        }
+
+    broadcast = run()
+    monkeypatch.setattr(dedup, "BROADCAST_DOCS_MAX", 0)
+    distributed = run()
+    assert distributed == broadcast
+    # doc 2 is a near-dup of doc 1; doc 5's first span is one too
+    assert set(broadcast) == {"1", "3", "4", "5"}
+    assert broadcast["5"][0] != ("text", base, 0)
