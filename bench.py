@@ -106,7 +106,6 @@ def run_crawl(
     eng = CrawlEngine(
         workdir,
         batch_size=batch_size,
-        fetch_concurrency=max(2, (NUM_CPUS - 2) // 2),
         politeness_kwargs={
             # bench politeness: the bulk host is exempt (as the reference
             # exempts static.data.gouv.fr) and the per-domain budget is
@@ -301,7 +300,6 @@ def run_crawl_steady(workdir: str, content_rows: int = 2000, warmup_fraction: fl
     eng = CrawlEngine(
         workdir,
         batch_size=max(1000, int(n_urls * warmup_fraction)),
-        fetch_concurrency=max(2, (NUM_CPUS - 2) // 2),
         politeness_kwargs={"backoff_nb_req": 10**9},
         actor_pools=False,
         analysis_content_rows=content_rows,

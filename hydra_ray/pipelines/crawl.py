@@ -98,6 +98,7 @@ class CrawlEngine:
         self.workdir = workdir
         self.seed = config.ORDERING_SEED if seed is None else seed
         self.batch_size = batch_size or config.BATCH_SIZE
+        # actor-pool size (actor_pools=True only); blocks are sized by rows
         self.fetch_concurrency = fetch_concurrency or config.FETCH_CONCURRENCY
         self.transport = transport or {"kind": "synthetic"}
         os.makedirs(os.path.join(workdir, "state"), exist_ok=True)
@@ -280,44 +281,46 @@ class CrawlEngine:
             updates.append(_frontier_update_backoff(backoff_rows, now))
 
         if fetch_rows.num_rows:
-            # fine-grained fixed block budget: identical work decomposition
-            # at every parallelism level (scaling measurements compare like
-            # with like) and good straggler balance — content sizes vary
-            # ~30× between resources
-            n_blocks = max(1, min(128, max(self.fetch_concurrency * 4, fetch_rows.num_rows // 256 + 1)))
+            # blocks of at most FETCH_BATCH_SIZE rows, each ONE call of every
+            # stage (batch_size=None): no re-bundled small blocks, no
+            # remainder calls paying each stage's fixed cost again, and the
+            # same layout at every parallelism level (a function of rows only)
+            n_rows = fetch_rows.num_rows
+            n_blocks = -(-n_rows // config.FETCH_BATCH_SIZE)
             if self.partition_by_domain:
                 from hydra_ray.stages.partitioning import detect_hot_domains, partition_slices
 
+                # a partition stays one call even above FETCH_BATCH_SIZE:
+                # keeping a domain's rows together is the point of it
                 hot = detect_hot_domains(fetch_rows, n_blocks)
                 slices = partition_slices(fetch_rows, n_blocks, hot_domains=hot)
             else:
-                # pre-slice into row-range blocks on the driver:
+                # balanced row ranges, sliced on the driver:
                 # from_arrow(list) makes one block per table, no shuffle
-                step = -(-fetch_rows.num_rows // n_blocks)
-                slices = [fetch_rows.slice(i, step) for i in range(0, fetch_rows.num_rows, step)]
+                cuts = [i * n_rows // n_blocks for i in range(n_blocks + 1)]
+                slices = [fetch_rows.slice(a, b - a) for a, b in zip(cuts, cuts[1:])]
             ds = rd.from_arrow(slices)
-            pool_kw = dict(batch_format="pyarrow", batch_size=config.FETCH_BATCH_SIZE)
+            stage_kw = dict(batch_format="pyarrow", batch_size=None)
             # autoscaling (1, N) pools: two pools in one pipeline must never
             # reserve more CPUs than the node has (a fixed pool larger than
             # the free CPUs deadlocks the streaming executor)
             pool_n = max(1, min(self.fetch_concurrency, n_blocks))
+
+            def udf(cls, kwargs: dict) -> dict:
+                # a class UDF on an actor pool, or one instance run as tasks
+                if self.actor_pools:
+                    return dict(fn=cls, fn_constructor_kwargs=kwargs, concurrency=(1, pool_n))
+                return dict(fn=cls(**kwargs))
+
             fetch_kwargs = {
                 "transport": self.transport,
                 "udata_uri": config.UDATA_URI,
                 "robots": self.robots,
             }
-            if self.actor_pools:
-                ds = ds.map_batches(
-                    Fetcher,
-                    fn_constructor_kwargs=fetch_kwargs,
-                    concurrency=(1, pool_n),
-                    **pool_kw,
-                )
-            else:
-                ds = ds.map_batches(Fetcher(**fetch_kwargs), **pool_kw)
+            ds = ds.map_batches(**udf(Fetcher, fetch_kwargs), **stage_kw)
             ds = ds.map_batches(
                 lambda b: build_checks_batch(b, iteration=it, now=now.replace(tzinfo=timezone.utc)),
-                batch_format="pyarrow",
+                **stage_kw,
             )
             analyse_kwargs = {
                 "transport": self.transport,
@@ -326,15 +329,7 @@ class CrawlEngine:
                 "exports_dir": os.path.join(self.workdir, "exports"),
                 "config_overrides": self.analysis_config,
             }
-            if self.actor_pools:
-                ds = ds.map_batches(
-                    Analyser,
-                    fn_constructor_kwargs=analyse_kwargs,
-                    concurrency=(1, pool_n),
-                    **pool_kw,
-                )
-            else:
-                ds = ds.map_batches(Analyser(**analyse_kwargs), **pool_kw)
+            ds = ds.map_batches(**udf(Analyser, analyse_kwargs), **stage_kw)
 
             # per-block distributed sinks: checks / payloads / span docs are
             # written by the workers; only slim frontier columns reach the
@@ -346,7 +341,7 @@ class CrawlEngine:
             tables_txn = self.tables_index.new_txn_dir(tag=tag)
             ds = ds.map_batches(
                 IterationSink(checks_txn, payloads_txn, docs_txn, it, tables_dir=tables_txn),
-                batch_format="pyarrow",
+                **stage_kw,
             )
             result = _ds_to_arrow(ds)
             mark("pipeline")

@@ -30,6 +30,28 @@ def checks_fingerprint(engine):
     return rows
 
 
+@pytest.fixture()
+def crawl_blocks(monkeypatch):
+    """Row counts of the blocks each crawl iteration cut (a spy on the
+    ``from_arrow(list)`` call that builds the iteration's Dataset)."""
+    from hydra_ray.pipelines import crawl
+
+    seen: list[list[int]] = []
+    from_arrow = crawl.rd.from_arrow
+
+    def spy(tables, *args, **kwargs):
+        if isinstance(tables, list):
+            seen.append([t.num_rows for t in tables])
+        return from_arrow(tables, *args, **kwargs)
+
+    monkeypatch.setattr(crawl.rd, "from_arrow", spy)
+    return seen
+
+
+def multi_block(blocks: list[list[int]]) -> bool:
+    return bool(blocks) and all(len(b) > 1 for b in blocks)
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_kill_and_resume_equals_straight_run(tmp_path, make_crawl_engine):
     kw = dict(batch_size=30, actor_pools=False)
@@ -112,35 +134,94 @@ def test_sink_part_names_deterministic(tmp_path, make_crawl_engine):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_results_identical_across_parallelism(tmp_path, make_crawl_engine):
-    """Same seed catalog, different fetch parallelism → byte-identical
-    checks (the scaling-criterion determinism prerequisite)."""
+def test_results_identical_across_parallelism(tmp_path, make_crawl_engine, monkeypatch, crawl_blocks):
+    """Same seed catalog, different fetch parallelism and block
+    boundaries → byte-identical checks (the scaling-criterion
+    determinism prerequisite)."""
+    from hydra_ray.config import config
+
+    monkeypatch.setattr(config, "FETCH_BATCH_SIZE", 7)
     a = make_crawl_engine(str(tmp_path / "p1"), batch_size=40, fetch_concurrency=1, actor_pools=False)
     a.load_catalog(small_seed())
     a.run(2)
+    blocks_a = crawl_blocks[:]
+    crawl_blocks.clear()
+    monkeypatch.setattr(config, "FETCH_BATCH_SIZE", 16)
     b = make_crawl_engine(str(tmp_path / "p4"), batch_size=40, fetch_concurrency=4, actor_pools=True)
     b.load_catalog(small_seed())
     b.run(2)
+    assert multi_block(blocks_a) and multi_block(crawl_blocks)
+    assert blocks_a != crawl_blocks
     assert checks_fingerprint(a) == checks_fingerprint(b)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_results_identical_with_domain_partitioning(tmp_path, make_crawl_engine):
+def test_iteration_blocks_sized_by_rows(tmp_path, make_crawl_engine, monkeypatch, crawl_blocks):
+    """A 100-row iteration at FETCH_BATCH_SIZE=16 is cut into 7 balanced
+    row-range blocks of at most 16 rows, and each of the four crawl
+    stages takes whole blocks (batch_size=None): one call per block, no
+    re-bundling of small blocks and no remainder calls."""
+    import inspect
+    import os
+
+    import pyarrow.parquet as pq
+    from ray.data import Dataset
+
+    from hydra_ray.config import config
+
+    monkeypatch.setattr(config, "FETCH_BATCH_SIZE", 16)
+    e = make_crawl_engine(
+        str(tmp_path / "b"),
+        batch_size=100,
+        actor_pools=False,
+        politeness_kwargs={"backoff_nb_req": 10**9},
+    )
+    e.load_catalog(small_seed(100))
+
+    stages = []
+    map_batches = Dataset.map_batches
+
+    def recording(self, fn, *args, **kwargs):
+        udf = fn if inspect.isclass(fn) or inspect.isfunction(fn) else type(fn)
+        stages.append((udf.__name__, kwargs.get("batch_size", "unset")))
+        return map_batches(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "map_batches", recording)
+    stats = e.run_iteration()
+
+    assert stats["selected"] == 100 and stats["backoff"] == 0
+    assert len(crawl_blocks) == 1 and sorted(crawl_blocks[0]) == [14] * 5 + [15] * 2
+    crawl_stages = ["Fetcher", "<lambda>", "Analyser", "IterationSink"]
+    assert [s for s in stages if s[0] in crawl_stages] == [(n, None) for n in crawl_stages]
+    # one sink call per block: one checks part file each, same rows
+    parts = [f for f in e.checks.files() if os.path.basename(os.path.dirname(f)).startswith("txn-iter0-")]
+    assert sorted(pq.read_metadata(f).num_rows for f in parts) == sorted(crawl_blocks[0])
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_results_identical_with_domain_partitioning(tmp_path, make_crawl_engine, monkeypatch, crawl_blocks):
     """Row-range slicing vs hash-partitioned + hot-salted blocks → same
     checks (partitioning is a physical layout choice, not semantics)."""
+    from hydra_ray.config import config
+
+    monkeypatch.setattr(config, "FETCH_BATCH_SIZE", 7)
     a = make_crawl_engine(str(tmp_path / "rows"), batch_size=60, actor_pools=False)
     a.load_catalog(small_seed())
     a.run(2)
+    blocks_a = crawl_blocks[:]
+    crawl_blocks.clear()
+    monkeypatch.setattr(config, "FETCH_BATCH_SIZE", 16)
     b = make_crawl_engine(
         str(tmp_path / "parts"), batch_size=60, actor_pools=False, partition_by_domain=True
     )
     b.load_catalog(small_seed())
     b.run(2)
+    assert multi_block(blocks_a) and multi_block(crawl_blocks)
     assert checks_fingerprint(a) == checks_fingerprint(b)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_429_domain_across_blocks_deterministic(tmp_path, make_crawl_engine):
+def test_429_domain_across_blocks_deterministic(tmp_path, make_crawl_engine, monkeypatch, crawl_blocks):
     """A domain with mixed 200/429 responses spanning many blocks: the
     politeness 429 cool-off must key off the MAX-check_id row (a pure
     function of url+iteration), never row position in the
@@ -177,7 +258,11 @@ def test_429_domain_across_blocks_deterministic(tmp_path, make_crawl_engine):
         }
     )
 
-    def run(sub, conc, pools):
+    from hydra_ray.config import config
+
+    def run(sub, conc, pools, fetch_batch):
+        monkeypatch.setattr(config, "FETCH_BATCH_SIZE", fetch_batch)
+        crawl_blocks.clear()
         e = make_crawl_engine(
             str(tmp_path / sub),
             transport={"kind": "mock", "responses": responses},
@@ -189,11 +274,12 @@ def test_429_domain_across_blocks_deterministic(tmp_path, make_crawl_engine):
         stats = [e.run_iteration() for _ in range(2)]
         fp = checks_fingerprint(e)
         e.shutdown()
+        assert multi_block(crawl_blocks)
         return stats, fp
 
-    s1, f1 = run("c1", 1, False)
-    s1b, f1b = run("c1b", 1, False)  # fresh rerun, same parallelism
-    s4, f4 = run("c4", 4, True)  # 4-way actor pool → different block order
+    s1, f1 = run("c1", 1, False, 7)
+    s1b, f1b = run("c1b", 1, False, 7)  # fresh rerun, same layout
+    s4, f4 = run("c4", 4, True, 16)  # 4-way actor pool, other block boundaries
     assert s1 == s1b == s4
     assert f1 == f1b == f4
     # the cool-off actually engaged: iteration 1 must defer the whole
@@ -204,15 +290,22 @@ def test_429_domain_across_blocks_deterministic(tmp_path, make_crawl_engine):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_docs_span_invariant_across_runs(tmp_path, make_crawl_engine):
+def test_docs_span_invariant_across_runs(tmp_path, make_crawl_engine, monkeypatch, crawl_blocks):
+    from hydra_ray.config import config
     from hydra_ray.stages.spans import span_sequences_equal
 
+    monkeypatch.setattr(config, "FETCH_BATCH_SIZE", 7)
     a = make_crawl_engine(str(tmp_path / "d1"), batch_size=60, actor_pools=False)
     a.load_catalog(small_seed())
     a.run(2)
+    blocks_a = crawl_blocks[:]
+    crawl_blocks.clear()
+    monkeypatch.setattr(config, "FETCH_BATCH_SIZE", 16)
     b = make_crawl_engine(str(tmp_path / "d2"), batch_size=60, fetch_concurrency=3, actor_pools=False)
     b.load_catalog(small_seed())
     b.run(2)
+    assert multi_block(blocks_a) and multi_block(crawl_blocks)
+    assert blocks_a != crawl_blocks
     da, db = a.read_documents(), b.read_documents()
     ok, bad = span_sequences_equal(da, db)
     assert ok, f"span mismatch for {bad[:5]}"
