@@ -4,7 +4,7 @@ A from-scratch reimplementation of the capabilities of datagouv/hydra
 (udata-hydra: the data.gouv.fr metadata crawler + analysis service) on
 idiomatic Ray Data: `ray.data.Dataset` pipelines of `map_batches` over
 zero-copy Arrow batches, actor pools for stateful stages (politeness,
-URL-seen cuckoo shards, fetch sessions), explicit hash partitioning by
+URL-seen key shards, fetch sessions), explicit hash partitioning by
 domain with salting for skewed hosts, and versioned Parquet tables
 (Lance-style append/versioned semantics) for checks, the interleaved
 text+media span documents, metrics and per-partition checkpoints.

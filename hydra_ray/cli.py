@@ -176,7 +176,7 @@ def cmd_csv_sample(args) -> dict:
     is csv-ish, 2xx/3xx, size-capped; seeded-rank sample (the engine's
     deterministic replacement for ORDER BY RANDOM())."""
     _ray_init()
-    from hydra_ray.state.cuckoo import _mix64
+    from hydra_ray.functions.hashing import _mix64
 
     eng = _engine(args.workdir)
     checks = _latest_checks(eng).to_pandas()

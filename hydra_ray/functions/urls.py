@@ -6,7 +6,7 @@ The reference derives ``domain = urlparse(url).netloc`` per row
 canonical url hash so a DuckDB oracle (`md5(url)`) can verify the
 vectorized stage bit-for-bit, and additionally derive a 64-bit integer
 key (first 16 hex digits of the md5) used for shard routing, salting
-and the cuckoo filter.
+and URL-seen membership.
 
 Excluded-URL patterns use SQL LIKE syntax in the reference
 (db/resource.py:157-170); ``like_to_regex`` translates them.

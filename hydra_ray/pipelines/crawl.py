@@ -18,7 +18,7 @@ benchmark and the cross-parallelism parity test assert.
 Checkpoint/resume: every iteration commits (a) the merged catalog
 version carrying last-check columns + frontier cursor in the manifest
 meta, (b) appended checks/docs/payloads/metrics versions, (c) the
-politeness + cuckoo shard state serialized next to the manifest. A
+politeness + URL-seen shard state serialized next to the manifest. A
 killed run resumes from the last committed iteration (see
 ``CrawlEngine.resume``/tests/test_crawler/test_resume.py).
 """
@@ -66,7 +66,6 @@ class CrawlEngine:
         batch_size: int | None = None,
         fetch_concurrency: int | None = None,
         urlseen_shards: int | None = None,
-        urlseen_capacity: int = 1 << 18,  # per shard; size to frontier/shards at scale
         politeness_shards: int | None = None,
         politeness_kwargs: dict | None = None,
         actor_pools: bool = True,
@@ -116,10 +115,7 @@ class CrawlEngine:
         self.payloads = VersionedTable(os.path.join(workdir, "payloads"))
         self.metrics = VersionedTable(os.path.join(workdir, "metrics"))
         self.tables_index = VersionedTable(os.path.join(workdir, "tables_index"))
-        self.urlseen = UrlSeenPool.create(
-            n_shards=urlseen_shards or config.URLSEEN_SHARDS,
-            capacity_per_shard=urlseen_capacity,
-        )
+        self.urlseen = UrlSeenPool.create(n_shards=urlseen_shards or config.URLSEEN_SHARDS)
         self.politeness = PolitenessPool.create(
             n_shards=politeness_shards or config.POLITENESS_SHARDS, **(politeness_kwargs or {})
         )
@@ -159,8 +155,8 @@ class CrawlEngine:
         """Canonicalize + URL-seen dedup + upsert into the catalog table.
 
         Mirrors cli/catalog.py:20-98: rows already present (by url/
-        resource_id) are updated, new ones inserted; the URL-seen cuckoo
-        shards learn every canonical url_key.
+        resource_id) are updated, new ones inserted; the URL-seen shards
+        learn every canonical url_key.
         """
         if isinstance(seed, pa.Table):
             seed_cols = set(seed.schema.names)
@@ -1102,7 +1098,7 @@ class CrawlEngine:
     def _maybe_restore_state(self) -> None:
         # crash-window fallback: the newest committed state at or before
         # the committed iteration (never silently restart with empty
-        # politeness windows / URL-seen filters mid-crawl)
+        # politeness windows / URL-seen keys mid-crawl)
         cands = [
             p for p in self._committed_states()
             if self._state_iteration(p) <= self.iteration

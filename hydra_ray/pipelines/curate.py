@@ -116,7 +116,7 @@ def training_shards(
     from hydra_ray.stages.joins import semi_join
     from hydra_ray.stages.pack import pack_sequences
     from hydra_ray.stages.text import chunk_documents, quality_batch
-    from hydra_ray.state.cuckoo import _mix64
+    from hydra_ray.functions.hashing import _mix64
 
     import numpy as np
 

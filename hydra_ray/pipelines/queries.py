@@ -1034,7 +1034,7 @@ QUERIES["ogc_capabilities"] = q_ogc_capabilities
 def q_url_key_parity(sf_dir: str):
     """Hash-derivation parity: the 60-bit url key (md5-prefix integer)
     computed by the canonicalize stage matches SQL exactly — the shard
-    routing / cuckoo keying contract."""
+    routing / URL-seen keying contract."""
     ds = _catalog_ds(sf_dir)
 
     def key60(t: pa.Table) -> pa.Table:
@@ -4354,7 +4354,7 @@ def q_dataset_split(sf_dir: str):
     totals."""
     from hydra_ray.stages.agg import grouped_agg
     from hydra_ray.stages.text import _tokens_arr
-    from hydra_ray.state.cuckoo import _mix64
+    from hydra_ray.functions.hashing import _mix64
 
     def tag(t: pa.Table) -> pa.Table:
         base = (
@@ -5295,7 +5295,7 @@ def _crawl_checks_oracle() -> str:
     latest row comes from row_number, not max_by), the synthetic
     response classes (md5-byte buckets incl. the HEAD→GET retry), and
     check_id = mix64(url_key ^ mix64(iteration ^ ID_SALT)) >> 1."""
-    from hydra_ray.state.cuckoo import _mix64 as _m
+    from hydra_ray.functions.hashing import _mix64 as _m
 
     def m64(x: int) -> int:
         return int(_m(np.array([np.uint64(x)], dtype=np.uint64))[0])

@@ -211,7 +211,7 @@ def hll_registers(
     the registers into the cardinality estimate."""
     import numpy as np
 
-    from hydra_ray.state.cuckoo import _mix64
+    from hydra_ray.functions.hashing import _mix64
 
     mask64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -284,7 +284,7 @@ def cms_counts(
     the standard overestimate-only guarantee)."""
     import numpy as np
 
-    from hydra_ray.state.cuckoo import _mix64
+    from hydra_ray.functions.hashing import _mix64
 
     def partial(t: pa.Table) -> pa.Table:
         vals = t[col].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -339,7 +339,7 @@ def sampled_quantiles(
     import numpy as np
     import pandas as pd
 
-    from hydra_ray.state.cuckoo import _mix64
+    from hydra_ray.functions.hashing import _mix64
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -493,7 +493,7 @@ def cms_estimate(counters, items, width: int = 256, seeds: tuple[int, ...] = CMS
     import numpy as np
     import pandas as pd
 
-    from hydra_ray.state.cuckoo import _mix64
+    from hydra_ray.functions.hashing import _mix64
 
     if not isinstance(counters, pd.DataFrame):
         counters = counters.to_pandas()
@@ -517,7 +517,7 @@ def _hll_fold(vals: "np.ndarray", p: int) -> tuple["np.ndarray", "np.ndarray"]:
     driver-side (exact-uniques conversion) paths are bit-identical."""
     import numpy as np
 
-    from hydra_ray.state.cuckoo import _mix64
+    from hydra_ray.functions.hashing import _mix64
 
     mask64 = np.uint64(0xFFFFFFFFFFFFFFFF)
     h = _mix64(vals)

@@ -27,7 +27,7 @@ import pyarrow as pa
 from hydra_ray.functions.checks import calculate_next_check_date, has_check_changed
 from hydra_ray.functions.headers import get_content_type_from_header, is_valid_status
 from hydra_ray.functions.payload import CORS_HEADER_FIELDS, flatten_payload
-from hydra_ray.state.cuckoo import _mix64
+from hydra_ray.functions.hashing import _mix64
 
 _ID_SALT = np.uint64(0xC0FFEE5EED)
 

@@ -11,7 +11,7 @@ ch.3) expressed as Ray Data pipelines:
   simhash   : 64-bit weighted-bit-vote fingerprint per doc (vectorized)
   ngram     : exact character-3-gram Jaccard within blocking groups
 
-All hashing uses the deterministic splitmix64 mixer (state/cuckoo.py)
+All hashing uses the deterministic splitmix64 mixer (functions/hashing.py)
 so results are parallelism-invariant.
 """
 
@@ -25,7 +25,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from hydra_ray.state.cuckoo import _mix64
+from hydra_ray.functions.hashing import _mix64
 
 # ---------------------------------------------------------------------------
 # exact dedup

@@ -31,7 +31,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from hydra_ray.config import config
-from hydra_ray.state.cuckoo import _mix64
+from hydra_ray.functions.hashing import _mix64
 
 
 def eligible_mask(batch: pa.Table) -> "pa.BooleanArray":

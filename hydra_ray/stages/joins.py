@@ -364,7 +364,7 @@ def build_bloom(
     key, so any key dtype works."""
     assert nbits & (nbits - 1) == 0, "nbits must be a power of two"
     from hydra_ray.sources.store import ds_to_tables
-    from hydra_ray.state.cuckoo import _mix64
+    from hydra_ray.functions.hashing import _mix64
 
     mask = np.uint64(nbits - 1)
 
@@ -407,7 +407,7 @@ def bloom_semi_join(
     of it. False positives are removed by semi_join on the survivors,
     so results are IDENTICAL to semi_join (and to the SQL IN-subquery
     oracle)."""
-    from hydra_ray.state.cuckoo import _mix64
+    from hydra_ray.functions.hashing import _mix64
 
     keys = keys.materialize()
     bits, nh = build_bloom(keys, key, nbits=nbits, n_hashes=n_hashes)

@@ -99,7 +99,7 @@ def shuffle_shards(
     rank is global without any driver state.  Adds ``shard`` (int64)
     and ``pos`` (1-based int64); other columns pass through."""
     from hydra_ray.stages.keyed import keyed_map_partitions
-    from hydra_ray.state.cuckoo import _mix64
+    from hydra_ray.functions.hashing import _mix64
 
     def add(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)

@@ -22,7 +22,7 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
-from hydra_ray.state.cuckoo import _mix64
+from hydra_ray.functions.hashing import _mix64
 
 
 def _domain_hash64(domains: list[str]) -> np.ndarray:

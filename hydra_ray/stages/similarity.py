@@ -21,7 +21,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from hydra_ray.state.cuckoo import _mix64
+from hydra_ray.functions.hashing import _mix64
 
 
 def _matrix_of(batch: pa.Table, col: str = "embedding") -> np.ndarray:

@@ -495,7 +495,7 @@ def interleaved_shards(
     (doc-atomic, so dynamic block splits can't cut a sequence), and the
     per-sequence reduction is a reduceat over runs that are already
     contiguous in flat span order."""
-    from hydra_ray.state.cuckoo import _mix64
+    from hydra_ray.functions.hashing import _mix64
 
     nested = span_dedup(ds, num_parts=num_parts)
 

@@ -172,7 +172,7 @@ def _mulmod61(a: np.ndarray, b) -> np.ndarray:
 def _token_fp_hashes(words: list[str]) -> np.ndarray:
     """h(token) = splitmix64 of the first 8 utf-8 bytes zero-padded
     (little-endian), computed once per unique token, vectorized."""
-    from hydra_ray.state.cuckoo import _mix64
+    from hydra_ray.functions.hashing import _mix64
 
     uniq, inv = np.unique(np.asarray(words, dtype=object), return_inverse=True)
     buf = b"".join(t.encode("utf-8")[:8].ljust(8, b"\0") for t in uniq)
@@ -290,7 +290,7 @@ def sample_per_group(
     rank is 1-based within the group."""
     import numpy as np
 
-    from hydra_ray.state.cuckoo import _mix64
+    from hydra_ray.functions.hashing import _mix64
     from hydra_ray.stages.keyed import keyed_map_partitions
 
     def add_hash(t: pa.Table) -> pa.Table:
@@ -505,7 +505,7 @@ def temperature_mix(
 
     from hydra_ray.stages.agg import grouped_agg
     from hydra_ray.stages.keyed import keyed_map_partitions
-    from hydra_ray.state.cuckoo import _mix64
+    from hydra_ray.functions.hashing import _mix64
 
     counts = grouped_agg(ds, keys=[key], aggs=[(id_col, "count", "n")]).take_all()
     s = {r[key]: math.floor(float(r["n"]) ** alpha * 1e6 + 0.5) for r in counts}

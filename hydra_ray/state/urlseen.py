@@ -1,18 +1,17 @@
-"""Sharded URL-seen set: cuckoo-filter actors + exact fallback.
+"""Sharded URL-seen set: one exact, sorted key array per shard actor.
 
 The reference enforces URL/resource uniqueness with a Postgres UNIQUE
 constraint + ``ON CONFLICT`` upserts (udata_hydra/db/resource.py:64-79,
 cli/catalog.py:62-76). At 10^10-frontier scale a central unique index
 is the bottleneck, so membership is sharded: url_key64 → shard
-``key % n_shards`` → one ``UrlSeenShard`` actor holding a cuckoo
-filter plus an exact set of the keys *it inserted this run* (the
-authoritative set lives in the catalog checkpoint table; the exact
-in-actor set resolves cuckoo false positives for keys inserted since
-the last checkpoint).
+``key % n_shards`` → one ``UrlSeenShard`` actor holding every key
+routed to it as a sorted, unique int64 array. Membership is exact (no
+false positives to resolve against the catalog) at 8 B/key, and a
+batch merges in with ``searchsorted`` + ``insert`` in O(n + m).
 
-Usage from a pipeline: ``UrlSeenPool.create(...)`` on the driver, then
-``pool.add_if_new(keys)`` — the pool groups keys by shard, issues one
-batched actor call per shard, and reassembles the boolean mask in
+Usage from a pipeline: ``UrlSeenPool.create(n_shards)`` on the driver,
+then ``pool.add_if_new(keys)`` — the pool groups keys by shard, issues
+one batched actor call per shard, and reassembles the boolean mask in
 input order. Calls are batched per Dataset block, never per row.
 """
 
@@ -24,7 +23,6 @@ import pickle
 import numpy as np
 import ray
 
-from hydra_ray.state.cuckoo import CuckooFilter
 from hydra_ray.state.politeness import _atomic_pickle
 
 
@@ -35,71 +33,42 @@ from hydra_ray.state.politeness import _atomic_pickle
 class UrlSeenShard:
     """One shard of the URL-seen set."""
 
-    def __init__(self, capacity: int = 1 << 20, seed: int = 7, exact: bool = True):
-        self.filter = CuckooFilter(capacity=capacity, seed=seed)
-        # exact resolver for false positives among keys added this run
-        self.exact: set[int] | None = set() if exact else None
+    def __init__(self):
+        self.keys = np.empty(0, dtype=np.int64)  # sorted, unique
+
+    def _find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Insertion positions of ``keys`` and whether each is present."""
+        pos = np.searchsorted(self.keys, keys)
+        hit = pos < len(self.keys)
+        hit[hit] = self.keys[pos[hit]] == keys[hit]
+        return pos, hit
 
     def add_if_new(self, keys: np.ndarray) -> np.ndarray:
         """Returns mask: True where the key was NOT seen before (and is
         now marked seen). Duplicates inside the same call are deduped
         first-wins, matching ON CONFLICT upsert semantics."""
-        keys = keys.astype(np.int64, copy=False)
-        maybe_seen = self.filter.contains_batch(keys.view(np.uint64))
-        is_new = np.ones(len(keys), dtype=bool)
-        added: set[int] = set()
-        for j in range(len(keys)):
-            k = int(keys[j])
-            if k in added:
-                is_new[j] = False
-                continue
-            if maybe_seen[j]:
-                if self.exact is not None:
-                    is_new[j] = k not in self.exact
-                else:
-                    is_new[j] = False  # trust the filter (approximate mode)
-            elif self.exact is not None and k in self.exact:
-                # filter miss but the exact set knows the key: a refused
-                # insert (filter + stash full) must not re-admit the URL
-                is_new[j] = False
-            if is_new[j]:
-                added.add(k)
-        new_keys = keys[is_new]
-        if len(new_keys):
-            self.filter.insert_batch(new_keys.view(np.uint64))
-            if self.exact is not None:
-                self.exact.update(int(k) for k in new_keys)
+        keys = np.asarray(keys, dtype=np.int64)
+        uniq, first = np.unique(keys, return_index=True)
+        pos, seen = self._find(uniq)
+        is_new = np.zeros(len(keys), dtype=bool)
+        is_new[first[~seen]] = True
+        self.keys = np.insert(self.keys, pos[~seen], uniq[~seen])
         return is_new
 
     def contains(self, keys: np.ndarray) -> np.ndarray:
-        keys = keys.astype(np.int64, copy=False)
-        if self.exact is not None:
-            # the exact set is authoritative (superset of the filter's
-            # content — updated on every add, checkpointed wholly); the
-            # filter only short-circuits approximate mode
-            return np.fromiter((int(k) in self.exact for k in keys), dtype=bool, count=len(keys))
-        return self.filter.contains_batch(keys.view(np.uint64))
+        return self._find(np.asarray(keys, dtype=np.int64))[1]
 
     def stats(self) -> dict:
-        return {
-            "count": self.filter.count,
-            "load_factor": self.filter.load_factor,
-            "exact_size": len(self.exact) if self.exact is not None else None,
-        }
+        return {"count": len(self.keys)}
 
     # -- checkpointing ----------------------------------------------------
     def serialize(self) -> dict:
-        return {
-            "filter": self.filter.to_bytes(),
-            "exact": np.array(sorted(self.exact), dtype=np.int64).tobytes()
-            if self.exact is not None
-            else None,
-        }
+        return {"exact": self.keys.tobytes()}
 
     def restore(self, blob: dict) -> None:
-        self.filter = CuckooFilter.from_bytes(blob["filter"])
-        if blob.get("exact") is not None:
-            self.exact = set(np.frombuffer(blob["exact"], dtype=np.int64).tolist())
+        # checkpoints written with a cuckoo filter carry an extra
+        # "filter" entry; their "exact" entry is the same sorted array
+        self.keys = np.frombuffer(blob["exact"], dtype=np.int64)
 
     def save(self, path: str) -> str:
         """Atomic actor-side state write (bytes never touch the driver)."""
@@ -118,10 +87,8 @@ class UrlSeenPool:
         self.n = len(shards)
 
     @classmethod
-    def create(cls, n_shards: int = 8, capacity_per_shard: int = 1 << 20, seed: int = 7) -> "UrlSeenPool":
-        return cls(
-            [UrlSeenShard.remote(capacity=capacity_per_shard, seed=seed) for _ in range(n_shards)]
-        )
+    def create(cls, n_shards: int) -> "UrlSeenPool":
+        return cls([UrlSeenShard.remote() for _ in range(n_shards)])
 
     def _route(self, keys: np.ndarray) -> np.ndarray:
         return (keys.view(np.uint64) % np.uint64(self.n)).astype(np.int64)
@@ -156,19 +123,11 @@ class UrlSeenPool:
         ray.get([s.restore.remote(b) for s, b in zip(self.shards, blobs)])
 
     def _restore_rerouted(self, blobs: list[dict]) -> None:
-        """Shard count changed between checkpoint and restore: cuckoo
-        tables can't be split, but in exact mode the key sets can be
-        merged and re-inserted through the normal routing."""
-        if any(b.get("exact") is None for b in blobs):
-            raise RuntimeError(
-                f"URL-seen checkpoint has {len(blobs)} shards but the pool has "
-                f"{self.n}; approximate-mode cuckoo state cannot be re-sharded — "
-                "restore with the same URLSEEN_SHARDS or use exact mode"
-            )
+        """Shard count changed between checkpoint and restore: merge the
+        shards' key arrays and re-insert them through the normal routing."""
         arrs = [np.frombuffer(b["exact"], dtype=np.int64) for b in blobs]
-        keys = np.unique(np.concatenate(arrs)) if arrs else np.array([], dtype=np.int64)
-        if len(keys):
-            self.add_if_new(keys)
+        if arrs:
+            self.add_if_new(np.concatenate(arrs))
 
     # -- sharded checkpointing (per-partition state files) -----------------
     def save_shards(self, dirpath: str, prefix: str = "urlseen") -> list:

@@ -32,7 +32,7 @@ def test_pack_sequences_matches_serial_cumsum():
 @pytest.mark.usefixtures("ray_session")
 def test_shuffle_shards_deterministic_and_partition_invariant():
     from hydra_ray.stages.pack import shuffle_shards
-    from hydra_ray.state.cuckoo import _mix64
+    from hydra_ray.functions.hashing import _mix64
 
     ids = np.arange(500, dtype=np.int64)
     t = pa.table({"doc_id": pa.array(ids)})

@@ -1,12 +1,14 @@
 """Per-shard crawl-state checkpoints.
 
-The round-1 format pickled every politeness window + cuckoo filter
+The round-1 format pickled every politeness window + URL-seen key set
 into ONE driver-side file per iteration — a driver-memory and
 single-writer bottleneck at 10^9-domain scale. The sharded format
 writes one file per state shard, by the shard actor itself, with a
 meta.json commit marker written last (write-then-commit, same pattern
 as the table manifests). These tests pin: layout, restore parity,
-legacy single-pickle read-compat, shard-count re-routing, and GC.
+legacy single-pickle read-compat, shard-count re-routing, GC, and
+URL-seen shard blobs in the older layout that also carried a cuckoo
+filter table.
 """
 
 import json
@@ -104,7 +106,7 @@ def test_resume_with_different_shard_counts(tmp_path, make_crawl_engine):
 def test_pool_level_save_load_roundtrip(tmp_path):
     pol = PolitenessPool.create(n_shards=3)
     pol.record_agg([("a.example", 5, 200, None, None), ("b.example", 2, 429, "0", "10")], now=100.0)
-    seen = UrlSeenPool.create(n_shards=2, capacity_per_shard=1 << 12)
+    seen = UrlSeenPool.create(n_shards=2)
     keys = np.arange(50, dtype=np.int64) * 7919
     assert all(seen.add_if_new(keys))
 
@@ -124,7 +126,7 @@ def test_pool_level_save_load_roundtrip(tmp_path):
     assert not pol2.should_backoff(["c.example"], now=101.0)[0][0]
 
     # mismatched count → driver re-route, same membership
-    seen2 = UrlSeenPool.create(n_shards=5, capacity_per_shard=1 << 12)
+    seen2 = UrlSeenPool.create(n_shards=5)
     seen2.load_shards([os.path.join(d, f"urlseen-{i:03d}.pkl") for i in range(2)])
     assert not any(seen2.add_if_new(keys))
     assert all(seen2.add_if_new(keys + 1))
@@ -148,3 +150,76 @@ def test_gc_prunes_old_state_dirs(tmp_path, make_crawl_engine):
     assert e2.iteration == 5
     e2.run(1)
     e2.shutdown()
+
+
+def _cuckoo_layout_blobs(keys: np.ndarray, n: int) -> list[dict]:
+    """URL-seen shard blobs as written while each shard also kept a
+    cuckoo filter: the filter's bytes next to the sorted exact keys."""
+    route = keys.view(np.uint64) % np.uint64(n)
+    return [
+        {
+            "filter": b"\x07" * 4096,
+            "exact": np.array(sorted(keys[route == s].tolist()), dtype=np.int64).tobytes(),
+        }
+        for s in range(n)
+    ]
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("n_restore", [3, 5])
+def test_cuckoo_layout_shard_files_restore(tmp_path, n_restore):
+    """Per-shard files in the filter-carrying layout load with the same
+    membership, at the same shard count (load_shards) and at another one
+    (_restore_rerouted)."""
+    import ray
+
+    rng = np.random.default_rng(5)
+    keys = np.unique(rng.integers(-(2**63), 2**63 - 1, 400, dtype=np.int64, endpoint=True))
+    others = np.setdiff1d(rng.integers(-(2**63), 2**63 - 1, 400, dtype=np.int64), keys)
+    paths = []
+    for i, blob in enumerate(_cuckoo_layout_blobs(keys, 3)):
+        paths.append(str(tmp_path / f"urlseen-{i:03d}.pkl"))
+        with open(paths[-1], "wb") as f:
+            pickle.dump(blob, f)
+
+    seen = UrlSeenPool.create(n_shards=n_restore)
+    seen.load_shards(paths)
+    assert seen.contains(keys).all()
+    assert not seen.contains(others).any()
+    assert sum(s["count"] for s in seen.stats()) == len(keys)
+    assert not seen.add_if_new(keys).any()
+    for actor in seen.shards:
+        ray.kill(actor)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_cuckoo_layout_legacy_single_pickle_restores(tmp_path, make_crawl_engine):
+    """A legacy single iter{N}.pkl whose URL-seen blobs carry the filter
+    restores the same membership the engine had when it wrote it."""
+    import shutil
+
+    wd = str(tmp_path / "wd")
+    e = make_crawl_engine(wd, batch_size=30, actor_pools=False)
+    e.load_catalog(small_seed())
+    e.run(2)
+    keys = np.concatenate(
+        [np.frombuffer(b["exact"], dtype=np.int64) for b in e.urlseen.serialize()]
+    )
+    blob = {
+        "iteration": e.iteration,
+        "politeness": e.politeness.serialize(),
+        "urlseen": _cuckoo_layout_blobs(keys, e.urlseen.n),
+    }
+    for it in range(e.iteration + 1):
+        p = e._state_dir(it)
+        if os.path.isdir(p):
+            shutil.rmtree(p)
+    with open(e._state_path(e.iteration), "wb") as f:
+        pickle.dump(blob, f)
+    e.shutdown()
+
+    e2 = make_crawl_engine(wd, batch_size=30, actor_pools=False)
+    assert e2.iteration == 2
+    assert len(keys) > 0 and e2.urlseen.contains(keys).all()
+    assert sum(s["count"] for s in e2.urlseen.stats()) == len(keys)
+    assert not e2.urlseen.contains(np.setdiff1d(keys + 1, keys)).any()
