@@ -12,7 +12,7 @@ carries the north rule's N→4N evidence.
 
 Headline: N_ITER crawl iterations over a frontier synthesized from the
 documents table (replicated to ~9× the doc count so the batch is
-non-trivial), actor-pool fetch/analyse stages, politeness configured
+non-trivial), fetch/analyse stages run as tasks, politeness configured
 like the reference's NO_BACKOFF for the bulk host (the bench measures
 engine throughput, not politeness waiting — the politeness matrices
 are correctness-tested in tests/test_crawler/test_backoff.py).
@@ -112,10 +112,6 @@ def run_crawl(
             # scaled to batch size so throughput, not waiting, is measured
             "backoff_nb_req": 10**9,
         },
-        # task mode: the synthetic transport is stateless, and Ray Data's
-        # actor-pool ramp-up costs ~10-15s per execution here; a real HTTP
-        # deployment would use actor_pools=True to amortize sessions
-        actor_pools=False,
         analysis_content_rows=content_rows,
     )
     t0 = time.time()
@@ -301,7 +297,6 @@ def run_crawl_steady(workdir: str, content_rows: int = 2000, warmup_fraction: fl
         workdir,
         batch_size=max(1000, int(n_urls * warmup_fraction)),
         politeness_kwargs={"backoff_nb_req": 10**9},
-        actor_pools=False,
         analysis_content_rows=content_rows,
     )
     t0 = _time.time()

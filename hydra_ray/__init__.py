@@ -3,11 +3,12 @@
 A from-scratch reimplementation of the capabilities of datagouv/hydra
 (udata-hydra: the data.gouv.fr metadata crawler + analysis service) on
 idiomatic Ray Data: `ray.data.Dataset` pipelines of `map_batches` over
-zero-copy Arrow batches, actor pools for stateful stages (politeness,
-URL-seen key shards, fetch sessions), explicit hash partitioning by
-domain with salting for skewed hosts, and versioned Parquet tables
-(Lance-style append/versioned semantics) for checks, the interleaved
-text+media span documents, metrics and per-partition checkpoints.
+zero-copy Arrow batches, actor pools for shared state (politeness,
+URL-seen key shards), plain tasks for the crawl stages, explicit hash
+partitioning by domain with salting for skewed hosts, and versioned
+Parquet tables (Lance-style append/versioned semantics) for checks,
+the interleaved text+media span documents, metrics and per-partition
+checkpoints.
 
 Nothing here is a port: the reference's Postgres/Redis/asyncio
 execution model (see /root/reference, SURVEY.md) defines WHAT is

@@ -28,7 +28,7 @@ def _ray_init() -> None:
 def _engine(workdir: str, **kw):
     from hydra_ray.pipelines.crawl import CrawlEngine
 
-    return CrawlEngine(workdir, actor_pools=False, **kw)
+    return CrawlEngine(workdir, **kw)
 
 
 def cmd_load_catalog(args) -> dict:

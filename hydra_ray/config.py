@@ -93,8 +93,8 @@ class Config:
     ORDERING_SEED: int = 42  # replaces ORDER BY random(); see frontier.py
     URLSEEN_SHARDS: int = 8
     POLITENESS_SHARDS: int = 4
-    FETCH_CONCURRENCY: int = 8  # crawl actor-pool size (actor_pools=True only)
-    FETCH_BATCH_SIZE: int = 256  # max rows per crawl block = one call of each stage
+    # max rows per crawl block = one task call of each of the four stages
+    FETCH_BATCH_SIZE: int = 256
 
     def override(self, **kwargs: Any) -> None:
         for k, v in kwargs.items():

@@ -448,8 +448,8 @@ class EngineApi:
     # -- resources-exceptions CRUD ------------------------------------------
     # reference routes/resources_exceptions.py + db/resource_exception.py:
     # the exception set feeds the analyser's size-cap bypass (J3); the
-    # engine mutates its live set so the next iteration's actor pools
-    # pick the change up via fn_constructor_kwargs.
+    # engine mutates its live set, and the crawl rebuilds its stages on
+    # every iteration, so the next one picks the change up.
     def get_all_resources_exceptions(self) -> list[dict]:
         return [
             {"resource_id": rid, **meta}

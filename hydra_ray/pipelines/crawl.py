@@ -25,6 +25,7 @@ killed run resumes from the last committed iteration (see
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pickle
@@ -64,11 +65,10 @@ class CrawlEngine:
         seed: int | None = None,
         transport: dict | None = None,
         batch_size: int | None = None,
-        fetch_concurrency: int | None = None,
         urlseen_shards: int | None = None,
         politeness_shards: int | None = None,
         politeness_kwargs: dict | None = None,
-        actor_pools: bool = True,
+        actor_pools: bool = False,
         analysis_content_rows: int = 200,
         resource_exceptions: set | None = None,
         partition_by_domain: bool = False,
@@ -85,20 +85,18 @@ class CrawlEngine:
         self.partition_by_domain = partition_by_domain
         self.analysis_content_rows = analysis_content_rows
         # config-flag overrides (DB_TO_PARQUET, OGC_ANALYSIS_ENABLED, …)
-        # shipped to the analyse workers via fn_constructor_kwargs —
+        # shipped to the analyse tasks as Analyser constructor arguments —
         # driver-side config_override is invisible in Ray workers
         self.analysis_config = analysis_config or {}
         # per-resource overrides (size-cap exemptions), J3 broadcast side
         self.resource_exceptions = resource_exceptions or set()
-        # actor_pools=False runs fetch/analyse as stateless tasks — faster
-        # startup for tiny batches (tests); production keeps actor pools so
-        # per-actor state (HTTP session) is created once.
-        self.actor_pools = actor_pools
+        # the crawl stages run only as tasks; the keyword survives as a
+        # guard for its last caller, perfbench/workloads.py ENGINE_KW
+        if actor_pools:
+            raise ValueError("actor_pools=True is not supported: crawl stages run as tasks")
         self.workdir = workdir
         self.seed = config.ORDERING_SEED if seed is None else seed
         self.batch_size = batch_size or config.BATCH_SIZE
-        # actor-pool size (actor_pools=True only); blocks are sized by rows
-        self.fetch_concurrency = fetch_concurrency or config.FETCH_CONCURRENCY
         self.transport = transport or {"kind": "synthetic"}
         os.makedirs(os.path.join(workdir, "state"), exist_ok=True)
         # hash-partitioned checkpoint files (above the row threshold):
@@ -296,37 +294,6 @@ class CrawlEngine:
                 cuts = [i * n_rows // n_blocks for i in range(n_blocks + 1)]
                 slices = [fetch_rows.slice(a, b - a) for a, b in zip(cuts, cuts[1:])]
             ds = rd.from_arrow(slices)
-            stage_kw = dict(batch_format="pyarrow", batch_size=None)
-            # autoscaling (1, N) pools: two pools in one pipeline must never
-            # reserve more CPUs than the node has (a fixed pool larger than
-            # the free CPUs deadlocks the streaming executor)
-            pool_n = max(1, min(self.fetch_concurrency, n_blocks))
-
-            def udf(cls, kwargs: dict) -> dict:
-                # a class UDF on an actor pool, or one instance run as tasks
-                if self.actor_pools:
-                    return dict(fn=cls, fn_constructor_kwargs=kwargs, concurrency=(1, pool_n))
-                return dict(fn=cls(**kwargs))
-
-            fetch_kwargs = {
-                "transport": self.transport,
-                "udata_uri": config.UDATA_URI,
-                "robots": self.robots,
-            }
-            ds = ds.map_batches(**udf(Fetcher, fetch_kwargs), **stage_kw)
-            ds = ds.map_batches(
-                lambda b: build_checks_batch(b, iteration=it, now=now.replace(tzinfo=timezone.utc)),
-                **stage_kw,
-            )
-            analyse_kwargs = {
-                "transport": self.transport,
-                "content_rows": self.analysis_content_rows,
-                "exceptions": self.resource_exceptions,
-                "exports_dir": os.path.join(self.workdir, "exports"),
-                "config_overrides": self.analysis_config,
-            }
-            ds = ds.map_batches(**udf(Analyser, analyse_kwargs), **stage_kw)
-
             # per-block distributed sinks: checks / payloads / span docs are
             # written by the workers; only slim frontier columns reach the
             # driver (the heavy spans + payload strings never move)
@@ -335,10 +302,8 @@ class CrawlEngine:
             payloads_txn = self.payloads.new_txn_dir(tag=tag)
             docs_txn = self.documents.new_txn_dir(tag=tag)
             tables_txn = self.tables_index.new_txn_dir(tag=tag)
-            ds = ds.map_batches(
-                IterationSink(checks_txn, payloads_txn, docs_txn, it, tables_dir=tables_txn),
-                **stage_kw,
-            )
+            for stage in self._stages(it, checks_txn, payloads_txn, docs_txn, tables_txn):
+                ds = ds.map_batches(stage, batch_format="pyarrow", batch_size=None)
             result = _ds_to_arrow(ds)
             mark("pipeline")
 
@@ -582,26 +547,13 @@ class CrawlEngine:
             raise ResourceDeleted(f"resource {resource_id!r} is deleted")
         it = self.iteration
         now = self.now_dt(it)
-        fetch_kwargs = {
-            "transport": self.transport,
-            "udata_uri": config.UDATA_URI,
-            "robots": self.robots,
-        }
-        analyse_kwargs = {
-            "transport": self.transport,
-            "content_rows": self.analysis_content_rows,
-            "exceptions": self.resource_exceptions,
-            "exports_dir": os.path.join(self.workdir, "exports"),
-            "config_overrides": self.analysis_config,
-        }
-        b = Fetcher(**fetch_kwargs)(row)
-        b = build_checks_batch(b, iteration=it, now=now.replace(tzinfo=timezone.utc))
-        b = Analyser(**analyse_kwargs)(b)
         checks_txn = self.checks.new_txn_dir()
         payloads_txn = self.payloads.new_txn_dir()
         docs_txn = self.documents.new_txn_dir()
         tables_txn = self.tables_index.new_txn_dir()
-        result = IterationSink(checks_txn, payloads_txn, docs_txn, it, tables_dir=tables_txn)(b)
+        result = row
+        for stage in self._stages(it, checks_txn, payloads_txn, docs_txn, tables_txn):
+            result = stage(result)
         self.checks.register_files(_txn_files(checks_txn), skip_existing_basenames=True)
         self.payloads.register_files(_txn_files(payloads_txn), skip_existing_basenames=True)
         self.documents.register_files(_txn_files(docs_txn), skip_existing_basenames=True)
@@ -643,6 +595,30 @@ class CrawlEngine:
             "next_check_at": result["next_check_at"][0].as_py(),
         }
         return check
+
+    def _stages(
+        self, it: int, checks_txn: str, payloads_txn: str, docs_txn: str, tables_txn: str
+    ) -> list:
+        """fetch → check-build → analyse → sink callables for one
+        iteration, each taking and returning one pyarrow batch. Built on
+        every call, so a swapped ``transport`` or edited
+        ``resource_exceptions`` reaches the next iteration; the stage
+        names are looked up as module globals at call time (perfbench's
+        tracing shims replace them)."""
+        return [
+            Fetcher(transport=self.transport, udata_uri=config.UDATA_URI, robots=self.robots),
+            functools.partial(
+                build_checks_batch, iteration=it, now=self.now_dt(it).replace(tzinfo=timezone.utc)
+            ),
+            Analyser(
+                transport=self.transport,
+                content_rows=self.analysis_content_rows,
+                exceptions=self.resource_exceptions,
+                exports_dir=os.path.join(self.workdir, "exports"),
+                config_overrides=self.analysis_config,
+            ),
+            IterationSink(checks_txn, payloads_txn, docs_txn, it, tables_dir=tables_txn),
+        ]
 
     def invalidate_frontier_cache(self) -> None:
         """MUST be called by any out-of-band catalog writer (e.g. the

@@ -826,7 +826,7 @@ def q_crawl_checks(sf_dir: str):
     from hydra_ray.synth import catalog_from_documents
 
     workdir = tempfile.mkdtemp(prefix="hydra_ray_q_")
-    eng = CrawlEngine(workdir, batch_size=200, actor_pools=False)
+    eng = CrawlEngine(workdir, batch_size=200)
     seed = _docs(sf_dir, columns=["doc_id"]).map_batches(
         catalog_from_documents, batch_format="pyarrow"
     )
@@ -5842,7 +5842,6 @@ def q_parse_lifecycle(sf_dir: str):
     eng = CrawlEngine(
         workdir,
         batch_size=n,
-        actor_pools=False,
         politeness_kwargs={"backoff_nb_req": 10**9},
         analysis_config={
             "DB_TO_PARQUET": True,

@@ -1,6 +1,6 @@
 """Resource analysis stage: change detection → download → checksum/mime.
 
-Actor-pool ``map_batches`` stage reproducing the reference's
+A ``map_batches`` task stage (one call per block) reproducing the reference's
 ``analyse_resource`` worker job (udata_hydra/analysis/resource.py:41-184):
 
   1. early-hints change detection over the top-2 checks window
@@ -56,7 +56,8 @@ def _max_size_for(fmt: str | None) -> int:
 
 
 class Analyser:
-    """One transport per actor; batch body is a per-row loop over the
+    """Analyse stage body, one task call per block; the transport is
+    built once per instance. The batch body is a per-row loop over the
     change-detection decision tree (branchy row logic, not a kernel).
 
     With ``parse_content=True`` (default) rows routed to a parseable
@@ -91,7 +92,7 @@ class Analyser:
         self.exports_dir = exports_dir
         # driver-side config_override is invisible in Ray workers —
         # feature flags (DB_TO_PARQUET, OGC_ANALYSIS_ENABLED, ...) must
-        # ride fn_constructor_kwargs and re-apply inside the worker
+        # ride the constructor arguments and re-apply inside the worker
         self.config_overrides = config_overrides or {}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -480,7 +481,7 @@ class Analyser:
                 sub_rows.append(j)
 
         # export jobs over the successfully cast tables (worker-side:
-        # the artifact bytes never leave this actor)
+        # the artifact bytes never leave this task)
         if typed_tables and (config.DB_TO_PARQUET or config.DB_TO_GEOJSON):
             for j, tbl in typed_tables.items():
                 art = export_artifacts(tbl, insp_dicts[j], md5s[j], self.exports_dir)

@@ -9,7 +9,7 @@ detected) and PMTiles, upload each artifact, and write
 ``check.{parquet,geojson,pmtiles}_url`` + ``_size`` back onto the
 check row (then notify udata through the payload flattener).
 
-Here the conversion runs inside the analyse actor pool — the worker
+Here the conversion runs inside the analyse task — the worker
 already holds the typed Arrow table, so the artifact bytes never move
 — and the recorded URL follows the deterministic
 ``EXPORTS_BASE_URL/<url_md5>.<ext>`` layout (the sandbox stand-in for

@@ -1,4 +1,4 @@
-"""Fetch stage: HEAD/GET checks as an actor-pool ``map_batches`` stage.
+"""Fetch stage: HEAD/GET checks as a ``map_batches`` task stage.
 
 Reproduces the reference's per-URL check flow
 (udata_hydra/crawl/check_resources.py:58-234):
@@ -10,16 +10,16 @@ Reproduces the reference's per-URL check flow
   - timeout → check {timeout: true}; client errors → check {error,...}
 
 The HTTP client is pluggable ("Transport"): ``SyntheticTransport`` is
-the deterministic sandbox web (hydra_ray/synth.py) — in production the
-same actor would hold an aiohttp session exactly like the reference's
-T1 (one session per worker, created once in ``__init__``).
-``MockTransport`` powers the parity tests (the aioresponses role).
+the deterministic sandbox web (hydra_ray/synth.py); ``MockTransport``
+powers the parity tests (the aioresponses role). Neither holds a
+session, so nothing is worth keeping alive between blocks.
 
-Used as ``ds.map_batches(Fetcher, fn_constructor_kwargs=...,
-concurrency=N, batch_size=B)`` — a stateful actor pool; per-batch work
-is a python loop over URLs because each URL is an independent
-request/response conversation (I/O-bound in production, never a
-vectorizable kernel).
+Used as ``ds.map_batches(Fetcher(...), batch_format="pyarrow",
+batch_size=None)``: one instance is built on the driver for the
+iteration (``CrawlEngine._stages``) and every block is one task call of
+a copy of it. Per-batch work is a python loop over URLs because each
+URL is an independent request/response conversation (I/O-bound in
+production, never a vectorizable kernel).
 """
 
 from __future__ import annotations
@@ -64,10 +64,12 @@ class MockTransport:
     ``responses`` maps (method, url) → response dict or list of dicts
     consumed in order (last one repeats). Unknown URLs → 404.
 
-    Caveat: transports are reconstructed per task/actor from the spec
-    dict, so list sequences only advance *within* one pipeline
-    execution; to change the world between crawl iterations, swap
-    ``engine.transport`` (or use SyntheticTransport epochs).
+    Caveat: the transport is built on the driver when the iteration's
+    stages are built, and each task gets its own copy of it, so a list
+    sequence advances only within one block's call (and within one
+    in-process on-demand check); to change the world between crawl
+    iterations, swap ``engine.transport`` (or use SyntheticTransport
+    epochs).
     """
 
     def __init__(self, responses: dict[tuple[str, str], Any] | None = None, bodies: dict | None = None):
@@ -220,7 +222,8 @@ def _fetch_raw(url: str, domain: str, transport: Any) -> dict:
 
 
 class Fetcher:
-    """Actor-pool stage body. One transport per actor (created once).
+    """Fetch stage body, one task call per block. The transport is built
+    once per instance, and each task runs its own copy of the instance.
 
     ``udata_uri`` must be passed explicitly (captured driver-side):
     worker processes have their own config module, so driver-side
@@ -236,7 +239,7 @@ class Fetcher:
         self.transport = make_transport(transport or {"kind": "synthetic"})
         self.udata_uri = udata_uri
         # robots.txt gate (north-rule component): rules fetched once per
-        # domain per actor and cached; disallowed URLs produce an error
+        # domain per instance and cached; disallowed URLs produce an error
         # check without touching the resource
         self.robots = robots
         self._robots_cache: dict[str, list] = {}

@@ -17,7 +17,6 @@ def run_with(exceptions, tmp_workdir, make_crawl_engine):
         tmp_workdir,
         transport={"kind": "mock", "responses": responses},
         batch_size=10,
-        actor_pools=False,
         resource_exceptions=exceptions,
     )
     eng.load_catalog(

@@ -17,7 +17,7 @@ import ray
 
 from hydra_ray.synth import catalog_from_documents
 
-KW = dict(batch_size=40, actor_pools=False, politeness_kwargs={"backoff_nb_req": 10**9})
+KW = dict(batch_size=40, politeness_kwargs={"backoff_nb_req": 10**9})
 N_DOCS = 120
 N_ITER = 4
 

@@ -10,7 +10,7 @@ from .test_resume import small_seed
 
 @pytest.fixture()
 def api(tmp_path, make_crawl_engine, request):
-    e = make_crawl_engine(str(tmp_path / "api"), batch_size=50, actor_pools=False)
+    e = make_crawl_engine(str(tmp_path / "api"), batch_size=50)
     e.load_catalog(small_seed())
     e.run(2)
     return EngineApi(e)

@@ -29,7 +29,7 @@ def test_read_catalog_csv_filters_archived(tmp_path):
 def test_load_catalog_from_csv_e2e(tmp_path, make_crawl_engine):
     p = tmp_path / "catalog.csv"
     p.write_text(CSV)
-    eng = make_crawl_engine(str(tmp_path / "wd"), batch_size=10, actor_pools=False)
+    eng = make_crawl_engine(str(tmp_path / "wd"), batch_size=10)
     n = load_catalog_from_csv(eng, str(p))
     assert n == 2
     cat = eng.catalog.read_arrow()

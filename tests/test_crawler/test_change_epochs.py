@@ -33,7 +33,6 @@ def test_epoch_change_drives_detection(tmp_path, make_crawl_engine):
         str(tmp_path / "wd"),
         transport={"kind": "synthetic", "epoch": 0},
         batch_size=400,
-        actor_pools=False,
         politeness_kwargs={"backoff_nb_req": 10**9},
     )
     eng.load_catalog(cat)

@@ -33,8 +33,6 @@ def make_engine(factory, workdir, responses, urls, **kw):
         workdir,
         transport={"kind": "mock", "responses": responses},
         batch_size=10,
-        fetch_concurrency=2,
-        actor_pools=False,
         **kw,
     )
     eng.load_catalog(seed_table(urls))
@@ -137,7 +135,7 @@ class TestCrawlE2E:
         seed = seed_table([URL_OK]).set_column(
             0, "dataset_id", pa.array(["ds-0"])
         )
-        eng = make_crawl_engine(tmp_workdir, transport={"kind": "mock", "responses": responses}, batch_size=10, actor_pools=False)
+        eng = make_crawl_engine(tmp_workdir, transport={"kind": "mock", "responses": responses}, batch_size=10)
         seed = seed.append_column("priority", pa.array([True]))
         eng.load_catalog(seed)
         eng.run_iteration()
@@ -171,7 +169,7 @@ def test_xls_resource_routes_through_biff_reader(tmp_path, make_crawl_engine):
         ["xls" if i % 3 == 0 else f for i, f in enumerate(seed["format"].to_pylist())]
     )
     seed = seed.set_column(seed.column_names.index("format"), "format", fmt)
-    eng = make_crawl_engine(str(tmp_path / "wd"), batch_size=30, actor_pools=False)
+    eng = make_crawl_engine(str(tmp_path / "wd"), batch_size=30)
     eng.load_catalog(seed)
     eng.run(1)
     checks = eng.checks.read_arrow()
@@ -206,7 +204,7 @@ def test_ods_resource_routes_through_odf_reader(tmp_path, make_crawl_engine):
         ["ods" if i % 3 == 0 else f for i, f in enumerate(seed["format"].to_pylist())]
     )
     seed = seed.set_column(seed.column_names.index("format"), "format", fmt)
-    eng = make_crawl_engine(str(tmp_path / "wd"), batch_size=30, actor_pools=False)
+    eng = make_crawl_engine(str(tmp_path / "wd"), batch_size=30)
     eng.load_catalog(seed)
     eng.run(1)
     checks = eng.checks.read_arrow()
@@ -250,7 +248,7 @@ def test_purge_documents_deletion_vectors(tmp_path, make_crawl_engine):
     assert after["doc_id"].to_pylist() == [survivor]
 
     # a fresh engine handle (resume) sees the purge
-    eng2 = make_crawl_engine(str(tmp_path / "wd"), actor_pools=False)
+    eng2 = make_crawl_engine(str(tmp_path / "wd"))
     assert eng2.read_documents()["doc_id"].to_pylist() == [survivor]
 
     # compaction materializes the delete; gc reclaims the sidecar

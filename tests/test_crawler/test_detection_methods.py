@@ -34,7 +34,6 @@ def run_two_checks(tmp_workdir, make_crawl_engine, first_headers, second_headers
         tmp_workdir,
         transport={"kind": "mock", "responses": first},
         batch_size=10,
-        actor_pools=False,
     )
     eng.load_catalog(tbl)
     eng.run_iteration()

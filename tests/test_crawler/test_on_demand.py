@@ -10,7 +10,7 @@ from .test_resume import small_seed
 
 @pytest.mark.usefixtures("ray_session")
 def test_check_resource_now(tmp_path, make_crawl_engine):
-    e = make_crawl_engine(str(tmp_path / "od"), batch_size=20, actor_pools=False)
+    e = make_crawl_engine(str(tmp_path / "od"), batch_size=20)
     e.load_catalog(small_seed())
     cat = e.catalog.read_arrow()
     rid = cat["resource_id"][5].as_py()
@@ -44,7 +44,7 @@ def test_check_resource_now(tmp_path, make_crawl_engine):
 def test_on_demand_then_loop_does_not_double_check(tmp_path, make_crawl_engine):
     """After an on-demand check, the same iteration's crawl loop must
     not produce a second check row with the same (deterministic) id."""
-    e = make_crawl_engine(str(tmp_path / "od2"), batch_size=500, actor_pools=False)
+    e = make_crawl_engine(str(tmp_path / "od2"), batch_size=500)
     e.load_catalog(small_seed())
     rid = e.catalog.read_arrow()["resource_id"][3].as_py()
     check = e.check_resource_now(rid)
@@ -62,7 +62,7 @@ def test_priority_insert_tier1_pickup(tmp_path, make_crawl_engine):
     from hydra_ray.stages.frontier import select_batch
     import numpy as np
 
-    e = make_crawl_engine(str(tmp_path / "prio"), batch_size=10, actor_pools=False)
+    e = make_crawl_engine(str(tmp_path / "prio"), batch_size=10)
     e.load_catalog(small_seed())
     e.insert_priority_resource(
         {

@@ -61,7 +61,6 @@ def test_parse_export_lifecycle_e2e(tmp_path, make_crawl_engine):
     eng = make_crawl_engine(
         str(tmp_path / "wd"),
         batch_size=10,
-        actor_pools=False,
         politeness_kwargs={"backoff_nb_req": 10**9},
         analysis_config=EXPORT_CFG,
     )
@@ -157,7 +156,6 @@ def test_on_demand_check_records_lifecycle(tmp_path, make_crawl_engine):
     eng = make_crawl_engine(
         str(tmp_path / "wd"),
         batch_size=10,
-        actor_pools=False,
         politeness_kwargs={"backoff_nb_req": 10**9},
         analysis_config=EXPORT_CFG,
     )

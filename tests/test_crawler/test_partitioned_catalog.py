@@ -53,7 +53,7 @@ def test_versioned_table_below_threshold_single_file(tmp_path):
 def test_crawl_partitioned_catalog_identical_and_incremental(tmp_path, make_crawl_engine):
     # batch small enough that touched_parts/n_parts <= 0.5, so the
     # incremental merge path (not the full-overwrite fallback) engages
-    kw = dict(batch_size=6, actor_pools=False)
+    kw = dict(batch_size=6)
     a = make_crawl_engine(str(tmp_path / "single"), catalog_partition_min_rows=10**9, **kw)
     a.load_catalog(small_seed())
     a.run(3)
@@ -90,7 +90,7 @@ def test_crawl_partitioned_catalog_identical_and_incremental(tmp_path, make_craw
 @pytest.mark.usefixtures("ray_session")
 def test_partitioned_catalog_resume(tmp_path, make_crawl_engine):
     """Kill+resume works identically on the partitioned layout."""
-    kw = dict(batch_size=12, actor_pools=False, catalog_parts=8, catalog_partition_min_rows=1)
+    kw = dict(batch_size=12, catalog_parts=8, catalog_partition_min_rows=1)
     wd = str(tmp_path / "resume")
     e1 = make_crawl_engine(wd, **kw)
     e1.load_catalog(small_seed())

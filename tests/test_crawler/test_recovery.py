@@ -31,7 +31,6 @@ def test_404_recovery_updates_catalog_and_checks_new_url(tmp_workdir, make_crawl
             tmp_workdir,
             transport={"kind": "mock", "responses": responses},
             batch_size=10,
-            actor_pools=False,
         )
         eng.load_catalog(
             pa.table(
@@ -53,7 +52,7 @@ def test_404_without_udata_uri_stays_error(tmp_workdir, make_crawl_engine):
     rid = url_md5(OLD)
     responses = {("head", OLD): {"kind": "error", "status": 404, "headers": {}, "error": "nf"}}
     eng = make_crawl_engine(
-        tmp_workdir, transport={"kind": "mock", "responses": responses}, batch_size=10, actor_pools=False
+        tmp_workdir, transport={"kind": "mock", "responses": responses}, batch_size=10
     )
     eng.load_catalog(
         pa.table({"dataset_id": ["ds-0"], "resource_id": [rid], "url": [OLD], "format": ["csv"]})
@@ -65,7 +64,7 @@ def test_404_without_udata_uri_stays_error(tmp_workdir, make_crawl_engine):
 
 @pytest.mark.usefixtures("ray_session")
 def test_stuck_status_cleanup(tmp_workdir, make_crawl_engine):
-    eng = make_crawl_engine(tmp_workdir, batch_size=10, actor_pools=False)
+    eng = make_crawl_engine(tmp_workdir, batch_size=10)
     rid = url_md5("https://a.example/x.csv")
     eng.load_catalog(
         pa.table(
@@ -125,7 +124,6 @@ def test_robots_gate_e2e(tmp_workdir, make_crawl_engine):
         tmp_workdir,
         transport={"kind": "mock", "responses": responses},
         batch_size=10,
-        actor_pools=False,
         robots=True,
     )
     eng.load_catalog(

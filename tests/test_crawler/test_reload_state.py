@@ -18,7 +18,7 @@ import pytest
 from hydra_ray.functions.urls import url_md5
 from hydra_ray.synth import catalog_from_documents
 
-KW = dict(batch_size=40, actor_pools=False, politeness_kwargs={"backoff_nb_req": 10**9})
+KW = dict(batch_size=40, politeness_kwargs={"backoff_nb_req": 10**9})
 
 
 def _state_by_rid(cat: pa.Table) -> dict:
@@ -199,7 +199,6 @@ def test_backoff_preserves_priority(tmp_path, make_crawl_engine):
     eng = make_crawl_engine(
         str(tmp_path / "wd3"),
         batch_size=4,
-        actor_pools=False,
         politeness_kwargs={"backoff_nb_req": 1, "backoff_period": 10**6},
     )
     eng.load_catalog(seed)
@@ -234,7 +233,7 @@ def test_stuck_cleanup_distributed_path(tmp_path, make_crawl_engine):
             "format": ["csv"] * 6,
         }
     )
-    eng = make_crawl_engine(str(tmp_path / "wd4"), batch_size=6, actor_pools=False)
+    eng = make_crawl_engine(str(tmp_path / "wd4"), batch_size=6)
     eng.load_catalog(seed)
     cat = eng.catalog.read_arrow()
     stale_since = VIRTUAL_T0 - timedelta(seconds=7200)
@@ -352,7 +351,6 @@ def test_on_demand_check_checkpoints_politeness(tmp_path, make_crawl_engine):
     )
     kw = dict(
         batch_size=3,
-        actor_pools=False,
         politeness_kwargs={"backoff_nb_req": 1, "backoff_period": 10**6},
     )
     eng = make_crawl_engine(str(tmp_path / "wd7"), **kw)

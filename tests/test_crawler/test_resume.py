@@ -54,7 +54,7 @@ def multi_block(blocks: list[list[int]]) -> bool:
 
 @pytest.mark.usefixtures("ray_session")
 def test_kill_and_resume_equals_straight_run(tmp_path, make_crawl_engine):
-    kw = dict(batch_size=30, actor_pools=False)
+    kw = dict(batch_size=30)
 
     # straight 4-iteration run
     e1 = make_crawl_engine(str(tmp_path / "straight"), **kw)
@@ -90,7 +90,7 @@ def test_resume_crash_window_falls_back_to_older_state(tmp_path, make_crawl_engi
     import shutil
 
     wd = str(tmp_path / "cw")
-    e = make_crawl_engine(wd, batch_size=30, actor_pools=False)
+    e = make_crawl_engine(wd, batch_size=30)
     e.load_catalog(small_seed())
     e.run(2)
     e.shutdown()
@@ -98,7 +98,7 @@ def test_resume_crash_window_falls_back_to_older_state(tmp_path, make_crawl_engi
     # missing — a crash mid-save), manifest already ahead
     newest = e._state_dir(e.iteration)
     os.remove(os.path.join(newest, "meta.json"))
-    e2 = make_crawl_engine(wd, batch_size=30, actor_pools=False)
+    e2 = make_crawl_engine(wd, batch_size=30)
     assert e2.iteration == 2
     # URL-seen state restored from iter1 (non-empty): reloading the same
     # catalog must not treat already-seen URLs as new
@@ -111,7 +111,7 @@ def test_resume_crash_window_falls_back_to_older_state(tmp_path, make_crawl_engi
     for p in glob.glob(os.path.join(wd, "state", "iter*")):
         shutil.rmtree(p) if os.path.isdir(p) else os.remove(p)
     with pytest.raises(RuntimeError, match="refusing"):
-        make_crawl_engine(wd, batch_size=30, actor_pools=False)
+        make_crawl_engine(wd, batch_size=30)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -123,7 +123,7 @@ def test_sink_part_names_deterministic(tmp_path, make_crawl_engine):
 
     names = []
     for sub in ("s1", "s2"):
-        e = make_crawl_engine(str(tmp_path / sub), batch_size=40, actor_pools=False)
+        e = make_crawl_engine(str(tmp_path / sub), batch_size=40)
         e.load_catalog(small_seed())
         e.run(2)
         files = sorted(os.path.basename(f) for f in e.checks.files())
@@ -135,19 +135,19 @@ def test_sink_part_names_deterministic(tmp_path, make_crawl_engine):
 
 @pytest.mark.usefixtures("ray_session")
 def test_results_identical_across_parallelism(tmp_path, make_crawl_engine, monkeypatch, crawl_blocks):
-    """Same seed catalog, different fetch parallelism and block
-    boundaries → byte-identical checks (the scaling-criterion
-    determinism prerequisite)."""
+    """Same seed catalog, different block boundaries (so a different
+    number of concurrent stage tasks per iteration) → byte-identical
+    checks (the scaling-criterion determinism prerequisite)."""
     from hydra_ray.config import config
 
     monkeypatch.setattr(config, "FETCH_BATCH_SIZE", 7)
-    a = make_crawl_engine(str(tmp_path / "p1"), batch_size=40, fetch_concurrency=1, actor_pools=False)
+    a = make_crawl_engine(str(tmp_path / "p1"), batch_size=40)
     a.load_catalog(small_seed())
     a.run(2)
     blocks_a = crawl_blocks[:]
     crawl_blocks.clear()
     monkeypatch.setattr(config, "FETCH_BATCH_SIZE", 16)
-    b = make_crawl_engine(str(tmp_path / "p4"), batch_size=40, fetch_concurrency=4, actor_pools=True)
+    b = make_crawl_engine(str(tmp_path / "p4"), batch_size=40)
     b.load_catalog(small_seed())
     b.run(2)
     assert multi_block(blocks_a) and multi_block(crawl_blocks)
@@ -173,7 +173,6 @@ def test_iteration_blocks_sized_by_rows(tmp_path, make_crawl_engine, monkeypatch
     e = make_crawl_engine(
         str(tmp_path / "b"),
         batch_size=100,
-        actor_pools=False,
         politeness_kwargs={"backoff_nb_req": 10**9},
     )
     e.load_catalog(small_seed(100))
@@ -182,7 +181,8 @@ def test_iteration_blocks_sized_by_rows(tmp_path, make_crawl_engine, monkeypatch
     map_batches = Dataset.map_batches
 
     def recording(self, fn, *args, **kwargs):
-        udf = fn if inspect.isclass(fn) or inspect.isfunction(fn) else type(fn)
+        udf = getattr(fn, "func", fn)  # the check-build stage is a partial
+        udf = udf if inspect.isclass(udf) or inspect.isfunction(udf) else type(udf)
         stages.append((udf.__name__, kwargs.get("batch_size", "unset")))
         return map_batches(self, fn, *args, **kwargs)
 
@@ -191,11 +191,46 @@ def test_iteration_blocks_sized_by_rows(tmp_path, make_crawl_engine, monkeypatch
 
     assert stats["selected"] == 100 and stats["backoff"] == 0
     assert len(crawl_blocks) == 1 and sorted(crawl_blocks[0]) == [14] * 5 + [15] * 2
-    crawl_stages = ["Fetcher", "<lambda>", "Analyser", "IterationSink"]
+    crawl_stages = ["Fetcher", "build_checks_batch", "Analyser", "IterationSink"]
     assert [s for s in stages if s[0] in crawl_stages] == [(n, None) for n in crawl_stages]
     # one sink call per block: one checks part file each, same rows
     parts = [f for f in e.checks.files() if os.path.basename(os.path.dirname(f)).startswith("txn-iter0-")]
     assert sorted(pq.read_metadata(f).num_rows for f in parts) == sorted(crawl_blocks[0])
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_crawl_stages_run_as_tasks(tmp_path, make_crawl_engine, monkeypatch):
+    """The crawl stages run only as tasks: neither an iteration nor an
+    on-demand check hands Ray Data a class UDF, constructor kwargs or an
+    actor-pool concurrency, and asking for actor pools is refused."""
+    import inspect
+
+    from ray.data import Dataset
+
+    from hydra_ray.pipelines.crawl import CrawlEngine
+
+    e = make_crawl_engine(str(tmp_path / "t"), batch_size=40)
+    e.load_catalog(small_seed(60))
+
+    pool_args = []
+    map_batches = Dataset.map_batches
+
+    def recording(self, fn, *args, **kwargs):
+        if inspect.isclass(fn):
+            pool_args.append(("class fn", fn.__name__))
+        for k in ("fn_constructor_kwargs", "concurrency"):
+            if kwargs.get(k) is not None:
+                pool_args.append((k, kwargs[k]))
+        return map_batches(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "map_batches", recording)
+    stats = e.run_iteration()
+    check = e.check_resource_now(e.catalog.read_arrow()["resource_id"][-1].as_py())
+    assert stats["selected"] == 40 and check["check_id"] is not None
+    assert pool_args == []
+
+    with pytest.raises(ValueError, match="actor_pools"):
+        CrawlEngine(str(tmp_path / "pools"), actor_pools=True)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -205,14 +240,14 @@ def test_results_identical_with_domain_partitioning(tmp_path, make_crawl_engine,
     from hydra_ray.config import config
 
     monkeypatch.setattr(config, "FETCH_BATCH_SIZE", 7)
-    a = make_crawl_engine(str(tmp_path / "rows"), batch_size=60, actor_pools=False)
+    a = make_crawl_engine(str(tmp_path / "rows"), batch_size=60)
     a.load_catalog(small_seed())
     a.run(2)
     blocks_a = crawl_blocks[:]
     crawl_blocks.clear()
     monkeypatch.setattr(config, "FETCH_BATCH_SIZE", 16)
     b = make_crawl_engine(
-        str(tmp_path / "parts"), batch_size=60, actor_pools=False, partition_by_domain=True
+        str(tmp_path / "parts"), batch_size=60, partition_by_domain=True
     )
     b.load_catalog(small_seed())
     b.run(2)
@@ -260,15 +295,13 @@ def test_429_domain_across_blocks_deterministic(tmp_path, make_crawl_engine, mon
 
     from hydra_ray.config import config
 
-    def run(sub, conc, pools, fetch_batch):
+    def run(sub, fetch_batch):
         monkeypatch.setattr(config, "FETCH_BATCH_SIZE", fetch_batch)
         crawl_blocks.clear()
         e = make_crawl_engine(
             str(tmp_path / sub),
             transport={"kind": "mock", "responses": responses},
             batch_size=30,
-            fetch_concurrency=conc,
-            actor_pools=pools,
         )
         e.load_catalog(seed)
         stats = [e.run_iteration() for _ in range(2)]
@@ -277,9 +310,9 @@ def test_429_domain_across_blocks_deterministic(tmp_path, make_crawl_engine, mon
         assert multi_block(crawl_blocks)
         return stats, fp
 
-    s1, f1 = run("c1", 1, False, 7)
-    s1b, f1b = run("c1b", 1, False, 7)  # fresh rerun, same layout
-    s4, f4 = run("c4", 4, True, 16)  # 4-way actor pool, other block boundaries
+    s1, f1 = run("c1", 7)
+    s1b, f1b = run("c1b", 7)  # fresh rerun, same layout
+    s4, f4 = run("c4", 16)  # other block boundaries
     assert s1 == s1b == s4
     assert f1 == f1b == f4
     # the cool-off actually engaged: iteration 1 must defer the whole
@@ -295,13 +328,13 @@ def test_docs_span_invariant_across_runs(tmp_path, make_crawl_engine, monkeypatc
     from hydra_ray.stages.spans import span_sequences_equal
 
     monkeypatch.setattr(config, "FETCH_BATCH_SIZE", 7)
-    a = make_crawl_engine(str(tmp_path / "d1"), batch_size=60, actor_pools=False)
+    a = make_crawl_engine(str(tmp_path / "d1"), batch_size=60)
     a.load_catalog(small_seed())
     a.run(2)
     blocks_a = crawl_blocks[:]
     crawl_blocks.clear()
     monkeypatch.setattr(config, "FETCH_BATCH_SIZE", 16)
-    b = make_crawl_engine(str(tmp_path / "d2"), batch_size=60, fetch_concurrency=3, actor_pools=False)
+    b = make_crawl_engine(str(tmp_path / "d2"), batch_size=60)
     b.load_catalog(small_seed())
     b.run(2)
     assert multi_block(blocks_a) and multi_block(crawl_blocks)
@@ -320,7 +353,7 @@ def test_over_cache_frontier_dataset_path_identical(tmp_path, make_crawl_engine)
     distributed Dataset read + non-cached merge_insert checkpointing)
     produces byte-identical checks and catalog state to the driver-cached
     path — pins the 10^10-frontier branch at a scaled-down threshold."""
-    kw = dict(batch_size=30, actor_pools=False)
+    kw = dict(batch_size=30)
 
     e1 = make_crawl_engine(str(tmp_path / "cached"), **kw)
     e1.load_catalog(small_seed())

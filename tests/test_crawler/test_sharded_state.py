@@ -27,7 +27,7 @@ from .test_resume import checks_fingerprint, small_seed
 
 @pytest.mark.usefixtures("ray_session")
 def test_state_dir_layout(tmp_path, make_crawl_engine):
-    e = make_crawl_engine(str(tmp_path / "wd"), batch_size=30, actor_pools=False)
+    e = make_crawl_engine(str(tmp_path / "wd"), batch_size=30)
     e.load_catalog(small_seed())
     e.run(1)
     d = e._state_dir(1)
@@ -50,7 +50,7 @@ def test_legacy_single_pickle_still_restores(tmp_path, make_crawl_engine):
     import shutil
 
     wd = str(tmp_path / "wd")
-    e = make_crawl_engine(wd, batch_size=30, actor_pools=False)
+    e = make_crawl_engine(wd, batch_size=30)
     e.load_catalog(small_seed())
     e.run(2)
     # rewrite the newest checkpoint in the legacy single-file format
@@ -67,7 +67,7 @@ def test_legacy_single_pickle_still_restores(tmp_path, make_crawl_engine):
         pickle.dump(blob, f)
     e.shutdown()
 
-    e2 = make_crawl_engine(wd, batch_size=30, actor_pools=False)
+    e2 = make_crawl_engine(wd, batch_size=30)
     assert e2.iteration == 2
     tbl = e2.catalog.read_arrow()
     keys = tbl["url_key"].to_numpy(zero_copy_only=False).astype("int64")
@@ -82,7 +82,7 @@ def test_resume_with_different_shard_counts(tmp_path, make_crawl_engine):
     """Checkpoint with K shards, resume with K' ≠ K: state is re-routed
     by the stable hash and the crawl continues identically (politeness
     dict re-scatter; URL-seen exact-key re-insert)."""
-    kw = dict(batch_size=30, actor_pools=False)
+    kw = dict(batch_size=30)
     straight = make_crawl_engine(
         str(tmp_path / "s"), politeness_shards=2, urlseen_shards=3, **kw
     )
@@ -136,7 +136,7 @@ def test_pool_level_save_load_roundtrip(tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_gc_prunes_old_state_dirs(tmp_path, make_crawl_engine):
-    e = make_crawl_engine(str(tmp_path / "wd"), batch_size=30, actor_pools=False)
+    e = make_crawl_engine(str(tmp_path / "wd"), batch_size=30)
     e.load_catalog(small_seed())
     e.run(5)
     state_root = os.path.join(e.workdir, "state")
@@ -146,7 +146,7 @@ def test_gc_prunes_old_state_dirs(tmp_path, make_crawl_engine):
     assert kept == ["iter000004", "iter000005"]
     # resume still works off the kept checkpoints
     e.shutdown()
-    e2 = make_crawl_engine(str(tmp_path / "wd"), batch_size=30, actor_pools=False)
+    e2 = make_crawl_engine(str(tmp_path / "wd"), batch_size=30)
     assert e2.iteration == 5
     e2.run(1)
     e2.shutdown()
@@ -199,7 +199,7 @@ def test_cuckoo_layout_legacy_single_pickle_restores(tmp_path, make_crawl_engine
     import shutil
 
     wd = str(tmp_path / "wd")
-    e = make_crawl_engine(wd, batch_size=30, actor_pools=False)
+    e = make_crawl_engine(wd, batch_size=30)
     e.load_catalog(small_seed())
     e.run(2)
     keys = np.concatenate(
@@ -218,7 +218,7 @@ def test_cuckoo_layout_legacy_single_pickle_restores(tmp_path, make_crawl_engine
         pickle.dump(blob, f)
     e.shutdown()
 
-    e2 = make_crawl_engine(wd, batch_size=30, actor_pools=False)
+    e2 = make_crawl_engine(wd, batch_size=30)
     assert e2.iteration == 2
     assert len(keys) > 0 and e2.urlseen.contains(keys).all()
     assert sum(s["count"] for s in e2.urlseen.stats()) == len(keys)

@@ -45,7 +45,6 @@ def _run(tmp_path, make_crawl_engine, name: str, skewed: bool, quota: int):
     eng = make_crawl_engine(
         str(tmp_path / name),
         batch_size=N,
-        actor_pools=False,
         partition_by_domain=True,
         politeness_kwargs={"backoff_nb_req": quota, "backoff_period": 360},
     )

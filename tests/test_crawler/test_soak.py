@@ -15,7 +15,6 @@ def test_ten_iteration_soak(tmp_path, make_crawl_engine):
     eng = make_crawl_engine(
         str(tmp_path / "wd"),
         batch_size=80,
-        actor_pools=False,
         politeness_kwargs={"backoff_nb_req": 30, "backoff_period": 360, "cool_off_period": 360},
     )
     eng.load_catalog(catalog_from_documents(docs))
@@ -69,7 +68,6 @@ def test_200_iteration_continuous_soak(tmp_path, make_crawl_engine):
     eng = make_crawl_engine(
         str(tmp_path / "wd"),
         batch_size=40,
-        actor_pools=False,
         catalog_parts=8,
         catalog_partition_min_rows=1,
         politeness_kwargs={"backoff_nb_req": 30, "backoff_period": 240, "cool_off_period": 240},
@@ -115,7 +113,6 @@ def test_200_iteration_continuous_soak(tmp_path, make_crawl_engine):
     eng2 = make_crawl_engine(
         str(tmp_path / "wd"),
         batch_size=40,
-        actor_pools=False,
         catalog_parts=8,
         catalog_partition_min_rows=1,
     )
@@ -134,7 +131,6 @@ def test_compact_documents_merges_and_preserves_reads(tmp_path, make_crawl_engin
     eng = make_crawl_engine(
         str(tmp_path / "wd"),
         batch_size=120,
-        actor_pools=False,
         politeness_kwargs={"backoff_nb_req": 10**9},
     )
     eng.load_catalog(catalog_from_documents(docs))
@@ -171,7 +167,6 @@ def test_500_iteration_soak_with_compaction(tmp_path, make_crawl_engine):
     docs = pa.table({"doc_id": pa.array(np.arange(100), type=pa.int64())})
     kw = dict(
         batch_size=40,
-        actor_pools=False,
         catalog_parts=8,
         catalog_partition_min_rows=1,
         politeness_kwargs={"backoff_nb_req": 30, "backoff_period": 240, "cool_off_period": 240},
@@ -248,7 +243,6 @@ def test_continuous_soak_with_resource_deletion_and_purge(tmp_path, make_crawl_e
     docs = pa.table({"doc_id": pa.array(np.arange(80), type=pa.int64())})
     kw = dict(
         batch_size=40,
-        actor_pools=False,
         politeness_kwargs={"backoff_nb_req": 10**9},
     )
     wd = str(tmp_path / "wd")
@@ -300,8 +294,7 @@ def test_run_continuous_auto_purges_tombstones(tmp_path, make_crawl_engine):
     from hydra_ray.pipelines.api import EngineApi
 
     docs = pa.table({"doc_id": pa.array(np.arange(40), type=pa.int64())})
-    kw = dict(batch_size=40, actor_pools=False,
-              politeness_kwargs={"backoff_nb_req": 10**9})
+    kw = dict(batch_size=40, politeness_kwargs={"backoff_nb_req": 10**9})
     eng = make_crawl_engine(str(tmp_path / "wd"), **kw)
     eng.load_catalog(catalog_from_documents(docs))
     eng.run_continuous(iterations=4)
@@ -333,7 +326,7 @@ def test_tombstone_survives_active_checkpoints(tmp_path, make_crawl_engine):
 
     docs = pa.table({"doc_id": pa.array(np.arange(30), type=pa.int64())})
     eng = make_crawl_engine(
-        str(tmp_path / "wd"), batch_size=30, actor_pools=False,
+        str(tmp_path / "wd"), batch_size=30,
         politeness_kwargs={"backoff_nb_req": 10**9},
     )
     eng.load_catalog(catalog_from_documents(docs))
@@ -371,7 +364,7 @@ def test_retombstoned_resurrection_is_repurged(tmp_path, make_crawl_engine):
 
     docs = pa.table({"doc_id": pa.array(np.arange(30), type=pa.int64())})
     eng = make_crawl_engine(
-        str(tmp_path / "wd"), batch_size=30, actor_pools=False,
+        str(tmp_path / "wd"), batch_size=30,
         politeness_kwargs={"backoff_nb_req": 10**9},
     )
     eng.load_catalog(catalog_from_documents(docs))
@@ -414,7 +407,7 @@ def test_retombstoned_resurrection_is_repurged(tmp_path, make_crawl_engine):
     eng.shutdown()
 
     eng2 = make_crawl_engine(
-        str(tmp_path / "wd"), batch_size=30, actor_pools=False,
+        str(tmp_path / "wd"), batch_size=30,
         politeness_kwargs={"backoff_nb_req": 10**9},
     )
     assert rid not in set(eng2.read_documents()["doc_id"].to_pylist())
