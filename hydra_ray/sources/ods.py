@@ -13,10 +13,10 @@ ingestion with the standard library only:
   - `table:number-columns-repeated` and `table:number-rows-repeated`
     run-length expansion (trailing all-empty runs are trimmed, the
     standard layout for the 16384-wide filler cells LibreOffice emits);
-  - all values surface as STRINGS feeding the same csv-detective-style
-    inspection + smart_cast pipeline as CSV/XLSX/XLS
-    (sources/xlsx.py `rows_to_inspection` / `rows_to_typed_table`),
-    so an .ods and its CSV twin produce the identical typed table.
+  - all values surface as STRINGS: the rows join the crawl block's
+    CSV texts and XLSX/XLS sheets as a ``Sheet`` in the one batched
+    inspect/cast sweep (stages/inspection.py), so an .ods and its CSV
+    twin produce the identical typed table.
 
 Not supported (documented limitation): formula evaluation (the cached
 office:value is used — same policy as the XLSX reader) and multi-table
@@ -31,7 +31,7 @@ from xml.etree import ElementTree as ET
 
 import pyarrow as pa
 
-from hydra_ray.sources.xlsx import rows_to_inspection, rows_to_typed_table
+from hydra_ray.stages.inspection import Sheet, inspect_sheet, sheet_to_table
 
 _OFFICE = "urn:oasis:names:tc:opendocument:xmlns:office:1.0"
 _TABLE = "urn:oasis:names:tc:opendocument:xmlns:table:1.0"
@@ -130,22 +130,21 @@ def inspect_ods(
     output_profile: bool = False,
 ) -> dict:
     """Inspection report for ODS bytes in the exact shape of
-    inspect_csv_text (see sources/xlsx.py rows_to_inspection).
-    Pass ``rows`` (from read_ods_rows) to avoid a second XML parse."""
+    inspect_csv_text (a one-sheet batch). Pass ``rows`` (from
+    read_ods_rows) to avoid a second XML parse."""
     if rows is None:
         rows = read_ods_rows(data)
-    return rows_to_inspection(rows, "hydra-ray-ods", sample_rows, output_profile=output_profile)
+    return inspect_sheet(Sheet(rows, "hydra-ray-ods"), sample_rows, output_profile)
 
 
 def ods_to_table(
     data: bytes, inspection: dict | None = None, rows: list[list[str]] | None = None
 ) -> pa.Table:
-    """ODS bytes → typed Arrow table via the shared smart_cast
-    pipeline. Pass ``rows`` to reuse an existing read_ods_rows result."""
+    """ODS bytes → typed Arrow table via the batched cast sweep. Pass
+    ``rows`` to reuse an existing read_ods_rows result."""
     if rows is None:
         rows = read_ods_rows(data)
-    insp = inspection or inspect_ods(data, rows=rows)
-    return rows_to_typed_table(rows, insp)
+    return sheet_to_table(Sheet(rows, "hydra-ray-ods"), inspection)
 
 
 # ---------------------------------------------------------------------------

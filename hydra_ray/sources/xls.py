@@ -18,11 +18,10 @@ Two layers:
      (LABELSST / LABEL / NUMBER / RK / MULRK / BOOLERR / FORMULA with
      cached values + trailing STRING records).
 
-All values surface as STRINGS feeding the same csv-detective-style
-inspection + smart_cast pipeline as CSV and XLSX
-(sources/xlsx.py::rows_to_inspection / rows_to_typed_table), so an
-.xls, its .xlsx twin and its CSV twin produce the identical typed
-table.
+All values surface as STRINGS: the rows join the crawl block's CSV
+texts and XLSX/ODS sheets as a ``Sheet`` in the one batched
+inspect/cast sweep (stages/inspection.py), so an .xls, its .xlsx twin
+and its CSV twin produce the identical typed table.
 
 Not supported (documented limitation, mirrors the xlsx module):
 style-driven serial-number dates (numFmt resolution) and formula
@@ -35,6 +34,8 @@ from __future__ import annotations
 import struct
 
 import pyarrow as pa
+
+from hydra_ray.stages.inspection import Sheet, inspect_sheet, sheet_to_table
 
 # CFB sector-chain sentinels
 _ENDOFCHAIN = 0xFFFFFFFE
@@ -399,25 +400,20 @@ def inspect_xls(
     rows: list[list[str]] | None = None,
     output_profile: bool = False,
 ) -> dict:
-    """Inspection report in the exact shape of inspect_csv_text (shared
-    rows_to_inspection; engine marks the BIFF source)."""
-    from hydra_ray.sources.xlsx import rows_to_inspection
-
+    """Inspection report in the exact shape of inspect_csv_text (a
+    one-sheet batch; engine marks the BIFF source)."""
     if rows is None:
         rows = read_xls_rows(data)
-    return rows_to_inspection(rows, "hydra-ray-xls", sample_rows, output_profile=output_profile)
+    return inspect_sheet(Sheet(rows, "hydra-ray-xls"), sample_rows, output_profile)
 
 
 def xls_to_table(
     data: bytes, inspection: dict | None = None, rows: list[list[str]] | None = None
 ) -> pa.Table:
-    """XLS bytes → typed Arrow table via the shared cast pipeline."""
-    from hydra_ray.sources.xlsx import rows_to_typed_table
-
+    """XLS bytes → typed Arrow table via the batched cast sweep."""
     if rows is None:
         rows = read_xls_rows(data)
-    insp = inspection or inspect_xls(data, rows=rows)
-    return rows_to_typed_table(rows, insp)
+    return sheet_to_table(Sheet(rows, "hydra-ray-xls"), inspection)
 
 
 # ---------------------------------------------------------------------------

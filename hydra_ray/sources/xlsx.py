@@ -8,12 +8,21 @@ tabular ingestion with the standard library only:
 
   - shared strings (t="s"), inline strings (t="inlineStr" / t="str"),
     booleans (t="b") and numbers (default) are decoded;
-  - sheet order comes from xl/workbook.xml + its relationships part;
+  - sheet order comes from xl/workbook.xml + its relationships part
+    (relative targets resolve from xl/, absolute ones from the package
+    root);
   - cells are addressed by their r="A1" reference, so sparse rows and
     skipped columns land in the right slot;
-  - all values surface as STRINGS feeding the same csv-detective-style
-    inspection + smart_cast pipeline as CSV (stages/inspection.py), so
-    an .xlsx and its CSV twin produce the identical typed table.
+  - the writer's canonical layout (unprefixed ``<row>`` / ``<c r t>``
+    cells with a ``<v>``, plain ``<si><t>`` shared strings) is read by a
+    regex scan; anything else — carriage returns, inline or rich-text
+    strings, gaps in the column refs, prefixed namespaces, entities
+    beyond the five XML ones and numeric refs — falls back to an
+    ElementTree walk that yields the same rows;
+  - all values surface as STRINGS: the rows join the crawl block's CSV
+    texts as a ``Sheet`` in the one batched inspect/cast sweep
+    (stages/inspection.py), so an .xlsx and its CSV twin produce the
+    identical typed table.
 
 Not supported (documented limitation): style-driven serial-number
 dates (requires styles.xml numFmt resolution) and formula evaluation —
@@ -25,11 +34,32 @@ from __future__ import annotations
 import io
 import re
 import zipfile
+from string import ascii_uppercase
 from xml.etree import ElementTree as ET
 
 import pyarrow as pa
 
+from hydra_ray.stages.inspection import Sheet, inspect_sheet, sheet_to_table
+
 _CELL_REF_RE = re.compile(r"^([A-Z]+)(\d+)$")
+
+# the writer's canonical layout, scanned without building a tree:
+# _ROWS_RE is a whole <sheetData> body of such rows, so one fullmatch
+# proves nothing else is in it; _SCAN_RE then reads row starts and cells
+_ROW = r"<row(?: [^>/]*)?>"
+_CELL = r'<c r="([A-Z]+)[0-9]+"(?: t="(s|b|n|str)")?><v>([^<]*)</v></c>'
+_ROWS_RE = re.compile(r"(?:%s(?:%s)*</row>)*" % (_ROW, re.sub(r"\((?!\?)", "(?:", _CELL)))
+_SCAN_RE = re.compile(r"(%s)|%s" % (_ROW, _CELL))
+_SHEET_DATA_RE = re.compile(r"<sheetData>(.*)</sheetData>", re.S)
+_SST_RE = re.compile(r"<sst(?: [^>]*)?>(.*)</sst>", re.S)
+_SI_RE = re.compile(r"<si><t>([^<]*)</t></si>")
+_SIS_RE = re.compile(r"(?:<si><t>[^<]*</t></si>)*")
+# \r (XML folds line ends) and the control characters XML rejects
+_ODD_BYTES = bytes([*range(0x09), *range(0x0B, 0x20)])
+_ENTITY_RE = re.compile(r"&(?:(amp|lt|gt|quot|apos)|#([0-9]+)|#x([0-9a-fA-F]+));")
+_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
+# column letters by index, A..ZZ: wider sheets take the ElementTree walk
+_LETTERS = (*ascii_uppercase, *(a + b for a in ascii_uppercase for b in ascii_uppercase))
 
 
 def _col_index(letters: str) -> int:
@@ -45,7 +75,9 @@ def _text(elem) -> str:
 
 def _first_sheet_target(zf: zipfile.ZipFile) -> str:
     """First sheet's worksheet part, resolved through the workbook
-    relationships (falls back to the lowest-numbered sheet part)."""
+    relationships (falls back to the lowest-numbered sheet part).
+    Relative targets resolve from xl/, absolute ones ("/xl/...") from
+    the package root."""
     try:
         wb = ET.fromstring(zf.read("xl/workbook.xml"))
         rels = ET.fromstring(zf.read("xl/_rels/workbook.xml.rels"))
@@ -58,7 +90,9 @@ def _first_sheet_target(zf: zipfile.ZipFile) -> str:
             )
             target = rid_to_target.get(rid)
             if target:
-                return "xl/" + target.lstrip("/") if not target.startswith("xl/") else target
+                if target.startswith("/"):
+                    return target[1:]
+                return target if target.startswith("xl/") else "xl/" + target
     except (KeyError, ET.ParseError):
         pass
     sheets = sorted(n for n in zf.namelist() if re.match(r"xl/worksheets/sheet\d+\.xml$", n))
@@ -72,28 +106,106 @@ def _local(tag) -> str:
     return tag.rsplit("}", 1)[-1] if isinstance(tag, str) else ""
 
 
-def _shared_strings(zf: zipfile.ZipFile) -> list[str]:
-    try:
-        root = ET.fromstring(zf.read("xl/sharedStrings.xml"))
-    except KeyError:
-        return []
-    return [_text(si) for si in root if _local(si.tag) == "si"]
-
-
-def read_xlsx_rows(data: bytes) -> list[list[str]]:
-    """XLSX bytes → dense rows of strings (first sheet).
-
-    Hot path for the crawl's workbook route: direct child iteration
-    with local-name checks — per-cell ``find("{*}v")`` path lookups
-    pay ElementPath machinery per call and dominated the analyse
-    stage's profile (~2× on workbook-heavy batches)."""
+def _parts(data: bytes) -> tuple[bytes, bytes | None]:
+    """(first worksheet part, shared-strings part or None)."""
     zf = zipfile.ZipFile(io.BytesIO(data))
-    shared = _shared_strings(zf)
-    sheet = ET.fromstring(zf.read(_first_sheet_target(zf)))
+    sheet = zf.read(_first_sheet_target(zf))
+    try:
+        return sheet, zf.read("xl/sharedStrings.xml")
+    except KeyError:
+        return sheet, None
+
+
+def _value(ctype: str, raw: str, shared: list[str]) -> str:
+    if ctype == "s":
+        return shared[int(raw)] if raw else ""
+    if ctype == "b":
+        return "true" if raw.strip() == "1" else "false"
+    return raw  # n (number), str (cached formula string)
+
+
+def _entity(m: re.Match) -> str:
+    if m.group(1):
+        return _ENTITIES[m.group(1)]
+    return chr(int(m.group(2)) if m.group(2) else int(m.group(3), 16))
+
+
+def _unescape(s: str) -> str:
+    return _ENTITY_RE.sub(_entity, s) if "&" in s else s
+
+
+def _xml_char(cp: int) -> bool:
+    """A code point XML allows in text, less \\r (see _ODD_BYTES)."""
+    return (
+        cp in (0x9, 0xA) or 0x20 <= cp <= 0xD7FF or 0xE000 <= cp <= 0xFFFD or 0x10000 <= cp <= 0x10FFFF
+    )
+
+
+def _plain(part: bytes) -> str | None:
+    """The part as text when the scan may read it, else None. OOXML
+    parts are UTF-8 or UTF-16, and UTF-16 ones hold NUL bytes."""
+    if len(part.translate(None, _ODD_BYTES)) != len(part) or any(
+        # U+FFFE, U+FFFF, a stray CDATA end, a DTD (its entities and
+        # default attributes are the parser's to apply)
+        s in part for s in (b"\xef\xbf\xbe", b"\xef\xbf\xbf", b"]]>", b"<!DOCTYPE")
+    ):
+        return None
+    try:
+        text = part.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    refs = _ENTITY_RE.findall(text) if "&" in text else []
+    if text.count("&") != len(refs) or not all(
+        _xml_char(int(d) if d else int(x, 16)) for _n, d, x in refs if d or x
+    ):
+        return None  # a DTD-defined or malformed entity, or a character XML rejects
+    return text
+
+
+def _scan_rows(sheet: bytes, sst: bytes | None) -> list[list[str]] | None:
+    """Rows of the writer's canonical layout read by regex (not padded),
+    or None when the parts hold anything else."""
+    sheet_text = _plain(sheet)
+    sst_text = "<sst></sst>" if sst is None else _plain(sst)
+    if sheet_text is None or sst_text is None:
+        return None
+    data = _SHEET_DATA_RE.search(sheet_text)
+    strings = _SST_RE.search(sst_text)
+    if (
+        data is None
+        or strings is None
+        or not _ROWS_RE.fullmatch(data.group(1))
+        or not _SIS_RE.fullmatch(strings.group(1))
+    ):
+        return None
+    shared = [_unescape(t) for t in _SI_RE.findall(strings.group(1))]
     rows: list[list[str]] = []
-    max_cols = 0
-    row_els = (el for el in sheet.iter() if _local(el.tag) == "row")
-    for row_el in row_els:
+    row: list[str] = []
+    for start, col, ctype, raw in _SCAN_RE.findall(data.group(1)):
+        if start:
+            row = []
+            rows.append(row)
+        elif len(row) >= len(_LETTERS) or col != _LETTERS[len(row)]:
+            return None  # a gap or an out-of-order column ref
+        elif ctype == "s" and "&" not in raw:
+            row.append(shared[int(raw)] if raw else "")
+        else:
+            row.append(_value(ctype or "n", _unescape(raw), shared))
+    if sheet_text.count("<row") + sheet_text.count(":row") != len(rows):
+        return None  # a row outside <sheetData>
+    return rows
+
+
+def _walk_rows(sheet: bytes, sst: bytes | None) -> list[list[str]]:
+    """Rows by an ElementTree walk, for any layout (not padded): direct
+    child iteration with local-name checks — per-cell
+    ``find("{*}v")`` path lookups pay ElementPath machinery per call."""
+    shared = []
+    if sst is not None:
+        shared = [_text(si) for si in ET.fromstring(sst) if _local(si.tag) == "si"]
+    root = ET.fromstring(sheet)
+    rows: list[list[str]] = []
+    for row_el in (el for el in root.iter() if _local(el.tag) == "row"):
         cells: dict[int, str] = {}
         auto_col = 0
         for c in row_el:
@@ -114,80 +226,23 @@ def read_xlsx_rows(data: bytes) -> list[list[str]]:
                 elif ln == "is":
                     is_el = ch
             if ctype == "inlineStr":
-                value = _text(is_el) if is_el is not None else ""
+                cells[col] = _text(is_el) if is_el is not None else ""
             else:
-                raw = _text(v_el) if v_el is not None else ""
-                if ctype == "s":
-                    value = shared[int(raw)] if raw else ""
-                elif ctype == "b":
-                    value = "true" if raw.strip() == "1" else "false"
-                else:  # n (number), str (cached formula string)
-                    value = raw
-            cells[col] = value
-        width = max(cells, default=-1) + 1
-        max_cols = max(max_cols, width)
-        rows.append([cells.get(i, "") for i in range(width)])
+                cells[col] = _value(ctype, _text(v_el) if v_el is not None else "", shared)
+        rows.append([cells.get(i, "") for i in range(max(cells, default=-1) + 1)])
+    return rows
+
+
+def read_xlsx_rows(data: bytes) -> list[list[str]]:
+    """XLSX bytes → dense rows of strings (first sheet): the regex scan
+    when the parts are in the canonical layout, else the ElementTree
+    walk."""
+    sheet, sst = _parts(data)
+    rows = _scan_rows(sheet, sst)
+    if rows is None:
+        rows = _walk_rows(sheet, sst)
+    max_cols = max(map(len, rows), default=0)
     return [r + [""] * (max_cols - len(r)) for r in rows]
-
-
-def rows_to_inspection(
-    rows: list[list[str]], engine: str, sample_rows: int = 100, output_profile: bool = False
-) -> dict:
-    """Workbook rows (strings) → inspection report in the exact shape of
-    inspect_csv_text (engine marks the source; separator is None for
-    workbooks). Shared by the XLSX and XLS (BIFF) readers.
-
-    ``output_profile=True`` produces the same csv-detective profile the
-    CSV route emits (per-column min/max/mean/std, top-10 values,
-    nb_distinct, nb_missing over the FULL body) — the reference runs
-    csv_detective_routine on Excel content too
-    (csv_like/__init__.py:161-217), so workbook and CSV twins yield
-    identical reports. Geo-format refinement (latlon / geojson cells)
-    is applied the same way."""
-    from hydra_ray.stages.inspection import (
-        _refine_geo_formats,
-        column_profile,
-        db_col_name,
-        detect_types,
-    )
-
-    if not rows:
-        return {
-            "header": [],
-            "columns": {},
-            "total_lines": 0,
-            "encoding": "binary",
-            "separator": None,
-            "header_row_idx": 0,
-            "engine": engine,
-        }
-    header = [h.strip() for h in rows[0]]
-    body = [r for r in rows[1 : sample_rows + 1] if any(c.strip() for c in r)]
-    types = detect_types(body, len(header))
-    columns = {
-        db_col_name(name): {"python_type": t, "format": t, "score": score}
-        for name, (t, score) in zip(header, types)
-    }
-    _refine_geo_formats(body, header, columns)
-    report = {
-        "header": header,
-        "columns": columns,
-        "total_lines": sum(1 for r in rows[1:] if any(c.strip() for c in r)),
-        "encoding": "binary",
-        "separator": None,
-        "header_row_idx": 0,
-        "engine": engine,
-    }
-    if output_profile:
-        full_body = [r for r in rows[1:] if any(c.strip() for c in r)]
-        report["profile"] = {
-            db_col_name(name): column_profile(
-                [row[c] if c < len(row) else None for row in full_body],
-                columns[db_col_name(name)]["python_type"],
-            )
-            for c, name in enumerate(header)
-        }
-    return report
 
 
 def inspect_xlsx(
@@ -196,43 +251,22 @@ def inspect_xlsx(
     rows: list[list[str]] | None = None,
     output_profile: bool = False,
 ) -> dict:
-    """Inspection report for XLSX bytes (see rows_to_inspection).
-    Pass ``rows`` (from read_xlsx_rows) to avoid a second XML parse."""
+    """Inspection report for XLSX bytes (a one-sheet batch, see
+    stages/inspection.py ``inspect_sheet``). Pass ``rows`` (from
+    read_xlsx_rows) to avoid a second XML parse."""
     if rows is None:
         rows = read_xlsx_rows(data)
-    return rows_to_inspection(rows, "hydra-ray-xlsx", sample_rows, output_profile=output_profile)
-
-
-def rows_to_typed_table(rows: list[list[str]], insp: dict) -> pa.Table:
-    """Workbook rows + inspection → typed Arrow table via the shared
-    smart_cast pipeline. Shared by the XLSX and XLS readers."""
-    from hydra_ray.stages.inspection import _PA_TYPE, db_col_name, smart_cast
-
-    if not rows:
-        return pa.table({})
-    header = insp["header"]
-    col_names = [db_col_name(h) for h in header]
-    ptypes = [insp["columns"][c]["python_type"] for c in col_names]
-    cols: list[list] = [[] for _ in header]
-    for r in rows[1:]:
-        if not any(c.strip() for c in r):
-            continue
-        for c in range(len(header)):
-            raw = r[c] if c < len(r) else None
-            cols[c].append(smart_cast(ptypes[c], raw))
-    arrays = [pa.array(col, type=_PA_TYPE[pt]) for col, pt in zip(cols, ptypes)]
-    return pa.table(dict(zip(col_names, arrays)))
+    return inspect_sheet(Sheet(rows, "hydra-ray-xlsx"), sample_rows, output_profile)
 
 
 def xlsx_to_table(
     data: bytes, inspection: dict | None = None, rows: list[list[str]] | None = None
 ) -> pa.Table:
-    """XLSX bytes → typed Arrow table via the shared cast pipeline.
+    """XLSX bytes → typed Arrow table via the batched cast sweep.
     Pass ``rows`` to reuse an existing read_xlsx_rows result."""
     if rows is None:
         rows = read_xlsx_rows(data)
-    insp = inspection or inspect_xlsx(data, rows=rows)
-    return rows_to_typed_table(rows, insp)
+    return sheet_to_table(Sheet(rows, "hydra-ray-xlsx"), inspection)
 
 
 # ---------------------------------------------------------------------------

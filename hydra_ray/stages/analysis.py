@@ -49,6 +49,20 @@ from hydra_ray.functions.detect import sniff_mime  # noqa: E402
 PARSEABLE_FORMATS = {"csv", "csvgz", "xls", "xlsx", "ods", "parquet"}
 
 
+def workbook_codecs() -> dict:
+    """Workbook format → (writer, reader) for the synthetic download,
+    imported on first use like the rest of the parse route."""
+    from hydra_ray.sources.ods import read_ods_rows, write_ods
+    from hydra_ray.sources.xls import read_xls_rows, write_xls
+    from hydra_ray.sources.xlsx import read_xlsx_rows, write_xlsx
+
+    return {
+        "xls": (write_xls, read_xls_rows),
+        "xlsx": (write_xlsx, read_xlsx_rows),
+        "ods": (write_ods, read_ods_rows),
+    }
+
+
 def _max_size_for(fmt: str | None) -> int:
     if fmt is None:
         return config.DEFAULT_MAX_FILESIZE_ALLOWED
@@ -355,7 +369,10 @@ class Analyser:
         contract (utils/errors.py:113-135); successfully cast tables feed
         the enabled export jobs (``self._last_exports``)."""
         from hydra_ray.schemas import SPAN_STRUCT
+        # the two sweeps are looked up by name at call time: perfbench's
+        # tracing shims replace these module attributes
         from hydra_ray.stages.inspection import (
+            Sheet,
             csv_texts_to_tables,
             find_ragged_row,
             inspect_csv_texts_batch,
@@ -370,137 +387,81 @@ class Analyser:
         from hydra_ray import synth
 
         fmts = batch["format"].to_pylist() if "format" in batch.column_names else [None] * len(urls)
-        sub_ids, sub_texts, sub_rows = [], [], []
-        inspections: list[str | None] = [None] * len(urls)
-        insp_dicts: dict[int, dict] = {}
-        typed_tables: dict[int, pa.Table] = {}
-        csv_rows: list[int] = []  # batched CSV route (vectorized across rows)
-        csv_texts: list[str] = []
+        # (row, text, sweep item) per parse-routed row: workbook Sheets
+        # first, then CSV texts (the span order)
+        codecs = workbook_codecs()
+        sheets, csvs = [], []
         for j, parse in enumerate(do_parse):
             if not parse:
                 continue
             text = synth.synthetic_text(urls[j], epoch=epoch, max_rows=self.content_rows)
-            if fmts[j] not in ("xls", "xlsx", "ods"):
-                # CSV-like route: defer to one batched inspect+cast pass
-                # below (one kernel sweep for the whole block instead of
-                # per-resource Python cell loops)
-                csv_rows.append(j)
-                csv_texts.append(text)
+            codec = codecs.get(fmts[j])
+            if codec is None:
+                csvs.append((j, text, text))
                 continue
-            if fmts[j] in ("xls", "xlsx", "ods"):
-                # Workbook route (S4): the synthetic download is
-                # materialized as a real workbook — OOXML zip for .xlsx,
-                # BIFF8-in-CFB for .xls, ODF zip for .ods — and ingested
-                # through the matching stdlib reader; same inspection
-                # shape + typed cast as CSV.
-                # The synthesized workbook is capped at 64 data rows: the
-                # round-trip exists to exercise the reader per resource
-                # (~4 ms), and a 2000-row workbook SYNTHESIS (~124 ms)
-                # would turn deep-content benches into a workbook-writer
-                # benchmark; full-depth casting is measured on the CSV
-                # path, and a real deployment parses downloaded bytes once
-                wb_cells = [line.split(",") for line in text.splitlines()[:65]]
-                try:
-                    if fmts[j] == "xls":
-                        from hydra_ray.sources.xls import (
-                            inspect_xls,
-                            read_xls_rows,
-                            write_xls,
-                            xls_to_table,
-                        )
-
-                        blob = write_xls(wb_cells)
-                        wb_rows = read_xls_rows(blob)  # parse the BIFF once
-                        insp = inspect_xls(blob, rows=wb_rows)
-                        tbl = xls_to_table(blob, insp, rows=wb_rows)
-                    elif fmts[j] == "ods":
-                        from hydra_ray.sources.ods import (
-                            inspect_ods,
-                            ods_to_table,
-                            read_ods_rows,
-                            write_ods,
-                        )
-
-                        blob = write_ods(wb_cells)
-                        wb_rows = read_ods_rows(blob)  # parse the XML once
-                        insp = inspect_ods(blob, rows=wb_rows)
-                        tbl = ods_to_table(blob, insp, rows=wb_rows)
-                    else:
-                        from hydra_ray.sources.xlsx import (
-                            inspect_xlsx,
-                            read_xlsx_rows,
-                            write_xlsx,
-                            xlsx_to_table,
-                        )
-
-                        blob = write_xlsx(wb_cells)
-                        wb_rows = read_xlsx_rows(blob)  # parse the XML once
-                        insp = inspect_xlsx(blob, rows=wb_rows)
-                        tbl = xlsx_to_table(blob, insp, rows=wb_rows)
-                except Exception as exc:  # noqa: BLE001
-                    # reference ParseException step contract
-                    # (csv_like/__init__.py:93 — inspection failures)
-                    self._last_parse_errors[j] = f"csv_detective:{exc}"
-                    continue
-            inspections[j] = json.dumps(insp, sort_keys=True)
-            insp_dicts[j] = insp
-            typed_tables[j] = tbl
-            sub_ids.append(rids[j])
-            sub_texts.append(text)
-            sub_rows.append(j)
-        if csv_rows:
-            insps = inspect_csv_texts_batch(csv_texts)
-            # strictness gate: a ragged body is the failure the reference
-            # hits when copying records into the parsing table
-            # (ParseException step="copy_records_to_table", to_db.py:95)
-            good_rows, good_texts, good_insps = [], [], []
-            # scalar on purpose: an Arrow-sweep batch twin (split_pattern
-            # + count_substring + segmented first-mismatch) measured
-            # 1.3-2x SLOWER at bench shape (200-line texts: 55 vs 72-111
-            # us/text — kernel dispatch overhead, same lesson as
-            # build_spans_batch); str.count is tight C, cost bounded per URL
-            for j, text, insp in zip(csv_rows, csv_texts, insps):
+            # Workbook route (S4): the synthetic download is written as
+            # a real workbook and read back by the matching stdlib
+            # reader. The workbook is capped at 64 data rows: per xlsx
+            # resource the write costs 0.40-0.65 ms and the read
+            # 0.34-0.43 ms (1 vCPU), and a 2000-row write would turn
+            # deep-content benches into a writer benchmark; full-depth
+            # casting is measured on the CSV path.
+            write, read = codec
+            try:
+                rows = read(write([line.split(",") for line in text.splitlines()[:65]]))
+            except Exception as exc:  # noqa: BLE001
+                # reference ParseException step contract
+                # (csv_like/__init__.py:93 — inspection failures)
+                self._last_parse_errors[j] = f"csv_detective:{exc}"
+                continue
+            sheets.append((j, text, Sheet(rows, f"hydra-ray-{fmts[j]}")))
+        routed = sheets + csvs
+        good, tables = [], []  # (row, text, sweep item, inspection), typed tables
+        if routed:  # one inspect sweep and one cast sweep for the block
+            insps = inspect_csv_texts_batch([item for _j, _t, item in routed])
+            # strictness gate (CSV only): a ragged body is the failure the
+            # reference hits when copying records into the parsing table
+            # (step="copy_records_to_table", to_db.py:95). Scalar on
+            # purpose: an Arrow-sweep twin measured 1.3-2x SLOWER at bench
+            # shape (kernel dispatch overhead, as in build_spans_batch)
+            for (j, text, item), insp in zip(routed, insps):
                 n_cols = len(insp["header"])
-                bad = find_ragged_row(text, insp["separator"], n_cols)
+                bad = (
+                    find_ragged_row(item, insp["separator"], n_cols) if isinstance(item, str) else None
+                )
                 if bad is not None:
                     self._last_parse_errors[j] = (
                         f"copy_records_to_table:row {bad[0]} has {bad[1]} "
                         f"cells, expected {n_cols}"
                     )
                     continue
-                good_rows.append(j)
-                good_texts.append(text)
-                good_insps.append(insp)
-            tables = csv_texts_to_tables(good_texts, good_insps)
-            for pos, (j, insp) in enumerate(zip(good_rows, good_insps)):
-                inspections[j] = json.dumps(insp, sort_keys=True)
-                insp_dicts[j] = insp
-                typed_tables[j] = tables[pos]
-                sub_ids.append(rids[j])
-                sub_texts.append(good_texts[pos])
-                sub_rows.append(j)
+                good.append((j, text, item, insp))
+            tables = csv_texts_to_tables([g[2] for g in good], [g[3] for g in good])
 
         # export jobs over the successfully cast tables (worker-side:
         # the artifact bytes never leave this task)
-        if typed_tables and (config.DB_TO_PARQUET or config.DB_TO_GEOJSON):
-            for j, tbl in typed_tables.items():
-                art = export_artifacts(tbl, insp_dicts[j], md5s[j], self.exports_dir)
-                for k, v in art.items():
+        inspections: list[str | None] = [None] * len(urls)
+        parsing_tables: list[str | None] = [None] * len(urls)
+        for (j, _text, _item, insp), tbl in zip(good, tables):
+            inspections[j] = json.dumps(insp, sort_keys=True)
+            parsing_tables[j] = md5s[j]
+            if config.DB_TO_PARQUET or config.DB_TO_GEOJSON:
+                for k, v in export_artifacts(tbl, insp, md5s[j], self.exports_dir).items():
                     self._last_exports[k][j] = v
 
-        parsing_tables: list[str | None] = [None] * len(urls)
-        for j in sub_rows:
-            parsing_tables[j] = md5s[j]
-
         self._last_inspections = inspections  # consumed by __call__ below
-        if not sub_rows:
+        if not good:
             return pa.nulls(len(urls), pa.list_(SPAN_STRUCT)), parsing_tables
 
         built = build_spans_batch(
-            pa.table({"doc_id": pa.array(sub_ids, type=pa.string()), "text": pa.array(sub_texts)})
+            pa.table(
+                {
+                    "doc_id": pa.array([rids[g[0]] for g in good], type=pa.string()),
+                    "text": pa.array([g[1] for g in good]),
+                }
+            )
         )
-        spans_lists = built["spans"].to_pylist()
         full: list = [None] * len(urls)
-        for pos, j in enumerate(sub_rows):
-            full[j] = spans_lists[pos]
+        for g, spans in zip(good, built["spans"].to_pylist()):
+            full[g[0]] = spans
         return pa.array(full, type=pa.list_(SPAN_STRUCT)), parsing_tables

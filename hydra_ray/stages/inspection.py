@@ -20,13 +20,14 @@ Components:
                             (data_formats/parquet/__init__.py:35-62,
                             PYARROW_TYPE_TO_PYTHON semantics)
 
-XLSX ingestion is first-class via the stdlib zip+XML reader in
-``hydra_ray.sources.xlsx`` (no openpyxl needed) and legacy binary .xls
-via the stdlib BIFF reader in ``hydra_ray.sources.xls`` (no xlrd);
-workbook rows feed the same detect_types + smart_cast +
-``column_profile`` pipeline, so an .xls, its .xlsx twin and its CSV
-twin produce identical typed tables AND identical csv-detective
-profile reports.
+Workbooks are first-class: the stdlib readers in ``hydra_ray.sources``
+(.xlsx zip+XML, .xls BIFF, .ods ODF) yield rows of strings, which enter
+``inspect_csv_texts_batch`` / ``csv_texts_to_tables`` as a ``Sheet``
+next to CSV texts. Both become one ``list<string>`` cells array per
+group (CSV lines split on their separator, sheet rows taken as they
+are), so a block's CSV and workbook resources share one Arrow
+inspect sweep and one cast sweep, and an .xls, its .xlsx twin and its
+CSV twin produce identical typed tables and csv-detective profiles.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import json
 import re
 from datetime import date, datetime
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -50,6 +52,20 @@ _FLOAT_RE = re.compile(r"^[+-]?(\d+[.,]\d*|\d*[.,]\d+|\d+)([eE][+-]?\d+)?$")
 _BOOL_SET = {"true", "false", "vrai", "faux", "oui", "non", "yes", "no"}
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$|^\d{2}/\d{2}/\d{4}$")
 _DATETIME_RE = re.compile(r"^\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}(:\d{2})?")
+
+
+class Sheet(NamedTuple):
+    """A workbook's first sheet as read by a ``hydra_ray.sources`` reader:
+    rows of strings (header first) and the engine its report names."""
+
+    rows: list[list[str]]
+    engine: str
+
+
+def _filled(row: list[str]) -> bool:
+    """A sheet row counts (as a body row and in ``total_lines``) unless
+    every cell strips to empty."""
+    return any(c.strip() for c in row)
 
 
 def db_col_name(name: str) -> str:
@@ -313,63 +329,55 @@ def _parse_csv_line(line: str, sep: str) -> list[str]:
     return out
 
 
-def _csv_prepare(text: str, sample_rows: int) -> tuple[list[str], str, list[str], list[list[str]]]:
-    """(lines, separator, header, sampled body rows) for CSV text."""
+def _csv_prepare(text: str, sample_rows: int) -> tuple[list[str], str, list[str], list[str]]:
+    """(lines, separator, header, sampled non-blank body lines) for CSV
+    text."""
     lines = text.splitlines()
     sample = lines[: sample_rows + 1]
-    # one strip pass shared by separator detection and the body parse
+    # one strip pass shared by separator detection and the body sample
     nz = [line for line in sample if line.strip()]
     sep = _detect_separator_nz(nz)
     if not lines:
         return lines, sep, [], []
     header = [h.strip() for h in _parse_csv_line(lines[0], sep)]
-    body_nz = nz[1:] if (nz and nz[0] is lines[0]) else [ln for ln in sample[1:] if ln.strip()]
-    body = [_parse_csv_line(line, sep) for line in body_nz]
+    body = nz[1:] if (nz and nz[0] is lines[0]) else [ln for ln in sample[1:] if ln.strip()]
     return lines, sep, header, body
 
 
-def _csv_report(
-    lines: list[str],
-    sep: str,
+def _report(
     header: list[str],
-    body: list[list[str]],
     types: list[tuple[str, float]],
-    output_profile: bool,
+    total_lines: int,
+    separator: str | None,
+    engine: str = "hydra-ray-inspect",
+    encoding: str = "utf-8",
 ) -> dict:
-    if not lines:
-        return {
-            "header": [],
-            "columns": {},
-            "total_lines": 0,
-            "encoding": "utf-8",
-            "separator": sep,
-            "header_row_idx": 0,
-            "engine": "hydra-ray-inspect",
-        }
-    columns = {
-        db_col_name(name): {"python_type": t, "format": t, "score": score}
-        for name, (t, score) in zip(header, types)
-    }
-    _refine_geo_formats(body, header, columns)
-    report = {
+    """The inspection report shape shared by CSV texts and sheets."""
+    return {
         "header": header,
-        "columns": columns,
-        "total_lines": sum(1 for line in lines[1:] if line.strip()),
-        "encoding": "utf-8",
-        "separator": sep,
+        "columns": {
+            db_col_name(name): {"python_type": t, "format": t, "score": score}
+            for name, (t, score) in zip(header, types)
+        },
+        "total_lines": total_lines,
+        "encoding": encoding,
+        "separator": separator,
         "header_row_idx": 0,
-        "engine": "hydra-ray-inspect",
+        "engine": engine,
     }
-    if output_profile:
-        full_body = [_parse_csv_line(line, sep) for line in lines[1:] if line.strip()]
-        report["profile"] = {
-            db_col_name(name): column_profile(
-                [row[c] if c < len(row) else None for row in full_body],
-                columns[db_col_name(name)]["python_type"],
-            )
-            for c, name in enumerate(header)
-        }
-    return report
+
+
+def _add_profile(report: dict, full_body: list[list[str]]) -> None:
+    """csv-detective's per-column profile over the FULL body (not the
+    type-detection sample)."""
+    columns = report["columns"]
+    report["profile"] = {
+        db_col_name(name): column_profile(
+            [row[c] if c < len(row) else None for row in full_body],
+            columns[db_col_name(name)]["python_type"],
+        )
+        for c, name in enumerate(report["header"])
+    }
 
 
 def inspect_csv_text(text: str, sample_rows: int = 100, output_profile: bool = False) -> dict:
@@ -380,9 +388,16 @@ def inspect_csv_text(text: str, sample_rows: int = 100, output_profile: bool = F
     reference csv_like/__init__.py:35-58): per-column min/max/mean/std
     (numerics), top-10 values, nb_distinct, nb_missing_values computed
     over the FULL body (not the type-detection sample)."""
-    lines, sep, header, body = _csv_prepare(text, sample_rows)
+    lines, sep, header, body_lines = _csv_prepare(text, sample_rows)
+    if not lines:
+        return _report([], [], 0, sep)
+    body = [_parse_csv_line(line, sep) for line in body_lines]
     types = detect_types(body, len(header))
-    return _csv_report(lines, sep, header, body, types, output_profile)
+    report = _report(header, types, sum(1 for line in lines[1:] if line.strip()), sep)
+    _refine_geo_formats(body, header, report["columns"])
+    if output_profile:
+        _add_profile(report, [_parse_csv_line(line, sep) for line in lines[1:] if line.strip()])
+    return report
 
 
 def find_ragged_row(text: str, sep: str, n_cols: int) -> tuple[int, int] | None:
@@ -402,35 +417,50 @@ def find_ragged_row(text: str, sep: str, n_cols: int) -> tuple[int, int] | None:
     return None
 
 
-def inspect_csv_texts_batch(texts: list[str], sample_rows: int = 100) -> list[dict]:
+def inspect_csv_texts_batch(texts: list[str | Sheet], sample_rows: int = 100) -> list[dict]:
     """inspect_csv_text over MANY resources in ONE Arrow pass — the
-    crawl analyse stage's entry point. Unquoted texts (the common case)
-    never split rows in Python: sampled body lines are flattened per
-    separator group, cell-split with one ``split_pattern`` kernel,
-    classified once (`_classify_cells`), and votes fold with one global
-    bincount; geo-format refinement touches only columns whose every
-    non-empty cell passes a vectorized candidate gate. Quoted texts take
-    the per-resource `inspect_csv_text` path with identical semantics."""
+    crawl analyse stage's entry point for CSV texts and ``Sheet`` rows
+    alike. Sampled body lines of unquoted texts are cell-split with one
+    ``split_pattern`` kernel per separator group; sheet rows become a
+    ``list<string>`` array as they are (a cell holding a separator, a
+    quote or a newline stays one cell). Cells are classified once
+    (`_classify_cells`), votes fold with one global bincount, and
+    geo-format refinement touches only columns whose every non-empty
+    cell passes a vectorized candidate gate. Quoted texts take the
+    per-resource `inspect_csv_text` path with identical semantics."""
     out: list[dict | None] = [None] * len(texts)
-    metas = []  # (out index, lines, sep, header, sampled body lines)
-    for i, text in enumerate(texts):
-        if '"' in text:
-            out[i] = inspect_csv_text(text, sample_rows)
+    metas = []  # (out index, separator or None, header, sampled body rows, report fields)
+    for i, item in enumerate(texts):
+        if isinstance(item, Sheet):
+            fields = {"separator": None, "engine": item.engine, "encoding": "binary"}
+            if not item.rows:
+                out[i] = _report([], [], 0, **fields)
+                continue
+            body = item.rows[1:]
+            keep = [_filled(r) for r in body]
+            sample = [r for r, k in zip(body[:sample_rows], keep) if k]
+            header = [h.strip() for h in item.rows[0]]
+            metas.append((i, None, header, sample, {"total_lines": sum(keep), **fields}))
             continue
-        lines = text.splitlines()
-        sample = lines[: sample_rows + 1]
-        nz = [ln for ln in sample if ln.strip()]
-        sep = _detect_separator_nz(nz)
+        if '"' in item:
+            out[i] = inspect_csv_text(item, sample_rows)
+            continue
+        lines, sep, header, body_lines = _csv_prepare(item, sample_rows)
         if not lines:
-            out[i] = _csv_report(lines, sep, [], [], [], False)
+            out[i] = _report([], [], 0, sep)
             continue
-        header = [h.strip() for h in lines[0].split(sep)]
-        body_lines = (
-            nz[1:] if (nz and nz[0] is lines[0]) else [ln for ln in sample[1:] if ln.strip()]
-        )
-        metas.append((i, lines, sep, header, body_lines))
+        total = sum(1 for ln in lines[1:] if ln.strip())
+        metas.append((i, sep, header, body_lines, {"total_lines": total, "separator": sep}))
     _inspect_metas_arrow(metas, out)
     return out
+
+
+def _cells(sep: str | None, rows: list) -> pa.Array:
+    """Body rows as one ``list<string>`` cells array: CSV lines split on
+    their separator, sheet rows (``sep`` None) as they are."""
+    if sep is None:
+        return pa.array(rows, type=pa.list_(pa.string()))
+    return pc.split_pattern(pa.array(rows, type=pa.string()), sep)
 
 
 # RE2 twins of the geo-refinement predicates (_LATLON_CELL_RE and
@@ -445,30 +475,30 @@ _CURLY_RE2 = r"^\s*\{"
 
 def _inspect_metas_arrow(metas: list, out: list) -> None:
     """The vectorized body of `inspect_csv_texts_batch`: one
-    split/classify/bincount sweep per separator group, then per-resource
-    reports with gate-targeted geo refinement."""
-    by_sep: dict[str, list[int]] = {}
+    cells/classify/bincount sweep per separator group (sheets are the
+    ``None`` group), then per-resource reports with gate-targeted geo
+    refinement."""
+    by_sep: dict[str | None, list[int]] = {}
     for k, m in enumerate(metas):
-        by_sep.setdefault(m[2], []).append(k)
+        by_sep.setdefault(m[1], []).append(k)
     for sep, ks in by_sep.items():
-        all_lines: list[str] = []
+        all_rows: list = []
         rows_per: list[int] = []
         ncols_per: list[int] = []
         for k in ks:
-            _i, _lines, _sep, header, body_lines = metas[k]
-            all_lines.extend(body_lines)
-            rows_per.append(len(body_lines))
+            _i, _sep, header, body, _f = metas[k]
+            all_rows.extend(body)
+            rows_per.append(len(body))
             ncols_per.append(len(header))
         ncols_np = np.asarray(ncols_per, dtype=np.int64)
         bases = np.concatenate([[0], np.cumsum(ncols_np)[:-1]]) if ncols_per else ncols_np
         base_total = int(ncols_np.sum())
-        if not all_lines or base_total == 0:
+        if not all_rows or base_total == 0:
             for k, nc in zip(ks, ncols_per):
-                i, lines, sep_, header, _b = metas[k]
-                out[i] = _csv_report(lines, sep_, header, [], [("string", 0.0)] * nc, False)
+                i, _sep, header, _b, fields = metas[k]
+                out[i] = _report(header, [("string", 0.0)] * nc, **fields)
             continue
-        arr = pa.array(all_lines, type=pa.string())
-        cells_list = pc.split_pattern(arr, sep)
+        cells_list = _cells(sep, all_rows)
         flat = pc.list_flatten(cells_list)
         lens = pc.list_value_length(cells_list).to_numpy(zero_copy_only=False).astype(np.int64)
         rows_per_np = np.asarray(rows_per, dtype=np.int64)
@@ -487,10 +517,10 @@ def _inspect_metas_arrow(metas: list, out: list) -> None:
         nonempty = counts.sum(axis=1)
         geo_cand: np.ndarray | None = None  # lazy: per-slot candidate counts
         for k, b in zip(ks, bases):
-            i, lines, sep_, header, _b = metas[k]
+            i, _sep, header, _b, fields = metas[k]
             b = int(b)
             types = [_fold_column(counts[b + c]) for c in range(len(header))]
-            report = _csv_report(lines, sep_, header, [], types, False)
+            report = _report(header, types, **fields)
             columns = report["columns"]
             for c, name in enumerate(header):
                 meta_col = columns.get(db_col_name(name))
@@ -761,21 +791,14 @@ def _cast_column_vector(col: pa.Array, pt: str) -> pa.Array:
     return res
 
 
-def _csv_table_vector(text: str, insp: dict) -> pa.Table:
-    sep = insp["separator"]
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        return pa.table({})
-    header = insp["header"]
-    col_names = [db_col_name(h) for h in header]
-    ptypes = [insp["columns"][c]["python_type"] for c in col_names]
-    body = pa.array(lines[1:], type=pa.string())
-    cells = pc.split_pattern(body, sep)
+def _cast_cells(cells: pa.Array, ptypes: list[str]) -> list[pa.Array]:
+    """Per-column kernel casts of a ``list<string>`` cells array; raises
+    _VectorFallback on ragged rows or a kernel rejection."""
     lens = pc.list_value_length(cells).to_numpy(zero_copy_only=False)
-    if len(lens) and (lens != len(header)).any():
-        raise _VectorFallback  # ragged rows: Python path pads with None
+    if len(lens) and (lens != len(ptypes)).any():
+        raise _VectorFallback  # ragged rows: the Python path pads with None
     try:
-        arrays = [
+        return [
             _cast_column_vector(
                 pc.list_element(cells, c) if len(lens) else pa.array([], pa.string()), pt
             )
@@ -783,58 +806,63 @@ def _csv_table_vector(text: str, insp: dict) -> pa.Table:
         ]
     except (pa.ArrowInvalid, pa.ArrowTypeError) as e:  # e.g. int64 overflow
         raise _VectorFallback from e
-    return pa.table(dict(zip(col_names, arrays)))
 
 
-def csv_texts_to_tables(texts: list[str], insps: list[dict]) -> list[pa.Table]:
-    """csv_text_to_table over MANY resources: group by (separator,
-    columns, types) signature, concatenate the bodies, run each column
-    cast kernel ONCE per group, then hand each resource a zero-copy
-    slice. Quoted / ragged / kernel-rejected resources fall back to the
-    per-resource path with identical semantics."""
+def _rows_table(rows: list[list[str]], names: list[str], ptypes: list[str]) -> pa.Table:
+    """The per-cell smart_cast path over split body rows (short rows pad
+    with None)."""
+    arrays = [
+        pa.array([smart_cast(pt, r[c] if c < len(r) else None) for r in rows], type=_PA_TYPE[pt])
+        for c, pt in enumerate(ptypes)
+    ]
+    return pa.table(dict(zip(names, arrays)))
+
+
+def _names_types(insp: dict) -> tuple[list[str], list[str]]:
+    names = [db_col_name(h) for h in insp["header"]]
+    return names, [insp["columns"][c]["python_type"] for c in names]
+
+
+def csv_texts_to_tables(texts: list[str | Sheet], insps: list[dict]) -> list[pa.Table]:
+    """csv_text_to_table over MANY resources, CSV texts and ``Sheet``
+    rows alike: group by (separator, columns, types) signature, build
+    each group's cells array once (`_cells`; a sheet's body is its
+    non-blank rows at the header width), run each column cast kernel
+    ONCE per group, then hand each resource a zero-copy slice. Quoted /
+    ragged / kernel-rejected resources take the per-cell path."""
     out: list = [None] * len(texts)
     groups: dict[tuple, list[int]] = {}
-    grp_rows: dict[int, list[str]] = {}
-    for i, (text, insp) in enumerate(zip(texts, insps)):
-        if '"' in text:
-            out[i] = csv_text_to_table(text, insp)
+    bodies: dict[int, list] = {}
+    for i, (item, insp) in enumerate(zip(texts, insps)):
+        names, ptypes = _names_types(insp)
+        if isinstance(item, Sheet):
+            sep = None
+            rows = item.rows
+            w = len(names)
+            body = [r if len(r) == w else (r + [""] * w)[:w] for r in rows[1:] if _filled(r)]
+        elif '"' in item:
+            out[i] = csv_text_to_table(item, insp)
             continue
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
+        else:
+            sep = insp["separator"]
+            rows = [line for line in item.splitlines() if line.strip()]
+            body = rows[1:]
+        if not rows:
             out[i] = pa.table({})
             continue
-        grp_rows[i] = lines[1:]
-        names = tuple(db_col_name(h) for h in insp["header"])
-        key = (
-            insp["separator"],
-            names,
-            tuple(insp["columns"][c]["python_type"] for c in names),
-        )
-        groups.setdefault(key, []).append(i)
+        bodies[i] = body
+        groups.setdefault((sep, tuple(names), tuple(ptypes)), []).append(i)
     for (sep, names, ptypes), idxs in groups.items():
-        all_rows = [r for i in idxs for r in grp_rows[i]]
-        body_arr = pa.array(all_rows, type=pa.string())
-        cells = pc.split_pattern(body_arr, sep)
-        lens = pc.list_value_length(cells).to_numpy(zero_copy_only=False)
-        ok = not (len(lens) and (lens != len(names)).any())
-        if ok:
-            try:
-                arrays = [
-                    _cast_column_vector(
-                        pc.list_element(cells, c) if len(lens) else pa.array([], pa.string()),
-                        pt,
-                    )
-                    for c, pt in enumerate(ptypes)
-                ]
-            except (pa.ArrowInvalid, pa.ArrowTypeError):
-                ok = False
-        if not ok:  # ragged or kernel-rejected somewhere in the group
+        try:
+            arrays = _cast_cells(_cells(sep, [r for i in idxs for r in bodies[i]]), ptypes)
+        except _VectorFallback:  # ragged or kernel-rejected somewhere in the group
             for i in idxs:
-                out[i] = csv_text_to_table(texts[i], insps[i])
+                rows = bodies[i] if sep is None else [line.split(sep) for line in bodies[i]]
+                out[i] = _rows_table(rows, names, ptypes)
             continue
         off = 0
         for i in idxs:
-            cnt = len(grp_rows[i])
+            cnt = len(bodies[i])
             out[i] = pa.table(dict(zip(names, [a.slice(off, cnt) for a in arrays])))
             off += cnt
     return out
@@ -846,26 +874,32 @@ def csv_text_to_table(text: str, inspection: dict | None = None) -> pa.Table:
     per-column kernel casts); quoted or ragged content falls back to the
     per-cell Python path with identical semantics."""
     insp = inspection or inspect_csv_text(text)
-    if '"' not in text:
-        try:
-            return _csv_table_vector(text, insp)
-        except _VectorFallback:
-            pass
     sep = insp["separator"]
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         return pa.table({})
-    header = insp["header"]
-    col_names = [db_col_name(h) for h in header]
-    ptypes = [insp["columns"][c]["python_type"] for c in col_names]
-    cols: list[list] = [[] for _ in header]
-    for line in lines[1:]:
-        cells = _parse_csv_line(line, sep)
-        for c in range(len(header)):
-            raw = cells[c] if c < len(cells) else None
-            cols[c].append(smart_cast(ptypes[c], raw))
-    arrays = [pa.array(col, type=_PA_TYPE[pt]) for col, pt in zip(cols, ptypes)]
-    return pa.table(dict(zip(col_names, arrays)))
+    names, ptypes = _names_types(insp)
+    if '"' not in text:
+        try:
+            return pa.table(dict(zip(names, _cast_cells(_cells(sep, lines[1:]), ptypes))))
+        except _VectorFallback:
+            pass
+    return _rows_table([_parse_csv_line(line, sep) for line in lines[1:]], names, ptypes)
+
+
+def inspect_sheet(sheet: Sheet, sample_rows: int = 100, output_profile: bool = False) -> dict:
+    """Inspection report for one sheet (a one-item batch); with
+    ``output_profile`` the csv-detective profile the CSV route emits."""
+    report = inspect_csv_texts_batch([sheet], sample_rows)[0]
+    if output_profile and sheet.rows:
+        _add_profile(report, [r for r in sheet.rows[1:] if _filled(r)])
+    return report
+
+
+def sheet_to_table(sheet: Sheet, inspection: dict | None = None) -> pa.Table:
+    """One sheet → typed Arrow table (a one-item batch)."""
+    insp = inspection or inspect_sheet(sheet)
+    return csv_texts_to_tables([sheet], [insp])[0]
 
 
 # -- parquet inspection (S5) -------------------------------------------------

@@ -5,7 +5,12 @@ from datetime import date, datetime
 
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hydra_ray.sources.ods import inspect_ods, ods_to_table, write_ods
+from hydra_ray.sources.xls import inspect_xls, write_xls, xls_to_table
+from hydra_ray.sources.xlsx import inspect_xlsx, write_xlsx, xlsx_to_table
 from hydra_ray.stages.inspection import (
     cell_type,
     csv_text_to_table,
@@ -330,3 +335,103 @@ def test_batched_inspection_fuzz_parity():
         assert json.dumps(a, sort_keys=True, default=str) == json.dumps(
             b, sort_keys=True, default=str
         )
+
+
+# -- workbook sheets in the batched sweep ------------------------------------
+
+WORKBOOK_ROUTES = {
+    "xlsx": (write_xlsx, inspect_xlsx, xlsx_to_table),
+    "xls": (write_xls, inspect_xls, xls_to_table),
+    "ods": (write_ods, inspect_ods, ods_to_table),
+}
+
+_twin_cell = st.one_of(
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.integers(min_value=-4000, max_value=4000).map(lambda k: k / 4 + 0.125),
+    st.booleans(),
+    st.sampled_from(["2024-01-02", "31/12/2023", "2024-01-02 10:30", "[1, 2]", "oui", ""]),
+    # no separator, quote or line break: the CSV twin keeps one cell per
+    # cell; BMP only, as the .xls writer counts characters, not UTF-16 units
+    st.text(
+        st.characters(
+            max_codepoint=0xFFFF,
+            blacklist_categories=("Cs", "Cn", "Cc", "Zl", "Zp"),
+            blacklist_characters=';,|"',
+        ),
+        max_size=6,
+    ),
+)
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(min_value=0, max_value=999), st.lists(_twin_cell, min_size=n - 1, max_size=n - 1)),
+            max_size=8,
+        ).map(lambda body: (n, body))
+    )
+)
+def test_workbooks_equal_csv_twin(shape):
+    """xlsx, xls and ods each give their CSV twin's typed table, and its
+    inspection apart from encoding, separator and engine."""
+    n, body = shape
+    grid = [[f"c{i}" for i in range(n)]] + [[k, *rest] for k, rest in body]
+    text = "\n".join(";".join(_csv_cell(v) for v in row) for row in grid)
+    want_tbl = csv_text_to_table(text)
+    want = inspect_csv_text(text)
+    for fmt, (write, inspect, to_table) in WORKBOOK_ROUTES.items():
+        blob = write(grid)
+        tbl = to_table(blob)
+        assert tbl.schema == want_tbl.schema and tbl.equals(want_tbl), fmt
+        got = inspect(blob)
+        assert got["engine"] == f"hydra-ray-{fmt}" and got["encoding"] == "binary"
+        assert got["separator"] is None
+        drop = ("encoding", "separator", "engine")
+        assert {k: v for k, v in got.items() if k not in drop} == {
+            k: v for k, v in want.items() if k not in drop
+        }, fmt
+
+
+def test_workbook_cells_stay_single_and_blank_rows_drop():
+    """A workbook cell holding a comma, a quote or a newline is one cell
+    (no separator join), and a row whose cells all strip to empty is
+    neither a body row nor counted."""
+    grid = [["a", "b"], ["x,y", 'say "hi"'], ["", "  "], ["1\n2", "z;w"], [" ", ""]]
+    for fmt, (write, inspect, to_table) in WORKBOOK_ROUTES.items():
+        blob = write(grid)
+        tbl = to_table(blob)
+        assert tbl.to_pydict() == {"a": ["x,y", "1\n2"], "b": ['say "hi"', "z;w"]}, fmt
+        assert inspect(blob)["total_lines"] == 2
+
+
+def test_one_sweep_mixes_csv_and_sheets():
+    """One inspect_csv_texts_batch / csv_texts_to_tables call over CSV
+    texts and sheets equals each item run alone."""
+    from hydra_ray.sources.xlsx import read_xlsx_rows
+    from hydra_ray.stages.inspection import (
+        Sheet,
+        csv_texts_to_tables,
+        inspect_csv_texts_batch,
+        inspect_sheet,
+        sheet_to_table,
+    )
+
+    sheet = Sheet(read_xlsx_rows(write_xlsx([["id", "v"], [1, 0.5], [2, "x,y"]])), "hydra-ray-xlsx")
+    items = ["id,v\n1,0.5\n2,3", sheet, "id;v\n1;a\n2;b", Sheet([], "hydra-ray-ods"), CSV]
+    insps = inspect_csv_texts_batch(items)
+    tables = csv_texts_to_tables(items, insps)
+    for item, insp, tbl in zip(items, insps, tables):
+        if isinstance(item, Sheet):
+            assert insp == inspect_sheet(item)
+            assert tbl.equals(sheet_to_table(item))
+        else:
+            assert insp == inspect_csv_text(item)
+            assert tbl.equals(csv_text_to_table(item))
+    assert tables[1].to_pydict() == {"id": [1, 2], "v": ["0.5", "x,y"]}

@@ -167,3 +167,49 @@ def test_on_demand_check_records_lifecycle(tmp_path, make_crawl_engine):
     assert geo["geojson_url"] is not None and geo["geojson_size"] > 0
     assert os.path.exists(str(tmp_path / "wd" / "exports" / f"{rid}.geojson"))
     eng.shutdown()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_mixed_block_rows_match_single_row_runs(tmp_path, make_crawl_engine):
+    """One Analyser block mixing csv, xlsx, xls, ods, /ragged/ and /geo/
+    rows (one inspect and one cast sweep for all of them) gives every
+    row the output it gets when analysed alone: inspection, parsing
+    error, exports and the rest."""
+    urls, fmts = [], []
+    for k in range(36):
+        fmt = ["csv", "xlsx", "xls", "ods"][k % 4]
+        route = ["res", "geo", "ragged"][k % 3]
+        urls.append(f"https://host{k:02d}.data.example/{route}/{9100 + k}.{fmt}")
+        fmts.append(fmt)
+    n = len(urls)
+    catalog = pa.table(
+        {
+            "dataset_id": pa.array([f"ds-{i}" for i in range(n)]),
+            "resource_id": pa.array([hashlib.md5(u.encode()).hexdigest() for u in urls]),
+            "url": pa.array(urls),
+            "type": pa.array(["main"] * n),
+            "format": pa.array(fmts),
+            "title": pa.array(["t"] * n),
+            "deleted": pa.array([False] * n),
+            "priority": pa.array([False] * n),
+        }
+    )
+    eng = make_crawl_engine(
+        str(tmp_path / "wd"),
+        batch_size=n,
+        politeness_kwargs={"backoff_nb_req": 10**9},
+        analysis_config=EXPORT_CFG,
+    )
+    eng.load_catalog(catalog)
+    fetch, build_checks, analyse, _sink = eng._stages(0, *(str(tmp_path / d) for d in "abcd"))
+    rows = build_checks(fetch(eng._frontier()))
+    block = analyse(rows)
+    for k in range(rows.num_rows):
+        assert analyse(rows.slice(k, 1)).to_pylist() == block.slice(k, 1).to_pylist()
+    parsed = block.filter(pc.invert(pc.is_null(block["inspection"])))
+    engines = {json.loads(s)["engine"] for s in parsed["inspection"].to_pylist()}
+    assert engines == {"hydra-ray-inspect", "hydra-ray-xlsx", "hydra-ray-xls", "hydra-ray-ods"}
+    errors = [e for e in block["parsing_error"].to_pylist() if e]
+    assert errors and all(e.startswith("copy_records_to_table:") for e in errors)
+    assert sum(u is not None for u in block["geojson_url"].to_pylist()) >= 2
+    eng.shutdown()
