@@ -52,23 +52,18 @@ _PRIORITY = [
     "tdigest_quantiles", "gopher_quality", "pack_sequences",
     "bloom_semi_join",
     # round-4 flagship additions (suffix-array dedup, SOF2 codec, graph
-    # ANN) — displacing embedding_nn / ods_inspect / top2_events_per_user,
-    # whose operator families stay in-window via knn_ivf+knn_pq,
-    # xlsx+xls_inspect and latest_event_per_user (all remain fully
-    # gated via tools/check_correctness.py)
+    # ANN) — displacing embedding_nn / ods_inspect, whose operator
+    # families stay in-window via knn_pq and xlsx_inspect (both remain
+    # fully gated via tools/check_correctness.py)
     "sa_dup_spans", "jpeg_progressive", "knn_hnsw",
     # round-4 interleaved-axis flagships (the input_hint data model) —
-    # displacing status_counts / purge_retention / xls_inspect /
-    # knn_ivf, whose families stay in-window via
-    # crawler_status_triptych, purge_orphans, xlsx_inspect and
-    # knn_pq+knn_hnsw (all remain gated via check_correctness.py)
+    # displacing xls_inspect / knn_ivf, whose families stay in-window
+    # via xlsx_inspect and knn_pq+knn_hnsw (both remain gated via
+    # check_correctness.py)
     "span_dedup", "interleave_pack", "interleaved_shards", "span_near_dup",
     # round-5 (VERDICT r4 #1): the parse/export lifecycle on check rows —
     # parsing_error "step:cause", parsing timestamps, parquet/geojson/
-    # pmtiles artifact URLs+sizes, ogc_metadata. Displaces
-    # exact_substr_dedup, whose substring-dedup family stays in-window
-    # via sa_dup_spans + duplicated_passages (still fully gated via
-    # tools/check_correctness.py).
+    # pmtiles artifact URLs+sizes, ogc_metadata.
     "parse_lifecycle",
 ]
 

@@ -7,7 +7,6 @@ fields to None, so the consumer always receives complete categories.
 
 from __future__ import annotations
 
-CORS_HEADER_PREFIX = "access-control-"
 CORS_HEADER_FIELDS = [
     "allow-origin",
     "allow-methods",

@@ -7,9 +7,6 @@ canonical url hash so a DuckDB oracle (`md5(url)`) can verify the
 vectorized stage bit-for-bit, and additionally derive a 64-bit integer
 key (first 16 hex digits of the md5) used for shard routing, salting
 and URL-seen membership.
-
-Excluded-URL patterns use SQL LIKE syntax in the reference
-(db/resource.py:157-170); ``like_to_regex`` translates them.
 """
 
 from __future__ import annotations
@@ -33,35 +30,6 @@ def url_domain(url: str) -> str:
 
 def url_md5(url: str) -> str:
     return hashlib.md5(url.encode("utf-8", "surrogateescape")).hexdigest()
-
-
-def md5_to_int64(hex_md5: str) -> int:
-    """First 16 hex chars of the md5 as a signed int64 (wraps)."""
-    return np.int64(np.uint64(int(hex_md5[:16], 16)))
-
-
-def url_key64(url: str) -> int:
-    return md5_to_int64(url_md5(url))
-
-
-def like_to_regex(pattern: str) -> str:
-    """SQL LIKE pattern → anchored python regex (% → .*, _ → .)."""
-    out = []
-    for ch in pattern:
-        if ch == "%":
-            out.append(".*")
-        elif ch == "_":
-            out.append(".")
-        else:
-            out.append(re.escape(ch))
-    return "^" + "".join(out) + "$"
-
-
-def compile_excluded(patterns: list[str]) -> re.Pattern | None:
-    """One alternation regex for all excluded LIKE patterns."""
-    if not patterns:
-        return None
-    return re.compile("|".join(like_to_regex(p) for p in patterns))
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,24 @@ def _catalog_ds(sf_dir: str) -> "rd.Dataset":
 
 
 # ---------------------------------------------------------------------------
+# registry
+# ---------------------------------------------------------------------------
+
+QUERIES: dict = {}  # name -> query(sf_dir) returning a Dataset / Arrow table
+ORACLES: dict[str, str] = {}  # name -> DuckDB SQL producing the same rows
+
+
+def _register(name: str, query, oracle: str | None = None) -> None:
+    """Add one entry: its query and, where SQL can express the result,
+    its oracle. Each name registers exactly once."""
+    if name in QUERIES:
+        raise ValueError(f"query {name!r} is already registered")
+    QUERIES[name] = query
+    if oracle is not None:
+        ORACLES[name] = oracle
+
+
+# ---------------------------------------------------------------------------
 # crawler-stage operators (oracle-checkable)
 # ---------------------------------------------------------------------------
 
@@ -91,6 +109,8 @@ ORACLE_CATALOG_SYNTH = f"""
     FROM ({CATALOG_SQL})
 """
 
+_register("catalog_synth", q_catalog_synth, ORACLE_CATALOG_SYNTH)
+
 
 def q_domain_counts(sf_dir: str):
     """A1/skew evidence: URLs per domain (grouped count, partial-agg)."""
@@ -110,6 +130,8 @@ ORACLE_DOMAIN_COUNTS = f"""
     SELECT domain, count(*) AS n_urls FROM ({CATALOG_SQL}) GROUP BY domain
 """
 
+_register("domain_counts", q_domain_counts, ORACLE_DOMAIN_COUNTS)
+
 
 def q_frontier_tiers(sf_dir: str):
     """O1: tier assignment on a fresh catalog (1=priority, 2=unchecked)."""
@@ -126,6 +148,8 @@ ORACLE_FRONTIER_TIERS = f"""
     SELECT resource_id, CAST(CASE WHEN priority THEN 1 ELSE 2 END AS INT) AS tier
     FROM ({CATALOG_SQL})
 """
+
+_register("frontier_tiers", q_frontier_tiers, ORACLE_FRONTIER_TIERS)
 
 
 def q_next_check_delays(sf_dir: str):
@@ -167,6 +191,8 @@ ORACLE_NEXT_CHECK_DELAYS = """
     FROM events, m
 """
 
+_register("next_check_delays", q_next_check_delays, ORACLE_NEXT_CHECK_DELAYS)
+
 
 def q_excluded_filter(sf_dir: str):
     """M7: SQL-LIKE excluded patterns (pattern set includes one that
@@ -188,9 +214,11 @@ ORACLE_EXCLUDED_FILTER = f"""
     WHERE url NOT LIKE '%geo.data.gouv.fr%' AND url NOT LIKE '%.pdf'
 """
 
+_register("excluded_filter", q_excluded_filter, ORACLE_EXCLUDED_FILTER)
+
 
 # ---------------------------------------------------------------------------
-# aggregate / join / window operators (reference A2-A6, J1/J2, O2-O4)
+# aggregate / join / window operators (reference A-family, J1, O2-O3)
 # ---------------------------------------------------------------------------
 
 
@@ -236,16 +264,7 @@ ORACLE_PRICING_SUMMARY = """
     FROM lineitem GROUP BY l_returnflag, l_linestatus
 """
 
-
-def q_status_counts(sf_dir: str):
-    """A4: per-status counts (orders as the catalog analogue)."""
-    from ray.data.aggregate import Count
-
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_orderstatus"])
-    return ds.groupby("o_orderstatus").aggregate(Count(alias_name="n"))
-
-
-ORACLE_STATUS_COUNTS = "SELECT o_orderstatus, count(*) AS n FROM orders GROUP BY o_orderstatus"
+_register("pricing_summary", q_pricing_summary, ORACLE_PRICING_SUMMARY)
 
 
 def q_grouped_topk(sf_dir: str):
@@ -260,6 +279,8 @@ ORACLE_GROUPED_TOPK = """
     SELECT event_type, count(*) AS n FROM events
     GROUP BY event_type ORDER BY n DESC, event_type LIMIT 3
 """
+
+_register("grouped_topk", q_grouped_topk, ORACLE_GROUPED_TOPK)
 
 
 def q_latest_event_per_user(sf_dir: str):
@@ -282,30 +303,7 @@ ORACLE_LATEST_EVENT_PER_USER = """
     QUALIFY row_number() OVER (PARTITION BY user_id ORDER BY ts DESC, event_id DESC) = 1
 """
 
-
-def q_top2_events_per_user(sf_dir: str):
-    """J2: top-2-per-key window (the change-detection check window)."""
-    from hydra_ray.stages.keyed import keyed_map_partitions
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "ts"])
-
-    def top2(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(
-            ["user_id", "ts", "event_id"], ascending=[True, False, False], kind="mergesort"
-        )
-        rn = df.groupby("user_id", sort=False).cumcount().to_numpy() + 1
-        df = df.assign(rn=rn.astype(np.int64))
-        return df[df["rn"] <= 2]
-
-    return keyed_map_partitions(ds, ["user_id"], top2)
-
-
-ORACLE_TOP2_EVENTS_PER_USER = """
-    SELECT user_id, event_id, ts,
-           row_number() OVER (PARTITION BY user_id ORDER BY ts DESC, event_id DESC) AS rn
-    FROM events
-    QUALIFY rn <= 2
-"""
+_register("latest_event_per_user", q_latest_event_per_user, ORACLE_LATEST_EVENT_PER_USER)
 
 
 def q_revenue_by_nation(sf_dir: str):
@@ -358,6 +356,8 @@ ORACLE_REVENUE_BY_NATION = """
     GROUP BY n_name
 """
 
+_register("revenue_by_nation", q_revenue_by_nation, ORACLE_REVENUE_BY_NATION)
+
 
 def q_cors_stats_analogue(sf_dir: str):
     """A5: two-level aggregate — per-user any(value>threshold) → classify
@@ -398,6 +398,8 @@ ORACLE_CORS_STATS_ANALOGUE = """
     FROM per_user GROUP BY 1
 """
 
+_register("cors_stats_analogue", q_cors_stats_analogue, ORACLE_CORS_STATS_ANALOGUE)
+
 
 def q_crawler_status_triptych(sf_dir: str):
     """A6: single-pass conditional sums (never/fresh/outdated analogue
@@ -436,23 +438,7 @@ ORACLE_CRAWLER_STATUS_TRIPTYCH = """
     FROM orders
 """
 
-
-def q_purge_retention(sf_dir: str):
-    """O4: retention filter + compaction (count of survivors per type)."""
-    from ray.data.aggregate import Count
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "ts"])
-    cutoff = pa.scalar(np.datetime64("2024-01-15", "us").item(), type=pa.timestamp("us"))
-    kept = ds.map_batches(
-        lambda t: t.filter(pc.greater_equal(t["ts"], cutoff)), batch_format="pyarrow"
-    )
-    return kept.groupby("event_type").aggregate(Count(alias_name="n_kept"))
-
-
-ORACLE_PURGE_RETENTION = """
-    SELECT event_type, count(*) AS n_kept FROM events
-    WHERE ts >= TIMESTAMP '2024-01-15' GROUP BY event_type
-"""
+_register("crawler_status_triptych", q_crawler_status_triptych, ORACLE_CRAWLER_STATUS_TRIPTYCH)
 
 
 def q_sessionize_events(sf_dir: str):
@@ -492,6 +478,9 @@ ORACLE_SESSIONIZE_EVENTS = """
     FROM events GROUP BY 1, 2
 """
 
+_register("sessionize_events", q_sessionize_events, ORACLE_SESSIONIZE_EVENTS)
+
+
 # ---------------------------------------------------------------------------
 # training-data operators: text analysis, dedup, similarity, spans, media
 # ---------------------------------------------------------------------------
@@ -514,6 +503,8 @@ ORACLE_TEXT_STATS = r"""
     FROM documents
 """
 
+_register("text_stats", q_text_stats, ORACLE_TEXT_STATS)
+
 
 def q_lang_counts(sf_dir: str):
     from ray.data.aggregate import Count
@@ -524,6 +515,8 @@ def q_lang_counts(sf_dir: str):
 
 
 ORACLE_LANG_COUNTS = "SELECT lang, count(*) AS n_docs FROM documents GROUP BY lang"
+
+_register("lang_counts", q_lang_counts, ORACLE_LANG_COUNTS)
 
 
 def q_token_totals_by_lang(sf_dir: str):
@@ -550,6 +543,8 @@ ORACLE_TOKEN_TOTALS_BY_LANG = r"""
     FROM documents GROUP BY lang
 """
 
+_register("token_totals_by_lang", q_token_totals_by_lang, ORACLE_TOKEN_TOTALS_BY_LANG)
+
 
 def q_quality_filter(sf_dir: str):
     """Quality gates (token band + digit-ratio cap)."""
@@ -575,6 +570,8 @@ ORACLE_QUALITY_FILTER = r"""
     FROM s
 """
 
+_register("quality_filter", q_quality_filter, ORACLE_QUALITY_FILTER)
+
 
 def q_dedup_exact(sf_dir: str):
     """Exact dedup: content hash → keep min doc_id (+ dupe count)."""
@@ -588,6 +585,8 @@ ORACLE_DEDUP_EXACT = """
            count(*) - 1 AS n_dupes
     FROM documents GROUP BY md5(text)
 """
+
+_register("dedup_exact", q_dedup_exact, ORACLE_DEDUP_EXACT)
 
 
 def q_span_explode(sf_dir: str):
@@ -615,35 +614,7 @@ ORACLE_SPAN_EXPLODE = f"""
            CAST(i + i//3 + 1 AS INT) FROM chunks2 WHERE i % 3 = 2
 """
 
-
-def q_embedding_knn(sf_dir: str):
-    """Brute-force cosine top-5 for query vectors (vec_id % 50 == 0)."""
-    import pyarrow.parquet as pq
-
-    from hydra_ray.stages.similarity import knn_bruteforce
-
-    emb = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    ids = emb["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    sel = ids % 50 == 0
-    qmat = np.stack(emb["embedding"].to_pylist())[sel].astype(np.float64)
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    # sim is dropped from the compared output: DuckDB evaluates cosine in
-    # float32 over FLOAT[], we in float64 — 1e-7-level noise would flip a
-    # 6-dp rounding. The verified signal is the (query, neighbor, rank)
-    # ordering, which is stable for non-degenerate embeddings.
-    return knn_bruteforce(ds, ids[sel], qmat, k=5).drop_columns(["sim"])
-
-
-ORACLE_EMBEDDING_KNN = """
-    SELECT q.vec_id AS query_id, n.vec_id AS neighbor_id,
-           CAST(row_number() OVER (
-               PARTITION BY q.vec_id
-               ORDER BY list_cosine_similarity(q.embedding, n.embedding) DESC, n.vec_id
-           ) AS BIGINT) AS rank
-    FROM embeddings q, embeddings n
-    WHERE q.vec_id % 50 = 0 AND n.vec_id != q.vec_id
-    QUALIFY rank <= 5
-"""
+_register("span_explode", q_span_explode, ORACLE_SPAN_EXPLODE)
 
 
 def q_embedding_nn(sf_dir: str):
@@ -664,6 +635,8 @@ ORACLE_EMBEDDING_NN = """
         ORDER BY list_cosine_similarity(a.embedding, b.embedding) DESC, b.vec_id
     ) = 1
 """
+
+_register("embedding_nn", q_embedding_nn, ORACLE_EMBEDDING_NN)
 
 
 # -- rows-only entries (non-SQL-expressible; driver checks rows+schema) -----
@@ -708,19 +681,6 @@ def q_fingerprint(sf_dir: str):
     return _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
         fingerprint_batch, batch_format="pyarrow"
     )
-
-
-def q_knn_lsh(sf_dir: str):
-    """LSH-bucketed approximate NN (scale path for similarity search)."""
-    from hydra_ray.stages.similarity import knn_lsh
-
-    # sim dropped from the compared output (rank ordering is the signal;
-    # see q_embedding_knn note on float32-vs-float64 rounding)
-    return knn_lsh(
-        rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]),
-        k=1,
-        n_planes=6,
-    ).drop_columns(["sim"])
 
 
 def q_knn_ivf(sf_dir: str):
@@ -847,73 +807,6 @@ def q_crawl_checks(sf_dir: str):
     )
 
 
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-QUERIES = {
-    "catalog_synth": q_catalog_synth,
-    "domain_counts": q_domain_counts,
-    "frontier_tiers": q_frontier_tiers,
-    "next_check_delays": q_next_check_delays,
-    "excluded_filter": q_excluded_filter,
-    "pricing_summary": q_pricing_summary,
-    "status_counts": q_status_counts,
-    "grouped_topk": q_grouped_topk,
-    "latest_event_per_user": q_latest_event_per_user,
-    "top2_events_per_user": q_top2_events_per_user,
-    "revenue_by_nation": q_revenue_by_nation,
-    "cors_stats_analogue": q_cors_stats_analogue,
-    "crawler_status_triptych": q_crawler_status_triptych,
-    "purge_retention": q_purge_retention,
-    "sessionize_events": q_sessionize_events,
-    "text_stats": q_text_stats,
-    "lang_counts": q_lang_counts,
-    "token_totals_by_lang": q_token_totals_by_lang,
-    "quality_filter": q_quality_filter,
-    "dedup_exact": q_dedup_exact,
-    "span_explode": q_span_explode,
-    "embedding_knn": q_embedding_knn,
-    "embedding_nn": q_embedding_nn,
-    # rows-only (non-SQL-expressible)
-    "minhash_near_dups": q_minhash_near_dups,
-    "simhash": q_simhash,
-    "ngram_jaccard": q_ngram_jaccard,
-    "langid": q_langid,
-    "fingerprint": q_fingerprint,
-    "knn_lsh": q_knn_lsh,
-    "knn_ivf": q_knn_ivf,
-    "media_features": q_media_features,
-    "crawl_checks": q_crawl_checks,
-}
-
-ORACLES = {
-    "catalog_synth": ORACLE_CATALOG_SYNTH,
-    "domain_counts": ORACLE_DOMAIN_COUNTS,
-    "frontier_tiers": ORACLE_FRONTIER_TIERS,
-    "next_check_delays": ORACLE_NEXT_CHECK_DELAYS,
-    "excluded_filter": ORACLE_EXCLUDED_FILTER,
-    "pricing_summary": ORACLE_PRICING_SUMMARY,
-    "status_counts": ORACLE_STATUS_COUNTS,
-    "grouped_topk": ORACLE_GROUPED_TOPK,
-    "latest_event_per_user": ORACLE_LATEST_EVENT_PER_USER,
-    "top2_events_per_user": ORACLE_TOP2_EVENTS_PER_USER,
-    "revenue_by_nation": ORACLE_REVENUE_BY_NATION,
-    "cors_stats_analogue": ORACLE_CORS_STATS_ANALOGUE,
-    "crawler_status_triptych": ORACLE_CRAWLER_STATUS_TRIPTYCH,
-    "purge_retention": ORACLE_PURGE_RETENTION,
-    "sessionize_events": ORACLE_SESSIONIZE_EVENTS,
-    "text_stats": ORACLE_TEXT_STATS,
-    "lang_counts": ORACLE_LANG_COUNTS,
-    "token_totals_by_lang": ORACLE_TOKEN_TOTALS_BY_LANG,
-    "quality_filter": ORACLE_QUALITY_FILTER,
-    "dedup_exact": ORACLE_DEDUP_EXACT,
-    "span_explode": ORACLE_SPAN_EXPLODE,
-    "embedding_knn": ORACLE_EMBEDDING_KNN,
-    "embedding_nn": ORACLE_EMBEDDING_NN,
-}
-
-
 def q_purge_orphans(sf_dir: str):
     """J6/D3: anti-join — parsed-table names not referenced by any
     catalog row (the reference's orphan-table purge, cli/purge.py:36-80).
@@ -973,8 +866,7 @@ ORACLE_PURGE_ORPHANS = f"""
     WHERE parsing_table NOT IN (SELECT parsing_table FROM catalog_tables)
 """
 
-QUERIES["purge_orphans"] = q_purge_orphans
-ORACLES["purge_orphans"] = ORACLE_PURGE_ORPHANS
+_register("purge_orphans", q_purge_orphans, ORACLE_PURGE_ORPHANS)
 
 
 def q_geojson_features(sf_dir: str):
@@ -1027,10 +919,6 @@ def q_ogc_capabilities(sf_dir: str):
     return _docs(sf_dir, columns=["doc_id"]).map_batches(probe, batch_format="pyarrow")
 
 
-QUERIES["geojson_features"] = q_geojson_features
-QUERIES["ogc_capabilities"] = q_ogc_capabilities
-
-
 def q_url_key_parity(sf_dir: str):
     """Hash-derivation parity: the 60-bit url key (md5-prefix integer)
     computed by the canonicalize stage matches SQL exactly — the shard
@@ -1054,71 +942,6 @@ ORACLE_URL_KEY_PARITY = f"""
     SELECT resource_id,
            CAST(('0x' || substring(md5(url), 1, 15)) AS BIGINT) AS url_key60
     FROM ({CATALOG_SQL})
-"""
-
-
-def q_top_spenders(sf_dir: str):
-    """Join + grouped sum + global top-k (A/O composite)."""
-    import pyarrow.parquet as pq
-
-    from hydra_ray.stages.agg import grouped_agg
-
-    cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"])
-    lookup_ref = ray.put((pc.cast(cust["c_custkey"], pa.int64()).combine_chunks(), cust["c_name"].combine_chunks()))
-
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"])
-    per_cust = grouped_agg(ds, keys=["o_custkey"], aggs=[("o_totalprice", "sum", "total_spent")])
-
-    def topk(t: pa.Table) -> pa.Table:
-        keys, cnames = ray.get(lookup_ref)
-        idx = pc.index_in(pc.cast(t["o_custkey"], pa.int64()), value_set=keys)
-        t = t.append_column("c_name", pc.take(cnames, idx))
-        t = t.set_column(
-            t.column_names.index("total_spent"), "total_spent", pc.round(t["total_spent"], 2)
-        )
-        import numpy as np_
-
-        spent = t["total_spent"].to_numpy(zero_copy_only=False)
-        keys = t["o_custkey"].to_numpy(zero_copy_only=False)
-        order = np_.lexsort((keys, -spent))[:10]
-        return t.take(pa.array(np_.sort(order))).select(["o_custkey", "c_name", "total_spent"])
-
-    # per_cust is small (one row per customer) — single-partition topk
-    return per_cust.repartition(1).map_batches(topk, batch_format="pyarrow")
-
-
-ORACLE_TOP_SPENDERS = """
-    SELECT o_custkey, c_name, round(sum(o_totalprice), 2) AS total_spent
-    FROM orders JOIN customer ON o_custkey = c_custkey
-    GROUP BY o_custkey, c_name
-    ORDER BY total_spent DESC, o_custkey
-    LIMIT 10
-"""
-
-
-def q_part_type_stats(sf_dir: str):
-    from hydra_ray.stages.agg import grouped_agg
-
-    ds = rd.read_parquet(f"{sf_dir}/part.parquet", columns=["p_type", "p_retailprice", "p_size"])
-    out = grouped_agg(
-        ds,
-        keys=["p_type"],
-        aggs=[
-            ("p_retailprice", "sum", "sum_price"),
-            ("p_size", "max", "max_size"),
-            ("p_retailprice", "count", "n_parts"),
-        ],
-    )
-    return out.map_batches(
-        lambda t: t.set_column(t.column_names.index("sum_price"), "sum_price", pc.round(t["sum_price"], 2)),
-        batch_format="pyarrow",
-    )
-
-
-ORACLE_PART_TYPE_STATS = """
-    SELECT p_type, round(sum(p_retailprice), 2) AS sum_price,
-           max(p_size) AS max_size, count(*) AS n_parts
-    FROM part GROUP BY p_type
 """
 
 
@@ -1146,63 +969,8 @@ ORACLE_DOC_LENGTH_HISTOGRAM = """
 """
 
 
-def q_supplier_balances(sf_dir: str):
-    """Small-side joins chained: supplier ⋈ nation ⋈ region → balances."""
-    import pyarrow.parquet as pq
-
-    nation = pq.read_table(f"{sf_dir}/nation.parquet")
-    region = pq.read_table(f"{sf_dir}/region.parquet")
-    n2r = dict(zip(nation["n_nationkey"].to_pylist(), nation["n_regionkey"].to_pylist()))
-    r2name = dict(zip(region["r_regionkey"].to_pylist(), region["r_name"].to_pylist()))
-    nkeys = sorted(n2r)
-    lookup_ref = ray.put(
-        (
-            pa.array(nkeys, type=pa.int64()),
-            pa.array([r2name[n2r[k]] for k in nkeys], type=pa.string()),
-        )
-    )
-
-    ds = rd.read_parquet(f"{sf_dir}/supplier.parquet", columns=["s_nationkey", "s_acctbal"])
-
-    def to_region(t: pa.Table) -> pa.Table:
-        keys, names = ray.get(lookup_ref)
-        idx = pc.index_in(pc.cast(t["s_nationkey"], pa.int64()), value_set=keys)
-        return pa.table({"r_name": pc.take(names, idx), "s_acctbal": t["s_acctbal"]})
-
-    from hydra_ray.stages.agg import grouped_agg
-
-    out = grouped_agg(
-        ds.map_batches(to_region, batch_format="pyarrow"),
-        keys=["r_name"],
-        aggs=[("s_acctbal", "sum", "total_balance"), ("s_acctbal", "count", "n_suppliers")],
-    )
-    return out.map_batches(
-        lambda t: t.set_column(
-            t.column_names.index("total_balance"), "total_balance", pc.round(t["total_balance"], 2)
-        ),
-        batch_format="pyarrow",
-    )
-
-
-ORACLE_SUPPLIER_BALANCES = """
-    SELECT r_name, round(sum(s_acctbal), 2) AS total_balance, count(*) AS n_suppliers
-    FROM supplier
-    JOIN nation ON s_nationkey = n_nationkey
-    JOIN region ON n_regionkey = r_regionkey
-    GROUP BY r_name
-"""
-
-
-QUERIES["url_key_parity"] = q_url_key_parity
-ORACLES["url_key_parity"] = ORACLE_URL_KEY_PARITY
-QUERIES["top_spenders"] = q_top_spenders
-ORACLES["top_spenders"] = ORACLE_TOP_SPENDERS
-QUERIES["part_type_stats"] = q_part_type_stats
-ORACLES["part_type_stats"] = ORACLE_PART_TYPE_STATS
-QUERIES["doc_length_histogram"] = q_doc_length_histogram
-ORACLES["doc_length_histogram"] = ORACLE_DOC_LENGTH_HISTOGRAM
-QUERIES["supplier_balances"] = q_supplier_balances
-ORACLES["supplier_balances"] = ORACLE_SUPPLIER_BALANCES
+_register("url_key_parity", q_url_key_parity, ORACLE_URL_KEY_PARITY)
+_register("doc_length_histogram", q_doc_length_histogram, ORACLE_DOC_LENGTH_HISTOGRAM)
 
 
 def q_dup_clusters(sf_dir: str):
@@ -1218,9 +986,6 @@ def q_dup_clusters(sf_dir: str):
         _docs(sf_dir, columns=["doc_id", "text", "source"]), threshold=0.35
     ).to_pandas()
     return pa.Table.from_pandas(duplicate_clusters(pairs), preserve_index=False)
-
-
-QUERIES["dup_clusters"] = q_dup_clusters
 
 
 # ---------------------------------------------------------------------------
@@ -1273,7 +1038,7 @@ ORACLE_NGRAM_JACCARD = f"""
     FROM ngram_jac WHERE jac >= 0.35
 """
 
-ORACLES["ngram_jaccard"] = ORACLE_NGRAM_JACCARD
+_register("ngram_jaccard", q_ngram_jaccard, ORACLE_NGRAM_JACCARD)
 
 ORACLE_DUP_CLUSTERS = f"""
     WITH RECURSIVE {_NGRAM_SETS_SQL},
@@ -1292,7 +1057,7 @@ ORACLE_DUP_CLUSTERS = f"""
     SELECT node AS doc_id, min(label) AS cluster_id FROM comp GROUP BY node
 """
 
-ORACLES["dup_clusters"] = ORACLE_DUP_CLUSTERS
+_register("dup_clusters", q_dup_clusters, ORACLE_DUP_CLUSTERS)
 
 
 def _langid_values_sql() -> str:
@@ -1327,7 +1092,7 @@ ORACLE_LANGID = rf"""
     FROM documents d LEFT JOIN (SELECT doc_id, lang FROM best WHERE rn = 1) b USING (doc_id)
 """
 
-ORACLES["langid"] = ORACLE_LANGID
+_register("langid", q_langid, ORACLE_LANGID)
 
 # geojson feature string parity: DuckDB's DOUBLE→VARCHAR cast is
 # shortest-round-trip, identical to Python repr, so the exact
@@ -1346,7 +1111,7 @@ ORACLE_GEOJSON_FEATURES = """
     FROM coords
 """
 
-ORACLES["geojson_features"] = ORACLE_GEOJSON_FEATURES
+_register("geojson_features", q_geojson_features, ORACLE_GEOJSON_FEATURES)
 
 
 def q_xlsx_inspect(sf_dir: str):
@@ -1387,8 +1152,7 @@ ORACLE_XLSX_INSPECT = """
     FROM documents
 """
 
-QUERIES["xlsx_inspect"] = q_xlsx_inspect
-ORACLES["xlsx_inspect"] = ORACLE_XLSX_INSPECT
+_register("xlsx_inspect", q_xlsx_inspect, ORACLE_XLSX_INSPECT)
 
 
 def q_xls_inspect(sf_dir: str):
@@ -1423,8 +1187,7 @@ def q_xls_inspect(sf_dir: str):
     return ds.map_batches(batch_fn, batch_format="pyarrow")
 
 
-QUERIES["xls_inspect"] = q_xls_inspect
-ORACLES["xls_inspect"] = ORACLE_XLSX_INSPECT  # same logical table as xlsx_inspect
+_register("xls_inspect", q_xls_inspect, ORACLE_XLSX_INSPECT)  # same logical table as xlsx_inspect
 
 
 def q_ods_inspect(sf_dir: str):
@@ -1458,8 +1221,7 @@ def q_ods_inspect(sf_dir: str):
     return ds.map_batches(batch_fn, batch_format="pyarrow")
 
 
-QUERIES["ods_inspect"] = q_ods_inspect
-ORACLES["ods_inspect"] = ORACLE_XLSX_INSPECT  # same logical table as xlsx_inspect
+_register("ods_inspect", q_ods_inspect, ORACLE_XLSX_INSPECT)  # same logical table as xlsx_inspect
 
 
 def q_csv_profile(sf_dir: str):
@@ -1567,8 +1329,7 @@ ORACLE_CSV_PROFILE = """
     FROM g JOIN sc s ON s.grp = g.grp GROUP BY g.grp
 """
 
-QUERIES["csv_profile"] = q_csv_profile
-ORACLES["csv_profile"] = ORACLE_CSV_PROFILE
+_register("csv_profile", q_csv_profile, ORACLE_CSV_PROFILE)
 
 
 def _le64_sql(hex16_expr: str) -> str:
@@ -1622,7 +1383,7 @@ ORACLE_SIMHASH = rf"""
     FROM documents d LEFT JOIN sh s USING (doc_id)
 """
 
-ORACLES["simhash"] = ORACLE_SIMHASH
+_register("simhash", q_simhash, ORACLE_SIMHASH)
 
 # Fingerprint parity: splitmix64 of the zero-padded first 8 utf-8
 # bytes per token (exact uint64 wraparound via _mulwrap_sql), rolling
@@ -1659,7 +1420,7 @@ ORACLE_FINGERPRINT = rf"""
     FROM terms GROUP BY doc_id
 """
 
-ORACLES["fingerprint"] = ORACLE_FINGERPRINT
+_register("fingerprint", q_fingerprint, ORACLE_FINGERPRINT)
 
 # media plumbing parity: synthetic payload size is md5-derived from the
 # media_ref (multimodal.py synthetic_media_bytes); the span derivation
@@ -1680,7 +1441,7 @@ ORACLE_MEDIA_FEATURES = f"""
     FROM media
 """
 
-ORACLES["media_features"] = ORACLE_MEDIA_FEATURES
+_register("media_features", q_media_features, ORACLE_MEDIA_FEATURES)
 
 # OGC probing parity: every capability field of the deterministic
 # synthetic GetCapabilities document (stages/ogc.py) is md5-derived,
@@ -1720,37 +1481,7 @@ ORACLE_OGC_CAPABILITIES = """
     FROM f
 """
 
-ORACLES["ogc_capabilities"] = ORACLE_OGC_CAPABILITIES
-
-
-def _knn_lsh_oracle_sql(n_planes: int = 6, dim: int = 64) -> str:
-    """LSH bucket assignment with the hyperplane matrix inlined as
-    double literals (repr round-trips exactly into DuckDB), exact
-    cosine re-rank within buckets in DOUBLE precision; sim column is
-    dropped on both sides (rank ordering is the verified signal)."""
-    from hydra_ray.stages.similarity import hyperplanes
-
-    planes = hyperplanes(dim, n_planes)
-
-    def lit(row):
-        return "[" + ", ".join(repr(float(x)) for x in row) + "]::DOUBLE[]"
-
-    bucket_expr = " + ".join(
-        f"(CASE WHEN list_inner_product(CAST(embedding AS DOUBLE[]), {lit(planes[b])}) > 0"
-        f" THEN {1 << b} ELSE 0 END)"
-        for b in range(n_planes)
-    )
-    return f"""
-        WITH be AS (SELECT vec_id, embedding, {bucket_expr} AS bucket FROM embeddings)
-        SELECT a.vec_id AS vec_id, b.vec_id AS nn_id
-        FROM be a JOIN be b ON a.bucket = b.bucket AND a.vec_id != b.vec_id
-        QUALIFY row_number() OVER (PARTITION BY a.vec_id
-            ORDER BY list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
-                                            CAST(b.embedding AS DOUBLE[])) DESC, b.vec_id) = 1
-    """
-
-
-ORACLES["knn_lsh"] = _knn_lsh_oracle_sql()
+_register("ogc_capabilities", q_ogc_capabilities, ORACLE_OGC_CAPABILITIES)
 
 
 def q_cosine_near_dups(sf_dir: str):
@@ -1801,8 +1532,7 @@ def _cosine_near_dups_oracle_sql(
     """
 
 
-QUERIES["cosine_near_dups"] = q_cosine_near_dups
-ORACLES["cosine_near_dups"] = _cosine_near_dups_oracle_sql()
+_register("cosine_near_dups", q_cosine_near_dups, _cosine_near_dups_oracle_sql())
 
 
 def _mix64_ctes_sql(prefix: str, src: str, carry: str) -> str:
@@ -1912,183 +1642,12 @@ WHERE round(inter * 1.0 / (na + nb - inter), 6) >= {threshold}
 """
 
 
-ORACLES["minhash_near_dups"] = _minhash_oracle_sql(threshold=0.5)
+_register("minhash_near_dups", q_minhash_near_dups, _minhash_oracle_sql(threshold=0.5))
 
 
 # ---------------------------------------------------------------------------
-# Temporal operators: as-of join, range join, windowed aggregates
+# tiling, curation, media, search, graph and span operators
 # ---------------------------------------------------------------------------
-
-_EPOCH_1995_US = 788918400000000  # 1995-01-01 UTC in microseconds
-
-
-def q_asof_latest_order(sf_dir: str):
-    """As-of join (stages/joins.py::asof_join): for each event — with a
-    derived activity time spanning the order history (event_id % 2400
-    days after 1995-01-01, so matches vary per event) — the latest
-    order of the same customer at or before that time. The orders side
-    is first deduplicated per (custkey, orderdate) keeping max orderkey
-    (as-of ties must be broken deterministically; see asof_join doc).
-    Right-side keys are compared as DOUBLE so unmatched rows are NULL
-    on both sides of the oracle."""
-    from hydra_ray.stages.joins import asof_join
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "user_id"])
-
-    def derive_t(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        us = _EPOCH_1995_US + (eid % 2400) * 86_400_000_000
-        return t.append_column("t", pa.array(us).cast(pa.timestamp("us")))
-
-    left = events.map_batches(derive_t, batch_format="pyarrow")
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]
-    )
-
-    def dedup_day(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["o_custkey", "o_orderdate", "o_orderkey"], kind="mergesort")
-        return df.drop_duplicates(["o_custkey", "o_orderdate"], keep="last")
-
-    from hydra_ray.stages.keyed import keyed_map_partitions
-
-    right = keyed_map_partitions(orders, ["o_custkey"], dedup_day).map_batches(
-        lambda t: t.rename_columns(
-            ["o_orderkey", "user_id", "t", "o_totalprice"]
-        ),
-        batch_format="pyarrow",
-    )
-
-    joined = asof_join(left, right, by="user_id", on="t")
-
-    def finish(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "event_id": t["event_id"],
-                "user_id": t["user_id"],
-                "o_orderkey": pc.cast(t["o_orderkey"], pa.float64()),
-                "o_totalprice": t["o_totalprice"],
-            }
-        )
-
-    return joined.map_batches(finish, batch_format="pyarrow")
-
-
-ORACLE_ASOF_LATEST_ORDER = """
-    WITH ev AS (
-        SELECT event_id, user_id,
-               make_timestamp(788918400000000 + (event_id % 2400) * 86400000000) AS t
-        FROM events
-    ),
-    od AS (
-        SELECT o_custkey, o_orderdate, o_orderkey, o_totalprice
-        FROM orders
-        QUALIFY row_number() OVER (PARTITION BY o_custkey, o_orderdate
-                                   ORDER BY o_orderkey DESC) = 1
-    )
-    SELECT e.event_id, e.user_id,
-           CAST(o.o_orderkey AS DOUBLE) AS o_orderkey, o.o_totalprice
-    FROM ev e ASOF LEFT JOIN od o
-      ON e.user_id = o.o_custkey AND e.t >= o.o_orderdate
-"""
-
-QUERIES["asof_latest_order"] = q_asof_latest_order
-ORACLES["asof_latest_order"] = ORACLE_ASOF_LATEST_ORDER
-
-
-def q_events_in_windows(sf_dir: str):
-    """Range (interval) join (stages/joins.py::range_join): events
-    against 8 overlapping 5-day promo windows (stride 4 days from
-    2024-01-01) — broadcast interval side, a row can match two
-    windows."""
-    from hydra_ray.stages.joins import range_join
-
-    base = 1704067200000000  # 2024-01-01 UTC us
-    day = 86_400_000_000
-    iv = pa.table(
-        {
-            "win_id": pa.array(range(8), type=pa.int64()),
-            "start": pa.array([base + i * 4 * day for i in range(8)]).cast(pa.timestamp("us")),
-            "end": pa.array([base + (i * 4 + 5) * day for i in range(8)]).cast(pa.timestamp("us")),
-        }
-    )
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "ts", "event_type"])
-    out = range_join(ds, iv, t_col="ts")
-    return out.map_batches(
-        lambda t: t.select(["event_id", "event_type", "win_id"]), batch_format="pyarrow"
-    )
-
-
-ORACLE_EVENTS_IN_WINDOWS = """
-    WITH w AS (
-        SELECT i AS win_id,
-               make_timestamp(1704067200000000 + i * 4 * 86400000000) AS s,
-               make_timestamp(1704067200000000 + (i * 4 + 5) * 86400000000) AS e
-        FROM (SELECT unnest(generate_series(0, 7)) AS i)
-    )
-    SELECT ev.event_id, ev.event_type, w.win_id
-    FROM events ev JOIN w ON ev.ts >= w.s AND ev.ts < w.e
-"""
-
-QUERIES["events_in_windows"] = q_events_in_windows
-ORACLES["events_in_windows"] = ORACLE_EVENTS_IN_WINDOWS
-
-
-def q_windowed_event_stats(sf_dir: str):
-    """Tumbling-window aggregate (stages/agg.py::windowed_agg): 6-hour
-    windows × event_type, count + sum(value) — per-block partial
-    aggregation ahead of the shuffle."""
-    from hydra_ray.stages.agg import windowed_agg
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"])
-    return windowed_agg(
-        ds,
-        t_col="ts",
-        window_us=6 * 3600 * 1_000_000,
-        keys=("event_type",),
-        aggs=[("value", "count", "n_events"), ("value", "sum", "sum_value")],
-    )
-
-
-ORACLE_WINDOWED_EVENT_STATS = """
-    SELECT make_timestamp((epoch_us(ts) // 21600000000) * 21600000000) AS window_start,
-           event_type,
-           count(*) AS n_events,
-           sum(value) AS sum_value
-    FROM events
-    GROUP BY 1, 2
-"""
-
-QUERIES["windowed_event_stats"] = q_windowed_event_stats
-ORACLES["windowed_event_stats"] = ORACLE_WINDOWED_EVENT_STATS
-
-
-def q_sliding_window_stats(sf_dir: str):
-    """Sliding-window aggregate: 12-hour windows sliding by 4 hours
-    (each event lands in 3 windows — vectorized 3× expansion, still
-    pre-aggregated per block)."""
-    from hydra_ray.stages.agg import windowed_agg
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "value"])
-    return windowed_agg(
-        ds,
-        t_col="ts",
-        window_us=12 * 3600 * 1_000_000,
-        slide_us=4 * 3600 * 1_000_000,
-        aggs=[("value", "count", "n_events"), ("value", "sum", "sum_value")],
-    )
-
-
-ORACLE_SLIDING_WINDOW_STATS = """
-    SELECT make_timestamp(((epoch_us(ts) // 14400000000) - j) * 14400000000) AS window_start,
-           count(*) AS n_events,
-           sum(value) AS sum_value
-    FROM events CROSS JOIN (SELECT unnest(generate_series(0, 2)) AS j)
-    GROUP BY 1
-"""
-
-QUERIES["sliding_window_stats"] = q_sliding_window_stats
-ORACLES["sliding_window_stats"] = ORACLE_SLIDING_WINDOW_STATS
 
 
 def q_pmtiles_tiles(sf_dir: str):
@@ -2158,8 +1717,7 @@ ORACLE_PMTILES_TILES = """
     GROUP BY 2, 3
 """
 
-QUERIES["pmtiles_tiles"] = q_pmtiles_tiles
-ORACLES["pmtiles_tiles"] = ORACLE_PMTILES_TILES
+_register("pmtiles_tiles", q_pmtiles_tiles, ORACLE_PMTILES_TILES)
 
 
 def q_duplicated_passages(sf_dir: str):
@@ -2194,8 +1752,7 @@ ORACLE_DUPLICATED_PASSAGES = """
     FROM isl GROUP BY doc_id, grp
 """
 
-QUERIES["duplicated_passages"] = q_duplicated_passages
-ORACLES["duplicated_passages"] = ORACLE_DUPLICATED_PASSAGES
+_register("duplicated_passages", q_duplicated_passages, ORACLE_DUPLICATED_PASSAGES)
 
 
 def q_chunk_documents(sf_dir: str):
@@ -2224,8 +1781,7 @@ ORACLE_CHUNK_DOCUMENTS = """
     FROM c
 """
 
-QUERIES["chunk_documents"] = q_chunk_documents
-ORACLES["chunk_documents"] = ORACLE_CHUNK_DOCUMENTS
+_register("chunk_documents", q_chunk_documents, ORACLE_CHUNK_DOCUMENTS)
 
 
 def q_sample_per_group(sf_dir: str):
@@ -2255,8 +1811,7 @@ ORACLE_SAMPLE_PER_GROUP = f"""
     QUALIFY row_number() OVER (PARTITION BY lang ORDER BY v, doc_id) <= 5
 """
 
-QUERIES["sample_per_group"] = q_sample_per_group
-ORACLES["sample_per_group"] = ORACLE_SAMPLE_PER_GROUP
+_register("sample_per_group", q_sample_per_group, ORACLE_SAMPLE_PER_GROUP)
 
 
 def q_curate_corpus(sf_dir: str):
@@ -2300,8 +1855,7 @@ ORACLE_CURATE_CORPUS = r"""
     FROM c GROUP BY lang
 """
 
-QUERIES["curate_corpus"] = q_curate_corpus
-ORACLES["curate_corpus"] = ORACLE_CURATE_CORPUS
+_register("curate_corpus", q_curate_corpus, ORACLE_CURATE_CORPUS)
 
 
 def q_media_decode(sf_dir: str):
@@ -2437,8 +1991,7 @@ ORACLE_MEDIA_DECODE = """
     WHERE p0.k = 0
 """
 
-QUERIES["media_decode"] = q_media_decode
-ORACLES["media_decode"] = ORACLE_MEDIA_DECODE
+_register("media_decode", q_media_decode, ORACLE_MEDIA_DECODE)
 
 
 def q_bpe_token_counts(sf_dir: str):
@@ -2461,8 +2014,7 @@ ORACLE_BPE_TOKEN_COUNTS = """
     FROM documents
 """
 
-QUERIES["bpe_token_counts"] = q_bpe_token_counts
-ORACLES["bpe_token_counts"] = ORACLE_BPE_TOKEN_COUNTS
+_register("bpe_token_counts", q_bpe_token_counts, ORACLE_BPE_TOKEN_COUNTS)
 
 
 def q_curate_near_dup(sf_dir: str):
@@ -2517,75 +2069,7 @@ def _curate_near_dup_oracle_sql() -> str:
 """
 
 
-QUERIES["curate_near_dup"] = q_curate_near_dup
-ORACLES["curate_near_dup"] = _curate_near_dup_oracle_sql()
-
-
-def q_grouped_quantiles(sf_dir: str):
-    """Order statistics + exact distinct counts per key
-    (stages/agg.py::grouped_stats): median and p90 of event value plus
-    distinct users per event_type — the non-mergeable aggregate family
-    (quantile_cont semantics match pandas linear interpolation)."""
-    from hydra_ray.stages.agg import grouped_stats
-
-    return grouped_stats(
-        rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "value", "user_id"]),
-        key="event_type",
-        value_col="value",
-        quantiles=(0.5, 0.9),
-        distinct_col="user_id",
-    )
-
-
-ORACLE_GROUPED_QUANTILES = """
-    SELECT event_type,
-           count(*) AS n,
-           round(quantile_cont(value, 0.5), 6) AS q50,
-           round(quantile_cont(value, 0.9), 6) AS q90,
-           count(DISTINCT user_id) AS n_distinct
-    FROM events
-    GROUP BY event_type
-"""
-
-QUERIES["grouped_quantiles"] = q_grouped_quantiles
-ORACLES["grouped_quantiles"] = ORACLE_GROUPED_QUANTILES
-
-
-def q_hll_registers(sf_dir: str):
-    """HyperLogLog sketch registers per event_type (stages/agg.py::
-    hll_registers, p=6): the mergeable approximate-distinct shape —
-    ≤64 rows per (key, block) cross the shuffle regardless of row
-    count. Integer register maxima are bit-exact against the SQL
-    replication of splitmix64 + leading-zero ranks (the ESTIMATE is
-    float; accuracy is asserted in tests against exact distinct)."""
-    from hydra_ray.stages.agg import hll_registers
-
-    return hll_registers(
-        rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]),
-        key="event_type",
-        col="user_id",
-        p=6,
-    )
-
-
-ORACLE_HLL_REGISTERS = f"""
-    WITH hr_0 AS (SELECT event_type, CAST(user_id AS UBIGINT) AS v FROM events),
-    {_mix64_ctes_sql("hr", "v", "event_type")},
-    rr AS (
-        SELECT event_type,
-               CAST(v // 288230376151711744 AS BIGINT) AS register,
-               CAST((CAST(v AS HUGEINT) % 288230376151711744) * 64 AS UBIGINT) AS rest
-        FROM hr_5
-    )
-    SELECT event_type, register,
-           max(CASE WHEN rest = 0 THEN 59
-                    ELSE 64 - (length(bin(rest)) - 1) END) AS max_rank
-    FROM rr
-    GROUP BY event_type, register
-"""
-
-QUERIES["hll_registers"] = q_hll_registers
-ORACLES["hll_registers"] = ORACLE_HLL_REGISTERS
+_register("curate_near_dup", q_curate_near_dup, _curate_near_dup_oracle_sql())
 
 
 def q_repetition_stats(sf_dir: str):
@@ -2629,78 +2113,7 @@ ORACLE_REPETITION_STATS = """
     LEFT JOIN n USING (doc_id)
 """
 
-QUERIES["repetition_stats"] = q_repetition_stats
-ORACLES["repetition_stats"] = ORACLE_REPETITION_STATS
-
-
-def q_cms_counts(sf_dir: str):
-    """Count-min sketch counters over event user_ids (stages/agg.py::
-    cms_counts, depth 4 × width 256) — the heavy-hitter sketch; counter
-    table is bit-exact against the SQL splitmix64 replication (the
-    min-query estimator is tested against exact counts in pytest)."""
-    from hydra_ray.stages.agg import cms_counts
-
-    return cms_counts(
-        rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"]), col="user_id"
-    )
-
-
-ORACLE_CMS_COUNTS = f"""
-    WITH cm_0 AS (
-        SELECT d.d AS d, CAST(user_id AS UBIGINT) + d.s AS v
-        FROM events
-        CROSS JOIN (VALUES (0, 1000003), (1, 10007), (2, 2003), (3, 31)) d(d, s)
-    ),
-    {_mix64_ctes_sql("cm", "v", "d")}
-    SELECT d, CAST(v % 256 AS BIGINT) AS w, count(*) AS count
-    FROM cm_5 GROUP BY d, w
-"""
-
-QUERIES["cms_counts"] = q_cms_counts
-ORACLES["cms_counts"] = ORACLE_CMS_COUNTS
-
-
-def q_sampled_quantiles(sf_dir: str):
-    """Bottom-k hash-sampled quantiles (stages/agg.py::
-    sampled_quantiles, k=128, seed=5): the MERGEABLE quantile sketch —
-    each block ships ≤k rows per key, vs grouped_stats' exact path that
-    co-locates every row of a key. The splitmix64 rank makes the sample
-    (and hence the estimates) parallelism-invariant and bit-exact
-    reproducible in SQL."""
-    from hydra_ray.stages.agg import sampled_quantiles
-
-    return sampled_quantiles(
-        rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "value", "event_id"]),
-        key="event_type",
-        value_col="value",
-        id_col="event_id",
-        k=128,
-        quantiles=(0.5, 0.9),
-        seed=5,
-    )
-
-
-ORACLE_SAMPLED_QUANTILES = f"""
-    WITH sq_0 AS (SELECT event_type, value, event_id,
-                         CAST(event_id + 5 AS UBIGINT) AS v FROM events),
-    {_mix64_ctes_sql("sq", "v", "event_type, value, event_id")},
-    ranked AS (
-        SELECT event_type, value,
-               row_number() OVER (PARTITION BY event_type ORDER BY v, event_id) AS rn,
-               count(*) OVER (PARTITION BY event_type) AS n
-        FROM sq_5
-    )
-    SELECT event_type,
-           any_value(n) AS n,
-           count(*) AS n_sample,
-           round(quantile_cont(value, 0.5), 6) AS q50,
-           round(quantile_cont(value, 0.9), 6) AS q90
-    FROM ranked WHERE rn <= 128
-    GROUP BY event_type
-"""
-
-QUERIES["sampled_quantiles"] = q_sampled_quantiles
-ORACLES["sampled_quantiles"] = ORACLE_SAMPLED_QUANTILES
+_register("repetition_stats", q_repetition_stats, ORACLE_REPETITION_STATS)
 
 
 def q_tdigest_quantiles(sf_dir: str):
@@ -2787,8 +2200,7 @@ ORACLE_TDIGEST_QUANTILES = """
     FROM events GROUP BY event_type
 """
 
-QUERIES["tdigest_quantiles"] = q_tdigest_quantiles
-ORACLES["tdigest_quantiles"] = ORACLE_TDIGEST_QUANTILES
+_register("tdigest_quantiles", q_tdigest_quantiles, ORACLE_TDIGEST_QUANTILES)
 
 
 def q_workbook_profile(sf_dir: str):
@@ -2826,8 +2238,7 @@ def q_workbook_profile(sf_dir: str):
     )
 
 
-QUERIES["workbook_profile"] = q_workbook_profile
-ORACLES["workbook_profile"] = ORACLE_CSV_PROFILE  # same logical report as the CSV route
+_register("workbook_profile", q_workbook_profile, ORACLE_CSV_PROFILE)  # same logical report as the CSV route
 
 
 def q_decontaminate(sf_dir: str):
@@ -2879,8 +2290,7 @@ ORACLE_DECONTAMINATE = """
     LEFT JOIN hits h USING (doc_id)
 """
 
-QUERIES["decontaminate"] = q_decontaminate
-ORACLES["decontaminate"] = ORACLE_DECONTAMINATE
+_register("decontaminate", q_decontaminate, ORACLE_DECONTAMINATE)
 
 
 def q_bm25_search(sf_dir: str):
@@ -2900,8 +2310,11 @@ def q_bm25_search(sf_dir: str):
 
 from hydra_ray.stages.search import bm25_oracle_sql as _bm25_oracle_sql  # noqa: E402
 
-QUERIES["bm25_search"] = q_bm25_search
-ORACLES["bm25_search"] = _bm25_oracle_sql("fast merge join stream window", top_n=20)
+_register(
+    "bm25_search",
+    q_bm25_search,
+    _bm25_oracle_sql("fast merge join stream window", top_n=20),
+)
 
 
 def q_lm_perplexity(sf_dir: str):
@@ -2916,54 +2329,7 @@ def q_lm_perplexity(sf_dir: str):
 
 from hydra_ray.stages.search import lm_perplexity_oracle_sql as _lm_oracle_sql  # noqa: E402
 
-QUERIES["lm_perplexity"] = q_lm_perplexity
-ORACLES["lm_perplexity"] = _lm_oracle_sql()
-
-
-def q_exact_substr_dedup(sf_dir: str):
-    """Exact-substring removal (stages/dedup.py::exact_substr_dedup):
-    tokens covered by any 5-gram shared by >=2 docs are dropped and the
-    cleaned text rebuilt — the output half of Lee et al. 2022's
-    ExactSubstr dedup on top of duplicated_passages' span detection."""
-    from hydra_ray.stages.dedup import exact_substr_dedup
-
-    return exact_substr_dedup(
-        _docs(sf_dir, columns=["doc_id", "text"]), k=5, min_docs=2
-    )
-
-
-ORACLE_EXACT_SUBSTR_DEDUP = """
-    WITH toks AS (SELECT doc_id, string_split(text, ' ') AS ts FROM documents),
-    pos AS (SELECT doc_id, ts,
-                   unnest(generate_series(1, greatest(len(ts) - 4, 0))) AS i
-            FROM toks),
-    grams AS (SELECT doc_id, i, array_to_string(ts[i:i+4], ' ') AS g FROM pos),
-    dup AS (SELECT g FROM grams GROUP BY g HAVING count(DISTINCT doc_id) >= 2),
-    hits AS (SELECT DISTINCT doc_id, i FROM grams WHERE g IN (SELECT g FROM dup)),
-    cov AS (SELECT DISTINCT doc_id, unnest(generate_series(i, i + 4)) AS p FROM hits),
-    tok_rows AS (SELECT doc_id, ts,
-                        unnest(generate_series(1, len(ts))) AS p
-                 FROM toks),
-    kept AS (
-        SELECT t.doc_id, t.p, t.ts[t.p] AS w
-        FROM tok_rows t
-        LEFT JOIN cov c ON t.doc_id = c.doc_id AND t.p = c.p
-        WHERE c.doc_id IS NULL
-    )
-    SELECT t.doc_id,
-           coalesce(k.clean_text, '') AS clean_text,
-           len(t.ts) AS n_tokens,
-           len(t.ts) - coalesce(k.n_kept, 0) AS n_removed
-    FROM toks t
-    LEFT JOIN (
-        SELECT doc_id, string_agg(w, ' ' ORDER BY p) AS clean_text,
-               count(*) AS n_kept
-        FROM kept GROUP BY doc_id
-    ) k USING (doc_id)
-"""
-
-QUERIES["exact_substr_dedup"] = q_exact_substr_dedup
-ORACLES["exact_substr_dedup"] = ORACLE_EXACT_SUBSTR_DEDUP
+_register("lm_perplexity", q_lm_perplexity, _lm_oracle_sql())
 
 
 def q_temperature_mix(sf_dir: str):
@@ -3004,8 +2370,7 @@ ORACLE_TEMPERATURE_MIX = f"""
     WHERE r.rank <= qv.quota
 """
 
-QUERIES["temperature_mix"] = q_temperature_mix
-ORACLES["temperature_mix"] = ORACLE_TEMPERATURE_MIX
+_register("temperature_mix", q_temperature_mix, ORACLE_TEMPERATURE_MIX)
 
 
 def q_embedding_centroids(sf_dir: str):
@@ -3034,8 +2399,7 @@ ORACLE_EMBEDDING_CENTROIDS = """
     FROM e GROUP BY label, dim
 """
 
-QUERIES["embedding_centroids"] = q_embedding_centroids
-ORACLES["embedding_centroids"] = ORACLE_EMBEDDING_CENTROIDS
+_register("embedding_centroids", q_embedding_centroids, ORACLE_EMBEDDING_CENTROIDS)
 
 
 def q_audio_features(sf_dir: str):
@@ -3082,8 +2446,7 @@ ORACLE_AUDIO_FEATURES = """
     FROM z GROUP BY doc_id, frame
 """
 
-QUERIES["audio_features"] = q_audio_features
-ORACLES["audio_features"] = ORACLE_AUDIO_FEATURES
+_register("audio_features", q_audio_features, ORACLE_AUDIO_FEATURES)
 
 
 def q_pii_redact(sf_dir: str):
@@ -3153,8 +2516,7 @@ ORACLE_PII_REDACT = """
 """
 
 
-QUERIES["pii_redact"] = q_pii_redact
-ORACLES["pii_redact"] = ORACLE_PII_REDACT
+_register("pii_redact", q_pii_redact, ORACLE_PII_REDACT)
 
 
 def q_image_dups(sf_dir: str):
@@ -3241,8 +2603,7 @@ ORACLE_IMAGE_DUPS = """
 """
 
 
-QUERIES["image_dups"] = q_image_dups
-ORACLES["image_dups"] = ORACLE_IMAGE_DUPS
+_register("image_dups", q_image_dups, ORACLE_IMAGE_DUPS)
 
 
 def q_frame_sample(sf_dir: str):
@@ -3295,8 +2656,7 @@ ORACLE_FRAME_SAMPLE = """
 """
 
 
-QUERIES["frame_sample"] = q_frame_sample
-ORACLES["frame_sample"] = ORACLE_FRAME_SAMPLE
+_register("frame_sample", q_frame_sample, ORACLE_FRAME_SAMPLE)
 
 
 def q_model_score(sf_dir: str):
@@ -3339,8 +2699,7 @@ ORACLE_MODEL_SCORE = rf"""
 """
 
 
-QUERIES["model_score"] = q_model_score
-ORACLES["model_score"] = ORACLE_MODEL_SCORE
+_register("model_score", q_model_score, ORACLE_MODEL_SCORE)
 
 
 def q_pack_sequences(sf_dir: str):
@@ -3382,8 +2741,7 @@ ORACLE_PACK_SEQUENCES = r"""
 """
 
 
-QUERIES["pack_sequences"] = q_pack_sequences
-ORACLES["pack_sequences"] = ORACLE_PACK_SEQUENCES
+_register("pack_sequences", q_pack_sequences, ORACLE_PACK_SEQUENCES)
 
 
 def q_shuffle_shards(sf_dir: str):
@@ -3411,8 +2769,7 @@ ORACLE_SHUFFLE_SHARDS = f"""
     FROM ss_5
 """
 
-QUERIES["shuffle_shards"] = q_shuffle_shards
-ORACLES["shuffle_shards"] = ORACLE_SHUFFLE_SHARDS
+_register("shuffle_shards", q_shuffle_shards, ORACLE_SHUFFLE_SHARDS)
 
 
 def q_paragraph_dedup(sf_dir: str):
@@ -3450,8 +2807,7 @@ ORACLE_PARAGRAPH_DEDUP = r"""
     FROM k GROUP BY doc_id
 """
 
-QUERIES["paragraph_dedup"] = q_paragraph_dedup
-ORACLES["paragraph_dedup"] = ORACLE_PARAGRAPH_DEDUP
+_register("paragraph_dedup", q_paragraph_dedup, ORACLE_PARAGRAPH_DEDUP)
 
 
 def q_audio_companding(sf_dir: str):
@@ -3551,8 +2907,7 @@ ORACLE_AUDIO_COMPANDING = r"""
     GROUP BY uo.doc_id
 """
 
-QUERIES["audio_companding"] = q_audio_companding
-ORACLES["audio_companding"] = ORACLE_AUDIO_COMPANDING
+_register("audio_companding", q_audio_companding, ORACLE_AUDIO_COMPANDING)
 
 
 def q_video_mjpeg(sf_dir: str):
@@ -3601,8 +2956,7 @@ ORACLE_VIDEO_MJPEG = """
     GROUP BY doc_id, j, frame_idx, n_frames
 """
 
-QUERIES["video_mjpeg"] = q_video_mjpeg
-ORACLES["video_mjpeg"] = ORACLE_VIDEO_MJPEG
+_register("video_mjpeg", q_video_mjpeg, ORACLE_VIDEO_MJPEG)
 
 
 def q_orders_lineitem_join(sf_dir: str):
@@ -3640,8 +2994,7 @@ ORACLE_ORDERS_LINEITEM_JOIN = """
            ON o.o_orderkey = l.l_orderkey
 """
 
-QUERIES["orders_lineitem_join"] = q_orders_lineitem_join
-ORACLES["orders_lineitem_join"] = ORACLE_ORDERS_LINEITEM_JOIN
+_register("orders_lineitem_join", q_orders_lineitem_join, ORACLE_ORDERS_LINEITEM_JOIN)
 
 
 # 89-entry IMA step table inlined into the recursive oracle
@@ -3733,8 +3086,7 @@ ORACLE_AUDIO_ADPCM = """
     FROM st GROUP BY doc_id
 """
 
-QUERIES["audio_adpcm"] = q_audio_adpcm
-ORACLES["audio_adpcm"] = ORACLE_AUDIO_ADPCM.replace("STEPS_LIST", _IMA_STEPS_SQL)
+_register("audio_adpcm", q_audio_adpcm, ORACLE_AUDIO_ADPCM.replace("STEPS_LIST", _IMA_STEPS_SQL))
 
 
 def q_bpe_train(sf_dir: str):
@@ -3750,7 +3102,7 @@ def q_bpe_train(sf_dir: str):
     return bpe_train(_docs(sf_dir, columns=["text"]), n_merges=12)
 
 
-QUERIES["bpe_train"] = q_bpe_train
+_register("bpe_train", q_bpe_train)
 
 
 def q_training_shards(sf_dir: str):
@@ -3821,8 +3173,7 @@ ORACLE_TRAINING_SHARDS = (
 """
 )
 
-QUERIES["training_shards"] = q_training_shards
-ORACLES["training_shards"] = ORACLE_TRAINING_SHARDS
+_register("training_shards", q_training_shards, ORACLE_TRAINING_SHARDS)
 
 
 def q_char_dup_spans(sf_dir: str):
@@ -3861,8 +3212,7 @@ ORACLE_CHAR_DUP_SPANS = """
     FROM isl GROUP BY doc_id, grp
 """
 
-QUERIES["char_dup_spans"] = q_char_dup_spans
-ORACLES["char_dup_spans"] = ORACLE_CHAR_DUP_SPANS
+_register("char_dup_spans", q_char_dup_spans, ORACLE_CHAR_DUP_SPANS)
 
 
 def q_sa_dup_spans(sf_dir: str):
@@ -3905,8 +3255,7 @@ ORACLE_SA_DUP_SPANS = """
     FROM isl GROUP BY doc_id, grp
 """
 
-QUERIES["sa_dup_spans"] = q_sa_dup_spans
-ORACLES["sa_dup_spans"] = ORACLE_SA_DUP_SPANS
+_register("sa_dup_spans", q_sa_dup_spans, ORACLE_SA_DUP_SPANS)
 
 
 def q_c4_filter(sf_dir: str):
@@ -3974,8 +3323,7 @@ ORACLE_C4_FILTER = """
     FROM agg
 """
 
-QUERIES["c4_filter"] = q_c4_filter
-ORACLES["c4_filter"] = ORACLE_C4_FILTER
+_register("c4_filter", q_c4_filter, ORACLE_C4_FILTER)
 
 
 def q_word_freq_topk(sf_dir: str):
@@ -4012,8 +3360,7 @@ ORACLE_WORD_FREQ_TOPK = r"""
     GROUP BY word ORDER BY n DESC, word LIMIT 50
 """
 
-QUERIES["word_freq_topk"] = q_word_freq_topk
-ORACLES["word_freq_topk"] = ORACLE_WORD_FREQ_TOPK
+_register("word_freq_topk", q_word_freq_topk, ORACLE_WORD_FREQ_TOPK)
 
 
 def q_normalize_text(sf_dir: str):
@@ -4057,8 +3404,7 @@ ORACLE_NORMALIZE_TEXT = """
     FROM pre
 """
 
-QUERIES["normalize_text"] = q_normalize_text
-ORACLES["normalize_text"] = ORACLE_NORMALIZE_TEXT
+_register("normalize_text", q_normalize_text, ORACLE_NORMALIZE_TEXT)
 
 
 def q_table_profile(sf_dir: str):
@@ -4087,8 +3433,7 @@ ORACLE_TABLE_PROFILE = "\nUNION ALL\n".join(
     ]
 )
 
-QUERIES["table_profile"] = q_table_profile
-ORACLES["table_profile"] = ORACLE_TABLE_PROFILE
+_register("table_profile", q_table_profile, ORACLE_TABLE_PROFILE)
 
 
 def q_pagerank(sf_dir: str):
@@ -4143,8 +3488,7 @@ def _pagerank_oracle(iters: int = 10, scale: int = 10**12) -> str:
 
 ORACLE_PAGERANK = _pagerank_oracle()
 
-QUERIES["pagerank"] = q_pagerank
-ORACLES["pagerank"] = ORACLE_PAGERANK
+_register("pagerank", q_pagerank, ORACLE_PAGERANK)
 
 
 def q_tfidf_keywords(sf_dir: str):
@@ -4178,8 +3522,7 @@ ORACLE_TFIDF_KEYWORDS = r"""
     WHERE rank <= 3
 """
 
-QUERIES["tfidf_keywords"] = q_tfidf_keywords
-ORACLES["tfidf_keywords"] = ORACLE_TFIDF_KEYWORDS
+_register("tfidf_keywords", q_tfidf_keywords, ORACLE_TFIDF_KEYWORDS)
 
 
 def q_triangle_count(sf_dir: str):
@@ -4215,80 +3558,7 @@ ORACLE_TRIANGLE_COUNT = """
                      JOIN e c ON c.u = a.u AND c.v = b.v) AS n_triangles
 """
 
-QUERIES["triangle_count"] = q_triangle_count
-ORACLES["triangle_count"] = ORACLE_TRIANGLE_COUNT
-
-
-def q_rollup_quantity(sf_dir: str):
-    """GROUP BY ROLLUP(l_returnflag, l_linestatus) (stages/agg.py::
-    rollup_agg): the data is scanned once at the finest level (combiner
-    partials); coarser levels re-aggregate the finest RESULT. sum_qty is
-    exact (integral-valued doubles)."""
-    from hydra_ray.stages.agg import rollup_agg
-
-    return rollup_agg(
-        rd.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_returnflag", "l_linestatus", "l_quantity"],
-        ),
-        ["l_returnflag", "l_linestatus"],
-        [("l_quantity", "count", "n_rows"), ("l_quantity", "sum", "sum_qty")],
-    )
-
-
-ORACLE_ROLLUP_QUANTITY = """
-    SELECT l_returnflag, l_linestatus,
-           count(*) AS n_rows, sum(l_quantity) AS sum_qty
-    FROM lineitem
-    GROUP BY ROLLUP (l_returnflag, l_linestatus)
-"""
-
-QUERIES["rollup_quantity"] = q_rollup_quantity
-ORACLES["rollup_quantity"] = ORACLE_ROLLUP_QUANTITY
-
-
-def q_pivot_event_types(sf_dir: str):
-    """Pivot: per user bucket (user_id % 7), one count column per event
-    type + total — grouped_agg partials on (bucket, event_type), then a
-    driver-side widen of the tiny (7 × 5)-combo result."""
-    from hydra_ray.sources.store import ds_to_tables
-    from hydra_ray.stages.agg import grouped_agg
-
-    def mk(t: pa.Table) -> pa.Table:
-        b = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64) % 7
-        return pa.table({"bucket": pa.array(b), "event_type": t["event_type"]})
-
-    long = grouped_agg(
-        rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]).map_batches(
-            mk, batch_format="pyarrow"
-        ),
-        ["bucket", "event_type"],
-        [("event_type", "count", "n")],
-    )
-    parts = [t for t in ds_to_tables(long) if t.num_rows]
-    tbl = pa.concat_tables(parts, promote_options="default").to_pandas()
-    wide = tbl.pivot_table(index="bucket", columns="event_type", values="n", fill_value=0, aggfunc="sum")
-    for et in ["click", "error", "purchase", "signup", "view"]:
-        if et not in wide.columns:
-            wide[et] = 0
-    wide = wide[["click", "error", "purchase", "signup", "view"]].astype("int64")
-    wide["total"] = wide.sum(axis=1)
-    return wide.reset_index()
-
-
-ORACLE_PIVOT_EVENT_TYPES = """
-    SELECT user_id % 7 AS bucket,
-           count(*) FILTER (WHERE event_type = 'click') AS click,
-           count(*) FILTER (WHERE event_type = 'error') AS error,
-           count(*) FILTER (WHERE event_type = 'purchase') AS purchase,
-           count(*) FILTER (WHERE event_type = 'signup') AS signup,
-           count(*) FILTER (WHERE event_type = 'view') AS view,
-           count(*) AS total
-    FROM events GROUP BY bucket
-"""
-
-QUERIES["pivot_event_types"] = q_pivot_event_types
-ORACLES["pivot_event_types"] = ORACLE_PIVOT_EVENT_TYPES
+_register("triangle_count", q_triangle_count, ORACLE_TRIANGLE_COUNT)
 
 
 def q_knn_pq(sf_dir: str):
@@ -4307,11 +3577,9 @@ def q_knn_pq(sf_dir: str):
     return _ann_recall_gate(ds, approx, threshold=0.85)
 
 
-QUERIES["knn_pq"] = q_knn_pq
-ORACLES["knn_pq"] = ORACLE_ANN_RECALL
-ORACLES["knn_ivf"] = ORACLE_ANN_RECALL
-QUERIES["knn_hnsw"] = q_knn_hnsw
-ORACLES["knn_hnsw"] = ORACLE_ANN_RECALL
+_register("knn_pq", q_knn_pq, ORACLE_ANN_RECALL)
+_register("knn_ivf", q_knn_ivf, ORACLE_ANN_RECALL)
+_register("knn_hnsw", q_knn_hnsw, ORACLE_ANN_RECALL)
 
 
 def q_bloom_semi_join(sf_dir: str):
@@ -4342,8 +3610,7 @@ ORACLE_BLOOM_SEMI_JOIN = """
     WHERE l_orderkey IN (SELECT o_orderkey FROM orders WHERE o_orderstatus = 'F')
 """
 
-QUERIES["bloom_semi_join"] = q_bloom_semi_join
-ORACLES["bloom_semi_join"] = ORACLE_BLOOM_SEMI_JOIN
+_register("bloom_semi_join", q_bloom_semi_join, ORACLE_BLOOM_SEMI_JOIN)
 
 
 def q_dataset_split(sf_dir: str):
@@ -4387,8 +3654,7 @@ ORACLE_DATASET_SPLIT = f"""
     GROUP BY split
 """
 
-QUERIES["dataset_split"] = q_dataset_split
-ORACLES["dataset_split"] = ORACLE_DATASET_SPLIT
+_register("dataset_split", q_dataset_split, ORACLE_DATASET_SPLIT)
 
 
 def q_gopher_quality(sf_dir: str):
@@ -4441,8 +3707,7 @@ ORACLE_GOPHER_QUALITY = r"""
     FROM stats s LEFT JOIN per p USING (doc_id)
 """
 
-QUERIES["gopher_quality"] = q_gopher_quality
-ORACLES["gopher_quality"] = ORACLE_GOPHER_QUALITY
+_register("gopher_quality", q_gopher_quality, ORACLE_GOPHER_QUALITY)
 
 
 def q_jaccard_set_join(sf_dir: str):
@@ -4476,8 +3741,7 @@ ORACLE_JACCARD_SET_JOIN = r"""
     WHERE i * 1.0 / (sa.s + sb.s - i) >= 0.8
 """
 
-QUERIES["jaccard_set_join"] = q_jaccard_set_join
-ORACLES["jaccard_set_join"] = ORACLE_JACCARD_SET_JOIN
+_register("jaccard_set_join", q_jaccard_set_join, ORACLE_JACCARD_SET_JOIN)
 
 
 def q_token_entropy(sf_dir: str):
@@ -4505,8 +3769,7 @@ ORACLE_TOKEN_ENTROPY = r"""
     GROUP BY n.doc_id, n.n_tokens
 """
 
-QUERIES["token_entropy"] = q_token_entropy
-ORACLES["token_entropy"] = ORACLE_TOKEN_ENTROPY
+_register("token_entropy", q_token_entropy, ORACLE_TOKEN_ENTROPY)
 
 
 def q_pmi_bigrams(sf_dir: str):
@@ -4607,168 +3870,7 @@ ORACLE_PMI_BIGRAMS = r"""
     ORDER BY pmi DESC, x, y LIMIT 40
 """
 
-QUERIES["pmi_bigrams"] = q_pmi_bigrams
-ORACLES["pmi_bigrams"] = ORACLE_PMI_BIGRAMS
-
-
-def q_event_funnel(sf_dir: str):
-    """Funnel analysis over the events stream: per user, did a signup →
-    click → purchase sequence occur IN ORDER (strictly increasing
-    timestamps, event_id tiebreak)? Output: one row per funnel depth
-    with the user count that reached it. Per-user step times are
-    min-aggregates — grouped_agg partials, no row shuffle; the funnel
-    fold runs on the (users × steps)-sized result."""
-    from hydra_ray.sources.store import ds_to_tables
-    from hydra_ray.stages.agg import grouped_agg
-
-    steps = ["signup", "click", "purchase"]
-
-    def prep(t: pa.Table) -> pa.Table:
-        et = t["event_type"]
-        if isinstance(et, pa.ChunkedArray):
-            et = et.combine_chunks()
-        keep = pc.is_in(et, value_set=pa.array(steps))
-        ts_us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        # sortable key: microseconds * 1000 + event_id tiebreak
-        k = ts_us * 1000 + eid % 1000
-        return pa.table(
-            {"user_id": t["user_id"], "event_type": et, "k": pa.array(k)}
-        ).filter(keep)
-
-    mins = grouped_agg(
-        rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "ts", "event_id"]).map_batches(
-            prep, batch_format="pyarrow"
-        ),
-        ["user_id", "event_type"],
-        [("k", "min", "first_k")],
-    )
-    tbl = pa.concat_tables([t for t in ds_to_tables(mins) if t.num_rows]).to_pandas()
-    wide = tbl.pivot_table(index="user_id", columns="event_type", values="first_k", aggfunc="min")
-    for c in steps:
-        if c not in wide.columns:
-            wide[c] = np.nan
-    reached1 = wide["signup"].notna()
-    reached2 = reached1 & wide["click"].notna() & (wide["click"] > wide["signup"])
-    reached3 = reached2 & wide["purchase"].notna() & (wide["purchase"] > wide["click"])
-    return pa.table(
-        {
-            "step": pa.array(steps, pa.string()),
-            "depth": pa.array([1, 2, 3], pa.int64()),
-            "n_users": pa.array(
-                [int(reached1.sum()), int(reached2.sum()), int(reached3.sum())], pa.int64()
-            ),
-        }
-    )
-
-
-ORACLE_EVENT_FUNNEL = """
-    WITH firsts AS (
-        SELECT user_id, event_type,
-               min(CAST(epoch_us(ts) AS BIGINT) * 1000 + event_id % 1000) AS k
-        FROM events
-        WHERE event_type IN ('signup', 'click', 'purchase')
-        GROUP BY user_id, event_type
-    ),
-    wide AS (
-        SELECT user_id,
-               min(k) FILTER (WHERE event_type = 'signup') AS s,
-               min(k) FILTER (WHERE event_type = 'click') AS c,
-               min(k) FILTER (WHERE event_type = 'purchase') AS p
-        FROM firsts GROUP BY user_id
-    )
-    SELECT * FROM (
-        SELECT 'signup' AS step, 1 AS depth,
-               count(*) FILTER (WHERE s IS NOT NULL) AS n_users FROM wide
-        UNION ALL
-        SELECT 'click', 2,
-               count(*) FILTER (WHERE s IS NOT NULL AND c IS NOT NULL AND c > s) FROM wide
-        UNION ALL
-        SELECT 'purchase', 3,
-               count(*) FILTER (WHERE s IS NOT NULL AND c IS NOT NULL AND c > s
-                                  AND p IS NOT NULL AND p > c) FROM wide)
-"""
-
-QUERIES["event_funnel"] = q_event_funnel
-ORACLES["event_funnel"] = ORACLE_EVENT_FUNNEL
-
-
-def q_retention_cohorts(sf_dir: str):
-    """Weekly retention cohorts: users grouped by first-activity week
-    (integer epoch-week — no calendar ambiguity), counted as active per
-    week offset. Two grouped_agg passes (first week per user; distinct
-    user-week activity); the cohort × offset fold runs on the tiny
-    post-aggregation result."""
-    from hydra_ray.sources.store import ds_to_tables
-    from hydra_ray.stages.agg import grouped_agg
-
-    def weeks(t: pa.Table) -> pa.Table:
-        us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        wk = us // (86_400_000_000 * 7)
-        return pa.table({"user_id": t["user_id"], "week": pa.array(wk.astype(np.int64))})
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"]).map_batches(
-        weeks, batch_format="pyarrow"
-    ).materialize()
-    first = grouped_agg(ev, ["user_id"], [("week", "min", "cohort")])
-    active = grouped_agg(ev, ["user_id", "week"], [("week", "count", "_n")])
-
-    f = pa.concat_tables([t for t in ds_to_tables(first) if t.num_rows]).to_pandas()
-    a = pa.concat_tables([t for t in ds_to_tables(active) if t.num_rows]).to_pandas()
-    m = a.merge(f, on="user_id")
-    m["offset"] = (m["week"] - m["cohort"]).astype("int64")
-    out = (
-        m.groupby(["cohort", "offset"], sort=True)["user_id"]
-        .nunique()
-        .rename("n_users")
-        .reset_index()
-    )
-    out["n_users"] = out["n_users"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
-
-
-ORACLE_RETENTION_COHORTS = """
-    WITH wk AS (
-        SELECT user_id,
-               CAST(epoch_us(ts) AS BIGINT) // (86400000000 * 7) AS week
-        FROM events
-    ),
-    first AS (SELECT user_id, min(week) AS cohort FROM wk GROUP BY user_id)
-    SELECT cohort, week - cohort AS "offset", count(DISTINCT user_id) AS n_users
-    FROM wk JOIN first USING (user_id)
-    GROUP BY cohort, week - cohort
-"""
-
-QUERIES["retention_cohorts"] = q_retention_cohorts
-ORACLES["retention_cohorts"] = ORACLE_RETENTION_COHORTS
-
-
-def q_price_histogram(sf_dir: str):
-    """Fixed-width histogram of l_extendedprice (bin width 5000) —
-    integer-exact bin assignment, combiner partials, one tiny merge."""
-    from hydra_ray.stages.agg import grouped_agg
-
-    def bins(t: pa.Table) -> pa.Table:
-        x = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-        b = np.floor(x / 5000.0).astype(np.int64)
-        return pa.table({"bin": pa.array(b)})
-
-    return grouped_agg(
-        rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"]).map_batches(
-            bins, batch_format="pyarrow"
-        ),
-        ["bin"],
-        [("bin", "count", "n")],
-    )
-
-
-ORACLE_PRICE_HISTOGRAM = """
-    SELECT CAST(floor(l_extendedprice / 5000.0) AS BIGINT) AS bin, count(*) AS n
-    FROM lineitem GROUP BY 1
-"""
-
-QUERIES["price_histogram"] = q_price_histogram
-ORACLES["price_histogram"] = ORACLE_PRICE_HISTOGRAM
+_register("pmi_bigrams", q_pmi_bigrams, ORACLE_PMI_BIGRAMS)
 
 
 def q_bpe_encode(sf_dir: str):
@@ -4784,7 +3886,7 @@ def q_bpe_encode(sf_dir: str):
     return bpe_encode(docs, merges)
 
 
-QUERIES["bpe_encode"] = q_bpe_encode
+_register("bpe_encode", q_bpe_encode)
 
 
 def q_minhash_incremental(sf_dir: str):
@@ -4804,240 +3906,14 @@ def q_minhash_incremental(sf_dir: str):
     )
 
 
-QUERIES["minhash_incremental"] = q_minhash_incremental
-ORACLES["minhash_incremental"] = _minhash_oracle_sql(
-    threshold=0.5,
-    pair_cond="AND (CAST(x.doc_id AS BIGINT) % 5 = 0) <> (CAST(y.doc_id AS BIGINT) % 5 = 0)",
+_register(
+    "minhash_incremental",
+    q_minhash_incremental,
+    _minhash_oracle_sql(
+        threshold=0.5,
+        pair_cond="AND (CAST(x.doc_id AS BIGINT) % 5 = 0) <> (CAST(y.doc_id AS BIGINT) % 5 = 0)",
+    ),
 )
-
-
-def q_grouped_mode(sf_dir: str):
-    """Most-frequent event_type per user bucket (mode with count-desc /
-    value-asc tiebreak) — grouped_agg partials on (bucket, event_type),
-    then a vectorized rank on the combo-sized result."""
-    from hydra_ray.sources.store import ds_to_tables
-    from hydra_ray.stages.agg import grouped_agg
-
-    def mk(t: pa.Table) -> pa.Table:
-        b = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64) % 50
-        return pa.table({"bucket": pa.array(b), "event_type": t["event_type"]})
-
-    long = grouped_agg(
-        rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]).map_batches(
-            mk, batch_format="pyarrow"
-        ),
-        ["bucket", "event_type"],
-        [("event_type", "count", "n")],
-    )
-    t = pa.concat_tables([x for x in ds_to_tables(long) if x.num_rows]).to_pandas()
-    t = t.sort_values(["bucket", "n", "event_type"], ascending=[True, False, True], kind="mergesort")
-    out = t.drop_duplicates("bucket").rename(columns={"event_type": "mode_event"})
-    return pa.Table.from_pandas(out.reset_index(drop=True), preserve_index=False)
-
-
-ORACLE_GROUPED_MODE = """
-    SELECT bucket, mode_event, n FROM (
-        SELECT user_id % 50 AS bucket, event_type AS mode_event,
-               count(*) AS n,
-               row_number() OVER (PARTITION BY user_id % 50
-                                  ORDER BY count(*) DESC, event_type ASC) AS rn
-        FROM events GROUP BY 1, 2)
-    WHERE rn = 1
-"""
-
-QUERIES["grouped_mode"] = q_grouped_mode
-ORACLES["grouped_mode"] = ORACLE_GROUPED_MODE
-
-
-def q_price_outliers(sf_dir: str):
-    """IQR outlier flags: lineitems whose extendedprice falls outside
-    [q1 − 1.5·IQR, q3 + 1.5·IQR] of their l_returnflag group. Quantiles
-    come from grouped_stats (pandas linear interpolation == DuckDB
-    quantile_cont — proven parity); the per-group bounds broadcast and
-    the flag pass is shuffle-free. Returns per-group outlier counts."""
-    from hydra_ray.sources.store import ds_to_tables
-    from hydra_ray.stages.agg import grouped_agg, grouped_stats
-
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_returnflag", "l_extendedprice"]
-    ).materialize()
-    stats = pa.concat_tables(
-        [t for t in ds_to_tables(grouped_stats(li, "l_returnflag", "l_extendedprice", quantiles=(0.25, 0.75))) if t.num_rows]
-    ).to_pandas()
-    bounds = {}
-    for r in stats.itertuples(index=False):
-        q1, q3 = r.q25, r.q75
-        iqr = q3 - q1
-        bounds[r.l_returnflag] = (q1 - 1.5 * iqr, q3 + 1.5 * iqr)
-    import ray
-
-    b_ref = ray.put(bounds)
-
-    def flag(t: pa.Table) -> pa.Table:
-        bd = ray.get(b_ref)
-        flags = np.zeros(len(t), dtype=bool)
-        keys = t["l_returnflag"].to_numpy(zero_copy_only=False)
-        x = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-        for k, (lo, hi) in bd.items():
-            m = keys == k
-            flags[m] = (x[m] < lo) | (x[m] > hi)
-        return pa.table({"l_returnflag": t["l_returnflag"], "is_outlier": pa.array(flags)})
-
-    return grouped_agg(
-        li.map_batches(flag, batch_format="pyarrow"),
-        ["l_returnflag"],
-        [("is_outlier", "count", "n_rows"), ("is_outlier", "sum", "n_outliers")],
-    )
-
-
-ORACLE_PRICE_OUTLIERS = """
-    WITH q AS (
-        SELECT l_returnflag,
-               quantile_cont(l_extendedprice, 0.25) AS q1,
-               quantile_cont(l_extendedprice, 0.75) AS q3
-        FROM lineitem GROUP BY l_returnflag
-    )
-    SELECT l.l_returnflag, count(*) AS n_rows,
-           CAST(sum(CASE WHEN l.l_extendedprice < q1 - 1.5 * (q3 - q1)
-                           OR l.l_extendedprice > q3 + 1.5 * (q3 - q1)
-                         THEN 1 ELSE 0 END) AS BIGINT) AS n_outliers
-    FROM lineitem l JOIN q USING (l_returnflag)
-    GROUP BY l.l_returnflag
-"""
-
-QUERIES["price_outliers"] = q_price_outliers
-ORACLES["price_outliers"] = ORACLE_PRICE_OUTLIERS
-
-
-def q_daily_active_users(sf_dir: str):
-    """DAU: distinct users per epoch-day. Two grouped_agg passes — the
-    first dedups (day, user) pairs (one row per pair per block over the
-    wire), the second counts pairs per day. No row-level shuffle."""
-    from hydra_ray.stages.agg import grouped_agg
-
-    def days(t: pa.Table) -> pa.Table:
-        us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "day": pa.array((us // 86_400_000_000).astype(np.int64)),
-                "user_id": t["user_id"],
-            }
-        )
-
-    pairs = grouped_agg(
-        rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"]).map_batches(
-            days, batch_format="pyarrow"
-        ),
-        ["day", "user_id"],
-        [("user_id", "count", "_n")],
-    )
-    return grouped_agg(pairs, ["day"], [("user_id", "count", "dau")])
-
-
-ORACLE_DAILY_ACTIVE_USERS = """
-    SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-           count(DISTINCT user_id) AS dau
-    FROM events GROUP BY 1
-"""
-
-QUERIES["daily_active_users"] = q_daily_active_users
-ORACLES["daily_active_users"] = ORACLE_DAILY_ACTIVE_USERS
-
-
-def q_monthly_order_growth(sf_dir: str):
-    """Orders per epoch-month (30-day buckets) with month-over-month
-    delta — grouped_agg partials plus a months-sized driver fold."""
-    from hydra_ray.sources.store import ds_to_tables
-    from hydra_ray.stages.agg import grouped_agg
-
-    def months(t: pa.Table) -> pa.Table:
-        us = pc.cast(t["o_orderdate"], pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table({"month": pa.array((us // (86_400_000_000 * 30)).astype(np.int64))})
-
-    counts = grouped_agg(
-        rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_orderdate"]).map_batches(
-            months, batch_format="pyarrow"
-        ),
-        ["month"],
-        [("month", "count", "n_orders")],
-    )
-    t = pa.concat_tables([x for x in ds_to_tables(counts) if x.num_rows]).to_pandas()
-    t = t.sort_values("month").reset_index(drop=True)
-    prev = t["n_orders"].shift(1)
-    t["delta"] = (t["n_orders"] - prev).fillna(0).astype("int64")
-    # growth vs previous month; NaN (first month) → emit as float64 NaN
-    t["growth"] = np.where(
-        prev.notna() & (prev > 0),
-        np.floor(np.abs(t["n_orders"] / prev) * 1e6 + 0.5) / 1e6,
-        np.nan,
-    )
-    return pa.Table.from_pandas(t, preserve_index=False)
-
-
-ORACLE_MONTHLY_ORDER_GROWTH = """
-    WITH m AS (
-        SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // (86400000000 * 30) AS month,
-               count(*) AS n_orders
-        FROM orders GROUP BY 1
-    )
-    SELECT month, n_orders,
-           CAST(COALESCE(n_orders - lag(n_orders) OVER (ORDER BY month), 0) AS BIGINT) AS delta,
-           round(n_orders * 1.0 / lag(n_orders) OVER (ORDER BY month), 6) AS growth
-    FROM m
-"""
-
-QUERIES["monthly_order_growth"] = q_monthly_order_growth
-ORACLES["monthly_order_growth"] = ORACLE_MONTHLY_ORDER_GROWTH
-
-
-def q_brand_nation_volume(sf_dir: str):
-    """Three-way star join: lineitem volume by part brand × supplier
-    nation. Both dimension sides (part keys→brand, supplier→nation
-    name) broadcast once via ray.put and attach with vectorized
-    pc.index_in inside one lineitem pass; the aggregate is grouped_agg
-    partials. Sum of l_quantity is integral-valued — exact at any
-    order."""
-    from hydra_ray.stages.agg import grouped_agg
-
-    part = rd.read_parquet(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"]).to_pandas()
-    supp = rd.read_parquet(f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]).to_pandas()
-    nation = rd.read_parquet(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]).to_pandas()
-    supp = supp.merge(nation, left_on="s_nationkey", right_on="n_nationkey")
-    pk = pa.array(part["p_partkey"].to_numpy())
-    pb = pa.array(part["p_brand"].to_numpy(), pa.string())
-    sk = pa.array(supp["s_suppkey"].to_numpy())
-    sn = pa.array(supp["n_name"].to_numpy(), pa.string())
-    dims_ref = ray.put((pk, pb, sk, sn))
-
-    def attach(t: pa.Table) -> pa.Table:
-        pkk, pbb, skk, snn = ray.get(dims_ref)
-        brand = pbb.take(pc.index_in(t["l_partkey"].combine_chunks(), value_set=pkk))
-        nat = snn.take(pc.index_in(t["l_suppkey"].combine_chunks(), value_set=skk))
-        return pa.table(
-            {"p_brand": brand, "n_name": nat, "l_quantity": t["l_quantity"]}
-        )
-
-    return grouped_agg(
-        rd.read_parquet(
-            f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey", "l_quantity"]
-        ).map_batches(attach, batch_format="pyarrow"),
-        ["p_brand", "n_name"],
-        [("l_quantity", "count", "n_items"), ("l_quantity", "sum", "sum_qty")],
-    )
-
-
-ORACLE_BRAND_NATION_VOLUME = """
-    SELECT p.p_brand, n.n_name,
-           count(*) AS n_items, sum(l.l_quantity) AS sum_qty
-    FROM lineitem l
-    JOIN part p ON p.p_partkey = l.l_partkey
-    JOIN supplier s ON s.s_suppkey = l.l_suppkey
-    JOIN nation n ON n.n_nationkey = s.s_nationkey
-    GROUP BY p.p_brand, n.n_name
-"""
-
-QUERIES["brand_nation_volume"] = q_brand_nation_volume
-ORACLES["brand_nation_volume"] = ORACLE_BRAND_NATION_VOLUME
 
 
 def q_webp_roundtrip(sf_dir: str):
@@ -5102,8 +3978,7 @@ ORACLE_WEBP_ROUNDTRIP = """
     WHERE p0.k = 0
 """
 
-QUERIES["webp_roundtrip"] = q_webp_roundtrip
-ORACLES["webp_roundtrip"] = ORACLE_WEBP_ROUNDTRIP
+_register("webp_roundtrip", q_webp_roundtrip, ORACLE_WEBP_ROUNDTRIP)
 
 
 def q_jpeg_progressive(sf_dir: str):
@@ -5159,8 +4034,7 @@ ORACLE_JPEG_PROGRESSIVE = """
     SELECT doc_id, round(m, 6) AS jp_mean, CAST(s AS BIGINT) AS jp_chk FROM px
 """
 
-QUERIES["jpeg_progressive"] = q_jpeg_progressive
-ORACLES["jpeg_progressive"] = ORACLE_JPEG_PROGRESSIVE
+_register("jpeg_progressive", q_jpeg_progressive, ORACLE_JPEG_PROGRESSIVE)
 
 
 def q_jaccard_join_salted(sf_dir: str):
@@ -5217,8 +4091,7 @@ ORACLE_JACCARD_JOIN_SALTED = r"""
     WHERE i * 1.0 / (sa.s + sb.s - i) >= 0.95
 """
 
-QUERIES["jaccard_join_salted"] = q_jaccard_join_salted
-ORACLES["jaccard_join_salted"] = ORACLE_JACCARD_JOIN_SALTED
+_register("jaccard_join_salted", q_jaccard_join_salted, ORACLE_JACCARD_JOIN_SALTED)
 
 
 def q_flac_roundtrip(sf_dir: str):
@@ -5278,8 +4151,7 @@ ORACLE_FLAC_ROUNDTRIP = """
     FROM s GROUP BY doc_id
 """
 
-QUERIES["flac_roundtrip"] = q_flac_roundtrip
-ORACLES["flac_roundtrip"] = ORACLE_FLAC_ROUNDTRIP
+_register("flac_roundtrip", q_flac_roundtrip, ORACLE_FLAC_ROUNDTRIP)
 
 
 def _crawl_checks_oracle() -> str:
@@ -5423,7 +4295,7 @@ ORDER BY id
 """
 
 
-ORACLES["crawl_checks"] = _crawl_checks_oracle()
+_register("crawl_checks", q_crawl_checks, _crawl_checks_oracle())
 
 
 def q_span_dedup(sf_dir: str):
@@ -5469,8 +4341,7 @@ ORACLE_SPAN_DEDUP = f"""
     FROM marked WHERE keep
 """
 
-QUERIES["span_dedup"] = q_span_dedup
-ORACLES["span_dedup"] = ORACLE_SPAN_DEDUP
+_register("span_dedup", q_span_dedup, ORACLE_SPAN_DEDUP)
 
 
 def q_interleave_pack(sf_dir: str):
@@ -5522,8 +4393,7 @@ ORACLE_INTERLEAVE_PACK = f"""
     SELECT doc_id, off AS "offset", kind, tok AS tok_cost, seq AS seq_id FROM state
 """
 
-QUERIES["interleave_pack"] = q_interleave_pack
-ORACLES["interleave_pack"] = ORACLE_INTERLEAVE_PACK
+_register("interleave_pack", q_interleave_pack, ORACLE_INTERLEAVE_PACK)
 
 
 def q_span_stats(sf_dir: str):
@@ -5581,8 +4451,7 @@ def _oracle_span_stats() -> str:
 """
 
 
-QUERIES["span_stats"] = q_span_stats
-ORACLES["span_stats"] = _oracle_span_stats()
+_register("span_stats", q_span_stats, _oracle_span_stats())
 
 
 def q_interleaved_shards(sf_dir: str):
@@ -5654,8 +4523,7 @@ def _oracle_interleaved_shards(n_shards: int = 8, seed: int = 1234) -> str:
 """
 
 
-QUERIES["interleaved_shards"] = q_interleaved_shards
-ORACLES["interleaved_shards"] = _oracle_interleaved_shards()
+_register("interleaved_shards", q_interleaved_shards, _oracle_interleaved_shards())
 
 
 def q_span_dedup_incremental(sf_dir: str):
@@ -5723,8 +4591,7 @@ ORACLE_SPAN_DEDUP_INCREMENTAL = f"""
     FROM marked WHERE keep
 """
 
-QUERIES["span_dedup_incremental"] = q_span_dedup_incremental
-ORACLES["span_dedup_incremental"] = ORACLE_SPAN_DEDUP_INCREMENTAL
+_register("span_dedup_incremental", q_span_dedup_incremental, ORACLE_SPAN_DEDUP_INCREMENTAL)
 
 
 def q_span_near_dup(sf_dir: str):
@@ -5779,8 +4646,7 @@ def _oracle_span_near_dup(threshold: float = 0.5) -> str:
 """
 
 
-QUERIES["span_near_dup"] = q_span_near_dup
-ORACLES["span_near_dup"] = _oracle_span_near_dup()
+_register("span_near_dup", q_span_near_dup, _oracle_span_near_dup())
 
 
 def q_parse_lifecycle(sf_dir: str):
@@ -5972,5 +4838,4 @@ ORDER BY o.url
 """
 
 
-QUERIES["parse_lifecycle"] = q_parse_lifecycle
-ORACLES["parse_lifecycle"] = ORACLE_PARSE_LIFECYCLE
+_register("parse_lifecycle", q_parse_lifecycle, ORACLE_PARSE_LIFECYCLE)

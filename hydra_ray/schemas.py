@@ -1,91 +1,13 @@
-"""Arrow schemas for the engine's tables.
+"""Arrow types shared across stages.
 
-Column sets mirror the reference's SQL migrations (catalog/checks:
-migrations/main/20221205_initial_up_rev1.sql and later revisions — see
-SURVEY.md §1.1) plus the engine-side columns (url_md5/url_key/domain
-from the canonicalize stage, tier/rank from the frontier). The
-interleaved documents table follows BASELINE.json ``input_hint``.
+``SPAN_STRUCT`` is one element of the interleaved documents table's
+``spans`` list (BASELINE.json ``input_hint``): a text or media span
+and its offset.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
-
-TS = pa.timestamp("us")
-
-# Catalog / frontier checkpoint: one row per (dataset, resource, url), carrying
-# the latest-check columns forward so steady-state change detection needs no
-# join (SURVEY.md §2.4 J1/J2 note).
-CATALOG_SCHEMA = pa.schema(
-    [
-        ("dataset_id", pa.string()),
-        ("resource_id", pa.string()),
-        ("url", pa.string()),
-        ("type", pa.string()),
-        ("format", pa.string()),
-        ("title", pa.string()),
-        ("deleted", pa.bool_()),
-        ("priority", pa.bool_()),
-        ("status", pa.string()),
-        ("status_since", TS),
-        ("harvest_modified_at", TS),
-        # derived by the canonicalize stage
-        ("domain", pa.string()),
-        ("url_md5", pa.string()),
-        ("url_key", pa.int64()),
-        # latest-check columns carried on the frontier row
-        ("last_check_id", pa.int64()),
-        ("last_check_at", TS),
-        ("last_status", pa.int32()),
-        ("last_timeout", pa.bool_()),
-        ("last_error", pa.string()),
-        ("last_headers", pa.string()),  # JSON string (parity with reference JSONB)
-        ("last_cors_headers", pa.string()),
-        ("last_checksum", pa.string()),
-        ("last_filesize", pa.int64()),
-        ("last_mime_type", pa.string()),
-        ("detected_last_modified_at", TS),
-        ("next_check_at", TS),
-    ]
-)
-
-# Append-only checks log (reference `checks` table).
-CHECKS_SCHEMA = pa.schema(
-    [
-        ("id", pa.int64()),
-        ("resource_id", pa.string()),
-        ("dataset_id", pa.string()),
-        ("url", pa.string()),
-        ("domain", pa.string()),
-        ("created_at", TS),
-        ("status", pa.int32()),
-        ("headers", pa.string()),  # JSON
-        ("cors_headers", pa.string()),  # JSON
-        ("timeout", pa.bool_()),
-        ("response_time", pa.float64()),
-        ("error", pa.string()),
-        ("checksum", pa.string()),
-        ("filesize", pa.int64()),
-        ("mime_type", pa.string()),
-        ("analysis_error", pa.string()),
-        ("detected_last_modified_at", TS),
-        # parse/export lifecycle (reference migrations: 20221205 initial
-        # parsing_* columns; 20241021 parquet; 20250130 pmtiles;
-        # 20250615 geojson; 20260202 wfs/ogc metadata)
-        ("parsing_error", pa.string()),
-        ("parsing_table", pa.string()),
-        ("parsing_started_at", TS),
-        ("parsing_finished_at", TS),
-        ("ogc_metadata", pa.string()),  # JSON
-        ("parquet_url", pa.string()),
-        ("parquet_size", pa.int64()),
-        ("geojson_url", pa.string()),
-        ("geojson_size", pa.int64()),
-        ("pmtiles_url", pa.string()),
-        ("pmtiles_size", pa.int64()),
-        ("next_check_at", TS),
-    ]
-)
 
 SPAN_STRUCT = pa.struct(
     [
@@ -93,23 +15,5 @@ SPAN_STRUCT = pa.struct(
         ("text", pa.string()),
         ("media_ref", pa.string()),
         ("offset", pa.int32()),
-    ]
-)
-
-# Interleaved text+media documents (BASELINE.json input_hint).
-DOCUMENTS_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.string()),
-        ("spans", pa.list_(SPAN_STRUCT)),
-    ]
-)
-
-METRICS_SCHEMA = pa.schema(
-    [
-        ("iteration", pa.int64()),
-        ("partition", pa.int32()),
-        ("metric", pa.string()),
-        ("value", pa.float64()),
-        ("created_at", TS),
     ]
 )

@@ -167,7 +167,8 @@ class _SstCursor:
     """Reads XLUnicodeStrings from an SST record + its CONTINUE chunks.
 
     Character payloads split at a chunk boundary restart with a fresh
-    option byte (MS-XLS 2.5.293); counts/runs/ext bytes continue raw."""
+    option byte (MS-XLS 2.5.293); counts/runs/ext bytes continue raw.
+    ``cch`` counts UTF-16 code units."""
 
     def __init__(self, chunks: list[bytes]):
         self.chunks = chunks
@@ -205,38 +206,35 @@ class _SstCursor:
             (n_runs,) = struct.unpack("<H", self.read_raw(2))
         if grbit & 0x04:  # fExtSt
             (cb_ext,) = struct.unpack("<i", self.read_raw(4))
-        parts: list[str] = []
+        # gathered as UTF-16LE and decoded once, so a surrogate pair split
+        # between chunks still decodes
+        units = bytearray()
         remaining = cch
         while remaining:
-            if not self._advance():
-                raise ValueError("truncated SST string")
-            chunk = self.chunks[self.ci]
-            avail = len(chunk) - self.off
-            if avail == 0:
-                continue
-            width = 2 if high else 1
-            take = min(remaining, avail // width)
-            if take == 0:
-                # char payload split with an odd byte left — per spec the
-                # writer splits at char boundaries; skip to next chunk
-                self.ci += 1
-                self.off = 0
-                high = self.read_raw(1)[0] & 0x01
-                continue
-            raw = chunk[self.off : self.off + take * width]
-            self.off += take * width
-            parts.append(raw.decode("utf-16le" if high else "latin-1"))
-            remaining -= take
-            if remaining and self.off >= len(chunk):
+            if self.ci >= len(self.chunks) or self.off >= len(self.chunks[self.ci]):
                 # continued into the next chunk: fresh option byte
                 self.ci += 1
                 self.off = 0
+                if self.ci >= len(self.chunks):
+                    raise ValueError("truncated SST string")
                 high = self.read_raw(1)[0] & 0x01
+                continue
+            chunk = self.chunks[self.ci]
+            width = 2 if high else 1
+            take = min(remaining, (len(chunk) - self.off) // width)
+            if take == 0:
+                # an odd byte left: the writer splits at char boundaries
+                self.off = len(chunk)
+                continue
+            raw = chunk[self.off : self.off + take * width]
+            self.off += take * width
+            units += raw if high else raw.decode("latin-1").encode("utf-16le")
+            remaining -= take
         if n_runs:
             self.read_raw(4 * n_runs)
         if cb_ext:
             self.read_raw(cb_ext)
-        return "".join(parts)
+        return units.decode("utf-16le")
 
 
 def _parse_sst(chunks: list[bytes]) -> list[str]:
@@ -428,17 +426,20 @@ def _rec(op: int, payload: bytes) -> bytes:
 
 
 def _ser_string(s: str) -> bytes:
-    """XLUnicodeString (16-bit cch) for SST / inline use."""
+    """XLUnicodeString (16-bit cch, in UTF-16 code units) for SST /
+    inline use."""
     try:
         raw = s.encode("latin-1")
-        return struct.pack("<HB", len(s), 0) + raw
+        return struct.pack("<HB", len(raw), 0) + raw
     except UnicodeEncodeError:
-        return struct.pack("<HB", len(s), 1) + s.encode("utf-16le")
+        raw = s.encode("utf-16le")
+        return struct.pack("<HB", len(raw) // 2, 1) + raw
 
 
 def _build_sst(strings: list[str]) -> bytes:
     """SST record (+ CONTINUE records), splitting character payloads at
-    chunk boundaries with a re-emitted option byte when needed."""
+    chunk boundaries with a re-emitted option byte when needed; a split
+    never falls inside a surrogate pair."""
     records: list[bytearray] = [bytearray(struct.pack("<ii", len(strings), len(strings)))]
 
     def room() -> int:
@@ -458,9 +459,12 @@ def _build_sst(strings: list[str]) -> bytes:
         records[-1] += ser[:3]
         body = ser[3:]
         while body:
-            if room() < width:
-                records.append(bytearray([high]))
             take = (min(len(body), room()) // width) * width
+            if width == 2 and 0 < take < len(body) and 0xD8 <= body[take - 1] <= 0xDB:
+                take -= 2  # a high surrogate stays with its low half
+            if not take:
+                records.append(bytearray([high]))
+                continue
             records[-1] += body[:take]
             body = body[take:]
     out = _rec(_SST, bytes(records[0]))

@@ -92,94 +92,6 @@ def _empty_final(keys: list[str], aggs: list[tuple[str, str, str]]) -> pa.Table:
     return pa.table(fields)
 
 
-def windowed_agg(
-    ds: "rd.Dataset",
-    t_col: str,
-    window_us: int,
-    aggs: list[tuple[str, str, str]],
-    keys: tuple[str, ...] = (),
-    slide_us: int | None = None,
-) -> "rd.Dataset":
-    """Tumbling / sliding time-window aggregation.
-
-    Tumbling (slide_us=None): each row is assigned floor(t/window) —
-    one vectorized map_batches, then the partial-agg grouped_agg path
-    (one partial row per (window, key, block) crosses the shuffle).
-
-    Sliding (window = m × slide): each row is replicated onto the m
-    windows containing it (starts floor(t/slide)-j for j<m) — the
-    standard m× expansion, still fully vectorized and still
-    pre-aggregated per block before the shuffle. window_us must be a
-    multiple of slide_us."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    if slide_us is not None and window_us % slide_us:
-        raise ValueError("window_us must be a multiple of slide_us")
-    m = 1 if slide_us is None else window_us // slide_us
-    step = window_us if slide_us is None else slide_us
-
-    def assign(t: pa.Table) -> pa.Table:
-        us = pc.cast(t[t_col], pa.int64()).to_numpy(zero_copy_only=False)
-        if m == 1:
-            starts = (us // step) * step
-            out = t
-        else:
-            idx = np.repeat(np.arange(len(us), dtype=np.int64), m)
-            j = np.tile(np.arange(m, dtype=np.int64), len(us))
-            starts = (us[idx] // step - j) * step
-            out = t.take(pa.array(idx))
-        return out.append_column(
-            "window_start", pa.array(starts).cast(pa.timestamp("us"))
-        )
-
-    assigned = ds.map_batches(assign, batch_format="pyarrow")
-    return grouped_agg(assigned, keys=["window_start", *keys], aggs=aggs)
-
-
-def grouped_stats(
-    ds: "rd.Dataset",
-    key: str,
-    value_col: str,
-    quantiles: tuple[float, ...] = (0.5, 0.9),
-    distinct_col: str | None = None,
-    num_parts: int = 32,
-) -> "rd.Dataset":
-    """Per-key order statistics + exact distinct counts — the aggregate
-    shapes grouped_agg's mergeable partials can't express. One keyed
-    shuffle co-locates each key; quantiles/nunique run vectorized per
-    partition (pandas groupby). Quantile semantics = linear
-    interpolation (pandas default == DuckDB quantile_cont).
-
-    At 100 TB exact per-key quantiles require the key's rows in one
-    partition (num_parts sizes that); a t-digest partial would relax
-    this at the cost of exactness — out of scope while the oracle
-    demands bit-parity."""
-    import pandas as pd
-
-    from hydra_ray.stages.keyed import keyed_map_partitions
-
-    def stats(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for k, g in df.groupby(key, sort=False):
-            row = {key: k, "n": len(g)}
-            for q in quantiles:
-                row[f"q{int(q * 100)}"] = round(float(g[value_col].quantile(q)), 6)
-            if distinct_col is not None:
-                row["n_distinct"] = int(g[distinct_col].nunique())
-            rows.append(row)
-        if not rows:
-            cols = {key: pd.Series(dtype="object"), "n": pd.Series(dtype="int64")}
-            for q in quantiles:
-                cols[f"q{int(q * 100)}"] = pd.Series(dtype="float64")
-            if distinct_col is not None:
-                cols["n_distinct"] = pd.Series(dtype="int64")
-            return pd.DataFrame(cols)
-        return pd.DataFrame(rows)
-
-    return keyed_map_partitions(ds, [key], stats, num_parts=num_parts)
-
-
 def _floor_log2_u64(x):
     """Exact vectorized floor(log2(x)) for uint64 (0 stays 0)."""
     import numpy as np
@@ -191,208 +103,6 @@ def _floor_log2_u64(x):
         y = np.where(mask, y >> np.uint64(s), y)
         bl += s * mask.astype(np.int64)
     return bl
-
-
-def hll_registers(
-    ds: "rd.Dataset",
-    key: str,
-    col: str,
-    p: int = 6,
-) -> "rd.Dataset":
-    """HyperLogLog register table per key: (key, register, max_rank).
-
-    The mergeable-sketch shape for approximate distinct counting at
-    100 TB: each block contributes at most ``2^p`` rows per key to the
-    shuffle (register maxima merge with max), so the exchange volume is
-    O(keys × m), independent of row count. Hash = splitmix64 (the
-    engine's shared SQL-reproducible mixer), register = top p bits,
-    rank = leading-zero count of the remaining 64-p bits + 1 — integer
-    outputs, so the DuckDB oracle is bit-exact. ``hll_estimate`` turns
-    the registers into the cardinality estimate."""
-    import numpy as np
-
-    from hydra_ray.functions.hashing import _mix64
-
-    mask64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    key: pa.array([], type=t.schema.field(key).type),
-                    "register": pa.array([], type=pa.int64()),
-                    "rank": pa.array([], type=pa.int64()),
-                }
-            )
-        vals = t[col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = _mix64(vals)
-        reg = (h >> np.uint64(64 - p)).astype(np.int64)
-        rest = (h << np.uint64(p)) & mask64
-        rank = np.where(rest == 0, 64 - p + 1, 64 - _floor_log2_u64(rest)).astype(np.int64)
-        g = (
-            pa.table({key: t[key], "register": pa.array(reg), "rank": pa.array(rank)})
-            .group_by([key, "register"])
-            .aggregate([("rank", "max")])
-        )
-        return g.rename_columns([key, "register", "rank"])
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return grouped_agg(partials, keys=[key, "register"], aggs=[("rank", "max", "max_rank")])
-
-
-def hll_estimate(registers, p: int = 6) -> dict:
-    """Register table (key, register, max_rank) → {key: estimated
-    cardinality} with the standard HyperLogLog bias corrections."""
-    import math
-
-    import pandas as pd
-
-    if not isinstance(registers, pd.DataFrame):
-        registers = registers.to_pandas()
-    m = 1 << p
-    alpha = {16: 0.673, 32: 0.697, 64: 0.709}.get(m, 0.7213 / (1 + 1.079 / m))
-    out = {}
-    key_col = [c for c in registers.columns if c not in ("register", "max_rank")][0]
-    for k, g in registers.groupby(key_col, sort=False):
-        ranks = dict(zip(g["register"], g["max_rank"]))
-        s = sum(2.0 ** -ranks.get(j, 0) for j in range(m))
-        est = alpha * m * m / s
-        zeros = m - len(ranks)
-        if est <= 2.5 * m and zeros:
-            est = m * math.log(m / zeros)
-        out[k] = est
-    return out
-
-
-CMS_SEEDS = (1000003, 10007, 2003, 31)
-
-
-def cms_counts(
-    ds: "rd.Dataset",
-    col: str,
-    width: int = 256,
-    seeds: tuple[int, ...] = CMS_SEEDS,
-) -> "rd.Dataset":
-    """Count-min sketch counters: (d, w, count) with
-    w = splitmix64(value + seed_d) % width.
-
-    The other mergeable sketch (heavy hitters at 100 TB): counters
-    merge by SUM, so each block contributes ≤ depth × width rows to the
-    shuffle regardless of row count — the grouped_agg partial/combiner
-    path does the merge. Counters are integers, so the DuckDB oracle is
-    bit-exact; ``cms_estimate`` answers point queries (min over rows,
-    the standard overestimate-only guarantee)."""
-    import numpy as np
-
-    from hydra_ray.functions.hashing import _mix64
-
-    def partial(t: pa.Table) -> pa.Table:
-        vals = t[col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        ds_out, ws, cs = [], [], []
-        for d, seed in enumerate(seeds):
-            w = (_mix64(vals + np.uint64(seed)) % np.uint64(width)).astype(np.int64)
-            counts = np.bincount(w, minlength=width)
-            nz = np.nonzero(counts)[0]
-            ds_out.append(np.full(len(nz), d, dtype=np.int64))
-            ws.append(nz.astype(np.int64))
-            cs.append(counts[nz].astype(np.int64))
-        return pa.table(
-            {
-                "d": pa.array(np.concatenate(ds_out) if ds_out else []),
-                "w": pa.array(np.concatenate(ws) if ws else []),
-                "c": pa.array(np.concatenate(cs) if cs else []),
-            }
-        )
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return grouped_agg(partials, keys=["d", "w"], aggs=[("c", "sum", "count")])
-
-
-def sampled_quantiles(
-    ds: "rd.Dataset",
-    key: str,
-    value_col: str,
-    id_col: str,
-    k: int = 64,
-    quantiles: tuple[float, ...] = (0.5, 0.9),
-    seed: int = 0,
-    num_parts: int = 32,
-) -> "rd.Dataset":
-    """Approximate per-key quantiles from a bottom-k hash sample.
-
-    The mergeable alternative to ``grouped_stats``'s exact order
-    statistics: each key keeps the ``k`` rows whose
-    ``splitmix64(id + seed)`` rank is smallest — a bottom-k sketch, so
-    partials merge by re-applying keep-k and each block contributes at
-    most ``k`` rows per key to the exchange (O(keys × k) volume at
-    100 TB, independent of row count — ``grouped_stats`` needs every
-    row of a key in one partition). The hash ranks are a uniform
-    permutation of the key's rows, so the sample quantile estimates the
-    true quantile with order-statistic error O(1/sqrt(k)). The rank is
-    a pure function of the row id — deterministic and
-    parallelism-invariant — so the DuckDB oracle reproduces the exact
-    sample with QUALIFY row_number() OVER (ORDER BY mix64, id) <= k.
-
-    Output: one row per key — (key, n, n_sample, q50, q90, ...) with
-    ``n`` the EXACT total row count (block counts piggyback on the
-    sample rows, no second pass over the input)."""
-    import numpy as np
-    import pandas as pd
-
-    from hydra_ray.functions.hashing import _mix64
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    key: pd.Series(dtype=df[key].dtype if key in df else "object"),
-                    value_col: pd.Series(dtype="float64"),
-                    id_col: pd.Series(dtype="int64"),
-                    "_r": pd.Series(dtype="uint64"),
-                    "_cnt": pd.Series(dtype="int64"),
-                }
-            )
-        r = _mix64(df[id_col].to_numpy().astype(np.uint64) + np.uint64(seed))
-        out = df[[key, value_col, id_col]].assign(_r=r)
-        out = out.sort_values(["_r", id_col], kind="mergesort")
-        samp = out.groupby(key, sort=False).head(k).copy()
-        # exact per-key batch counts ride on the first sample row of
-        # each key (every key with rows emits >=1 sample row)
-        counts = df.groupby(key, sort=False).size()
-        first = ~samp[key].duplicated()
-        cnt = np.zeros(len(samp), dtype=np.int64)
-        cnt[first.to_numpy()] = counts.loc[samp.loc[first, key]].to_numpy()
-        samp["_cnt"] = cnt
-        return samp
-
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            cols = {key: pd.Series(dtype="object"), "n": pd.Series(dtype="int64"),
-                    "n_sample": pd.Series(dtype="int64")}
-            for q in quantiles:
-                cols[f"q{int(q * 100)}"] = pd.Series(dtype="float64")
-            return pd.DataFrame(cols)
-        n = df.groupby(key, sort=False)["_cnt"].sum()
-        samp = df.sort_values(["_r", id_col], kind="mergesort").groupby(key, sort=False).head(k)
-        g = samp.groupby(key, sort=False)[value_col]
-        out = pd.DataFrame({key: n.index, "n": n.to_numpy(), "n_sample": g.size().loc[n.index].to_numpy()})
-        for q in quantiles:
-            out[f"q{int(q * 100)}"] = g.quantile(q).loc[n.index].round(6).to_numpy()
-        return out
-
-    partials = ds.map_batches(partial, batch_format="pandas")
-
-    from hydra_ray.sources.store import ds_to_tables
-
-    tables = [t for t in ds_to_tables(partials) if t.num_rows]
-    if not tables:
-        return rd.from_pandas(finalize(pd.DataFrame()))
-    merged = pa.concat_tables(tables, promote_options="default")
-    if merged.num_rows <= DRIVER_MERGE_ROWS:
-        return rd.from_pandas(finalize(merged.to_pandas()))
-    from hydra_ray.stages.keyed import keyed_map_partitions
-
-    return keyed_map_partitions(rd.from_arrow(merged), [key], finalize, num_parts=num_parts)
 
 
 def tdigest_centroids(
@@ -487,34 +197,12 @@ def tdigest_quantile(centroids, key_col: str, qs: tuple[float, ...]) -> "object"
     return pd.DataFrame(rows)
 
 
-def cms_estimate(counters, items, width: int = 256, seeds: tuple[int, ...] = CMS_SEEDS) -> dict:
-    """Point-query the sketch: {item: estimated count} (min over the
-    depth rows; never underestimates)."""
-    import numpy as np
-    import pandas as pd
-
-    from hydra_ray.functions.hashing import _mix64
-
-    if not isinstance(counters, pd.DataFrame):
-        counters = counters.to_pandas()
-    table = {(int(r.d), int(r.w)): int(r.count) for r in counters.itertuples(index=False)}
-    out = {}
-    arr = np.asarray(items, dtype=np.uint64)
-    w64 = np.uint64(width)  # NB: uint64 % python-int promotes to float64
-    for i, item in enumerate(items):
-        est = min(
-            table.get((d, int(_mix64(arr[i : i + 1] + np.uint64(seed))[0] % w64)), 0)
-            for d, seed in enumerate(seeds)
-        )
-        out[item] = est
-    return out
-
-
 def _hll_fold(vals: "np.ndarray", p: int) -> tuple["np.ndarray", "np.ndarray"]:
-    """uint64 values → (register, max_rank) arrays, one row per occupied
-    register — the same splitmix64 / top-p-bits / lzcnt+1 construction
-    as `hll_registers`, factored out so table_profile's block-side and
-    driver-side (exact-uniques conversion) paths are bit-identical."""
+    """uint64 values → HyperLogLog (register, max_rank) arrays, one row
+    per occupied register: splitmix64 hash, register = top p bits, rank
+    = leading zeros of the remaining bits + 1. table_profile's
+    block-side and driver-side (exact-uniques conversion) paths both
+    fold through here, so they are bit-identical."""
     import numpy as np
 
     from hydra_ray.functions.hashing import _mix64
@@ -568,7 +256,7 @@ def table_profile(
 
     High-cardinality auto-route (the 100-TB path): a block whose unique
     count for a column exceeds ``distinct_cap`` ships the mergeable HLL
-    register table (2^hll_p rows max — `hll_registers` machinery)
+    register table (2^hll_p rows max, built by ``_hll_fold``)
     instead of the uniques list, bounding both wire and driver memory
     per (column, block). If ANY block routed a column to HLL, the other
     blocks' (bounded) exact lists are folded into registers driver-side
@@ -700,53 +388,3 @@ def table_profile(
             "max_val": pa.array(out["max_val"], type=pa.float64()),
         }
     )
-
-
-def rollup_agg(
-    ds: "rd.Dataset",
-    keys: list[str],
-    aggs: list[tuple[str, str, str]],
-) -> pa.Table:
-    """ROLLUP(keys): aggregates at every prefix level of ``keys`` —
-    (k1..kn), (k1..kn-1), …, () — with rolled-up key columns null, like
-    SQL GROUP BY ROLLUP.
-
-    Scale shape: the DATA is touched exactly once — the finest level
-    runs through `grouped_agg` (per-block combiner partials, one row
-    per key-combo per block over the wire); every coarser level is
-    re-aggregated from the previous level\'s RESULT (cardinality =
-    distinct key combos, not rows) with Arrow\'s C++ group_by on the
-    driver. Supported fns: sum/count/min/max (count partials re-merge
-    with sum).
-    """
-    import pyarrow.compute as pc
-
-    from hydra_ray.sources.store import ds_to_tables
-
-    parts = [t for t in ds_to_tables(grouped_agg(ds, keys, aggs)) if t.num_rows]
-    if not parts:
-        return pa.table({})
-    finest = pa.concat_tables(parts, promote_options="default").combine_chunks()
-    rename = {f"{out}_{_MERGE_FN[fn]}": out for _, fn, out in aggs}
-    merge_spec = [(out, _MERGE_FN[fn]) for _, fn, out in aggs]
-
-    levels = [finest]
-    cur = finest
-    for depth in range(len(keys) - 1, -1, -1):
-        sub_keys = keys[:depth]
-        if sub_keys:
-            g = cur.group_by(sub_keys).aggregate(merge_spec)
-            g = g.rename_columns([rename.get(c, c) for c in g.column_names])
-        else:
-            kernels = {"sum": pc.sum, "min": pc.min, "max": pc.max}
-            g = pa.table(
-                {out: pa.array([kernels[_MERGE_FN[fn]](cur[out]).as_py()])
-                 for _, fn, out in aggs}
-            )
-        for k in keys:
-            if k not in g.column_names:
-                g = g.append_column(k, pa.nulls(g.num_rows, finest[k].type))
-        g = g.select(finest.column_names)
-        levels.append(g)
-        cur = g
-    return pa.concat_tables(levels, promote_options="default")

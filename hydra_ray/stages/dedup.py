@@ -824,100 +824,6 @@ def decontaminate(
     )
 
 
-def exact_substr_dedup(
-    ds: "rd.Dataset",
-    k: int = 5,
-    min_docs: int = 2,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    num_parts: int = 64,
-    max_gram_freq: int | None = None,
-) -> "rd.Dataset":
-    """Exact-substring REMOVAL (the output half of Lee et al. 2022's
-    ExactSubstr dedup, which `duplicated_passages` only reports): every
-    token covered by a k-gram occurring in >= ``min_docs`` distinct
-    documents is dropped, and the cleaned text is rebuilt from the
-    surviving tokens in order.
-
-    Scale shape: `duplicated_passages` produces the maximal duplicated
-    (start_tok, end_tok) spans with two keyed shuffles (gram-keyed then
-    doc-keyed, nothing on the driver); here the span table — one row
-    per duplicated REGION, far smaller than the corpus — is joined back
-    to the documents with a doc-key co-partitioned union shuffle, and
-    each partition rebuilds its documents' texts locally. The rebuild
-    is per-doc string work (inherent to the operator), masked
-    vectorized per doc; no Python in the gram/shuffle phases.
-
-    Output: (doc_id, clean_text, n_tokens, n_removed). Fully-duplicated
-    docs come back with clean_text = ''.
-    """
-    from hydra_ray.stages.keyed import keyed_map_partitions
-
-    spans = duplicated_passages(
-        ds,
-        k=k,
-        min_docs=min_docs,
-        id_col=id_col,
-        text_col=text_col,
-        num_parts=num_parts,
-        max_gram_freq=max_gram_freq,
-    )
-
-    # union both sides under one schema; start_tok = -1 marks a doc row
-    def docs_side(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table(
-            {
-                id_col: pc.cast(t[id_col], pa.int64()),
-                "text": pc.cast(t[text_col], pa.string()),
-                "start_tok": pa.array(np.full(n, -1, dtype=np.int64)),
-                "end_tok": pa.array(np.full(n, -1, dtype=np.int64)),
-            }
-        )
-
-    def spans_side(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table(
-            {
-                id_col: pc.cast(t[id_col], pa.int64()),
-                "text": pa.array([""] * n, type=pa.string()),
-                "start_tok": pc.cast(t["start_tok"], pa.int64()),
-                "end_tok": pc.cast(t["end_tok"], pa.int64()),
-            }
-        )
-
-    u = ds.map_batches(docs_side, batch_format="pyarrow").union(
-        spans.map_batches(spans_side, batch_format="pyarrow")
-    )
-
-    def rebuild(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame(
-                {
-                    id_col: pd.Series(dtype="int64"),
-                    "clean_text": pd.Series(dtype="object"),
-                    "n_tokens": pd.Series(dtype="int64"),
-                    "n_removed": pd.Series(dtype="int64"),
-                }
-            )
-        sp = df[df["start_tok"] >= 0]
-        span_map: dict[int, list[tuple[int, int]]] = {}
-        for did, s, e in zip(sp[id_col], sp["start_tok"], sp["end_tok"]):
-            span_map.setdefault(int(did), []).append((int(s), int(e)))
-        docs_df = df[df["start_tok"] < 0]
-        rows = []
-        for did, text in zip(docs_df[id_col], docs_df["text"]):
-            toks = (text or "").split(" ")
-            mask = np.ones(len(toks), dtype=bool)
-            for s, e in span_map.get(int(did), ()):
-                mask[s - 1 : e] = False  # spans are 1-based inclusive
-            kept = " ".join(w for w, m in zip(toks, mask) if m)
-            rows.append((int(did), kept, len(toks), int((~mask).sum())))
-        return pd.DataFrame(rows, columns=[id_col, "clean_text", "n_tokens", "n_removed"])
-
-    return keyed_map_partitions(u, [id_col], rebuild, num_parts=32)
-
-
 def paragraph_dedup(
     ds: "rd.Dataset",
     para_words: int = 4,

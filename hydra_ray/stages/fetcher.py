@@ -36,7 +36,6 @@ from hydra_ray.functions.headers import convert_headers, fix_surrogates, has_nic
 OUTCOME_OK = "ok"
 OUTCOME_TIMEOUT = "timeout"
 OUTCOME_ERROR = "error"
-OUTCOME_BACKOFF = "backoff"
 
 
 class SyntheticTransport:

@@ -1,21 +1,15 @@
-"""Temporal joins Ray Data lacks: as-of join and range (interval) join.
+"""Key joins: the key-set filter, the large×large equi-join and its
+Bloom-prefiltered variant.
 
-Both follow the brief's custom-operator ladder: expressed as
-compositions of ``map_batches`` + a single hash-partitioned shuffle
-(stages/keyed.py) — no raw actors, no driver materialization.
+Each is a composition of ``map_batches`` and at most one
+hash-partitioned shuffle (stages/keyed.py), with no raw actors.
 
-``asof_join`` partitioning assumption (documented per the brief): all
-rows sharing a ``by`` key are co-located by one hash shuffle of the
-union of both sides; within a partition the merge is pandas
-``merge_asof`` (a vectorized sorted merge). ``num_parts`` bounds
-partition memory at scale — it is sized so the largest co-partition
-fits a worker heap, exactly like the keyed dedup/top-k consumers.
-
-``range_join`` assumes the interval side is SMALL (a broadcast
-dimension: calendar windows, campaign ranges, SLA buckets). Intervals
-ship once via ``ray.put`` and each batch task evaluates all intervals
-vectorized — O(batch × n_intervals) with no shuffle at all; intervals
-may overlap (a row can match several).
+``semi_join`` broadcasts a small key set (``ray.put`` once, ``pc.is_in``
+per block) and shuffles both sides on the key when the set is
+corpus-sized. ``hash_join`` co-partitions both sides on the key and
+merges each partition with pandas ``merge``; ``num_parts`` bounds
+partition memory at scale. ``bloom_semi_join`` drops definite
+non-members with a broadcast Bloom bitmap before ``semi_join`` runs.
 """
 
 from __future__ import annotations
@@ -28,138 +22,6 @@ import ray
 import ray.data as rd
 
 from hydra_ray.stages.keyed import DEFAULT_PARTS, keyed_map_partitions
-
-
-def asof_join(
-    left: "rd.Dataset",
-    right: "rd.Dataset",
-    by: str,
-    on: str,
-    direction: str = "backward",
-    num_parts: int = DEFAULT_PARTS,
-) -> "rd.Dataset":
-    """Left as-of join: for each left row, the single right row with the
-    same ``by`` key and the nearest ``on`` value (<= for backward, >= for
-    forward). Right columns come back nullable (pandas ``Int64`` for
-    integer columns so unmatched rows stay NULL, not 0).
-
-    Ties on (by, on) in the right side must be resolved upstream (e.g.
-    keep max of a unique key) — merge_asof keeps the LAST sorted row,
-    which is only deterministic after such a dedup."""
-    def _pa_schema(ds: "rd.Dataset") -> pa.Schema:
-        s = ds.schema()
-        return pa.schema(zip(s.names, s.types))
-
-    left_schema = _pa_schema(left)
-    right_schema = _pa_schema(right)
-    left_cols = list(left_schema.names)
-    right_cols = list(right_schema.names)
-    shared = {by, on}
-    right_payload = [c for c in right_cols if c not in shared]
-    clash = set(left_cols) & set(right_payload)
-    if clash:
-        raise ValueError(f"right payload columns collide with left: {sorted(clash)}")
-
-    # Harmonize the two sides into one schema (+_side) so a single
-    # union + one keyed shuffle co-locates each by-key's rows.
-    def pad(t: pa.Table, side: int, missing: list[str], other: pa.Schema) -> pa.Table:
-        for c in missing:
-            t = t.append_column(c, pa.nulls(t.num_rows, other.field(c).type))
-        t = t.append_column("_side", pa.array(np.full(t.num_rows, side, dtype=np.int8)))
-        return t.select([*left_cols, *right_payload, "_side"])
-
-    lp = left.map_batches(
-        lambda t: pad(t, 0, right_payload, right_schema), batch_format="pyarrow"
-    )
-    rp = right.map_batches(
-        lambda t: pad(t, 1, [c for c in left_cols if c not in shared], left_schema),
-        batch_format="pyarrow",
-    )
-    unioned = lp.union(rp)
-
-    # Integer columns survive the cross-side null padding as pandas
-    # float64; restore every originally-integer column to nullable
-    # Int64 after the merge (unmatched right payload stays NULL).
-    int_cols = [
-        f.name
-        for schema in (left_schema, right_schema)
-        for f in (schema.field(n) for n in schema.names)
-        if pa.types.is_integer(f.type)
-    ]
-    int_cols = list(dict.fromkeys(c for c in int_cols if c in {*left_cols, *right_payload}))
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        ldf = df[df["_side"] == 0][left_cols].sort_values(on, kind="mergesort")
-        rdf = df[df["_side"] == 1][[by, on, *right_payload]].sort_values(on, kind="mergesort")
-        if ldf.empty:
-            return pd.DataFrame(columns=[*left_cols, *right_payload])
-        out = pd.merge_asof(ldf, rdf, on=on, by=by, direction=direction)
-        for c in int_cols:
-            out[c] = out[c].astype("Int64")
-        return out
-
-    return keyed_map_partitions(unioned, [by], merge, num_parts=num_parts)
-
-
-class _RangeJoiner:
-    """Broadcast-interval join: intervals fetched once per actor from
-    the object store; each batch matched against all intervals with
-    vectorized comparisons (intervals may overlap)."""
-
-    def __init__(self, intervals_ref, t_col: str, start_col: str, end_col: str):
-        iv: pa.Table = ray.get(intervals_ref)
-        self.t_col = t_col
-        self.starts = iv[start_col].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
-        self.ends = iv[end_col].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
-        self.payload = iv.drop_columns([start_col, end_col])
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        us = pc.cast(t[self.t_col], pa.int64()).to_numpy(zero_copy_only=False)
-        row_idx: list[np.ndarray] = []
-        iv_idx: list[np.ndarray] = []
-        for i in range(len(self.starts)):
-            hit = np.nonzero((us >= self.starts[i]) & (us < self.ends[i]))[0]
-            if len(hit):
-                row_idx.append(hit)
-                iv_idx.append(np.full(len(hit), i, dtype=np.int64))
-        if not row_idx:
-            empty = t.slice(0, 0)
-            for c in self.payload.column_names:
-                empty = empty.append_column(c, self.payload[c].slice(0, 0))
-            return empty
-        rows = np.concatenate(row_idx)
-        ivs = np.concatenate(iv_idx)
-        out = t.take(pa.array(rows))
-        for c in self.payload.column_names:
-            out = out.append_column(c, self.payload[c].take(pa.array(ivs)))
-        return out
-
-
-def range_join(
-    ds: "rd.Dataset",
-    intervals: pa.Table,
-    t_col: str,
-    start_col: str = "start",
-    end_col: str = "end",
-    concurrency: tuple[int, int] = (1, 8),
-) -> "rd.Dataset":
-    """Inner join of each row onto every interval with
-    start <= t < end. The interval table is broadcast (``ray.put``
-    once); output carries the interval payload columns."""
-    ref = ray.put(intervals.combine_chunks())
-    return ds.map_batches(
-        _RangeJoiner,
-        fn_constructor_kwargs={
-            "intervals_ref": ref,
-            "t_col": t_col,
-            "start_col": start_col,
-            "end_col": end_col,
-        },
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
 
 
 # Key sets at or below this many rows ship to every task once

@@ -1,14 +1,12 @@
 """Similarity search over an embedding column (list<float>).
 
-Brute-force cosine top-k as the baseline: the query matrix is
-broadcast once (``ray.put``), each ``map_batches`` block computes a
-double-precision matmul against its rows and keeps a local top-k per
-query; the driver merges ``num_blocks × k`` candidates. At 100 TB the
-same shape holds — only the merge is a second (tiny) Dataset stage.
-
-An LSH-bucketed variant (random hyperplane signs → candidate buckets)
-provides the sub-linear scale path; exact within-bucket re-ranking
-keeps results deterministic.
+``nn_all`` is the exact baseline: the normalized matrix is broadcast
+once (``ray.put``) and each ``map_batches`` block computes a
+double-precision matmul against it, keeping every row's top-1; above
+``BRUTE_FORCE_MAX_ROWS`` rows it routes to ``knn_ivf``. The
+partitioned approximate paths are IVF (k-means buckets), PQ
+(product-quantized codes) and HNSW graph shards; ``cosine_near_dups``
+buckets by random-hyperplane signatures (LSH).
 """
 
 from __future__ import annotations
@@ -37,62 +35,6 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return m / norms
-
-
-def knn_bruteforce(
-    ds: "rd.Dataset",
-    query_ids: np.ndarray,
-    query_matrix: np.ndarray,
-    k: int = 5,
-    id_col: str = "vec_id",
-    emb_col: str = "embedding",
-) -> pa.Table:
-    """Exact cosine top-k (ties broken by ascending neighbor id).
-
-    Returns (query_id, neighbor_id, rank, sim) — sim rounded to 6 dp.
-    """
-    qn = _normalize(query_matrix.astype(np.float64))
-    q_ref = ray.put(qn)
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        q = ray.get(q_ref)
-        m = _normalize(_matrix_of(batch, emb_col))
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        sims = q @ m.T  # (n_query, n_rows)
-        out_q, out_n, out_s = [], [], []
-        for qi in range(len(q)):
-            row = sims[qi]
-            # exclude only the query vector itself; ties break on asc id
-            order = np.lexsort((ids, -row))
-            kept = 0
-            for j in order:
-                if int(ids[j]) == int(query_ids[qi]):
-                    continue
-                out_q.append(int(query_ids[qi]))
-                out_n.append(int(ids[j]))
-                out_s.append(float(row[j]))
-                kept += 1
-                if kept >= k:
-                    break
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "neighbor_id": pa.array(out_n, type=pa.int64()),
-                "sim_raw": pa.array(out_s, type=pa.float64()),
-            }
-        )
-
-    cands = ds.map_batches(local_topk, batch_format="pyarrow").to_pandas()
-    # global merge: top-k per query over block-local top-ks
-    cands = cands.sort_values(
-        ["query_id", "sim_raw", "neighbor_id"], ascending=[True, False, True]
-    )
-    cands["rank"] = cands.groupby("query_id").cumcount() + 1
-    top = cands[cands["rank"] <= k].copy()
-    top["sim"] = top["sim_raw"].round(6)
-    return pa.Table.from_pandas(
-        top[["query_id", "neighbor_id", "rank", "sim"]], preserve_index=False
-    )
 
 
 BRUTE_FORCE_MAX_ROWS = 2_000_000  # above: nn_all auto-routes to IVF
@@ -157,7 +99,7 @@ def nn_all(
 
 
 # ---------------------------------------------------------------------------
-# LSH-bucketed variant (scale path)
+# random hyperplanes (cosine LSH signatures)
 # ---------------------------------------------------------------------------
 
 
@@ -166,49 +108,6 @@ def hyperplanes(dim: int, n_planes: int = 12, seed: int = 5) -> np.ndarray:
     raw = _mix64(np.arange(dim * n_planes, dtype=np.uint64) + np.uint64(seed * 104729))
     unit = raw.astype(np.float64) / np.float64(1 << 64) - 0.5
     return unit.reshape(n_planes, dim)
-
-
-def lsh_bucket_batch(batch: pa.Table, planes: np.ndarray, emb_col: str = "embedding") -> pa.Table:
-    m = _matrix_of(batch, emb_col)
-    signs = (m @ planes.T) > 0
-    bucket = np.zeros(len(m), dtype=np.int64)
-    for b in range(planes.shape[0]):
-        bucket |= signs[:, b].astype(np.int64) << b
-    return batch.append_column("bucket", pa.array(bucket))
-
-
-def knn_lsh(
-    ds: "rd.Dataset",
-    k: int = 1,
-    n_planes: int = 10,
-    id_col: str = "vec_id",
-    emb_col: str = "embedding",
-) -> "rd.Dataset":
-    """Approximate NN: bucket by hyperplane signature, exact re-rank
-    within bucket (groupby bucket → per-group matmul)."""
-    first = ds.take_batch(1, batch_format="pyarrow")
-    dim = len(first[emb_col][0])
-    planes = hyperplanes(dim, n_planes)
-
-    bucketed = ds.map_batches(
-        lambda t: lsh_bucket_batch(t, planes, emb_col), batch_format="pyarrow"
-    )
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        ids = g[id_col].to_numpy().astype(np.int64)
-        if len(ids) < 2:
-            return pd.DataFrame({"vec_id": [], "nn_id": [], "sim": []})
-        m = _normalize(np.stack(g[emb_col].to_numpy()).astype(np.float64))
-        sims = m @ m.T
-        np.fill_diagonal(sims, -np.inf)
-        rows = []
-        for r in range(len(ids)):
-            order = np.lexsort((ids, -sims[r]))
-            for j in order[:k]:
-                rows.append((int(ids[r]), int(ids[j]), round(float(sims[r, j]), 6)))
-        return pd.DataFrame(rows, columns=["vec_id", "nn_id", "sim"])
-
-    return bucketed.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------

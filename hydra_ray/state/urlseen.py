@@ -3,7 +3,8 @@
 The reference enforces URL/resource uniqueness with a Postgres UNIQUE
 constraint + ``ON CONFLICT`` upserts (udata_hydra/db/resource.py:64-79,
 cli/catalog.py:62-76). At 10^10-frontier scale a central unique index
-is the bottleneck, so membership is sharded: url_key64 → shard
+is the bottleneck, so membership is sharded: the 64-bit url key
+(``url_key``, from the canonicalize stage) → shard
 ``key % n_shards`` → one ``UrlSeenShard`` actor holding every key
 routed to it as a sorted, unique int64 array. Membership is exact (no
 false positives to resolve against the catalog) at 8 B/key, and a

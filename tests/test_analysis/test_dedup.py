@@ -282,58 +282,6 @@ def test_decontaminate_paths_agree(monkeypatch):
     assert not bool(got.loc[4, "contaminated"])
 
 
-def test_exact_substr_dedup_removes_shared_passages():
-    import ray.data as rd
-    from hydra_ray.stages.dedup import exact_substr_dedup
-
-    shared = "one two three four five six seven"
-    docs = pa.table(
-        {
-            "doc_id": pa.array([1, 2, 3, 4], type=pa.int64()),
-            "text": pa.array(
-                [
-                    f"alpha beta {shared} gamma",
-                    f"delta {shared} epsilon zeta",
-                    "totally unique words only here appear once",
-                    shared,  # fully duplicated doc
-                ]
-            ),
-        }
-    )
-    out = {
-        r["doc_id"]: r
-        for r in exact_substr_dedup(rd.from_arrow(docs), k=5, min_docs=2).take_all()
-    }
-    assert out[1]["clean_text"] == "alpha beta gamma"
-    assert out[1]["n_removed"] == 7
-    assert out[2]["clean_text"] == "delta epsilon zeta"
-    assert out[3]["clean_text"] == docs["text"][2].as_py()
-    assert out[3]["n_removed"] == 0
-    assert out[4]["clean_text"] == "" and out[4]["n_removed"] == 7
-
-
-def test_exact_substr_dedup_partition_invariant():
-    import numpy as np
-    import ray.data as rd
-    from hydra_ray.stages.dedup import exact_substr_dedup
-
-    rng = np.random.default_rng(3)
-    vocab = [f"w{i}" for i in range(30)]
-    base = " ".join(rng.choice(vocab, 12))
-    texts = [
-        (" ".join(rng.choice(vocab, 8)) + " " + base) if i % 3 == 0
-        else " ".join(rng.choice(vocab, 15))
-        for i in range(40)
-    ]
-    t = pa.table({"doc_id": pa.array(range(40), type=pa.int64()), "text": pa.array(texts)})
-    a = {r["doc_id"]: r["clean_text"] for r in exact_substr_dedup(rd.from_arrow(t)).take_all()}
-    b = {
-        r["doc_id"]: r["clean_text"]
-        for r in exact_substr_dedup(rd.from_arrow(t).repartition(9)).take_all()
-    }
-    assert a == b
-
-
 def _brute_char_spans(docs, L, min_occ):
     """Reference: duplicated L-windows by exact text count, islands."""
     from collections import Counter

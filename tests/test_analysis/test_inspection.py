@@ -351,10 +351,9 @@ _twin_cell = st.one_of(
     st.booleans(),
     st.sampled_from(["2024-01-02", "31/12/2023", "2024-01-02 10:30", "[1, 2]", "oui", ""]),
     # no separator, quote or line break: the CSV twin keeps one cell per
-    # cell; BMP only, as the .xls writer counts characters, not UTF-16 units
+    # cell; astral characters included (two UTF-16 units in .xls)
     st.text(
         st.characters(
-            max_codepoint=0xFFFF,
             blacklist_categories=("Cs", "Cn", "Cc", "Zl", "Zp"),
             blacklist_characters=';,|"',
         ),
@@ -397,6 +396,21 @@ def test_workbooks_equal_csv_twin(shape):
         assert {k: v for k, v in got.items() if k not in drop} == {
             k: v for k, v in want.items() if k not in drop
         }, fmt
+
+
+def test_xls_long_string_splits_around_astral_char():
+    """An .xls shared string longer than one BIFF record continues in
+    CONTINUE records; with an astral character (a UTF-16 surrogate
+    pair) at each position around the first record boundary, the cell
+    reads back whole and the sheet equals its CSV twin."""
+    from hydra_ray.sources.xls import _REC_MAX
+
+    for pad in range(_REC_MAX // 2 - 16, _REC_MAX // 2 + 2):
+        cell = "x" * pad + "\U0001F600" + "y" * 5
+        grid = [["c0", "c1"], [1, cell]]
+        tbl = xls_to_table(write_xls(grid))
+        assert tbl.column("c1").to_pylist() == [cell], pad
+        assert tbl.equals(csv_text_to_table(f"c0;c1\n1;{cell}")), pad
 
 
 def test_workbook_cells_stay_single_and_blank_rows_drop():

@@ -1,159 +1,11 @@
-"""Temporal join operators: as-of join, range join, windowed agg.
-
-These are the custom operators the brief calls out as missing from
-Ray Data, built as map_batches + one keyed shuffle (joins.py) and the
-partial-agg path (agg.py::windowed_agg).
-"""
+"""Key joins (semi_join, hash_join, bloom_semi_join) and the curation
+pipelines built on them."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
 import ray.data as rd
-
-from hydra_ray.stages.agg import windowed_agg
-from hydra_ray.stages.joins import asof_join, range_join
-
-
-def _ts(*days):
-    return pa.array([np.datetime64(f"2024-01-{d:02d}", "us") for d in days])
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_asof_backward_basic_and_unmatched():
-    left = pa.table(
-        {
-            "id": pa.array([1, 2, 3, 4], type=pa.int64()),
-            "k": pa.array([10, 10, 10, 20], type=pa.int64()),
-            "t": _ts(5, 12, 2, 7),
-        }
-    )
-    right = pa.table(
-        {
-            "k": pa.array([10, 10, 20], type=pa.int64()),
-            "t": _ts(3, 10, 9),
-            "payload": pa.array([100, 200, 300], type=pa.int64()),
-        }
-    )
-    out = (
-        asof_join(rd.from_arrow(left).repartition(2), rd.from_arrow(right), by="k", on="t")
-        .to_pandas()
-        .set_index("id")
-        .sort_index()
-    )
-    # id=1 (k=10, t=Jan5) -> right Jan3 (100); id=2 (Jan12) -> Jan10 (200)
-    # id=3 (Jan2) -> no right row at/before -> NULL
-    # id=4 (k=20, Jan7) -> Jan9 is after -> NULL
-    assert out.loc[1, "payload"] == 100
-    assert out.loc[2, "payload"] == 200
-    assert pd.isna(out.loc[3, "payload"])
-    assert pd.isna(out.loc[4, "payload"])
-    assert str(out["payload"].dtype) == "Int64"  # ints stay ints despite nulls
-    assert len(out) == 4
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_asof_exact_timestamp_is_inclusive():
-    left = pa.table({"k": pa.array([1], type=pa.int64()), "t": _ts(10)})
-    right = pa.table(
-        {"k": pa.array([1], type=pa.int64()), "t": _ts(10), "v": pa.array([7], type=pa.int64())}
-    )
-    out = asof_join(rd.from_arrow(left), rd.from_arrow(right), by="k", on="t").to_pandas()
-    assert out["v"].tolist() == [7]
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_asof_collision_raises():
-    t = pa.table({"k": pa.array([1]), "t": _ts(1), "v": pa.array([1])})
-    with pytest.raises(ValueError, match="collide"):
-        asof_join(rd.from_arrow(t), rd.from_arrow(t), by="k", on="t")
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_range_join_overlapping_intervals_multi_match():
-    iv = pa.table(
-        {
-            "win_id": pa.array([0, 1], type=pa.int64()),
-            "start": _ts(1, 3),
-            "end": _ts(5, 8),
-        }
-    )
-    ds = rd.from_arrow(
-        pa.table({"id": pa.array([1, 2, 3], type=pa.int64()), "ts": _ts(2, 4, 20)})
-    )
-    out = range_join(ds, iv, t_col="ts").to_pandas()
-    got = sorted(zip(out["id"], out["win_id"]))
-    # id=1 (Jan2) in win0 only; id=2 (Jan4) in both; id=3 (Jan20) in none
-    assert got == [(1, 0), (2, 0), (2, 1)]
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_range_join_boundaries_half_open():
-    iv = pa.table({"win_id": pa.array([0], type=pa.int64()), "start": _ts(2), "end": _ts(4)})
-    ds = rd.from_arrow(pa.table({"id": pa.array([1, 2], type=pa.int64()), "ts": _ts(2, 4)}))
-    out = range_join(ds, iv, t_col="ts").to_pandas()
-    assert out["id"].tolist() == [1]  # start inclusive, end exclusive
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_windowed_agg_tumbling():
-    t = pa.table(
-        {
-            "ts": pa.array(
-                [np.datetime64("2024-01-01T00:30", "us"), np.datetime64("2024-01-01T00:45", "us"),
-                 np.datetime64("2024-01-01T01:30", "us")]
-            ),
-            "v": pa.array([1.0, 2.0, 4.0]),
-        }
-    )
-    out = (
-        windowed_agg(
-            rd.from_arrow(t).repartition(2),
-            t_col="ts",
-            window_us=3600 * 1_000_000,
-            aggs=[("v", "sum", "sv"), ("v", "count", "n")],
-        )
-        .to_pandas()
-        .sort_values("window_start")
-        .reset_index(drop=True)
-    )
-    assert out["sv"].tolist() == [3.0, 4.0]
-    assert out["n"].tolist() == [2, 1]
-    assert out["window_start"].iloc[0] == pd.Timestamp("2024-01-01T00:00")
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_windowed_agg_sliding_counts_match_bruteforce():
-    rng = np.random.default_rng(3)
-    base = np.datetime64("2024-01-01", "us").astype("int64")
-    us = base + rng.integers(0, 48 * 3600, size=200) * 1_000_000
-    t = pa.table({"ts": pa.array(us).cast(pa.timestamp("us")), "v": pa.array(np.ones(200))})
-    w, s = 6 * 3600 * 1_000_000, 2 * 3600 * 1_000_000
-    out = (
-        windowed_agg(rd.from_arrow(t).repartition(3), t_col="ts", window_us=w, slide_us=s,
-                     aggs=[("v", "count", "n")])
-        .to_pandas()
-        .set_index("window_start")["n"]
-    )
-    # brute force: every slide-aligned window [ws, ws+w) with >=1 event
-    starts = (us // s) * s
-    expect: dict[np.int64, int] = {}
-    for j in range(w // s):
-        for st in starts - j * s:
-            expect[st] = expect.get(st, 0) + 1
-    # re-count properly: window ws contains events with ws <= t < ws+w
-    uniq = sorted(set(expect))
-    for ws in uniq:
-        n_true = int(((us >= ws) & (us < ws + w)).sum())
-        assert out[pd.Timestamp(ws, unit="us")] == n_true
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_windowed_agg_rejects_non_multiple_slide():
-    t = pa.table({"ts": _ts(1), "v": pa.array([1.0])})
-    with pytest.raises(ValueError):
-        windowed_agg(rd.from_arrow(t), t_col="ts", window_us=10, slide_us=3,
-                     aggs=[("v", "sum", "s")])
 
 
 @pytest.mark.usefixtures("ray_session", "keyset_route")

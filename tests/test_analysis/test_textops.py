@@ -167,53 +167,6 @@ def test_bpe_token_count_pretokenizer_shapes():
     assert out["n_bpe_tokens"].to_pylist() == [8, 0, 7]
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_grouped_stats_quantiles_and_distinct():
-    import ray.data as rd
-
-    from hydra_ray.stages.agg import grouped_stats
-
-    t = pa.table(
-        {
-            "k": pa.array(["a"] * 5 + ["b"] * 3),
-            "v": pa.array([1.0, 2.0, 3.0, 4.0, 5.0, 10.0, 20.0, 30.0]),
-            "u": pa.array([1, 1, 2, 3, 3, 7, 7, 8], type=pa.int64()),
-        }
-    )
-    out = (
-        grouped_stats(rd.from_arrow(t).repartition(3), key="k", value_col="v",
-                      quantiles=(0.5,), distinct_col="u")
-        .to_pandas()
-        .set_index("k")
-        .sort_index()
-    )
-    assert out.loc["a", "q50"] == 3.0 and out.loc["b", "q50"] == 20.0
-    assert out.loc["a", "n_distinct"] == 3 and out.loc["b", "n_distinct"] == 2
-    assert out.loc["a", "n"] == 5
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_hll_estimate_accuracy():
-    """HLL estimate within 10% of exact distinct at p=10 (standard
-    error 1.04/sqrt(1024) ≈ 3.3%); registers are parallelism-invariant."""
-    import numpy as np
-    import ray.data as rd
-
-    from hydra_ray.stages.agg import hll_estimate, hll_registers
-
-    rng = np.random.default_rng(11)
-    vals = rng.integers(0, 5000, size=50_000)
-    t = pa.table({"k": pa.array(["g"] * len(vals)), "v": pa.array(vals, type=pa.int64())})
-    regs_a = hll_registers(rd.from_arrow(t).repartition(7), "k", "v", p=10).to_pandas()
-    regs_b = hll_registers(rd.from_arrow(t).repartition(2), "k", "v", p=10).to_pandas()
-    assert regs_a.sort_values(["register"]).reset_index(drop=True).equals(
-        regs_b.sort_values(["register"]).reset_index(drop=True)
-    )
-    exact = len(set(vals.tolist()))
-    est = hll_estimate(regs_a, p=10)["g"]
-    assert abs(est - exact) / exact < 0.10, (est, exact)
-
-
 def test_repetition_stats_gopher_signals():
     from hydra_ray.stages.text import repetition_stats_batch
 
@@ -236,76 +189,6 @@ def test_repetition_stats_gopher_signals():
     assert out["dup_3gram_frac"][1] == 0.0
     assert out["top_2gram_frac"][1] == round(2 / 7, 6)
     assert out["dup_3gram_frac"][2] == 0.0 and out["top_2gram_frac"][2] == 0.0
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_cms_heavy_hitter_estimates():
-    """CMS never underestimates; the planted heavy hitter's estimate is
-    tight (collision noise bounded by n/width per row)."""
-    import numpy as np
-    import ray.data as rd
-
-    from hydra_ray.stages.agg import cms_counts, cms_estimate
-
-    rng = np.random.default_rng(9)
-    tail = rng.integers(0, 1000, size=5000)
-    heavy = np.full(2000, 777_777, dtype=np.int64)
-    vals = np.concatenate([tail, heavy])
-    t = pa.table({"v": pa.array(vals, type=pa.int64())})
-    counters = cms_counts(rd.from_arrow(t).repartition(6), col="v", width=1024)
-    est = cms_estimate(counters, [777_777, int(tail[0])], width=1024)
-    exact_heavy = 2000 + int((tail == 777_777).sum())
-    assert est[777_777] >= exact_heavy  # overestimate-only
-    assert est[777_777] <= exact_heavy + 7000 // 1024 * 4 + 50  # tight
-    exact_tail = int((tail == tail[0]).sum())
-    assert est[int(tail[0])] >= exact_tail
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_sampled_quantiles_invariant_and_accurate():
-    """Bottom-k hash sample: bit-identical under repartitioning (the
-    rank is a pure function of the id), exact n, and the sample
-    quantile lands near the true quantile."""
-    import numpy as np
-    import ray.data as rd
-
-    from hydra_ray.stages.agg import sampled_quantiles
-
-    rng = np.random.default_rng(4)
-    n = 6000
-    keys = np.repeat(["a", "b", "c"], n // 3)
-    vals = np.concatenate([
-        rng.normal(10, 2, n // 3),
-        rng.lognormal(1, 0.5, n // 3),
-        rng.uniform(0, 100, n // 3),
-    ])
-    t = pa.table({
-        "k": pa.array(keys), "v": pa.array(vals),
-        "rid": pa.array(np.arange(n), type=pa.int64()),
-    })
-
-    def run(parts):
-        return (
-            sampled_quantiles(
-                rd.from_arrow(t).repartition(parts), key="k", value_col="v",
-                id_col="rid", k=256, quantiles=(0.5, 0.9), seed=7,
-            )
-            .to_pandas().sort_values("k").reset_index(drop=True)
-        )
-
-    a, b = run(2), run(9)
-    assert a.equals(b)  # parallelism-invariant, bit-exact
-    assert (a["n"] == n // 3).all()  # exact counts piggybacked
-    assert (a["n_sample"] == 256).all()
-    import pandas as pd
-
-    exact = pd.DataFrame({"k": keys, "v": vals}).groupby("k")["v"]
-    for q in (0.5, 0.9):
-        est = a.set_index("k")[f"q{int(q*100)}"]
-        for kk, g in exact:
-            # true rank of the estimate within ~O(1/sqrt(256)) of q
-            rank = (g <= est[kk]).mean()
-            assert abs(rank - q) < 0.12, (kk, q, rank)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -635,31 +518,6 @@ def test_tfidf_keywords_ranking(ray_session):
     assert list(a["rank"]) == [1, 2]
     b = out[out.doc_id == "b"].sort_values("rank")
     assert list(b.term) == ["common", "other"]
-
-
-def test_rollup_agg_levels(ray_session):
-    import ray.data as rd
-
-    from hydra_ray.stages.agg import rollup_agg
-
-    t = pa.table(
-        {
-            "a": ["x", "x", "y", "y"],
-            "b": ["1", "2", "1", "1"],
-            "v": [1.0, 2.0, 3.0, 4.0],
-        }
-    )
-    out = rollup_agg(
-        rd.from_arrow(t), ["a", "b"], [("v", "count", "n"), ("v", "sum", "s")]
-    ).to_pandas()
-    rows = {
-        (r.a, r.b): (r.n, r.s) for r in out.itertuples(index=False)
-    }
-    assert rows[("x", "1")] == (1, 1.0) and rows[("x", "2")] == (1, 2.0)
-    assert rows[("y", "1")] == (2, 7.0)
-    assert rows[("x", None)] == (2, 3.0) and rows[("y", None)] == (2, 7.0)
-    assert rows[(None, None)] == (4, 10.0)
-    assert len(rows) == 6
 
 
 def test_gopher_quality_rules():
