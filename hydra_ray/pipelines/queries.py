@@ -285,7 +285,7 @@ _register("grouped_topk", q_grouped_topk, ORACLE_GROUPED_TOPK)
 
 def q_latest_event_per_user(sf_dir: str):
     """J1/O2: latest row per key — hash-partition by user, then ONE
-    vectorized sort + drop_duplicates per partition (stages/keyed.py),
+    vectorized sort + drop_duplicates per co-located block (stages/keyed.py),
     not a Python call per user."""
     from hydra_ray.stages.keyed import keyed_map_partitions
 

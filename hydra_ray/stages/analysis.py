@@ -461,7 +461,7 @@ class Analyser:
                 }
             )
         )
-        full: list = [None] * len(urls)
-        for g, spans in zip(good, built["spans"].to_pylist()):
-            full[g[0]] = spans
-        return pa.array(full, type=pa.list_(SPAN_STRUCT)), parsing_tables
+        at: list = [None] * len(urls)  # block position -> built row (null: unparsed)
+        for i, g in enumerate(good):
+            at[g[0]] = i
+        return built["spans"].take(pa.array(at, type=pa.int32())), parsing_tables

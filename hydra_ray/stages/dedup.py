@@ -43,8 +43,8 @@ def dedup_exact(ds: "rd.Dataset", id_col: str = "doc_id", text_col: str = "text"
 
     Only (id, content_hash) rows enter the shuffle — document bytes
     stay in the map stage. The per-key keep-first reduction runs
-    vectorized once per hash-co-located partition (stages/keyed.py),
-    not once per tiny group.
+    vectorized once per key-co-located block (stages/keyed.py), not
+    once per tiny group.
     """
     from hydra_ray.stages.keyed import keyed_map_partitions
 

@@ -164,8 +164,8 @@ def _pagerank_broadcast(
 
 def _parts_from_blocks(ds: "rd.Dataset", num_parts: int) -> dict[int, list]:
     """{part → [block refs containing rows of that part]} for a Dataset
-    carrying an ``_part`` column. Robust to any block↔group layout out
-    of groupby().map_groups (blocks may split or merge groups)."""
+    carrying an ``_part`` column. Robust to any block↔part layout (a
+    sorted block may hold several parts)."""
     from hydra_ray.sources.store import ds_to_table_refs
 
     @ray.remote
@@ -231,14 +231,8 @@ def _pagerank_sharded(
         src = t[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
         return t.append_column("_part", pa.array(_node_part(src, P)))
 
-    def ident(t: pa.Table) -> pa.Table:
-        return t
-
     edge_parts = _parts_from_blocks(
-        edges.map_batches(add_src_part, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(ident, batch_format="pyarrow"),
-        P,
+        edges.map_batches(add_src_part, batch_format="pyarrow").sort("_part"), P
     )
 
     def node_partial(t: pa.Table) -> pa.Table:
@@ -248,10 +242,7 @@ def _pagerank_sharded(
         return pa.table({"node": pa.array(nd), "_part": pa.array(_node_part(nd, P))})
 
     node_parts = _parts_from_blocks(
-        edges.map_batches(node_partial, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(ident, batch_format="pyarrow"),
-        P,
+        edges.map_batches(node_partial, batch_format="pyarrow").sort("_part"), P
     )
     if not node_parts:
         return _empty_pr()

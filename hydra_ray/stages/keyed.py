@@ -1,4 +1,4 @@
-"""Hash-partition-by-key + per-partition vectorized map.
+"""Hash-partition-by-key + per-block vectorized map.
 
 ``groupby(key).map_groups(fn)`` dispatches one Python call per group —
 for high-cardinality keys (content hashes, user ids, band hashes) that
@@ -7,14 +7,17 @@ shape used here instead:
 
   1. add ``_part = H(key) % num_parts`` in ``map_batches`` (vectorized,
      deterministic SipHash via ``pd.util.hash_pandas_object``);
-  2. ``groupby("_part").map_groups`` — the shuffle co-locates all rows
-     of a key in one partition, and the UDF runs ONCE per partition
-     over the whole co-partitioned frame, vectorized.
+  2. ``sort("_part")`` — the range shuffle puts all rows of a ``_part``
+     value (hence of a key) in one output block;
+  3. ``map_batches(batch_size=None)`` — the UDF runs ONCE per sorted
+     block over the whole co-partitioned frame, vectorized; an empty
+     block makes no call.
 
-All rows of any key land in exactly one partition, so any per-key
-reduction (top-k, dedup, pair emission) computed per partition is
-globally correct. ``num_parts`` bounds task granularity: at 100 TB it
-is sized so a partition fits a worker's heap, not by key cardinality.
+All rows of any key land in exactly one block, so any per-key
+reduction (top-k, dedup, pair emission) computed per block is globally
+correct. ``num_parts`` is the hash space, which caps the number of
+non-empty blocks; a block holds one or more whole partitions. At 100 TB
+it is sized so a partition fits a worker's heap, not by key cardinality.
 """
 
 from __future__ import annotations
@@ -38,6 +41,21 @@ def part_of(t: pa.Table, keys: list[str], num_parts: int) -> np.ndarray:
     return (h % np.uint64(num_parts)).astype(np.int64)
 
 
+def _keyed_map(ds: "rd.Dataset", keys: list[str], fn, num_parts: int, batch_format: str):
+    def addpart(t: pa.Table) -> pa.Table:
+        return t.append_column("_part", pa.array(part_of(t, keys, num_parts)))
+
+    def run(batch):
+        if len(batch):  # pandas and pyarrow both spell it drop(columns=)
+            yield fn(batch.drop(columns=["_part"]))
+
+    return (
+        ds.map_batches(addpart, batch_format="pyarrow")
+        .sort("_part")
+        .map_batches(run, batch_size=None, batch_format=batch_format)
+    )
+
+
 def keyed_map_partitions(
     ds: "rd.Dataset",
     keys: list[str],
@@ -45,21 +63,12 @@ def keyed_map_partitions(
     num_parts: int = DEFAULT_PARTS,
 ) -> "rd.Dataset":
     """Apply ``fn(pandas.DataFrame) -> pandas.DataFrame`` once per
-    key-co-located partition (all rows sharing ``keys`` values are in
-    the same frame). ``fn`` must be per-key-correct but is free to
-    vectorize across keys."""
-
-    def addpart(t: pa.Table) -> pa.Table:
-        return t.append_column("_part", pa.array(part_of(t, keys, num_parts)))
-
-    def run(df: pd.DataFrame) -> pd.DataFrame:
-        return fn(df.drop(columns=["_part"]))
-
-    return (
-        ds.map_batches(addpart, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(run, batch_format="pandas")
-    )
+    key-co-located block (all rows sharing ``keys`` values are in the
+    same frame). ``fn`` must be per-key-correct but is free to vectorize
+    across keys; a frame holds every key of one or more hash partitions,
+    so ``fn`` must not do work super-linear in the frame (a cross
+    product over all its rows rather than per key)."""
+    return _keyed_map(ds, keys, fn, num_parts, "pandas")
 
 
 def keyed_map_partitions_arrow(
@@ -69,18 +78,7 @@ def keyed_map_partitions_arrow(
     num_parts: int = DEFAULT_PARTS,
 ) -> "rd.Dataset":
     """Arrow-native sibling of keyed_map_partitions: ``fn(pa.Table) ->
-    pa.Table`` once per key-co-located partition. Use when the rows
-    carry nested Arrow types (list<struct> spans, fixed-size lists)
-    that do not survive the pandas round-trip."""
-
-    def addpart(t: pa.Table) -> pa.Table:
-        return t.append_column("_part", pa.array(part_of(t, keys, num_parts)))
-
-    def run(t: pa.Table) -> pa.Table:
-        return fn(t.drop_columns(["_part"]))
-
-    return (
-        ds.map_batches(addpart, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(run, batch_format="pyarrow")
-    )
+    pa.Table`` once per key-co-located block. Use when the rows carry
+    nested Arrow types (list<struct> spans, fixed-size lists) that do
+    not survive the pandas round-trip."""
+    return _keyed_map(ds, keys, fn, num_parts, "pyarrow")
