@@ -38,8 +38,10 @@ def cmd_load_catalog(args) -> dict:
 
     eng = _engine(args.workdir)
     n = load_catalog_from_csv(eng, args.csv)
+    # reference cli/catalog.py:91-92: stuck statuses return to the frontier
+    cleaned = eng.clean_up_statuses()
     eng.shutdown()
-    return {"loaded": n, "workdir": args.workdir}
+    return {"loaded": n, "cleaned": cleaned, "workdir": args.workdir}
 
 
 def cmd_crawl(args) -> dict:

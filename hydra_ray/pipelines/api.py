@@ -20,10 +20,12 @@ a deployment wraps these in any HTTP server):
   GET  /api/health            → health()
 
 Small-result queries run as vectorized Arrow kernels over the latest
-table versions; at 10^10-catalog scale the same calls read through
-``VersionedTable.read(columns=...)`` (lazy Dataset) with predicate
-filters — the layout (hash-partitioned parts) keeps point lookups to
-one partition.
+table versions. Point lookups (a check by url or resource_id, a catalog
+row by resource_id) read ``VersionedTable.read_where_arrow``: each
+file's footer min/max of the key prunes the files that cannot match,
+the rest are read and filtered on the driver. The pruning skips files
+only when the key is clustered (after ``compact(sort_by=key)``); on the
+hash-spread ids of an uncompacted table every file is read.
 """
 
 from __future__ import annotations
@@ -49,25 +51,19 @@ class EngineApi:
         self.engine = engine
 
     # -- checks ------------------------------------------------------------
-    # above this many rows a point lookup routes through the zone-map
-    # pruned Dataset path instead of a driver read of the whole table
-    DRIVER_LOOKUP_MAX_ROWS = 2_000_000
-
     def _checks_filtered(self, url: str | None, resource_id: str | None) -> pa.Table:
+        """Every check of one url or resource_id. The zone maps prune
+        the files whose footer min/max of the key cannot match; that
+        skips files only when the checks table was compacted sorted by
+        the key, otherwise every file is read and filtered. Always on
+        the driver: a serving lookup must not pay Ray Data's
+        per-execution fixed cost."""
         if url is None and resource_id is None:
             raise ValueError("provide url or resource_id")
         key, val = (
             ("resource_id", resource_id) if resource_id is not None else ("url", url)
         )
-        checks = self.engine.checks
-        if checks.count() > self.DRIVER_LOOKUP_MAX_ROWS:
-            # 10^10-checks path: zone-map prune the manifest's files by
-            # the key's footer min/max, then read + filter ONLY the
-            # candidate files on the driver — a serving lookup must not
-            # pay Ray Data's per-execution fixed cost for O(1) files
-            return checks.read_where_arrow(key, [val])
-        t = checks.read_arrow()
-        return t.filter(pc.equal(t[key], val))
+        return self.engine.checks.read_where_arrow(key, [val])
 
     # reference wire format (schemas/check.py CheckSchema): marshmallow
     # data_key renames check_id→"id" / check_status→"status", headers
@@ -131,11 +127,7 @@ class EngineApi:
             return None
         have = set(cat.schema().names)
         cols = [c for c in self._CATALOG_WIRE_COLS if c in have]
-        if cat.count() > self.DRIVER_LOOKUP_MAX_ROWS:
-            t = cat.read_where_arrow("resource_id", [resource_id], columns=cols)
-        else:
-            t = cat.read_arrow(columns=cols)
-            t = t.filter(pc.equal(t["resource_id"], resource_id))
+        t = cat.read_where_arrow("resource_id", [resource_id], columns=cols)
         if t.num_rows == 0:
             return None
         return {c: t[c][0].as_py() for c in t.column_names}
@@ -344,15 +336,9 @@ class EngineApi:
     def delete_resource(self, resource_id: str) -> dict:
         """DELETE /api/resources/{id} (routes/resources.py:94-107):
         mark deleted=True (tombstone; the frontier excludes deleted).
-        The row lookup routes through the zone-map-pruned path above
-        DRIVER_LOOKUP_MAX_ROWS, like every other serving lookup — a
-        tombstone must not scan the full catalog at 10^10 rows."""
-        cat_t = self.engine.catalog
-        if not cat_t.is_empty() and cat_t.count() > self.DRIVER_LOOKUP_MAX_ROWS:
-            matched = cat_t.read_where_arrow("resource_id", [resource_id])
-        else:
-            cat = cat_t.read_arrow()
-            matched = cat.filter(pc.equal(cat["resource_id"], resource_id))
+        The row lookup is the zone-map-pruned ``read_where_arrow``, like
+        every other serving lookup."""
+        matched = self.engine.catalog.read_where_arrow("resource_id", [resource_id])
         if matched.num_rows == 0:
             raise NotFound(resource_id)
         row = matched.slice(0, 1)

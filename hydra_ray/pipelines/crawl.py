@@ -122,9 +122,10 @@ class CrawlEngine:
         # re-purges once — idempotent, see purge_deleted_resources)
         self._purged_resource_ids: set[str] = set()
         # driver-side frontier cache: the catalog table stays in driver
-        # memory between iterations while it fits (same kernels, no
-        # per-iteration Ray execution); the distributed Dataset path is
-        # used automatically beyond CACHE_MAX_ROWS — the 10^10-row shape.
+        # memory between iterations while it fits the driver (the
+        # store's ``fits_driver``: same kernels, no per-iteration Ray
+        # execution); above that the frontier is a Dataset — the
+        # 10^10-row shape.
         self._frontier_cache: pa.Table | None = None
         self._maybe_restore_state()
 
@@ -171,26 +172,18 @@ class CrawlEngine:
         if self.catalog.is_empty():
             tbl = tbl.filter(pa.array(is_new))
             self.catalog.overwrite(tbl, meta={"iteration": self.iteration})
-            self._frontier_cache = tbl if tbl.num_rows <= self.CACHE_MAX_ROWS else None
+            self._frontier_cache = tbl if self.catalog.fits_driver() else None
         else:
             # re-loads refresh existing rows (upsert by resource_id) and
             # add new ones — with the SAME URL-uniqueness contract as the
             # fresh-load path: a row is kept iff its URL is new OR its
             # resource_id already exists (a refresh of itself). Without
             # this, a reload could insert a second resource pointing at
-            # an already-seen URL. Above the driver-merge threshold the
-            # membership probe reads only the incoming ids' rows — the
-            # full id column never reaches the driver.
-            from hydra_ray.sources.store import DRIVER_MERGE_MAX_ROWS
-
-            if self.catalog.count() <= DRIVER_MERGE_MAX_ROWS:
-                existing = self.catalog.read_arrow(columns=["resource_id"])["resource_id"]
-            else:
-                existing = _ds_to_arrow(
-                    self.catalog.read_where(
-                        "resource_id", tbl["resource_id"].to_pylist(), columns=["resource_id"]
-                    )
-                )["resource_id"]
+            # an already-seen URL. The membership probe pulls only the
+            # incoming ids' rows.
+            existing = self.catalog.lookup(
+                "resource_id", tbl["resource_id"].to_pylist(), columns=["resource_id"]
+            )["resource_id"]
             known_rid = pc.is_in(
                 tbl["resource_id"],
                 value_set=existing.combine_chunks()
@@ -418,29 +411,16 @@ class CrawlEngine:
                     s = str(v)
                     if e["at_version"] > covered.get(s, -1):
                         covered[s] = e["at_version"]
-        if self._frontier_cache is not None:
-            cat = self._frontier_cache
-            mask = pc.fill_null(cat["deleted"], False)
-            deleted = set(cat.filter(mask)["resource_id"].to_pylist())
-        elif self.catalog.count() <= self.CACHE_MAX_ROWS:
-            cat = self.catalog.read_arrow(columns=["resource_id", "deleted"])
-            mask = pc.fill_null(cat["deleted"], False)
-            deleted = set(cat.filter(mask)["resource_id"].to_pylist())
-        else:
-            # 10^10-frontier path: stream the scan, pull only tombstones
-            from hydra_ray.sources.store import _ds_to_arrow
+        def is_deleted(t: pa.Table):
+            return pc.fill_null(t["deleted"], False)
 
-            def only_deleted(t: pa.Table) -> pa.Table:
-                return t.filter(pc.fill_null(t["deleted"], False)).select(
-                    ["resource_id"]
-                )
-
-            tomb = _ds_to_arrow(
-                self.catalog.read(columns=["resource_id", "deleted"]).map_batches(
-                    only_deleted, batch_format="pyarrow"
-                )
-            )
-            deleted = set(tomb["resource_id"].to_pylist())
+        cat = self._frontier_cache
+        tomb = (
+            cat.filter(is_deleted(cat))
+            if cat is not None
+            else self.catalog.filter_rows(is_deleted, ["resource_id", "deleted"])
+        )
+        deleted = set(tomb["resource_id"].to_pylist())
         # a resource observed live again (re-registered after a purge)
         # must escape the lifetime skip: documents it re-creates postdate
         # the old entry and would otherwise leak past every later purge
@@ -525,17 +505,12 @@ class CrawlEngine:
         counters and upserts the frontier columns (so the row leaves the
         'unchecked' tier and the loop won't re-check it this iteration).
         Returns the check row as a dict."""
-        frontier = self._frontier()
-        if not isinstance(frontier, pa.Table):
-            frontier = _ds_to_arrow(
-                frontier.map_batches(
-                    lambda t: t.filter(pc.equal(t["resource_id"], resource_id)),
-                    batch_format="pyarrow",
-                )
-            )
-            row = frontier
-        else:
-            row = frontier.filter(pc.equal(frontier["resource_id"], resource_id))
+        cat = self._frontier_table()
+        row = (
+            cat.filter(pc.equal(cat["resource_id"], resource_id))
+            if cat is not None
+            else self.catalog.lookup("resource_id", [resource_id])
+        )
         if row.num_rows == 0:
             raise KeyError(f"resource {resource_id!r} not in catalog")
         if "deleted" in row.column_names and bool(
@@ -646,62 +621,40 @@ class CrawlEngine:
         """T7 parity (db/resource.py:172-192): resources stuck in a
         non-null status whose last activity is older than
         STUCK_THRESHOLD_SECONDS return to the frontier (status → NULL).
-        Returns the number of rows cleaned. Run at catalog load like the
-        reference (cli/catalog.py:91-92)."""
+        Returns the number of rows cleaned. The CLI's ``load-catalog``
+        runs it after the load, like the reference (cli/catalog.py:91-92)."""
         from datetime import timedelta
 
-        cat = self._frontier()
         now = self.now_dt()
         threshold = np.datetime64(now - timedelta(seconds=config.STUCK_THRESHOLD_SECONDS), "us")
-        if not isinstance(cat, pa.Table):
-            # 10^10-row path: detect stale rows distributed over two
-            # projected columns, pull only the (rare) stuck ids, and fix
-            # them with a merge-on-read update — never a full-width
-            # driver read + wholesale overwrite
-            thr = pa.scalar(threshold.item(), type=pa.timestamp("us"))
+        thr = pa.scalar(threshold.item(), type=pa.timestamp("us"))
 
-            def stuck_ids(b: pa.Table) -> pa.Table:
-                stale_b = pc.and_(
-                    pc.invert(pc.is_null(b["status"])),
-                    pc.fill_null(pc.less(b["status_since"], thr), True),
-                )
-                return b.filter(stale_b).select(["resource_id"])
-
-            ids = _ds_to_arrow(
-                self.catalog.read(
-                    columns=["resource_id", "status", "status_since"]
-                ).map_batches(stuck_ids, batch_format="pyarrow")
-            )["resource_id"].to_pylist()
-            if ids:
-                self.catalog.update_where(
-                    "resource_id", ids,
-                    set_values={"status": None, "status_since": now},
-                    meta={"iteration": self.iteration},
-                )
-                self.invalidate_frontier_cache()
-            return len(ids)
-        status_set = pc.invert(pc.is_null(cat["status"]))
-        since = cat["status_since"]
-        stale = pc.and_(
-            status_set,
-            pc.fill_null(
-                pc.less(since, pa.scalar(threshold.item(), type=pa.timestamp("us"))), True
-            ),
-        )
-        n_stuck = int(pc.sum(pc.cast(stale, pa.int32())).as_py() or 0)
-        if n_stuck:
-            new_status = pc.if_else(stale, pa.nulls(len(cat), pa.string()), cat["status"])
-            cat = _set_column(cat, "status", new_status)
-            cat = _set_column(
-                cat,
-                "status_since",
-                pc.if_else(
-                    stale, pa.array([now] * len(cat), type=pa.timestamp("us")), cat["status_since"]
-                ),
+        def is_stuck(t: pa.Table):
+            return pc.and_(
+                pc.invert(pc.is_null(t["status"])),
+                pc.fill_null(pc.less(t["status_since"], thr), True),
             )
-            self.catalog.overwrite(cat, meta={"iteration": self.iteration})
-            self._frontier_cache = cat if cat.num_rows <= self.CACHE_MAX_ROWS else None
-        return n_stuck
+
+        # detect over the held frontier, else over three projected
+        # columns; fix only the (rare) stuck rows with a merge-on-read
+        # update — never a full-width rewrite
+        cat = self._frontier_cache
+        stuck = (
+            cat.filter(is_stuck(cat))
+            if cat is not None
+            else self.catalog.filter_rows(
+                is_stuck, ["resource_id", "status", "status_since"]
+            )
+        )
+        ids = stuck["resource_id"].to_pylist()
+        if ids:
+            self.catalog.update_where(
+                "resource_id", ids,
+                set_values={"status": None, "status_since": now},
+                meta={"iteration": self.iteration},
+            )
+            self.invalidate_frontier_cache()
+        return len(ids)
 
     # -- documents (merge-on-read) ----------------------------------------
     def read_documents(self, since_version: int | None = None) -> pa.Table:
@@ -753,23 +706,22 @@ class CrawlEngine:
         self.documents.delete_where("doc_id", list(doc_ids), meta=meta)
         return {"deleted_rows": self.documents.deleted_count() - before}
 
-    DOCS_COMPACT_DRIVER_ROWS = 2_000_000
-
     def compact_documents(self) -> dict:
         """Merge-on-read → merge-on-write: rewrite the append-only
         documents table keeping only the latest ``_iter`` row per
         doc_id. After a long crawl the table holds one superseded copy
         per re-parse; compaction bounds the read amplification that
         ``read_documents`` (and every downstream consumer) pays.
-        Driver path below DOCS_COMPACT_DRIVER_ROWS; above, a
-        distributed keyed dedup (stages/keyed.py) — the heavy span
-        payload crosses one hash shuffle, nothing lands on the driver.
+        Driver path while the table fits the driver (the store's
+        ``fits_driver``); above, a distributed keyed dedup
+        (stages/keyed.py) — the heavy span payload crosses one hash
+        shuffle, nothing lands on the driver.
         Run ``gc()`` afterwards to drop the superseded version files."""
         before = self.documents.count()
         if before == 0:
             return {"rows_before": 0, "rows_after": 0}
-        sample = self.documents.read_arrow(columns=None) if before <= self.DOCS_COMPACT_DRIVER_ROWS else None
-        if sample is not None:
+        if self.documents.fits_driver():
+            sample = self.documents.read_arrow()
             if "_iter" not in sample.column_names:
                 return {"rows_before": before, "rows_after": before}
             compacted = self._dedup_docs_table(sample)
@@ -801,8 +753,6 @@ class CrawlEngine:
         return tbl.take(pa.array(np.sort(keep)))
 
     # -- internals ---------------------------------------------------------
-    CACHE_MAX_ROWS = 2_000_000
-
     # catalog columns that hold CRAWL STATE (vs seed metadata): a reload
     # or upsert must never reset them to defaults unless the caller
     # explicitly provides values — the reference's catalog refresh
@@ -818,8 +768,8 @@ class CrawlEngine:
 
     def _stored_rows_for(self, ids, columns: list[str]) -> pa.Table | None:
         """resource_id + `columns` for catalog rows matching `ids`
-        (cache → driver read → distributed semi-join probe, by size;
-        the pulled table is O(matching ids), never O(catalog))."""
+        (the held frontier cache, else a store lookup; the pulled table
+        is O(matching ids), never O(catalog))."""
         if self.catalog.is_empty():
             return None
         cache = self._frontier_cache
@@ -830,11 +780,7 @@ class CrawlEngine:
         have = ["resource_id"] + [c for c in columns if c in names]
         if len(have) == 1:
             return None
-        if self.catalog.count() <= self.CACHE_MAX_ROWS:
-            return self.catalog.read_arrow(columns=have)
-        return _ds_to_arrow(
-            self.catalog.read_where("resource_id", ids.to_pylist(), columns=have)
-        )
+        return self.catalog.lookup("resource_id", ids.to_pylist(), columns=have)
 
     def _carry_stored_columns(
         self, tbl: pa.Table, cols: list[str], live_only: bool = False
@@ -880,13 +826,16 @@ class CrawlEngine:
                 tbl = tbl.append_column(c, vals)
         return tbl
 
-    def _frontier(self) -> "rd.Dataset | pa.Table":
-        if self._frontier_cache is not None:
-            return self._frontier_cache
-        if self.catalog.count() <= self.CACHE_MAX_ROWS:
+    def _frontier_table(self) -> pa.Table | None:
+        """The driver-held frontier: the cache, read on first use while
+        the catalog fits the driver; None above that."""
+        if self._frontier_cache is None and self.catalog.fits_driver():
             self._frontier_cache = self.catalog.read_arrow()
-            return self._frontier_cache
-        return self.catalog.read()
+        return self._frontier_cache
+
+    def _frontier(self) -> "rd.Dataset | pa.Table":
+        cat = self._frontier_table()
+        return cat if cat is not None else self.catalog.read()
 
     def _finish_iteration(self, updates: list[pa.Table], stats: dict) -> None:
         now = self.now_dt(self.iteration)

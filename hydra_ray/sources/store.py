@@ -17,6 +17,9 @@ available in this environment, so this module provides the same
   ``gc()`` reclaims them;
 - ``read()`` returns a lazy ``ray.data.Dataset`` over the manifest's
   files (never materializes);
+- ``fits_driver()`` is the one table-size rule (``DRIVER_MAX_ROWS``):
+  ``lookup``, ``filter_rows``, ``merge_insert`` and ``compact`` work on
+  the driver at or below it and as Ray Datasets above it;
 - ``merge_insert`` implements last-wins upsert by key, the Lance
   ``merge_insert`` / reference ``ON CONFLICT DO UPDATE`` equivalent
   (udata_hydra/db/resource.py:64-79); with ``partition_key`` set the
@@ -63,7 +66,10 @@ import ray
 import ray.data as rd
 
 
-DRIVER_MERGE_MAX_ROWS = 2_000_000
+# the one table-size rule (``VersionedTable.fits_driver``): a table of
+# at most this many live rows is read and merged on the driver, with no
+# Ray execution; above it, as a Ray Dataset
+DRIVER_MAX_ROWS = 2_000_000
 
 
 class ConcurrentCommitError(RuntimeError):
@@ -98,6 +104,8 @@ class VersionedTable:
         # a version's row count is immutable — memoize per version so
         # serving-path threshold checks don't re-open every footer
         self._count_cache: dict[int, int] = {}
+        # in-memory copies of the _stats/ per-file caches (see _stats_cache)
+        self._stats_memo: dict[str, dict] = {}
 
     # -- version bookkeeping ---------------------------------------------
     def latest_version(self) -> int:
@@ -513,22 +521,35 @@ class VersionedTable:
         stats for the file — such a file is never pruned. Reading a
         footer costs one metadata fetch, paid once per file per key over
         the table's lifetime."""
-        stats_dir = os.path.join(self.path, "_stats")
-        cache_path = os.path.join(stats_dir, f"{key}.json")
-        cache: dict[str, list | None] = {}
-        if os.path.exists(cache_path):
-            with open(cache_path) as fh:
-                cache = json.load(fh)
-        missing = [f for f in files if f not in cache]
-        for f in missing:
-            cache[f] = self._footer_key_range(f, key)
+        cache = self._stats_cache(key, files, lambda f: self._footer_key_range(f, key))
+        return {f: (None if r is None else tuple(r)) for f, r in cache.items()}
+
+    def _stats_cache(self, name: str, files: list[str], compute) -> dict:
+        """``{file: compute(file)}`` for per-file facts cached in
+        ``_stats/<name>.json`` and in memory. A data file is immutable
+        and its path unique, so an entry never goes stale and the cache
+        only extends; ``compute`` runs once per file over the table's
+        lifetime, and a read whose files are all known opens no file."""
+        memo = self._stats_memo.setdefault(name, {})
+        missing = [f for f in files if f not in memo]
         if missing:
-            os.makedirs(stats_dir, exist_ok=True)
-            tmp = cache_path + f".tmp-{uuid.uuid4().hex[:8]}"
-            with open(tmp, "w") as fh:
-                json.dump(cache, fh)
-            os.replace(tmp, cache_path)
-        return {f: (None if cache[f] is None else tuple(cache[f])) for f in files}
+            stats_dir = os.path.join(self.path, "_stats")
+            cache_path = os.path.join(stats_dir, f"{name}.json")
+            cache: dict = {}
+            if os.path.exists(cache_path):
+                with open(cache_path) as fh:
+                    cache = json.load(fh)
+            new = [f for f in missing if f not in cache]
+            for f in new:
+                cache[f] = compute(f)
+            if new:
+                os.makedirs(stats_dir, exist_ok=True)
+                tmp = cache_path + f".tmp-{uuid.uuid4().hex[:8]}"
+                with open(tmp, "w") as fh:
+                    json.dump(cache, fh)
+                os.replace(tmp, cache_path)
+            memo.update(cache)
+        return {f: memo[f] for f in files}
 
     @staticmethod
     def _footer_key_range(path: str, key: str):
@@ -611,9 +632,7 @@ class VersionedTable:
         # layout_files pins the canonical layout to the FULL manifest:
         # pruning must never change the output schema (a heterogeneous
         # append's column could exist only in pruned-away files)
-        schemas = self._file_schemas(m["files"])
-        homogeneous = len({tuple(ns) for ns in schemas.values()}) == 1
-        if deletes or added or eq or not homogeneous:
+        if deletes or added or eq or not self._one_schema(m["files"]):
             ds = self._read_files_merged(
                 files, deletes, added, cols_read, eq, m.get("file_versions"),
                 layout_files=m["files"],
@@ -626,37 +645,57 @@ class VersionedTable:
         self, key: str, values, columns: list[str] | None = None
     ) -> pa.Table:
         """Driver-side zone-map point lookup: prune to candidate files,
-        read them directly, row-filter. For serving-style lookups where
-        the zone maps leave O(1) candidate files — same result as
-        ``read_where`` without Ray Data's per-execution fixed cost."""
+        read them with ``read_arrow``'s per-file loader, row-filter.
+        Same result as ``read_where`` without Ray Data's per-execution
+        fixed cost. Zone maps prune by each file's footer min/max of
+        ``key``, so they skip files only when the key is clustered
+        (after ``compact(sort_by=key)``); on hash-spread keys every
+        file is a candidate and this reads the whole table."""
         import pyarrow.compute as pc
 
         m = self._load_manifest(None)
         if not m["files"]:
             raise ValueError(f"table {self.path} is empty")
-        deletes = m.get("deletes") or {}
-        added = m.get("added_columns") or []
         want = (
             None
             if columns is None
             else list(columns) + ([key] if key not in columns else [])
         )
-        cols_read, fill_types = self._canonical_layout(m["files"], added, want)
-        files = self.prune_files(m["files"], key, values)
-        eq = m.get("eq_deletes") or []
-        fv = m.get("file_versions") or {}
+        load = self._file_loader(m, want)
         value_set = pa.array(sorted(set(values)))
-        parts = []
-        for f in files:
-            t = self._load_file_table(
-                f, deletes.get(f), added, cols_read, fill_types,
-                self._eq_entries_for(eq, fv.get(f, 0)),
-            )
-            parts.append(t.filter(pc.is_in(t[key], value_set=value_set)))
+        parts = [
+            t.filter(pc.is_in(t[key], value_set=value_set))
+            for t in map(load, self.prune_files(m["files"], key, values))
+        ]
         if not parts:
-            parts = [self._empty_canonical_table(m, cols_read)]
+            parts = [self._empty_canonical_table(m, want)]
         out = pa.concat_tables(parts, promote_options="default")
         return out.select(columns) if columns is not None else out
+
+    def lookup(self, key: str, values, columns: list[str] | None = None) -> pa.Table:
+        """Rows whose ``key`` is in ``values``, projected to ``columns``,
+        as one Arrow table: ``read_where_arrow`` on the driver while the
+        table fits it (``fits_driver``), a ``read_where`` Dataset above
+        it. Either way only the matching rows reach the driver."""
+        if self.fits_driver():
+            return self.read_where_arrow(key, values, columns=columns)
+        return _ds_to_arrow(self.read_where(key, values, columns=columns))
+
+    def filter_rows(self, predicate, columns: list[str]) -> pa.Table:
+        """Rows where ``predicate(batch)`` (a boolean mask over a
+        pyarrow batch) is true, projected to ``columns``, which must
+        hold every column the predicate reads: a driver read + filter
+        while the table fits the driver, a streamed Dataset filter above
+        it that pulls only the matching rows."""
+
+        def keep(t: pa.Table) -> pa.Table:
+            return t.filter(predicate(t))
+
+        if self.fits_driver():
+            return keep(self.read_arrow(columns=columns))
+        return _ds_to_arrow(
+            self.read(columns=columns).map_batches(keep, batch_format="pyarrow")
+        )
 
     def _empty_canonical_table(
         self, m: dict, columns: list[str] | None
@@ -1146,7 +1185,7 @@ class VersionedTable:
         pull). ``sort_by`` clusters the rewrite on a key so the new
         files carry tight, near-disjoint zone maps — point lookups and
         deletes after a clustered compaction prune to O(1) files."""
-        if self.count() > DRIVER_MERGE_MAX_ROWS:
+        if not self.fits_driver():
             ds = self.read()
             return self.overwrite(ds.sort(sort_by) if sort_by else ds, meta=meta)
         tbl = self.read_arrow()
@@ -1166,22 +1205,14 @@ class VersionedTable:
     def _file_schemas(self, files: list[str]) -> dict[str, list[str]]:
         """Per-file physical column names, cached like zone maps
         (a file's schema is immutable, so the cache only extends)."""
-        stats_dir = os.path.join(self.path, "_stats")
-        cache_path = os.path.join(stats_dir, "__schemas__.json")
-        cache: dict[str, list[str]] = {}
-        if os.path.exists(cache_path):
-            with open(cache_path) as fh:
-                cache = json.load(fh)
-        missing = [f for f in files if f not in cache]
-        for f in missing:
-            cache[f] = list(pq.ParquetFile(f).schema_arrow.names)
-        if missing:
-            os.makedirs(stats_dir, exist_ok=True)
-            tmp = cache_path + f".tmp-{uuid.uuid4().hex[:8]}"
-            with open(tmp, "w") as fh:
-                json.dump(cache, fh)
-            os.replace(tmp, cache_path)
-        return {f: cache[f] for f in files}
+        return self._stats_cache(
+            "__schemas__", files, lambda f: list(pq.ParquetFile(f).schema_arrow.names)
+        )
+
+    def _one_schema(self, files: list[str]) -> bool:
+        """Whether every file carries the same physical columns (a
+        heterogeneous append makes readers use the canonical layout)."""
+        return len({tuple(ns) for ns in self._file_schemas(files).values()}) <= 1
 
     def _canonical_layout(
         self, files: list[str], added: list[dict], columns: list[str] | None
@@ -1324,39 +1355,48 @@ class VersionedTable:
         # plain read_parquet hands each file's own schema downstream, so a
         # map_batches touching the newer column crashes on older blocks.
         # Same homogeneity gate as read_where; schema probe is cached.
-        schemas = self._file_schemas(files)
-        if len({tuple(ns) for ns in schemas.values()}) > 1:
+        if not self._one_schema(files):
             return self._read_files_merged(
                 files, {}, [], columns, [], m.get("file_versions")
             )
         return rd.read_parquet(files, columns=columns, **kwargs)
 
     def read_arrow(self, version: int | None = None, columns: list[str] | None = None) -> pa.Table:
-        """Driver-side read — only for small tables (manifests, tests)."""
+        """Driver-side read of the whole table — for tables that fit
+        the driver (``fits_driver``), manifests and tests."""
         m = self._load_manifest(version)
-        files = m["files"]
-        if not files:
+        if not m["files"]:
             raise ValueError(f"table {self.path} is empty")
+        load = self._file_loader(m, columns)
+        return pa.concat_tables(
+            [load(f) for f in m["files"]], promote_options="default"
+        )
+
+    def _file_loader(self, m: dict, columns: list[str] | None):
+        """The per-file reader of every driver read (``read_arrow``,
+        ``read_where_arrow``): ``load(path)`` returns that file's live
+        rows in the manifest's layout. A plain ``pq.read_table`` when
+        the manifest has no deletes, no added columns, no equality
+        deletes and one file schema; the canonical-layout loader
+        otherwise."""
+        files = m["files"]
         deletes = m.get("deletes") or {}
         added = m.get("added_columns") or []
         eq = m.get("eq_deletes") or []
-        if not deletes and not added and not eq:
-            return pa.concat_tables(
-                [pq.read_table(f, columns=columns) for f in files],
-                promote_options="default",
-            )
-        fv = m.get("file_versions") or {}
+        if not (deletes or added or eq) and self._one_schema(files):
+            return lambda f: pq.read_table(f, columns=columns)
         canon, fill_types = self._canonical_layout(files, added, columns)
-        return pa.concat_tables(
-            [
-                self._load_file_table(
-                    f, deletes.get(f), added, canon, fill_types,
-                    self._eq_entries_for(eq, fv.get(f, 0)),
-                )
-                for f in files
-            ],
-            promote_options="default",
+        fv = m.get("file_versions") or {}
+        return lambda f: self._load_file_table(
+            f, deletes.get(f), added, canon, fill_types,
+            self._eq_entries_for(eq, fv.get(f, 0)),
         )
+
+    def fits_driver(self) -> bool:
+        """The one table-size rule (``DRIVER_MAX_ROWS``): whether the
+        table is small enough to read and merge on the driver. Every
+        driver-or-Dataset choice over a stored table asks this."""
+        return self.count() <= DRIVER_MAX_ROWS
 
     def count(self, version: int | None = None) -> int:
         """Live row count: file metadata minus deletion-vector sizes —
@@ -1451,6 +1491,7 @@ class VersionedTable:
                     os.rmdir(root)
         # drop zone-map cache entries for files that no longer exist
         # (and crashed-write .tmp leftovers — gc must never choke on them)
+        self._stats_memo.clear()
         stats_dir = os.path.join(self.path, "_stats")
         if os.path.isdir(stats_dir):
             for f in os.listdir(stats_dir):
@@ -1527,7 +1568,7 @@ class VersionedTable:
             def drop_updated(batch: pa.Table) -> pa.Table:
                 return batch.filter(pc.invert(pc.is_in(batch[key], value_set=new_keys)))
 
-            if self.count() > DRIVER_MERGE_MAX_ROWS:
+            if not self.fits_driver():
                 # 10^10-row path: survivors stay a Dataset end to end —
                 # filtered blocks stream straight into the overwrite's
                 # write tasks; the driver never holds table bytes

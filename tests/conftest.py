@@ -58,3 +58,26 @@ def keyset_route(request, monkeypatch):
 
         monkeypatch.setattr(joins, "KEYS_BROADCAST_MAX", 0)
     return request.param
+
+
+@pytest.fixture()
+def table_route(monkeypatch):
+    """Switch for the store's one table-size rule: ``with
+    table_route("dataset"):`` runs its body with store.DRIVER_MAX_ROWS
+    at 0, so every size test (lookup, filter_rows, merge_insert,
+    compact, the crawl's frontier cache and documents compaction) picks
+    the Dataset side; ``"driver"`` keeps the default. A test runs its
+    work on both routes and checks the results are equal."""
+    from contextlib import contextmanager
+
+    from hydra_ray.sources import store
+
+    @contextmanager
+    def route(name: str):
+        assert name in ("driver", "dataset")
+        with monkeypatch.context() as m:
+            if name == "dataset":
+                m.setattr(store, "DRIVER_MAX_ROWS", 0)
+            yield name
+
+    return route

@@ -5,22 +5,23 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-import hydra_ray.sources.store as store_mod
 import hydra_ray.stages.agg as agg_mod
 from hydra_ray.sources.store import VersionedTable
 from hydra_ray.stages.agg import grouped_agg
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_merge_insert_distributed_path(tmp_path, monkeypatch):
-    vt = VersionedTable(str(tmp_path / "t"))
+def test_merge_insert_distributed_path(tmp_path, table_route):
     t0 = pa.table({"k": ["a", "b", "c"], "v": pa.array([1, 2, 3], type=pa.int64())})
-    vt.overwrite(t0)
-    monkeypatch.setattr(store_mod, "DRIVER_MERGE_MAX_ROWS", 0)  # force Dataset path
-    vt.merge_insert(pa.table({"k": ["b", "d"], "v": pa.array([20, 40], type=pa.int64())}), key="k")
-    got = vt.read_arrow().sort_by("k")
-    assert got["k"].to_pylist() == ["a", "b", "c", "d"]
-    assert got["v"].to_pylist() == [1, 20, 3, 40]
+    upd = pa.table({"k": ["b", "d"], "v": pa.array([20, 40], type=pa.int64())})
+    for route in ("driver", "dataset"):
+        vt = VersionedTable(str(tmp_path / route))
+        vt.overwrite(t0)
+        with table_route(route):
+            vt.merge_insert(upd, key="k")
+        got = vt.read_arrow().sort_by("k")
+        assert got["k"].to_pylist() == ["a", "b", "c", "d"]
+        assert got["v"].to_pylist() == [1, 20, 3, 40]
 
 
 @pytest.mark.usefixtures("ray_session")

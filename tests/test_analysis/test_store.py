@@ -438,7 +438,7 @@ class TestSchemaEvolution:
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_clustered_compaction_tightens_zone_maps(tmp_path):
+def test_clustered_compaction_tightens_zone_maps(tmp_path, table_route):
     """compact(sort_by=key) rewrites rows clustered on the key, so the
     fresh files' footer ranges prune point lookups tightly."""
     vt = VersionedTable(str(tmp_path / "t"))
@@ -458,14 +458,8 @@ def test_clustered_compaction_tightens_zone_maps(tmp_path):
     vt2.append(t(["a", "z", "c"], [1, 26, 3]))
     vt2.append(t(["b", "y", "d"], [2, 25, 4]))
     vt2.delete_where("k", ["c"])
-    import hydra_ray.sources.store as store_mod
-
-    old = store_mod.DRIVER_MERGE_MAX_ROWS
-    store_mod.DRIVER_MERGE_MAX_ROWS = 0
-    try:
+    with table_route("dataset"):
         vt2.compact(sort_by="k")
-    finally:
-        store_mod.DRIVER_MERGE_MAX_ROWS = old
     got2 = vt2.read_arrow()
     assert got2["k"].to_pylist() == ["a", "b", "d", "y", "z"]
     assert got2["v"].to_pylist() == got["v"].to_pylist()
@@ -612,21 +606,62 @@ class TestReviewHardening:
         vt.gc(keep_versions=1)  # must not raise
         assert not _os.path.exists(stats_dir / "k.json.tmp-dead")
 
-    def test_read_where_arrow_matches_dataset_path(self, tmp_path):
-        vt = VersionedTable(str(tmp_path / "t"))
-        vt.append(t(["a", "b", "c"], [1, 2, 3]))
-        vt.append(t(["x", "y"], [7, 8]))
-        vt.delete_where("k", ["b"])
-        vt.add_column("score", "int64", default=5)
-        want = sorted(vt.read_where("k", ["a", "y", "zz"]).take_all(),
-                      key=lambda r: r["k"])
-        got = sorted(vt.read_where_arrow("k", ["a", "y", "zz"]).to_pylist(),
-                     key=lambda r: r["k"])
-        assert got == want
+    def test_read_where_arrow_matches_dataset_path(self, tmp_path, table_route):
+        """read_where_arrow (read_arrow's per-file loader + filter) equals
+        read_where, a read_arrow + filter, and lookup on both table
+        routes, over every manifest shape the loader handles: plain
+        files, position deletes, equality deletes, added columns and a
+        heterogeneous append."""
+        import pyarrow.compute as pc
+
+        def deletes(vt):
+            vt.delete_where("k", ["b"])
+
+        def eq_deletes(vt):
+            vt.delete_where("k", ["c"], defer=True)
+
+        def added(vt):
+            vt.add_column("score", "int64", default=5)
+
+        def heterogeneous(vt):
+            vt.append(pa.table({"k": ["y2"], "v": pa.array([9], pa.int64()), "e": ["x"]}))
+
+        shapes = {
+            "plain": [],
+            "deletes": [deletes],
+            "eq_deletes": [eq_deletes],
+            "added": [added],
+            "heterogeneous": [heterogeneous],
+            "deletes_added": [deletes, added],
+            "all": [deletes, eq_deletes, added, heterogeneous],
+        }
+        keys = ["a", "b", "c", "y", "y2", "zz"]
+
+        def rows(tbl):
+            return sorted(tbl.to_pylist(), key=lambda r: r["k"])
+
+        for name, steps in shapes.items():
+            vt = VersionedTable(str(tmp_path / name))
+            vt.append(t(["a", "b", "c"], [1, 2, 3]))
+            vt.append(t(["x", "y"], [7, 8]))
+            for step in steps:
+                step(vt)
+            want = sorted(vt.read_where("k", keys).take_all(), key=lambda r: r["k"])
+            got = rows(vt.read_where_arrow("k", keys))
+            assert got == want, name
+            full = vt.read_arrow()
+            assert rows(full.filter(pc.is_in(full["k"], pa.array(keys)))) == want, name
+            for route in ("driver", "dataset"):
+                with table_route(route):
+                    assert rows(vt.lookup("k", keys)) == want, (name, route)
+            # column subset without the key
+            sub = vt.read_where_arrow("k", ["x"], columns=["v"])
+            assert sub.column_names == ["v"] and sub["v"].to_pylist() == [7], name
+        # the deletes + added shape: b deleted, the added default filled
+        vt = VersionedTable(str(tmp_path / "deletes_added"))
+        got = rows(vt.read_where_arrow("k", ["a", "y", "zz"]))
+        assert [r["k"] for r in got] == ["a", "y"]
         assert [r["score"] for r in got] == [5, 5]
-        # column subset without the key
-        sub = vt.read_where_arrow("k", ["x"], columns=["v"])
-        assert sub.column_names == ["v"] and sub["v"].to_pylist() == [7]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -1178,12 +1213,10 @@ def test_add_column_rejects_name_in_any_file(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_merge_insert_large_path_streams_and_matches(tmp_path, monkeypatch):
-    """Above DRIVER_MERGE_MAX_ROWS the upsert must not pull the table to
-    the driver; the Dataset path's result is pinned equal to the driver
-    path's."""
-    import hydra_ray.sources.store as store_mod
-
+def test_merge_insert_large_path_streams_and_matches(tmp_path, table_route):
+    """Above the store's DRIVER_MAX_ROWS the upsert must not pull the
+    table to the driver; the Dataset path's result is pinned equal to
+    the driver path's."""
     base = pa.table({"k": [f"k{i}" for i in range(40)], "v": list(range(40))})
     upd = pa.table({"k": ["k3", "k7", "new"], "v": [300, 700, 999]})
 
@@ -1192,10 +1225,10 @@ def test_merge_insert_large_path_streams_and_matches(tmp_path, monkeypatch):
     ref.merge_insert(upd, key="k")
     want = {r["k"]: r["v"] for r in ref.read_arrow().to_pylist()}
 
-    monkeypatch.setattr(store_mod, "DRIVER_MERGE_MAX_ROWS", 10)
     vt = VersionedTable(str(tmp_path / "t"))
     vt.overwrite(base)
-    vt.merge_insert(upd, key="k")
+    with table_route("dataset"):
+        vt.merge_insert(upd, key="k")
     got = {r["k"]: r["v"] for r in vt.read_arrow().to_pylist()}
     assert got == want and got["k3"] == 300 and got["new"] == 999
 

@@ -237,35 +237,56 @@ class TestAuth:
 
 @pytest.mark.usefixtures("ray_session")
 class TestDistributedLookupPath:
-    def test_over_threshold_lookup_matches_driver_path(self, api, monkeypatch):
-        """The zone-map pruned Dataset lookup (10^10-checks route) returns
-        exactly what the driver read_arrow route returns."""
+    def test_over_threshold_lookup_matches_driver_path(self, api):
+        """The zone-map pruned lookup (read_where_arrow, the only serving
+        route) returns exactly the rows a full read_arrow + filter
+        finds, in the reference's order and wire format."""
+        import pyarrow.compute as pc
+
         checks = api.engine.checks.read_arrow()
+        cat = api.engine.catalog.read_arrow()
+
+        def expected(key, val):
+            t = checks.filter(pc.equal(checks[key], val)).sort_by(
+                [("created_at", "descending"), ("id", "descending")]
+            )
+            out = []
+            for row in t.to_pylist():
+                c = cat.filter(pc.equal(cat["resource_id"], row["resource_id"]))
+                out.append(EngineApi._check_wire(row, c.to_pylist()[0] if c.num_rows else None))
+            return out
+
         rid = checks["resource_id"][0].as_py()
         url = checks["url"][0].as_py()
-        want_rid = api.get_all_checks(resource_id=rid)
-        want_url = api.get_all_checks(url=url)
-        monkeypatch.setattr(EngineApi, "DRIVER_LOOKUP_MAX_ROWS", 0)
+        want_rid = expected("resource_id", rid)
+        want_url = expected("url", url)
+        assert want_rid and want_url
         assert api.get_all_checks(resource_id=rid) == want_rid
         assert api.get_all_checks(url=url) == want_url
         with pytest.raises(NotFound):
             api.get_all_checks(resource_id="nope")
 
-    def test_delete_resource_pruned_path(self, api, monkeypatch):
-        """delete_resource's row lookup routes through read_where_arrow
-        above the threshold: the tombstone it commits is identical to
-        the driver-path one (full-width row, deleted=True), NotFound
-        still raises, and the frontier cache is invalidated."""
+    def test_delete_resource_pruned_path(self, api):
+        """delete_resource's row lookup is read_where_arrow: the
+        tombstone it commits is the full-width stored row with
+        deleted=True, NotFound still raises, and the frontier cache is
+        invalidated."""
+        import pyarrow as pa
         import pyarrow.compute as pc
 
         cat = api.engine.catalog.read_arrow()
         rid = cat["resource_id"][3].as_py()
-        monkeypatch.setattr(EngineApi, "DRIVER_LOOKUP_MAX_ROWS", 0)
+        want = cat.filter(pc.equal(cat["resource_id"], rid))
+        want = want.set_column(
+            want.column_names.index("deleted"), "deleted", pa.array([True])
+        )
         assert api.delete_resource(rid) == {"message": "deleted"}
         after = api.engine.catalog.read_arrow()
         row = after.filter(pc.equal(after["resource_id"], rid))
         assert row.num_rows == 1 and row["deleted"][0].as_py() is True
         assert set(after.column_names) == set(cat.column_names)
+        assert row.select(want.column_names).to_pylist() == want.to_pylist()
+        assert api.engine._frontier_cache is None
         with pytest.raises(Gone):
             api.create_check(rid)
         with pytest.raises(NotFound):

@@ -63,6 +63,46 @@ def test_cli_crawl_roundtrip(tmp_path, capsys):
     assert isinstance(out, dict)
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_cli_load_catalog_cleans_stuck_statuses(tmp_path, capsys, make_crawl_engine):
+    """load-catalog returns resources stuck in a working status to the
+    frontier after the load, like the reference (cli/catalog.py:91-92),
+    and reports how many it cleaned."""
+    from datetime import timedelta
+
+    import pyarrow as pa
+
+    from hydra_ray.pipelines.crawl import VIRTUAL_T0
+
+    cat = tmp_path / "catalog.csv"
+    cat.write_text(CSV)
+    wd = str(tmp_path / "wd")
+    out = _run(capsys, "load-catalog", "--workdir", wd, "--csv", str(cat))
+    assert out["loaded"] == 2 and out["cleaned"] == 0
+
+    # r1 stuck since long before the engine's clock, r3 working right now
+    eng = make_crawl_engine(wd)
+    tbl = eng.catalog.read_arrow()
+    rids = tbl["resource_id"].to_pylist()
+    since = {"r1": VIRTUAL_T0 - timedelta(hours=2), "r3": eng.now_dt()}
+    tbl = tbl.set_column(
+        tbl.column_names.index("status"), "status",
+        pa.array(["ANALYSING_CSV" if r in since else None for r in rids]),
+    )
+    tbl = tbl.set_column(
+        tbl.column_names.index("status_since"), "status_since",
+        pa.array([since.get(r) for r in rids], type=pa.timestamp("us")),
+    )
+    eng.catalog.overwrite(tbl, meta={"iteration": eng.iteration})
+    eng.shutdown()
+
+    out = _run(capsys, "load-catalog", "--workdir", wd, "--csv", str(cat))
+    assert out["loaded"] == 2 and out["cleaned"] == 1
+    got = make_crawl_engine(wd).catalog.read_arrow()
+    status = dict(zip(got["resource_id"].to_pylist(), got["status"].to_pylist()))
+    assert status == {"r1": None, "r3": "ANALYSING_CSV"}
+
+
 def test_cli_analyse_csv(tmp_path, capsys):
     f = tmp_path / "t.csv"
     f.write_text("a,b\n1,x\n2,y\n")

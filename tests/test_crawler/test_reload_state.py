@@ -90,25 +90,16 @@ def test_reload_preserves_crawl_state(tmp_path, make_crawl_engine):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_reload_above_driver_thresholds(tmp_path, make_crawl_engine, monkeypatch):
-    """Reload with both catalog probes on their large path (the
-    resource_id membership probe and the stored-state read, each a
-    read_where lookup): crawl state is carried, new rows enter fresh,
-    and a new resource_id pointing at an already-seen URL is refused."""
-    import hydra_ray.sources.store as store_mod
-
+def test_reload_above_driver_thresholds(tmp_path, make_crawl_engine, table_route):
+    """Reload on both table routes (the resource_id membership probe
+    and the stored-state read are store lookups: a driver read, or a
+    read_where Dataset above the size rule): crawl state is carried,
+    new rows enter fresh, a new resource_id pointing at an
+    already-seen URL is refused, and both routes store the same
+    catalog."""
     docs = pa.table({"doc_id": pa.array(np.arange(30), type=pa.int64())})
     seed = catalog_from_documents(docs)
-    eng = make_crawl_engine(str(tmp_path / "wd"), **KW)
-    eng.load_catalog(seed)
-    eng.run(2)
-    before = _state_by_rid(eng.catalog.read_arrow())
-    checked = {k: v for k, v in before.items() if v["last_check_id"] is not None}
-    assert checked
-
-    monkeypatch.setattr(store_mod, "DRIVER_MERGE_MAX_ROWS", 0)
-    eng.CACHE_MAX_ROWS = 0
-    eng.invalidate_frontier_cache()
+    new_docs = pa.table({"doc_id": pa.array(np.arange(30, 35), type=pa.int64())})
     url_dup = seed.slice(0, 1).set_column(
         seed.column_names.index("resource_id"), "resource_id", pa.array(["url-dup"])
     )
@@ -117,21 +108,37 @@ def test_reload_above_driver_thresholds(tmp_path, make_crawl_engine, monkeypatch
         "title",
         pa.array([f"refreshed {i}" for i in range(seed.num_rows)]),
     )
-    new_docs = pa.table({"doc_id": pa.array(np.arange(30, 35), type=pa.int64())})
-    eng.load_catalog(
-        pa.concat_tables([refreshed, catalog_from_documents(new_docs), url_dup])
-    )
+    stored = {}
+    for route in ("driver", "dataset"):
+        eng = make_crawl_engine(str(tmp_path / route), **KW)
+        eng.load_catalog(seed)
+        eng.run(2)
+        before = _state_by_rid(eng.catalog.read_arrow())
+        checked = {k: v for k, v in before.items() if v["last_check_id"] is not None}
+        assert checked
 
-    cat = eng.catalog.read_arrow()
-    titles = dict(zip(cat["resource_id"].to_pylist(), cat["title"].to_pylist()))
-    assert all(titles[rid].startswith("refreshed ") for rid in before)
-    after = _state_by_rid(cat)
-    assert "url-dup" not in after
-    assert len(after) == 35
-    for rid, prev in checked.items():
-        assert after[rid] == prev
-    for rid in catalog_from_documents(new_docs)["resource_id"].to_pylist():
-        assert after[rid]["last_check_id"] is None
+        with table_route(route):
+            eng.invalidate_frontier_cache()
+            eng.load_catalog(
+                pa.concat_tables([refreshed, catalog_from_documents(new_docs), url_dup])
+            )
+
+        cat = eng.catalog.read_arrow()
+        titles = dict(zip(cat["resource_id"].to_pylist(), cat["title"].to_pylist()))
+        assert all(titles[rid].startswith("refreshed ") for rid in before)
+        after = _state_by_rid(cat)
+        assert "url-dup" not in after
+        assert len(after) == 35
+        for rid, prev in checked.items():
+            assert after[rid] == prev
+        for rid in catalog_from_documents(new_docs)["resource_id"].to_pylist():
+            assert after[rid]["last_check_id"] is None
+        stored[route] = cat.sort_by("resource_id")
+    # by name: merge_insert's driver side keeps the incoming column
+    # order when every stored row is replaced, its Dataset side the
+    # stored order
+    a, b = stored["driver"], stored["dataset"]
+    assert b.select(a.column_names).equals(a)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -216,10 +223,11 @@ def test_backoff_preserves_priority(tmp_path, make_crawl_engine):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_stuck_cleanup_distributed_path(tmp_path, make_crawl_engine):
-    """clean_up_statuses above CACHE_MAX_ROWS: stale rows are detected
-    over two projected columns and fixed with a merge-on-read update —
-    result identical to the driver path, no full-width driver read."""
+def test_stuck_cleanup_distributed_path(tmp_path, make_crawl_engine, table_route):
+    """clean_up_statuses on both table routes: stale rows are detected
+    over the held frontier (driver) or three projected columns
+    (Dataset) and fixed with one merge-on-read update — the same
+    catalog either way, no full-width rewrite."""
     from datetime import timedelta
 
     from hydra_ray.pipelines.crawl import VIRTUAL_T0
@@ -233,33 +241,36 @@ def test_stuck_cleanup_distributed_path(tmp_path, make_crawl_engine):
             "format": ["csv"] * 6,
         }
     )
-    eng = make_crawl_engine(str(tmp_path / "wd4"), batch_size=6)
-    eng.load_catalog(seed)
-    cat = eng.catalog.read_arrow()
-    stale_since = VIRTUAL_T0 - timedelta(seconds=7200)
     statuses = ["ANALYSING_CSV", None, "DOWNLOADING", None, "ANALYSING_CSV", None]
-    sinces = [stale_since, None, stale_since, None, eng.now_dt(), None]
-    cat = cat.set_column(cat.column_names.index("status"), "status", pa.array(statuses))
-    cat = cat.set_column(
-        cat.column_names.index("status_since"),
-        "status_since",
-        pa.array(sinces, type=pa.timestamp("us")),
-    )
-    eng.catalog.overwrite(cat, meta={"iteration": eng.iteration})
-    eng.CACHE_MAX_ROWS = 0  # force the distributed frontier / cleanup path
-    eng.invalidate_frontier_cache()
-    assert not isinstance(eng._frontier(), pa.Table)
-
-    assert eng.clean_up_statuses() == 2  # the two STALE working rows only
-    got = eng.catalog.read_arrow()
-    by_rid = dict(zip(got["resource_id"].to_pylist(), got["status"].to_pylist()))
-    # stale rows reset, fresh working row untouched, null rows untouched
-    fresh_rid = cat["resource_id"][4].as_py()
-    assert by_rid[fresh_rid] == "ANALYSING_CSV"
-    for i in (0, 2):
-        assert by_rid[cat["resource_id"][i].as_py()] is None
-    # idempotent second pass
-    assert eng.clean_up_statuses() == 0
+    stored = {}
+    for route in ("driver", "dataset"):
+        eng = make_crawl_engine(str(tmp_path / route), batch_size=6)
+        eng.load_catalog(seed)
+        cat = eng.catalog.read_arrow()
+        stale_since = VIRTUAL_T0 - timedelta(seconds=7200)
+        sinces = [stale_since, None, stale_since, None, eng.now_dt(), None]
+        cat = cat.set_column(cat.column_names.index("status"), "status", pa.array(statuses))
+        cat = cat.set_column(
+            cat.column_names.index("status_since"),
+            "status_since",
+            pa.array(sinces, type=pa.timestamp("us")),
+        )
+        eng.catalog.overwrite(cat, meta={"iteration": eng.iteration})
+        eng.invalidate_frontier_cache()
+        with table_route(route):
+            assert isinstance(eng._frontier(), pa.Table) == (route == "driver")
+            assert eng.clean_up_statuses() == 2  # the two STALE working rows only
+            got = eng.catalog.read_arrow()
+            # idempotent second pass
+            assert eng.clean_up_statuses() == 0
+        by_rid = dict(zip(got["resource_id"].to_pylist(), got["status"].to_pylist()))
+        # stale rows reset, fresh working row untouched, null rows untouched
+        fresh_rid = cat["resource_id"][4].as_py()
+        assert by_rid[fresh_rid] == "ANALYSING_CSV"
+        for i in (0, 2):
+            assert by_rid[cat["resource_id"][i].as_py()] is None
+        stored[route] = got.sort_by("resource_id")
+    assert stored["driver"].equals(stored["dataset"])
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -308,7 +319,7 @@ def test_metrics_idempotent_across_crash_rerun(tmp_path, make_crawl_engine):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_passenger_column_survives_iterations(tmp_path, make_crawl_engine):
+def test_passenger_column_survives_iterations(tmp_path, make_crawl_engine, table_route):
     """A catalog column outside _FRONTIER_COLS (seed extras or
     add_column schema evolution) must survive iteration updates in both
     frontier paths — the old cached-path select() crashed on it and the
@@ -327,9 +338,9 @@ def test_passenger_column_survives_iterations(tmp_path, make_crawl_engine):
     eng.shutdown()
 
     eng2 = make_crawl_engine(str(tmp_path / "wd6"), **KW)
-    eng2.CACHE_MAX_ROWS = 0  # distributed frontier path
-    eng2.invalidate_frontier_cache()
-    eng2.run(1)
+    with table_route("dataset"):  # distributed frontier path
+        eng2.invalidate_frontier_cache()
+        eng2.run(1)
     got2 = eng2.catalog.read_arrow()
     vals2 = dict(zip(got2["resource_id"].to_pylist(), got2["steward"].to_pylist()))
     assert vals2 == want

@@ -348,11 +348,12 @@ def test_docs_span_invariant_across_runs(tmp_path, make_crawl_engine, monkeypatc
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_over_cache_frontier_dataset_path_identical(tmp_path, make_crawl_engine):
-    """The >CACHE_MAX_ROWS frontier path (pipelines/crawl.py _frontier:
-    distributed Dataset read + non-cached merge_insert checkpointing)
-    produces byte-identical checks and catalog state to the driver-cached
-    path — pins the 10^10-frontier branch at a scaled-down threshold."""
+def test_over_cache_frontier_dataset_path_identical(tmp_path, make_crawl_engine, table_route):
+    """The Dataset side of the store's table-size rule (pipelines/crawl.py
+    _frontier: distributed Dataset read + non-cached merge_insert
+    checkpointing) produces byte-identical checks and catalog state to
+    the driver-cached side — pins the 10^10-frontier branch at a
+    scaled-down threshold."""
     kw = dict(batch_size=30)
 
     e1 = make_crawl_engine(str(tmp_path / "cached"), **kw)
@@ -360,11 +361,11 @@ def test_over_cache_frontier_dataset_path_identical(tmp_path, make_crawl_engine)
     e1.run(2)
 
     e2 = make_crawl_engine(str(tmp_path / "dataset"), **kw)
-    e2.CACHE_MAX_ROWS = 8  # force the distributed Dataset frontier
-    e2.load_catalog(small_seed())
-    assert e2._frontier_cache is None or e2.catalog.count() <= 8
-    e2.run(2)
-    assert not isinstance(e2._frontier(), pa.Table)  # really on the Dataset path
+    with table_route("dataset"):
+        e2.load_catalog(small_seed())
+        assert e2._frontier_cache is None
+        e2.run(2)
+        assert not isinstance(e2._frontier(), pa.Table)  # really on the Dataset path
 
     assert checks_fingerprint(e1) == checks_fingerprint(e2)
     c1 = e1.catalog.read_arrow().sort_by("resource_id")

@@ -121,12 +121,12 @@ def test_200_iteration_continuous_soak(tmp_path, make_crawl_engine):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_compact_documents_merges_and_preserves_reads(tmp_path, make_crawl_engine):
+def test_compact_documents_merges_and_preserves_reads(tmp_path, make_crawl_engine, table_route):
     """Compaction rewrites the append-only documents table to one row
     per doc_id (latest _iter) — read_documents is unchanged before vs
     after, the row count shrinks to the distinct doc count, and the
     distributed path produces the same logical table as the driver
-    path."""
+    path (the idempotent second compaction runs on the driver)."""
     docs = pa.table({"doc_id": pa.array(np.arange(120), type=pa.int64())})
     eng = make_crawl_engine(
         str(tmp_path / "wd"),
@@ -141,14 +141,16 @@ def test_compact_documents_merges_and_preserves_reads(tmp_path, make_crawl_engin
     assert before_rows >= distinct  # something to compact (appends happened)
 
     # distributed path must agree with the driver path
-    eng.DOCS_COMPACT_DRIVER_ROWS = 0
-    stats = eng.compact_documents()
+    with table_route("dataset"):
+        stats = eng.compact_documents()
     assert stats["rows_after"] == distinct <= stats["rows_before"]
     logical_after = eng.read_documents().sort_by("doc_id")
     assert logical_after.equals(logical_before)
-    # idempotent
-    stats2 = eng.compact_documents()
+    # idempotent, on the driver
+    with table_route("driver"):
+        stats2 = eng.compact_documents()
     assert stats2["rows_after"] == stats2["rows_before"] == distinct
+    assert eng.read_documents().sort_by("doc_id").equals(logical_before)
     eng.shutdown()
 
 
