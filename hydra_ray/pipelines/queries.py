@@ -506,46 +506,6 @@ ORACLE_TEXT_STATS = r"""
 _register("text_stats", q_text_stats, ORACLE_TEXT_STATS)
 
 
-def q_lang_counts(sf_dir: str):
-    from ray.data.aggregate import Count
-
-    return (
-        _docs(sf_dir, columns=["lang"]).groupby("lang").aggregate(Count(alias_name="n_docs"))
-    )
-
-
-ORACLE_LANG_COUNTS = "SELECT lang, count(*) AS n_docs FROM documents GROUP BY lang"
-
-_register("lang_counts", q_lang_counts, ORACLE_LANG_COUNTS)
-
-
-def q_token_totals_by_lang(sf_dir: str):
-    """Corpus token counting per language (partial sums → tiny groupby)."""
-    from ray.data.aggregate import Sum
-
-    from hydra_ray.stages.text import text_stats_batch
-
-    def partial(t: pa.Table) -> pa.Table:
-        stats = text_stats_batch(t)
-        return pa.table({"lang": t["lang"], "n_tokens": stats["n_tokens"]})
-
-    return (
-        _docs(sf_dir, columns=["doc_id", "text", "lang"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Sum("n_tokens", alias_name="total_tokens"))
-    )
-
-
-ORACLE_TOKEN_TOTALS_BY_LANG = r"""
-    SELECT lang,
-           CAST(sum(array_length(regexp_split_to_array(trim(text), '\s+'))) AS BIGINT) AS total_tokens
-    FROM documents GROUP BY lang
-"""
-
-_register("token_totals_by_lang", q_token_totals_by_lang, ORACLE_TOKEN_TOTALS_BY_LANG)
-
-
 def q_quality_filter(sf_dir: str):
     """Quality gates (token band + digit-ratio cap)."""
     from hydra_ray.stages.text import quality_batch
@@ -639,48 +599,11 @@ ORACLE_EMBEDDING_NN = """
 _register("embedding_nn", q_embedding_nn, ORACLE_EMBEDDING_NN)
 
 
-# -- rows-only entries (non-SQL-expressible; driver checks rows+schema) -----
-
-
 def q_minhash_near_dups(sf_dir: str):
     """MinHash+LSH near-duplicate pairs (verified Jaccard >= 0.5)."""
     from hydra_ray.stages.dedup import dedup_minhash
 
     return dedup_minhash(_docs(sf_dir, columns=["doc_id", "text"]), threshold=0.5)
-
-
-def q_simhash(sf_dir: str):
-    from hydra_ray.stages.dedup import simhash_batch
-
-    return _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
-        simhash_batch, batch_format="pyarrow"
-    )
-
-
-def q_ngram_jaccard(sf_dir: str):
-    """Char-3-gram Jaccard pairs within source blocks (threshold 0.35)."""
-    from hydra_ray.stages.dedup import ngram_jaccard_pairs
-
-    return ngram_jaccard_pairs(
-        _docs(sf_dir, columns=["doc_id", "text", "source"]), threshold=0.35
-    )
-
-
-def q_langid(sf_dir: str):
-    """Stopword-profile language ID (actor pool)."""
-    from hydra_ray.stages.text import LangId
-
-    return _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
-        LangId, batch_format="pyarrow", concurrency=(1, 2)
-    )
-
-
-def q_fingerprint(sf_dir: str):
-    from hydra_ray.stages.text import fingerprint_batch
-
-    return _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
-        fingerprint_batch, batch_format="pyarrow"
-    )
 
 
 def q_knn_ivf(sf_dir: str):
@@ -945,154 +868,13 @@ ORACLE_URL_KEY_PARITY = f"""
 """
 
 
-def q_doc_length_histogram(sf_dir: str):
-    """Bucketized length distribution (histogram shape over documents)."""
-    from hydra_ray.stages.agg import grouped_agg
-
-    ds = _docs(sf_dir, columns=["doc_id", "text"])
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        n = pc.utf8_length(t["text"])
-        bucket = pc.cast(pc.floor(pc.divide(pc.cast(n, pa.float64()), 200.0)), pa.int64())
-        return pa.table({"bucket": bucket, "doc_id": t["doc_id"]})
-
-    return grouped_agg(
-        ds.map_batches(bucketize, batch_format="pyarrow"),
-        keys=["bucket"],
-        aggs=[("doc_id", "count", "n_docs")],
-    )
-
-
-ORACLE_DOC_LENGTH_HISTOGRAM = """
-    SELECT CAST(floor(length(text) / 200.0) AS BIGINT) AS bucket, count(*) AS n_docs
-    FROM documents GROUP BY 1
-"""
-
-
 _register("url_key_parity", q_url_key_parity, ORACLE_URL_KEY_PARITY)
-_register("doc_length_histogram", q_doc_length_histogram, ORACLE_DOC_LENGTH_HISTOGRAM)
-
-
-def q_dup_clusters(sf_dir: str):
-    """Near-duplicate clusters: pair graph → connected components
-    (cluster_id = min doc_id per component). Pairs come from the
-    blocked n-gram-Jaccard op so the whole chain is oracle-checkable
-    (the reference operator is the clustering, not the pair source;
-    MinHash-sourced clusters are exercised by minhash_near_dups +
-    tests)."""
-    from hydra_ray.stages.dedup import duplicate_clusters, ngram_jaccard_pairs
-
-    pairs = ngram_jaccard_pairs(
-        _docs(sf_dir, columns=["doc_id", "text", "source"]), threshold=0.35
-    ).to_pandas()
-    return pa.Table.from_pandas(duplicate_clusters(pairs), preserve_index=False)
 
 
 # ---------------------------------------------------------------------------
 # round-2 oracles for previously rows-only queries
 # ---------------------------------------------------------------------------
 
-# n-gram sets per doc: whitespace-normalized text, char-3-grams
-# (single-gram {t} when len(t) < 3, empty set for empty t)
-_NGRAM_SETS_SQL = r"""
-    norm AS (
-        SELECT doc_id, source, regexp_replace(trim(text), '\s+', ' ', 'g') AS t
-        FROM documents
-    ),
-    g1 AS (
-        SELECT doc_id, source,
-               CASE WHEN length(t) < 3 THEN t ELSE substring(t, i, 3) END AS g
-        FROM (
-            SELECT doc_id, source, t,
-                   unnest(generate_series(1, greatest(length(t) - 2, 1))) AS i
-            FROM norm WHERE t <> ''
-        )
-    ),
-    gsets AS (
-        SELECT n.doc_id, n.source,
-               COALESCE(x.cnt, 0) AS n_grams, x.gs
-        FROM norm n
-        LEFT JOIN (
-            SELECT doc_id, count(DISTINCT g) AS cnt, list(DISTINCT g) AS gs
-            FROM g1 GROUP BY doc_id
-        ) x USING (doc_id)
-    ),
-    ngram_pairs AS (
-        SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-               COALESCE(len(list_intersect(a.gs, b.gs)), 0) AS inter,
-               a.n_grams + b.n_grams AS tot
-        FROM gsets a JOIN gsets b
-          ON a.source = b.source AND a.doc_id < b.doc_id
-    ),
-    ngram_jac AS (
-        SELECT doc_a, doc_b,
-               CASE WHEN tot - inter = 0 THEN 1.0
-                    ELSE inter * 1.0 / (tot - inter) END AS jac
-        FROM ngram_pairs
-    )
-"""
-
-ORACLE_NGRAM_JACCARD = f"""
-    WITH {_NGRAM_SETS_SQL}
-    SELECT doc_a, doc_b, round(jac, 6) AS jaccard
-    FROM ngram_jac WHERE jac >= 0.35
-"""
-
-_register("ngram_jaccard", q_ngram_jaccard, ORACLE_NGRAM_JACCARD)
-
-ORACLE_DUP_CLUSTERS = f"""
-    WITH RECURSIVE {_NGRAM_SETS_SQL},
-    kept AS (SELECT doc_a, doc_b FROM ngram_jac WHERE jac >= 0.35),
-    edges AS (
-        SELECT doc_a AS u, doc_b AS v FROM kept
-        UNION ALL
-        SELECT doc_b AS u, doc_a AS v FROM kept
-    ),
-    nodes AS (SELECT DISTINCT u AS node FROM edges),
-    comp(node, label) AS (
-        SELECT node, node FROM nodes
-        UNION
-        SELECT e.v, c.label FROM comp c JOIN edges e ON e.u = c.node
-    )
-    SELECT node AS doc_id, min(label) AS cluster_id FROM comp GROUP BY node
-"""
-
-_register("dup_clusters", q_dup_clusters, ORACLE_DUP_CLUSTERS)
-
-
-def _langid_values_sql() -> str:
-    from hydra_ray.stages.text import STOPWORDS
-
-    rows = []
-    for lang in sorted(STOPWORDS):
-        for w in sorted(STOPWORDS[lang]):
-            rows.append(f"('{lang}', '{w}')")
-    return ", ".join(rows)
-
-
-# tie-break parity with stages/text.py LangId: langs scanned in sorted
-# order, a later lang needs a STRICTLY greater score → order by
-# (score DESC, lang ASC); zero hits → 'und'
-ORACLE_LANGID = rf"""
-    WITH tok AS (
-        SELECT doc_id, lower(unnest(regexp_split_to_array(trim(text), '\s+'))) AS w
-        FROM documents
-    ),
-    sw(lang, w) AS (VALUES {_langid_values_sql()}),
-    scores AS (
-        SELECT t.doc_id, s.lang, count(*) AS score
-        FROM tok t JOIN sw s ON t.w = s.w GROUP BY 1, 2
-    ),
-    best AS (
-        SELECT doc_id, lang,
-               row_number() OVER (PARTITION BY doc_id ORDER BY score DESC, lang ASC) AS rn
-        FROM scores
-    )
-    SELECT d.doc_id, COALESCE(b.lang, 'und') AS lang_pred
-    FROM documents d LEFT JOIN (SELECT doc_id, lang FROM best WHERE rn = 1) b USING (doc_id)
-"""
-
-_register("langid", q_langid, ORACLE_LANGID)
 
 # geojson feature string parity: DuckDB's DOUBLE→VARCHAR cast is
 # shortest-round-trip, identical to Python repr, so the exact
@@ -1355,72 +1137,6 @@ def _mulwrap_sql(col: str, c: int) -> str:
 
 _M61_SQL = (1 << 61) - 1
 
-# SimHash parity: per-word md5 → little-endian uint64 → ±1 bit votes
-# with multiplicity → bit set where votes > 0; empty-token filter
-# mirrors str.split() semantics; uint64 → int64 two's complement.
-ORACLE_SIMHASH = rf"""
-    WITH words AS (
-        SELECT doc_id, unnest(regexp_split_to_array(trim(text), '\s+')) AS w FROM documents
-    ),
-    wh AS (
-        SELECT doc_id, {_le64_sql('md5(w)')} AS hv FROM words WHERE w <> ''
-    ),
-    bits AS (
-        SELECT doc_id, b, CASE WHEN (hv >> b) & 1 = 1 THEN 1 ELSE -1 END AS vote
-        FROM (SELECT doc_id, hv, unnest(generate_series(0, 63)) AS b FROM wh)
-    ),
-    votes AS (SELECT doc_id, b, sum(vote) AS v FROM bits GROUP BY 1, 2),
-    sh AS (
-        SELECT doc_id,
-               sum(CASE WHEN v > 0 THEN CAST(CAST(1 AS UBIGINT) << CAST(b AS INT) AS HUGEINT)
-                   ELSE 0 END) AS u
-        FROM votes GROUP BY 1
-    )
-    SELECT d.doc_id,
-           CAST(CASE WHEN COALESCE(s.u, 0) >= 9223372036854775808
-                     THEN COALESCE(s.u, 0) - 18446744073709551616
-                     ELSE COALESCE(s.u, 0) END AS BIGINT) AS simhash
-    FROM documents d LEFT JOIN sh s USING (doc_id)
-"""
-
-_register("simhash", q_simhash, ORACLE_SIMHASH)
-
-# Fingerprint parity: splitmix64 of the zero-padded first 8 utf-8
-# bytes per token (exact uint64 wraparound via _mulwrap_sql), rolling
-# polynomial sum(h_i * base^(n-1-i)) mod 2^61-1 with a recursive
-# base-power table.
-ORACLE_FINGERPRINT = rf"""
-    WITH RECURSIVE toks AS (
-        SELECT doc_id, regexp_split_to_array(trim(text), '\s+') AS arr FROM documents
-    ),
-    maxn AS (SELECT max(len(arr)) AS m FROM toks),
-    pows(k, p) AS (
-        SELECT 0, CAST(1 AS HUGEINT)
-        UNION ALL
-        SELECT k + 1, (p * 1000003) % {_M61_SQL} FROM pows WHERE k + 1 < (SELECT m FROM maxn)
-    ),
-    tok AS (
-        SELECT doc_id, n, i, arr[i] AS w
-        FROM (SELECT doc_id, len(arr) AS n, unnest(generate_series(1, len(arr))) AS i, arr
-              FROM toks)
-    ),
-    t0 AS (
-        SELECT doc_id, n, i, {_le64_sql("substr(rpad(hex(w), 16, '0'), 1, 16)")} AS x FROM tok
-    ),
-    t1 AS (SELECT doc_id, n, i, xor(x, x >> 30) AS a FROM t0),
-    t2 AS (SELECT doc_id, n, i, {_mulwrap_sql('a', 0xBF58476D1CE4E5B9)} AS b FROM t1),
-    t3 AS (SELECT doc_id, n, i, xor(b, b >> 27) AS c FROM t2),
-    t4 AS (SELECT doc_id, n, i, {_mulwrap_sql('c', 0x94D049BB133111EB)} AS d FROM t3),
-    t5 AS (SELECT doc_id, n, i, xor(d, d >> 31) AS h64 FROM t4),
-    terms AS (
-        SELECT t.doc_id, ((CAST(t.h64 AS HUGEINT) % {_M61_SQL}) * p.p) % {_M61_SQL} AS term
-        FROM t5 t JOIN pows p ON p.k = t.n - t.i
-    )
-    SELECT doc_id, CAST(sum(term) % {_M61_SQL} AS BIGINT) AS fingerprint
-    FROM terms GROUP BY doc_id
-"""
-
-_register("fingerprint", q_fingerprint, ORACLE_FINGERPRINT)
 
 # media plumbing parity: synthetic payload size is md5-derived from the
 # media_ref (multimodal.py synthetic_media_bytes); the span derivation
@@ -1482,57 +1198,6 @@ ORACLE_OGC_CAPABILITIES = """
 """
 
 _register("ogc_capabilities", q_ogc_capabilities, ORACLE_OGC_CAPABILITIES)
-
-
-def q_cosine_near_dups(sf_dir: str):
-    """Embedding-cosine near-duplicate pairs via multi-table LSH
-    (stages/similarity.py::cosine_near_dups). Threshold 0.40 — the
-    synthetic embeddings are i.i.d. uniform, so no pair reaches a
-    real-corpus near-dup bar like 0.9 (max sim ≈ 0.51); recall at the
-    0.9 bar with planted duplicates is asserted in
-    tests/test_analysis/test_similarity.py."""
-    from hydra_ray.stages.similarity import cosine_near_dups
-
-    return cosine_near_dups(
-        rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]),
-        threshold=0.40,
-        n_tables=4,
-        n_planes=4,
-    )
-
-
-def _cosine_near_dups_oracle_sql(
-    threshold: float = 0.40, n_tables: int = 4, n_planes: int = 4, dim: int = 64
-) -> str:
-    """The full multi-table LSH pipeline in SQL: per-table bucket
-    assignment with the hyperplane matrices inlined as double literals,
-    same-bucket candidate pairs (any table), double-precision cosine
-    filter — byte-identical to the Ray path."""
-    from hydra_ray.stages.similarity import hyperplanes
-
-    def lit(row):
-        return "[" + ", ".join(repr(float(x)) for x in row) + "]::DOUBLE[]"
-
-    bucket_cols = []
-    for t in range(n_tables):
-        planes = hyperplanes(dim, n_planes, seed=5 + 7 * t)
-        expr = " + ".join(
-            f"(CASE WHEN list_inner_product(CAST(embedding AS DOUBLE[]), {lit(planes[b])}) > 0"
-            f" THEN {1 << b} ELSE 0 END)"
-            for b in range(n_planes)
-        )
-        bucket_cols.append(f"{expr} AS b{t}")
-    same_bucket = " OR ".join(f"a.b{t} = b.b{t}" for t in range(n_tables))
-    return f"""
-        WITH be AS (SELECT vec_id, embedding, {", ".join(bucket_cols)} FROM embeddings)
-        SELECT a.vec_id AS vec_a, b.vec_id AS vec_b
-        FROM be a JOIN be b ON a.vec_id < b.vec_id AND ({same_bucket})
-        WHERE list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
-                                     CAST(b.embedding AS DOUBLE[])) >= {threshold!r}
-    """
-
-
-_register("cosine_near_dups", q_cosine_near_dups, _cosine_near_dups_oracle_sql())
 
 
 def _mix64_ctes_sql(prefix: str, src: str, carry: str) -> str:
@@ -1646,7 +1311,7 @@ _register("minhash_near_dups", q_minhash_near_dups, _minhash_oracle_sql(threshol
 
 
 # ---------------------------------------------------------------------------
-# tiling, curation, media, search, graph and span operators
+# tiling, curation, media, graph and span operators
 # ---------------------------------------------------------------------------
 
 
@@ -1782,36 +1447,6 @@ ORACLE_CHUNK_DOCUMENTS = """
 """
 
 _register("chunk_documents", q_chunk_documents, ORACLE_CHUNK_DOCUMENTS)
-
-
-def q_sample_per_group(sf_dir: str):
-    """Deterministic stratified sampling (stages/text.py::
-    sample_per_group): 5 docs per language by splitmix64(doc_id+17) —
-    the seeded-rank ORDER BY random() replacement, reproduced bit-exact
-    in SQL via the HUGEINT-limb splitmix64."""
-    from hydra_ray.stages.text import sample_per_group
-
-    out = sample_per_group(
-        rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"]),
-        key="lang",
-        n=5,
-        seed=17,
-    )
-    return out.map_batches(
-        lambda t: t.select(["lang", "doc_id", "rank"]), batch_format="pyarrow"
-    )
-
-
-ORACLE_SAMPLE_PER_GROUP = f"""
-    WITH sg_0 AS (SELECT doc_id, lang, CAST(doc_id + 17 AS UBIGINT) AS v FROM documents),
-    {_mix64_ctes_sql("sg", "v", "doc_id, lang")}
-    SELECT lang, doc_id,
-           row_number() OVER (PARTITION BY lang ORDER BY v, doc_id) AS rank
-    FROM sg_5
-    QUALIFY row_number() OVER (PARTITION BY lang ORDER BY v, doc_id) <= 5
-"""
-
-_register("sample_per_group", q_sample_per_group, ORACLE_SAMPLE_PER_GROUP)
 
 
 def q_curate_corpus(sf_dir: str):
@@ -1994,29 +1629,6 @@ ORACLE_MEDIA_DECODE = """
 _register("media_decode", q_media_decode, ORACLE_MEDIA_DECODE)
 
 
-def q_bpe_token_counts(sf_dir: str):
-    """GPT-2-style pre-tokenizer counting (stages/text.py::
-    bpe_token_count_batch) — the 'BPE-ish regex' half of the token-
-    counting pair; identical RE2 semantics in pyarrow and DuckDB make
-    the oracle exact per document."""
-    from hydra_ray.stages.text import bpe_token_count_batch
-
-    return _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
-        bpe_token_count_batch, batch_format="pyarrow"
-    )
-
-
-ORACLE_BPE_TOKEN_COUNTS = """
-    SELECT doc_id,
-           len(regexp_extract_all(text,
-               '(?:''(?:s|d|m|t|ll|ve|re))| ?[[:alpha:]]+| ?[[:digit:]]+| ?[^ [:alpha:][:digit:]]+'
-           )) AS n_bpe_tokens
-    FROM documents
-"""
-
-_register("bpe_token_counts", q_bpe_token_counts, ORACLE_BPE_TOKEN_COUNTS)
-
-
 def q_curate_near_dup(sf_dir: str):
     """Full curation with near-dup removal: quality gate → exact dedup
     → MinHash-LSH near-dup pass (drop the higher doc_id of each
@@ -2070,50 +1682,6 @@ def _curate_near_dup_oracle_sql() -> str:
 
 
 _register("curate_near_dup", q_curate_near_dup, _curate_near_dup_oracle_sql())
-
-
-def q_repetition_stats(sf_dir: str):
-    """Gopher-style within-doc repetition filters (stages/text.py::
-    repetition_stats_batch): duplicate-3-gram fraction + top-2-gram
-    token coverage per document."""
-    from hydra_ray.stages.text import repetition_stats_batch
-
-    return _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
-        repetition_stats_batch, batch_format="pyarrow"
-    )
-
-
-ORACLE_REPETITION_STATS = """
-    WITH toks AS (SELECT doc_id, string_split(text, ' ') AS ts FROM documents),
-    g3 AS (
-        SELECT doc_id, count(*) AS total, count(DISTINCT g) AS uniq
-        FROM (SELECT doc_id, array_to_string(ts[i:i+2], ' ') AS g
-              FROM (SELECT doc_id, ts,
-                           unnest(generate_series(1, greatest(len(ts) - 2, 0))) AS i
-                    FROM toks))
-        GROUP BY doc_id
-    ),
-    g2 AS (
-        SELECT doc_id, max(c) AS best
-        FROM (SELECT doc_id, g, count(*) AS c
-              FROM (SELECT doc_id, array_to_string(ts[i:i+1], ' ') AS g
-                    FROM (SELECT doc_id, ts,
-                                 unnest(generate_series(1, greatest(len(ts) - 1, 0))) AS i
-                          FROM toks))
-              GROUP BY doc_id, g)
-        GROUP BY doc_id
-    ),
-    n AS (SELECT doc_id, len(ts) AS n FROM toks)
-    SELECT t.doc_id,
-           COALESCE(round(1.0 - g3.uniq * 1.0 / g3.total, 6), 0.0) AS dup_3gram_frac,
-           COALESCE(round(g2.best * 2.0 / n.n, 6), 0.0) AS top_2gram_frac
-    FROM (SELECT doc_id FROM documents) t
-    LEFT JOIN g3 USING (doc_id)
-    LEFT JOIN g2 USING (doc_id)
-    LEFT JOIN n USING (doc_id)
-"""
-
-_register("repetition_stats", q_repetition_stats, ORACLE_REPETITION_STATS)
 
 
 def q_tdigest_quantiles(sf_dir: str):
@@ -2203,44 +1771,6 @@ ORACLE_TDIGEST_QUANTILES = """
 _register("tdigest_quantiles", q_tdigest_quantiles, ORACLE_TDIGEST_QUANTILES)
 
 
-def q_workbook_profile(sf_dir: str):
-    """csv-detective profile over the WORKBOOK route (reference runs
-    csv_detective_routine on Excel content too,
-    csv_like/__init__.py:161-217): the same per-group tables as
-    csv_profile are written as real XLSX bytes, parsed back through the
-    stdlib workbook reader, and profiled via the shared
-    column_profile pipeline — the oracle is the same SQL as the CSV
-    route, so the two routes are pinned to identical reports."""
-    from hydra_ray.sources.xlsx import inspect_xlsx, write_xlsx
-    from hydra_ray.stages.keyed import keyed_map_partitions
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "value"])
-
-    def addgrp(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("grp", pa.array((uid % 16).astype("int64")))
-
-    def profile_group(df: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for grp, g in df.groupby("grp", sort=True):
-            g = g.sort_values("event_id")
-            rows: list[list] = [["event_id", "value", "mixed"]]
-            rows += [
-                [int(e), float(v), (int(e) % 50 if int(e) % 3 == 0 else float(v))]
-                for e, v in zip(g["event_id"], g["value"])
-            ]
-            rep = inspect_xlsx(write_xlsx(rows), output_profile=True)
-            out.extend(_profile_rows(int(grp), rep))
-        return pd.DataFrame(out, columns=_PROFILE_COLS)
-
-    return keyed_map_partitions(
-        ds.map_batches(addgrp, batch_format="pyarrow"), ["grp"], profile_group, num_parts=8
-    )
-
-
-_register("workbook_profile", q_workbook_profile, ORACLE_CSV_PROFILE)  # same logical report as the CSV route
-
-
 def q_decontaminate(sf_dir: str):
     """Benchmark decontamination (stages/dedup.py::decontaminate, the
     GPT-3 appendix-C recipe): docs with doc_id % 97 == 0 act as the
@@ -2291,232 +1821,6 @@ ORACLE_DECONTAMINATE = """
 """
 
 _register("decontaminate", q_decontaminate, ORACLE_DECONTAMINATE)
-
-
-def q_bm25_search(sf_dir: str):
-    """Okapi BM25 lexical retrieval (stages/search.py::bm25_search):
-    distributed corpus stats (df/avgdl reduced from per-batch partials)
-    + broadcast-model scoring, top-20 by integer micro-unit score. The
-    lexical counterpart to stages/similarity.py's dense kNN; hydra has
-    no retrieval layer — training-data-pipeline extension."""
-    from hydra_ray.stages.search import bm25_search
-
-    return bm25_search(
-        _docs(sf_dir, columns=["doc_id", "text"]),
-        "fast merge join stream window",
-        top_n=20,
-    )
-
-
-from hydra_ray.stages.search import bm25_oracle_sql as _bm25_oracle_sql  # noqa: E402
-
-_register(
-    "bm25_search",
-    q_bm25_search,
-    _bm25_oracle_sql("fast merge join stream window", top_n=20),
-)
-
-
-def q_lm_perplexity(sf_dir: str):
-    """Corpus-trained bigram-LM negative log-likelihood per document
-    (stages/search.py::lm_perplexity) — the CCNet-style quality filter:
-    add-k smoothed bigram model counted distributively, broadcast once,
-    scored vectorized with order-invariant micro-unit sums."""
-    from hydra_ray.stages.search import lm_perplexity
-
-    return lm_perplexity(_docs(sf_dir, columns=["doc_id", "text"]))
-
-
-from hydra_ray.stages.search import lm_perplexity_oracle_sql as _lm_oracle_sql  # noqa: E402
-
-_register("lm_perplexity", q_lm_perplexity, _lm_oracle_sql())
-
-
-def q_temperature_mix(sf_dir: str):
-    """Temperature-weighted corpus mixing (stages/text.py::
-    temperature_mix): per-source quotas ∝ n_i^0.5 (integer micro-unit
-    arithmetic), selection by seeded splitmix64 rank — deterministic
-    multi-source sampling for training-mixture construction."""
-    from hydra_ray.stages.text import temperature_mix
-
-    out = temperature_mix(
-        _docs(sf_dir, columns=["doc_id", "source"]),
-        key="source",
-        alpha=0.5,
-        total_n=200,
-        seed=23,
-    )
-    return out.map_batches(
-        lambda t: t.select(["source", "doc_id", "rank", "quota"]),
-        batch_format="pyarrow",
-    )
-
-
-ORACLE_TEMPERATURE_MIX = f"""
-    WITH cnt AS (SELECT source, count(*) AS n FROM documents GROUP BY source),
-    sv AS (SELECT source, n,
-                  CAST(floor(pow(n, 0.5) * 1e6 + 0.5) AS BIGINT) AS s
-           FROM cnt),
-    qv AS (SELECT source,
-                  CAST(floor(CAST(200 * s AS DOUBLE) / (SELECT sum(s) FROM sv)) AS BIGINT) AS quota
-           FROM sv),
-    tm_0 AS (SELECT doc_id, source, CAST(doc_id + 23 AS UBIGINT) AS v FROM documents),
-    {_mix64_ctes_sql("tm", "v", "doc_id, source")},
-    r AS (SELECT source, doc_id, v,
-                 row_number() OVER (PARTITION BY source ORDER BY v, doc_id) AS rank
-          FROM tm_5)
-    SELECT r.source, r.doc_id, r.rank, qv.quota
-    FROM r JOIN qv USING (source)
-    WHERE r.rank <= qv.quota
-"""
-
-_register("temperature_mix", q_temperature_mix, ORACLE_TEMPERATURE_MIX)
-
-
-def q_embedding_centroids(sf_dir: str):
-    """Per-label embedding centroids (stages/similarity.py::
-    grouped_centroids): combiner-style per-batch partial sums in
-    integer micro-units, long-form (label, dim, centroid, n)."""
-    from hydra_ray.stages.similarity import grouped_centroids
-
-    return grouped_centroids(
-        rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"]),
-        key="label",
-    )
-
-
-ORACLE_EMBEDDING_CENTROIDS = """
-    WITH e AS (
-        SELECT label,
-               unnest(generate_series(1, len(embedding))) AS dim,
-               unnest(embedding) AS x
-        FROM embeddings
-    )
-    SELECT CAST(label AS BIGINT) AS label, dim,
-           CAST(sum(CAST(floor(CAST(x AS DOUBLE) * 1e6 + 0.5) AS BIGINT)) AS DOUBLE)
-               / 1e6 / count(*) AS centroid,
-           count(*) AS n
-    FROM e GROUP BY label, dim
-"""
-
-_register("embedding_centroids", q_embedding_centroids, ORACLE_EMBEDDING_CENTROIDS)
-
-
-def q_audio_features(sf_dir: str):
-    """Audio frame features (stages/multimodal.py::audio_features_batch)
-    over per-doc deterministic 256-sample WAVs (same waveform family as
-    media_decode): 4 frames × (RMS energy, zero-crossing count), the
-    whole path running through the real WAV codec."""
-    from hydra_ray.sources.codecs import encode_wav
-    from hydra_ray.stages.multimodal import audio_features_batch
-
-    ds = _docs(sf_dir, columns=["doc_id"])
-
-    def make_wavs(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        i = np.arange(256)
-        payloads = [
-            encode_wav(((int(d) * 11 + i * 37) % 2048 - 1024).astype(np.int16), 16000)
-            for d in ids
-        ]
-        return pa.table(
-            {"doc_id": pa.array(ids), "payload": pa.array(payloads, type=pa.binary())}
-        )
-
-    return ds.map_batches(make_wavs, batch_format="pyarrow").map_batches(
-        audio_features_batch, batch_format="pyarrow"
-    )
-
-
-ORACLE_AUDIO_FEATURES = """
-    WITH s AS (
-        SELECT doc_id, i, i // 64 AS frame,
-               CAST((doc_id * 11 + i * 37) % 2048 - 1024 AS DOUBLE) AS x
-        FROM (SELECT doc_id, unnest(generate_series(0, 255)) AS i FROM documents)
-    ),
-    z AS (
-        SELECT doc_id, frame, i, x,
-               lead(x) OVER (PARTITION BY doc_id, frame ORDER BY i) AS nx
-        FROM s
-    )
-    SELECT doc_id, frame,
-           floor(sqrt(sum(x * x) / 64.0) * 1e6 + 0.5) / 1e6 AS rms,
-           CAST(sum(CASE WHEN nx IS NOT NULL AND ((x >= 0) <> (nx >= 0))
-                         THEN 1 ELSE 0 END) AS BIGINT) AS zcr
-    FROM z GROUP BY doc_id, frame
-"""
-
-_register("audio_features", q_audio_features, ORACLE_AUDIO_FEATURES)
-
-
-def q_pii_redact(sf_dir: str):
-    """PII scrub (stages/text.py::pii_batch) over documents with
-    deterministically injected emails / FR-style phone numbers / IPv4s
-    (2 of every 3 docs get one of each; the word-soup base text has no
-    digits or '@' so injection fully controls the truth). Counts are
-    taken stepwise on the progressively-redacted string — that order is
-    the operator contract and the oracle reproduces it."""
-    from hydra_ray.stages.text import pii_batch
-
-    ds = _docs(sf_dir, columns=["doc_id", "text"])
-
-    def inject(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        texts = t["text"].to_pylist()
-        full = [
-            txt
-            if d % 3 == 0
-            else (
-                f"{txt} reach user{d}@mail-{d % 7}.org or "
-                f"0{1 + d % 9} 23 45 67 89 at 10.{d % 256}.0.{d % 100}"
-            )
-            for d, txt in zip(ids, texts)
-        ]
-        return pa.table({"doc_id": pa.array(ids), "text": pa.array(full)})
-
-    return ds.map_batches(inject, batch_format="pyarrow").map_batches(
-        pii_batch, batch_format="pyarrow"
-    )
-
-
-ORACLE_PII_REDACT = """
-    WITH t AS (
-        SELECT doc_id,
-               text || CASE WHEN doc_id % 3 = 0 THEN '' ELSE
-                 ' reach user' || CAST(doc_id AS VARCHAR) || '@mail-'
-                 || CAST(doc_id % 7 AS VARCHAR) || '.org or 0'
-                 || CAST(1 + doc_id % 9 AS VARCHAR)
-                 || ' 23 45 67 89 at 10.' || CAST(doc_id % 256 AS VARCHAR)
-                 || '.0.' || CAST(doc_id % 100 AS VARCHAR) END AS s0
-        FROM documents
-    ),
-    e AS (
-        SELECT doc_id, s0,
-               CAST(length(regexp_extract_all(s0,
-                 '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}')) AS BIGINT) AS n_email,
-               regexp_replace(s0,
-                 '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}', '[EMAIL]', 'g') AS s1
-        FROM t
-    ),
-    p AS (
-        SELECT doc_id, n_email,
-               CAST(length(regexp_extract_all(s1,
-                 '\\b0[1-9](?:[ .-][0-9]{2}){4}\\b')) AS BIGINT) AS n_phone,
-               regexp_replace(s1,
-                 '\\b0[1-9](?:[ .-][0-9]{2}){4}\\b', '[PHONE]', 'g') AS s2
-        FROM e
-    )
-    SELECT doc_id,
-           regexp_replace(s2, '\\b(?:[0-9]{1,3}\\.){3}[0-9]{1,3}\\b',
-                          '[IP]', 'g') AS text,
-           n_email, n_phone,
-           CAST(length(regexp_extract_all(s2,
-             '\\b(?:[0-9]{1,3}\\.){3}[0-9]{1,3}\\b')) AS BIGINT) AS n_ipv4
-    FROM p
-"""
-
-
-_register("pii_redact", q_pii_redact, ORACLE_PII_REDACT)
 
 
 def q_image_dups(sf_dir: str):
@@ -2606,102 +1910,6 @@ ORACLE_IMAGE_DUPS = """
 _register("image_dups", q_image_dups, ORACLE_IMAGE_DUPS)
 
 
-def q_frame_sample(sf_dir: str):
-    """Video-analogue frame sampling: per doc a deterministic animated
-    GIF (2 + doc_id%4 grayscale 6x8 frames) runs through the real
-    multi-frame codec (sources/codecs.py::decode_gif_frames) and
-    stages/multimodal.py::frame_sample_batch keeps 3 uniformly-spaced
-    frames with integer luma sums."""
-    from hydra_ray.sources.codecs import encode_gif_frames
-    from hydra_ray.stages.multimodal import frame_sample_batch
-
-    ds = _docs(sf_dir, columns=["doc_id"])
-    H, W = 6, 8
-
-    def make_gifs(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        f = np.arange(6)[:, None, None]
-        y = np.arange(H)[None, :, None]
-        x = np.arange(W)[None, None, :]
-        payloads = []
-        for d in ids:
-            nf = 2 + int(d) % 4
-            v = ((int(d) * 5 + f[:nf] * 19 + y * 31 + x * 13) % 256).astype(np.uint8)
-            payloads.append(encode_gif_frames(np.stack([v, v, v], axis=3)))
-        return pa.table(
-            {"doc_id": pa.array(ids), "payload": pa.array(payloads, type=pa.binary())}
-        )
-
-    return ds.map_batches(make_gifs, batch_format="pyarrow").map_batches(
-        frame_sample_batch, batch_format="pyarrow"
-    )
-
-
-ORACLE_FRAME_SAMPLE = """
-    WITH s AS (
-        SELECT d.doc_id, 2 + d.doc_id % 4 AS n_frames, j.j,
-               (j.j * (2 + d.doc_id % 4)) // 3 AS frame_idx
-        FROM documents d, (SELECT unnest(generate_series(0, 2)) AS j) j
-    ),
-    px AS (
-        SELECT s.doc_id, s.j, s.frame_idx, s.n_frames,
-               1000 * ((s.doc_id * 5 + s.frame_idx * 19 + y.y * 31 + x.x * 13) % 256) AS lv
-        FROM s,
-             (SELECT unnest(generate_series(0, 5)) AS y) y,
-             (SELECT unnest(generate_series(0, 7)) AS x) x
-    )
-    SELECT doc_id, j AS snum, frame_idx, n_frames,
-           CAST(sum(lv) AS BIGINT) AS sum_luma
-    FROM px GROUP BY doc_id, j, frame_idx, n_frames
-"""
-
-
-_register("frame_sample", q_frame_sample, ORACLE_FRAME_SAMPLE)
-
-
-def q_model_score(sf_dir: str):
-    """Hashed bag-of-words linear classifier (stages/text.py::
-    HashedLinearScorer) — the batched-model-inference shape: weight
-    table built once per actor in __init__, vectorized hashed-feature
-    scoring per batch, integer arithmetic end-to-end so the oracle
-    replays the exact splitmix64 → bucket → weight → sum pipeline."""
-    from hydra_ray.stages.text import HashedLinearScorer
-
-    ds = _docs(sf_dir, columns=["doc_id", "text"])
-    return ds.map_batches(
-        HashedLinearScorer,
-        batch_format="pyarrow",
-        concurrency=(1, 4),
-        batch_size=256,
-    )
-
-
-ORACLE_MODEL_SCORE = rf"""
-    WITH toks AS (
-        SELECT doc_id, unnest(regexp_split_to_array(trim(text), '\s+')) AS w
-        FROM documents
-    ),
-    m_0 AS (
-        SELECT doc_id, {_le64_sql("substr(rpad(hex(w), 16, '0'), 1, 16)")} AS src
-        FROM toks WHERE w <> ''
-    ),
-    {_mix64_ctes_sql('m', 'src', 'doc_id')},
-    wts AS (
-        SELECT doc_id,
-               CAST((CAST(v % 1024 AS HUGEINT) * 2654435761) % 4294967296 % 21
-                    AS BIGINT) - 10 AS w
-        FROM m_5
-    ),
-    sc AS (SELECT doc_id, CAST(sum(w) AS BIGINT) AS score FROM wts GROUP BY doc_id)
-    SELECT d.doc_id, COALESCE(s.score, 0) AS score,
-           COALESCE(s.score, 0) > 0 AS keep
-    FROM documents d LEFT JOIN sc s USING (doc_id)
-"""
-
-
-_register("model_score", q_model_score, ORACLE_MODEL_SCORE)
-
-
 def q_pack_sequences(sf_dir: str):
     """Concat-and-chop sequence packing (stages/pack.py): token counts
     via the shared whitespace-token contract, then a distributed prefix
@@ -2744,34 +1952,6 @@ ORACLE_PACK_SEQUENCES = r"""
 _register("pack_sequences", q_pack_sequences, ORACLE_PACK_SEQUENCES)
 
 
-def q_shuffle_shards(sf_dir: str):
-    """Deterministic global shuffle into training shards
-    (stages/pack.py::shuffle_shards): shard = splitmix64(doc_id+99) %
-    8, within-shard position = rank of the hash.  The seeded-rank
-    ordering contract (reference ORDER BY random() replacement,
-    crawler.py:120-134) applied to corpus layout; reproduced bit-exact
-    in SQL via the HUGEINT-limb splitmix64."""
-    from hydra_ray.stages.pack import shuffle_shards
-
-    out = shuffle_shards(
-        _docs(sf_dir, columns=["doc_id"]), n_shards=8, seed=99
-    )
-    return out.map_batches(
-        lambda t: t.select(["doc_id", "shard", "pos"]), batch_format="pyarrow"
-    )
-
-
-ORACLE_SHUFFLE_SHARDS = f"""
-    WITH ss_0 AS (SELECT doc_id, CAST(doc_id + 99 AS UBIGINT) AS v FROM documents),
-    {_mix64_ctes_sql("ss", "v", "doc_id")}
-    SELECT doc_id, CAST(v % 8 AS BIGINT) AS shard,
-           row_number() OVER (PARTITION BY v % 8 ORDER BY v, doc_id) AS pos
-    FROM ss_5
-"""
-
-_register("shuffle_shards", q_shuffle_shards, ORACLE_SHUFFLE_SHARDS)
-
-
 def q_paragraph_dedup(sf_dir: str):
     """CCNet-style paragraph-level exact dedup (stages/dedup.py::
     paragraph_dedup): 4-token paragraph windows, corpus-wide
@@ -2810,155 +1990,6 @@ ORACLE_PARAGRAPH_DEDUP = r"""
 _register("paragraph_dedup", q_paragraph_dedup, ORACLE_PARAGRAPH_DEDUP)
 
 
-def q_audio_companding(sf_dir: str):
-    """G.711 μ-law/A-law AU round-trip (sources/codecs.py): per doc a
-    deterministic full-range waveform — s(i) = ((doc_id*11 + i*37) %
-    2048 - 1024) * 32, i<256, hitting every segment incl. the clip
-    paths — is AU-encoded with encoding 1 (μ-law) and 27 (A-law),
-    decoded back, and summarized as sum / peak / position-weighted sum
-    of the DECODED samples.  The oracle reproduces both ITU-T
-    quantizers in closed form (seg = floor(log2(biased)) arithmetic),
-    so any flipped bit in encode, container, or decode fails the hash."""
-    from hydra_ray.sources.codecs import encode_au
-    from hydra_ray.stages.multimodal import decode_audio
-
-    ds = _docs(sf_dir, columns=["doc_id"])
-
-    def batch_fn(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        i = np.arange(256, dtype=np.int64)
-        w = i + 1
-        cols: dict[str, list] = {
-            "ulaw_sum": [], "ulaw_peak": [], "ulaw_wsum": [],
-            "alaw_sum": [], "alaw_peak": [], "alaw_wsum": [],
-        }
-        for d in ids:
-            s = (((int(d) * 11 + i * 37) % 2048) - 1024) * 32
-            s16 = s.astype(np.int16)
-            for name, enc in (("ulaw", 1), ("alaw", 27)):
-                arr, rate = decode_audio(encode_au(s16, 8000, encoding=enc))
-                assert rate == 8000
-                v = arr[:, 0].astype(np.int64)
-                cols[f"{name}_sum"].append(int(v.sum()))
-                cols[f"{name}_peak"].append(int(np.abs(v).max()))
-                cols[f"{name}_wsum"].append(int((w * v).sum()))
-        return pa.table({"doc_id": pa.array(ids), **{k: pa.array(v) for k, v in cols.items()}})
-
-    return ds.map_batches(batch_fn, batch_format="pyarrow")
-
-
-ORACLE_AUDIO_COMPANDING = r"""
-    WITH s AS (
-        SELECT doc_id, i,
-               ((doc_id * 11 + i * 37) % 2048 - 1024) * 32 AS sv
-        FROM (SELECT doc_id, unnest(generate_series(0, 255)) AS i FROM documents)
-    ),
-    u2 AS (
-        SELECT doc_id, i, sv, x < 0 AS sg,
-               least(least(abs(x), 8159) + 33, 8191) AS a
-        FROM (SELECT doc_id, i, sv, CAST(floor(sv / 4.0) AS BIGINT) AS x FROM s)
-    ),
-    u3 AS (
-        SELECT doc_id, i, sg, a,
-               greatest(CAST(floor(log2(a)) AS BIGINT) - 5, 0) AS seg
-        FROM u2
-    ),
-    uo AS (
-        SELECT doc_id, i,
-               CASE WHEN sg THEN 132 - t ELSE t - 132 END AS uout
-        FROM (SELECT doc_id, i, sg,
-                     ((a // CAST(power(2, seg + 1) AS BIGINT)) % 16 * 8 + 132)
-                         * CAST(power(2, seg) AS BIGINT) AS t
-              FROM u3)
-    ),
-    a2 AS (
-        SELECT doc_id, i, x >= 0 AS pos,
-               least(CASE WHEN x >= 0 THEN x ELSE -x - 1 END, 4095) AS a
-        FROM (SELECT doc_id, i, CAST(floor(sv / 8.0) AS BIGINT) AS x FROM s)
-    ),
-    a3 AS (
-        SELECT doc_id, i, pos, a,
-               CASE WHEN a <= 31 THEN 0
-                    ELSE CAST(floor(log2(greatest(a, 1))) AS BIGINT) - 4 END AS seg
-        FROM a2
-    ),
-    a4 AS (
-        SELECT doc_id, i, pos, seg,
-               CASE WHEN seg < 1 THEN (a // 2) % 16
-                    ELSE (a // CAST(power(2, seg) AS BIGINT)) % 16 END AS mant
-        FROM a3
-    ),
-    ao AS (
-        SELECT doc_id, i, CASE WHEN pos THEN t ELSE -t END AS aout
-        FROM (SELECT doc_id, i, pos,
-                     CASE WHEN seg = 0 THEN mant * 16 + 8
-                          ELSE (mant * 16 + 264) * CAST(power(2, seg - 1) AS BIGINT)
-                     END AS t
-              FROM a4)
-    )
-    SELECT uo.doc_id,
-           CAST(sum(uout) AS BIGINT) AS ulaw_sum,
-           CAST(max(abs(uout)) AS BIGINT) AS ulaw_peak,
-           CAST(sum((uo.i + 1) * uout) AS BIGINT) AS ulaw_wsum,
-           CAST(sum(aout) AS BIGINT) AS alaw_sum,
-           CAST(max(abs(aout)) AS BIGINT) AS alaw_peak,
-           CAST(sum((uo.i + 1) * aout) AS BIGINT) AS alaw_wsum
-    FROM uo JOIN ao ON ao.doc_id = uo.doc_id AND ao.i = uo.i
-    GROUP BY uo.doc_id
-"""
-
-_register("audio_companding", q_audio_companding, ORACLE_AUDIO_COMPANDING)
-
-
-def q_video_mjpeg(sf_dir: str):
-    """Real video container path (sources/codecs.py::encode_avi_mjpeg /
-    decode_avi_frames): per doc an AVI with 2 + doc_id%3 MJPEG frames —
-    16×16 grayscale, 8×8 quadrant constants (doc_id*23 + f*41 + q*53)
-    % 256, quality=100 so every frame survives the baseline JPEG codec
-    bit-exact — then stages/multimodal.py::frame_sample_batch keeps 2
-    uniformly-spaced frames with integer luma sums.  RIFF walker, JPEG
-    Huffman/DCT, and the sampler all sit on the hashed path."""
-    from hydra_ray.sources.codecs import encode_avi_mjpeg
-    from hydra_ray.stages.multimodal import frame_sample_batch
-
-    ds = _docs(sf_dir, columns=["doc_id"])
-
-    def make_avis(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        payloads = []
-        for d in ids:
-            nf = 2 + int(d) % 3
-            fr = np.zeros((nf, 16, 16), dtype=np.uint8)
-            for f in range(nf):
-                for q in range(4):
-                    v = (int(d) * 23 + f * 41 + q * 53) % 256
-                    fr[f, (q // 2) * 8 : (q // 2) * 8 + 8, (q % 2) * 8 : (q % 2) * 8 + 8] = v
-            payloads.append(encode_avi_mjpeg(fr, fps=12, quality=100))
-        return pa.table(
-            {"doc_id": pa.array(ids), "payload": pa.array(payloads, type=pa.binary())}
-        )
-
-    return ds.map_batches(make_avis, batch_format="pyarrow").map_batches(
-        lambda t: frame_sample_batch(t, n_samples=2), batch_format="pyarrow"
-    )
-
-
-ORACLE_VIDEO_MJPEG = """
-    WITH s AS (
-        SELECT d.doc_id, 2 + d.doc_id % 3 AS n_frames, j.j,
-               (j.j * (2 + d.doc_id % 3)) // 2 AS frame_idx
-        FROM documents d, (SELECT unnest(generate_series(0, 1)) AS j) j
-    )
-    SELECT doc_id, j AS snum, frame_idx, n_frames,
-           CAST(sum(64000 * ((doc_id * 23 + frame_idx * 41 + q.q * 53) % 256))
-                AS BIGINT) AS sum_luma
-    FROM s, (SELECT unnest(generate_series(0, 3)) AS q) q
-    GROUP BY doc_id, j, frame_idx, n_frames
-"""
-
-_register("video_mjpeg", q_video_mjpeg, ORACLE_VIDEO_MJPEG)
-
-
 def q_orders_lineitem_join(sf_dir: str):
     """Large×large distributed equi-join (stages/joins.py::hash_join):
     lineitem LEFT JOIN a filtered orders slice (o_orderstatus='F') on
@@ -2995,114 +2026,6 @@ ORACLE_ORDERS_LINEITEM_JOIN = """
 """
 
 _register("orders_lineitem_join", q_orders_lineitem_join, ORACLE_ORDERS_LINEITEM_JOIN)
-
-
-# 89-entry IMA step table inlined into the recursive oracle
-_IMA_STEPS_SQL = "[7, 8, 9, 10, 11, 12, 13, 14, 16, 17, 19, 21, 23, 25, 28, 31, 34, 37, 41, 45, 50, 55, 60, 66, 73, 80, 88, 97, 107, 118, 130, 143, 157, 173, 190, 209, 230, 253, 279, 307, 337, 371, 408, 449, 494, 544, 598, 658, 724, 796, 876, 963, 1060, 1166, 1282, 1411, 1552, 1707, 1878, 2066, 2272, 2499, 2749, 3024, 3327, 3660, 4026, 4428, 4871, 5358, 5894, 6484, 7132, 7845, 8630, 9493, 10442, 11487, 12635, 13899, 15289, 16818, 18500, 20350, 22385, 24623, 27086, 29794, 32767]"
-
-
-def q_audio_adpcm(sf_dir: str):
-    """IMA ADPCM WAV round-trip (sources/codecs.py): per doc a 64-sample
-    sawtooth — s(i) = ((doc_id*11 + i*37) % 2048 - 1024) * 8 — is
-    encoded as WAVE_FORMAT_IMA_ADPCM (0x11, 4-bit nibbles, per-block
-    predictor/step-index state), decoded back through the magic-routed
-    decode_audio, and summarized from the DECODED samples.  The oracle
-    replays the full sequential quantizer state machine in a RECURSIVE
-    SQL CTE (64 state transitions per doc, step table inlined) — even
-    an inherently sequential codec is bit-verifiable."""
-    from hydra_ray.sources.codecs import encode_wav_adpcm
-    from hydra_ray.stages.multimodal import decode_audio
-
-    ds = _docs(sf_dir, columns=["doc_id"])
-
-    def batch_fn(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        i = np.arange(64, dtype=np.int64)
-        w = i + 1
-        sums, peaks, wsums = [], [], []
-        for d in ids:
-            s = (((int(d) * 11 + i * 37) % 2048) - 1024) * 8
-            arr, rate = decode_audio(encode_wav_adpcm(s.astype(np.int16), 8000))
-            assert rate == 8000
-            v = arr[:, 0].astype(np.int64)
-            sums.append(int(v.sum()))
-            peaks.append(int(np.abs(v).max()))
-            wsums.append(int((w * v).sum()))
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "adpcm_sum": pa.array(sums),
-                "adpcm_peak": pa.array(peaks),
-                "adpcm_wsum": pa.array(wsums),
-            }
-        )
-
-    return ds.map_batches(batch_fn, batch_format="pyarrow")
-
-
-ORACLE_AUDIO_ADPCM = """
-    WITH RECURSIVE sig AS (
-        SELECT doc_id, i, ((doc_id * 11 + i * 37) % 2048 - 1024) * 8 AS sv
-        FROM (SELECT doc_id, unnest(generate_series(0, 63)) AS i FROM documents)
-    ),
-    st AS (
-        SELECT doc_id, i, sv AS pred, 0 AS idx, sv AS dec
-        FROM sig WHERE i = 0
-      UNION ALL
-        SELECT doc_id, i,
-               greatest(-32768, least(32767,
-                   CASE WHEN sign = 1 THEN pred - vp ELSE pred + vp END)) AS pred,
-               greatest(0, least(88, idx +
-                   CASE WHEN delta < 4 THEN -1 WHEN delta = 4 THEN 2
-                        WHEN delta = 5 THEN 4 WHEN delta = 6 THEN 6 ELSE 8 END)) AS idx,
-               greatest(-32768, least(32767,
-                   CASE WHEN sign = 1 THEN pred - vp ELSE pred + vp END)) AS dec
-        FROM (
-            SELECT doc_id, i, pred, idx, sign,
-                   b2 * 4 + b1 * 2 + b0 AS delta,
-                   step // 8 + b2 * step + b1 * (step // 2) + b0 * (step // 4) AS vp
-            FROM (
-                SELECT *, CASE WHEN d - b2 * step - b1 * (step // 2) >= step // 4
-                               THEN 1 ELSE 0 END AS b0
-                FROM (
-                    SELECT *, CASE WHEN d - b2 * step >= step // 2 THEN 1 ELSE 0 END AS b1
-                    FROM (
-                        SELECT st.doc_id, n.i, st.pred, st.idx,
-                               CASE WHEN n.sv < st.pred THEN 1 ELSE 0 END AS sign,
-                               abs(n.sv - st.pred) AS d,
-                               STEPS_LIST[st.idx + 1] AS step,
-                               CASE WHEN abs(n.sv - st.pred) >= STEPS_LIST[st.idx + 1]
-                                    THEN 1 ELSE 0 END AS b2
-                        FROM st JOIN sig n ON n.doc_id = st.doc_id AND n.i = st.i + 1
-                    )
-                )
-            )
-        )
-    )
-    SELECT doc_id,
-           CAST(sum(dec) AS BIGINT) AS adpcm_sum,
-           CAST(max(abs(dec)) AS BIGINT) AS adpcm_peak,
-           CAST(sum((i + 1) * dec) AS BIGINT) AS adpcm_wsum
-    FROM st GROUP BY doc_id
-"""
-
-_register("audio_adpcm", q_audio_adpcm, ORACLE_AUDIO_ADPCM.replace("STEPS_LIST", _IMA_STEPS_SQL))
-
-
-def q_bpe_train(sf_dir: str):
-    """Corpus-scale BPE tokenizer training (stages/text.py::bpe_train):
-    12 merge rules learned from the distinct-word frequency table —
-    one corpus pass, then vocabulary-sized iterations with block-local
-    pair pre-aggregation.  Iterative (each merge depends on the last),
-    so no SQL oracle; pinned instead by the in-memory Sennrich
-    reference parity test (test_textops.py) and deterministic
-    tie-breaks (rows-only driver check)."""
-    from hydra_ray.stages.text import bpe_train
-
-    return bpe_train(_docs(sf_dir, columns=["text"]), n_merges=12)
-
-
-_register("bpe_train", q_bpe_train)
 
 
 def q_training_shards(sf_dir: str):
@@ -3176,45 +2099,6 @@ ORACLE_TRAINING_SHARDS = (
 _register("training_shards", q_training_shards, ORACLE_TRAINING_SHARDS)
 
 
-def q_char_dup_spans(sf_dir: str):
-    """Character-level ExactSubstr spans (stages/dedup.py::
-    char_dup_spans): maximal per-doc char spans covered by a 30-char
-    window occurring >= 2 times anywhere in the corpus — rolling-hash
-    candidates, exact gram verify, island merge."""
-    from hydra_ray.stages.dedup import char_dup_spans
-
-    return char_dup_spans(
-        rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]),
-        L=30,
-        min_occ=2,
-    )
-
-
-ORACLE_CHAR_DUP_SPANS = """
-    WITH pos AS (
-        SELECT doc_id, text,
-               unnest(generate_series(1, greatest(length(text) - 29, 0))) AS p
-        FROM documents
-    ),
-    grams AS (SELECT doc_id, p, substr(text, p, 30) AS g FROM pos),
-    dup AS (SELECT g FROM grams GROUP BY g HAVING count(*) >= 2),
-    hits AS (SELECT doc_id, p FROM grams WHERE g IN (SELECT g FROM dup)),
-    isl AS (
-        SELECT doc_id, p,
-               sum(CASE WHEN p - lag_p <= 30 THEN 0 ELSE 1 END)
-                 OVER (PARTITION BY doc_id ORDER BY p) AS grp
-        FROM (SELECT doc_id, p,
-                     lag(p) OVER (PARTITION BY doc_id ORDER BY p) AS lag_p
-              FROM hits)
-    )
-    SELECT doc_id, min(p) AS start_chr, max(p) + 29 AS end_chr,
-           count(*) AS n_windows
-    FROM isl GROUP BY doc_id, grp
-"""
-
-_register("char_dup_spans", q_char_dup_spans, ORACLE_CHAR_DUP_SPANS)
-
-
 def q_sa_dup_spans(sf_dir: str):
     """ExactSubstr spans via the distributed SUFFIX ARRAY (stages/
     suffix.py::sa_dup_spans — Lee et al. 2022 §4's actual formulation,
@@ -3222,8 +2106,8 @@ def q_sa_dup_spans(sf_dir: str):
     per-doc char spans covered by a 20-char window occurring >= 3 times
     anywhere in the corpus. Window equality is decided by two integer
     rank lookups — no window text or hash ever enters a shuffle, so the
-    result is exact by construction (different params than
-    char_dup_spans on purpose: both paths stay independently gated)."""
+    result is exact by construction (tests/test_suffix.py checks it
+    against dedup.char_dup_spans, the driver-side reference)."""
     from hydra_ray.stages.suffix import sa_dup_spans
 
     return sa_dup_spans(
@@ -3326,116 +2210,6 @@ ORACLE_C4_FILTER = """
 _register("c4_filter", q_c4_filter, ORACLE_C4_FILTER)
 
 
-def q_word_freq_topk(sf_dir: str):
-    """Corpus vocabulary: distributed word count (the classic wordcount,
-    Zipf-head extraction for tokenizer/vocab prep). Per-block explode +
-    Arrow group_by partials → grouped_agg merge (one row per
-    (word, block) over the shuffle, not one per token) → top-50 by
-    count desc / word asc."""
-    import pyarrow.compute as pc
-
-    from hydra_ray.stages.agg import grouped_agg
-    from hydra_ray.stages.text import _tokens_arr
-
-    def explode(t: pa.Table) -> pa.Table:
-        toks = _tokens_arr(pc.fill_null(t["text"].combine_chunks(), ""))
-        flat = pc.list_flatten(toks)
-        flat = flat.filter(pc.not_equal(flat, ""))
-        return pa.table({"word": flat})
-
-    counts = grouped_agg(
-        _docs(sf_dir, columns=["text"]).map_batches(explode, batch_format="pyarrow"),
-        ["word"],
-        [("word", "count", "n")],
-    )
-    return counts.sort(["n", "word"], descending=[True, False]).limit(50)
-
-
-ORACLE_WORD_FREQ_TOPK = r"""
-    WITH toks AS (
-        SELECT unnest(regexp_split_to_array(trim(COALESCE(text, '')), '\s+')) AS word
-        FROM documents
-    )
-    SELECT word, count(*) AS n FROM toks WHERE word <> ''
-    GROUP BY word ORDER BY n DESC, word LIMIT 50
-"""
-
-_register("word_freq_topk", q_word_freq_topk, ORACLE_WORD_FREQ_TOPK)
-
-
-def q_normalize_text(sf_dir: str):
-    """Unicode text normalization (NFC compose + lowercase) — the
-    canonicalization pass every multilingual corpus runs before dedup/
-    tokenization. The ASCII synthetic docs are first given deterministic
-    work to do — combining acute accents after every 'a' (U+0301, NFC
-    composes to 'á') and an uppercased 'THE' — with the SAME replaces
-    as the SQL oracle. Shuffle-free vectorized map_batches; emits
-    codepoint lengths before/after so composition is observable."""
-    import pyarrow.compute as pc
-
-    from hydra_ray.stages.text import normalize_text_batch
-
-    def norm(batch: pa.Table) -> pa.Table:
-        t = batch["text"]
-        if isinstance(t, pa.ChunkedArray):
-            t = t.combine_chunks()
-        t = pc.replace_substring(pc.fill_null(t, ""), pattern="a", replacement="á")
-        t = pc.replace_substring(t, pattern="the", replacement="THE")
-        return normalize_text_batch(
-            batch.set_column(batch.schema.get_field_index("text"), "text", t)
-        )
-
-    return _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
-        norm, batch_format="pyarrow"
-    )
-
-
-ORACLE_NORMALIZE_TEXT = """
-    WITH pre AS (
-        SELECT doc_id,
-               replace(replace(COALESCE(text, ''), 'a', 'a' || chr(769)),
-                       'the', 'THE') AS t
-        FROM documents
-    )
-    SELECT doc_id,
-           length(t) AS n_cp_raw,
-           length(lower(nfc_normalize(t))) AS n_cp_norm,
-           lower(nfc_normalize(t)) AS norm
-    FROM pre
-"""
-
-_register("normalize_text", q_normalize_text, ORACLE_NORMALIZE_TEXT)
-
-
-def q_table_profile(sf_dir: str):
-    """Per-column profile of lineitem's numeric columns (stages/agg.py::
-    table_profile): row/null counts, exact distinct, min/max — one
-    combiner partial per (column, block), driver-side merge."""
-    from hydra_ray.stages.agg import table_profile
-
-    cols = [
-        "l_orderkey", "l_partkey", "l_suppkey", "l_linenumber",
-        "l_quantity", "l_extendedprice", "l_discount", "l_tax",
-    ]
-    return table_profile(
-        rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=cols), cols
-    )
-
-
-ORACLE_TABLE_PROFILE = "\nUNION ALL\n".join(
-    f"""SELECT '{c}' AS col_name, count(*) AS n_rows,
-        count(*) - count({c}) AS n_null, count(DISTINCT {c}) AS n_distinct,
-        CAST(min({c}) AS DOUBLE) AS min_val, CAST(max({c}) AS DOUBLE) AS max_val
-        FROM lineitem"""
-    for c in [
-        "l_orderkey", "l_partkey", "l_suppkey", "l_linenumber",
-        "l_quantity", "l_extendedprice", "l_discount", "l_tax",
-    ]
-)
-
-_register("table_profile", q_table_profile, ORACLE_TABLE_PROFILE)
-
-
 def q_pagerank(sf_dir: str):
     """Integer fixed-point PageRank (stages/graph.py::pagerank — the
     engine's iterative-algorithm showcase; 10 iterations, bit-exact
@@ -3489,40 +2263,6 @@ def _pagerank_oracle(iters: int = 10, scale: int = 10**12) -> str:
 ORACLE_PAGERANK = _pagerank_oracle()
 
 _register("pagerank", q_pagerank, ORACLE_PAGERANK)
-
-
-def q_tfidf_keywords(sf_dir: str):
-    """Per-document keyword extraction (stages/text.py::tfidf_keywords):
-    top-3 terms per doc by tf DESC, document-frequency ASC, term ASC —
-    TF-IDF ranking made integer-exact (idf is monotone in df). One
-    explode pass (tf is block-local — a doc is one row), a grouped_agg
-    for df, one vocab broadcast, no row shuffle."""
-    from hydra_ray.stages.text import tfidf_keywords
-
-    return tfidf_keywords(_docs(sf_dir, columns=["doc_id", "text"]), k=3)
-
-
-ORACLE_TFIDF_KEYWORDS = r"""
-    WITH toks AS (
-        SELECT doc_id,
-               unnest(regexp_split_to_array(trim(COALESCE(text, '')), '\s+')) AS term
-        FROM documents
-    ),
-    tf AS (
-        SELECT doc_id, term, count(*) AS tf
-        FROM toks WHERE term <> '' GROUP BY doc_id, term
-    ),
-    df AS (SELECT term, count(*) AS df FROM tf GROUP BY term)
-    SELECT doc_id, term, tf, df, rank FROM (
-        SELECT t.doc_id, t.term, t.tf, d.df,
-               row_number() OVER (
-                   PARTITION BY t.doc_id
-                   ORDER BY t.tf DESC, d.df ASC, t.term ASC) AS rank
-        FROM tf t JOIN df d USING (term))
-    WHERE rank <= 3
-"""
-
-_register("tfidf_keywords", q_tfidf_keywords, ORACLE_TFIDF_KEYWORDS)
 
 
 def q_triangle_count(sf_dir: str):
@@ -3613,50 +2353,6 @@ ORACLE_BLOOM_SEMI_JOIN = """
 _register("bloom_semi_join", q_bloom_semi_join, ORACLE_BLOOM_SEMI_JOIN)
 
 
-def q_dataset_split(sf_dir: str):
-    """Seeded deterministic train/val/test split (90/5/5) by splitmix64
-    of the doc id — parallelism-invariant, reproducible, and bit-exact
-    in SQL (same mixer reproduced with HUGEINT limbs — the numeric
-    doc_id is the hash input). Returns per-split counts + token
-    totals."""
-    from hydra_ray.stages.agg import grouped_agg
-    from hydra_ray.stages.text import _tokens_arr
-    from hydra_ray.functions.hashing import _mix64
-
-    def tag(t: pa.Table) -> pa.Table:
-        base = (
-            t["doc_id"].to_pandas().astype(np.int64).to_numpy().astype(np.uint64)
-        )
-        h = _mix64(base) % np.uint64(100)
-        split = np.where(h < 90, "train", np.where(h < 95, "val", "test"))
-        text = t["text"]
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
-        n_tok = pc.cast(pc.list_value_length(_tokens_arr(pc.fill_null(text, ""))), pa.int64())
-        return pa.table({"split": pa.array(split, pa.string()), "n_tokens": n_tok})
-
-    return grouped_agg(
-        _docs(sf_dir, columns=["doc_id", "text"]).map_batches(tag, batch_format="pyarrow"),
-        ["split"],
-        [("n_tokens", "count", "n_docs"), ("n_tokens", "sum", "total_tokens")],
-    )
-
-
-ORACLE_DATASET_SPLIT = f"""
-    WITH sp_0 AS (SELECT CAST(doc_id AS UBIGINT) AS v, text FROM documents),
-    {_mix64_ctes_sql("sp", "v", "text")}
-    SELECT split, count(*) AS n_docs,
-           CAST(sum(array_length(regexp_split_to_array(trim(COALESCE(text, '')), '\\s+'))) AS BIGINT) AS total_tokens
-    FROM (SELECT CASE WHEN v % 100 < 90 THEN 'train'
-                      WHEN v % 100 < 95 THEN 'val'
-                      ELSE 'test' END AS split, text
-          FROM sp_5)
-    GROUP BY split
-"""
-
-_register("dataset_split", q_dataset_split, ORACLE_DATASET_SPLIT)
-
-
 def q_gopher_quality(sf_dir: str):
     """Full Gopher/MassiveText document-quality rule set (stages/
     text.py::gopher_quality_batch) with sandbox-calibrated thresholds
@@ -3742,178 +2438,6 @@ ORACLE_JACCARD_SET_JOIN = r"""
 """
 
 _register("jaccard_set_join", q_jaccard_set_join, ORACLE_JACCARD_SET_JOIN)
-
-
-def q_token_entropy(sf_dir: str):
-    """Unigram Shannon entropy per document (stages/text.py::
-    token_entropy_batch) — shuffle-free, one Arrow group_by per block."""
-    from hydra_ray.stages.text import token_entropy_batch
-
-    return _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
-        token_entropy_batch, batch_format="pyarrow"
-    )
-
-
-ORACLE_TOKEN_ENTROPY = r"""
-    WITH toks AS (
-        SELECT doc_id,
-               unnest(regexp_split_to_array(trim(COALESCE(text, '')), '\s+')) AS w
-        FROM documents
-    ),
-    tf AS (SELECT doc_id, w, count(*) AS c FROM toks GROUP BY doc_id, w),
-    n AS (SELECT doc_id, CAST(sum(c) AS BIGINT) AS n_tokens FROM tf GROUP BY doc_id)
-    SELECT n.doc_id, n.n_tokens,
-           round(log2(greatest(n.n_tokens, 1))
-                 - sum(c * log2(c)) / greatest(n.n_tokens, 1), 6) AS entropy
-    FROM tf JOIN n USING (doc_id)
-    GROUP BY n.doc_id, n.n_tokens
-"""
-
-_register("token_entropy", q_token_entropy, ORACLE_TOKEN_ENTROPY)
-
-
-def q_pmi_bigrams(sf_dir: str):
-    """Corpus collocations: top-40 adjacent-token bigrams by PMI
-    (pointwise mutual information) among bigrams occurring ≥ 5 times.
-    PMI = log2(c_xy · N_uni² / (N_bi · c_x · c_y)) — all counts from two
-    grouped_agg partial passes (unigrams + adjacent bigrams); the
-    driver ranks the post-aggregation result (vocab²-bounded, tiny).
-    Deterministic order: pmi DESC (rounded 6 dp), then bigram ASC."""
-    from hydra_ray.sources.store import ds_to_tables
-    from hydra_ray.stages.agg import grouped_agg
-    from hydra_ray.stages.text import _tokens_arr
-
-    def unigrams(t: pa.Table) -> pa.Table:
-        text = t["text"]
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
-        toks = _tokens_arr(pc.fill_null(text, ""))
-        flat = pc.list_flatten(toks)
-        return pa.table({"w": flat}).filter(pc.not_equal(flat, ""))
-
-    def bigrams(t: pa.Table) -> pa.Table:
-        text = t["text"]
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
-        toks = _tokens_arr(pc.fill_null(text, ""))
-        lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        flat = np.asarray(pc.list_flatten(toks).to_pandas(), dtype=object)
-        starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-        keep = np.ones(len(flat), dtype=bool)
-        ends = starts + lens - 1
-        keep[ends[lens > 0]] = False  # last token of each doc opens no bigram
-        left = flat[:-1][keep[:-1]] if len(flat) else flat
-        right = flat[1:][keep[:-1]] if len(flat) else flat
-        ok = (left != "") & (right != "")
-        return pa.table(
-            {
-                "x": pa.array(left[ok], pa.string()),
-                "y": pa.array(right[ok], pa.string()),
-            }
-        )
-
-    docs = _docs(sf_dir, columns=["text"]).materialize()
-    uni_ds = grouped_agg(
-        docs.map_batches(unigrams, batch_format="pyarrow"), ["w"], [("w", "count", "c")]
-    )
-    bi_ds = grouped_agg(
-        docs.map_batches(bigrams, batch_format="pyarrow"), ["x", "y"], [("x", "count", "c_xy")]
-    )
-    uni = pa.concat_tables([t for t in ds_to_tables(uni_ds) if t.num_rows]).to_pandas()
-    bi = pa.concat_tables([t for t in ds_to_tables(bi_ds) if t.num_rows]).to_pandas()
-    n_uni = int(uni["c"].sum())
-    n_bi = int(bi["c_xy"].sum())
-    cx = uni.set_index("w")["c"]
-    bi = bi[bi["c_xy"] >= 5].copy()
-    from hydra_ray.stages.text import round6
-
-    bi["pmi"] = round6(
-        np.log2(
-            bi["c_xy"].to_numpy().astype(np.float64)
-            * float(n_uni) * float(n_uni)
-            / (
-                float(n_bi)
-                * cx.loc[bi["x"]].to_numpy().astype(np.float64)
-                * cx.loc[bi["y"]].to_numpy().astype(np.float64)
-            )
-        )
-    )
-    bi = bi.sort_values(["pmi", "x", "y"], ascending=[False, True, True], kind="mergesort").head(40)
-    return pa.Table.from_pandas(
-        bi[["x", "y", "c_xy", "pmi"]].reset_index(drop=True), preserve_index=False
-    )
-
-
-ORACLE_PMI_BIGRAMS = r"""
-    WITH toks AS (
-        SELECT doc_id, regexp_split_to_array(trim(COALESCE(text, '')), '\s+') AS ts
-        FROM documents
-    ),
-    uni AS (
-        SELECT w, count(*) AS c FROM (
-            SELECT unnest(ts) AS w FROM toks) WHERE w <> '' GROUP BY w
-    ),
-    bi AS (
-        SELECT x, y, count(*) AS c_xy FROM (
-            SELECT ts[i] AS x, ts[i + 1] AS y
-            FROM (SELECT ts, unnest(generate_series(1, greatest(len(ts) - 1, 0))) AS i
-                  FROM toks))
-        WHERE x <> '' AND y <> '' GROUP BY x, y
-    ),
-    tot AS (SELECT (SELECT sum(c) FROM uni) AS n_uni, (SELECT sum(c_xy) FROM bi) AS n_bi)
-    SELECT x, y, c_xy,
-           round(log2(c_xy * n_uni * n_uni * 1.0 / (n_bi * ux.c * uy.c)), 6) AS pmi
-    FROM bi, tot
-    JOIN uni ux ON ux.w = x
-    JOIN uni uy ON uy.w = y
-    WHERE c_xy >= 5
-    ORDER BY pmi DESC, x, y LIMIT 40
-"""
-
-_register("pmi_bigrams", q_pmi_bigrams, ORACLE_PMI_BIGRAMS)
-
-
-def q_bpe_encode(sf_dir: str):
-    """BPE tokenizer train→apply round trip (stages/text.py::bpe_train +
-    bpe_encode): 12 merges learned from the corpus, then every document
-    encoded with the broadcast merge table (unique-word memoization per
-    block). Rows-only (iterative merges are not SQL-expressible);
-    train/apply parity is pinned by tests."""
-    from hydra_ray.stages.text import bpe_encode, bpe_train
-
-    docs = _docs(sf_dir, columns=["doc_id", "text"]).materialize()
-    merges = bpe_train(docs, n_merges=12)
-    return bpe_encode(docs, merges)
-
-
-_register("bpe_encode", q_bpe_encode)
-
-
-def q_minhash_incremental(sf_dir: str):
-    """Incremental (streaming) MinHash dedup: documents with numeric
-    doc_id % 5 == 0 play the NEW crawl batch, the rest the existing
-    corpus — only cross-side near-dup pairs are emitted and verified
-    (stages/dedup.py dedup_minhash(cross_of=...)); same-side pairs
-    never materialize, so corpus×corpus work is skipped. The full LSH
-    pipeline including the side filter is reproduced in SQL."""
-    from hydra_ray.stages.dedup import dedup_minhash
-
-    def is_new(ids: np.ndarray) -> np.ndarray:
-        return np.asarray([int(x) % 5 == 0 for x in ids], dtype=bool)
-
-    return dedup_minhash(
-        _docs(sf_dir, columns=["doc_id", "text"]), threshold=0.5, cross_of=is_new
-    )
-
-
-_register(
-    "minhash_incremental",
-    q_minhash_incremental,
-    _minhash_oracle_sql(
-        threshold=0.5,
-        pair_cond="AND (CAST(x.doc_id AS BIGINT) % 5 = 0) <> (CAST(y.doc_id AS BIGINT) % 5 = 0)",
-    ),
-)
 
 
 def q_webp_roundtrip(sf_dir: str):
@@ -4396,18 +2920,6 @@ ORACLE_INTERLEAVE_PACK = f"""
 _register("interleave_pack", q_interleave_pack, ORACLE_INTERLEAVE_PACK)
 
 
-def q_span_stats(sf_dir: str):
-    """Per-doc modality/quality metrics over interleaved span docs
-    (stages/spans.py::span_stats): span counts by kind, summed text
-    token cost, and the quality-keep verdict (token-count window +
-    media fraction <= 1/4 as the integer rule n_media*4 <= n_spans —
-    no float compares in the gate). One embarrassingly-parallel
-    map_batches; three reduceat segment sums per block."""
-    from hydra_ray.stages.spans import span_stats
-
-    return span_stats(_docs(sf_dir, columns=["doc_id", "text"]))
-
-
 def _span_synthesis_ctes() -> str:
     """The shared span-construction CTEs (build_spans_batch contract):
     text → 256-char chunks, media span after every 3rd chunk, with the
@@ -4428,30 +2940,6 @@ def _span_synthesis_ctes() -> str:
         SELECT doc_id, 'media', NULL, CAST(i + i//3 + 1 AS INT)
         FROM chunks2 WHERE i % 3 = 2
     )"""
-
-
-def _oracle_span_stats() -> str:
-    from hydra_ray.stages.spans import MAX_DOC_TOKENS, MIN_DOC_TOKENS
-
-    return f"""
-    WITH {_span_synthesis_ctes()}, costs AS (
-        SELECT doc_id, kind,
-               CASE WHEN kind = 'media' THEN 0
-                    ELSE array_length(regexp_split_to_array(trim(text), '\\s+'))
-               END AS ttok
-        FROM spans
-    )
-    SELECT doc_id,
-           CAST(count(*) AS BIGINT) AS n_spans,
-           CAST(count(*) FILTER (kind = 'media') AS BIGINT) AS n_media,
-           CAST(sum(ttok) AS BIGINT) AS text_tokens,
-           sum(ttok) BETWEEN {MIN_DOC_TOKENS} AND {MAX_DOC_TOKENS}
-               AND count(*) FILTER (kind = 'media') * 4 <= count(*) AS keep
-    FROM costs GROUP BY doc_id
-"""
-
-
-_register("span_stats", q_span_stats, _oracle_span_stats())
 
 
 def q_interleaved_shards(sf_dir: str):
@@ -4524,74 +3012,6 @@ def _oracle_interleaved_shards(n_shards: int = 8, seed: int = 1234) -> str:
 
 
 _register("interleaved_shards", q_interleaved_shards, _oracle_interleaved_shards())
-
-
-def q_span_dedup_incremental(sf_dir: str):
-    """Incremental span dedup against an existing corpus
-    (stages/spans.py::span_dedup_incremental) — the append-only
-    documents contract: docs with doc_id%5==0 arrive as the NEW batch
-    and are deduped against the rest of the corpus, which contributes
-    only block-distinct chunk keys to the shuffle and is never
-    rewritten. Result re-exploded for the compare."""
-    from hydra_ray.stages.spans import span_dedup_incremental
-
-    def split(rem: int, neq: bool):
-        def f(t: pa.Table) -> pa.Table:
-            ids = t["doc_id"].to_numpy(zero_copy_only=False)
-            m = (ids % 5 != rem) if neq else (ids % 5 == rem)
-            return t.filter(pa.array(m))
-
-        return f
-
-    new = _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
-        split(0, False), batch_format="pyarrow"
-    )
-    corpus = _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
-        split(0, True), batch_format="pyarrow"
-    )
-    return span_dedup_incremental(new, corpus).map_batches(
-        explode_spans_batch, batch_format="pyarrow"
-    )
-
-
-ORACLE_SPAN_DEDUP_INCREMENTAL = f"""
-    WITH nb AS (
-        SELECT CAST(doc_id AS VARCHAR) AS doc_id, text,
-               CAST(greatest(1, ceil(length(text)/{CHUNK}.0)) AS BIGINT) AS nchunks
-        FROM documents WHERE doc_id % 5 = 0
-    ), nc AS (
-        SELECT doc_id, unnest(generate_series(0, nchunks - 1)) AS i, text FROM nb
-    ), nc2 AS (
-        SELECT doc_id, i, substring(text, i*{CHUNK}+1, {CHUNK}) AS chunk FROM nc
-    ), nspans AS (
-        SELECT doc_id, 'text' AS kind, chunk AS text, NULL AS media_ref,
-               CAST(i + i//3 AS INT) AS off FROM nc2
-        UNION ALL
-        SELECT doc_id, 'media', NULL,
-               'media://' || doc_id || '/' || CAST(i AS VARCHAR),
-               CAST(i + i//3 + 1 AS INT) FROM nc2 WHERE i % 3 = 2
-    ), cb AS (
-        SELECT CAST(doc_id AS VARCHAR) AS doc_id, text,
-               CAST(greatest(1, ceil(length(text)/{CHUNK}.0)) AS BIGINT) AS nchunks
-        FROM documents WHERE doc_id % 5 <> 0
-    ), cc AS (
-        SELECT doc_id, unnest(generate_series(0, nchunks - 1)) AS i, text FROM cb
-    ), ctext AS (
-        SELECT DISTINCT substring(text, i*{CHUNK}+1, {CHUNK}) AS chunk FROM cc
-    ), marked AS (
-        SELECT *, kind = 'media' OR (
-            row_number() OVER (PARTITION BY kind, text ORDER BY doc_id, off) = 1
-            AND text NOT IN (SELECT chunk FROM ctext)
-        ) AS keep
-        FROM nspans
-    )
-    SELECT doc_id, kind, text, media_ref,
-           CAST(row_number() OVER (PARTITION BY doc_id ORDER BY off) - 1 AS INT)
-               AS "offset"
-    FROM marked WHERE keep
-"""
-
-_register("span_dedup_incremental", q_span_dedup_incremental, ORACLE_SPAN_DEDUP_INCREMENTAL)
 
 
 def q_span_near_dup(sf_dir: str):

@@ -1370,226 +1370,9 @@ def alaw_decode(codes: np.ndarray) -> np.ndarray:
     return np.where(c & 0x80, t, -t).astype(np.int16)
 
 
-# --- AVI / MJPEG container (the real-video analogue) ---------------------
-# RIFF 'AVI ' with one Motion-JPEG video stream: every frame is a
-# standalone baseline JPEG (our SOF0 codec above), so container parsing
-# + per-frame decode exercises the same path a production MJPEG asset
-# would.  H.264/MP4 stay behind an injected decoder (no ffmpeg here).
-
-
-def encode_avi_mjpeg(frames: np.ndarray, fps: int = 10, quality: int = 90) -> bytes:
-    """uint8 frames (n,h,w) grayscale or (n,h,w,3) RGB → AVI bytes with
-    an MJPG 'vids' stream (hdrl avih/strh/strf, movi 00dc chunks, idx1)."""
-    frames = np.asarray(frames, dtype=np.uint8)
-    if frames.ndim not in (3, 4):
-        raise ValueError("frames must be (n,h,w) or (n,h,w,3)")
-    n, h, w = frames.shape[:3]
-    jpegs = [encode_jpeg(fr, quality=quality) for fr in frames]
-    sbuf = max(len(j) for j in jpegs)
-
-    movi = b"movi"
-    idx = b""
-    for j in jpegs:
-        # idx1 offsets are relative to the 'movi' fourcc
-        idx += b"00dc" + struct.pack("<III", 0x10, len(movi), len(j))
-        movi += b"00dc" + struct.pack("<I", len(j)) + j
-        if len(j) % 2:
-            movi += b"\x00"
-
-    avih = struct.pack(
-        "<10I4x4x4x4x",
-        1_000_000 // max(fps, 1), 0, 0, 0x10, n, 0, 1, sbuf, w, h,
-    )
-    strh = (
-        b"vids" + b"MJPG"
-        + struct.pack("<IHHIIIIIIiI", 0, 0, 0, 0, 1, max(fps, 1), 0, n, sbuf, -1, 0)
-        + struct.pack("<4h", 0, 0, w, h)
-    )
-    strf = struct.pack("<IiiHH4sIiiII", 40, w, h, 1, 24, b"MJPG", w * h * 3, 0, 0, 0, 0)
-
-    def chunk(cid: bytes, body: bytes) -> bytes:
-        return cid + struct.pack("<I", len(body)) + body + (b"\x00" if len(body) % 2 else b"")
-
-    strl = b"strl" + chunk(b"strh", strh) + chunk(b"strf", strf)
-    hdrl = b"hdrl" + chunk(b"avih", avih) + chunk(b"LIST", strl)
-    body = b"AVI " + chunk(b"LIST", hdrl) + chunk(b"LIST", movi) + chunk(b"idx1", idx)
-    return b"RIFF" + struct.pack("<I", len(body)) + body
-
-
-def decode_avi_frames(data: bytes) -> tuple[np.ndarray, int]:
-    """AVI bytes → (uint8 frames (n,h,w) or (n,h,w,3), fps).  Walks the
-    RIFF tree, reads avih for the frame period, decodes every 00dc/00db
-    movi chunk as a baseline JPEG."""
-    if data[:4] != b"RIFF" or data[8:12] != b"AVI ":
-        raise ValueError("not an AVI file")
-    fps = 0
-    frames: list[np.ndarray] = []
-
-    def walk(pos: int, end: int) -> None:
-        nonlocal fps
-        while pos + 8 <= end:
-            cid = data[pos : pos + 4]
-            (clen,) = struct.unpack_from("<I", data, pos + 4)
-            body_start = pos + 8
-            if cid == b"LIST":
-                walk(body_start + 4, body_start + clen)
-            elif cid == b"avih":
-                (usec,) = struct.unpack_from("<I", data, body_start)
-                fps = round(1_000_000 / usec) if usec else 0
-            elif cid[2:4] in (b"dc", b"db") and clen:
-                frames.append(decode_jpeg(data[body_start : body_start + clen]))
-            pos = body_start + clen + (clen & 1)
-
-    walk(12, 8 + struct.unpack_from("<I", data, 4)[0])
-    if not frames:
-        raise ValueError("AVI contains no video frames")
-    return np.stack(frames), fps
-
-
-# --- IMA ADPCM (DVI/IMA, WAVE_FORMAT_IMA_ADPCM 0x0011) -------------------
-# A sequential predictive codec: 4-bit nibbles, per-block (predictor,
-# step-index) state.  The query oracle replays the exact state machine
-# in a recursive SQL CTE — even stateful codecs are verifiable.
-
-_IMA_STEPS = np.array([
-    7, 8, 9, 10, 11, 12, 13, 14, 16, 17, 19, 21, 23, 25, 28, 31, 34, 37,
-    41, 45, 50, 55, 60, 66, 73, 80, 88, 97, 107, 118, 130, 143, 157, 173,
-    190, 209, 230, 253, 279, 307, 337, 371, 408, 449, 494, 544, 598, 658,
-    724, 796, 876, 963, 1060, 1166, 1282, 1411, 1552, 1707, 1878, 2066,
-    2272, 2499, 2749, 3024, 3327, 3660, 4026, 4428, 4871, 5358, 5894,
-    6484, 7132, 7845, 8630, 9493, 10442, 11487, 12635, 13899, 15289,
-    16818, 18500, 20350, 22385, 24623, 27086, 29794, 32767,
-], dtype=np.int64)
-_IMA_INDEX = np.array([-1, -1, -1, -1, 2, 4, 6, 8], dtype=np.int64)
-
-
-def _ima_step(sample: int, pred: int, idx: int) -> tuple[int, int, int]:
-    """One IMA ADPCM encode step: (nibble, new predictor, new index)."""
-    step = int(_IMA_STEPS[idx])
-    diff = sample - pred
-    sign = 8 if diff < 0 else 0
-    d = -diff if diff < 0 else diff
-    delta = 0
-    if d >= step:
-        delta = 4
-        d -= step
-    if d >= step >> 1:
-        delta |= 2
-        d -= step >> 1
-    if d >= step >> 2:
-        delta |= 1
-    vp = (step >> 3) + (step if delta & 4 else 0) + ((step >> 1) if delta & 2 else 0) \
-        + ((step >> 2) if delta & 1 else 0)
-    pred = pred - vp if sign else pred + vp
-    pred = max(-32768, min(32767, pred))
-    idx = max(0, min(88, idx + int(_IMA_INDEX[delta & 7])))
-    return delta | sign, pred, idx
-
-
-def encode_wav_adpcm(
-    samples: np.ndarray, rate: int = 16000, samples_per_block: int | None = None
-) -> bytes:
-    """int16 mono (n,) → WAV bytes, format 0x11 (IMA ADPCM).  Each
-    block: 4-byte header (the block's first sample verbatim as the
-    predictor + the step index carried in from the previous block),
-    then low-nibble-first 4-bit codes for the block's remaining
-    samples.  Default is one block; pass ``samples_per_block`` for the
-    standard multi-block layout (real ADPCM files are many blocks)."""
-    samples = np.asarray(samples, dtype=np.int64).ravel()
-    n = int(samples.size)
-    if n == 0:
-        raise ValueError("empty signal")
-    spb = n if samples_per_block is None else int(samples_per_block)
-    if spb < 1:
-        raise ValueError("samples_per_block must be >= 1")
-    block_bytes = 4 + (spb - 1 + 1) // 2
-    idx = 0
-    blocks: list[bytes] = []
-    for p in range(0, n, spb):
-        chunk = samples[p : p + spb]
-        pred, idx_start = int(chunk[0]), idx
-        nibbles: list[int] = []
-        for s in chunk[1:]:
-            nib, pred, idx = _ima_step(int(s), pred, idx)
-            nibbles.append(nib)
-        nibbles += [0] * ((spb - 1) - len(nibbles))  # pad a short last block
-        if len(nibbles) % 2:
-            nibbles.append(0)
-        packed = bytes(
-            (nibbles[i] & 0xF) | ((nibbles[i + 1] & 0xF) << 4)
-            for i in range(0, len(nibbles), 2)
-        )
-        blocks.append(struct.pack("<hBB", int(chunk[0]), idx_start, 0) + packed)
-    data = b"".join(blocks)
-    fmt = struct.pack(
-        "<HHIIHHHH", 0x11, 1, rate, rate * block_bytes // max(spb, 1),
-        block_bytes, 4, 2, spb,
-    )
-    body = b"WAVE"
-    body += b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    body += b"fact" + struct.pack("<II", 4, n)
-    body += b"data" + struct.pack("<I", len(data)) + data
-    if len(data) % 2:
-        body += b"\x00"
-    return b"RIFF" + struct.pack("<I", len(body)) + body
-
-
-def decode_wav_adpcm(data: bytes) -> tuple[np.ndarray, int]:
-    """WAV format-0x11 (IMA ADPCM, mono) → (int16 (n,1), rate).
-    Walks EVERY block_align-sized block (real files are many blocks),
-    replaying the predictor/step-index state machine; the fact chunk
-    bounds the total sample count so last-block padding is dropped."""
-    if data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise ValueError("not a WAV file")
-    pos, rate, spb, ba, n_total, payload = 12, None, None, None, None, None
-    while pos + 8 <= len(data):
-        cid = data[pos : pos + 4]
-        (clen,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + clen]
-        if cid == b"fmt ":
-            tag, ch, rate, _bps, ba, bits, _cbs, spb = struct.unpack_from(
-                "<HHIIHHHH", body, 0
-            )
-            if tag != 0x11 or ch != 1 or bits != 4:
-                raise ValueError("only mono 4-bit IMA ADPCM supported")
-        elif cid == b"fact":
-            (n_total,) = struct.unpack_from("<I", body, 0)
-        elif cid == b"data":
-            payload = body
-        pos += 8 + clen + (clen & 1)
-    if rate is None or payload is None:
-        raise ValueError("WAV missing fmt/data chunk")
-    if not spb or not ba or ba < 5:
-        raise ValueError("bad IMA ADPCM fmt chunk (block align / samples per block)")
-    n_blocks = -(-len(payload) // ba)
-    if n_total is None:
-        n_total = n_blocks * spb  # no fact chunk: assume full blocks
-    out: list[int] = []
-    for b in range(n_blocks):
-        block = payload[b * ba : (b + 1) * ba]
-        if len(block) < 4 or len(out) >= n_total:
-            break
-        pred, idx = struct.unpack_from("<hB", block, 0)
-        idx = max(0, min(88, idx))
-        out.append(pred)
-        take = min(spb, n_total - len(out) + 1)  # samples in this block
-        for k in range(take - 1):
-            byte = block[4 + (k >> 1)]
-            nib = (byte >> 4) if k & 1 else (byte & 0xF)
-            step = int(_IMA_STEPS[idx])
-            delta, sign = nib & 7, nib & 8
-            vp = (step >> 3) + (step if delta & 4 else 0) \
-                + ((step >> 1) if delta & 2 else 0) + ((step >> 2) if delta & 1 else 0)
-            pred = pred - vp if sign else pred + vp
-            pred = max(-32768, min(32767, pred))
-            idx = max(0, min(88, idx + int(_IMA_INDEX[delta])))
-            out.append(pred)
-    return np.array(out, dtype=np.int16)[:, None], rate
-
-
 def wav_format_tag(data: bytes) -> int:
     """Peek the fmt-chunk wFormatTag of a RIFF/WAVE payload (1 = PCM,
-    0x11 = IMA ADPCM); raises ValueError if no fmt chunk."""
+    6/7 = G.711 A-/μ-law); raises ValueError if no fmt chunk."""
     if data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise ValueError("not a WAV file")
     pos = 12

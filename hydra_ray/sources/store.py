@@ -1561,9 +1561,11 @@ class VersionedTable:
                 return self._merge_insert_partitioned(incoming_tbl, key, by_part, meta)
 
         if not self.is_empty():
-            new_keys = incoming_tbl[key].combine_chunks() if isinstance(
-                incoming_tbl[key], pa.ChunkedArray
-            ) else incoming_tbl[key]
+            # both routes commit the stored column order and types, also
+            # when no stored row survives the upsert
+            canon = self.schema()
+            incoming_tbl = incoming_tbl.select(canon.names).cast(canon)
+            new_keys = incoming_tbl[key].combine_chunks()
 
             def drop_updated(batch: pa.Table) -> pa.Table:
                 return batch.filter(pc.invert(pc.is_in(batch[key], value_set=new_keys)))
@@ -1572,22 +1574,14 @@ class VersionedTable:
                 # 10^10-row path: survivors stay a Dataset end to end —
                 # filtered blocks stream straight into the overwrite's
                 # write tasks; the driver never holds table bytes
-                canon = self.schema()
-                incoming_cast = incoming_tbl.select(canon.names).cast(canon)
                 merged_ds = self.read().map_batches(
                     drop_updated, batch_format="pyarrow"
-                ).union(rd.from_arrow(incoming_cast))
+                ).union(rd.from_arrow(incoming_tbl))
                 return self.overwrite(merged_ds, meta=meta)
             # fast path: merge in driver memory, no Ray execution — a
             # per-execution fixed cost we would pay every iteration
             survivors_tbl = drop_updated(self.read_arrow())
-            if survivors_tbl.num_rows:
-                incoming_tbl = incoming_tbl.select(survivors_tbl.column_names).cast(
-                    survivors_tbl.schema
-                )
-                merged = pa.concat_tables([survivors_tbl, incoming_tbl])
-            else:
-                merged = incoming_tbl
+            merged = pa.concat_tables([survivors_tbl, incoming_tbl])
         else:
             merged = incoming_tbl
         return self.overwrite(merged, meta=meta)

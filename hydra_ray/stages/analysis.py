@@ -42,8 +42,6 @@ from hydra_ray.stages.fetcher import make_transport
 # MIME from downloaded bytes (M15): the reference shells into libmagic;
 # functions/detect.py::sniff_mime makes the same decision directly from
 # content magic numbers, with the detected format as the text fallback.
-# Kept as an alias for backwards compat in tests.
-from hydra_ray.functions.detect import FORMAT_MIME as _MAGIC_MIME  # noqa: E402
 from hydra_ray.functions.detect import sniff_mime  # noqa: E402
 
 PARSEABLE_FORMATS = {"csv", "csvgz", "xls", "xlsx", "ods", "parquet"}

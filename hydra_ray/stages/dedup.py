@@ -1,4 +1,5 @@
-"""Deduplication stages: exact, MinHash+LSH, SimHash, n-gram Jaccard.
+"""Deduplication stages: exact, MinHash+LSH, passage / paragraph /
+character-span dedup, decontamination and exact set-similarity joins.
 
 Training-data operators (north-rule additions). Shapes follow the
 public MinHash/LSH literature (Broder '97; Leskovec-Rajaraman-Ullman
@@ -8,8 +9,6 @@ ch.3) expressed as Ray Data pipelines:
   minhash   : shingle→minhash sig per batch → explode to (band, band
               hash, doc) rows → groupby bands → candidate pairs →
               verify true Jaccard → pairs above threshold
-  simhash   : 64-bit weighted-bit-vote fingerprint per doc (vectorized)
-  ngram     : exact character-3-gram Jaccard within blocking groups
 
 All hashing uses the deterministic splitmix64 mixer (functions/hashing.py)
 so results are parallelism-invariant.
@@ -186,7 +185,6 @@ def lsh_candidate_pairs(
     bands: "rd.Dataset",
     num_parts: int = 32,
     unique: bool = True,
-    cross_of=None,
 ) -> "rd.Dataset":
     """Band rows → candidate pairs, fully distributed.
 
@@ -207,11 +205,6 @@ def lsh_candidate_pairs(
             )
         m = dup.merge(dup, on=["band_id", "band_hash"])
         m = m[m["doc_id_x"] < m["doc_id_y"]]
-        if cross_of is not None:
-            # incremental-dedup mode: only pairs spanning the two sides
-            # (new batch vs existing corpus) — same-side pairs never
-            # materialize, so corpus×corpus work is skipped entirely
-            m = m[cross_of(m["doc_id_x"].to_numpy()) != cross_of(m["doc_id_y"].to_numpy())]
         out = m[["doc_id_x", "doc_id_y"]].drop_duplicates()
         return out.rename(columns={"doc_id_x": "doc_a", "doc_id_y": "doc_b"})
 
@@ -331,18 +324,12 @@ def dedup_minhash(
     threshold: float = 0.7,
     shingle_k: int = 3,
     distributed: bool | None = None,
-    cross_of=None,
 ) -> "rd.Dataset":
     """MinHash-LSH near-duplicate pairs, verified by true Jaccard.
 
     shingle→minhash per batch (minhash_bands_batch, a stateless task) →
     band rows → distributed bucket-collision pair emission
     (lsh_candidate_pairs) → verify.
-
-    ``cross_of`` (ids → bool array) switches to INCREMENTAL mode: only
-    pairs spanning the two sides are emitted/verified — the streaming
-    crawl shape where each iteration's new documents are deduped
-    against the append-only corpus whose band table is built once.
 
     Verify routing: above BROADCAST_DOCS_MAX docs (or distributed=True)
     texts are attached by co-partitioned joins — no driver
@@ -362,9 +349,9 @@ def dedup_minhash(
 
     if distributed:
         # unique=False: the verify co-partition dedups pairs for free
-        pairs = lsh_candidate_pairs(bands, unique=False, cross_of=cross_of)
+        pairs = lsh_candidate_pairs(bands, unique=False)
         return _verify_distributed(mat, pairs, threshold, shingle_k)
-    pairs = lsh_candidate_pairs(bands, cross_of=cross_of)
+    pairs = lsh_candidate_pairs(bands)
 
     texts_tbl = mat.select_columns(["doc_id", "text"]).to_pandas()
     text_ref = ray.put(dict(zip(texts_tbl["doc_id"], texts_tbl["text"])))
@@ -381,221 +368,6 @@ def dedup_minhash(
         return batch[batch["jaccard"] >= threshold]
 
     return pairs.map_batches(verify, batch_format="pandas", batch_size=2048)
-
-
-def duplicate_clusters(pairs: pd.DataFrame, id_a: str = "doc_a", id_b: str = "doc_b") -> pd.DataFrame:
-    """Connected components over near-duplicate pairs → (doc_id,
-    cluster_id) with cluster_id = min doc id in the component.
-
-    Iterative min-label propagation (converges in O(diameter) rounds);
-    at 10^10 scale each round is a groupby-min shuffle over the pair
-    table — here the pair table is small by construction (LSH output),
-    so it runs vectorized in pandas.
-    """
-    if pairs.empty:
-        return pd.DataFrame({"doc_id": [], "cluster_id": []})
-    edges = pd.concat(
-        [
-            pairs[[id_a, id_b]].rename(columns={id_a: "u", id_b: "v"}),
-            pairs[[id_b, id_a]].rename(columns={id_b: "u", id_a: "v"}),
-        ]
-    )
-    label = {d: d for d in set(edges["u"])}
-    for _ in range(64):  # diameter bound; real clusters are tiny
-        merged = edges.assign(lu=edges["u"].map(label), lv=edges["v"].map(label))
-        new_min = merged.groupby("u")["lv"].min()
-        changed = False
-        for d, lv in new_min.items():
-            if lv < label[d]:
-                label[d] = lv
-                changed = True
-        if not changed:
-            break
-    out = pd.DataFrame({"doc_id": list(label.keys()), "cluster_id": list(label.values())})
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-def duplicate_clusters_distributed(
-    pairs: "rd.Dataset", num_parts: int = 16, max_rounds: int = 64
-) -> "rd.Dataset":
-    """Connected components over a near-duplicate pair Dataset without
-    driver materialization: iterative min-label propagation where each
-    round is two hash-partitioned co-partitions (attach the label of u
-    to its edges; min-reduce labels per node). Labels only decrease, so
-    a round with zero decreased nodes is the fixed point — detected via
-    a `changed` counter carried on the label rows (no extra join).
-    Rounds are O(component diameter); near-dup clusters are shallow.
-    Returns (doc_id, cluster_id = min doc id in the component)."""
-    from hydra_ray.stages.keyed import keyed_map_partitions
-
-    def to_edges(t: pa.Table) -> pa.Table:
-        a = pc.cast(t["doc_a"], pa.int64()).to_numpy(zero_copy_only=False).astype(np.int64)
-        b = pc.cast(t["doc_b"], pa.int64()).to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "u": pa.array(np.concatenate([a, b])),
-                "v": pa.array(np.concatenate([b, a])),
-            }
-        )
-
-    edges = pairs.map_batches(to_edges, batch_format="pyarrow").materialize()
-
-    def init_labels(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[["u"]].drop_duplicates().rename(columns={"u": "node"})
-        return out.assign(label=out["node"].to_numpy())
-
-    labels = keyed_map_partitions(edges, ["u"], init_labels, num_parts).materialize()
-
-    def labels_keyed(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": t["node"],
-                "v": pa.nulls(len(t), pa.int64()),
-                "label": t["label"],
-                "kind": pa.array(np.zeros(len(t), dtype=np.int8)),
-            }
-        )
-
-    def edges_keyed(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": t["u"],
-                "v": t["v"],
-                "label": pa.nulls(len(t), pa.int64()),
-                "kind": pa.array(np.ones(len(t), dtype=np.int8)),
-            }
-        )
-
-    def propagate(df: pd.DataFrame) -> pd.DataFrame:
-        lab = df[df["kind"] == 0][["key", "label"]]
-        e = df[df["kind"] == 1][["key", "v"]]
-        m = e.merge(lab, on="key")
-        out = m[["v", "label"]].rename(columns={"v": "node"})
-        return out.astype({"node": "int64", "label": "int64"})
-
-    def min_reduce(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("node", sort=False)["label"].min()
-        own = df[df["kind"] == 0].set_index("node")["label"]
-        changed = (g < own.reindex(g.index)).astype("int64")
-        return pd.DataFrame(
-            {"node": g.index.to_numpy(), "label": g.to_numpy(), "changed": changed.to_numpy()}
-        )
-
-    for _ in range(max_rounds):
-        u = labels.map_batches(labels_keyed, batch_format="pyarrow").union(
-            edges.map_batches(edges_keyed, batch_format="pyarrow")
-        )
-        incoming = keyed_map_partitions(u, ["key"], propagate, num_parts)
-
-        def inc_keyed(t: pa.Table) -> pa.Table:
-            return t.append_column("kind", pa.array(np.ones(len(t), dtype=np.int8)))
-
-        def lab_keyed(t: pa.Table) -> pa.Table:
-            return t.select(["node", "label"]).append_column(
-                "kind", pa.array(np.zeros(len(t), dtype=np.int8))
-            )
-
-        merged = labels.map_batches(lab_keyed, batch_format="pyarrow").union(
-            incoming.map_batches(inc_keyed, batch_format="pyarrow")
-        )
-        new_labels = keyed_map_partitions(merged, ["node"], min_reduce, num_parts).materialize()
-        n_changed = new_labels.sum("changed")
-        labels = new_labels
-        if not n_changed:
-            break
-
-    return labels.map_batches(
-        lambda t: pa.table({"doc_id": t["node"], "cluster_id": t["label"]}),
-        batch_format="pyarrow",
-    )
-
-
-# ---------------------------------------------------------------------------
-# SimHash
-# ---------------------------------------------------------------------------
-
-
-def simhash_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    """64-bit SimHash over word hashes.
-
-    Vectorized over the whole batch: words are hashed once each through
-    the memoized md5 token cache (shared with MinHash shingling), bit
-    votes are a single segmented reduction over the flat (token, bit)
-    matrix — no per-document recomputation.
-    """
-    texts = batch[text_col].to_pylist()
-    n = len(texts)
-    words: list[str] = []
-    counts = np.empty(n, dtype=np.int64)
-    for i, text in enumerate(texts):
-        ws = (text or "").split()
-        words.extend(ws)
-        counts[i] = len(ws)
-    out = np.zeros(n, dtype=np.uint64)
-    if words:
-        h = _token_hashes(words)
-        bit_idx = np.arange(64, dtype=np.uint64)[None, :]
-        votes_flat = (((h[:, None] >> bit_idx) & np.uint64(1)).astype(np.int32) * 2 - 1).astype(
-            np.int64
-        )
-        nz = counts > 0
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])[nz]
-        votes = np.add.reduceat(votes_flat, starts, axis=0)
-        weights = np.uint64(1) << np.arange(64, dtype=np.uint64)
-        out[nz] = ((votes > 0).astype(np.uint64) * weights[None, :]).sum(axis=1, dtype=np.uint64)
-    return pa.table(
-        {
-            "doc_id": batch["doc_id"],
-            "simhash": pa.array(out.view(np.int64)),
-        }
-    )
-
-
-def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = (a.astype(np.uint64) ^ b.astype(np.uint64)).astype(np.uint64)
-    cnt = np.zeros(len(x), dtype=np.int64)
-    for _ in range(64):
-        cnt += (x & np.uint64(1)).astype(np.int64)
-        x >>= np.uint64(1)
-    return cnt
-
-
-# ---------------------------------------------------------------------------
-# n-gram Jaccard within blocking groups
-# ---------------------------------------------------------------------------
-
-
-def _char_ngrams(text: str, n: int = 3) -> set[str]:
-    t = " ".join((text or "").split())
-    if len(t) < n:
-        return {t} if t else set()
-    return {t[i : i + n] for i in range(len(t) - n + 1)}
-
-
-def ngram_jaccard_pairs(
-    ds: "rd.Dataset", block_col: str = "source", threshold: float = 0.5, n: int = 3
-) -> "rd.Dataset":
-    """Exact char-n-gram Jaccard for all pairs inside each blocking group
-    (group sizes bound the quadratic cost; the blocking key is the
-    partition key at scale)."""
-
-    def pairs_in_block(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("doc_id")
-        grams = [_char_ngrams(t, n) for t in g["text"]]
-        ids = g["doc_id"].tolist()
-        rows = []
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                inter = len(grams[i] & grams[j])
-                union = len(grams[i] | grams[j])
-                jac = inter / union if union else 1.0
-                if jac >= threshold:
-                    rows.append((ids[i], ids[j], round(jac, 6)))
-        return pd.DataFrame(rows, columns=["doc_a", "doc_b", "jaccard"])
-
-    return ds.select_columns(["doc_id", "text", block_col]).groupby(block_col).map_groups(
-        pairs_in_block, batch_format="pandas"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -911,31 +683,6 @@ def paragraph_dedup(
 # --- character-level ExactSubstr (suffix-window) dedup --------------------
 
 
-def _rolling_hash_emit(
-    ids: np.ndarray, texts: list[str], L: int, powers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per doc: 64-bit polynomial hash of every L-char window, fully
-    vectorized (sliding_window_view × power vector, natural uint64
-    wraparound). Returns (doc_id, pos(1-based), hash-as-int64)."""
-    o_id: list[np.ndarray] = []
-    o_pos: list[np.ndarray] = []
-    o_h: list[np.ndarray] = []
-    for did, tx in zip(ids, texts):
-        b = np.frombuffer((tx or "").encode("utf-8"), dtype=np.uint8)
-        if b.size < L:
-            continue
-        w = np.lib.stride_tricks.sliding_window_view(b, L).astype(np.uint64)
-        h = (w * powers[None, :]).sum(axis=1, dtype=np.uint64)
-        n = h.size
-        o_id.append(np.full(n, did, dtype=np.int64))
-        o_pos.append(np.arange(1, n + 1, dtype=np.int64))
-        o_h.append(h.view(np.int64))
-    if not o_id:
-        z = np.empty(0, dtype=np.int64)
-        return z, z, z
-    return np.concatenate(o_id), np.concatenate(o_pos), np.concatenate(o_h)
-
-
 def _char_span_merge_fn(L: int, id_col: str):
     """Shared island-merge consumer: sorted duplicated positions →
     maximal (start_chr, end_chr) spans (gap > L breaks an island)."""
@@ -968,7 +715,7 @@ def _char_span_merge_fn(L: int, id_col: str):
     return merge_spans
 
 
-def char_dup_spans_direct(
+def char_dup_spans(
     ds: "rd.Dataset",
     L: int = 30,
     min_occ: int = 2,
@@ -976,11 +723,16 @@ def char_dup_spans_direct(
     text_col: str = "text",
     num_parts: int = 32,
 ) -> "rd.Dataset":
-    """Small-corpus fast path for `char_dup_spans`: materialize the
-    L-char window TEXT into the first shuffle (the L× expansion the
-    scale path avoids) — two keyed shuffles instead of five, which wins
-    below ~10^5 docs where Ray's per-shuffle fixed cost dominates.
-    Identical output to the scale path (tested)."""
+    """Character-level ExactSubstr span detection (Lee et al. 2022 §4):
+    every maximal character span covered by an L-char window occurring
+    >= ``min_occ`` times ANYWHERE in the corpus (across or within
+    documents). Two keyed shuffles: the L-char window TEXT is keyed on
+    itself (an L× corpus expansion — the reference for
+    `stages/suffix.py::sa_dup_spans`, which scales without it), then a
+    doc-keyed island merge into maximal (start_chr, end_chr).
+
+    Positions are 1-based char offsets. Returns (doc_id, start_chr,
+    end_chr, n_windows)."""
     from hydra_ray.stages.keyed import keyed_map_partitions
 
     def emit(t: pa.Table) -> pa.Table:
@@ -1015,142 +767,6 @@ def char_dup_spans_direct(
     hits = keyed_map_partitions(grams, ["gram"], dup_hits, num_parts)
     return keyed_map_partitions(
         hits, [id_col], _char_span_merge_fn(L, id_col), num_parts=32
-    )
-
-
-def char_dup_spans(
-    ds: "rd.Dataset",
-    L: int = 30,
-    min_occ: int = 2,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    num_parts: int = 64,
-    small_threshold: int | None = 200_000,
-) -> "rd.Dataset":
-    """Character-level ExactSubstr span detection (Lee et al. 2022 §4,
-    the suffix-array formulation): every maximal character span covered
-    by an L-char window occurring >= ``min_occ`` times ANYWHERE in the
-    corpus (across or within documents — a suffix array does not care).
-
-    The scale shape deliberately differs from `duplicated_passages`
-    (which ships the gram TEXT into its first shuffle, a k× corpus
-    expansion). Here the heavy first shuffle carries 24 bytes/position
-    (hash, doc, pos) regardless of L:
-
-      1. map_batches: vectorized 64-bit rolling polynomial hash of all
-         windows (no window materialized in the shuffle);
-      2. hash-keyed shuffle: positions whose hash occurs >= min_occ
-         survive as CANDIDATES — at corpus scale the duplicated tail
-         is a small fraction, so everything after is cheap;
-      3. doc-keyed co-partition of candidates with their documents to
-         read back the actual L-char windows (candidates only);
-      4. gram-keyed shuffle re-counts on the TEXT — exact, so a 64-bit
-         collision can only add a candidate in (2), never a false span;
-      5. doc-keyed island merge into maximal (start_chr, end_chr).
-
-    Below ``small_threshold`` docs the five-shuffle pipeline loses to
-    Ray's per-shuffle fixed cost, so the call auto-routes to
-    `char_dup_spans_direct` (same output; same auto-route pattern as
-    knn/nn_all and grouped_agg). The row probe uses ``ds.count()`` —
-    O(1) on a fresh parquet read; pass ``small_threshold=None`` when
-    ``ds`` already carries transforms (count would execute them) or to
-    force the scale path.
-
-    Positions are 1-based UTF-8 BYTE offsets (== char offsets on ASCII
-    corpora; the synthetic corpus is ASCII, as is the DuckDB oracle's
-    substr arithmetic). Returns (doc_id, start_chr, end_chr,
-    n_windows)."""
-    from hydra_ray.stages.keyed import keyed_map_partitions
-
-    if small_threshold is not None and ds.count() <= small_threshold:
-        return char_dup_spans_direct(
-            ds, L=L, min_occ=min_occ, id_col=id_col, text_col=text_col
-        )
-
-    base = np.uint64(1099511628211)
-    powers = np.empty(L, dtype=np.uint64)
-    powers[L - 1] = 1
-    with np.errstate(over="ignore"):  # mod-2^64 wraparound is the hash
-        for j in range(L - 2, -1, -1):
-            powers[j] = powers[j + 1] * base
-
-    def emit(t: pa.Table) -> pa.Table:
-        ids = pc.cast(t[id_col].combine_chunks(), pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        did, pos, h = _rolling_hash_emit(ids, t[text_col].to_pylist(), L, powers)
-        return pa.table({id_col: did, "pos": pos, "h": h})
-
-    hashes = ds.map_batches(emit, batch_format="pyarrow")
-
-    def cands(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame(
-                {id_col: pd.Series(dtype="int64"), "pos": pd.Series(dtype="int64")}
-            )
-        keep = df.groupby("h", sort=False)["h"].transform("size") >= min_occ
-        return df.loc[keep, [id_col, "pos"]]
-
-    cand = keyed_map_partitions(hashes, ["h"], cands, num_parts)
-
-    # co-partition candidates with docs (pos = -1 marks a doc row)
-    def docs_side(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table(
-            {
-                id_col: pc.cast(t[id_col], pa.int64()),
-                "pos": pa.array(np.full(n, -1, dtype=np.int64)),
-                "text": pc.cast(t[text_col], pa.string()),
-            }
-        )
-
-    def cand_side(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                id_col: pc.cast(t[id_col], pa.int64()),
-                "pos": pc.cast(t["pos"], pa.int64()),
-                "text": pa.array([""] * t.num_rows, type=pa.string()),
-            }
-        )
-
-    u = ds.map_batches(docs_side, batch_format="pyarrow").union(
-        cand.map_batches(cand_side, batch_format="pyarrow")
-    )
-
-    def extract(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                id_col: pd.Series(dtype="int64"),
-                "pos": pd.Series(dtype="int64"),
-                "gram": pd.Series(dtype="object"),
-            }
-        )
-        if df.empty:
-            return empty
-        c = df[df["pos"] >= 0]
-        if c.empty:
-            return empty
-        tmap = dict(
-            zip(df.loc[df["pos"] < 0, id_col], df.loc[df["pos"] < 0, "text"])
-        )
-        grams = [
-            tmap[d][p - 1 : p - 1 + L] for d, p in zip(c[id_col], c["pos"])
-        ]
-        return pd.DataFrame({id_col: c[id_col], "pos": c["pos"], "gram": grams})
-
-    extracted = keyed_map_partitions(u, [id_col], extract, num_parts=32)
-
-    def verify(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame(
-                {id_col: pd.Series(dtype="int64"), "pos": pd.Series(dtype="int64")}
-            )
-        keep = df.groupby("gram", sort=False)["gram"].transform("size") >= min_occ
-        return df.loc[keep, [id_col, "pos"]]
-
-    verified = keyed_map_partitions(extracted, ["gram"], verify, num_parts)
-    return keyed_map_partitions(
-        verified, [id_col], _char_span_merge_fn(L, id_col), num_parts=32
     )
 
 
@@ -1251,9 +867,9 @@ def jaccard_set_join(
     rarest under a global (document-frequency, token) order — because
     two sets with J ≥ t must share a prefix token. Candidate buckets
     are keyed by prefix token (one shuffle; each doc travels with its
-    full distinct-token rank list, the cosine_near_dups trade), and a
-    second keyed pass dedups pairs discovered in several buckets. The
-    df table (vocab-sized) broadcasts once.
+    full distinct-token rank list), and a second keyed pass dedups
+    pairs discovered in several buckets. The df table (vocab-sized)
+    broadcasts once.
 
     Skew story (two structural guards, not just tiling):
 

@@ -1,8 +1,7 @@
 """Iterative graph algorithms over edge-list Datasets.
 
 PageRank here is the engine's showcase for ITERATIVE algorithms on Ray
-Data (the reference has none; connected components live in
-stages/dedup.py `duplicate_clusters_distributed`). The contract is
+Data (the reference has none). The contract is
 integer fixed-point — every rank is an int64 scaled by `scale`, every
 division is floor division — so results are bit-exact under any block
 split / execution order AND expressible in SQL (the oracle unrolls the

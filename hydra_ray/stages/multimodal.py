@@ -109,18 +109,9 @@ def decode_audio(payload: bytes, decoder=None):
         return decoder(payload)
     head = bytes(payload[:4])
     if head == b"RIFF":
-        from hydra_ray.sources.codecs import (
-            decode_wav,
-            decode_wav_adpcm,
-            wav_format_tag,
-        )
+        from hydra_ray.sources.codecs import decode_wav, decode_wav_g711, wav_format_tag
 
-        tag = wav_format_tag(payload)
-        if tag == 0x11:
-            return decode_wav_adpcm(payload)
-        if tag in (6, 7):
-            from hydra_ray.sources.codecs import decode_wav_g711
-
+        if wav_format_tag(payload) in (6, 7):
             return decode_wav_g711(payload)
         return decode_wav(payload)
     if head == b"FORM":
@@ -170,47 +161,6 @@ class MediaFeatures:
         )
 
 
-def audio_features_batch(
-    batch: pa.Table,
-    n_frames: int = 4,
-    payload_col: str = "payload",
-    id_col: str = "doc_id",
-    decoder=None,
-) -> pa.Table:
-    """Frame-level audio features from decoded PCM: per equal-length
-    frame the RMS energy (micro-rounded — sqrt is IEEE correctly
-    rounded, so the SQL oracle is bit-exact) and the zero-crossing
-    count (sign changes between adjacent samples, zeros treated as
-    positive). Long-form output (id, frame, rms, zcr) — the standard
-    first stage of any audio-quality / VAD filter."""
-    ids_out: list[int] = []
-    frame_out: list[int] = []
-    rms_out: list[float] = []
-    zcr_out: list[int] = []
-    ids = batch[id_col].to_pylist()
-    for did, payload in zip(ids, batch[payload_col].to_pylist()):
-        samples, _ = decode_audio(payload, decoder=decoder)
-        x = samples[:, 0].astype(np.float64)
-        flen = len(x) // n_frames
-        for f in range(n_frames):
-            seg = x[f * flen : (f + 1) * flen]
-            rms = float(np.sqrt(np.sum(seg * seg) / len(seg)))
-            sign = seg >= 0
-            zcr = int(np.count_nonzero(sign[1:] != sign[:-1]))
-            ids_out.append(did)
-            frame_out.append(f)
-            rms_out.append(np.floor(rms * 1e6 + 0.5) / 1e6)
-            zcr_out.append(zcr)
-    return pa.table(
-        {
-            id_col: pa.array(ids_out, type=pa.int64()),
-            "frame": pa.array(frame_out, type=pa.int64()),
-            "rms": pa.array(rms_out, type=pa.float64()),
-            "zcr": pa.array(zcr_out, type=pa.int64()),
-        }
-    )
-
-
 def image_dhash_batch(
     batch: pa.Table,
     grid: tuple[int, int] = (8, 9),
@@ -239,71 +189,3 @@ def image_dhash_batch(
     return batch.append_column("dhash", pa.array(hashes, type=pa.string()))
 
 
-def decode_video_frames(payload: bytes, decoder=None) -> "np.ndarray":
-    """Decode a multi-frame (video-analogue) payload to a frame stack:
-    animated GIF → (n,h,w,3); AVI/MJPEG (RIFF 'AVI ', per-frame
-    baseline JPEGs) → (n,h,w) or (n,h,w,3).  MP4/H.264 and friends
-    need an injected ``decoder`` (ffmpeg is absent from this
-    container)."""
-    if decoder is not None:
-        return decoder(payload)
-    head = bytes(payload[:12])
-    if head[:4] == b"GIF8":
-        from hydra_ray.sources.codecs import decode_gif_frames
-
-        return decode_gif_frames(payload)
-    if head[:4] == b"RIFF" and head[8:12] == b"AVI ":
-        from hydra_ray.sources.codecs import decode_avi_frames
-
-        return decode_avi_frames(payload)[0]
-    raise NotImplementedError(
-        "GIF/AVI-MJPEG decode natively; inject a decoder for other video formats"
-    )
-
-
-def frame_sample_batch(
-    batch: pa.Table,
-    n_samples: int = 3,
-    payload_col: str = "payload",
-    id_col: str = "doc_id",
-    decoder=None,
-) -> pa.Table:
-    """Uniform frame sampling over animated payloads (the video
-    analogue): decode all frames, keep sample j at frame ``j*F//n``
-    (j < n; repeats when F < n are kept — deterministic contract),
-    and emit per-sampled-frame integer luma sums (299R+587G+114B
-    summed raw, divided by nothing — exact in SQL; grayscale frames
-    weigh 1000·v). Long output:
-    (id, snum, frame_idx, n_frames, sum_luma)."""
-    ids_o: list[int] = []
-    snum_o: list[int] = []
-    fidx_o: list[int] = []
-    nf_o: list[int] = []
-    sum_o: list[int] = []
-    for did, payload in zip(batch[id_col].to_pylist(), batch[payload_col].to_pylist()):
-        frames = decode_video_frames(payload, decoder=decoder).astype(np.int64)
-        nf = frames.shape[0]
-        if frames.ndim == 3:  # grayscale (n,h,w): same 299+587+114 total
-            lsum = (1000 * frames).sum(axis=(1, 2))
-        else:
-            lsum = (
-                299 * frames[:, :, :, 0]
-                + 587 * frames[:, :, :, 1]
-                + 114 * frames[:, :, :, 2]
-            ).sum(axis=(1, 2))
-        for j in range(n_samples):
-            fi = j * nf // n_samples
-            ids_o.append(did)
-            snum_o.append(j)
-            fidx_o.append(fi)
-            nf_o.append(nf)
-            sum_o.append(int(lsum[fi]))
-    return pa.table(
-        {
-            id_col: pa.array(ids_o, type=pa.int64()),
-            "snum": pa.array(snum_o, type=pa.int64()),
-            "frame_idx": pa.array(fidx_o, type=pa.int64()),
-            "n_frames": pa.array(nf_o, type=pa.int64()),
-            "sum_luma": pa.array(sum_o, type=pa.int64()),
-        }
-    )

@@ -81,39 +81,3 @@ def pack_sequences(
     return rd.from_arrow_refs(out)
 
 
-def shuffle_shards(
-    ds: "rd.Dataset",
-    n_shards: int = 8,
-    seed: int = 0,
-    id_col: str = "doc_id",
-    num_parts: int = 32,
-) -> "rd.Dataset":
-    """Deterministic global shuffle into ``n_shards`` training shards
-    (the pre-training "shuffle then shard" layout, e.g. reference
-    crawl ordering contract pipelines/crawl.py seeded ranks): shard =
-    splitmix64(id + seed) % n_shards, position inside the shard = rank
-    of the same hash (ties broken by id).  Parallelism-invariant and
-    seed-reproducible — the same contract as the crawl frontier's
-    seeded rank ordering, applied to corpus layout.  One keyed shuffle;
-    every row of a shard lands in one partition, so the within-shard
-    rank is global without any driver state.  Adds ``shard`` (int64)
-    and ``pos`` (1-based int64); other columns pass through."""
-    from hydra_ray.stages.keyed import keyed_map_partitions
-    from hydra_ray.functions.hashing import _mix64
-
-    def add(t: pa.Table) -> pa.Table:
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = _mix64(ids + np.uint64(seed))
-        t = t.append_column(
-            "shard", pa.array((h % np.uint64(n_shards)).astype(np.int64))
-        )
-        return t.append_column("_rh", pa.array(h))
-
-    hashed = ds.map_batches(add, batch_format="pyarrow")
-
-    def order(df):
-        df = df.sort_values(["shard", "_rh", id_col], kind="mergesort")
-        df["pos"] = df.groupby("shard", sort=False).cumcount() + 1
-        return df.drop(columns=["_rh"])
-
-    return keyed_map_partitions(hashed, ["shard"], order, num_parts=num_parts)

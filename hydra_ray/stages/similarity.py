@@ -5,8 +5,7 @@ once (``ray.put``) and each ``map_batches`` block computes a
 double-precision matmul against it, keeping every row's top-1; above
 ``BRUTE_FORCE_MAX_ROWS`` rows it routes to ``knn_ivf``. The
 partitioned approximate paths are IVF (k-means buckets), PQ
-(product-quantized codes) and HNSW graph shards; ``cosine_near_dups``
-buckets by random-hyperplane signatures (LSH).
+(product-quantized codes) and HNSW graph shards.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
@@ -96,18 +94,6 @@ def nn_all(
         ds_to_tables(ds.map_batches(local, batch_format="pyarrow")),
         promote_options="default",
     )
-
-
-# ---------------------------------------------------------------------------
-# random hyperplanes (cosine LSH signatures)
-# ---------------------------------------------------------------------------
-
-
-def hyperplanes(dim: int, n_planes: int = 12, seed: int = 5) -> np.ndarray:
-    """Deterministic pseudo-random hyperplanes from the splitmix64 mixer."""
-    raw = _mix64(np.arange(dim * n_planes, dtype=np.uint64) + np.uint64(seed * 104729))
-    unit = raw.astype(np.float64) / np.float64(1 << 64) - 0.5
-    return unit.reshape(n_planes, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -223,156 +209,6 @@ def knn_ivf(
         return df
 
     return keyed_map_partitions(cands, ["vec_id"], global_topk)
-
-
-# ---------------------------------------------------------------------------
-# Embedding-cosine near-duplicate pairs (multi-table LSH)
-# ---------------------------------------------------------------------------
-
-
-def cosine_near_dups(
-    ds: "rd.Dataset",
-    threshold: float = 0.9,
-    n_tables: int = 8,
-    n_planes: int = 6,
-    id_col: str = "vec_id",
-    emb_col: str = "embedding",
-    num_parts: int = 64,
-) -> "rd.Dataset":
-    """Near-duplicate pairs by embedding cosine: multi-table random-
-    hyperplane LSH (each vector is hashed into ``n_tables`` independent
-    sign buckets), exact double-precision cosine within each bucket,
-    pairs with sim >= threshold, deduplicated across tables.
-
-    Scale shape: one map_batches explodes each row into T (table,
-    bucket) keys (a deliberate T× shuffle of the embedding column —
-    the standard multi-probe LSH trade), one hash-partitioned shuffle
-    co-locates buckets, pair emission is a vectorized triu matmul per
-    bucket, and the cross-table pair dedup is a second (tiny) keyed
-    shuffle. Nothing touches the driver. Default 8 tables × 6 planes
-    captures cos>=0.9 pairs with recall ~0.9999
-    (p_plane = 1 - arccos(s)/pi; 1-(1-p^6)^8)."""
-    from hydra_ray.stages.keyed import keyed_map_partitions
-
-    first = ds.take_batch(1, batch_format="pyarrow")
-    dim = len(first[emb_col][0])
-    all_planes = [hyperplanes(dim, n_planes, seed=5 + 7 * t) for t in range(n_tables)]
-
-    def explode(t: pa.Table) -> pa.Table:
-        m = _matrix_of(t, emb_col)
-        emb = t[emb_col]
-        if isinstance(emb, pa.ChunkedArray):
-            emb = emb.combine_chunks()
-        ids = t[id_col]
-        parts = []
-        for ti, planes in enumerate(all_planes):
-            signs = (m @ planes.T) > 0
-            bucket = np.full(len(m), ti << 48, dtype=np.int64)
-            for b in range(n_planes):
-                bucket |= signs[:, b].astype(np.int64) << b
-            parts.append(
-                pa.table({id_col: ids, emb_col: emb, "bucket_key": pa.array(bucket)})
-            )
-        return pa.concat_tables(parts)
-
-    bucketed = ds.map_batches(explode, batch_format="pyarrow")
-
-    def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        out_a: list[np.ndarray] = []
-        out_b: list[np.ndarray] = []
-        for _bk, g in df.groupby("bucket_key", sort=False):
-            if len(g) < 2:
-                continue
-            ids = g[id_col].to_numpy().astype(np.int64)
-            m = _normalize(np.stack(g[emb_col].to_numpy()).astype(np.float64))
-            sims = m @ m.T
-            iu = np.triu_indices(len(ids), k=1)
-            mask = sims[iu] >= threshold
-            if not mask.any():
-                continue
-            a = ids[iu[0][mask]]
-            b = ids[iu[1][mask]]
-            out_a.append(np.minimum(a, b))
-            out_b.append(np.maximum(a, b))
-        if not out_a:
-            return pd.DataFrame(
-                {"vec_a": pd.Series(dtype="int64"), "vec_b": pd.Series(dtype="int64")}
-            )
-        return pd.DataFrame(
-            {"vec_a": np.concatenate(out_a), "vec_b": np.concatenate(out_b)}
-        )
-
-    pairs = keyed_map_partitions(bucketed, ["bucket_key"], per_part, num_parts=num_parts)
-
-    def dedup_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(["vec_a", "vec_b"])
-
-    return keyed_map_partitions(pairs, ["vec_a", "vec_b"], dedup_pairs, num_parts=32)
-
-
-def grouped_centroids(
-    ds: "rd.Dataset",
-    key: str = "label",
-    emb_col: str = "embedding",
-) -> "rd.Dataset":
-    """Per-group embedding centroids (cluster summaries / per-source
-    drift monitoring): mean vector per ``key`` in long form
-    (key, dim, centroid, n).
-
-    Scale shape: each batch reduces its vectors to per-key per-dim
-    partial sums BEFORE the shuffle (|keys|×d rows per batch, not
-    n×d), so the groupby moves partials only — the classic combiner.
-    Sums are integer micro-units (floor(x·1e6+0.5) per component) so
-    the aggregate is order-invariant and the DuckDB oracle bit-exact.
-    """
-    from hydra_ray.stages.agg import grouped_agg
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    key: pa.array([], type=pa.int64()),
-                    "dim": pa.array([], type=pa.int64()),
-                    "sum_micro": pa.array([], type=pa.int64()),
-                    "cnt": pa.array([], type=pa.int64()),
-                }
-            )
-        mat = _matrix_of(t, emb_col).astype(np.float64)
-        micro = np.floor(mat * 1e6 + 0.5).astype(np.int64)
-        keys = t[key].to_numpy(zero_copy_only=False).astype(np.int64)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        d = mat.shape[1]
-        sums = np.zeros((len(uniq), d), dtype=np.int64)
-        np.add.at(sums, inv, micro)
-        cnts = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
-        return pa.table(
-            {
-                key: pa.array(np.repeat(uniq, d)),
-                "dim": pa.array(np.tile(np.arange(1, d + 1, dtype=np.int64), len(uniq))),
-                "sum_micro": pa.array(sums.ravel()),
-                "cnt": pa.array(np.repeat(cnts, d)),
-            }
-        )
-
-    agg = grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        keys=[key, "dim"],
-        aggs=[("sum_micro", "sum", "sum_micro"), ("cnt", "sum", "n")],
-    )
-
-    def finish(t: pa.Table) -> pa.Table:
-        s = t["sum_micro"].to_numpy(zero_copy_only=False).astype(np.float64)
-        n = t["n"].to_numpy(zero_copy_only=False).astype(np.float64)
-        return pa.table(
-            {
-                key: pc.cast(t[key], pa.int64()),
-                "dim": pc.cast(t["dim"], pa.int64()),
-                "centroid": pa.array(s / 1e6 / n),
-                "n": pc.cast(t["n"], pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -743,11 +579,10 @@ def knn_hnsw(
     tasks can never starve the actor pool. Recall is gated (not
     structure): see q_knn_hnsw.
 
-    ``queries``: incremental mode (the minhash_incremental analog for
-    ANN) — the index is built over ``ds`` (the existing corpus) and
-    only the NEW batch's vectors are searched against it; a query whose
-    id equals a corpus id never matches itself. Omitted → all-pairs
-    self-search over the corpus."""
+    ``queries``: incremental mode — the index is built over ``ds``
+    (the existing corpus) and only the NEW batch's vectors are searched
+    against it; a query whose id equals a corpus id never matches
+    itself. Omitted → all-pairs self-search over the corpus."""
     from hydra_ray.sources.store import ds_to_table_refs
 
     refs = ds_to_table_refs(ds)

@@ -294,74 +294,6 @@ def _greedy_pack(lengths: np.ndarray, tok: np.ndarray, capacity: int) -> np.ndar
     return seq
 
 
-def span_dedup_incremental(new_ds, corpus_ds, num_parts: int = 32):
-    """Incremental span dedup for the append-only documents contract:
-    a NEW batch of interleaved docs is deduped against an EXISTING
-    corpus — every new text span whose chunk text already appears
-    anywhere in the corpus is dropped, and within the new batch
-    first-wins by (doc_id, offset) applies as in span_dedup. Media
-    spans always survive. Only the new docs are rebuilt; the corpus is
-    never rewritten (merge-on-read, same shape as minhash
-    `cross_of=` incremental mode).
-
-    Scale shape: the corpus contributes ONLY block-distinct text keys
-    to the shuffle (partial dedup before the exchange — no offsets, no
-    media, no doc payload), so the exchange is sized by corpus
-    *vocabulary*, not corpus rows; new spans make one keyed pass, then
-    one doc-keyed reassembly."""
-    import pandas as pd
-
-    from hydra_ray.stages.keyed import keyed_map_partitions, keyed_map_partitions_arrow
-
-    def explode(ds):
-        return ds.map_batches(build_spans_batch, batch_format="pyarrow").map_batches(
-            explode_spans_batch, batch_format="pyarrow"
-        )
-
-    def new_side(t: pa.Table) -> pa.Table:
-        key = pa.compute.binary_join_element_wise(
-            t["kind"], pa.compute.coalesce(t["text"], t["media_ref"]), "|"
-        )
-        t = t.append_column("_k", key)
-        return t.append_column("_src", pa.array(np.ones(len(t), np.int8)))
-
-    def corpus_keys(t: pa.Table) -> pa.Table:
-        tt = t.filter(pa.compute.equal(t["kind"], "text"))
-        keys = pa.compute.unique(tt["text"].combine_chunks().cast(pa.string()))
-        n = len(keys)
-        return pa.table(
-            {
-                "doc_id": pa.nulls(n, pa.string()),
-                "kind": pa.nulls(n, pa.string()),
-                "text": pa.nulls(n, pa.string()),
-                "media_ref": pa.nulls(n, pa.string()),
-                "offset": pa.nulls(n, pa.int32()),
-                "_k": pa.compute.binary_join_element_wise(pa.scalar("text"), keys, "|"),
-                "_src": pa.array(np.zeros(n, np.int8)),
-            }
-        )
-
-    u = explode(new_ds).map_batches(new_side, batch_format="pyarrow").union(
-        explode(corpus_ds).map_batches(corpus_keys, batch_format="pyarrow")
-    )
-
-    def mark(df: "pd.DataFrame") -> "pd.DataFrame":
-        # corpus keys (_src=0) sort first, so any new text span sharing
-        # a key with the corpus is flagged duplicated; within new rows
-        # (doc_id, offset) order gives the span_dedup first-wins rule
-        df = df.sort_values(["_src", "doc_id", "offset"], kind="mergesort")
-        is_text = df["kind"].eq("text")
-        keep = df["_src"].eq(1) & ~(df["_k"].duplicated() & is_text)
-        out = df.loc[keep, ["doc_id", "kind", "text", "media_ref", "offset"]].copy()
-        out["offset"] = out["offset"].astype("int32")
-        return out
-
-    marked = keyed_map_partitions(u, ["_k"], mark, num_parts=num_parts)
-    return keyed_map_partitions_arrow(
-        marked, ["doc_id"], _assemble_spans, num_parts=num_parts
-    )
-
-
 def interleave_pack(
     ds,
     capacity: int = PACK_CAPACITY,
@@ -446,31 +378,6 @@ def _doc_stats_arrays(
     return doc_id, lengths, n_media, text_tok, keep, flat, tok
 
 
-def span_stats(ds, media_tokens: int = MEDIA_TOKENS):
-    """Per-doc modality/quality metrics over interleaved span docs:
-    span counts by kind, summed text token cost, and the quality-keep
-    verdict (MIN_DOC_TOKENS <= text_tokens <= MAX_DOC_TOKENS and media
-    fraction <= 1/4 — the integer rule n_media*4 <= n_spans, so the
-    oracle never compares floats). Embarrassingly parallel: one
-    map_batches over nested rows, three reduceat segment sums."""
-
-    def fn(t: pa.Table) -> pa.Table:
-        doc_id, n_spans, n_media, text_tok, keep, _, _ = _doc_stats_arrays(t, media_tokens)
-        return pa.table(
-            {
-                "doc_id": doc_id,
-                "n_spans": pa.array(n_spans),
-                "n_media": pa.array(n_media),
-                "text_tokens": pa.array(text_tok),
-                "keep": pa.array(keep),
-            }
-        )
-
-    return ds.map_batches(build_spans_batch, batch_format="pyarrow").map_batches(
-        fn, batch_format="pyarrow"
-    )
-
-
 def interleaved_shards(
     ds,
     capacity: int = PACK_CAPACITY,
@@ -480,9 +387,10 @@ def interleaved_shards(
     num_parts: int = 32,
 ):
     """Flagship interleaved-corpus curation composite: span_dedup →
-    per-doc quality keep (span_stats rule, applied to the SURVIVING
-    spans) → greedy interleave packing → deterministic shard
-    assignment, one row per packed sequence:
+    per-doc quality keep (`_doc_stats_arrays`' token band and media
+    fraction, applied to the SURVIVING spans) → greedy interleave
+    packing → deterministic shard assignment, one row per packed
+    sequence:
 
         (doc_id, seq_id, n_spans, tok_total, shard)
 

@@ -5,8 +5,8 @@ This is the true Lee et al. 2022 ("Deduplicating Training Data Makes
 Language Models Better", §4) ExactSubstr formulation: order every
 suffix of the corpus, then read duplicated substrings straight off the
 rank structure. The sibling `stages/dedup.py::char_dup_spans` gets the
-same spans via rolling-hash candidates + an exact text re-verify; here
-NO text ever re-ships and NO hash is involved — window equality is
+same spans by shuffling every window's text; here NO text ever
+re-ships and NO hash is involved — window equality is
 decided by two integer rank lookups, so the pipeline is exact by
 construction (reference scope: udata_hydra has no dedup layer at all;
 this extends the LLM-curation surface, like stages/dedup.py).
@@ -325,45 +325,6 @@ def _dist_dense_rank(
         [_rank_assign.remote(b, bs, cols) for b, bs in zip(refs, bases)]
     )
     return nxt.materialize(), total_rows, total_distinct
-
-
-def suffix_array(
-    ds: "rd.Dataset",
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    driver_docs: int = 20_000,
-    num_parts: int = 64,
-) -> "rd.Dataset":
-    """Suffix array of the corpus: one row per (doc_id, pos) with
-    ``sa_rank`` = dense rank of the suffix string over ALL suffixes
-    (0-based; genuinely equal suffixes — possible across documents —
-    share a rank, deterministically). See the module docstring for the
-    distributed construction; below ``driver_docs`` documents the
-    doubling runs on pulled arrays with bit-identical arithmetic
-    (parity-pinned by test, same auto-route pattern as bpe_train)."""
-    if driver_docs and ds.count() <= driver_docs:
-        did, pos, r = _load_local(ds, id_col, text_col)
-        r, _ = _doubling_local(did, pos, r, h_stop=None)
-        return rd.from_arrow(
-            pa.table(
-                {
-                    id_col: pa.array(did, type=pa.int64()),
-                    "pos": pa.array(pos, type=pa.int64()),
-                    "sa_rank": pa.array(r, type=pa.int64()),
-                }
-            )
-        )
-
-    state, maxlen, n_total, nd = _init_state(ds, id_col, text_col, h0=4)
-    h = 4
-    while nd < n_total and h < maxlen:
-        state, n_total, nd = _dist_round(state, h, num_parts, fold=4)
-        h *= 4
-
-    def rename(t: pa.Table) -> pa.Table:
-        return pa.table({id_col: t["did"], "pos": t["pos"], "sa_rank": t["r"]})
-
-    return state.map_batches(rename, batch_format="pyarrow")
 
 
 def _load_local(ds: "rd.Dataset", id_col: str, text_col: str):

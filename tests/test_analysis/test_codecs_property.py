@@ -362,97 +362,6 @@ def test_au_companded_container_roundtrip():
     assert (arr[:, 0] == s).all()
 
 
-def test_avi_mjpeg_container_roundtrip():
-    """Block-constant gray frames at quality=100 survive the AVI
-    container + baseline JPEG codec bit-exact; fps round-trips; the
-    video router dispatches on RIFF magic."""
-    import numpy as np
-
-    from hydra_ray.sources.codecs import decode_avi_frames, encode_avi_mjpeg
-    from hydra_ray.stages.multimodal import decode_video_frames
-
-    fr = np.zeros((5, 16, 16), dtype=np.uint8)
-    for f in range(5):
-        for q in range(4):
-            fr[f, (q // 2) * 8 : (q // 2) * 8 + 8, (q % 2) * 8 : (q % 2) * 8 + 8] = (
-                f * 41 + q * 53
-            ) % 256
-    blob = encode_avi_mjpeg(fr, fps=12, quality=100)
-    out, fps = decode_avi_frames(blob)
-    assert fps == 12 and out.shape == (5, 16, 16) and (out == fr).all()
-    assert (decode_video_frames(blob) == fr).all()
-    # RGB frames: lossy but close (same PSNR contract as the JPEG test)
-    rng = np.random.default_rng(1)
-    smooth = np.cumsum(rng.integers(-3, 4, (2, 24, 24, 3)), axis=1) % 200
-    rgb = smooth.astype(np.uint8) + 20
-    dec, _ = decode_avi_frames(encode_avi_mjpeg(rgb, quality=95))
-    assert dec.shape == rgb.shape
-    err = (dec.astype(float) - rgb.astype(float)) ** 2
-    psnr = 10 * np.log10(255**2 / max(err.mean(), 1e-9))
-    assert psnr > 28, psnr
-    import pytest
-
-    with pytest.raises(NotImplementedError):
-        decode_video_frames(b"\x00\x01\x02\x03moovdata....")
-
-
-def test_ima_adpcm_roundtrip_properties():
-    """IMA ADPCM: first sample verbatim, decoded signal tracks a
-    smooth input within a few steps, re-encoding the decoded signal is
-    bit-identical (quantizer idempotence), and decode_audio routes on
-    the fmt-chunk tag."""
-    import numpy as np
-
-    from hydra_ray.sources.codecs import (
-        decode_wav_adpcm,
-        encode_wav_adpcm,
-        wav_format_tag,
-    )
-    from hydra_ray.stages.multimodal import decode_audio
-
-    rng = np.random.default_rng(7)
-    s = np.cumsum(rng.integers(-300, 301, 400)).clip(-30000, 30000).astype(np.int16)
-    blob = encode_wav_adpcm(s, 8000)
-    assert wav_format_tag(blob) == 0x11
-    dec, rate = decode_wav_adpcm(blob)
-    assert rate == 8000 and dec.shape == (400, 1)
-    assert dec[0, 0] == s[0]
-    err = np.abs(dec[:, 0].astype(np.int64) - s.astype(np.int64))
-    assert err.mean() < 100, err.mean()  # tracks a smooth signal
-    again, _ = decode_wav_adpcm(encode_wav_adpcm(dec[:, 0], 8000))
-    assert (again == dec).all()
-    routed, _ = decode_audio(blob)
-    assert (routed == dec).all()
-    # PCM WAV still routes through the stdlib path
-    from hydra_ray.sources.codecs import encode_wav
-
-    assert wav_format_tag(encode_wav(s, 8000)) == 1
-
-
-def test_ima_adpcm_multi_block():
-    """Standard multi-block layout: the step index carries across block
-    boundaries, the fact chunk trims last-block padding, and the
-    decoded signal is identical to the single-block decode (same
-    quantizer state machine, just re-anchored predictors)."""
-    import numpy as np
-
-    from hydra_ray.sources.codecs import decode_wav_adpcm, encode_wav_adpcm
-
-    rng = np.random.default_rng(11)
-    s = np.cumsum(rng.integers(-400, 401, 505)).clip(-30000, 30000).astype(np.int16)
-    # 505 samples, 64 per block → 8 blocks, last one padded (505 = 7*64 + 57)
-    blob = encode_wav_adpcm(s, 8000, samples_per_block=64)
-    dec, rate = decode_wav_adpcm(blob)
-    assert rate == 8000 and dec.shape == (505, 1)
-    # every block's first sample is verbatim
-    assert (dec[::64, 0] == s[::64]).all()
-    err = np.abs(dec[:, 0].astype(np.int64) - s.astype(np.int64))
-    assert err.mean() < 150, err.mean()
-    # single-block encode of the same signal decodes to a similar track
-    one, _ = decode_wav_adpcm(encode_wav_adpcm(s, 8000))
-    assert one.shape == dec.shape
-
-
 def test_g711_wav_variants_agree_with_au():
     """WAV wFormatTag 6/7 payloads decode to exactly the same samples
     as the matching AU encodings (same quantizer, different container),

@@ -1,31 +1,23 @@
 """Decoder-injection seams (VERDICT r4 #6).
 
-MP3/AAC/H.264/lossy-WebP stay inject-only ON PURPOSE (their normative
-Huffman/window/CAVLC tables are not in this container — BASELINE.md).
+MP3/AAC/lossy-WebP stay inject-only ON PURPOSE (their normative
+Huffman/window tables are not in this container — BASELINE.md).
 These tests prove the seams are REAL: wild-format bytes raise
 NotImplementedError without a decoder, and a registered stub decoder
-routes the same bytes through the production batch stages end-to-end
-(actor-pool ``map_batches`` with the decoder in
-``fn_constructor_kwargs``-style partials).
+routes the same bytes through a distributed ``map_batches`` stage
+end-to-end (the decoder passed in ``fn_kwargs``, like a model handle).
 """
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
-from hydra_ray.sources.codecs import encode_gif, encode_wav
-from hydra_ray.stages.multimodal import (
-    audio_features_batch,
-    decode_audio,
-    decode_image,
-    decode_video_frames,
-    frame_sample_batch,
-)
+from hydra_ray.sources.codecs import encode_wav
+from hydra_ray.stages.multimodal import decode_audio, decode_image
 
-# minimal wild-format magics: MPEG-1 Layer III frame sync, H.264 annex-B
-# SPS NAL, lossy-WebP VP8 chunk
+# minimal wild-format magics: MPEG-1 Layer III frame sync, lossy-WebP
+# VP8 chunk
 MP3_BYTES = b"\xff\xfb\x90\x00" + b"\x00" * 64
-H264_BYTES = b"\x00\x00\x00\x01\x67\x42\x00\x1e" + b"\x00" * 64
 WEBP_LOSSY = b"RIFF" + (40).to_bytes(4, "little") + b"WEBPVP8 " + b"\x00" * 32
 
 
@@ -36,16 +28,9 @@ def _stub_audio_decoder(payload: bytes):
     return samples, 16000
 
 
-def _stub_video_decoder(payload: bytes):
-    assert payload[:5] == b"\x00\x00\x00\x01\x67"
-    return np.full((4, 8, 8, 3), 7, dtype=np.uint8)
-
-
 def test_gates_stay_closed_without_decoder():
     with pytest.raises(NotImplementedError):
         decode_audio(MP3_BYTES)
-    with pytest.raises(NotImplementedError):
-        decode_video_frames(H264_BYTES)
     with pytest.raises(NotImplementedError):
         decode_image(WEBP_LOSSY)
 
@@ -53,8 +38,6 @@ def test_gates_stay_closed_without_decoder():
 def test_injected_decoder_opens_the_gate():
     samples, rate = decode_audio(MP3_BYTES, decoder=_stub_audio_decoder)
     assert rate == 16000 and samples.shape == (640, 1)
-    frames = decode_video_frames(H264_BYTES, decoder=_stub_video_decoder)
-    assert frames.shape == (4, 8, 8, 3)
     # native formats still bypass the injected decoder's assert
     wav = encode_wav((np.zeros(320, dtype=np.int16)).reshape(-1, 1), 8000)
     arr, r = decode_audio(wav)
@@ -63,9 +46,9 @@ def test_injected_decoder_opens_the_gate():
 
 @pytest.mark.usefixtures("ray_session")
 def test_injected_decoder_e2e_actor_stage():
-    """Mixed native+wild payloads through the production batch stages
-    running distributed: the decoder rides the stage closure exactly
-    like a model handle in fn_constructor_kwargs."""
+    """Mixed native+wild payloads through a distributed batch stage:
+    the decoder rides the stage's fn_kwargs exactly like a model
+    handle."""
     import ray.data as rd
 
     wav = encode_wav(
@@ -75,40 +58,30 @@ def test_injected_decoder_e2e_actor_stage():
         {"doc_id": pa.array([1, 2], type=pa.int64()), "payload": pa.array([wav, MP3_BYTES])}
     )
 
-    def stage(batch: pa.Table) -> pa.Table:
-        def routed(payload: bytes):
-            if bytes(payload[:2]) == b"\xff\xfb":
-                return _stub_audio_decoder(payload)
-            return decode_audio(payload)
+    def stage(batch: pa.Table, decoder=None) -> pa.Table:
+        n, rms = [], []
+        for payload in batch["payload"].to_pylist():
+            x = decode_audio(payload, decoder=decoder)[0][:, 0].astype(np.float64)
+            n.append(len(x))
+            rms.append(float(np.sqrt(np.mean(x * x))))
+        return batch.select(["doc_id"]).append_column("n", pa.array(n)).append_column(
+            "rms", pa.array(rms)
+        )
 
-        return audio_features_batch(batch, decoder=routed)
+    def routed(payload: bytes):
+        if bytes(payload[:2]) == b"\xff\xfb":
+            return _stub_audio_decoder(payload)
+        return decode_audio(payload)
 
-    out = rd.from_arrow(audio).map_batches(stage, batch_format="pyarrow").take_all()
+    out = (
+        rd.from_arrow(audio)
+        .map_batches(stage, fn_kwargs={"decoder": routed}, batch_format="pyarrow")
+        .take_all()
+    )
     assert {r["doc_id"] for r in out} == {1, 2}
-    assert all(r["rms"] > 0 for r in out)
+    assert all(r["n"] == 640 and r["rms"] > 0 for r in out)
 
     # without the injection the same pipeline fails on the MP3 row
-    bad = rd.from_arrow(audio).map_batches(
-        lambda b: audio_features_batch(b), batch_format="pyarrow"
-    )
+    bad = rd.from_arrow(audio).map_batches(stage, batch_format="pyarrow")
     with pytest.raises(Exception, match="inject a decoder"):
         bad.take_all()
-
-    # video path: GIF native + H.264 via the stub
-    gif = encode_gif(np.zeros((4, 4, 3), dtype=np.uint8))
-    video = pa.table(
-        {"doc_id": pa.array([1, 2], type=pa.int64()), "payload": pa.array([gif, H264_BYTES])}
-    )
-
-    def vstage(batch: pa.Table) -> pa.Table:
-        def routed(payload: bytes):
-            if bytes(payload[:4]) == b"\x00\x00\x00\x01":
-                return _stub_video_decoder(payload)
-            return decode_video_frames(payload)
-
-        return frame_sample_batch(batch, decoder=routed)
-
-    vout = rd.from_arrow(video).map_batches(vstage, batch_format="pyarrow").take_all()
-    assert {r["doc_id"] for r in vout} == {1, 2}
-    h264_rows = [r for r in vout if r["doc_id"] == 2]
-    assert all(r["n_frames"] == 4 for r in h264_rows)

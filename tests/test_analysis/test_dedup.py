@@ -1,7 +1,7 @@
 """Dedup stages: exact keep-first, MinHash-LSH recall on planted
-near-dups, SimHash locality, n-gram Jaccard blocking."""
+near-dups, passage / paragraph / char-span dedup, decontamination and
+the PPJoin set-similarity join."""
 
-import numpy as np
 import pyarrow as pa
 import pytest
 import ray.data as rd
@@ -10,11 +10,8 @@ from hydra_ray.stages.dedup import (
     N_PERM,
     dedup_exact,
     dedup_minhash,
-    hamming64,
     jaccard,
     minhash_signature,
-    ngram_jaccard_pairs,
-    simhash_batch,
 )
 
 BASE = (
@@ -66,19 +63,6 @@ class TestDedup:
         j = jaccard(BASE, BASE.replace("lazy", "sleepy"))
         assert 0.5 < j < 1.0
 
-    def test_simhash_locality(self):
-        t = pa.table(
-            {
-                "doc_id": pa.array([0, 1, 2], type=pa.int64()),
-                "text": [BASE, BASE.replace("lazy", "sleepy"), "totally other content now"],
-            }
-        )
-        h = simhash_batch(t)["simhash"].to_numpy(zero_copy_only=False)
-        d_near = hamming64(h[:1], h[1:2])[0]
-        d_far = hamming64(h[:1], h[2:3])[0]
-        assert d_near < d_far
-        assert d_near <= 12
-
     def test_minhash_signature_deterministic(self):
         s1, s2 = minhash_signature(BASE), minhash_signature(BASE)
         assert s1.shape == (N_PERM,)
@@ -104,57 +88,6 @@ class TestDedup:
             d.astype({"doc_a": "int64", "doc_b": "int64"})
         )
         assert len(b) >= 2
-
-    def test_ngram_pairs_blocked_by_source(self):
-        out = ngram_jaccard_pairs(rd.from_arrow(corpus()), threshold=0.5).to_pandas()
-        pairs = set(zip(out["doc_a"], out["doc_b"]))
-        assert (0, 1) in pairs and (2, 3) in pairs
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_duplicate_clusters_distributed_matches_driver():
-    """The iterative min-label co-partition variant must produce the
-    same components as the driver pandas version — including a chain
-    long enough to need several propagation rounds."""
-    import pandas as pd
-    import ray.data as rd
-
-    from hydra_ray.stages.dedup import duplicate_clusters, duplicate_clusters_distributed
-
-    # chain 0-1-2-3 (needs several propagation rounds), a triangle, a
-    # separate pair (each ray round is 2 shuffles — keep diameter small
-    # so the suite stays fast; convergence at depth is covered by the
-    # driver-variant test below with the same min-label semantics)
-    pairs = pd.DataFrame(
-        {
-            "doc_a": [0, 1, 2] + [100, 101, 100, 200],
-            "doc_b": [1, 2, 3] + [101, 102, 102, 201],
-        }
-    )
-    want = duplicate_clusters(pairs).astype({"doc_id": "int64", "cluster_id": "int64"})
-    got = (
-        duplicate_clusters_distributed(rd.from_pandas(pairs).repartition(3))
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-        .astype({"doc_id": "int64", "cluster_id": "int64"})
-    )
-    assert got.equals(want.sort_values("doc_id").reset_index(drop=True))
-    assert set(got[got["doc_id"] < 10]["cluster_id"]) == {0}  # chain fully merged
-    assert set(got[(got["doc_id"] >= 100) & (got["doc_id"] < 200)]["cluster_id"]) == {100}
-
-
-def test_duplicate_clusters():
-    import pandas as pd
-
-    from hydra_ray.stages.dedup import duplicate_clusters
-
-    # components: {1,2,3} via chain, {7,9}, singleton pairs absent
-    pairs = pd.DataFrame({"doc_a": [1, 2, 7], "doc_b": [2, 3, 9]})
-    out = duplicate_clusters(pairs).set_index("doc_id")["cluster_id"]
-    assert out.loc[1] == 1 and out.loc[2] == 1 and out.loc[3] == 1
-    assert out.loc[7] == 7 and out.loc[9] == 7
-    assert duplicate_clusters(pd.DataFrame({"doc_a": [], "doc_b": []})).empty
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -310,11 +243,11 @@ def _brute_char_spans(docs, L, min_occ):
     return sorted(spans)
 
 
-def test_char_dup_spans_both_paths_match_bruteforce(ray_session):
-    """Scale (hash-candidate/verify) and direct paths both equal the
-    brute-force reference, including a WITHIN-doc repeat (a suffix
-    array counts occurrences, not documents)."""
-    from hydra_ray.stages.dedup import char_dup_spans, char_dup_spans_direct
+def test_char_dup_spans_matches_bruteforce(ray_session):
+    """char_dup_spans equals the brute-force reference, including a
+    WITHIN-doc repeat (a suffix array counts occurrences, not
+    documents)."""
+    from hydra_ray.stages.dedup import char_dup_spans
 
     L = 12
     shared = "XxYzCommonDuplicatedRun12345"  # > L chars, in docs 0 & 2
@@ -336,17 +269,12 @@ def test_char_dup_spans_both_paths_match_bruteforce(ray_session):
             "text": [tx for _, tx in docs],
         }
     )
-    for fn, kw in (
-        (char_dup_spans, {"small_threshold": None, "num_parts": 8}),
-        (char_dup_spans, {"small_threshold": 1000}),
-        (char_dup_spans_direct, {"num_parts": 8}),
-    ):
-        out = fn(rd.from_arrow(t), L=L, min_occ=2, **kw).to_pandas()
-        got = sorted(
-            (int(r.doc_id), int(r.start_chr), int(r.end_chr), int(r.n_windows))
-            for r in out.itertuples()
-        )
-        assert got == want, (fn.__name__, kw, got, want)
+    out = char_dup_spans(rd.from_arrow(t), L=L, min_occ=2, num_parts=8).to_pandas()
+    got = sorted(
+        (int(r.doc_id), int(r.start_chr), int(r.end_chr), int(r.n_windows))
+        for r in out.itertuples()
+    )
+    assert got == want
 
 
 def test_jaccard_set_join_exact_pairs(ray_session):
@@ -446,39 +374,6 @@ def test_jaccard_cross_chunk_pairs(ray_session):
         if i % 4 == j % 4  # identical sets → J=1; others J=9/11 < 0.95
     )
     assert [tuple(r[:2]) for r in got.to_numpy()] == expect
-
-
-def test_minhash_cross_of_incremental_mode(ray_session):
-    """cross_of keeps exactly the cross-side subset of the self-join
-    pairs, identically in the broadcast and distributed verify paths."""
-    import numpy as np
-
-    def is_new(ids):
-        return np.asarray([int(x) % 2 == 1 for x in ids], dtype=bool)
-
-    full = (
-        dedup_minhash(rd.from_arrow(corpus()), threshold=0.5)
-        .to_pandas()
-        .sort_values(["doc_a", "doc_b"])
-        .reset_index(drop=True)
-    )
-    expect = full[
-        is_new(full["doc_a"].to_numpy()) != is_new(full["doc_b"].to_numpy())
-    ].reset_index(drop=True)
-    for distributed in (False, True):
-        got = (
-            dedup_minhash(
-                rd.from_arrow(corpus()), threshold=0.5,
-                cross_of=is_new, distributed=distributed,
-            )
-            .to_pandas()
-            .sort_values(["doc_a", "doc_b"])
-            .reset_index(drop=True)
-        )
-        assert got[["doc_a", "doc_b"]].astype(str).equals(
-            expect[["doc_a", "doc_b"]].astype(str)
-        ), distributed
-    assert len(expect) >= 1  # the 0-1 near-dup pair spans the sides
 
 
 def test_minhash_distributed_matches_broadcast_string_ids(ray_session):

@@ -30,38 +30,6 @@ def test_pack_sequences_matches_serial_cumsum():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_shuffle_shards_deterministic_and_partition_invariant():
-    from hydra_ray.stages.pack import shuffle_shards
-    from hydra_ray.functions.hashing import _mix64
-
-    ids = np.arange(500, dtype=np.int64)
-    t = pa.table({"doc_id": pa.array(ids)})
-    ref = None
-    for parts in (1, 5):
-        out = (
-            shuffle_shards(
-                rd.from_arrow(t).repartition(parts), n_shards=8, seed=99,
-                num_parts=parts * 3,
-            )
-            .to_pandas()
-            .sort_values(["shard", "pos"])
-            .reset_index(drop=True)
-        )
-        # shard assignment matches the hash contract
-        h = _mix64(ids.astype(np.uint64) + np.uint64(99))
-        expect = (h % np.uint64(8)).astype(np.int64)
-        got = out.sort_values("doc_id")["shard"].to_numpy()
-        assert got.tolist() == expect.tolist()
-        # positions are a 1..n permutation inside every shard
-        for s, g in out.groupby("shard"):
-            assert g["pos"].tolist() == list(range(1, len(g) + 1))
-        if ref is None:
-            ref = out
-        else:
-            assert out.equals(ref)  # layout invariant under parallelism
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_paragraph_dedup_first_wins_and_reassembly():
     from hydra_ray.stages.dedup import paragraph_dedup
 

@@ -19,8 +19,8 @@ def test_every_oracle_has_a_query():
     assert set(ORACLES) <= set(QUERIES)
 
 
-def test_only_bpe_entries_lack_an_oracle():
-    assert set(QUERIES) - set(ORACLES) == {"bpe_train", "bpe_encode"}
+def test_every_query_has_an_oracle():
+    assert set(QUERIES) == set(ORACLES)
 
 
 def test_bench_and_perfbench_targets_are_registered():

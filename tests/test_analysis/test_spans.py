@@ -161,28 +161,6 @@ def test_interleave_pack_capacity_and_doc_atomicity():
     assert t2["tok_cost"].tolist() == [3] and t2["seq_id"].tolist() == [0]
 
 
-def test_span_stats_keep_rule():
-    """keep = token window AND media fraction <= 1/4 (integer rule)."""
-    import ray
-
-    from hydra_ray.stages.spans import MIN_DOC_TOKENS, span_stats
-
-    word = "wo "  # 3 chars/word → 85 full words per 255-char run
-    docs = pa.table(
-        {
-            "doc_id": pa.array([1, 2], type=pa.int64()),
-            "text": [
-                "tiny doc",                      # 2 tokens → below MIN
-                word * (MIN_DOC_TOKENS + 2),     # inside the window, 1 chunk
-            ],
-        }
-    )
-    out = span_stats(ray.data.from_arrow(docs)).to_pandas().set_index("doc_id")
-    assert not out.loc["1", "keep"] and out.loc["1", "text_tokens"] == 2
-    assert out.loc["2", "keep"]
-    assert out.loc["2", "n_media"] == 0 and out.loc["2", "n_spans"] == 1
-
-
 def test_interleaved_shards_composite(ray_session):
     """Dedup feeds the keep rule: a doc whose spans are all corpus-dups
     loses its tokens before the quality window is applied."""
@@ -206,44 +184,6 @@ def test_interleaved_shards_composite(ray_session):
     # capacity 16 over a 32-token span → span alone in its sequence
     d1 = out[out["doc_id"] == "1"]
     assert d1["seq_id"].tolist() == [0] and d1["tok_total"].tolist() == [32]
-
-
-def test_span_dedup_incremental_vs_corpus(ray_session):
-    """New-batch spans drop when their chunk text exists in the corpus
-    OR earlier in the new batch; media always survives; the corpus is
-    never rewritten (only new docs come back)."""
-    import ray
-
-    from hydra_ray.stages.spans import span_dedup_incremental
-
-    corpus = pa.table(
-        {
-            "doc_id": pa.array([1], type=pa.int64()),
-            "text": ["x" * CHUNK + "y" * CHUNK],
-        }
-    )
-    new = pa.table(
-        {
-            "doc_id": pa.array([10, 11], type=pa.int64()),
-            # doc 10: corpus-dup chunk + fresh chunk + fresh chunk (media after i=2)
-            # doc 11: repeats doc 10's fresh chunk (within-new dup)
-            "text": ["x" * CHUNK + "a" * CHUNK + "b" * CHUNK, "a" * CHUNK],
-        }
-    )
-    out = span_dedup_incremental(
-        ray.data.from_arrow(new), ray.data.from_arrow(corpus), num_parts=4
-    )
-    rows = {r["doc_id"]: r["spans"] for r in out.take_all()}
-    # doc 11's only span is a within-new dup of doc 10's and it has no
-    # media → zero surviving spans → the doc is absent (same contract
-    # as span_dedup and the SQL oracle); corpus doc 1 is not rewritten
-    assert set(rows) == {"10"}
-    assert [(s["kind"], s["text"]) for s in rows["10"]] == [
-        ("text", "a" * CHUNK),
-        ("text", "b" * CHUNK),
-        ("media", None),
-    ]
-    assert [s["offset"] for s in rows["10"]] == [0, 1, 2]
 
 
 def test_span_near_dup_fuzzy_removal(ray_session, keyset_route):

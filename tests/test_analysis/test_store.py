@@ -1216,21 +1216,29 @@ def test_add_column_rejects_name_in_any_file(tmp_path):
 def test_merge_insert_large_path_streams_and_matches(tmp_path, table_route):
     """Above the store's DRIVER_MAX_ROWS the upsert must not pull the
     table to the driver; the Dataset path's result is pinned equal to
-    the driver path's."""
+    the driver path's. Both keep the stored schema, also when the batch
+    replaces every stored row with its columns reordered and a narrower
+    value type."""
     base = pa.table({"k": [f"k{i}" for i in range(40)], "v": list(range(40))})
     upd = pa.table({"k": ["k3", "k7", "new"], "v": [300, 700, 999]})
-
-    ref = VersionedTable(str(tmp_path / "ref"))
-    ref.overwrite(base)
-    ref.merge_insert(upd, key="k")
-    want = {r["k"]: r["v"] for r in ref.read_arrow().to_pylist()}
-
-    vt = VersionedTable(str(tmp_path / "t"))
-    vt.overwrite(base)
-    with table_route("dataset"):
-        vt.merge_insert(upd, key="k")
-    got = {r["k"]: r["v"] for r in vt.read_arrow().to_pylist()}
-    assert got == want and got["k3"] == 300 and got["new"] == 999
+    replace_all = pa.table(
+        {"v": pa.array(range(100, 140), type=pa.int32()), "k": base["k"]}
+    )
+    got = []
+    for i, batch in enumerate((upd, replace_all)):
+        out = {}
+        for route in ("driver", "dataset"):
+            vt = VersionedTable(str(tmp_path / f"{route}{i}"))
+            vt.overwrite(base)
+            with table_route(route):
+                vt.merge_insert(batch, key="k")
+            assert vt.schema().equals(base.schema)
+            out[route] = vt.read_arrow().sort_by("k")
+        assert out["driver"].equals(out["dataset"])
+        assert out["driver"].schema.equals(base.schema)
+        got.append({r["k"]: r["v"] for r in out["dataset"].to_pylist()})
+    assert got[0]["k3"] == 300 and got[0]["new"] == 999 and len(got[0]) == 41
+    assert got[1] == {f"k{i}": 100 + i for i in range(40)}
 
 
 @pytest.mark.usefixtures("ray_session")

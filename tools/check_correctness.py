@@ -3,7 +3,8 @@
 Runs every queries() entry at the given sf and, where an oracle exists,
 compares row count + order-insensitive values against DuckDB, the same
 way the driver does (columns sorted by name, values stringified with
-rounding). Usage: python tools/check_correctness.py [sf_dir]
+rounding). Usage: python tools/check_correctness.py [sf_dir [query ...]]
+Naming a query that is not registered is an error (exit 2).
 """
 
 from __future__ import annotations
@@ -58,6 +59,14 @@ def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     only = sys.argv[2:] or None
 
+    import __ray_entry__ as entrymod
+
+    qs = entrymod.queries()
+    unknown = sorted(set(only or ()) - set(qs))
+    if unknown:
+        print("UNKNOWN QUERIES:", " ".join(unknown))
+        return 2
+
     import duckdb
     import ray
 
@@ -67,9 +76,6 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
 
-    import __ray_entry__ as entrymod
-
-    qs = entrymod.queries()
     oracles = entrymod.oracle_sql()
 
     con = duckdb.connect()
