@@ -11,12 +11,22 @@ the engine's own operators, all streaming:
                                filter while the survivor set fits
                                KEYS_BROADCAST_MAX, one keyed shuffle once
                                it is corpus-sized)
+    → near-dup removal        (optional: stages/dedup.py::dedup_minhash
+                               over the quality-passing corpus, then an
+                               anti-semi-join of the higher id of every
+                               verified pair)
     → context-window chunking (stages/text.py::chunk_documents — shuffle-free)
     → per-language stats      (stages/agg.py::grouped_agg — partial agg)
 
+Near-dup pairs are found over the quality-passing corpus, which is
+materialized once for its three readers, not over the exact-dedup
+survivors: an exact-dup loser L has the text (hence the bands and
+every Jaccard) of its winner W < L, so a verified pair (L, D) with
+L < D implies the verified pair (W, D), and the same survivors drop.
+
 No stage materializes the corpus on the driver; the all-to-all
-exchanges are the dedup hash shuffle and, above KEYS_BROADCAST_MAX
-survivors, the survivor semi-join, both keyed on doc identity.
+exchanges are the dedup hash shuffles and, above KEYS_BROADCAST_MAX
+keys, the semi-joins, all keyed on doc identity.
 """
 
 from __future__ import annotations
@@ -37,9 +47,9 @@ def curate_corpus(
 ) -> "rd.Dataset":
     """documents(doc_id, text, lang) → per-language curation stats
     (lang, n_docs, n_chunks, sum_toks) over the quality-passing,
-    exact-deduplicated corpus. With ``near_dup_threshold`` set, a
-    MinHash-LSH near-dup pass follows exact dedup and the HIGHER
-    doc_id of every verified near-dup pair is dropped (greedy
+    exact-deduplicated corpus. With ``near_dup_threshold`` set, the
+    HIGHER doc_id of every verified MinHash-LSH near-dup pair of the
+    quality-passing corpus is dropped from the survivors (greedy
     keep-smallest, via one anti-semi-join)."""
     from hydra_ray.stages.agg import grouped_agg
     from hydra_ray.stages.dedup import dedup_exact, dedup_minhash
@@ -50,17 +60,18 @@ def curate_corpus(
         return t.filter(quality_batch(t, id_col, text_col)["keep"])
 
     good = ds.map_batches(qfilter, batch_format="pyarrow")
+    if near_dup_threshold is not None:
+        # three readers (exact dedup, the survivor filter, near-dup):
+        # the quality gate runs once
+        good = good.materialize()
     winners = dedup_exact(good, id_col=id_col, text_col=text_col).map_batches(
         lambda t: t.select([id_col]), batch_format="pyarrow"
     )
     survivors = semi_join(good, winners, id_col)
     if near_dup_threshold is not None:
-        pairs = dedup_minhash(
-            survivors.map_batches(
-                lambda t: t.select([id_col, text_col]), batch_format="pyarrow"
-            ),
-            threshold=near_dup_threshold,
-        )
+        # the same survivors drop as with pairs over the survivors
+        # (module docstring)
+        pairs = dedup_minhash(good, threshold=near_dup_threshold)
         losers = pairs.map_batches(
             lambda t: pa.table({id_col: t["doc_b"]}), batch_format="pyarrow"
         )

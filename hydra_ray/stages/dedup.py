@@ -85,58 +85,82 @@ _token_hash_cache: dict[str, int] = {}
 
 def _token_hashes(words: list[str]) -> np.ndarray:
     """Stable 64-bit hash per token, md5-based, memoized (corpora have
-    small vocabularies relative to token counts)."""
+    small vocabularies relative to token counts): each distinct new
+    token is hashed once, then one C-level lookup per token."""
     cache = _token_hash_cache
-    out = np.empty(len(words), dtype=np.uint64)
-    for i, w in enumerate(words):
-        h = cache.get(w)
-        if h is None:
-            d = hashlib.md5(w.encode("utf-8", "surrogateescape")).digest()
-            h = int(np.frombuffer(d[:8], dtype=np.uint64)[0])
-            if len(cache) < 1_000_000:
-                cache[w] = h
-        out[i] = h
-    return out
+    extra: dict[str, int] = {}  # new tokens once the cache is full
+    for w in set(words).difference(cache):
+        d = hashlib.md5(w.encode("utf-8", "surrogateescape")).digest()
+        h = int(np.frombuffer(d[:8], dtype=np.uint64)[0])
+        (cache if len(cache) < 1_000_000 else extra)[w] = h
+    get = cache.__getitem__
+    if extra:
+        get = lambda w: cache[w] if w in cache else extra[w]  # noqa: E731
+    return np.fromiter(map(get, words), dtype=np.uint64, count=len(words))
 
 
-def _shingle_hashes(text: str, k: int = 3) -> np.ndarray:
-    """Hashes of word k-shingles (unique): token hashes combined with the
-    splitmix64 mixer, fully vectorized over the shingle windows."""
-    words = text.split()
-    th = _token_hashes(words)
-    if len(words) == 0:
-        return np.array([0], dtype=np.uint64)
-    if len(words) < k:
-        h = th[0]
-        for j in range(1, len(th)):
-            h = _mix64(np.array([h], dtype=np.uint64))[0] ^ th[j]
-        return np.array([h], dtype=np.uint64)
+def _window_hashes(th: np.ndarray, k: int) -> np.ndarray:
+    """Hash of every k-token window of ``th`` (len(th) - k + 1 values,
+    window p at index p): token hashes combined with the splitmix64
+    mixer, vectorized over the windows."""
     acc = th[k - 1 :]
     for off in range(k - 2, -1, -1):
         acc = _mix64(acc) ^ th[off : off + len(acc)]
-    return np.unique(acc)
+    return acc
+
+
+def _short_hash(th: np.ndarray) -> np.uint64:
+    """The one shingle of a doc with fewer than k tokens (0 if empty)."""
+    if len(th) == 0:
+        return np.uint64(0)
+    h = th[0]
+    for j in range(1, len(th)):
+        h = _mix64(np.array([h], dtype=np.uint64))[0] ^ th[j]
+    return h
+
+
+def _shingle_hashes(text: str, k: int = 3) -> np.ndarray:
+    """Hashes of word k-shingles (unique); a doc with fewer than k
+    tokens has one shingle over all of them."""
+    th = _token_hashes(text.split())
+    if len(th) < k:
+        return np.array([_short_hash(th)], dtype=np.uint64)
+    return np.unique(_window_hashes(th, k))
 
 
 _PERM_A, _PERM_B = _perm_params()  # once at import; the SQL oracle inlines the same
 
 
-def _permuted(h: np.ndarray) -> np.ndarray:
-    """(n_shingles,) hashes → (n_shingles, N_PERM) permuted values."""
-    return (h[:, None] * _PERM_A[None, :] + _PERM_B[None, :]) % np.uint64(_MERSENNE)
+_TILE = 4096  # shingles per permute tile: the (N_PERM, tile) matrix stays in L2
 
 
-def minhash_signature(text: str, shingle_k: int = 3) -> np.ndarray:
-    """N_PERM-long MinHash signature: min permuted value over shingles."""
-    return _permuted(_shingle_hashes(text, shingle_k)).min(axis=0)
+def _permuted_mod(h: np.ndarray) -> np.ndarray:
+    """(shingles,) hashes → (N_PERM, shingles) values (a*h + b) mod
+    (2^61 - 1), a*h + b wrapping mod 2^64: the Mersenne fold
+    (x & M) + (x >> 61) and one conditional subtract, exact for any
+    uint64 x."""
+    m = np.uint64(_MERSENNE)
+    x = np.multiply.outer(_PERM_A, h)
+    x += _PERM_B[:, None]
+    hi = x >> np.uint64(61)
+    x &= m
+    x += hi
+    np.subtract(x, m, out=x, where=x >= m)
+    return x
 
 
 def minhash_bands_batch(batch: pa.Table, shingle_k: int = 3) -> pa.Table:
     """(doc_id, text) → (doc_id, band_id, band_hash), N_BANDS rows per doc.
 
-    Batch-vectorized: shingle hashes of all documents are concatenated,
-    permuted once as a single (total_shingles, N_PERM) matrix,
-    signatures taken with a segmented min (reduceat), and all band
-    hashes mixed in one shot — no per-document matrices."""
+    One kernel per batch: every doc is split once and all tokens hashed
+    as one flat array, so the k-shingles of the whole batch are the
+    windows of that array that lie inside one doc (docs with fewer
+    than k tokens get their one shingle from ``_short_hash``).
+    Duplicate shingles are kept: the min ignores them. The shingles
+    are permuted in (N_PERM, shingles) layout, tiles of whole docs at
+    a time, reduced mod the Mersenne prime by folding, signatures
+    taken with a segmented min (reduceat) per tile and all band hashes
+    mixed at once."""
     doc_ids = batch["doc_id"]
     texts = batch["text"].to_pylist()
     n = len(texts)
@@ -148,12 +172,34 @@ def minhash_bands_batch(batch: pa.Table, shingle_k: int = 3) -> pa.Table:
                 "band_hash": pa.array([], type=pa.int64()),
             }
         )
-    per_doc = [_shingle_hashes(t or "", shingle_k) for t in texts]
-    counts = np.array([len(h) for h in per_doc], dtype=np.int64)  # all >= 1
-    vals = _permuted(np.concatenate(per_doc))
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    sigs = np.minimum.reduceat(vals, starts, axis=0)  # (n_docs, n_perm)
-    bands = sigs.reshape(n, N_BANDS, ROWS_PER_BAND)
+    k = shingle_k
+    words = [(t or "").split() for t in texts]
+    lens = np.fromiter(map(len, words), dtype=np.int64, count=n)
+    th = _token_hashes([w for ws in words for w in ws])
+    tok_end = np.cumsum(lens)
+    short = lens < k
+    counts = np.where(short, 1, lens - k + 1)  # shingles per doc, all >= 1
+    sh_end = np.cumsum(counts)
+    sh_start = sh_end - counts
+    sh = np.empty(int(sh_end[-1]), dtype=np.uint64)
+    slot_short = np.repeat(short, counts)
+    if len(th) >= k:
+        win = _window_hashes(th, k)
+        owner = np.repeat(np.arange(n), lens)[: len(win)]
+        # window p is a shingle of its owner doc iff it ends inside it
+        sh[~slot_short] = win[np.arange(len(win)) + k <= tok_end[owner]]
+    sh[slot_short] = [
+        _short_hash(th[tok_end[i] - lens[i] : tok_end[i]]) for i in np.flatnonzero(short)
+    ]
+    # tiles of whole docs, about _TILE shingles each
+    cuts = np.searchsorted(sh_end, np.arange(_TILE, sh_end[-1], _TILE)) + 1
+    bounds = np.unique(np.concatenate([[0], cuts, [n]]))
+    sigs = np.empty((N_PERM, n), dtype=np.uint64)
+    for d0, d1 in zip(bounds[:-1], bounds[1:]):
+        s0 = sh_start[d0]
+        x = _permuted_mod(sh[s0 : sh_end[d1 - 1]])
+        sigs[:, d0:d1] = np.minimum.reduceat(x, sh_start[d0:d1] - s0, axis=1)
+    bands = sigs.T.reshape(n, N_BANDS, ROWS_PER_BAND)
     bh = _mix64(
         bands[..., 0]
         ^ _mix64(bands[..., 1] ^ _mix64(bands[..., 2] ^ _mix64(bands[..., 3])))
@@ -331,15 +377,20 @@ def dedup_minhash(
     band rows → distributed bucket-collision pair emission
     (lsh_candidate_pairs) → verify.
 
-    Verify routing: above BROADCAST_DOCS_MAX docs (or distributed=True)
-    texts are attached by co-partitioned joins — no driver
-    materialization anywhere, driver memory O(1). Below the threshold a
-    broadcast text map is cheaper (one ray.put, read by each verify
-    task; no text shuffle).
+    The input is executed once (``materialize``); banding and verify
+    both read those blocks. Verify routing: above BROADCAST_DOCS_MAX
+    docs (or distributed=True) texts are attached by co-partitioned
+    joins — no driver materialization anywhere, driver memory O(1).
+    Below it each verify task ``ray.get``s the materialized blocks
+    themselves (their refs, no second execution and no driver-side
+    text map) and looks its pairs' texts up by doc id; no text
+    shuffle.
     """
     import ray
 
-    mat = ds.materialize()  # consumed 2-3 times (bands + verify)
+    from hydra_ray.sources.store import block_to_table
+
+    mat = ds.materialize()  # read by banding and by verify
     if distributed is None:
         distributed = mat.count() > BROADCAST_DOCS_MAX
 
@@ -352,17 +403,20 @@ def dedup_minhash(
         pairs = lsh_candidate_pairs(bands, unique=False)
         return _verify_distributed(mat, pairs, threshold, shingle_k)
     pairs = lsh_candidate_pairs(bands)
-
-    texts_tbl = mat.select_columns(["doc_id", "text"]).to_pandas()
-    text_ref = ray.put(dict(zip(texts_tbl["doc_id"], texts_tbl["text"])))
+    block_refs = mat.to_arrow_refs()  # free: mat is already executed
 
     def verify(batch: pd.DataFrame) -> pd.DataFrame:
         if batch.empty:
             return batch.assign(jaccard=pd.Series(dtype="float64"))
-        texts = ray.get(text_ref)
+        blocks = [block_to_table(b) for b in ray.get(block_refs)]
+        docs = pa.concat_tables([b.select(["doc_id", "text"]) for b in blocks if b.num_rows])
+        ids = docs["doc_id"].combine_chunks()
+        n = len(batch)
+        ab = pa.array(pd.concat([batch["doc_a"], batch["doc_b"]])).cast(ids.type)
+        texts = docs["text"].take(pc.index_in(ab, value_set=ids)).to_pylist()
         jac = [
-            round(jaccard(texts.get(a, ""), texts.get(b, ""), shingle_k), 6)
-            for a, b in zip(batch["doc_a"], batch["doc_b"])
+            round(jaccard(ta or "", tb or "", shingle_k), 6)
+            for ta, tb in zip(texts[:n], texts[n:])
         ]
         batch = batch.assign(jaccard=jac)
         return batch[batch["jaccard"] >= threshold]

@@ -560,7 +560,6 @@ def knn_hnsw(
     query_batch_rows: int = 4096,
     id_col: str = "vec_id",
     emb_col: str = "embedding",
-    queries: "rd.Dataset | None" = None,
 ) -> pd.DataFrame:
     """Approximate all-pairs NN via SHARDED HNSW graphs — the graph-ANN
     alternative to knn_ivf/knn_pq (Malkov & Yashunin 2016, the public
@@ -577,12 +576,7 @@ def knn_hnsw(
     approximate top-k and wire volume is queries × shards × k rows.
     Shards are capped at half the cluster CPUs so the blocking query
     tasks can never starve the actor pool. Recall is gated (not
-    structure): see q_knn_hnsw.
-
-    ``queries``: incremental mode — the index is built over ``ds``
-    (the existing corpus) and only the NEW batch's vectors are searched
-    against it; a query whose id equals a corpus id never matches
-    itself. Omitted → all-pairs self-search over the corpus."""
+    structure): see q_knn_hnsw."""
     from hydra_ray.sources.store import ds_to_table_refs
 
     refs = ds_to_table_refs(ds)
@@ -623,8 +617,11 @@ def knn_hnsw(
         df["sim"] = df["sim"].round(6)
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    qsrc = rd.from_arrow_refs(refs) if queries is None else queries
-    out = qsrc.map_batches(query_block, batch_format="pyarrow").to_pandas()
+    out = (
+        rd.from_arrow_refs(refs)
+        .map_batches(query_block, batch_format="pyarrow")
+        .to_pandas()
+    )
     for a in actors:
         ray.kill(a)
     return out

@@ -212,12 +212,16 @@ def span_near_dup(
     (This is also what keeps the SQL oracle exact: its 3-shingle
     self-joins produce no rows below k tokens.)
 
-    Scale shape: candidates/verify inherit dedup_minhash's routing
-    (broadcast verify below BROADCAST_DOCS_MAX span-docs, co-partition
-    joins above); the dropped keys (``doc_b`` of every verified pair)
-    are removed by semi_join's anti route — broadcast below
-    KEYS_BROADCAST_MAX, one keyed shuffle above, never collected on the
-    driver — then one doc-keyed reassembly.
+    Scale shape: the input is read twice and the exploded spans are
+    never held in the object store. The candidate pass (build +
+    explode + filter, fused in one map) feeds dedup_minhash, which
+    executes it once and inherits its verify routing (broadcast
+    verify below BROADCAST_DOCS_MAX span-docs, co-partition joins
+    above). The second read rebuilds build + explode in the fused map
+    in front of the anti-join: the dropped keys (``doc_b`` of every
+    verified pair) are removed by semi_join's anti route — broadcast
+    below KEYS_BROADCAST_MAX, one keyed shuffle above, never collected
+    on the driver — then one doc-keyed reassembly.
     """
     from hydra_ray.stages.dedup import dedup_minhash
     from hydra_ray.stages.joins import semi_join
@@ -226,11 +230,8 @@ def span_near_dup(
 
     pc = pa.compute
 
-    flat = (
-        ds.map_batches(build_spans_batch, batch_format="pyarrow")
-        .map_batches(explode_spans_batch, batch_format="pyarrow")
-        .materialize()
-    )
+    def flat(t: pa.Table) -> pa.Table:
+        return explode_spans_batch(build_spans_batch(t))
 
     def span_key(t: pa.Table) -> pa.Array:
         off = pc.utf8_lpad(pc.cast(t["offset"], pa.string()), width=6, padding="0")
@@ -238,23 +239,31 @@ def span_near_dup(
         return k.combine_chunks() if isinstance(k, pa.ChunkedArray) else k
 
     def candidates(t: pa.Table) -> pa.Table:
+        t = flat(t)
         ntok = pc.fill_null(pc.list_value_length(_tokens_arr(t["text"])), 0)
         m = pc.and_(pc.equal(t["kind"], "text"), pc.greater_equal(ntok, shingle_k))
         sub = t.filter(m)
         return pa.table({"doc_id": span_key(sub), "text": sub["text"]})
 
+    def keyed(t: pa.Table) -> pa.Table:
+        t = flat(t)
+        return t.append_column("_k", span_key(t))
+
     pairs = dedup_minhash(
-        flat.map_batches(candidates, batch_format="pyarrow"),
+        ds.map_batches(candidates, batch_format="pyarrow"),
         threshold=threshold,
         shingle_k=shingle_k,
     )
     drop_keys = pairs.map_batches(
         lambda t: pa.table({"_k": t["doc_b"]}), batch_format="pyarrow"
     )
-    keyed = flat.map_batches(
-        lambda t: t.append_column("_k", span_key(t)), batch_format="pyarrow"
+    surv = semi_join(
+        ds.map_batches(keyed, batch_format="pyarrow"),
+        drop_keys,
+        "_k",
+        num_parts=num_parts,
+        anti=True,
     )
-    surv = semi_join(keyed, drop_keys, "_k", num_parts=num_parts, anti=True)
     return keyed_map_partitions_arrow(surv, ["doc_id"], _assemble_spans, num_parts=num_parts)
 
 

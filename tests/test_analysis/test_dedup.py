@@ -2,17 +2,61 @@
 near-dups, passage / paragraph / char-span dedup, decontamination and
 the PPJoin set-similarity join."""
 
+import numpy as np
 import pyarrow as pa
 import pytest
 import ray.data as rd
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hydra_ray.functions.hashing import _mix64
 from hydra_ray.stages.dedup import (
+    _MERSENNE,
+    _PERM_A,
+    _PERM_B,
+    N_BANDS,
     N_PERM,
+    ROWS_PER_BAND,
+    _shingle_hashes,
     dedup_exact,
     dedup_minhash,
     jaccard,
-    minhash_signature,
+    minhash_bands_batch,
 )
+
+
+# Per-doc scalar spec of the batch band kernel: a signature is the
+# min, over the doc's unique shingle hashes, of the permuted values.
+
+
+def _permuted(h: np.ndarray) -> np.ndarray:
+    """(n_shingles,) hashes → (n_shingles, N_PERM) permuted values."""
+    return (h[:, None] * _PERM_A[None, :] + _PERM_B[None, :]) % np.uint64(_MERSENNE)
+
+
+def minhash_signature(text: str, shingle_k: int = 3) -> np.ndarray:
+    """N_PERM-long MinHash signature: min permuted value over shingles."""
+    return _permuted(_shingle_hashes(text, shingle_k)).min(axis=0)
+
+
+def bands_spec(doc_ids: list, texts: list, shingle_k: int = 3) -> pa.Table:
+    """(doc_id, band_id, band_hash) rows, one doc at a time."""
+    ids, band_ids, hashes = [], [], []
+    for d, t in zip(doc_ids, texts):
+        b = minhash_signature(t or "", shingle_k).reshape(N_BANDS, ROWS_PER_BAND)
+        h = _mix64(b[:, 3])
+        for j in (2, 1, 0):
+            h = _mix64(b[:, j] ^ h)
+        ids += [d] * N_BANDS
+        band_ids += range(N_BANDS)
+        hashes += h.view(np.int64).tolist()
+    return pa.table(
+        {
+            "doc_id": pa.array(ids, type=pa.int64()),
+            "band_id": pa.array(band_ids, type=pa.int32()),
+            "band_hash": pa.array(hashes, type=pa.int64()),
+        }
+    )
 
 BASE = (
     "the quick brown fox jumps over the lazy dog while the cat watches "
@@ -67,6 +111,8 @@ class TestDedup:
         s1, s2 = minhash_signature(BASE), minhash_signature(BASE)
         assert s1.shape == (N_PERM,)
         assert (s1 == s2).all()
+        t = corpus().select(["doc_id", "text"])
+        assert minhash_bands_batch(t).equals(minhash_bands_batch(t))
 
     def test_minhash_distributed_matches_broadcast(self):
         """The co-partitioned verify path (no driver materialization,
@@ -425,3 +471,119 @@ def test_minhash_paths_run_as_tasks(ray_session, monkeypatch):
     with_lang = docs.append_column("lang", pa.array(["en"] * len(docs)))
     curate_corpus(rd.from_arrow(with_lang), near_dup_threshold=0.5).materialize()
     assert pools == []
+
+
+_WORDS = st.sampled_from(["a", "b", "c", "dup", "\u00e9t\u00e9", "x1"])
+_SEPS = st.sampled_from([" ", "  ", "\t", "\n", " \n\t "])
+_TEXTS = st.one_of(
+    st.none(),
+    st.lists(st.tuples(_SEPS, _WORDS), max_size=12).map(
+        lambda ws: "".join(sep + w for sep, w in ws)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(_TEXTS, max_size=9), k=st.sampled_from([1, 2, 3, 4]), data=st.data())
+def test_minhash_bands_batch_matches_per_doc_spec(texts, k, data):
+    """The whole-batch kernel (flat token array, windows masked per doc,
+    no per-doc unique, Mersenne fold, tiled reduceat) returns exactly
+    the per-doc spec's band rows: empty and null texts, docs shorter
+    than k, repeated shingles, tab/newline separators, and doc_id /
+    text columns split into chunks at an arbitrary row."""
+    ids = list(range(100, 100 + len(texts)))
+    cut = data.draw(st.integers(0, len(texts)))
+    batch = pa.table(
+        {
+            "doc_id": pa.chunked_array([ids[:cut], ids[cut:]], type=pa.int64()),
+            "text": pa.chunked_array([texts[:cut], texts[cut:]], type=pa.string()),
+        }
+    )
+    got = minhash_bands_batch(batch, shingle_k=k)
+    assert got.equals(bands_spec(ids, texts, k))
+
+
+def test_minhash_bands_batch_spans_many_tiles():
+    """A batch far larger than one permute tile (docs cut at tile
+    edges, one doc longer than a tile) still matches the spec."""
+    import random
+
+    from hydra_ray.stages import dedup
+
+    rng = random.Random(5)
+    vocab = [f"t{i}" for i in range(40)]
+    lens = [rng.randrange(0, 60) for _ in range(300)] + [dedup._TILE + 7]
+    texts = [" ".join(rng.choice(vocab) for _ in range(n)) for n in lens]
+    ids = list(range(len(texts)))
+    batch = pa.table({"doc_id": pa.array(ids, type=pa.int64()), "text": texts})
+    assert minhash_bands_batch(batch).equals(bands_spec(ids, texts))
+
+
+@pytest.fixture()
+def count_executions():
+    """Count Ray Data executions (``StreamingExecutor.execute`` over a
+    DAG that is more than its input, the ones that log ``Starting
+    execution``) while ``fn`` runs; the count is checked against those
+    log lines."""
+    import logging
+
+    from ray.data._internal.execution import streaming_executor as se
+    from ray.data._internal.execution.operators.input_data_buffer import (
+        InputDataBuffer,
+    )
+
+    execute = se.StreamingExecutor.execute
+    seen = {"execute": 0, "logged": 0}
+
+    def counting(self, dag, *args, **kwargs):
+        seen["execute"] += not isinstance(dag, InputDataBuffer)
+        return execute(self, dag, *args, **kwargs)
+
+    class Lines(logging.Handler):
+        def emit(self, record):
+            seen["logged"] += record.getMessage().startswith("Starting execution")
+
+    logger = logging.getLogger(se.__name__)
+    handler, level = Lines(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+
+    def count(fn) -> int:
+        seen.update(execute=0, logged=0)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(se.StreamingExecutor, "execute", counting)
+            fn()
+        assert seen["execute"] == seen["logged"], seen
+        return seen["execute"]
+
+    yield count
+    logger.removeHandler(handler)
+    logger.setLevel(level)
+
+
+def test_near_dup_execution_counts(ray_session, count_executions):
+    """Executions per call on the broadcast routes (each costs ~45 ms
+    before any UDF work): dedup_minhash executes its input once and
+    verify reads those blocks; span_near_dup keeps no exploded copy;
+    curate_corpus runs near-dup on the materialized quality-passing
+    corpus."""
+    from hydra_ray.pipelines.curate import curate_corpus
+    from hydra_ray.stages.spans import span_near_dup
+
+    docs = corpus()
+    with_lang = docs.append_column("lang", pa.array(["en"] * len(docs)))
+
+    def minhash():
+        src = rd.from_arrow(docs).map_batches(lambda t: t, batch_format="pyarrow")
+        return dedup_minhash(src, threshold=0.5, distributed=False).to_pandas()
+
+    def spans():
+        src = rd.from_arrow(docs.select(["doc_id", "text"]))
+        return span_near_dup(src, threshold=0.5, num_parts=4).to_pandas()
+
+    def curate():
+        return curate_corpus(rd.from_arrow(with_lang), near_dup_threshold=0.5).to_pandas()
+
+    assert count_executions(minhash) == 2
+    assert count_executions(spans) == 3
+    assert count_executions(curate) == 4

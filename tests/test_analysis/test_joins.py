@@ -105,6 +105,59 @@ def test_curate_corpus_near_dup_removal():
     assert nd == {"fr": 1, "en": 1}  # doc 2 dropped as near-dup of doc 1
 
 
+@pytest.mark.usefixtures("ray_session", "keyset_route")
+def test_curate_corpus_near_dup_over_quality_passing_corpus():
+    """Near-dup pairs taken over the quality-passing corpus (exact-dup
+    losers included) drop the same docs as pairs taken over the
+    exact-dedup survivors. Each group has an exact-dup pair W < L and
+    a near-dup partner D of their text placed below W, between W and
+    L, or above L. One lang per doc, so the per-lang stats name every
+    surviving doc."""
+    from hydra_ray.pipelines.curate import curate_corpus
+    from hydra_ray.stages.dedup import dedup_exact, dedup_minhash
+    from hydra_ray.stages.text import quality_batch
+
+    def words(g: str) -> list[str]:
+        return [g + "x" * (i % 7) + "y" * (i % 3) for i in range(40)]
+
+    def near(g: str) -> str:
+        w = words(g)
+        w[17] = "changedword"
+        return " ".join(w)
+
+    rows = []
+    for g, (w_id, l_id, d_id) in {"a": (2, 3, 1), "b": (11, 13, 12), "c": (21, 22, 23)}.items():
+        rows += [(w_id, " ".join(words(g))), (l_id, " ".join(words(g))), (d_id, near(g))]
+    rows += [(30 + i, " ".join(f"u{i}" + "z" * j for j in range(12))) for i in range(4)]
+    rows.append((40, "too short"))
+    t = pa.table(
+        {
+            "doc_id": pa.array([r[0] for r in rows], type=pa.int64()),
+            "text": pa.array([r[1] for r in rows]),
+            "lang": pa.array([f"l{r[0]}" for r in rows]),
+        }
+    )
+
+    # the survivors-only order: quality gate, exact dedup, then near-dup
+    # pairs among the survivors
+    good = t.filter(quality_batch(t)["keep"])
+    winners = set(dedup_exact(rd.from_arrow(good)).to_pandas()["doc_id"])
+    surv = good.filter(pa.array([d in winners for d in good["doc_id"].to_pylist()]))
+    pairs = dedup_minhash(rd.from_arrow(surv.select(["doc_id", "text"])), threshold=0.5)
+    dropped = set(pairs.to_pandas()["doc_b"])
+    kept = sorted(d for d in winners if d not in dropped)
+    assert kept == [1, 11, 21, 30, 31, 32, 33]
+
+    got = curate_corpus(rd.from_arrow(t).repartition(3), near_dup_threshold=0.5).to_pandas()
+    assert sorted(int(lang[1:]) for lang in got["lang"]) == kept
+    keep_t = t.filter(pa.array([d in kept for d in t["doc_id"].to_pylist()]))
+    want = curate_corpus(rd.from_arrow(keep_t)).to_pandas()
+    cols = ["lang", "n_docs", "n_chunks", "sum_toks"]
+    assert got.sort_values("lang")[cols].reset_index(drop=True).equals(
+        want.sort_values("lang")[cols].reset_index(drop=True)
+    )
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_hash_join_inner_left_and_collisions():
     from hydra_ray.stages.joins import hash_join

@@ -320,30 +320,3 @@ class TestHnsw:
         assert (g1.levels == g2.levels).all()
         assert g1.entry == g2.entry
         assert g1.neighbors == g2.neighbors
-
-    def test_hnsw_incremental_new_batch_vs_corpus(self):
-        """queries= mode: a new batch searches the existing corpus index
-        — planted near-twin found, corpus never matches a query to
-        itself by id, every query answered."""
-        import numpy as np
-
-        from hydra_ray.stages.similarity import knn_hnsw
-
-        rng = np.random.default_rng(11)
-        corpus = rng.normal(size=(120, 16))
-        qm = rng.normal(size=(10, 16))
-        qm[3] = corpus[77] + 0.001  # near-twin of corpus vec 77
-        def tbl(ids, mat):
-            return pa.table({
-                "vec_id": pa.array(ids, type=pa.int64()),
-                "embedding": pa.FixedSizeListArray.from_arrays(
-                    pa.array(mat.astype(np.float64).reshape(-1)), mat.shape[1]),
-            })
-        out = knn_hnsw(
-            rd.from_arrow(tbl(range(120), corpus)).repartition(3),
-            k=1,
-            queries=rd.from_arrow(tbl(range(1000, 1010), qm)),
-        )
-        assert sorted(out["vec_id"]) == list(range(1000, 1010))
-        assert out.set_index("vec_id").loc[1003, "nn_id"] == 77
-        assert (out["nn_id"] < 120).all()  # answers come from the corpus
