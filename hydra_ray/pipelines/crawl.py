@@ -40,7 +40,7 @@ import ray.data as rd
 
 from hydra_ray.config import config
 from hydra_ray.functions.urls import canonicalize_batch
-from hydra_ray.sources.store import VersionedTable, _ds_to_arrow
+from hydra_ray.sources.store import VersionedTable, _ds_to_arrow, blocks_dataset
 from hydra_ray.stages.analysis import Analyser
 from hydra_ray.stages.checks_stage import build_checks_batch
 from hydra_ray.stages.fetcher import Fetcher
@@ -159,7 +159,7 @@ class CrawlEngine:
         """
         if isinstance(seed, pa.Table):
             seed_cols = set(seed.schema.names)
-            seed_ds = rd.from_arrow(seed)
+            seed_ds = blocks_dataset(seed)
         else:
             seed_ds = seed
             seed_cols = set(seed_ds.schema().names)
@@ -282,11 +282,12 @@ class CrawlEngine:
                 hot = detect_hot_domains(fetch_rows, n_blocks)
                 slices = partition_slices(fetch_rows, n_blocks, hot_domains=hot)
             else:
-                # balanced row ranges, sliced on the driver:
-                # from_arrow(list) makes one block per table, no shuffle
+                # balanced row ranges, sliced on the driver
                 cuts = [i * n_rows // n_blocks for i in range(n_blocks + 1)]
                 slices = [fetch_rows.slice(a, b - a) for a, b in zip(cuts, cuts[1:])]
-            ds = rd.from_arrow(slices)
+            # one block per table, no shuffle; the blocks run concurrently
+            # and come back in block order
+            ds = blocks_dataset(slices)
             # per-block distributed sinks: checks / payloads / span docs are
             # written by the workers; only slim frontier columns reach the
             # driver (the heavy spans + payload strings never move)

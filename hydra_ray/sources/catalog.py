@@ -14,8 +14,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.csv as pacsv
 
-import ray.data as rd
-
 # reference catalog columns (cli/catalog.py:40-56) → our schema
 _COLMAP = {
     "dataset.id": "dataset_id",
@@ -66,4 +64,4 @@ def read_catalog_csv(path: str) -> pa.Table:
 def load_catalog_from_csv(engine, path: str) -> int:
     """End-to-end S1: CSV file → engine catalog (returns row count)."""
     tbl = read_catalog_csv(path)
-    return engine.load_catalog(rd.from_arrow(tbl))
+    return engine.load_catalog(tbl)

@@ -1680,6 +1680,29 @@ def ds_to_tables(ds: "rd.Dataset") -> list[pa.Table]:
     return [block_to_table(ray.get(ref)) for ref in mat.to_arrow_refs()]
 
 
+def blocks_dataset(tables: "pa.Table | list[pa.Table]") -> "rd.Dataset":
+    """``rd.from_arrow(tables)`` whose blocks run side by side, in order.
+
+    Ray Data 2.49 reserves object store per operator
+    (``op_resource_reservation_enabled``, ratio 0.5) and, until a task
+    has produced output, budgets it at about ``target_max_block_size``
+    (128 MiB). On a 512 MiB object store that budget admits ONE task of
+    the operator at a time, so the blocks of a fused one-operator map
+    over driver-held tables queue behind each other while CPUs idle.
+    Such a plan has nothing to reserve for: it is a single operator fed
+    from memory, with no downstream operator. Backpressure still applies
+    through the non-reservation object-store limit. So reservation is
+    switched off here, and ``preserve_order`` keeps the pulled result in
+    block order rather than completion order. Both flags go on this
+    Dataset's own ``ds.context`` (a copy, shared by the maps chained on
+    it); the process-global ``DataContext`` is left untouched.
+    """
+    ds = rd.from_arrow(tables)
+    ds.context.op_resource_reservation_enabled = False
+    ds.context.execution_options.preserve_order = True
+    return ds
+
+
 def _ds_to_arrow(ds: "rd.Dataset") -> pa.Table:
     tables = ds_to_tables(ds)
     tables = [t for t in tables if t.num_rows] or tables[:1]

@@ -17,11 +17,12 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
 
-from hydra_ray.stages.keyed import DEFAULT_PARTS, keyed_map_partitions
+from hydra_ray.stages.keyed import DEFAULT_PARTS, keyed_map_partitions, keyed_map_partitions_arrow
 
 
 # Key sets at or below this many rows ship to every task once
@@ -50,48 +51,36 @@ def semi_join(
     - more: both sides go through ONE hash shuffle on the key, so it
       holds when the key set is corpus-sized (e.g. dedup survivors)
       and never reaches the driver. Left row order within a partition
-      is preserved."""
+      and the left's Arrow schema are preserved."""
     keys = keys.materialize()
     if keys.count() <= KEYS_BROADCAST_MAX:
         return _broadcast_semi_join(left, keys, key, anti)
 
+    # Both sides hash on a copy of the key, ``_jk``. The key side carries
+    # only ``_jk`` and ``_side``; Arrow's concat fills the left's other
+    # columns with typed nulls where a sorted block mixes the sides, so
+    # the left schema is never asked for (asking executes the left).
+    # Each left column keeps its type and relative order, and the
+    # bookkeeping columns are dropped again.
     def tag_left(t: pa.Table) -> pa.Table:
-        return t.append_column("_side", pa.array(np.zeros(t.num_rows, dtype=np.int8)))
+        side = pa.array(np.zeros(t.num_rows, dtype=np.int8))
+        return t.append_column("_side", side).append_column("_jk", t[key])
 
     def tag_keys(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {key: t[key], "_side": pa.array(np.ones(t.num_rows, dtype=np.int8))}
-        )
+        return pa.table({"_jk": t[key], "_side": pa.array(np.ones(t.num_rows, dtype=np.int8))})
 
-    def pad_keys_like_left(t: pa.Table, schema: pa.Schema) -> pa.Table:
-        for f in schema:
-            if f.name not in t.column_names:
-                t = t.append_column(f.name, pa.nulls(t.num_rows, f.type))
-        return t.select([f.name for f in schema])
+    def keep_members(t: pa.Table) -> pa.Table | None:
+        is_left = pc.equal(t["_side"], 0)
+        rows = t.filter(is_left)
+        if not rows.num_rows:  # a block of key rows only emits nothing
+            return None
+        members = t.filter(pc.invert(is_left))["_jk"]
+        hit = pc.is_in(rows["_jk"], value_set=members.combine_chunks().cast(rows["_jk"].type))
+        return rows.filter(pc.invert(hit) if anti else hit).drop_columns(["_side", "_jk"])
 
     lt = left.map_batches(tag_left, batch_format="pyarrow")
-    ls = lt.schema()
-    if ls is None:  # left side produced no rows: the semi-join is empty
-        return left
-    schema = pa.schema(zip(ls.names, ls.types))
-    left_cols = [n for n in schema.names if n != "_side"]
-    kt = keys.map_batches(
-        lambda t: pad_keys_like_left(tag_keys(t), schema), batch_format="pyarrow"
-    )
-
-    def keep_members(df: "pd.DataFrame") -> "pd.DataFrame":
-        member = set(df.loc[df["_side"] == 1, key])
-        mask = df[key].isin(member)
-        if anti:
-            mask = ~mask
-        out = df[(df["_side"] == 0) & mask][left_cols]
-        # cross-side padding floats integer columns; restore
-        for f in schema:
-            if pa.types.is_integer(f.type) and f.name in out.columns:
-                out[f.name] = out[f.name].astype("int64")
-        return out
-
-    return keyed_map_partitions(lt.union(kt), [key], keep_members, num_parts=num_parts)
+    kt = keys.map_batches(tag_keys, batch_format="pyarrow")
+    return keyed_map_partitions_arrow(lt.union(kt), ["_jk"], keep_members, num_parts=num_parts)
 
 
 def _broadcast_semi_join(
@@ -99,8 +88,6 @@ def _broadcast_semi_join(
 ) -> "rd.Dataset":
     """semi_join's small-key-set route: one ``ray.put`` of the distinct
     keys, then a shuffle-free ``pc.is_in`` filter per left block."""
-    import pyarrow.compute as pc
-
     from hydra_ray.sources.store import ds_to_tables
 
     cols = [t[key] for t in ds_to_tables(keys) if t.num_rows]

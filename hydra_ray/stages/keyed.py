@@ -11,7 +11,8 @@ shape used here instead:
      value (hence of a key) in one output block;
   3. ``map_batches(batch_size=None)`` — the UDF runs ONCE per sorted
      block over the whole co-partitioned frame, vectorized; an empty
-     block makes no call.
+     block makes no call, and a call that returns ``None`` emits no
+     block.
 
 All rows of any key land in exactly one block, so any per-key
 reduction (top-k, dedup, pair emission) computed per block is globally
@@ -47,7 +48,9 @@ def _keyed_map(ds: "rd.Dataset", keys: list[str], fn, num_parts: int, batch_form
 
     def run(batch):
         if len(batch):  # pandas and pyarrow both spell it drop(columns=)
-            yield fn(batch.drop(columns=["_part"]))
+            out = fn(batch.drop(columns=["_part"]))
+            if out is not None:
+                yield out
 
     return (
         ds.map_batches(addpart, batch_format="pyarrow")

@@ -561,12 +561,13 @@ def count_executions():
     logger.setLevel(level)
 
 
-def test_near_dup_execution_counts(ray_session, count_executions):
-    """Executions per call on the broadcast routes (each costs ~45 ms
-    before any UDF work): dedup_minhash executes its input once and
-    verify reads those blocks; span_near_dup keeps no exploded copy;
-    curate_corpus runs near-dup on the materialized quality-passing
-    corpus."""
+def test_near_dup_execution_counts(ray_session, count_executions, keyset_route):
+    """Executions per call (each costs ~45 ms before any UDF work), the
+    same on both key-set-filter routes: dedup_minhash executes its input
+    once and verify reads those blocks; span_near_dup keeps no exploded
+    copy; curate_corpus runs near-dup on the materialized
+    quality-passing corpus; the shuffle route never executes the left
+    side just to learn its schema."""
     from hydra_ray.pipelines.curate import curate_corpus
     from hydra_ray.stages.spans import span_near_dup
 

@@ -15,10 +15,6 @@ def test_priority_window_leads_the_registry():
     assert list(entry.oracle_sql())[:50] == entry._PRIORITY
 
 
-def test_every_oracle_has_a_query():
-    assert set(ORACLES) <= set(QUERIES)
-
-
 def test_every_query_has_an_oracle():
     assert set(QUERIES) == set(ORACLES)
 
