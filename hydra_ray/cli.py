@@ -137,18 +137,11 @@ def cmd_convert_csv_to_geojson(args) -> dict:
     import ray.data as rd
 
     from hydra_ray.stages.geo import detect_geo_columns, features_batch, write_feature_collections
-    from hydra_ray.stages.inspection import inspect_csv_bytes
-
-    import gzip
-
-    from hydra_ray.stages.inspection import csv_text_to_table, detect_encoding
+    from hydra_ray.stages.inspection import csv_text_to_table, decode_text, inspect_csv_text
 
     with open(args.file, "rb") as f:
-        data = f.read()
-    if data[:2] == b"\x1f\x8b":
-        data = gzip.decompress(data)
-    text = data.decode(detect_encoding(data))
-    report = inspect_csv_bytes(data)
+        text, _enc = decode_text(f.read())
+    report = inspect_csv_text(text)
     geo = detect_geo_columns(report["columns"])
     if geo is None:
         return {"error": "no geographic columns detected"}
@@ -264,15 +257,16 @@ def cmd_download_resource(args) -> dict:
     eng = _engine(args.workdir)
     res = EngineApi(eng).get_resource(args.resource_id)
     url = res["document"]["url"]  # reference ResourceSchema wire format
-    transport = make_transport(eng.transport)
-    data = transport.body(url, max_bytes=args.max_bytes)
+    data = make_transport(eng.transport).download(url, args.max_bytes)
+    eng.shutdown()
+    if len(data) > args.max_bytes:
+        return {"resource_id": args.resource_id, "url": url, "error": "File too large to download"}
     ext = url.rsplit(".", 1)[-1].lower() if "." in url.rsplit("/", 1)[-1] else "bin"
     out_dir = args.output_dir or "/tmp"
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{args.resource_id}.{ext}")
     with open(path, "wb") as f:
         f.write(data)
-    eng.shutdown()
     return {"resource_id": args.resource_id, "url": url, "path": path, "bytes": len(data)}
 
 

@@ -581,14 +581,14 @@ class CrawlEngine:
         ``resource_exceptions`` reaches the next iteration; the stage
         names are looked up as module globals at call time (perfbench's
         tracing shims replace them)."""
+        transport = {**self.transport, "content_rows": self.analysis_content_rows}
         return [
-            Fetcher(transport=self.transport, udata_uri=config.UDATA_URI, robots=self.robots),
+            Fetcher(transport=transport, udata_uri=config.UDATA_URI, robots=self.robots),
             functools.partial(
                 build_checks_batch, iteration=it, now=self.now_dt(it).replace(tzinfo=timezone.utc)
             ),
             Analyser(
-                transport=self.transport,
-                content_rows=self.analysis_content_rows,
+                transport=transport,
                 exceptions=self.resource_exceptions,
                 exports_dir=os.path.join(self.workdir, "exports"),
                 config_overrides=self.analysis_config,

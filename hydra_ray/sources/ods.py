@@ -205,8 +205,10 @@ def write_ods(rows: list[list[object]]) -> bytes:
     content = _CONTENT_HEAD + "".join(body) + _CONTENT_TAIL
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w", zipfile.ZIP_STORED) as zf:
-        # the ODF spec requires 'mimetype' first and uncompressed
-        zf.writestr("mimetype", ODS_MIMETYPE)
-        zf.writestr("META-INF/manifest.xml", _MANIFEST)
-        zf.writestr("content.xml", content)
+        # the ODF spec requires 'mimetype' first and uncompressed; fixed
+        # entry timestamps keep equal rows at equal bytes (see write_xlsx)
+        stamp = (1980, 1, 1, 0, 0, 0)
+        zf.writestr(zipfile.ZipInfo("mimetype", stamp), ODS_MIMETYPE)
+        zf.writestr(zipfile.ZipInfo("META-INF/manifest.xml", stamp), _MANIFEST)
+        zf.writestr(zipfile.ZipInfo("content.xml", stamp), content)
     return buf.getvalue()

@@ -346,13 +346,15 @@ def write_xlsx(rows: list[list[object]]) -> bytes:
         + "</sst>"
     )
     buf = io.BytesIO()
-    # STORED: this writer only synthesizes sandbox fixtures — skip the
-    # deflate cost (readers accept either compression)
+    # STORED: fixtures and synthetic-web files skip the deflate cost
+    # (readers accept either compression). A fixed entry timestamp (a
+    # string name stamps the wall clock) keeps equal rows at equal bytes.
+    stamp = (1980, 1, 1, 0, 0, 0)
     with zipfile.ZipFile(buf, "w", zipfile.ZIP_STORED) as zf:
-        zf.writestr("[Content_Types].xml", _CONTENT_TYPES)
-        zf.writestr("_rels/.rels", _ROOT_RELS)
-        zf.writestr("xl/workbook.xml", _WORKBOOK)
-        zf.writestr("xl/_rels/workbook.xml.rels", _WORKBOOK_RELS)
-        zf.writestr("xl/sharedStrings.xml", sst)
-        zf.writestr("xl/worksheets/sheet1.xml", sheet)
+        zf.writestr(zipfile.ZipInfo("[Content_Types].xml", stamp), _CONTENT_TYPES)
+        zf.writestr(zipfile.ZipInfo("_rels/.rels", stamp), _ROOT_RELS)
+        zf.writestr(zipfile.ZipInfo("xl/workbook.xml", stamp), _WORKBOOK)
+        zf.writestr(zipfile.ZipInfo("xl/_rels/workbook.xml.rels", stamp), _WORKBOOK_RELS)
+        zf.writestr(zipfile.ZipInfo("xl/sharedStrings.xml", stamp), sst)
+        zf.writestr(zipfile.ZipInfo("xl/worksheets/sheet1.xml", stamp), sheet)
     return buf.getvalue()

@@ -7,11 +7,10 @@ A ``map_batches`` task stage (one call per block) reproducing the reference's
      (harvest date → last-modified header → content-length;
      resource.py:285-336) — the window is O(1) here because the
      previous check's columns ride on the frontier row;
-  2. when NO_GUESS / HAS_CHANGED (or forced): download (size-capped per
-     format, utils/file.py:46-115), sha1 checksum
-     (utils/file.py:26-34), mime sniff (libmagic stubbed with a
-     deterministic content-type map — the real library is not in this
-     container), checksum-based change detection (resource.py:210-233);
+  2. when NO_GUESS / HAS_CHANGED (or forced): one download (size-capped
+     per format, utils/file.py:46-115); its sha1 checksum
+     (utils/file.py:26-34), mime sniff and parse all read those bytes;
+     checksum-based change detection (resource.py:210-233);
   3. when HAS_NOT_CHANGED: copy checksum/filesize/mime from the
      previous check (resource.py:128-133);
   4. detected_last_modified_at / next_check_at updates
@@ -34,37 +33,25 @@ from hydra_ray.functions.checks import (
     detect_change_from_checksum,
     detect_change_on_early_hints,
 )
-from hydra_ray.functions.detect import detect_format
+from hydra_ray.functions.detect import FORMAT_MIME, detect_format, sniff_mime
 from hydra_ray.functions.payload import flatten_payload
 from hydra_ray.stages.exports import _EXPORT_KEYS, export_artifacts
 from hydra_ray.stages.fetcher import make_transport
 
-# MIME from downloaded bytes (M15): the reference shells into libmagic;
-# functions/detect.py::sniff_mime makes the same decision directly from
-# content magic numbers, with the detected format as the text fallback.
-from hydra_ray.functions.detect import sniff_mime  # noqa: E402
-
 PARSEABLE_FORMATS = {"csv", "csvgz", "xls", "xlsx", "ods", "parquet"}
 
 
-def workbook_codecs() -> dict:
-    """Workbook format → (writer, reader) for the synthetic download,
-    imported on first use like the rest of the parse route."""
-    from hydra_ray.sources.ods import read_ods_rows, write_ods
-    from hydra_ray.sources.xls import read_xls_rows, write_xls
-    from hydra_ray.sources.xlsx import read_xlsx_rows, write_xlsx
+def workbook_readers() -> dict:
+    """Sniffed workbook MIME type → (reader, engine mark): the parser
+    follows the content magic, as the reference's libmagic sniff picks
+    the file's extension. Imported on first use like the rest of the
+    parse route."""
+    from hydra_ray.sources.ods import read_ods_rows
+    from hydra_ray.sources.xls import read_xls_rows
+    from hydra_ray.sources.xlsx import read_xlsx_rows
 
-    return {
-        "xls": (write_xls, read_xls_rows),
-        "xlsx": (write_xlsx, read_xlsx_rows),
-        "ods": (write_ods, read_ods_rows),
-    }
-
-
-def _max_size_for(fmt: str | None) -> int:
-    if fmt is None:
-        return config.DEFAULT_MAX_FILESIZE_ALLOWED
-    return config.MAX_FILESIZE_ALLOWED.get(fmt, config.DEFAULT_MAX_FILESIZE_ALLOWED)
+    readers = {"xls": read_xls_rows, "xlsx": read_xlsx_rows, "ods": read_ods_rows}
+    return {FORMAT_MIME[f]: (read, f"hydra-ray-{f}") for f, read in readers.items()}
 
 
 class Analyser:
@@ -74,7 +61,7 @@ class Analyser:
 
     With ``parse_content=True`` (default) rows routed to a parseable
     format run the full content analysis inside this distributed stage:
-    synthetic download → csv-detective-style inspection → typed Arrow
+    download → csv-detective-style inspection → typed Arrow
     cast → interleaved span-document build (the reference's CsvLike
     .analyse path, csv_like/__init__.py:60-159). The resulting spans
     ride out as a list<struct> column (null for unparsed rows)."""
@@ -84,22 +71,17 @@ class Analyser:
         transport: dict | None = None,
         force_analysis: bool = False,
         parse_content: bool = True,
-        content_rows: int = 200,
         exceptions: set | None = None,
         exports_dir: str | None = None,
         config_overrides: dict | None = None,
     ):
-        self.transport = make_transport(transport or {"kind": "synthetic"})
+        self.transport = make_transport(transport)
         self.force = force_analysis
         self.parse_content = parse_content
         # resources_exceptions (J3, reference db/resource_exception.py):
         # exempted resource_ids skip the per-format size cap — broadcast
         # as a small set captured at stage construction
         self.exceptions = exceptions or set()
-        # synthetic downloaded-file size (CSV rows) — the per-resource
-        # inspection/cast/span cost; bench raises it to approximate real
-        # file sizes
-        self.content_rows = content_rows
         # artifact sink for the export jobs (engine workdir/exports)
         self.exports_dir = exports_dir
         # driver-side config_override is invisible in Ray workers —
@@ -140,6 +122,7 @@ class Analyser:
         out_change, out_checksum, out_filesize, out_mime = [], [], [], []
         out_err, out_dlma, out_next, out_fmt, out_payload, out_parse = [], [], [], [], [], []
         out_run: list[bool] = []  # run_further per row (feeds OGC analysis)
+        bodies: list[bytes | None] = [None] * n  # the downloaded file per row
 
         outcomes = batch["outcome"].to_pylist() if "outcome" in batch.column_names else ["ok"] * n
 
@@ -147,15 +130,9 @@ class Analyser:
             if outcomes[j] != "ok":
                 # timeout / error checks skip analysis (the reference only
                 # enqueues analyse_resource on the success path)
-                out_change.append(None)
-                out_checksum.append(None)
-                out_filesize.append(None)
-                out_mime.append(None)
-                out_err.append(None)
-                out_dlma.append(None)
+                for col in (out_change, out_checksum, out_filesize, out_mime, out_err, out_dlma, out_fmt, out_payload):
+                    col.append(None)
                 out_next.append(next_check[j])
-                out_fmt.append(None)
-                out_payload.append(None)
                 out_parse.append(False)
                 out_run.append(False)
                 continue
@@ -190,13 +167,15 @@ class Analyser:
             dl: dict = {}
             if change != Change.HAS_NOT_CHANGED or self.force:
                 content_len = int(headers.get("content-length") or 0)
-                max_allowed = (
-                    (1 << 62) if rids[j] in self.exceptions else _max_size_for(fmt)
-                )
-                if content_len > max_allowed:
+                cap = config.MAX_FILESIZE_ALLOWED.get(fmt, config.DEFAULT_MAX_FILESIZE_ALLOWED)
+                max_allowed = (1 << 62) if rids[j] in self.exceptions else cap
+                # transports return at most max_allowed + 1 bytes: an
+                # oversize body shows even under a small Content-Length
+                body = None if content_len > max_allowed else self.transport.download(urls[j], max_allowed)
+                if body is None or len(body) > max_allowed:
                     dl["analysis:error"] = "File too large to download"
                 else:
-                    body = self.transport.body(urls[j], max_bytes=min(max_allowed, 1 << 16))
+                    bodies[j] = body
                     dl["analysis:content-length"] = content_len or len(body)
                     dl["analysis:checksum"] = hashlib.sha1(body).hexdigest()
                     if change == Change.NO_GUESS:
@@ -242,7 +221,7 @@ class Analyser:
 
             is_first = not has_last[j]
             run_further = change == Change.HAS_CHANGED or is_first or self.force
-            out_parse.append(bool(run_further and fmt in PARSEABLE_FORMATS))
+            out_parse.append(bool(run_further and fmt in PARSEABLE_FORMATS and bodies[j] is not None))
             out_run.append(bool(run_further))
             if run_further:
                 analysis_results = {"analysis:check_id": int(check_ids[j])} | dl | (payload or {})
@@ -258,7 +237,7 @@ class Analyser:
         self._last_parse_errors: list[str | None] = [None] * n
         self._last_exports = {k: [None] * n for k in _EXPORT_KEYS}
         if self.parse_content:
-            spans_col, parsing_tables = self._parse_contents(batch, out_parse)
+            spans_col, parsing_tables = self._parse_contents(batch, out_parse, bodies)
 
         # OGC capabilities analysis for service-format resources
         # (reference data_formats/ogc/__init__.py:80-248: parse
@@ -359,60 +338,50 @@ class Analyser:
             )
         return out
 
-    def _parse_contents(self, batch: pa.Table, do_parse: list[bool]):
-        """Inspect + cast + span-build for parse-routed rows; returns the
-        spans list<struct> column (nulls elsewhere) and parsing-table
-        names. Parse failures are captured per resource into
-        ``self._last_parse_errors`` with the reference's ``step:cause``
-        contract (utils/errors.py:113-135); successfully cast tables feed
-        the enabled export jobs (``self._last_exports``)."""
+    def _parse_contents(self, batch: pa.Table, do_parse: list[bool], bodies: list[bytes | None]):
+        """Inspect + cast + span-build of the parse-routed rows'
+        downloaded bodies; returns the spans list<struct> column (nulls
+        elsewhere) and parsing-table names. A sheet's span text is its
+        read rows joined with "," and newlines. Parse failures are
+        captured per resource into ``self._last_parse_errors`` with the
+        reference's ``step:cause`` contract (utils/errors.py:113-135);
+        successfully cast tables feed the enabled export jobs
+        (``self._last_exports``)."""
         from hydra_ray.schemas import SPAN_STRUCT
         # the two sweeps are looked up by name at call time: perfbench's
         # tracing shims replace these module attributes
         from hydra_ray.stages.inspection import (
             Sheet,
             csv_texts_to_tables,
+            decode_text,
             find_ragged_row,
             inspect_csv_texts_batch,
         )
         from hydra_ray.stages.spans import build_spans_batch
 
-        urls = batch["url"].to_pylist()
+        n = batch.num_rows
         rids = batch["resource_id"].to_pylist()
-        md5s = batch["url_md5"].to_pylist() if "url_md5" in batch.column_names else [None] * len(urls)
-        epoch = getattr(self.transport, "epoch", 0)
-
-        from hydra_ray import synth
-
-        fmts = batch["format"].to_pylist() if "format" in batch.column_names else [None] * len(urls)
-        # (row, text, sweep item) per parse-routed row: workbook Sheets
-        # first, then CSV texts (the span order)
-        codecs = workbook_codecs()
+        md5s = batch["url_md5"].to_pylist() if "url_md5" in batch.column_names else [None] * n
+        # (row, span text, sweep item) per parse-routed row: workbook
+        # Sheets first, then CSV texts (the span order)
+        readers = workbook_readers()
         sheets, csvs = [], []
         for j, parse in enumerate(do_parse):
             if not parse:
                 continue
-            text = synth.synthetic_text(urls[j], epoch=epoch, max_rows=self.content_rows)
-            codec = codecs.get(fmts[j])
-            if codec is None:
-                csvs.append((j, text, text))
-                continue
-            # Workbook route (S4): the synthetic download is written as
-            # a real workbook and read back by the matching stdlib
-            # reader. The workbook is capped at 64 data rows: per xlsx
-            # resource the write costs 0.40-0.65 ms and the read
-            # 0.34-0.43 ms (1 vCPU), and a 2000-row write would turn
-            # deep-content benches into a writer benchmark; full-depth
-            # casting is measured on the CSV path.
-            write, read = codec
+            reader = readers.get(sniff_mime(bodies[j]))
             try:
-                rows = read(write([line.split(",") for line in text.splitlines()[:65]]))
+                if reader is None:
+                    text = decode_text(bodies[j])[0]
+                    csvs.append((j, text, text))
+                    continue
+                rows = reader[0](bodies[j])
             except Exception as exc:  # noqa: BLE001
                 # reference ParseException step contract
                 # (csv_like/__init__.py:93 — inspection failures)
                 self._last_parse_errors[j] = f"csv_detective:{exc}"
                 continue
-            sheets.append((j, text, Sheet(rows, f"hydra-ray-{fmts[j]}")))
+            sheets.append((j, "\n".join(",".join(r) for r in rows), Sheet(rows, reader[1])))
         routed = sheets + csvs
         good, tables = [], []  # (row, text, sweep item, inspection), typed tables
         if routed:  # one inspect sweep and one cast sweep for the block
@@ -438,8 +407,8 @@ class Analyser:
 
         # export jobs over the successfully cast tables (worker-side:
         # the artifact bytes never leave this task)
-        inspections: list[str | None] = [None] * len(urls)
-        parsing_tables: list[str | None] = [None] * len(urls)
+        inspections: list[str | None] = [None] * n
+        parsing_tables: list[str | None] = [None] * n
         for (j, _text, _item, insp), tbl in zip(good, tables):
             inspections[j] = json.dumps(insp, sort_keys=True)
             parsing_tables[j] = md5s[j]
@@ -449,7 +418,7 @@ class Analyser:
 
         self._last_inspections = inspections  # consumed by __call__ below
         if not good:
-            return pa.nulls(len(urls), pa.list_(SPAN_STRUCT)), parsing_tables
+            return pa.nulls(n, pa.list_(SPAN_STRUCT)), parsing_tables
 
         built = build_spans_batch(
             pa.table(
@@ -459,7 +428,7 @@ class Analyser:
                 }
             )
         )
-        at: list = [None] * len(urls)  # block position -> built row (null: unparsed)
+        at: list = [None] * n  # block position -> built row (null: unparsed)
         for i, g in enumerate(good):
             at[g[0]] = i
         return built["spans"].take(pa.array(at, type=pa.int32())), parsing_tables

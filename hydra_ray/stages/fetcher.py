@@ -12,7 +12,10 @@ Reproduces the reference's per-URL check flow
 The HTTP client is pluggable ("Transport"): ``SyntheticTransport`` is
 the deterministic sandbox web (hydra_ray/synth.py); ``MockTransport``
 powers the parity tests (the aioresponses role). Neither holds a
-session, so nothing is worth keeping alive between blocks.
+session, so nothing is worth keeping alive between blocks. A
+transport's ``download(url, max_bytes)`` returns a resource's file, at
+most ``max_bytes + 1`` bytes (so an oversize body shows); the analyse
+stage hashes, sniffs and parses exactly those bytes.
 
 Used as ``ds.map_batches(Fetcher(...), batch_format="pyarrow",
 batch_size=None)``: one instance is built on the driver for the
@@ -39,10 +42,12 @@ OUTCOME_ERROR = "error"
 
 
 class SyntheticTransport:
-    """Deterministic in-process web (see synth.synthetic_response)."""
+    """Deterministic in-process web (synth.synthetic_response and
+    synthetic_download); ``content_rows`` sizes a served CSV file."""
 
-    def __init__(self, epoch: int = 0):
+    def __init__(self, epoch: int = 0, content_rows: int = 200):
         self.epoch = epoch
+        self.content_rows = content_rows
 
     def request(self, url: str, method: str) -> dict:
         return synth.synthetic_response(url, method=method, epoch=self.epoch)
@@ -50,8 +55,8 @@ class SyntheticTransport:
     def cors(self, url: str) -> dict | None:
         return synth.synthetic_cors(url)
 
-    def body(self, url: str, max_bytes: int) -> bytes:
-        return synth.synthetic_body(url, epoch=self.epoch, max_bytes=max_bytes)
+    def download(self, url: str, max_bytes: int) -> bytes:
+        return synth.synthetic_download(url, self.epoch, self.content_rows)[: max_bytes + 1]
 
     def robots(self, domain: str) -> str:
         return synth.synthetic_robots(domain)
@@ -62,6 +67,8 @@ class MockTransport:
 
     ``responses`` maps (method, url) → response dict or list of dicts
     consumed in order (last one repeats). Unknown URLs → 404.
+    ``bodies`` maps url → the bytes ``download`` serves, cut to
+    ``max_bytes + 1``; a URL without a body downloads as ``b""``.
 
     Caveat: the transport is built on the driver when the iteration's
     stages are built, and each task gets its own copy of it, so a list
@@ -88,8 +95,8 @@ class MockTransport:
             return resp.pop(0) if len(resp) > 1 else resp[0]
         return None
 
-    def body(self, url: str, max_bytes: int) -> bytes:
-        return self.bodies.get(url, b"")[:max_bytes]
+    def download(self, url: str, max_bytes: int) -> bytes:
+        return self.bodies.get(url, b"")[: max_bytes + 1]
 
     def robots(self, domain: str) -> str:
         resp = self.responses.get(("robots", domain))
@@ -98,10 +105,11 @@ class MockTransport:
         return ""
 
 
-def make_transport(spec: dict) -> Any:
+def make_transport(spec: dict | None) -> Any:
+    spec = spec or {}
     kind = spec.get("kind", "synthetic")
     if kind == "synthetic":
-        return SyntheticTransport(epoch=spec.get("epoch", 0))
+        return SyntheticTransport(epoch=spec.get("epoch", 0), content_rows=spec.get("content_rows", 200))
     if kind == "mock":
         return MockTransport(responses=spec.get("responses"), bodies=spec.get("bodies"))
     raise ValueError(f"unknown transport kind {kind}")
@@ -235,7 +243,7 @@ class Fetcher:
         udata_uri: str | None = None,
         robots: bool = False,
     ):
-        self.transport = make_transport(transport or {"kind": "synthetic"})
+        self.transport = make_transport(transport)
         self.udata_uri = udata_uri
         # robots.txt gate (north-rule component): rules fetched once per
         # domain per instance and cached; disallowed URLs produce an error

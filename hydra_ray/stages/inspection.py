@@ -597,16 +597,21 @@ def detect_encoding(data: bytes) -> str:
         return "latin-1"
 
 
-def inspect_csv_bytes(data: bytes, sample_rows: int = 100, output_profile: bool = False) -> dict:
-    """Bytes entry point: gunzip if compressed (.csv.gz resources,
-    reference utils/file.py gzip handling), detect encoding, decode,
-    inspect."""
+def decode_text(data: bytes) -> tuple[str, str]:
+    """Downloaded bytes → (text, encoding): gunzip if compressed
+    (.csv.gz resources, reference utils/file.py gzip handling), then
+    detect the encoding and decode."""
     if data[:2] == b"\x1f\x8b":
         import gzip
 
         data = gzip.decompress(data)
     enc = detect_encoding(data)
-    text = data.decode(enc)
+    return data.decode(enc), enc
+
+
+def inspect_csv_bytes(data: bytes, sample_rows: int = 100, output_profile: bool = False) -> dict:
+    """Bytes entry point: decode (``decode_text``), then inspect."""
+    text, enc = decode_text(data)
     report = inspect_csv_text(text, sample_rows=sample_rows, output_profile=output_profile)
     report["encoding"] = enc
     return report

@@ -8,8 +8,9 @@ scaling benchmark and the seeded crawl-ordering contract).
 ``catalog_from_documents`` derives a data.gouv.fr-style seed catalog
 from the driver's ``documents.parquet`` table; the same derivation is
 expressible in DuckDB SQL (see pipelines/queries.py) so the driver's
-oracle can verify it. ``synthetic_response`` is the deterministic
-"web" used by the fetcher's SyntheticTransport.
+oracle can verify it. ``synthetic_response`` (headers) and
+``synthetic_download`` (the served file) are the deterministic "web"
+behind the fetcher's SyntheticTransport.
 """
 
 from __future__ import annotations
@@ -74,12 +75,19 @@ def catalog_from_documents(batch: pa.Table) -> pa.Table:
 # Synthetic web: deterministic HTTP-ish responses per URL.
 # ---------------------------------------------------------------------------
 
+def _url_ext(url: str) -> str:
+    """The extension of the URL's last path segment ("bin" without one)."""
+    return url.rsplit(".", 1)[-1] if "." in url.rsplit("/", 1)[-1] else "bin"
+
+
 _CT_BY_FORMAT = {
     "csv": "text/csv",
     "json": "application/json",
     "geojson": "application/vnd.geo+json",
     "parquet": "application/vnd.apache.parquet",
     "xlsx": "application/vnd.openxmlformats-officedocument.spreadsheetml.sheet",
+    "xls": "application/vnd.ms-excel",
+    "ods": "application/vnd.oasis.opendocument.spreadsheet",
     "pdf": "application/pdf",
     # OGC services answer GetCapabilities with XML, not octet-stream —
     # octet-stream would (mis)route them into the reference's Csvgz
@@ -106,7 +114,7 @@ def synthetic_response(url: str, method: str = "head", epoch: int = 0) -> dict:
     digest = hashlib.md5(url.encode("utf-8", "surrogateescape")).digest()
     h0 = digest[0] * 256 + digest[1]
     cls = h0 % 100
-    fmt = url.rsplit(".", 1)[-1] if "." in url.rsplit("/", 1)[-1] else "bin"
+    fmt = _url_ext(url)
     if fmt == "bin":
         # extension-less OGC endpoints (…/geoserver/wfs?service=wfs)
         low = url.lower()
@@ -156,11 +164,23 @@ def synthetic_response(url: str, method: str = "head", epoch: int = 0) -> dict:
     }
 
 
-def synthetic_body(url: str, epoch: int = 0, max_bytes: int = 1 << 16) -> bytes:
-    """Deterministic pseudo-content for checksum/mime analysis."""
-    seed = hashlib.md5(f"{url}#{epoch}".encode()).digest()
-    reps = max(1, min(max_bytes, 4096) // 16)
-    return (seed * reps)[:max_bytes]
+def synthetic_download(url: str, epoch: int = 0, content_rows: int = 200) -> bytes:
+    """The file a synthetic URL serves, chosen by the URL's extension:
+    a workbook for .xlsx/.xls/.ods, fixed pseudo-bytes for
+    .pdf/.json/.geojson, and ``synthetic_text`` as UTF-8 otherwise."""
+    ext = _url_ext(url)
+    if ext in ("pdf", "json", "geojson"):
+        return hashlib.md5(f"{url}#{epoch}".encode()).digest() * 256
+    text = synthetic_text(url, epoch=epoch, max_rows=content_rows)
+    if ext not in ("xlsx", "xls", "ods"):
+        return text.encode()
+    from hydra_ray.sources import ods, xls, xlsx
+
+    # Workbooks hold the first 64 data rows (an xlsx write costs 0.40-0.65
+    # ms on 1 vCPU): a 2000-row write would turn deep-content benches into
+    # a writer benchmark; full-depth casting is measured on the CSV path.
+    write = {"xlsx": xlsx.write_xlsx, "xls": xls.write_xls, "ods": ods.write_ods}[ext]
+    return write([line.split(",") for line in text.splitlines()[:65]])
 
 
 def synthetic_robots(domain: str) -> str:

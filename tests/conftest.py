@@ -16,6 +16,10 @@ def ray_session():
             include_dashboard=False,
             ignore_reinit_error=True,
             logging_level="ERROR",
+            # the idle-worker settings of perfbench/run.py RAY_SYSTEM_CONFIG,
+            # so tests keep idle workers as the benchmark does (10 min, up
+            # to 12) instead of Ray's default one-second reaping
+            _system_config={"idle_worker_killing_time_threshold_ms": 600_000, "num_workers_soft_limit": 12},
         )
     from ray.data import DataContext
 

@@ -245,3 +245,22 @@ def test_absolute_relationship_target():
     )
     assert _scan_rows(*_parts(data)) == [["a", "7"]]
     assert read_xlsx_rows(data) == [["a", "7"]]
+
+
+@pytest.mark.parametrize("writer", ["xlsx", "xls", "ods"])
+def test_workbook_writers_ignore_the_wall_clock(writer, monkeypatch):
+    """The synthetic web serves these bytes and the crawl checksums them,
+    so the same rows must give the same bytes at any time of day."""
+    import time
+    import types
+
+    from hydra_ray.sources.ods import write_ods
+    from hydra_ray.sources.xls import write_xls
+
+    write = {"xlsx": write_xlsx, "xls": write_xls, "ods": write_ods}[writer]
+    rows = [["id", "name"], ["1", "alpha"], ["2", "beta"]]
+    first = write(rows)
+    # zipfile stamps a string-named entry with time.localtime(time.time())
+    later = types.SimpleNamespace(time=lambda: time.time() + 86_400 + 7, localtime=time.localtime)
+    monkeypatch.setattr(zipfile, "time", later)
+    assert write(rows) == first

@@ -148,6 +148,11 @@ def test_cli_catalog_insert_download_ogc(tmp_path, capsys, ray_session):
     import os
     assert os.path.exists(out["path"]) and out["path"].endswith("r1.csv")
     assert os.path.getsize(out["path"]) == out["bytes"]
+    # the file the crawl parses: the synthetic web's CSV for r1
+    from hydra_ray.stages.inspection import inspect_csv_bytes
+
+    with open(out["path"], "rb") as f:
+        assert inspect_csv_bytes(f.read())["header"] == ["id", "name", "value"]
 
     out = _run(capsys, "analyse-ogc", "--workdir", wd,
                "--url", "https://geo.example/wfs?service=WFS&request=GetCapabilities")

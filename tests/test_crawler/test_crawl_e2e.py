@@ -2,6 +2,8 @@
 (mirrors reference tests/test_crawl/test_crawl.py status matrix and the
 full E2E at :309-360, with aioresponses replaced by MockTransport)."""
 
+import gzip
+import hashlib
 import json
 
 import pyarrow as pa
@@ -28,10 +30,10 @@ def seed_table(urls):
     )
 
 
-def make_engine(factory, workdir, responses, urls, **kw):
+def make_engine(factory, workdir, responses, urls, bodies=None, **kw):
     eng = factory(
         workdir,
-        transport={"kind": "mock", "responses": responses},
+        transport={"kind": "mock", "responses": responses, "bodies": bodies},
         batch_size=10,
         **kw,
     )
@@ -56,7 +58,8 @@ class TestCrawlE2E:
             ("head", URL_429): {"kind": "error", "status": 429, "headers": {}, "error": "Too Many Requests"},
         }
         urls = [URL_OK, URL_404, URL_TIMEOUT, URL_429]
-        eng = make_engine(make_crawl_engine, tmp_workdir, responses, urls)
+        bodies = {URL_OK: b"id,name\n1,a\n2,b\n"}
+        eng = make_engine(make_crawl_engine, tmp_workdir, responses, urls, bodies=bodies)
         stats = eng.run_iteration()
         assert stats == {
             "iteration": 0, "selected": 4, "backoff": 0,
@@ -72,7 +75,7 @@ class TestCrawlE2E:
         # domain extracted
         assert checks["domain"].to_pylist()[by_url[URL_OK]] == "site-ok.example"
         # ok row got analysed: checksum + mime + parsing table
-        assert checks["checksum"].to_pylist()[by_url[URL_OK]]
+        assert checks["checksum"].to_pylist()[by_url[URL_OK]] == hashlib.sha1(bodies[URL_OK]).hexdigest()
         assert checks["mime_type"].to_pylist()[by_url[URL_OK]] == "text/csv"
         assert checks["parsing_table"].to_pylist()[by_url[URL_OK]] == url_md5(URL_OK)
 
@@ -154,73 +157,122 @@ class TestCrawlE2E:
         assert cat["last_status"].to_pylist() == [404]
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_xls_resource_routes_through_biff_reader(tmp_path, make_crawl_engine):
-    """A catalog row with format='xls' parses through the BIFF reader
-    in the analyse stage (S4 legacy-Excel route): the check carries a
-    parsing_table and an inspection report with the xls engine mark."""
+def _check_workbook_route(make_crawl_engine, workdir, fmt, mime):
+    """Crawl 30 synthetic resources, every third one re-pointed at a
+    ``.{fmt}`` URL with catalog format ``fmt``. Those resources download
+    as workbooks: a parsed one carries the sniffed workbook ``mime``, a
+    tables_index inspection report with the reader's engine mark and a
+    span document."""
     import numpy as np
 
     from hydra_ray.synth import catalog_from_documents
 
-    docs = pa.table({"doc_id": pa.array(np.arange(30), type=pa.int64())})
-    seed = catalog_from_documents(docs)
-    fmt = pa.array(
-        ["xls" if i % 3 == 0 else f for i, f in enumerate(seed["format"].to_pylist())]
-    )
-    seed = seed.set_column(seed.column_names.index("format"), "format", fmt)
-    eng = make_crawl_engine(str(tmp_path / "wd"), batch_size=30)
+    seed = catalog_from_documents(pa.table({"doc_id": pa.array(np.arange(30), type=pa.int64())}))
+    pick = [i % 3 == 0 for i in range(seed.num_rows)]
+    for col, alt in (("format", lambda f: fmt), ("url", lambda u: u.rsplit(".", 1)[0] + "." + fmt)):
+        vals = [alt(v) if p else v for v, p in zip(seed[col].to_pylist(), pick)]
+        seed = seed.set_column(seed.column_names.index(col), col, pa.array(vals))
+    ids = {r for r, p in zip(seed["resource_id"].to_pylist(), pick) if p}
+    eng = make_crawl_engine(workdir, batch_size=30)
     eng.load_catalog(seed)
     eng.run(1)
-    checks = eng.checks.read_arrow()
-    cat = eng.catalog.read_arrow(columns=["resource_id", "format"])
-    xls_ids = {
-        r for r, f in zip(cat["resource_id"].to_pylist(), cat["format"].to_pylist()) if f == "xls"
-    }
-    assert xls_ids
-    got = 0
-    docs_tbl = eng.read_documents()
-    doc_ids = set(docs_tbl["doc_id"].to_pylist())
-    for row in checks.to_pylist():
-        if row["resource_id"] in xls_ids and row["parsing_table"]:
-            got += 1
-            assert row["resource_id"] in doc_ids  # span doc built from the workbook route
-    assert got > 0
+    checks = [r for r in eng.checks.read_arrow().to_pylist() if r["resource_id"] in ids]
+    parsed = {r["resource_id"] for r in checks if r["parsing_table"]}
+    assert parsed
+    assert all(r["mime_type"] == mime for r in checks if r["resource_id"] in parsed)
+    ti = eng.tables_index.read_arrow().to_pylist()
+    engines = {r["resource_id"]: json.loads(r["csv_detective"])["engine"] for r in ti}
+    assert {engines[r] for r in parsed} == {f"hydra-ray-{fmt}"}
+    assert parsed <= set(eng.read_documents()["doc_id"].to_pylist())
     eng.shutdown()
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_xls_resource_routes_through_biff_reader(tmp_path, make_crawl_engine):
+    """A ``.xls`` resource parses through the BIFF reader in the analyse
+    stage (S4 legacy-Excel route): the check carries the CFB mime and a
+    parsing_table, its inspection report the xls engine mark."""
+    _check_workbook_route(make_crawl_engine, str(tmp_path / "wd"), "xls", "application/vnd.ms-excel")
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_ods_resource_routes_through_odf_reader(tmp_path, make_crawl_engine):
-    """A catalog row with format='ods' parses through the ODF reader
-    in the analyse stage (S4 OpenDocument route, sources/ods.py): the check carries a
-    parsing_table and an inspection report with the ods engine mark."""
-    import numpy as np
-
-    from hydra_ray.synth import catalog_from_documents
-
-    docs = pa.table({"doc_id": pa.array(np.arange(30), type=pa.int64())})
-    seed = catalog_from_documents(docs)
-    fmt = pa.array(
-        ["ods" if i % 3 == 0 else f for i, f in enumerate(seed["format"].to_pylist())]
+    """A ``.ods`` resource parses through the ODF reader in the analyse
+    stage (S4 OpenDocument route, sources/ods.py): the check carries the
+    ODS mime and a parsing_table, its inspection report the ods engine
+    mark."""
+    _check_workbook_route(
+        make_crawl_engine, str(tmp_path / "wd"), "ods", "application/vnd.oasis.opendocument.spreadsheet"
     )
-    seed = seed.set_column(seed.column_names.index("format"), "format", fmt)
-    eng = make_crawl_engine(str(tmp_path / "wd"), batch_size=30)
-    eng.load_catalog(seed)
-    eng.run(1)
-    checks = eng.checks.read_arrow()
-    cat = eng.catalog.read_arrow(columns=["resource_id", "format"])
-    ods_ids = {
-        r for r, f in zip(cat["resource_id"].to_pylist(), cat["format"].to_pylist()) if f == "ods"
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_one_download_per_resource(tmp_path, make_crawl_engine):
+    """The same rows served as an xlsx, as CSV and as gzip'd CSV: each
+    checksum is the sha1 of the bytes served, the mime is sniffed from
+    them, the three parses agree, and the xlsx span text equals the CSV
+    twin's. A body over its format's cap is refused even when its
+    Content-Length is under the cap."""
+    from hydra_ray.config import config
+    from hydra_ray.sources.xlsx import write_xlsx
+
+    rows = [["id", "name", "value"]] + [[str(i), f"item-{i}", str(7 * i)] for i in range(12)]
+    csv_text = "\n".join(",".join(r) for r in rows)
+    served = {
+        "https://wb.example/r.xlsx": ("xlsx", write_xlsx(rows)),
+        "https://csv.example/r.csv": ("csv", csv_text.encode()),
+        "https://gz.example/r.csv.gz": ("csv.gz", gzip.compress(csv_text.encode(), mtime=0)),
+        "https://big.example/r.csv": ("csv", b"id,v\n" + b"1,2\n" * 2000),
     }
-    assert ods_ids
-    got = 0
-    docs_tbl = eng.read_documents()
-    doc_ids = set(docs_tbl["doc_id"].to_pylist())
-    for row in checks.to_pylist():
-        if row["resource_id"] in ods_ids and row["parsing_table"]:
-            got += 1
-            assert row["resource_id"] in doc_ids  # span doc built from the workbook route
-    assert got > 0
+    urls = list(served)
+    headers = {"content-type": "application/octet-stream", "content-length": "100"}
+    eng = make_crawl_engine(
+        str(tmp_path / "wd"),
+        transport={
+            "kind": "mock",
+            "responses": {("head", u): {"kind": "ok", "status": 200, "headers": headers} for u in urls},
+            "bodies": {u: body for u, (_f, body) in served.items()},
+        },
+        batch_size=10,
+        analysis_config={"MAX_FILESIZE_ALLOWED": {**config.MAX_FILESIZE_ALLOWED, "csv": 4096}},
+    )
+    eng.load_catalog(
+        pa.table(
+            {
+                "dataset_id": ["ds"] * len(urls),
+                "resource_id": [url_md5(u) for u in urls],
+                "url": urls,
+                "format": [f for f, _b in served.values()],
+            }
+        )
+    )
+    eng.run_iteration()
+    checks = {r["url"]: r for r in eng.checks.read_arrow().to_pylist()}
+    for u in urls[:3]:
+        assert checks[u]["checksum"] == hashlib.sha1(served[u][1]).hexdigest()
+        assert checks[u]["analysis_error"] is None
+        assert checks[u]["parsing_table"] == url_md5(u)
+    assert checks[urls[0]]["mime_type"] == "application/vnd.openxmlformats-officedocument.spreadsheetml.sheet"
+    assert checks[urls[2]]["mime_type"] == "application/gzip"
+    big = checks[urls[3]]
+    assert big["analysis_error"] == "File too large to download"
+    assert big["checksum"] is None and big["parsing_table"] is None
+
+    reports = {
+        r["url"]: json.loads(r["csv_detective"]) for r in eng.tables_index.read_arrow().to_pylist()
+    }
+    assert reports[urls[0]]["engine"] == "hydra-ray-xlsx"
+    shapes = [
+        (rep["header"], {c: v["python_type"] for c, v in rep["columns"].items()})
+        for rep in (reports[u] for u in urls[:3])
+    ]
+    assert shapes[0] == shapes[1] == shapes[2]
+    assert shapes[0][1] == {"id": "int", "name": "string", "value": "int"}
+
+    docs = {d["doc_id"]: d["spans"] for d in eng.read_documents().to_pylist()}
+    span_text = {u: [s["text"] for s in docs[url_md5(u)]] for u in urls[:3]}
+    assert span_text[urls[0]] == span_text[urls[1]] == span_text[urls[2]]
+    assert "".join(span_text[urls[1]]).replace("\n", "") == csv_text.replace("\n", "")
     eng.shutdown()
 
 
