@@ -136,11 +136,12 @@ def cmd_convert_csv_to_geojson(args) -> dict:
     _ray_init()
     import ray.data as rd
 
+    from hydra_ray.config import config
     from hydra_ray.stages.geo import detect_geo_columns, features_batch, write_feature_collections
     from hydra_ray.stages.inspection import csv_text_to_table, decode_text, inspect_csv_text
 
     with open(args.file, "rb") as f:
-        text, _enc = decode_text(f.read())
+        text, _enc = decode_text(f.read(), config.MAX_FILESIZE_ALLOWED["csvgz"])
     report = inspect_csv_text(text)
     geo = detect_geo_columns(report["columns"])
     if geo is None:

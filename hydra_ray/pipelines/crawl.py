@@ -47,6 +47,7 @@ from hydra_ray.stages.fetcher import Fetcher
 from hydra_ray.stages.frontier import select_batch
 from hydra_ray.stages.sinks import IterationSink
 from hydra_ray.state.politeness import PolitenessPool
+from hydra_ray.state.shard import save_slots, start_hosts
 from hydra_ray.state.urlseen import UrlSeenPool
 
 VIRTUAL_T0 = datetime(2026, 1, 1, 0, 0, 0)  # virtual clock origin (naive UTC)
@@ -113,10 +114,13 @@ class CrawlEngine:
         self.payloads = VersionedTable(os.path.join(workdir, "payloads"))
         self.metrics = VersionedTable(os.path.join(workdir, "metrics"))
         self.tables_index = VersionedTable(os.path.join(workdir, "tables_index"))
-        self.urlseen = UrlSeenPool.create(n_shards=urlseen_shards or config.URLSEEN_SHARDS)
-        self.politeness = PolitenessPool.create(
-            n_shards=politeness_shards or config.POLITENESS_SHARDS, **(politeness_kwargs or {})
-        )
+        # URL-seen shard i and politeness shard i share one actor
+        # process: max(u, p) cold workers to start, not u + p
+        n_seen = urlseen_shards or config.URLSEEN_SHARDS
+        n_pol = politeness_shards or config.POLITENESS_SHARDS
+        self._state_hosts = start_hosts(max(n_seen, n_pol), **(politeness_kwargs or {}))
+        self.urlseen = UrlSeenPool(self._state_hosts[:n_seen])
+        self.politeness = PolitenessPool(self._state_hosts[:n_pol])
         self.iteration = int(self.catalog.meta().get("iteration", 0))
         # tombstones already purged this engine lifetime (resume
         # re-purges once — idempotent, see purge_deleted_resources)
@@ -133,7 +137,7 @@ class CrawlEngine:
         """Kill the state actors (tests create many engines per session)."""
         import ray
 
-        for actor in self.urlseen.shards + self.politeness.shards:
+        for actor in self._state_hosts:
             try:
                 ray.kill(actor)
             except Exception:
@@ -868,6 +872,7 @@ class CrawlEngine:
             # lack them — carry the stored values for the touched rows or
             # the select below crashes (cached) / the merge null-fills
             # them (uncached)
+            have = set(upd.column_names)
             missing = [
                 c
                 for c in (
@@ -875,7 +880,7 @@ class CrawlEngine:
                     if self._frontier_cache is not None
                     else (self.catalog.schema().names if not self.catalog.is_empty() else [])
                 )
-                if c not in upd.column_names
+                if c not in have
             ]
             upd = self._carry_stored_columns(upd, missing)
             cache = self._frontier_cache
@@ -958,8 +963,9 @@ class CrawlEngine:
     # -- crawl-state checkpoints (per-shard files, write-then-commit) ------
     #
     # Layout: workdir/state/iter{N:06d}/ holding one pkl per politeness
-    # and URL-seen shard (each written by its own actor — state bytes
-    # never pass through the driver, and the N writes run in parallel)
+    # and URL-seen shard (each slot's files written by its host actor in
+    # one call — state bytes never pass through the driver, and the
+    # slots write in parallel)
     # plus meta.json written LAST as the commit marker. A dir without
     # meta.json is an aborted save and is ignored / GC'd. The legacy
     # single-pickle iter{N:06d}.pkl format is still restorable.
@@ -977,7 +983,7 @@ class CrawlEngine:
         os.makedirs(d, exist_ok=True)
         import ray as _ray
 
-        _ray.get(self.politeness.save_shards(d) + self.urlseen.save_shards(d))
+        _ray.get(save_slots([self.politeness, self.urlseen], d))
         meta = {
             "iteration": it,
             "politeness_shards": self.politeness.n,
@@ -1109,7 +1115,8 @@ _FRONTIER_COLS = [
 
 def _frontier_update_backoff(rows: pa.Table, now: datetime) -> pa.Table:
     n = rows.num_rows
-    out = rows.select([c for c in _FRONTIER_COLS if c in rows.column_names])
+    have = set(rows.column_names)
+    out = rows.select([c for c in _FRONTIER_COLS if c in have])
     out = _set_column(out, "status", pa.array(["BACKOFF"] * n))
     out = _set_column(out, "status_since", pa.array([now] * n, type=pa.timestamp("us")))
     # priority survives a quota backoff: the check the flag requested
@@ -1124,7 +1131,8 @@ def _frontier_update_fetched(result: pa.Table, now: datetime) -> pa.Table:
     columns replaced by the new check's values; 404-recovered resources
     get their catalog url updated + re-canonicalized (J5)."""
     n = result.num_rows
-    out = result.select([c for c in _FRONTIER_COLS if c in result.column_names])
+    have = set(result.column_names)
+    out = result.select([c for c in _FRONTIER_COLS if c in have])
     out = _set_column(out, "status", pa.nulls(n, pa.string()))
     out = _set_column(out, "status_since", pa.array([now] * n, type=pa.timestamp("us")))
     out = _set_column(out, "priority", pa.array([False] * n))

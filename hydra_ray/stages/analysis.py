@@ -123,6 +123,7 @@ class Analyser:
         out_err, out_dlma, out_next, out_fmt, out_payload, out_parse = [], [], [], [], [], []
         out_run: list[bool] = []  # run_further per row (feeds OGC analysis)
         bodies: list[bytes | None] = [None] * n  # the downloaded file per row
+        caps = [0] * n  # each downloaded body's size cap (bounds its gunzip too)
 
         outcomes = batch["outcome"].to_pylist() if "outcome" in batch.column_names else ["ok"] * n
 
@@ -168,7 +169,7 @@ class Analyser:
             if change != Change.HAS_NOT_CHANGED or self.force:
                 content_len = int(headers.get("content-length") or 0)
                 cap = config.MAX_FILESIZE_ALLOWED.get(fmt, config.DEFAULT_MAX_FILESIZE_ALLOWED)
-                max_allowed = (1 << 62) if rids[j] in self.exceptions else cap
+                max_allowed = caps[j] = (1 << 62) if rids[j] in self.exceptions else cap
                 # transports return at most max_allowed + 1 bytes: an
                 # oversize body shows even under a small Content-Length
                 body = None if content_len > max_allowed else self.transport.download(urls[j], max_allowed)
@@ -237,7 +238,7 @@ class Analyser:
         self._last_parse_errors: list[str | None] = [None] * n
         self._last_exports = {k: [None] * n for k in _EXPORT_KEYS}
         if self.parse_content:
-            spans_col, parsing_tables = self._parse_contents(batch, out_parse, bodies)
+            spans_col, parsing_tables = self._parse_contents(batch, out_parse, bodies, caps)
 
         # OGC capabilities analysis for service-format resources
         # (reference data_formats/ogc/__init__.py:80-248: parse
@@ -338,9 +339,12 @@ class Analyser:
             )
         return out
 
-    def _parse_contents(self, batch: pa.Table, do_parse: list[bool], bodies: list[bytes | None]):
+    def _parse_contents(
+        self, batch: pa.Table, do_parse: list[bool], bodies: list[bytes | None], caps: list[int]
+    ):
         """Inspect + cast + span-build of the parse-routed rows'
-        downloaded bodies; returns the spans list<struct> column (nulls
+        downloaded bodies (a gzip body inflates to at most its row's
+        size cap, ``caps``); returns the spans list<struct> column (nulls
         elsewhere) and parsing-table names. A sheet's span text is its
         read rows joined with "," and newlines. Parse failures are
         captured per resource into ``self._last_parse_errors`` with the
@@ -372,7 +376,7 @@ class Analyser:
             reader = readers.get(sniff_mime(bodies[j]))
             try:
                 if reader is None:
-                    text = decode_text(bodies[j])[0]
+                    text = decode_text(bodies[j], caps[j])[0]
                     csvs.append((j, text, text))
                     continue
                 rows = reader[0](bodies[j])

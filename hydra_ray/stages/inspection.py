@@ -34,12 +34,15 @@ from __future__ import annotations
 
 import json
 import re
+import zlib
 from datetime import date, datetime
 from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from hydra_ray.config import config
 
 SEPARATORS = [";", ",", "\t", "|"]
 
@@ -597,21 +600,41 @@ def detect_encoding(data: bytes) -> str:
         return "latin-1"
 
 
-def decode_text(data: bytes) -> tuple[str, str]:
+class FileTooLarge(ValueError):
+    """A body past its format's size cap: refused as an oversize
+    download is."""
+
+    def __init__(self) -> None:
+        super().__init__("File too large to download")
+
+
+def decode_text(data: bytes, max_size: int) -> tuple[str, str]:
     """Downloaded bytes → (text, encoding): gunzip if compressed
     (.csv.gz resources, reference utils/file.py gzip handling), then
-    detect the encoding and decode."""
+    detect the encoding and decode. A gzip body (every member) inflates
+    to at most ``max_size`` bytes, its format's cap; past that it raises
+    ``FileTooLarge`` without building the rest."""
     if data[:2] == b"\x1f\x8b":
-        import gzip
-
-        data = gzip.decompress(data)
+        members, room = [], max_size
+        while data:
+            d = zlib.decompressobj(wbits=31)
+            out = d.decompress(data, room + 1)
+            if len(out) > room:
+                raise FileTooLarge()
+            if not d.eof:
+                raise EOFError("Compressed file ended before the end-of-stream marker was reached")
+            members.append(out)
+            room -= len(out)
+            data = d.unused_data
+        data = b"".join(members)
     enc = detect_encoding(data)
     return data.decode(enc), enc
 
 
 def inspect_csv_bytes(data: bytes, sample_rows: int = 100, output_profile: bool = False) -> dict:
-    """Bytes entry point: decode (``decode_text``), then inspect."""
-    text, enc = decode_text(data)
+    """Bytes entry point: decode (``decode_text``, at the csvgz cap),
+    then inspect."""
+    text, enc = decode_text(data, config.MAX_FILESIZE_ALLOWED["csvgz"])
     report = inspect_csv_text(text, sample_rows=sample_rows, output_profile=output_profile)
     report["encoding"] = enc
     return report

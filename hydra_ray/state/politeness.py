@@ -1,4 +1,4 @@
-"""Per-domain politeness (backoff / rate-limit) actor shards.
+"""Per-domain politeness (backoff / rate-limit) state shards.
 
 The reference derives backoff from SQL over the ``checks`` log on
 every URL (udata_hydra/crawl/helpers.py:77-150): a sliding-window
@@ -6,11 +6,14 @@ count (BACKOFF_NB_REQ completed requests per BACKOFF_PERIOD seconds
 per domain), a 429 cool-off of COOL_OFF_PERIOD seconds, and
 x-ratelimit header inspection on the latest check. We keep identical
 thresholds and decision order, but hold the state incrementally in
-sharded actors keyed by ``hash(domain) % n_shards`` — no SQL window
-scan per URL, O(1) per decision, and deterministic under the injected
-clock (`now` is an explicit float epoch-seconds argument everywhere).
+shards keyed by ``hash(domain) % n_shards`` — no SQL window scan per
+URL, O(1) per decision, and deterministic under the injected clock
+(`now` is an explicit float epoch-seconds argument everywhere).
 
-Batched API: one actor call per (shard, batch), never per row.
+Each shard is a ``PolitenessState`` inside a ``StateShard`` actor
+(state/shard.py): one process per slot, shared with URL-seen shard *i*
+when the engine starts both pools. Batched API: one actor call per
+(shard, batch), never per row.
 """
 
 from __future__ import annotations
@@ -19,18 +22,9 @@ import os
 import pickle
 from collections import deque
 
-import numpy as np
 import ray
 
 from hydra_ray.config import config
-
-
-def _atomic_pickle(path: str, blob) -> str:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as f:
-        pickle.dump(blob, f)
-    os.replace(tmp, path)
-    return path
 
 
 class _DomainState:
@@ -182,45 +176,6 @@ class PolitenessState:
             st.rl_limit = rl_lim
 
 
-@ray.remote(num_cpus=0)
-class PolitenessShard:
-    def __init__(self, **kwargs):
-        self.state = PolitenessState(**kwargs)
-
-    def should_backoff_batch(self, domains: list[str], now: float) -> list[tuple[bool, str]]:
-        return [self.state.should_backoff(d, now) for d in domains]
-
-    def record_checks(self, records: list[tuple], now: float) -> None:
-        """records: (domain, status, ratelimit_remaining, ratelimit_limit)."""
-        for domain, status, rl_rem, rl_lim in records:
-            self.state.record_check(domain, now, status, rl_rem, rl_lim)
-
-    def reserve_batch(self, requests: list[tuple[str, int]], now: float) -> list[int]:
-        return [self.state.reserve(d, n, now) for d, n in requests]
-
-    def record_agg_batch(self, records: list[tuple], now: float) -> None:
-        """records: (domain, n_completed, last_status, rl_remaining, rl_limit)."""
-        for domain, n, status, rl_rem, rl_lim in records:
-            self.state.record_agg(domain, n, now, status, rl_rem, rl_lim)
-
-    def serialize(self) -> dict:
-        return self.state.serialize()
-
-    def restore(self, blob: dict) -> None:
-        self.state.restore(blob)
-
-    def save(self, path: str) -> str:
-        """Write this shard's state to ``path`` atomically (actor-side:
-        state bytes never pass through the driver; on a multi-node
-        cluster the workdir is shared storage, same assumption as the
-        per-block parquet sinks)."""
-        return _atomic_pickle(path, self.state.serialize())
-
-    def load(self, path: str) -> None:
-        with open(path, "rb") as f:
-            self.state.restore(pickle.load(f))
-
-
 def _domain_shard(domain: str, n: int) -> int:
     """Stable shard routing (python hash() is salted per process)."""
     import zlib
@@ -236,13 +191,17 @@ class PolitenessPool:
     a given domain.
     """
 
+    part = "politeness"  # the hosts' part name and the checkpoint file prefix
+
     def __init__(self, shards: list):
-        self.shards = shards
+        self.shards = shards  # StateShard handles
         self.n = len(shards)
 
     @classmethod
     def create(cls, n_shards: int = 4, **kwargs) -> "PolitenessPool":
-        return cls([PolitenessShard.remote(**kwargs) for _ in range(n_shards)])
+        from hydra_ray.state.shard import start_hosts
+
+        return cls(start_hosts(n_shards, **kwargs))
 
     def should_backoff(self, domains: list[str], now: float) -> list[tuple[bool, str]]:
         by_shard: dict[int, list[int]] = {}
@@ -290,7 +249,7 @@ class PolitenessPool:
         )
 
     def serialize(self) -> list[dict]:
-        return ray.get([s.serialize.remote() for s in self.shards])
+        return ray.get([s.serialize.remote(self.part) for s in self.shards])
 
     def restore(self, blobs: list[dict]) -> None:
         if len(blobs) != self.n:
@@ -303,21 +262,23 @@ class PolitenessPool:
             for d, v in merged.items():
                 parts[_domain_shard(d, self.n)][d] = v
             blobs = parts
-        ray.get([s.restore.remote(b) for s, b in zip(self.shards, blobs)])
+        ray.get([s.restore.remote(self.part, b) for s, b in zip(self.shards, blobs)])
 
     # -- sharded checkpointing (per-partition state files) -----------------
-    def save_shards(self, dirpath: str, prefix: str = "politeness") -> list:
-        """One state file per shard, written by the shard actor itself —
+    def shard_files(self, dirpath: str) -> list[str]:
+        return [os.path.join(dirpath, f"{self.part}-{i:03d}.pkl") for i in range(self.n)]
+
+    def save_shards(self, dirpath: str) -> list:
+        """One state file per shard, written by the shard's host itself —
         O(1) driver memory and N parallel writes instead of a single
         driver-side pickle of every domain window. Returns refs."""
-        return [
-            s.save.remote(os.path.join(dirpath, f"{prefix}-{i:03d}.pkl"))
-            for i, s in enumerate(self.shards)
-        ]
+        from hydra_ray.state.shard import save_slots
+
+        return save_slots([self], dirpath)
 
     def load_shards(self, paths: list[str]) -> None:
         if len(paths) == self.n:
-            ray.get([s.load.remote(p) for s, p in zip(self.shards, paths)])
+            ray.get([s.load.remote(self.part, p) for s, p in zip(self.shards, paths)])
             return
         # re-shard on the driver (rare: config change between runs)
         blobs = []

@@ -1,12 +1,12 @@
-"""Sharded URL-seen set: one exact, sorted key array per shard actor.
+"""Sharded URL-seen set: one exact, sorted key array per shard.
 
 The reference enforces URL/resource uniqueness with a Postgres UNIQUE
 constraint + ``ON CONFLICT`` upserts (udata_hydra/db/resource.py:64-79,
 cli/catalog.py:62-76). At 10^10-frontier scale a central unique index
 is the bottleneck, so membership is sharded: the 64-bit url key
 (``url_key``, from the canonicalize stage) → shard
-``key % n_shards`` → one ``UrlSeenShard`` actor holding every key
-routed to it as a sorted, unique int64 array. Membership is exact (no
+``key % n_shards`` → one ``UrlSeenShard`` holding every key routed to
+it as a sorted, unique int64 array. Membership is exact (no
 false positives to resolve against the catalog) at 8 B/key, and a
 batch merges in with ``searchsorted`` + ``insert`` in O(n + m).
 
@@ -14,6 +14,10 @@ Usage from a pipeline: ``UrlSeenPool.create(n_shards)`` on the driver,
 then ``pool.add_if_new(keys)`` — the pool groups keys by shard, issues
 one batched actor call per shard, and reassembles the boolean mask in
 input order. Calls are batched per Dataset block, never per row.
+
+Each shard lives in a ``StateShard`` actor (state/shard.py): one
+process per slot, shared with politeness shard *i* when the engine
+starts both pools.
 """
 
 from __future__ import annotations
@@ -24,15 +28,10 @@ import pickle
 import numpy as np
 import ray
 
-from hydra_ray.state.politeness import _atomic_pickle
 
-
-# num_cpus=0: shards are lightweight lookup servers that must never
-# starve the fetch/analyse pools of CPU slots; on a real cluster give
-# them fractional CPUs via .options(num_cpus=...) at creation.
-@ray.remote(num_cpus=0)
 class UrlSeenShard:
-    """One shard of the URL-seen set."""
+    """One shard of the URL-seen set (plain Python; a ``StateShard``
+    actor hosts it)."""
 
     def __init__(self):
         self.keys = np.empty(0, dtype=np.int64)  # sorted, unique
@@ -71,17 +70,11 @@ class UrlSeenShard:
         # "filter" entry; their "exact" entry is the same sorted array
         self.keys = np.frombuffer(blob["exact"], dtype=np.int64)
 
-    def save(self, path: str) -> str:
-        """Atomic actor-side state write (bytes never touch the driver)."""
-        return _atomic_pickle(path, self.serialize())
-
-    def load(self, path: str) -> None:
-        with open(path, "rb") as f:
-            self.restore(pickle.load(f))
-
 
 class UrlSeenPool:
-    """Driver-side facade over the shard actors."""
+    """Driver-side facade over the shard hosts (``StateShard`` handles)."""
+
+    part = "urlseen"  # the hosts' part name and the checkpoint file prefix
 
     def __init__(self, shards: list):
         self.shards = shards
@@ -89,7 +82,9 @@ class UrlSeenPool:
 
     @classmethod
     def create(cls, n_shards: int) -> "UrlSeenPool":
-        return cls([UrlSeenShard.remote() for _ in range(n_shards)])
+        from hydra_ray.state.shard import start_hosts
+
+        return cls(start_hosts(n_shards))
 
     def _route(self, keys: np.ndarray) -> np.ndarray:
         return (keys.view(np.uint64) % np.uint64(self.n)).astype(np.int64)
@@ -115,13 +110,13 @@ class UrlSeenPool:
         return self._scatter_gather(keys, "contains")
 
     def serialize(self) -> list[dict]:
-        return ray.get([s.serialize.remote() for s in self.shards])
+        return ray.get([s.serialize.remote(self.part) for s in self.shards])
 
     def restore(self, blobs: list[dict]) -> None:
         if len(blobs) != self.n:
             self._restore_rerouted(blobs)
             return
-        ray.get([s.restore.remote(b) for s, b in zip(self.shards, blobs)])
+        ray.get([s.restore.remote(self.part, b) for s, b in zip(self.shards, blobs)])
 
     def _restore_rerouted(self, blobs: list[dict]) -> None:
         """Shard count changed between checkpoint and restore: merge the
@@ -131,16 +126,18 @@ class UrlSeenPool:
             self.add_if_new(np.concatenate(arrs))
 
     # -- sharded checkpointing (per-partition state files) -----------------
-    def save_shards(self, dirpath: str, prefix: str = "urlseen") -> list:
+    def shard_files(self, dirpath: str) -> list[str]:
+        return [os.path.join(dirpath, f"{self.part}-{i:03d}.pkl") for i in range(self.n)]
+
+    def save_shards(self, dirpath: str) -> list:
         """One file per shard, written actor-side in parallel. Returns refs."""
-        return [
-            s.save.remote(os.path.join(dirpath, f"{prefix}-{i:03d}.pkl"))
-            for i, s in enumerate(self.shards)
-        ]
+        from hydra_ray.state.shard import save_slots
+
+        return save_slots([self], dirpath)
 
     def load_shards(self, paths: list[str]) -> None:
         if len(paths) == self.n:
-            ray.get([s.load.remote(p) for s, p in zip(self.shards, paths)])
+            ray.get([s.load.remote(self.part, p) for s, p in zip(self.shards, paths)])
             return
         blobs = []
         for p in paths:

@@ -4,10 +4,10 @@ iteration boundary (nothing partially committed) or resumes
 byte-identical from the last checkpoint — the north rule's
 resumability beyond the driver kill+resume covered by test_soak.
 
-Two actor classes exercised: PolitenessShard (killed between the sink
-stage and the politeness commit — the worst window: txn part files are
-already on disk but unregistered) and UrlSeenShard (killed before the
-state checkpoint write).
+Two actor classes exercised: the StateShard host of a politeness shard
+(killed between the sink stage and the politeness commit — the worst
+window: txn part files are already on disk but unregistered), then of a
+URL-seen shard (killed between iterations), and an HNSW shard.
 """
 
 import numpy as np
@@ -96,10 +96,11 @@ def test_urlseen_shard_killed_before_checkpoint(tmp_path, make_crawl_engine):
     eng.run(1)
     committed_iter = eng.iteration
 
-    # the URL-seen shard dies mid-crawl; the failure surfaces when the
-    # iteration checkpoint tries to persist shard state — BEFORE the
-    # catalog manifest advances (crash-window ordering, crawl.py
-    # _finish_iteration)
+    # the URL-seen shard dies mid-crawl, and politeness shard 1 with it
+    # (one host per slot): the failure surfaces at the iteration's
+    # politeness reserve, or at the latest when the iteration checkpoint
+    # tries to persist shard state — BEFORE the catalog manifest
+    # advances (crash-window ordering, crawl.py _finish_iteration)
     ray.kill(eng.urlseen.shards[1], no_restart=True)
     with pytest.raises(ray.exceptions.RayActorError):
         eng.run_iteration()

@@ -212,7 +212,8 @@ def test_one_download_per_resource(tmp_path, make_crawl_engine):
     checksum is the sha1 of the bytes served, the mime is sniffed from
     them, the three parses agree, and the xlsx span text equals the CSV
     twin's. A body over its format's cap is refused even when its
-    Content-Length is under the cap."""
+    Content-Length is under the cap; a gzip body under the cap that
+    inflates past it is hashed but refused at the parse."""
     from hydra_ray.config import config
     from hydra_ray.sources.xlsx import write_xlsx
 
@@ -223,6 +224,7 @@ def test_one_download_per_resource(tmp_path, make_crawl_engine):
         "https://csv.example/r.csv": ("csv", csv_text.encode()),
         "https://gz.example/r.csv.gz": ("csv.gz", gzip.compress(csv_text.encode(), mtime=0)),
         "https://big.example/r.csv": ("csv", b"id,v\n" + b"1,2\n" * 2000),
+        "https://bomb.example/r.csv.gz": ("csv.gz", gzip.compress(b"id,v\n" + b"1,2\n" * 20_000, mtime=0)),
     }
     urls = list(served)
     headers = {"content-type": "application/octet-stream", "content-length": "100"}
@@ -234,7 +236,8 @@ def test_one_download_per_resource(tmp_path, make_crawl_engine):
             "bodies": {u: body for u, (_f, body) in served.items()},
         },
         batch_size=10,
-        analysis_config={"MAX_FILESIZE_ALLOWED": {**config.MAX_FILESIZE_ALLOWED, "csv": 4096}},
+        # the octet-stream content type gives the xlsx the csvgz cap too
+        analysis_config={"MAX_FILESIZE_ALLOWED": {**config.MAX_FILESIZE_ALLOWED, "csv": 4096, "csvgz": 16384}},
     )
     eng.load_catalog(
         pa.table(
@@ -257,6 +260,11 @@ def test_one_download_per_resource(tmp_path, make_crawl_engine):
     big = checks[urls[3]]
     assert big["analysis_error"] == "File too large to download"
     assert big["checksum"] is None and big["parsing_table"] is None
+    bomb = checks[urls[4]]
+    assert len(served[urls[4]][1]) < 16384
+    assert bomb["checksum"] == hashlib.sha1(served[urls[4]][1]).hexdigest()
+    assert bomb["parsing_table"] is None
+    assert bomb["parsing_error"] == "csv_detective:File too large to download"
 
     reports = {
         r["url"]: json.loads(r["csv_detective"]) for r in eng.tables_index.read_arrow().to_pylist()

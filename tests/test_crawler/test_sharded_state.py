@@ -81,25 +81,44 @@ def test_legacy_single_pickle_still_restores(tmp_path, make_crawl_engine):
 def test_resume_with_different_shard_counts(tmp_path, make_crawl_engine):
     """Checkpoint with K shards, resume with K' ≠ K: state is re-routed
     by the stable hash and the crawl continues identically (politeness
-    dict re-scatter; URL-seen exact-key re-insert)."""
+    dict re-scatter; URL-seen exact-key re-insert). Each (URL-seen,
+    politeness) pair shares state hosts, so the counts also cross over
+    which pool has the extra hosts."""
     kw = dict(batch_size=30)
     straight = make_crawl_engine(
         str(tmp_path / "s"), politeness_shards=2, urlseen_shards=3, **kw
     )
     straight.load_catalog(small_seed())
     straight.run(4)
-
-    wd = str(tmp_path / "r")
-    a = make_crawl_engine(wd, politeness_shards=2, urlseen_shards=3, **kw)
-    a.load_catalog(small_seed())
-    a.run(2)
-    a.shutdown()
-    b = make_crawl_engine(wd, politeness_shards=5, urlseen_shards=2, **kw)
-    assert b.iteration == 2
-    b.run(2)
-    assert checks_fingerprint(straight) == checks_fingerprint(b)
+    want = checks_fingerprint(straight)
     straight.shutdown()
-    b.shutdown()
+
+    # (urlseen, politeness) shards at checkpoint → at resume
+    for case, (before, after) in enumerate([((3, 2), (2, 5)), ((3, 1), (1, 3))]):
+        wd = str(tmp_path / f"r{case}")
+        a = make_crawl_engine(wd, urlseen_shards=before[0], politeness_shards=before[1], **kw)
+        a.load_catalog(small_seed())
+        a.run(2)
+        a.shutdown()
+        b = make_crawl_engine(wd, urlseen_shards=after[0], politeness_shards=after[1], **kw)
+        assert b.iteration == 2
+        b.run(2)
+        assert checks_fingerprint(b) == want, (before, after)
+        b.shutdown()
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("n_seen,n_pol", [(3, 2), (1, 3)])
+def test_engine_shares_state_hosts_across_pools(tmp_path, make_crawl_engine, n_seen, n_pol):
+    """An engine with u URL-seen and p politeness shards runs max(u, p)
+    state actors, and slot i of both pools is the same actor."""
+    e = make_crawl_engine(str(tmp_path / "wd"), urlseen_shards=n_seen, politeness_shards=n_pol)
+    assert (e.urlseen.n, e.politeness.n) == (n_seen, n_pol)
+    ids = [s._actor_id.hex() for s in e.urlseen.shards + e.politeness.shards]
+    assert len(set(ids)) == max(n_seen, n_pol)
+    for a, b in zip(e.urlseen.shards, e.politeness.shards):
+        assert a._actor_id == b._actor_id
+    e.shutdown()
 
 
 @pytest.mark.usefixtures("ray_session")

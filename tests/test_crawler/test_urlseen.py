@@ -96,9 +96,8 @@ def _drive(target, fresh, batches, restore_at, probe):
 @settings(max_examples=200, deadline=None)
 @given(batches=_BATCHES, restore_at=st.integers(0, 5), extra=st.lists(_KEY, max_size=10))
 def test_shard_matches_set_reference(batches, restore_at, extra):
-    shard_cls = UrlSeenShard.__ray_actor_class__  # the shard body, in-process
     probe = [k for b in batches for k in b] + extra
-    got, shard = _drive(shard_cls(), shard_cls, batches, restore_at, probe)
+    got, shard = _drive(UrlSeenShard(), UrlSeenShard, batches, restore_at, probe)
     assert got == _reference(batches, probe)
     assert shard.keys.dtype == np.int64 and (shard.keys[1:] > shard.keys[:-1]).all()
 
