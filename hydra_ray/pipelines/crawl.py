@@ -167,8 +167,9 @@ class CrawlEngine:
         else:
             seed_ds = seed
             seed_cols = set(seed_ds.schema().names)
-        canon = seed_ds.map_batches(canonicalize_batch, batch_format="pyarrow")
-        canon = canon.map_batches(_add_frontier_columns, batch_format="pyarrow")
+        canon = seed_ds.map_batches(
+            StageChain(canonicalize_batch, _add_frontier_columns), batch_format="pyarrow"
+        )
         tbl = _ds_to_arrow(canon)
         # register every url in the seen set; first-wins dedup inside the load
         keys = tbl["url_key"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -289,9 +290,6 @@ class CrawlEngine:
                 # balanced row ranges, sliced on the driver
                 cuts = [i * n_rows // n_blocks for i in range(n_blocks + 1)]
                 slices = [fetch_rows.slice(a, b - a) for a, b in zip(cuts, cuts[1:])]
-            # one block per table, no shuffle; the blocks run concurrently
-            # and come back in block order
-            ds = blocks_dataset(slices)
             # per-block distributed sinks: checks / payloads / span docs are
             # written by the workers; only slim frontier columns reach the
             # driver (the heavy spans + payload strings never move)
@@ -300,8 +298,13 @@ class CrawlEngine:
             payloads_txn = self.payloads.new_txn_dir(tag=tag)
             docs_txn = self.documents.new_txn_dir(tag=tag)
             tables_txn = self.tables_index.new_txn_dir(tag=tag)
-            for stage in self._stages(it, checks_txn, payloads_txn, docs_txn, tables_txn):
-                ds = ds.map_batches(stage, batch_format="pyarrow", batch_size=None)
+            # one block per table, no shuffle, one map over the whole stage
+            # chain; the blocks run concurrently and come back in block order
+            ds = blocks_dataset(slices).map_batches(
+                self._stages(it, checks_txn, payloads_txn, docs_txn, tables_txn),
+                batch_format="pyarrow",
+                batch_size=None,
+            )
             result = _ds_to_arrow(ds)
             mark("pipeline")
 
@@ -531,9 +534,7 @@ class CrawlEngine:
         payloads_txn = self.payloads.new_txn_dir()
         docs_txn = self.documents.new_txn_dir()
         tables_txn = self.tables_index.new_txn_dir()
-        result = row
-        for stage in self._stages(it, checks_txn, payloads_txn, docs_txn, tables_txn):
-            result = stage(result)
+        result = self._stages(it, checks_txn, payloads_txn, docs_txn, tables_txn)(row)
         self.checks.register_files(_txn_files(checks_txn), skip_existing_basenames=True)
         self.payloads.register_files(_txn_files(payloads_txn), skip_existing_basenames=True)
         self.documents.register_files(_txn_files(docs_txn), skip_existing_basenames=True)
@@ -578,15 +579,15 @@ class CrawlEngine:
 
     def _stages(
         self, it: int, checks_txn: str, payloads_txn: str, docs_txn: str, tables_txn: str
-    ) -> list:
-        """fetch → check-build → analyse → sink callables for one
-        iteration, each taking and returning one pyarrow batch. Built on
+    ) -> "StageChain":
+        """The fetch → check-build → analyse → sink chain for one
+        iteration, taking and returning one pyarrow batch. Built on
         every call, so a swapped ``transport`` or edited
         ``resource_exceptions`` reaches the next iteration; the stage
         names are looked up as module globals at call time (perfbench's
         tracing shims replace them)."""
         transport = {**self.transport, "content_rows": self.analysis_content_rows}
-        return [
+        return StageChain(
             Fetcher(transport=transport, udata_uri=config.UDATA_URI, robots=self.robots),
             functools.partial(
                 build_checks_batch, iteration=it, now=self.now_dt(it).replace(tzinfo=timezone.utc)
@@ -598,7 +599,7 @@ class CrawlEngine:
                 config_overrides=self.analysis_config,
             ),
             IterationSink(checks_txn, payloads_txn, docs_txn, it, tables_dir=tables_txn),
-        ]
+        )
 
     def invalidate_frontier_cache(self) -> None:
         """MUST be called by any out-of-band catalog writer (e.g. the
@@ -1049,6 +1050,21 @@ class CrawlEngine:
 # ---------------------------------------------------------------------------
 # batch helpers (module-level so Ray serializes cheaply)
 # ---------------------------------------------------------------------------
+
+
+class StageChain:
+    """Batch stages applied in order to one pyarrow batch. One
+    ``map_batches`` over the chain runs them all in one task per block:
+    every ``map_batches`` builds a Dataset, and each Dataset costs a
+    synchronous call to Ray Data's stats actor."""
+
+    def __init__(self, *stages):
+        self.stages = stages
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        for stage in self.stages:
+            batch = stage(batch)
+        return batch
 
 
 def _add_frontier_columns(batch: pa.Table) -> pa.Table:

@@ -31,7 +31,7 @@ from xml.etree import ElementTree as ET
 
 import pyarrow as pa
 
-from hydra_ray.stages.inspection import Sheet, inspect_sheet, sheet_to_table
+from hydra_ray.stages.inspection import Sheet, inspect_sheet, sheet_cells, sheet_to_table
 
 _OFFICE = "urn:oasis:names:tc:opendocument:xmlns:office:1.0"
 _TABLE = "urn:oasis:names:tc:opendocument:xmlns:table:1.0"
@@ -123,6 +123,11 @@ def read_ods_rows(data: bytes) -> list[list[str]]:
     return [r + [""] * (max_cols - len(r)) for r in rows]
 
 
+def read_ods_cells(data: bytes) -> pa.ListArray:
+    """ODS bytes → a ``Sheet``'s cells (the analyse stage's reader)."""
+    return sheet_cells(read_ods_rows(data))
+
+
 def inspect_ods(
     data: bytes,
     sample_rows: int = 100,
@@ -134,7 +139,7 @@ def inspect_ods(
     read_ods_rows) to avoid a second XML parse."""
     if rows is None:
         rows = read_ods_rows(data)
-    return inspect_sheet(Sheet(rows, "hydra-ray-ods"), sample_rows, output_profile)
+    return inspect_sheet(Sheet(sheet_cells(rows), "hydra-ray-ods"), sample_rows, output_profile)
 
 
 def ods_to_table(
@@ -144,7 +149,7 @@ def ods_to_table(
     ``rows`` to reuse an existing read_ods_rows result."""
     if rows is None:
         rows = read_ods_rows(data)
-    return sheet_to_table(Sheet(rows, "hydra-ray-ods"), inspection)
+    return sheet_to_table(Sheet(sheet_cells(rows), "hydra-ray-ods"), inspection)
 
 
 # ---------------------------------------------------------------------------

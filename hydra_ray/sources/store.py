@@ -1677,11 +1677,15 @@ def ds_to_tables(ds: "rd.Dataset") -> list[pa.Table]:
     materialized dataset are then free.
     """
     mat = ds.materialize()
-    return [block_to_table(ray.get(ref)) for ref in mat.to_arrow_refs()]
+    return [block_to_table(t) for t in ray.get(mat.to_arrow_refs())]
 
 
 def blocks_dataset(tables: "pa.Table | list[pa.Table]") -> "rd.Dataset":
-    """``rd.from_arrow(tables)`` whose blocks run side by side, in order.
+    """One block per table, whose blocks run side by side, in order.
+
+    ``rd.from_blocks`` (a ``DeveloperAPI`` in Ray 2.49) reads each
+    block's metadata and schema on the driver, which already holds the
+    tables; ``rd.from_arrow`` starts one Ray task per block to read them.
 
     Ray Data 2.49 reserves object store per operator
     (``op_resource_reservation_enabled``, ratio 0.5) and, until a task
@@ -1697,7 +1701,7 @@ def blocks_dataset(tables: "pa.Table | list[pa.Table]") -> "rd.Dataset":
     Dataset's own ``ds.context`` (a copy, shared by the maps chained on
     it); the process-global ``DataContext`` is left untouched.
     """
-    ds = rd.from_arrow(tables)
+    ds = rd.from_blocks([tables] if isinstance(tables, pa.Table) else tables)
     ds.context.op_resource_reservation_enabled = False
     ds.context.execution_options.preserve_order = True
     return ds

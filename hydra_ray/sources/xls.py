@@ -35,7 +35,7 @@ import struct
 
 import pyarrow as pa
 
-from hydra_ray.stages.inspection import Sheet, inspect_sheet, sheet_to_table
+from hydra_ray.stages.inspection import Sheet, inspect_sheet, sheet_cells, sheet_to_table
 
 # CFB sector-chain sentinels
 _ENDOFCHAIN = 0xFFFFFFFE
@@ -392,6 +392,11 @@ def read_xls_rows(data: bytes) -> list[list[str]]:
     return [[cells.get((r, c), "") for c in range(n_cols)] for r in range(n_rows)]
 
 
+def read_xls_cells(data: bytes) -> pa.ListArray:
+    """XLS bytes → a ``Sheet``'s cells (the analyse stage's reader)."""
+    return sheet_cells(read_xls_rows(data))
+
+
 def inspect_xls(
     data: bytes,
     sample_rows: int = 100,
@@ -402,7 +407,7 @@ def inspect_xls(
     one-sheet batch; engine marks the BIFF source)."""
     if rows is None:
         rows = read_xls_rows(data)
-    return inspect_sheet(Sheet(rows, "hydra-ray-xls"), sample_rows, output_profile)
+    return inspect_sheet(Sheet(sheet_cells(rows), "hydra-ray-xls"), sample_rows, output_profile)
 
 
 def xls_to_table(
@@ -411,7 +416,7 @@ def xls_to_table(
     """XLS bytes → typed Arrow table via the batched cast sweep."""
     if rows is None:
         rows = read_xls_rows(data)
-    return sheet_to_table(Sheet(rows, "hydra-ray-xls"), inspection)
+    return sheet_to_table(Sheet(sheet_cells(rows), "hydra-ray-xls"), inspection)
 
 
 # ---------------------------------------------------------------------------

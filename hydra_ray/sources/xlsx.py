@@ -4,22 +4,30 @@ The reference ingests Excel as a first-class tabular source
 (utils/reader.py:19-70 via openpyxl/xlrd; data_formats/csv_like/
 __init__.py:161-217). Those wheels are not in this container, but XLSX
 is just a zip of XML — this module implements the subset needed for
-tabular ingestion with the standard library only:
+tabular ingestion with the standard library and pyarrow only:
 
   - shared strings (t="s"), inline strings (t="inlineStr" / t="str"),
     booleans (t="b") and numbers (default) are decoded;
   - sheet order comes from xl/workbook.xml + its relationships part
     (relative targets resolve from xl/, absolute ones from the package
-    root);
+    root); a plain ``<sheets>`` list and a plain relationships part are
+    read by regex, anything else by ElementTree;
   - cells are addressed by their r="A1" reference, so sparse rows and
     skipped columns land in the right slot;
   - the writer's canonical layout (unprefixed ``<row>`` / ``<c r t>``
     cells with a ``<v>``, plain ``<si><t>`` shared strings) is read by a
-    regex scan; anything else — carriage returns, inline or rich-text
-    strings, gaps in the column refs, prefixed namespaces, entities
-    beyond the five XML ones and numeric refs — falls back to an
-    ElementTree walk that yields the same rows;
-  - all values surface as STRINGS: the rows join the crawl block's CSV
+    regex scan straight into Arrow: the fullmatch that proves the
+    layout also proves each row's column refs run A, B, C… (ragged
+    rows: one findall and one comparison), one findall takes the
+    values, and shared-string cells resolve with one ``take`` from the
+    shared-string array. Anything else — carriage returns, inline or
+    rich-text strings, gaps in the column refs, prefixed namespaces,
+    entities beyond the five XML ones and numeric refs — falls back to
+    an ElementTree walk that yields the same cells;
+  - zip parts are sliced straight out of the archive bytes when their
+    local header, size and CRC-32 check out (else ``ZipFile.read``);
+  - all values surface as STRINGS in one ``list<string>`` array, one
+    list per row with the header first: it joins the crawl block's CSV
     texts as a ``Sheet`` in the one batched inspect/cast sweep
     (stages/inspection.py), so an .xlsx and its CSV twin produce the
     identical typed table.
@@ -31,35 +39,65 @@ the cached formula value is used.
 
 from __future__ import annotations
 
+import functools
 import io
 import re
+import struct
 import zipfile
+import zlib
 from string import ascii_uppercase
 from xml.etree import ElementTree as ET
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from hydra_ray.stages.inspection import Sheet, inspect_sheet, sheet_to_table
+from hydra_ray.stages.inspection import Sheet, dense_cells, inspect_sheet, sheet_cells, sheet_to_table
 
 _CELL_REF_RE = re.compile(r"^([A-Z]+)(\d+)$")
 
 # the writer's canonical layout, scanned without building a tree:
 # _ROWS_RE is a whole <sheetData> body of such rows, so one fullmatch
-# proves nothing else is in it; _SCAN_RE then reads row starts and cells
-_ROW = r"<row(?: [^>/]*)?>"
-_CELL = r'<c r="([A-Z]+)[0-9]+"(?: t="(s|b|n|str)")?><v>([^<]*)</v></c>'
-_ROWS_RE = re.compile(r"(?:%s(?:%s)*</row>)*" % (_ROW, re.sub(r"\((?!\?)", "(?:", _CELL)))
-_SCAN_RE = re.compile(r"(%s)|%s" % (_ROW, _CELL))
+# proves nothing else is in it (_square_rows_re also proves each row
+# holds columns A, B, C… of one width); the findalls below then read it
+_ROW = r"<row(?: [^>/]*+)?+>"
+_CELL = r'<c r="%s[0-9]++"(?: t="(?:s|b|n|str)")?+><v>[^<]*+</v></c>'
+_ROWS_RE = re.compile(r"(?:%s(?:%s)*+</row>)*+" % (_ROW, _CELL % "[A-Z]++"))
+_ROW_COL_RE = re.compile(r'<(?:r|c r="([A-Z]+))')  # over a fullmatched body: <row or a cell
+_TYPE_RE = re.compile(r'<c r="[A-Z]+[0-9]+"(?: t="([a-z]+)")?>')
+_V_RE = re.compile(r"<v>([^<]*)</v>")
 _SHEET_DATA_RE = re.compile(r"<sheetData>(.*)</sheetData>", re.S)
 _SST_RE = re.compile(r"<sst(?: [^>]*)?>(.*)</sst>", re.S)
-_SI_RE = re.compile(r"<si><t>([^<]*)</t></si>")
-_SIS_RE = re.compile(r"(?:<si><t>[^<]*</t></si>)*")
+_SIS_RE = re.compile(r"(?:<si><t>[^<]*+</t></si>)*+")
 # \r (XML folds line ends) and the control characters XML rejects
 _ODD_BYTES = bytes([*range(0x09), *range(0x0B, 0x20)])
 _ENTITY_RE = re.compile(r"&(?:(amp|lt|gt|quot|apos)|#([0-9]+)|#x([0-9a-fA-F]+));")
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 # column letters by index, A..ZZ: wider sheets take the ElementTree walk
-_LETTERS = (*ascii_uppercase, *(a + b for a in ascii_uppercase for b in ascii_uppercase))
+_LETTERS = [*ascii_uppercase, *(a + b for a in ascii_uppercase for b in ascii_uppercase)]
+
+_R_NS = "http://schemas.openxmlformats.org/officeDocument/2006/relationships"
+# the workbook's sheet list and its relationships part in the plain
+# layout Excel and the writer emit: double-quoted attribute values with
+# no entity, tag or whitespace an XML parser would rewrite
+_VAL = rb'"[^"<>&\t\n\r]*"'
+_WB_ROOT_RE = re.compile(rb'(?:<\?xml [^<>]*\?>)?\s*<workbook [^<>]*\bxmlns:r="%s"' % re.escape(_R_NS.encode()))
+_WB_SHEETS_RE = re.compile(rb"<sheets>((?:\s*<sheet [^<>]*/>)*)\s*</sheets>")
+_WB_SHEET_RE = re.compile(rb"<sheet ([^<>]*)/>")
+_WB_SHEET_TAG_RE = re.compile(rb"<sheet[\s/>]")
+_ATTRS_RE = re.compile(rb"(?:\s*[\w:.-]+=%s)*\s*" % _VAL)
+_ATTR_RE = re.compile(rb'([\w:.-]+)="([^"]*)"')
+_RELS_RE = re.compile(
+    rb'(?:<\?xml [^<>]*\?>)?\s*<Relationships xmlns="http://schemas\.openxmlformats\.org/package/2006/relationships">'
+    rb"((?:\s*<Relationship Id=%s Type=%s Target=%s(?: TargetMode=%s)?/>)*)\s*</Relationships>\s*" % ((_VAL,) * 4)
+)
+_REL_RE = re.compile(rb'<Relationship Id="([^"]*)" Type="[^"]*" Target="([^"]*)"')
+
+
+@functools.lru_cache(maxsize=64)
+def _square_rows_re(width: int) -> re.Pattern:
+    """``_ROWS_RE`` for rows of exactly columns A, B, C… up to ``width``."""
+    return re.compile(r"(?:%s%s</row>)*+" % (_ROW, "".join(_CELL % c for c in _LETTERS[:width])))
 
 
 def _col_index(letters: str) -> int:
@@ -73,21 +111,90 @@ def _text(elem) -> str:
     return "".join(elem.itertext())
 
 
-def _first_sheet_target(zf: zipfile.ZipFile) -> str:
-    """First sheet's worksheet part, resolved through the workbook
-    relationships (falls back to the lowest-numbered sheet part).
-    Relative targets resolve from xl/, absolute ones ("/xl/...") from
-    the package root."""
+def _scan_relationships(wb: bytes, rels: bytes) -> tuple[list, dict] | None:
+    """``_walk_relationships`` by regex over the plain layout, or None
+    when either part holds anything else."""
+    root = _WB_ROOT_RE.match(wb)
+    sheets = _WB_SHEETS_RE.search(wb)
+    listed = _RELS_RE.fullmatch(rels)
+    if (
+        root is None
+        or sheets is None
+        or listed is None
+        # comments, CDATA, a DTD, entities, a rebound r: prefix, prefixed
+        # sheet elements, an unclosed root
+        or any(s in wb for s in (b"<!", b"&", b":sheet"))
+        or wb.count(b"xmlns:r=") != 1
+        or not wb.rstrip().endswith(b"</workbook>")
+    ):
+        return None
+    tags = _WB_SHEET_RE.findall(sheets.group(1))
+    if len(_WB_SHEET_TAG_RE.findall(wb)) != len(tags):
+        return None  # a sheet element outside the <sheets> list
+    rids = []
+    for tag in tags:
+        pairs = _ATTR_RE.findall(tag)
+        attrs = dict(pairs)
+        if not _ATTRS_RE.fullmatch(tag) or len(attrs) != len(pairs) or b"r:id" not in attrs:
+            return None  # no r:id, or attributes a parser reads otherwise
+        rids.append(attrs[b"r:id"])
     try:
-        wb = ET.fromstring(zf.read("xl/workbook.xml"))
-        rels = ET.fromstring(zf.read("xl/_rels/workbook.xml.rels"))
-        rid_to_target = {
-            r.get("Id"): r.get("Target") for r in rels if r.get("Target")
+        return [r.decode() for r in rids], {
+            i.decode(): t.decode() for i, t in _REL_RE.findall(listed.group(1)) if t
         }
-        for sheet in wb.findall(".//{*}sheet"):
-            rid = sheet.get(
-                "{http://schemas.openxmlformats.org/officeDocument/2006/relationships}id"
-            )
+    except UnicodeDecodeError:
+        return None
+
+
+def _walk_relationships(wb: bytes, rels: bytes) -> tuple[list, dict]:
+    """(each sheet's relationship id in workbook order, relationship id
+    → non-empty target) by ElementTree."""
+    rid_to_target = {r.get("Id"): r.get("Target") for r in ET.fromstring(rels) if r.get("Target")}
+    sheets = ET.fromstring(wb).findall(".//{*}sheet")
+    return [sheet.get(f"{{{_R_NS}}}id") for sheet in sheets], rid_to_target
+
+
+_LOCAL_HEADER = struct.Struct(zipfile.structFileHeader)
+
+
+def _member(zf: zipfile.ZipFile, data: bytes, name: str) -> bytes:
+    """``zf.read(name)`` sliced straight out of the archive bytes for a
+    stored or deflated, unencrypted member whose local header names it
+    and whose size and CRC-32 check out; anything else is ``zf.read``'s
+    to return or refuse."""
+    info = zf.getinfo(name)
+    at = info.header_offset
+    head = data[at : at + _LOCAL_HEADER.size]
+    if len(head) == _LOCAL_HEADER.size and not info.flag_bits & 0x61 and info.compress_type in (0, 8):
+        magic, _v, _r, flags, *_rest, n_name, n_extra = _LOCAL_HEADER.unpack(head)
+        at += _LOCAL_HEADER.size
+        start = at + n_name + n_extra
+        try:
+            named = data[at : at + n_name].decode("utf-8" if flags & 0x800 else "cp437")
+            body = data[start : start + info.compress_size]
+            out = body if info.compress_type == 0 else zlib.decompress(body, -15)
+        except (UnicodeDecodeError, zlib.error):
+            named = out = None
+        if (
+            magic == zipfile.stringFileHeader
+            and named == info.orig_filename
+            and len(out) == info.file_size
+            and zlib.crc32(out) == info.CRC
+        ):
+            return out
+    return zf.read(name)
+
+
+def _first_sheet_target(zf: zipfile.ZipFile, data: bytes) -> str:
+    """First sheet's worksheet part of the archive ``data``, resolved
+    through the workbook relationships (falls back to the
+    lowest-numbered sheet part). Relative targets resolve from xl/,
+    absolute ones ("/xl/...") from the package root."""
+    try:
+        wb = _member(zf, data, "xl/workbook.xml")
+        rels = _member(zf, data, "xl/_rels/workbook.xml.rels")
+        rids, rid_to_target = _scan_relationships(wb, rels) or _walk_relationships(wb, rels)
+        for rid in rids:
             target = rid_to_target.get(rid)
             if target:
                 if target.startswith("/"):
@@ -109,9 +216,9 @@ def _local(tag) -> str:
 def _parts(data: bytes) -> tuple[bytes, bytes | None]:
     """(first worksheet part, shared-strings part or None)."""
     zf = zipfile.ZipFile(io.BytesIO(data))
-    sheet = zf.read(_first_sheet_target(zf))
+    sheet = _member(zf, data, _first_sheet_target(zf, data))
     try:
-        return sheet, zf.read("xl/sharedStrings.xml")
+        return sheet, _member(zf, data, "xl/sharedStrings.xml")
     except KeyError:
         return sheet, None
 
@@ -144,15 +251,15 @@ def _xml_char(cp: int) -> bool:
 def _plain(part: bytes) -> str | None:
     """The part as text when the scan may read it, else None. OOXML
     parts are UTF-8 or UTF-16, and UTF-16 ones hold NUL bytes."""
-    if len(part.translate(None, _ODD_BYTES)) != len(part) or any(
-        # U+FFFE, U+FFFF, a stray CDATA end, a DTD (its entities and
-        # default attributes are the parser's to apply)
-        s in part for s in (b"\xef\xbf\xbe", b"\xef\xbf\xbf", b"]]>", b"<!DOCTYPE")
-    ):
+    if len(part.translate(None, _ODD_BYTES)) != len(part):
         return None
     try:
         text = part.decode("utf-8")
     except UnicodeDecodeError:
+        return None
+    # U+FFFE, U+FFFF, a stray CDATA end, a DTD (its entities and default
+    # attributes are the parser's to apply)
+    if any(s in text for s in ("\ufffe", "\uffff", "]]>", "<!DOCTYPE")):
         return None
     refs = _ENTITY_RE.findall(text) if "&" in text else []
     if text.count("&") != len(refs) or not all(
@@ -162,38 +269,82 @@ def _plain(part: bytes) -> str | None:
     return text
 
 
-def _scan_rows(sheet: bytes, sst: bytes | None) -> list[list[str]] | None:
-    """Rows of the writer's canonical layout read by regex (not padded),
-    or None when the parts hold anything else."""
+def _scan_cells(sheet: bytes, sst: bytes | None) -> pa.ListArray | None:
+    """The cells of the writer's canonical layout read by regex, or None
+    when the parts hold anything else."""
     sheet_text = _plain(sheet)
     sst_text = "<sst></sst>" if sst is None else _plain(sst)
     if sheet_text is None or sst_text is None:
         return None
     data = _SHEET_DATA_RE.search(sheet_text)
     strings = _SST_RE.search(sst_text)
-    if (
-        data is None
-        or strings is None
-        or not _ROWS_RE.fullmatch(data.group(1))
-        or not _SIS_RE.fullmatch(strings.group(1))
-    ):
+    if data is None or strings is None or not _SIS_RE.fullmatch(strings.group(1)):
         return None
-    shared = [_unescape(t) for t in _SI_RE.findall(strings.group(1))]
-    rows: list[list[str]] = []
-    row: list[str] = []
-    for start, col, ctype, raw in _SCAN_RE.findall(data.group(1)):
-        if start:
-            row = []
-            rows.append(row)
-        elif len(row) >= len(_LETTERS) or col != _LETTERS[len(row)]:
+    body = data.group(1)
+    first = body.find("</row>")
+    width = body.count("<c ", 0, first) if first >= 0 else 0
+    if width <= len(_LETTERS) and _square_rows_re(width).fullmatch(body):
+        counts = None
+    elif not _ROWS_RE.fullmatch(body):
+        return None
+    else:  # "" per row start, the column letters per cell
+        seq = _ROW_COL_RE.findall(body)
+        starts = [i for i, x in enumerate(seq) if not x]
+        counts = np.diff([*starts, len(seq)]) - 1
+        width = int(counts.max())
+        if width > len(_LETTERS) or seq != [x for c in counts for x in ("", *_LETTERS[:c])]:
             return None  # a gap or an out-of-order column ref
-        elif ctype == "s" and "&" not in raw:
-            row.append(shared[int(raw)] if raw else "")
-        else:
-            row.append(_value(ctype or "n", _unescape(raw), shared))
-    if sheet_text.count("<row") + sheet_text.count(":row") != len(rows):
+    outside = sheet_text[: data.start(1)] + sheet_text[data.end(1) :]
+    if "<row" in outside or ":row" in outside:
         return None  # a row outside <sheetData>
-    return rows
+    raw = _V_RE.findall(body)
+    if "&" in body:
+        raw = [_unescape(v) for v in raw]
+    values = _resolve(raw, body, _shared_strings(strings.group(1)))
+    if counts is None:
+        n_rows = body.count("</row>")
+        return pa.ListArray.from_arrays(pa.array(np.arange(n_rows + 1, dtype=np.int32) * width), values)
+    offsets = pa.array(np.concatenate([[0], np.cumsum(counts)]).astype(np.int32))
+    return dense_cells(pa.ListArray.from_arrays(offsets, values))
+
+
+def _shared_strings(items: str) -> pa.Array:
+    """The shared strings of a fullmatched ``<si><t>…</t></si>`` run."""
+    if not items:
+        return pa.array([], pa.string())
+    if "&" in items:
+        return pa.array([_unescape(t) for t in items[7:-9].split("</t></si><si><t>")], pa.string())
+    return pc.list_flatten(pc.split_pattern(pa.array([items[7:-9]]), "</t></si><si><t>"))
+
+
+def _resolve(raw: list[str], body: str, shared: pa.Array) -> pa.Array:
+    """Cell values from the ``<v>`` texts (entities resolved): numbers
+    and cached formula strings are their text, and shared-string cells
+    resolve with one ``take`` of their indexes. Booleans, and an index
+    that is not plain digits or is past the last string, go through
+    ``_value`` cell by cell."""
+    values = pa.array(raw, pa.string())
+    # a value holds no "<", so only real cells match
+    n_shared = body.count('t="s"><v>')
+    if not n_shared and 'b"><v>' not in body:
+        return values
+    if n_shared == len(raw):
+        kinds, is_s, idx = None, None, raw
+    else:
+        kinds = _TYPE_RE.findall(body)
+        is_s = [k == "s" for k in kinds]
+        idx = [v for v, s in zip(raw, is_s) if s]
+    digits = "".join(idx)
+    if (kinds is None or "b" not in kinds) and digits.isascii() and digits.isdigit() and "" not in idx:
+        try:
+            resolved = shared.take(pc.cast(values if is_s is None else pa.array(idx), pa.int64()))
+        except (IndexError, pa.ArrowInvalid):  # past the last string, or past int64
+            pass
+        else:
+            return resolved if is_s is None else pc.replace_with_mask(values, pa.array(is_s), resolved)
+    kinds = kinds or _TYPE_RE.findall(body)
+    strings = shared.to_pylist()
+    return pa.array([_value(k or "n", v, strings) for k, v in zip(kinds, raw)], pa.string())
 
 
 def _walk_rows(sheet: bytes, sst: bytes | None) -> list[list[str]]:
@@ -233,40 +384,37 @@ def _walk_rows(sheet: bytes, sst: bytes | None) -> list[list[str]]:
     return rows
 
 
-def read_xlsx_rows(data: bytes) -> list[list[str]]:
-    """XLSX bytes → dense rows of strings (first sheet): the regex scan
+def read_xlsx_cells(data: bytes) -> pa.ListArray:
+    """XLSX bytes → a ``Sheet``'s cells (first sheet): the regex scan
     when the parts are in the canonical layout, else the ElementTree
     walk."""
     sheet, sst = _parts(data)
-    rows = _scan_rows(sheet, sst)
-    if rows is None:
-        rows = _walk_rows(sheet, sst)
-    max_cols = max(map(len, rows), default=0)
-    return [r + [""] * (max_cols - len(r)) for r in rows]
+    cells = _scan_cells(sheet, sst)
+    return sheet_cells(_walk_rows(sheet, sst)) if cells is None else cells
 
 
 def inspect_xlsx(
     data: bytes,
     sample_rows: int = 100,
-    rows: list[list[str]] | None = None,
+    cells: pa.ListArray | None = None,
     output_profile: bool = False,
 ) -> dict:
     """Inspection report for XLSX bytes (a one-sheet batch, see
-    stages/inspection.py ``inspect_sheet``). Pass ``rows`` (from
-    read_xlsx_rows) to avoid a second XML parse."""
-    if rows is None:
-        rows = read_xlsx_rows(data)
-    return inspect_sheet(Sheet(rows, "hydra-ray-xlsx"), sample_rows, output_profile)
+    stages/inspection.py ``inspect_sheet``). Pass ``cells`` (from
+    read_xlsx_cells) to avoid a second XML parse."""
+    if cells is None:
+        cells = read_xlsx_cells(data)
+    return inspect_sheet(Sheet(cells, "hydra-ray-xlsx"), sample_rows, output_profile)
 
 
 def xlsx_to_table(
-    data: bytes, inspection: dict | None = None, rows: list[list[str]] | None = None
+    data: bytes, inspection: dict | None = None, cells: pa.ListArray | None = None
 ) -> pa.Table:
     """XLSX bytes → typed Arrow table via the batched cast sweep.
-    Pass ``rows`` to reuse an existing read_xlsx_rows result."""
-    if rows is None:
-        rows = read_xlsx_rows(data)
-    return sheet_to_table(Sheet(rows, "hydra-ray-xlsx"), inspection)
+    Pass ``cells`` to reuse an existing read_xlsx_cells result."""
+    if cells is None:
+        cells = read_xlsx_cells(data)
+    return sheet_to_table(Sheet(cells, "hydra-ray-xlsx"), inspection)
 
 
 # ---------------------------------------------------------------------------

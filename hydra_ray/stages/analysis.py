@@ -24,7 +24,9 @@ import hashlib
 import json
 from datetime import datetime, timezone
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from hydra_ray.config import config
 from hydra_ray.functions.checks import (
@@ -46,11 +48,11 @@ def workbook_readers() -> dict:
     follows the content magic, as the reference's libmagic sniff picks
     the file's extension. Imported on first use like the rest of the
     parse route."""
-    from hydra_ray.sources.ods import read_ods_rows
-    from hydra_ray.sources.xls import read_xls_rows
-    from hydra_ray.sources.xlsx import read_xlsx_rows
+    from hydra_ray.sources.ods import read_ods_cells
+    from hydra_ray.sources.xls import read_xls_cells
+    from hydra_ray.sources.xlsx import read_xlsx_cells
 
-    readers = {"xls": read_xls_rows, "xlsx": read_xlsx_rows, "ods": read_ods_rows}
+    readers = {"xls": read_xls_cells, "xlsx": read_xlsx_cells, "ods": read_ods_cells}
     return {FORMAT_MIME[f]: (read, f"hydra-ray-{f}") for f, read in readers.items()}
 
 
@@ -346,8 +348,8 @@ class Analyser:
         downloaded bodies (a gzip body inflates to at most its row's
         size cap, ``caps``); returns the spans list<struct> column (nulls
         elsewhere) and parsing-table names. A sheet's span text is its
-        read rows joined with "," and newlines. Parse failures are
-        captured per resource into ``self._last_parse_errors`` with the
+        rows' cells joined with "," and the rows with newlines. Parse
+        failures are captured per resource into ``self._last_parse_errors`` with the
         reference's ``step:cause`` contract (utils/errors.py:113-135);
         successfully cast tables feed the enabled export jobs
         (``self._last_exports``)."""
@@ -379,14 +381,13 @@ class Analyser:
                     text = decode_text(bodies[j], caps[j])[0]
                     csvs.append((j, text, text))
                     continue
-                rows = reader[0](bodies[j])
+                sheets.append((j, Sheet(reader[0](bodies[j]), reader[1])))
             except Exception as exc:  # noqa: BLE001
                 # reference ParseException step contract
                 # (csv_like/__init__.py:93 — inspection failures)
                 self._last_parse_errors[j] = f"csv_detective:{exc}"
-                continue
-            sheets.append((j, "\n".join(",".join(r) for r in rows), Sheet(rows, reader[1])))
-        routed = sheets + csvs
+        texts = _sheet_texts([sheet for _j, sheet in sheets])
+        routed = [(j, text, sheet) for (j, sheet), text in zip(sheets, texts)] + csvs
         good, tables = [], []  # (row, text, sweep item, inspection), typed tables
         if routed:  # one inspect sweep and one cast sweep for the block
             insps = inspect_csv_texts_batch([item for _j, _t, item in routed])
@@ -436,3 +437,13 @@ class Analyser:
         for i, g in enumerate(good):
             at[g[0]] = i
         return built["spans"].take(pa.array(at, type=pa.int32())), parsing_tables
+
+
+def _sheet_texts(sheets: list) -> list[str]:
+    """Each sheet's span text: its rows' cells joined with ",", the rows
+    with newlines (two ``binary_join`` kernels over all the sheets)."""
+    if not sheets:
+        return []
+    rows = pc.binary_join(pa.concat_arrays([s.cells for s in sheets]), ",")
+    offsets = np.cumsum([0, *(len(s.cells) for s in sheets)]).astype(np.int32)
+    return pc.binary_join(pa.ListArray.from_arrays(pa.array(offsets), rows), "\n").to_pylist()

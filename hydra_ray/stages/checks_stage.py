@@ -1,6 +1,6 @@
 """Check construction: change detection, next-check scheduling, payloads.
 
-Stateless ``map_batches`` stage applied to the fetch stage's output.
+Stateless batch stage applied to the fetch stage's output.
 Reproduces udata_hydra/crawl/preprocess_check_data.py:14-77 without the
 SQL round-trips: the previous check's columns ride on the frontier row
 (SURVEY.md §2.4 J2 — O(1) instead of a top-2-per-key shuffle), so a

@@ -17,10 +17,10 @@ transport's ``download(url, max_bytes)`` returns a resource's file, at
 most ``max_bytes + 1`` bytes (so an oversize body shows); the analyse
 stage hashes, sniffs and parses exactly those bytes.
 
-Used as ``ds.map_batches(Fetcher(...), batch_format="pyarrow",
-batch_size=None)``: one instance is built on the driver for the
-iteration (``CrawlEngine._stages``) and every block is one task call of
-a copy of it. Per-batch work is a python loop over URLs because each
+Used as the first stage of the iteration's one ``map_batches``
+(``CrawlEngine._stages``, ``batch_format="pyarrow", batch_size=None``):
+one instance is built on the driver for the iteration and every block
+is one task call of a copy of it. Per-batch work is a python loop over URLs because each
 URL is an independent request/response conversation (I/O-bound in
 production, never a vectorizable kernel).
 """

@@ -21,13 +21,13 @@ Components:
                             PYARROW_TYPE_TO_PYTHON semantics)
 
 Workbooks are first-class: the stdlib readers in ``hydra_ray.sources``
-(.xlsx zip+XML, .xls BIFF, .ods ODF) yield rows of strings, which enter
-``inspect_csv_texts_batch`` / ``csv_texts_to_tables`` as a ``Sheet``
-next to CSV texts. Both become one ``list<string>`` cells array per
-group (CSV lines split on their separator, sheet rows taken as they
-are), so a block's CSV and workbook resources share one Arrow
-inspect sweep and one cast sweep, and an .xls, its .xlsx twin and its
-CSV twin produce identical typed tables and csv-detective profiles.
+(.xlsx zip+XML, .xls BIFF, .ods ODF) yield a ``Sheet``, one
+``list<string>`` cells array with one list per row, which enters
+``inspect_csv_texts_batch`` / ``csv_texts_to_tables`` next to CSV texts.
+CSV lines are split on their separator into the same form, so a
+block's CSV and workbook resources share one Arrow inspect sweep and
+one cast sweep, and an .xls, its .xlsx twin and its CSV twin produce
+identical typed tables and csv-detective profiles.
 """
 
 from __future__ import annotations
@@ -59,16 +59,55 @@ _DATETIME_RE = re.compile(r"^\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}(:\d{2})?")
 
 class Sheet(NamedTuple):
     """A workbook's first sheet as read by a ``hydra_ray.sources`` reader:
-    rows of strings (header first) and the engine its report names."""
+    its ``list<string>`` cells, one list per row with the header first
+    and every row as wide as the widest (``sheet_cells``), and the
+    engine its report names."""
 
-    rows: list[list[str]]
+    cells: pa.ListArray
     engine: str
 
 
-def _filled(row: list[str]) -> bool:
-    """A sheet row counts (as a body row and in ``total_lines``) unless
-    every cell strips to empty."""
-    return any(c.strip() for c in row)
+def sheet_cells(rows: list[list[str]]) -> pa.ListArray:
+    """Rows of strings → a ``Sheet``'s cells array (short rows padded
+    with "")."""
+    return dense_cells(pa.array(rows, type=pa.list_(pa.string())))
+
+
+def dense_cells(cells: pa.ListArray) -> pa.ListArray:
+    """``cells`` with every row padded with "" to the widest row."""
+    lens = pc.list_value_length(cells).to_numpy(zero_copy_only=False).astype(np.int64)
+    width = int(lens.max()) if len(lens) else 0
+    if (lens == width).all():
+        return cells
+    values = pa.concat_arrays([pc.list_flatten(cells), pa.array([""])])
+    # each row's cells land at row * width + column; the rest read the "" appended last
+    take = np.full(len(lens) * width, len(values) - 1, dtype=np.int64)
+    row_of = np.repeat(np.arange(len(lens)), lens)
+    col_of = np.arange(len(row_of)) - np.repeat(np.cumsum(lens) - lens, lens)
+    take[row_of * width + col_of] = np.arange(len(row_of))
+    offsets = pa.array(np.arange(len(lens) + 1, dtype=np.int32) * width)
+    return pa.ListArray.from_arrays(offsets, values.take(pa.array(take)))
+
+
+def _sheet_bodies(sheets: list[Sheet]) -> list[tuple[pa.ListArray, np.ndarray]]:
+    """(body rows, filled mask) per sheet. A body row counts (as a body
+    row and in ``total_lines``) unless every cell strips to empty; one
+    trim kernel covers every sheet's cells (``utf8_trim_whitespace``
+    blanks exactly the cells ``str.strip`` blanks)."""
+    if not sheets:
+        return []
+    cells = pa.concat_arrays([s.cells for s in sheets])
+    blank = pc.equal(pc.utf8_trim_whitespace(pc.list_flatten(cells)), "")
+    parents = pc.list_parent_indices(cells).to_numpy(zero_copy_only=False)
+    filled = np.bincount(
+        parents[~blank.to_numpy(zero_copy_only=False)], minlength=len(cells)
+    ) > 0
+    out, off = [], 0
+    for s in sheets:
+        n = len(s.cells)
+        out.append((s.cells.slice(1), filled[off + 1 : off + n]))
+        off += n
+    return out
 
 
 def db_col_name(name: str) -> str:
@@ -420,30 +459,37 @@ def find_ragged_row(text: str, sep: str, n_cols: int) -> tuple[int, int] | None:
     return None
 
 
+def _filled_rows(body: pa.ListArray, filled: np.ndarray) -> pa.ListArray:
+    """The rows of ``body`` that ``filled`` marks."""
+    return body if filled.all() else body.filter(pa.array(filled))
+
+
 def inspect_csv_texts_batch(texts: list[str | Sheet], sample_rows: int = 100) -> list[dict]:
     """inspect_csv_text over MANY resources in ONE Arrow pass — the
-    crawl analyse stage's entry point for CSV texts and ``Sheet`` rows
+    crawl analyse stage's entry point for CSV texts and ``Sheet`` cells
     alike. Sampled body lines of unquoted texts are cell-split with one
-    ``split_pattern`` kernel per separator group; sheet rows become a
-    ``list<string>`` array as they are (a cell holding a separator, a
-    quote or a newline stays one cell). Cells are classified once
-    (`_classify_cells`), votes fold with one global bincount, and
-    geo-format refinement touches only columns whose every non-empty
-    cell passes a vectorized candidate gate. Quoted texts take the
-    per-resource `inspect_csv_text` path with identical semantics."""
+    ``split_pattern`` kernel per separator group; sheets' filled body
+    rows join as the ``list<string>`` cells they are (a cell holding a
+    separator, a quote or a newline stays one cell). Cells are
+    classified once (`_classify_cells`), votes fold with one global
+    bincount, and geo-format refinement touches only columns whose every
+    non-empty cell passes a vectorized candidate gate. Quoted texts take
+    the per-resource `inspect_csv_text` path with identical semantics."""
     out: list[dict | None] = [None] * len(texts)
-    metas = []  # (out index, separator or None, header, sampled body rows, report fields)
+    metas = []  # (out index, separator or None, header, sampled body, report fields)
+    sheet_at = [i for i, item in enumerate(texts) if isinstance(item, Sheet)]
+    bodies = dict(zip(sheet_at, _sheet_bodies([texts[i] for i in sheet_at])))
     for i, item in enumerate(texts):
         if isinstance(item, Sheet):
             fields = {"separator": None, "engine": item.engine, "encoding": "binary"}
-            if not item.rows:
+            if not len(item.cells):
                 out[i] = _report([], [], 0, **fields)
                 continue
-            body = item.rows[1:]
-            keep = [_filled(r) for r in body]
-            sample = [r for r, k in zip(body[:sample_rows], keep) if k]
-            header = [h.strip() for h in item.rows[0]]
-            metas.append((i, None, header, sample, {"total_lines": sum(keep), **fields}))
+            body, filled = bodies[i]
+            sample = _filled_rows(body.slice(0, sample_rows), filled[:sample_rows])
+            header = [h.strip() for h in item.cells[0].as_py()]
+            total = int(filled.sum())
+            metas.append((i, None, header, sample, {"total_lines": total, **fields}))
             continue
         if '"' in item:
             out[i] = inspect_csv_text(item, sample_rows)
@@ -458,12 +504,13 @@ def inspect_csv_texts_batch(texts: list[str | Sheet], sample_rows: int = 100) ->
     return out
 
 
-def _cells(sep: str | None, rows: list) -> pa.Array:
-    """Body rows as one ``list<string>`` cells array: CSV lines split on
-    their separator, sheet rows (``sep`` None) as they are."""
+def _cells(sep: str | None, bodies: list) -> pa.Array:
+    """Resources' body rows as one ``list<string>`` cells array: CSV
+    lines split on their separator, sheet bodies (``sep`` None, cells
+    arrays already) concatenated."""
     if sep is None:
-        return pa.array(rows, type=pa.list_(pa.string()))
-    return pc.split_pattern(pa.array(rows, type=pa.string()), sep)
+        return pa.concat_arrays(bodies)
+    return pc.split_pattern(pa.array([ln for b in bodies for ln in b], type=pa.string()), sep)
 
 
 # RE2 twins of the geo-refinement predicates (_LATLON_CELL_RE and
@@ -485,23 +532,18 @@ def _inspect_metas_arrow(metas: list, out: list) -> None:
     for k, m in enumerate(metas):
         by_sep.setdefault(m[1], []).append(k)
     for sep, ks in by_sep.items():
-        all_rows: list = []
-        rows_per: list[int] = []
-        ncols_per: list[int] = []
-        for k in ks:
-            _i, _sep, header, body, _f = metas[k]
-            all_rows.extend(body)
-            rows_per.append(len(body))
-            ncols_per.append(len(header))
+        bodies = [metas[k][3] for k in ks]
+        rows_per = [len(body) for body in bodies]
+        ncols_per = [len(metas[k][2]) for k in ks]
         ncols_np = np.asarray(ncols_per, dtype=np.int64)
         bases = np.concatenate([[0], np.cumsum(ncols_np)[:-1]]) if ncols_per else ncols_np
         base_total = int(ncols_np.sum())
-        if not all_rows or base_total == 0:
+        if not sum(rows_per) or base_total == 0:
             for k, nc in zip(ks, ncols_per):
                 i, _sep, header, _b, fields = metas[k]
                 out[i] = _report(header, [("string", 0.0)] * nc, **fields)
             continue
-        cells_list = _cells(sep, all_rows)
+        cells_list = _cells(sep, bodies)
         flat = pc.list_flatten(cells_list)
         lens = pc.list_value_length(cells_list).to_numpy(zero_copy_only=False).astype(np.int64)
         rows_per_np = np.asarray(rows_per, dtype=np.int64)
@@ -853,21 +895,25 @@ def _names_types(insp: dict) -> tuple[list[str], list[str]]:
 
 def csv_texts_to_tables(texts: list[str | Sheet], insps: list[dict]) -> list[pa.Table]:
     """csv_text_to_table over MANY resources, CSV texts and ``Sheet``
-    rows alike: group by (separator, columns, types) signature, build
+    cells alike: group by (separator, columns, types) signature, build
     each group's cells array once (`_cells`; a sheet's body is its
     non-blank rows at the header width), run each column cast kernel
     ONCE per group, then hand each resource a zero-copy slice. Quoted /
     ragged / kernel-rejected resources take the per-cell path."""
     out: list = [None] * len(texts)
     groups: dict[tuple, list[int]] = {}
-    bodies: dict[int, list] = {}
+    bodies: dict[int, list | pa.ListArray] = {}
+    sheet_at = [i for i, item in enumerate(texts) if isinstance(item, Sheet)]
+    sheet_bodies = dict(zip(sheet_at, _sheet_bodies([texts[i] for i in sheet_at])))
     for i, (item, insp) in enumerate(zip(texts, insps)):
         names, ptypes = _names_types(insp)
         if isinstance(item, Sheet):
             sep = None
-            rows = item.rows
+            rows = item.cells
+            body = _filled_rows(*sheet_bodies[i])
             w = len(names)
-            body = [r if len(r) == w else (r + [""] * w)[:w] for r in rows[1:] if _filled(r)]
+            if len(rows) and len(rows[0]) != w:  # an inspection of another width
+                body = sheet_cells([(r + [""] * w)[:w] for r in body.to_pylist()])
         elif '"' in item:
             out[i] = csv_text_to_table(item, insp)
             continue
@@ -875,17 +921,17 @@ def csv_texts_to_tables(texts: list[str | Sheet], insps: list[dict]) -> list[pa.
             sep = insp["separator"]
             rows = [line for line in item.splitlines() if line.strip()]
             body = rows[1:]
-        if not rows:
+        if not len(rows):
             out[i] = pa.table({})
             continue
         bodies[i] = body
         groups.setdefault((sep, tuple(names), tuple(ptypes)), []).append(i)
     for (sep, names, ptypes), idxs in groups.items():
         try:
-            arrays = _cast_cells(_cells(sep, [r for i in idxs for r in bodies[i]]), ptypes)
+            arrays = _cast_cells(_cells(sep, [bodies[i] for i in idxs]), ptypes)
         except _VectorFallback:  # ragged or kernel-rejected somewhere in the group
             for i in idxs:
-                rows = bodies[i] if sep is None else [line.split(sep) for line in bodies[i]]
+                rows = bodies[i].to_pylist() if sep is None else [line.split(sep) for line in bodies[i]]
                 out[i] = _rows_table(rows, names, ptypes)
             continue
         off = 0
@@ -909,7 +955,7 @@ def csv_text_to_table(text: str, inspection: dict | None = None) -> pa.Table:
     names, ptypes = _names_types(insp)
     if '"' not in text:
         try:
-            return pa.table(dict(zip(names, _cast_cells(_cells(sep, lines[1:]), ptypes))))
+            return pa.table(dict(zip(names, _cast_cells(_cells(sep, [lines[1:]]), ptypes))))
         except _VectorFallback:
             pass
     return _rows_table([_parse_csv_line(line, sep) for line in lines[1:]], names, ptypes)
@@ -919,8 +965,8 @@ def inspect_sheet(sheet: Sheet, sample_rows: int = 100, output_profile: bool = F
     """Inspection report for one sheet (a one-item batch); with
     ``output_profile`` the csv-detective profile the CSV route emits."""
     report = inspect_csv_texts_batch([sheet], sample_rows)[0]
-    if output_profile and sheet.rows:
-        _add_profile(report, [r for r in sheet.rows[1:] if _filled(r)])
+    if output_profile and len(sheet.cells):
+        _add_profile(report, _filled_rows(*_sheet_bodies([sheet])[0]).to_pylist())
     return report
 
 

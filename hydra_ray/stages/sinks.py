@@ -1,7 +1,7 @@
 """Distributed per-block sinks for the crawl iteration.
 
-``IterationSink`` runs as the last ``map_batches`` stage of the
-iteration pipeline: each block writes its own checks / payloads /
+``IterationSink`` runs as the last stage of the iteration's one
+``map_batches``: each block writes its own checks / payloads /
 span-document part files straight from the worker (no driver
 materialization of the heavy columns), then passes on only the slim
 frontier-update columns. The engine registers the written files into

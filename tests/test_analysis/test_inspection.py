@@ -458,20 +458,42 @@ def test_workbook_cells_stay_single_and_blank_rows_drop():
         assert inspect(blob)["total_lines"] == 2
 
 
+def test_sheet_blank_rows_follow_str_strip():
+    """A sheet row is blank exactly when every cell strips to empty with
+    ``str.strip``: the one trim kernel agrees with it on every code
+    point, and on rows of several cells."""
+    import numpy as np
+
+    from hydra_ray.stages.inspection import Sheet, _sheet_bodies, sheet_cells
+
+    points = ["h"] + [chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+    offsets = pa.array(np.arange(len(points) + 1, dtype=np.int32))
+    one_per_row = pa.ListArray.from_arrays(offsets, pa.array(points))
+    rows = [["h1", "h2"], ["", " \x1c"], ["\u3000", "x"], ["\x85", "\xa0 "], []]
+    (body, filled), (body2, filled2), (empty, none) = _sheet_bodies(
+        [Sheet(one_per_row, "t"), Sheet(sheet_cells(rows), "t"), Sheet(sheet_cells([]), "t")]
+    )
+    assert len(body) == len(points) - 1
+    assert filled.tolist() == [bool(p.strip()) for p in points[1:]]
+    assert len(body2) == 4 and filled2.tolist() == [any(c.strip() for c in r) for r in rows[1:]]
+    assert len(empty) == 0 and len(none) == 0
+
+
 def test_one_sweep_mixes_csv_and_sheets():
     """One inspect_csv_texts_batch / csv_texts_to_tables call over CSV
     texts and sheets equals each item run alone."""
-    from hydra_ray.sources.xlsx import read_xlsx_rows
+    from hydra_ray.sources.xlsx import read_xlsx_cells
     from hydra_ray.stages.inspection import (
         Sheet,
         csv_texts_to_tables,
         inspect_csv_texts_batch,
         inspect_sheet,
+        sheet_cells,
         sheet_to_table,
     )
 
-    sheet = Sheet(read_xlsx_rows(write_xlsx([["id", "v"], [1, 0.5], [2, "x,y"]])), "hydra-ray-xlsx")
-    items = ["id,v\n1,0.5\n2,3", sheet, "id;v\n1;a\n2;b", Sheet([], "hydra-ray-ods"), CSV]
+    sheet = Sheet(read_xlsx_cells(write_xlsx([["id", "v"], [1, 0.5], [2, "x,y"]])), "hydra-ray-xlsx")
+    items = ["id,v\n1,0.5\n2,3", sheet, "id;v\n1;a\n2;b", Sheet(sheet_cells([]), "hydra-ray-ods"), CSV]
     insps = inspect_csv_texts_batch(items)
     tables = csv_texts_to_tables(items, insps)
     for item, insp, tbl in zip(items, insps, tables):

@@ -5,6 +5,7 @@ Reference behavior: utils/reader.py:19-70 + csv_like/__init__.py:161-217
 """
 
 import io
+import re
 import zipfile
 
 import pyarrow as pa
@@ -14,14 +15,16 @@ from hypothesis import strategies as st
 
 from hydra_ray.sources.xlsx import (
     _parts,
-    _scan_rows,
+    _scan_cells,
+    _scan_relationships,
+    _walk_relationships,
     _walk_rows,
     inspect_xlsx,
-    read_xlsx_rows,
+    read_xlsx_cells,
     write_xlsx,
     xlsx_to_table,
 )
-from hydra_ray.stages.inspection import csv_text_to_table
+from hydra_ray.stages.inspection import csv_text_to_table, sheet_cells
 
 
 def test_roundtrip_types():
@@ -68,7 +71,7 @@ def test_sparse_cells_and_missing_refs():
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w") as zf:
         zf.writestr("xl/worksheets/sheet1.xml", sheet)
-    rows = read_xlsx_rows(buf.getvalue())
+    rows = read_xlsx_cells(buf.getvalue()).to_pylist()
     assert rows == [["a", "", "c"], ["", "5", ""]]
 
 
@@ -143,21 +146,24 @@ _cells = st.one_of(
 
 
 def _walked(data: bytes) -> list[list[str]]:
-    rows = _walk_rows(*_parts(data))
-    width = max(map(len, rows), default=0)
-    return [r + [""] * (width - len(r)) for r in rows]
+    return sheet_cells(_walk_rows(*_parts(data))).to_pylist()
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.lists(_cells, max_size=5), max_size=6))
 def test_scan_equals_elementtree_walk(grid):
-    """read_xlsx_rows (the regex scan where it applies) equals the
-    ElementTree walk on every writer grid; grids without a carriage
-    return are read by the scan itself."""
+    """read_xlsx_cells (the regex scan where it applies) equals the
+    ElementTree walk on every writer grid, as rows and as the cells
+    array; grids without a carriage return are read by the scan
+    itself."""
     data = write_xlsx(grid)
-    assert read_xlsx_rows(data) == _walked(data)
+    walked = sheet_cells(_walk_rows(*_parts(data)))
+    cells = read_xlsx_cells(data)
+    assert cells.type == walked.type and cells.equals(walked)
+    assert cells.to_pylist() == _walked(data)
     if not any("\r" in c for r in grid for c in r if isinstance(c, str)):
-        assert _scan_rows(*_parts(data)) is not None
+        scanned = _scan_cells(*_parts(data))
+        assert scanned is not None and scanned.equals(walked)
 
 
 def _pack(sheet_xml: str, sst_xml: str | None = None, target: str = "worksheets/sheet1.xml") -> bytes:
@@ -231,8 +237,26 @@ _SST = f'<sst xmlns="{_NS}"><si><t>a</t></si><si><t>b</t></si></sst>'
 )
 def test_non_canonical_sheets_fall_back(sheet, sst, want):
     data = _pack(sheet, sst)
-    assert _scan_rows(*_parts(data)) is None
-    assert read_xlsx_rows(data) == want == _walked(data)
+    assert _scan_cells(*_parts(data)) is None
+    assert read_xlsx_cells(data).to_pylist() == want == _walked(data)
+
+
+@pytest.mark.parametrize("index", [" 1", "01", "1_0", "0x1", "-1", "", "2", "99999999999999999999"])
+def test_shared_string_index_reads_as_int_reads_it(index):
+    """A shared-string index the take cannot read as plain digits goes
+    cell by cell, so the scan reads each cell (or fails) as the
+    ElementTree walk does."""
+    data = _pack(
+        _sheet(f'<row r="1"><c r="A1" t="s"><v>{index}</v></c><c r="B1" t="s"><v>0</v></c></row>'),
+        _SST,
+    )
+    try:
+        want = _walked(data)
+    except (ValueError, IndexError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            _scan_cells(*_parts(data))
+    else:
+        assert _scan_cells(*_parts(data)).to_pylist() == want
 
 
 def test_absolute_relationship_target():
@@ -243,8 +267,111 @@ def test_absolute_relationship_target():
         _SST,
         target="/xl/worksheets/sheet1.xml",
     )
-    assert _scan_rows(*_parts(data)) == [["a", "7"]]
-    assert read_xlsx_rows(data) == [["a", "7"]]
+    assert _scan_cells(*_parts(data)).to_pylist() == [["a", "7"]]
+    assert read_xlsx_cells(data).to_pylist() == [["a", "7"]]
+
+
+_R = "http://schemas.openxmlformats.org/officeDocument/2006/relationships"
+_WB = f'<workbook xmlns="{_NS}" xmlns:r="{_R}"><sheets>%s</sheets></workbook>'
+_RELS = '<Relationships xmlns="http://schemas.openxmlformats.org/package/2006/relationships">%s</Relationships>'
+_REL2 = '<Relationship Id="rId1" Type="worksheet" Target="worksheets/sheet2.xml"/>'
+_S1 = '<sheet name="S" sheetId="1" r:id="rId1"/>'
+
+
+def _pack_book(workbook: str, rels: str) -> bytes:
+    """An xlsx with two sheet parts, "one" in sheet1 and "two" in sheet2."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        zf.writestr("xl/workbook.xml", workbook)
+        zf.writestr("xl/_rels/workbook.xml.rels", rels)
+        for i, word in ((1, "one"), (2, "two")):
+            zf.writestr(f"xl/worksheets/sheet{i}.xml", _sheet(f'<row r="1"><c r="A1" t="str"><v>{word}</v></c></row>'))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "workbook, rels, canonical",
+    [
+        (_WB % _S1, _RELS % _REL2, True),
+        (  # an empty target, then the same id again: the last non-empty one wins
+            _WB % _S1,
+            _RELS % ('<Relationship Id="rId1" Type="w" Target=""/>' + _REL2),
+            True,
+        ),
+        (  # a sheet with no relationship id is skipped
+            _WB % ('<sheet name="A" sheetId="1"/><sheet name="B" sheetId="2" r:id="rId1"/>'),
+            _RELS % _REL2,
+            False,
+        ),
+        (_WB % _S1, _RELS % _REL2.replace('"', "'"), False),  # single-quoted attributes
+        (  # Target before Id
+            _WB % _S1,
+            _RELS % '<Relationship Target="worksheets/sheet2.xml" Id="rId1" Type="w"/>',
+            False,
+        ),
+        (_WB % _S1, _RELS % _REL2.replace("sheet2", "sheet&#50;"), False),  # an entity
+        (_WB % _S1, _RELS % ("<!-- a note -->" + _REL2), False),  # a comment
+        (  # a prefixed relationships part
+            _WB % _S1,
+            '<p:Relationships xmlns:p="http://schemas.openxmlformats.org/package/2006/relationships">'
+            + _REL2.replace("<Relationship", "<p:Relationship")
+            + "</p:Relationships>",
+            False,
+        ),
+        (  # a commented-out first sheet in the workbook
+            _WB % ('<!-- <sheet name="old" sheetId="9" r:id="rId9"/> -->' + _S1),
+            _RELS % (_REL2 + '<Relationship Id="rId9" Type="w" Target="worksheets/sheet1.xml"/>'),
+            False,
+        ),
+        (  # the relationships namespace under a second prefix
+            _WB.replace('xmlns:r=', f'xmlns:rel="{_R}" xmlns:r=') % '<sheet name="S" sheetId="1" rel:id="rId1"/>',
+            _RELS % _REL2,
+            False,
+        ),
+    ],
+    ids=[
+        "plain", "empty_then_set", "no_rid", "single_quotes", "attr_order", "entity",
+        "comment", "prefixed_rels", "commented_sheet", "second_prefix",
+    ],
+)
+def test_non_canonical_relationships_fall_back(workbook, rels, canonical):
+    """The sheet target comes from the regex read of a plain workbook
+    and relationships part, and from the ElementTree resolver for
+    anything else; both name sheet2 here."""
+    wb, rl = workbook.encode(), rels.encode()
+    scanned = _scan_relationships(wb, rl)
+    assert (scanned is not None) == canonical
+    if canonical:
+        assert scanned == _walk_relationships(wb, rl)
+    assert read_xlsx_cells(_pack_book(workbook, rels)).to_pylist() == [["two"]]
+
+
+@pytest.mark.parametrize("compression", [zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED])
+def test_members_read_as_zipfile_reads_them(compression):
+    """Parts sliced out of the archive bytes equal ``ZipFile.read``, for
+    stored and deflated members; a member whose bytes fail its CRC-32
+    raises what ``ZipFile.read`` raises."""
+    from hydra_ray.sources.xlsx import _member
+
+    grid = [["id", "name"], [1, "alpha"], [2, "b\u00e9ta"]]
+    src = zipfile.ZipFile(io.BytesIO(write_xlsx(grid)))
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", compression) as zf:
+        for name in src.namelist():
+            zf.writestr(name, src.read(name))
+    data = buf.getvalue()
+    zf = zipfile.ZipFile(io.BytesIO(data))
+    assert all(_member(zf, data, n) == zf.read(n) for n in zf.namelist())
+    assert read_xlsx_cells(data).to_pylist() == [["id", "name"], ["1", "alpha"], ["2", "b\u00e9ta"]]
+
+    info = zf.getinfo("xl/sharedStrings.xml")
+    at = info.header_offset + 30 + len(info.filename) + len(info.extra) + info.compress_size // 2
+    bad = data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1 :]
+    zf = zipfile.ZipFile(io.BytesIO(bad))
+    with pytest.raises(Exception) as want:
+        zf.read("xl/sharedStrings.xml")
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        _member(zf, bad, "xl/sharedStrings.xml")
 
 
 @pytest.mark.parametrize("writer", ["xlsx", "xls", "ods"])

@@ -63,6 +63,28 @@ def test_blocks_dataset_runs_blocks_concurrently():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_blocks_dataset_starts_no_task(monkeypatch):
+    """Building an iteration's Dataset starts no Ray task: block
+    metadata and schema come from the driver-held tables, not from a
+    remote metadata task per block (``rd.from_arrow``)."""
+    import ray.data.read_api as read_api
+
+    from hydra_ray.sources.store import blocks_dataset
+
+    def no_task(*args, **kwargs):
+        raise AssertionError("building the Dataset started a Ray task")
+
+    monkeypatch.setattr(read_api, "get_table_block_metadata_schema", no_task)
+    monkeypatch.setattr(read_api, "cached_remote_fn", no_task)
+    tables = [pa.table({"i": list(range(k, k + 3)), "s": ["a", "b", "c"]}) for k in (0, 3, 6)]
+    ds = blocks_dataset(tables)
+    one = blocks_dataset(tables[0])
+    assert ds.num_blocks() == 3 and ds.count() == 9 and ds.schema().names == ["i", "s"]
+    assert one.num_blocks() == 1 and one.count() == 3
+    assert not ds.context.op_resource_reservation_enabled and ds.context.execution_options.preserve_order
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_concurrent_blocks_commit_identical_tables(tmp_path, make_crawl_engine, monkeypatch):
     """Two fresh engines crawl the same catalog for 3 iterations of at
     least 4 blocks each, with block 0 made the slowest: every column of
@@ -87,7 +109,7 @@ def test_concurrent_blocks_commit_identical_tables(tmp_path, make_crawl_engine, 
     stages = crawl.CrawlEngine._stages
 
     def slow_first_block(self, *args, **kwargs):
-        fetch, *rest = stages(self, *args, **kwargs)
+        fetch, *rest = stages(self, *args, **kwargs).stages
         first = frozenset(blocks[-1][0])
 
         def fetch_slow_on_first(batch: pa.Table) -> pa.Table:
@@ -95,7 +117,7 @@ def test_concurrent_blocks_commit_identical_tables(tmp_path, make_crawl_engine, 
                 time.sleep(0.3)
             return fetch(batch)
 
-        return [fetch_slow_on_first, *rest]
+        return crawl.StageChain(fetch_slow_on_first, *rest)
 
     monkeypatch.setattr(crawl.CrawlEngine, "_stages", slow_first_block)
 

@@ -201,7 +201,7 @@ def test_mixed_block_rows_match_single_row_runs(tmp_path, make_crawl_engine):
         analysis_config=EXPORT_CFG,
     )
     eng.load_catalog(catalog)
-    fetch, build_checks, analyse, _sink = eng._stages(0, *(str(tmp_path / d) for d in "abcd"))
+    fetch, build_checks, analyse, _sink = eng._stages(0, *(str(tmp_path / d) for d in "abcd")).stages
     rows = build_checks(fetch(eng._frontier()))
     block = analyse(rows)
     for k in range(rows.num_rows):

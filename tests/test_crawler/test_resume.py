@@ -33,18 +33,18 @@ def checks_fingerprint(engine):
 @pytest.fixture()
 def crawl_blocks(monkeypatch):
     """Row counts of the blocks each crawl iteration cut (a spy on the
-    ``from_arrow(list)`` call that builds the iteration's Dataset)."""
+    ``blocks_dataset(list)`` call that builds the iteration's Dataset)."""
     from hydra_ray.pipelines import crawl
 
     seen: list[list[int]] = []
-    from_arrow = crawl.rd.from_arrow
+    blocks_dataset = crawl.blocks_dataset
 
     def spy(tables, *args, **kwargs):
         if isinstance(tables, list):
             seen.append([t.num_rows for t in tables])
-        return from_arrow(tables, *args, **kwargs)
+        return blocks_dataset(tables, *args, **kwargs)
 
-    monkeypatch.setattr(crawl.rd, "from_arrow", spy)
+    monkeypatch.setattr(crawl, "blocks_dataset", spy)
     return seen
 
 
@@ -158,9 +158,9 @@ def test_results_identical_across_parallelism(tmp_path, make_crawl_engine, monke
 @pytest.mark.usefixtures("ray_session")
 def test_iteration_blocks_sized_by_rows(tmp_path, make_crawl_engine, monkeypatch, crawl_blocks):
     """A 100-row iteration at FETCH_BATCH_SIZE=16 is cut into 7 balanced
-    row-range blocks of at most 16 rows, and each of the four crawl
-    stages takes whole blocks (batch_size=None): one call per block, no
-    re-bundling of small blocks and no remainder calls."""
+    row-range blocks of at most 16 rows, and one map runs the four crawl
+    stages in order on whole blocks (batch_size=None): one call per
+    block, no re-bundling of small blocks and no remainder calls."""
     import inspect
     import os
 
@@ -177,13 +177,17 @@ def test_iteration_blocks_sized_by_rows(tmp_path, make_crawl_engine, monkeypatch
     )
     e.load_catalog(small_seed(100))
 
-    stages = []
+    maps = []  # (stage names of the mapped chain, batch_size) per map_batches call
     map_batches = Dataset.map_batches
 
-    def recording(self, fn, *args, **kwargs):
-        udf = getattr(fn, "func", fn)  # the check-build stage is a partial
+    def name(stage) -> str:
+        udf = getattr(stage, "func", stage)  # the check-build stage is a partial
         udf = udf if inspect.isclass(udf) or inspect.isfunction(udf) else type(udf)
-        stages.append((udf.__name__, kwargs.get("batch_size", "unset")))
+        return udf.__name__
+
+    def recording(self, fn, *args, **kwargs):
+        names = [name(s) for s in getattr(fn, "stages", [fn])]
+        maps.append((names, kwargs.get("batch_size", "unset")))
         return map_batches(self, fn, *args, **kwargs)
 
     monkeypatch.setattr(Dataset, "map_batches", recording)
@@ -192,7 +196,7 @@ def test_iteration_blocks_sized_by_rows(tmp_path, make_crawl_engine, monkeypatch
     assert stats["selected"] == 100 and stats["backoff"] == 0
     assert len(crawl_blocks) == 1 and sorted(crawl_blocks[0]) == [14] * 5 + [15] * 2
     crawl_stages = ["Fetcher", "build_checks_batch", "Analyser", "IterationSink"]
-    assert [s for s in stages if s[0] in crawl_stages] == [(n, None) for n in crawl_stages]
+    assert [m for m in maps if set(m[0]) & set(crawl_stages)] == [(crawl_stages, None)]
     # one sink call per block: one checks part file each, same rows
     parts = [f for f in e.checks.files() if os.path.basename(os.path.dirname(f)).startswith("txn-iter0-")]
     assert sorted(pq.read_metadata(f).num_rows for f in parts) == sorted(crawl_blocks[0])
