@@ -221,19 +221,6 @@ class CrawlEngine:
 
     # -- one iteration -----------------------------------------------------
     def run_iteration(self) -> dict:
-        import time as _time
-
-        profile = bool(os.environ.get("HYDRA_PROFILE"))
-        marks: dict[str, float] = {}
-        _last = _time.time()
-
-        def mark(name: str) -> None:
-            nonlocal _last
-            if profile:
-                now_t = _time.time()
-                marks[f"t_{name}"] = round(now_t - _last, 2)
-                _last = now_t
-
         it = self.iteration
         now = self.now_dt(it)
         now64 = np.datetime64(now, "us")
@@ -245,7 +232,6 @@ class CrawlEngine:
         # slice over a many-chunked table pays per-chunk serialization
         # costs × n_blocks (10s+ on a freshly concat-loaded catalog)
         selected = selected.combine_chunks()
-        mark("select")
         stats = {"iteration": it, "selected": selected.num_rows}
         if selected.num_rows == 0:
             self._finish_iteration([], stats)
@@ -266,7 +252,6 @@ class CrawlEngine:
         backoff_rows = selected.filter(pa.array(~allow_mask))
         fetch_rows = selected.filter(pa.array(allow_mask))
         stats["backoff"] = backoff_rows.num_rows
-        mark("politeness")
 
         updates: list[pa.Table] = []
         if backoff_rows.num_rows:
@@ -306,7 +291,6 @@ class CrawlEngine:
                 batch_size=None,
             )
             result = _ds_to_arrow(ds)
-            mark("pipeline")
 
             # commit the part files written by the sink stage + record
             # per-partition lineage (file, row-count) into metrics.
@@ -323,7 +307,6 @@ class CrawlEngine:
             self.documents.register_files(_txn_files(docs_txn), replace_tag=tag)
             self.tables_index.register_files(_txn_files(tables_txn), replace_tag=tag)
             self._record_lineage(it, checks_files, now)
-            mark("register")
 
             # frontier updates
             updates.append(_frontier_update_fetched(result, now))
@@ -332,7 +315,6 @@ class CrawlEngine:
             # latest check's status/ratelimit headers (by max check_id —
             # deterministic under any block ordering)
             self.politeness.record_agg(_politeness_records(result), now_epoch)
-            mark("record")
 
             for o in ("ok", "timeout", "error"):
                 stats[o] = int(
@@ -343,12 +325,7 @@ class CrawlEngine:
                 pc.sum(pc.cast(result["has_changed"], pa.int32())).as_py() or 0
             )
 
-        if profile:
-            stats.update(marks)
         self._finish_iteration(updates, stats)
-        if profile:
-            import time as _t2
-            stats["t_finish"] = round(_t2.time() - _last, 2)
         return stats
 
     def run(self, iterations: int = 1) -> list[dict]:
@@ -598,7 +575,7 @@ class CrawlEngine:
                 exports_dir=os.path.join(self.workdir, "exports"),
                 config_overrides=self.analysis_config,
             ),
-            IterationSink(checks_txn, payloads_txn, docs_txn, it, tables_dir=tables_txn),
+            IterationSink(checks_txn, payloads_txn, docs_txn, it, tables_txn),
         )
 
     def invalidate_frontier_cache(self) -> None:

@@ -818,18 +818,20 @@ def q_ogc_capabilities(sf_dir: str):
     import json as _json
 
     from hydra_ray.config import config_override
+    from hydra_ray.stages.fetcher import SyntheticTransport
     from hydra_ray.stages.ogc import analyse_ogc
 
     def probe(t: pa.Table) -> pa.Table:
         doc_ids = t["doc_id"].to_numpy(zero_copy_only=False)
         rows_id, rows_meta = [], []
+        transport = SyntheticTransport()
         with config_override(OGC_ANALYSIS_ENABLED=True):
             for d in doc_ids:
                 d = int(d)
                 if d % 10 != 0:
                     continue
                 url = f"https://geo{d % 7}.data.example/geoserver/wfs?service=wfs&typeName=ns:layer_{d % 13}"
-                meta = analyse_ogc({"url": url, "format": "wfs"})
+                meta = analyse_ogc({"url": url, "format": "wfs"}, transport)
                 rows_id.append(d)
                 rows_meta.append(_json.dumps(meta, sort_keys=True))
         return pa.table(
@@ -1160,7 +1162,7 @@ ORACLE_MEDIA_FEATURES = f"""
 _register("media_features", q_media_features, ORACLE_MEDIA_FEATURES)
 
 # OGC probing parity: every capability field of the deterministic
-# synthetic GetCapabilities document (stages/ogc.py) is md5-derived,
+# synthetic GetCapabilities document (synth.py) is md5-derived,
 # so the sorted-key JSON is reproducible with string concat
 ORACLE_OGC_CAPABILITIES = """
     WITH probes AS (

@@ -61,25 +61,23 @@ class Analyser:
     built once per instance. The batch body is a per-row loop over the
     change-detection decision tree (branchy row logic, not a kernel).
 
-    With ``parse_content=True`` (default) rows routed to a parseable
-    format run the full content analysis inside this distributed stage:
-    download → csv-detective-style inspection → typed Arrow
-    cast → interleaved span-document build (the reference's CsvLike
-    .analyse path, csv_like/__init__.py:60-159). The resulting spans
-    ride out as a list<struct> column (null for unparsed rows)."""
+    Rows routed to a parseable format run the full content analysis
+    inside this distributed stage: download → csv-detective-style
+    inspection → typed Arrow cast → interleaved span-document build (the
+    reference's CsvLike .analyse path, csv_like/__init__.py:60-159). The
+    resulting spans ride out as a list<struct> column (null for unparsed
+    rows)."""
 
     def __init__(
         self,
         transport: dict | None = None,
         force_analysis: bool = False,
-        parse_content: bool = True,
         exceptions: set | None = None,
         exports_dir: str | None = None,
         config_overrides: dict | None = None,
     ):
         self.transport = make_transport(transport)
         self.force = force_analysis
-        self.parse_content = parse_content
         # resources_exceptions (J3, reference db/resource_exception.py):
         # exempted resource_ids skip the per-format size cap — broadcast
         # as a small set captured at stage construction
@@ -102,15 +100,11 @@ class Analyser:
     def _analyse(self, batch: pa.Table) -> pa.Table:
         n = len(batch)
         urls = batch["url"].to_pylist()
-        rids = batch["resource_id"].to_pylist() if "resource_id" in batch.column_names else [None] * n
+        rids = batch["resource_id"].to_pylist()
         formats = batch["format"].to_pylist()
         headers_js = batch["check_headers"].to_pylist()
         created_at = batch["created_at"].to_pylist()
-        harvest = (
-            batch["harvest_modified_at"].to_pylist()
-            if "harvest_modified_at" in batch.column_names
-            else [None] * n
-        )
+        harvest = batch["harvest_modified_at"].to_pylist()
         has_last = [x is not None for x in batch["last_check_id"].to_pylist()]
         last_at = batch["last_check_at"].to_pylist()
         last_headers_js = batch["last_headers"].to_pylist()
@@ -127,7 +121,7 @@ class Analyser:
         bodies: list[bytes | None] = [None] * n  # the downloaded file per row
         caps = [0] * n  # each downloaded body's size cap (bounds its gunzip too)
 
-        outcomes = batch["outcome"].to_pylist() if "outcome" in batch.column_names else ["ok"] * n
+        outcomes = batch["outcome"].to_pylist()
 
         for j in range(n):
             if outcomes[j] != "ok":
@@ -234,13 +228,9 @@ class Analyser:
 
         # full content analysis for parseable, changed resources — the
         # heavy distributed work (inspection, typed cast, span build)
-        spans_col = None
-        parsing_tables: list[str | None] = [None] * n
-        self._last_inspections = [None] * n
         self._last_parse_errors: list[str | None] = [None] * n
         self._last_exports = {k: [None] * n for k in _EXPORT_KEYS}
-        if self.parse_content:
-            spans_col, parsing_tables = self._parse_contents(batch, out_parse, bodies, caps)
+        spans_col, parsing_tables, inspections = self._parse_contents(batch, out_parse, bodies, caps)
 
         # OGC capabilities analysis for service-format resources
         # (reference data_formats/ogc/__init__.py:80-248: parse
@@ -328,17 +318,12 @@ class Analyser:
             ("geojson_size", pa.array(self._last_exports["geojson_size"], type=pa.int64())),
             ("pmtiles_url", pa.array(self._last_exports["pmtiles_url"], type=pa.string())),
             ("pmtiles_size", pa.array(self._last_exports["pmtiles_size"], type=pa.int64())),
+            ("spans", spans_col),
+            ("inspection", pa.array(inspections, type=pa.string())),
         ):
             if name in out.column_names:
                 out = out.drop_columns([name])
             out = out.append_column(name, arr)
-        if spans_col is not None:
-            if "spans" in out.column_names:
-                out = out.drop_columns(["spans"])
-            out = out.append_column("spans", spans_col)
-            out = out.append_column(
-                "inspection", pa.array(self._last_inspections, type=pa.string())
-            )
         return out
 
     def _parse_contents(
@@ -347,7 +332,7 @@ class Analyser:
         """Inspect + cast + span-build of the parse-routed rows'
         downloaded bodies (a gzip body inflates to at most its row's
         size cap, ``caps``); returns the spans list<struct> column (nulls
-        elsewhere) and parsing-table names. A sheet's span text is its
+        elsewhere), parsing-table names and inspection reports. A sheet's span text is its
         rows' cells joined with "," and the rows with newlines. Parse
         failures are captured per resource into ``self._last_parse_errors`` with the
         reference's ``step:cause`` contract (utils/errors.py:113-135);
@@ -367,7 +352,7 @@ class Analyser:
 
         n = batch.num_rows
         rids = batch["resource_id"].to_pylist()
-        md5s = batch["url_md5"].to_pylist() if "url_md5" in batch.column_names else [None] * n
+        md5s = batch["url_md5"].to_pylist()
         # (row, span text, sweep item) per parse-routed row: workbook
         # Sheets first, then CSV texts (the span order)
         readers = workbook_readers()
@@ -421,9 +406,8 @@ class Analyser:
                 for k, v in export_artifacts(tbl, insp, md5s[j], self.exports_dir).items():
                     self._last_exports[k][j] = v
 
-        self._last_inspections = inspections  # consumed by __call__ below
         if not good:
-            return pa.nulls(n, pa.list_(SPAN_STRUCT)), parsing_tables
+            return pa.nulls(n, pa.list_(SPAN_STRUCT)), parsing_tables, inspections
 
         built = build_spans_batch(
             pa.table(
@@ -436,7 +420,7 @@ class Analyser:
         at: list = [None] * n  # block position -> built row (null: unparsed)
         for i, g in enumerate(good):
             at[g[0]] = i
-        return built["spans"].take(pa.array(at, type=pa.int32())), parsing_tables
+        return built["spans"].take(pa.array(at, type=pa.int32())), parsing_tables, inspections
 
 
 def _sheet_texts(sheets: list) -> list[str]:

@@ -51,16 +51,12 @@ def build_checks_batch(batch: pa.Table, iteration: int, now: datetime) -> pa.Tab
     timeouts = batch["check_timeout"].to_pylist()
     errors = batch["check_error"].to_pylist()
 
-    last_status = batch["last_status"].to_pylist() if "last_status" in batch.column_names else [None] * n
-    last_timeout = batch["last_timeout"].to_pylist() if "last_timeout" in batch.column_names else [None] * n
-    last_headers = batch["last_headers"].to_pylist() if "last_headers" in batch.column_names else [None] * n
-    last_cors = batch["last_cors_headers"].to_pylist() if "last_cors_headers" in batch.column_names else [None] * n
-    has_last = (
-        pa.compute.invert(pa.compute.is_null(batch["last_check_id"])).to_pylist()
-        if "last_check_id" in batch.column_names
-        else [False] * n
-    )
-    last_at = batch["last_check_at"].to_pylist() if "last_check_at" in batch.column_names else [None] * n
+    last_status = batch["last_status"].to_pylist()
+    last_timeout = batch["last_timeout"].to_pylist()
+    last_headers = batch["last_headers"].to_pylist()
+    last_cors = batch["last_cors_headers"].to_pylist()
+    has_last = pa.compute.is_valid(batch["last_check_id"]).to_pylist()
+    last_at = batch["last_check_at"].to_pylist()
 
     changed_arr: list[bool] = []
     next_at: list[datetime] = []

@@ -9,13 +9,18 @@ Reproduces the reference's per-URL check flow
     check_resources.py:121-139), then the check row fields
   - timeout → check {timeout: true}; client errors → check {error,...}
 
-The HTTP client is pluggable ("Transport"): ``SyntheticTransport`` is
-the deterministic sandbox web (hydra_ray/synth.py); ``MockTransport``
-powers the parity tests (the aioresponses role). Neither holds a
-session, so nothing is worth keeping alive between blocks. A
-transport's ``download(url, max_bytes)`` returns a resource's file, at
-most ``max_bytes + 1`` bytes (so an oversize body shows); the analyse
-stage hashes, sniffs and parses exactly those bytes.
+The HTTP client is pluggable ("Transport"), and it is the only part of
+the chain that knows the web. A transport has exactly four methods:
+``request(url, method)`` (a HEAD/GET response dict), ``cors(url)`` (the
+OPTIONS preflight or None), ``download(url, max_bytes)`` (a resource's
+file, at most ``max_bytes + 1`` bytes so an oversize body shows) and
+``robots(domain)`` (robots.txt text). The analyse stage hashes, sniffs
+and parses exactly what ``download`` returns, and the OGC stage reads
+a service's GetCapabilities document through it too.
+``SyntheticTransport`` is the deterministic sandbox web
+(hydra_ray/synth.py); ``MockTransport`` powers the parity tests (the
+aioresponses role). Neither holds a session, so nothing is worth
+keeping alive between blocks.
 
 Used as the first stage of the iteration's one ``map_batches``
 (``CrawlEngine._stages``, ``batch_format="pyarrow", batch_size=None``):
@@ -256,15 +261,14 @@ class Fetcher:
 
         rules = self._robots_cache.get(domain)
         if rules is None:
-            text = self.transport.robots(domain) if hasattr(self.transport, "robots") else ""
-            rules = parse_robots(text)
+            rules = parse_robots(self.transport.robots(domain))
             self._robots_cache[domain] = rules
         return is_allowed(url, rules)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch["url"].to_pylist()
         domains = batch["domain"].to_pylist()
-        rids = batch["resource_id"].to_pylist() if "resource_id" in batch.column_names else [None] * len(urls)
+        rids = batch["resource_id"].to_pylist()
         keys = batch["url_key"].to_numpy(zero_copy_only=False)
 
         outcome, status, headers_js, cors_js, timeout, error, new_urls = [], [], [], [], [], [], []

@@ -253,71 +253,11 @@ def _fold_column(row: np.ndarray) -> tuple[str, float]:
     return (agreed, round(int(row.max()) / total, 3))
 
 
-# Below this many sampled cells the per-cell Python fold is faster than
-# Arrow kernel dispatch (~40 µs/kernel × ~12 kernels); one resource's
-# 100-row sample sits well under it. Batch calls amortize the kernels.
-_VECTOR_MIN_CELLS = 2048
-
-
 def detect_types(rows: list[list[str]], n_cols: int) -> list[tuple[str, float]]:
     """(python_type, score) per column — majority vote with int→float and
-    date→datetime widening; any irreconcilable mix → string. Single-
-    resource entry point; the crawl analyse stage batches resources
-    through detect_types_many instead (one kernel pass per batch)."""
-    if not rows or not n_cols:
-        return [("string", 0.0)] * n_cols
-    total_cells = sum(min(len(r), n_cols) for r in rows)
-    if total_cells < _VECTOR_MIN_CELLS:
-        return _detect_types_py(rows, n_cols)
-    return detect_types_many([(rows, n_cols)])[0]
-
-
-def detect_types_many(
-    items: list[tuple[list[list[str]], int]]
-) -> list[list[tuple[str, float]]]:
-    """detect_types over MANY resources in one vectorized pass: flatten
-    every sampled cell into a single Arrow array, classify once
-    (_classify_cells — one RE2 kernel per TYPE total), fold votes with
-    one global bincount keyed by (resource-column slot, type)."""
-    if not items:
-        return []
-    cells: list = []
-    lens: list[int] = []  # clipped length per row, across all resources
-    row_bases: list[int] = []  # resource's global column base per row
-    bases: list[int] = []
-    base = 0
-    for rows, n_cols in items:
-        bases.append(base)
-        for r in rows:
-            m = len(r) if len(r) < n_cols else n_cols
-            lens.append(m)
-            row_bases.append(base)
-            cells.extend(r[:m])
-        base += n_cols
-    if not cells:
-        return [[("string", 0.0)] * nc for _, nc in items]
-    try:
-        arr = pa.array(cells, type=pa.string())
-    except (pa.ArrowInvalid, pa.ArrowTypeError):
-        return [_detect_types_py(rows, nc) for rows, nc in items]
-    codes = _classify_cells(arr)
-    lens_np = np.asarray(lens, dtype=np.int64)
-    starts = np.cumsum(lens_np) - lens_np
-    slots = (
-        np.arange(len(cells), dtype=np.int64)
-        - np.repeat(starts, lens_np)
-        + np.repeat(np.asarray(row_bases, dtype=np.int64), lens_np)
-    )
-    ne = codes != _T_EMPTY
-    counts = np.bincount(slots[ne] * 8 + codes[ne], minlength=base * 8).reshape(base, 8)
-    return [
-        [_fold_column(counts[b + c]) for c in range(nc)]
-        for (_, nc), b in zip(items, bases)
-    ]
-
-
-def _detect_types_py(rows: list[list[str]], n_cols: int) -> list[tuple[str, float]]:
-    """Original per-cell fold — fallback for non-string cells."""
+    date→datetime widening; any irreconcilable mix → string. The per-cell
+    fold of one resource's sample; the crawl analyse stage votes a whole
+    block's cells in one sweep instead (``inspect_csv_texts_batch``)."""
     out = []
     for c in range(n_cols):
         seen: dict[str, int] = {}
@@ -548,7 +488,7 @@ def _inspect_metas_arrow(metas: list, out: list) -> None:
         lens = pc.list_value_length(cells_list).to_numpy(zero_copy_only=False).astype(np.int64)
         rows_per_np = np.asarray(rows_per, dtype=np.int64)
         # per-cell (resource-column) slot, clipped to the header width
-        # exactly like detect_types_many's r[:m]
+        # exactly like detect_types' c >= len(row) skip
         row_base = np.repeat(np.repeat(bases, rows_per_np), lens)
         starts = np.cumsum(lens) - lens
         col_idx = np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(starts, lens)

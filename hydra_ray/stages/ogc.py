@@ -10,25 +10,36 @@ owslib is not in this container, but GetCapabilities is plain XML:
 ``parse_capabilities_xml`` extracts the same metadata owslib would
 (WFS 2.0/1.1/1.0 FeatureTypeList + outputFormat parameters; WMS
 1.3/1.1 nested Layer tree + GetMap formats) with the stdlib parser.
-No HTTP in the sandbox, so the transport supplies the DOCUMENT — the
-default is a deterministic synthetic XML byte stream that the real
-parser then parses (same pattern as the xls/pmtiles codecs).
+The document is whatever the transport's ``download`` serves for the
+service's ``capabilities_url``, size-capped like any other resource;
+only the transport knows the web (``synth`` for the simulated one).
 Config-gated by OGC_ANALYSIS_ENABLED + OGC_FORMATS like the reference.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 from urllib.parse import parse_qs, urlparse
 from xml.etree import ElementTree as ET
 
 from hydra_ray.config import config
+from hydra_ray.functions.detect import detect_format
+from hydra_ray.stages.inspection import FileTooLarge
 
 # layer names look like ns:layer_name (reference ogc/__init__.py:21)
 LAYER_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*(:[A-Za-z_][A-Za-z0-9_.-]*)?$")
 
-_VERSIONS = {"wfs": ["2.0.0", "1.1.0", "1.0.0"], "wms": ["1.3.0", "1.1.1"]}
+# the OGC key-value pairs of a GetCapabilities request
+GET_CAPABILITIES = "service={fmt}&request=GetCapabilities"
+
+
+def capabilities_url(url: str, fmt: str) -> str:
+    """The GetCapabilities request for a service resource: the resource
+    URL plus ``GET_CAPABILITIES``, or the URL itself when it already
+    holds ``request=GetCapabilities``."""
+    if "request=getcapabilities" in url.lower():
+        return url
+    return f"{url}{'&' if '?' in url else '?'}{GET_CAPABILITIES.format(fmt=fmt)}"
 
 
 def detect_layer_name(url: str, title: str | None) -> str | None:
@@ -47,90 +58,24 @@ def detect_layer_name(url: str, title: str | None) -> str | None:
     return None
 
 
-def synthetic_capabilities(service_url: str, fmt: str) -> dict:
-    """Deterministic stand-in for a GetCapabilities response.
-
-    When the probed URL carries a typeName, the synthetic server
-    SERVES that layer for half the URL space (md5-parity gate) — real
-    services usually do list the layer a resource links to, and the
-    split keeps both detected-layer branches (exact match kept /
-    unlisted candidate discarded) live in the oracled queries."""
-    digest = hashlib.md5(f"{fmt}:{service_url}".encode()).digest()
-    n_layers = 1 + digest[0] % 5
-    layers = [f"ns:layer_{digest[1] % 97}_{i}" for i in range(n_layers)]
-    requested = detect_layer_name(service_url, None)
-    if requested and digest[5] % 2 == 0 and requested not in layers:
-        layers.append(requested)
-    version = _VERSIONS[fmt][digest[2] % len(_VERSIONS[fmt])]
-    return {
-        "service_type": fmt,
-        "version": version,
-        "layers": layers,
-        "crs": ["EPSG:4326", "EPSG:3857"][: 1 + digest[3] % 2],
-        "output_formats": ["application/json", "GML2"][: 1 + digest[4] % 2],
-    }
-
-
-_WFS_NS = {
-    "2.0.0": "http://www.opengis.net/wfs/2.0",
-    "1.1.0": "http://www.opengis.net/wfs",
-    "1.0.0": "http://www.opengis.net/wfs",
-}
-
-
-def synthetic_capabilities_xml(service_url: str, fmt: str) -> bytes:
-    """The synthetic_capabilities dict rendered as a REAL
-    GetCapabilities XML document (WFS FeatureTypeList / WMS Layer tree),
-    so the production parse path runs on every probe."""
-    caps = synthetic_capabilities(service_url, fmt)
-    v = caps["version"]
-    if fmt == "wfs":
-        fts = "".join(
-            "<FeatureType><Name>{0}</Name>{1}{2}</FeatureType>".format(
-                name,
-                "".join(
-                    f"<{'DefaultCRS' if i == 0 else 'OtherCRS'}>"
-                    f"urn:ogc:def:crs:EPSG::{c.split(':')[1]}"
-                    f"</{'DefaultCRS' if i == 0 else 'OtherCRS'}>"
-                    for i, c in enumerate(caps["crs"])
-                ),
-                "<OutputFormats>"
-                + "".join(f"<Format>{f}</Format>" for f in caps["output_formats"])
-                + "</OutputFormats>",
-            )
-            for name in caps["layers"]
-        )
-        doc = (
-            f'<wfs:WFS_Capabilities version="{v}" xmlns:wfs="{_WFS_NS[v]}">'
-            f"<FeatureTypeList>{fts}</FeatureTypeList></wfs:WFS_Capabilities>"
-        )
-    else:  # wms
-        layers = "".join(
-            f"<Layer queryable=\"1\"><Name>{name}</Name><Title>{name}</Title></Layer>"
-            for name in caps["layers"]
-        )
-        crs_tag = "CRS" if v == "1.3.0" else "SRS"
-        crs = "".join(f"<{crs_tag}>{c}</{crs_tag}>" for c in caps["crs"])
-        formats = "".join(f"<Format>{f}</Format>" for f in caps["output_formats"])
-        doc = (
-            f'<WMS_Capabilities version="{v}">'
-            f"<Capability><Request><GetMap>{formats}</GetMap></Request>"
-            f"<Layer><Title>root</Title>{crs}{layers}</Layer></Capability>"
-            f"</WMS_Capabilities>"
-        )
-    return ('<?xml version="1.0" encoding="UTF-8"?>' + doc).encode("utf-8")
-
-
-def _normalize_crs(text: str) -> str | None:
+def _normalize_crs(text: str | None) -> str:
     """'urn:ogc:def:crs:EPSG::4326' / 'EPSG:4326' → 'EPSG:4326'."""
     text = (text or "").strip()
-    if not text:
-        return None
-    if text.upper().startswith("URN:"):
-        parts = [p for p in text.split(":") if p]
-        if len(parts) >= 2:
-            return f"{parts[-2]}:{parts[-1]}"
-    return text
+    parts = [p for p in text.split(":") if p]
+    return f"{parts[-2]}:{parts[-1]}" if text.upper().startswith("URN:") and len(parts) >= 2 else text
+
+
+def _unique(values) -> list[str]:
+    """The non-empty values, first occurrence kept, in order."""
+    out: list[str] = []
+    for v in values:
+        if v and v not in out:
+            out.append(v)
+    return out
+
+
+def _texts(root: ET.Element, path: str) -> list[str]:
+    return [(el.text or "").strip() for el in root.findall(path)]
 
 
 def parse_capabilities_xml(data: bytes) -> dict:
@@ -146,90 +91,58 @@ def parse_capabilities_xml(data: bytes) -> dict:
     """
     root = ET.fromstring(data)
     tag = root.tag.rsplit("}", 1)[-1].lower()
-    version = root.get("version") or ""
     if "wfs" in tag:
         service = "wfs"
-        layers = [
-            (el.text or "").strip()
-            for el in root.findall(".//{*}FeatureTypeList/{*}FeatureType/{*}Name")
+        layers = _texts(root, ".//{*}FeatureTypeList/{*}FeatureType/{*}Name")
+        crs_paths = [
+            f".//{{*}}FeatureType/{{*}}{p}"
+            for p in ("DefaultCRS", "OtherCRS", "DefaultSRS", "OtherSRS", "SRS")
         ]
-        crs: list[str] = []
-        for path in ("DefaultCRS", "OtherCRS", "DefaultSRS", "OtherSRS", "SRS"):
-            for el in root.findall(f".//{{*}}FeatureType/{{*}}{path}"):
-                c = _normalize_crs(el.text)
-                if c and c not in crs:
-                    crs.append(c)
-        fmts: list[str] = []
-        for el in root.findall(".//{*}FeatureType/{*}OutputFormats/{*}Format"):
-            f = (el.text or "").strip()
-            if f and f not in fmts:
-                fmts.append(f)
-        for op in root.findall(".//{*}Operation"):
-            if op.get("name") != "GetFeature":
-                continue
+        fmts = _texts(root, ".//{*}FeatureType/{*}OutputFormats/{*}Format")
+        for op in root.findall(".//{*}Operation[@name='GetFeature']"):
             for par in op.findall(".//{*}Parameter"):
-                if (par.get("name") or "").lower() != "outputformat":
-                    continue
-                for val in par.findall(".//{*}Value"):
-                    f = (val.text or "").strip()
-                    if f and f not in fmts:
-                        fmts.append(f)
+                if (par.get("name") or "").lower() == "outputformat":
+                    fmts += _texts(par, ".//{*}Value")
     elif "wms" in tag:
         service = "wms"
-        layers = []
-        for lay in root.findall(".//{*}Layer"):
-            name = lay.find("{*}Name")
-            if name is not None and (name.text or "").strip():
-                layers.append(name.text.strip())
-        crs = []
-        for crs_tag in ("CRS", "SRS"):
-            for el in root.findall(f".//{{*}}Layer/{{*}}{crs_tag}"):
-                c = _normalize_crs(el.text)
-                if c and c not in crs:
-                    crs.append(c)
-        fmts = []
-        for el in root.findall(".//{*}Request/{*}GetMap/{*}Format"):
-            f = (el.text or "").strip()
-            if f and f not in fmts:
-                fmts.append(f)
+        names = ((lay.findtext("{*}Name") or "").strip() for lay in root.findall(".//{*}Layer"))
+        layers = [name for name in names if name]
+        crs_paths = [".//{*}Layer/{*}CRS", ".//{*}Layer/{*}SRS"]
+        fmts = _texts(root, ".//{*}Request/{*}GetMap/{*}Format")
     else:
         raise ValueError(f"not a WFS/WMS capabilities document (root {root.tag!r})")
     return {
         "service_type": service,
-        "version": version,
+        "version": root.get("version") or "",
         "layers": layers,
-        "crs": crs,
-        "output_formats": fmts,
+        "crs": _unique(_normalize_crs(el.text) for p in crs_paths for el in root.findall(p)),
+        "output_formats": _unique(fmts),
     }
 
 
-def analyse_ogc(check: dict, transport=None, title: str | None = None) -> dict | None:
+def analyse_ogc(check: dict, transport, title: str | None = None) -> dict | None:
     """OGC analysis for one check row; None when disabled or not OGC.
 
-    ``transport`` may supply ``capabilities_xml(url, fmt) -> bytes``
-    (a real deployment returns the HTTP GetCapabilities body) or a
-    pre-parsed ``capabilities(url, fmt) -> dict``; the default
-    synthesizes an XML document and runs the production parser on it.
-    """
+    Reads the service's GetCapabilities document with
+    ``transport.download`` under the format's size cap and parses it;
+    raises on an oversize body (``FileTooLarge``) or a body that is not
+    a WFS/WMS capabilities document."""
     if not config.OGC_ANALYSIS_ENABLED:
         return None
-    from hydra_ray.functions.detect import detect_format
-
     url = check.get("url", "")
     fmt = detect_format(None, url, check.get("format"))
     if fmt not in config.OGC_FORMATS:
         return None
-    if transport is not None and hasattr(transport, "capabilities"):
-        caps = transport.capabilities(url, fmt)
-    elif transport is not None and hasattr(transport, "capabilities_xml"):
-        caps = parse_capabilities_xml(transport.capabilities_xml(url, fmt))
-    else:
-        caps = parse_capabilities_xml(synthetic_capabilities_xml(url, fmt))
+    cap = config.MAX_FILESIZE_ALLOWED.get(fmt, config.DEFAULT_MAX_FILESIZE_ALLOWED)
+    body = transport.download(capabilities_url(url, fmt), cap)
+    if len(body) > cap:
+        raise FileTooLarge()
+    caps = parse_capabilities_xml(body)
     # reference ogc/__init__.py:196-209: keep the candidate only when it
     # matches a served layer — exact first (namespace included), else a
     # local-name match resolved to the UNIQUE namespaced layer, else None
     detected = detect_layer_name(url, title)
-    layers = caps.get("layers") or []
+    layers = caps["layers"]
     if detected and detected not in layers:
         matches = [l for l in layers if l.split(":")[-1] == detected]
         detected = matches[0] if len(matches) == 1 else None

@@ -23,31 +23,26 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-HEAVY_COLS = (
-    "spans",
-    "payload",
-    "analysis_payload",
-    "parsing_payload",
-    "inspection",
-    "do_parse",
-)
+# written by the sink, dropped before the frontier update (do_parse
+# rides on: the driver counts parsed rows from it)
+HEAVY_COLS = ("spans", "payload", "analysis_payload", "parsing_payload", "inspection")
 
 # parse/export lifecycle columns recorded verbatim on the check row
 # (reference migrations 20241021/20250130/20250615/20260202 + utils/
 # errors.py handle_parse_exception). parsing_table is null unless the
 # parse COMPLETED — the reference drops the table on failure.
 _LIFECYCLE_COLS = (
-    ("parsing_error", pa.string()),
-    ("parsing_table", pa.string()),
-    ("parsing_started_at", pa.timestamp("us")),
-    ("parsing_finished_at", pa.timestamp("us")),
-    ("ogc_metadata", pa.string()),
-    ("parquet_url", pa.string()),
-    ("parquet_size", pa.int64()),
-    ("geojson_url", pa.string()),
-    ("geojson_size", pa.int64()),
-    ("pmtiles_url", pa.string()),
-    ("pmtiles_size", pa.int64()),
+    "parsing_error",
+    "parsing_table",
+    "parsing_started_at",
+    "parsing_finished_at",
+    "ogc_metadata",
+    "parquet_url",
+    "parquet_size",
+    "geojson_url",
+    "geojson_size",
+    "pmtiles_url",
+    "pmtiles_size",
 )
 
 
@@ -72,16 +67,8 @@ def to_checks_table(result: pa.Table) -> pa.Table:
         "analysis_error": result["analysis_error"],
         "detected_last_modified_at": result["detected_last_modified_at_new"],
     }
-    for name, typ in _LIFECYCLE_COLS:
-        if name in result.column_names:
-            cols[name] = result[name]
-        elif name == "parsing_table" and "do_parse" in result.column_names:
-            # legacy path (no Analyser lifecycle columns)
-            cols[name] = pc.if_else(
-                result["do_parse"], result["url_md5"], pa.nulls(result.num_rows, pa.string())
-            )
-        else:
-            cols[name] = pa.nulls(result.num_rows, typ)
+    for name in _LIFECYCLE_COLS:
+        cols[name] = result[name]
     cols["next_check_at"] = result["next_check_at"]
     return pa.table(
         {k: (v.combine_chunks() if isinstance(v, pa.ChunkedArray) else v) for k, v in cols.items()}
@@ -96,8 +83,6 @@ def payload_rows(result: pa.Table, iteration: int) -> pa.Table:
         ("analysis", "analysis_payload"),
         ("parsing", "parsing_payload"),
     ):
-        if col not in result.column_names:
-            continue
         sub = result.filter(pc.is_valid(result[col]))
         if sub.num_rows:
             parts.append(
@@ -148,19 +133,14 @@ def tables_index_rows(result: pa.Table, iteration: int) -> pa.Table:
     resource/dataset/url, created_at). Failed parses register no row —
     the reference drops the table + tables_index entry on failure
     (utils/errors.py:118-121)."""
-    mask = pc.equal(result["do_parse"], True)
-    if "parsing_table" in result.column_names:
-        mask = pc.and_(mask, pc.is_valid(result["parsing_table"]))
-    parsed = result.filter(mask)
+    parsed = result.filter(
+        pc.and_(pc.equal(result["do_parse"], True), pc.is_valid(result["parsing_table"]))
+    )
     n = parsed.num_rows
     return pa.table(
         {
-            "parsing_table": pc.if_else(
-                pc.is_valid(parsed["url_md5"]), parsed["url_md5"], pa.nulls(n, pa.string())
-            ),
-            "csv_detective": parsed["inspection"]
-            if "inspection" in parsed.column_names
-            else pa.nulls(n, pa.string()),
+            "parsing_table": parsed["parsing_table"],
+            "csv_detective": parsed["inspection"],
             "resource_id": parsed["resource_id"].cast(pa.string()),
             "dataset_id": parsed["dataset_id"].cast(pa.string()),
             "url": parsed["url"].cast(pa.string()),
@@ -179,7 +159,7 @@ class IterationSink:
         payloads_dir: str,
         docs_dir: str,
         iteration: int,
-        tables_dir: str | None = None,
+        tables_dir: str,
     ):
         self.checks_dir = checks_dir
         self.payloads_dir = payloads_dir
@@ -209,13 +189,10 @@ class IterationSink:
             pl = payload_rows(batch, self.iteration)
             if pl.num_rows:
                 self._write(pl, self.payloads_dir, blk)
-            if "spans" in batch.column_names:
-                docs = docs_table(batch, self.iteration)
-                if docs.num_rows:
-                    self._write(docs, self.docs_dir, blk)
-                if self.tables_dir is not None:
-                    ti = tables_index_rows(batch, self.iteration)
-                    if ti.num_rows:
-                        self._write(ti, self.tables_dir, blk)
-        drop = [c for c in HEAVY_COLS if c in batch.column_names and c != "do_parse"]
-        return batch.drop_columns(drop)
+            docs = docs_table(batch, self.iteration)
+            if docs.num_rows:
+                self._write(docs, self.docs_dir, blk)
+            ti = tables_index_rows(batch, self.iteration)
+            if ti.num_rows:
+                self._write(ti, self.tables_dir, blk)
+        return batch.drop_columns(list(HEAVY_COLS))

@@ -9,8 +9,8 @@ scaling benchmark and the seeded crawl-ordering contract).
 from the driver's ``documents.parquet`` table; the same derivation is
 expressible in DuckDB SQL (see pipelines/queries.py) so the driver's
 oracle can verify it. ``synthetic_response`` (headers) and
-``synthetic_download`` (the served file) are the deterministic "web"
-behind the fetcher's SyntheticTransport.
+``synthetic_download`` (the served file, OGC capabilities included) are
+the deterministic "web" behind the fetcher's SyntheticTransport.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+
+from hydra_ray.stages.ogc import GET_CAPABILITIES, capabilities_url, detect_layer_name
 
 FORMATS = ["csv", "json", "geojson", "parquet", "xlsx", "pdf"]
 N_DOMAINS = 20
@@ -116,13 +118,7 @@ def synthetic_response(url: str, method: str = "head", epoch: int = 0) -> dict:
     cls = h0 % 100
     fmt = _url_ext(url)
     if fmt == "bin":
-        # extension-less OGC endpoints (…/geoserver/wfs?service=wfs)
-        low = url.lower()
-        path = low.split("?", 1)[0].rstrip("/")
-        for ogc in ("wfs", "wms"):
-            if path.endswith(f"/{ogc}") or f"service={ogc}" in low:
-                fmt = ogc
-                break
+        fmt = _ogc_service(url) or fmt
     content_type = _CT_BY_FORMAT.get(fmt, "application/octet-stream")
     base_len = 1000 + (h0 % 100000)
     changes_this_epoch = (digest[2] % 10) == (epoch % 10)  # ~10% change per epoch
@@ -164,10 +160,100 @@ def synthetic_response(url: str, method: str = "head", epoch: int = 0) -> dict:
     }
 
 
+def _ogc_service(url: str) -> str | None:
+    """The OGC service ("wfs"/"wms") an extension-less endpoint
+    (…/geoserver/wfs, …?service=wfs) names, else None."""
+    low = url.lower()
+    path = low.split("?", 1)[0].rstrip("/")
+    for ogc in ("wfs", "wms"):
+        if path.endswith(f"/{ogc}") or f"service={ogc}" in low:
+            return ogc
+    return None
+
+
+def synthetic_capabilities(service_url: str, fmt: str) -> dict:
+    """Deterministic stand-in for a GetCapabilities response.
+
+    When the probed URL carries a typeName, the synthetic server
+    SERVES that layer for half the URL space (md5-parity gate) — real
+    services usually do list the layer a resource links to, and the
+    split keeps both detected-layer branches (exact match kept /
+    unlisted candidate discarded) live in the oracled queries."""
+    digest = hashlib.md5(f"{fmt}:{service_url}".encode()).digest()
+    n_layers = 1 + digest[0] % 5
+    layers = [f"ns:layer_{digest[1] % 97}_{i}" for i in range(n_layers)]
+    requested = detect_layer_name(service_url, None)
+    if requested and digest[5] % 2 == 0 and requested not in layers:
+        layers.append(requested)
+    versions = {"wfs": ["2.0.0", "1.1.0", "1.0.0"], "wms": ["1.3.0", "1.1.1"]}[fmt]
+    return {
+        "service_type": fmt,
+        "version": versions[digest[2] % len(versions)],
+        "layers": layers,
+        "crs": ["EPSG:4326", "EPSG:3857"][: 1 + digest[3] % 2],
+        "output_formats": ["application/json", "GML2"][: 1 + digest[4] % 2],
+    }
+
+
+def synthetic_capabilities_xml(service_url: str, fmt: str) -> bytes:
+    """The synthetic_capabilities dict rendered as a REAL
+    GetCapabilities XML document (WFS FeatureTypeList / WMS Layer tree),
+    so the production parse path runs on every probe."""
+    caps = synthetic_capabilities(service_url, fmt)
+    v = caps["version"]
+    formats = "".join(f"<Format>{f}</Format>" for f in caps["output_formats"])
+    if fmt == "wfs":
+        crs = "".join(
+            f"<{tag}>urn:ogc:def:crs:EPSG::{c.split(':')[1]}</{tag}>"
+            for tag, c in zip(("DefaultCRS", "OtherCRS"), caps["crs"])
+        )
+        fts = "".join(
+            f"<FeatureType><Name>{name}</Name>{crs}<OutputFormats>{formats}</OutputFormats></FeatureType>"
+            for name in caps["layers"]
+        )
+        ns = "http://www.opengis.net/wfs" + ("/2.0" if v == "2.0.0" else "")
+        doc = (
+            f'<wfs:WFS_Capabilities version="{v}" xmlns:wfs="{ns}">'
+            f"<FeatureTypeList>{fts}</FeatureTypeList></wfs:WFS_Capabilities>"
+        )
+    else:  # wms
+        layers = "".join(
+            f"<Layer queryable=\"1\"><Name>{name}</Name><Title>{name}</Title></Layer>"
+            for name in caps["layers"]
+        )
+        crs_tag = "CRS" if v == "1.3.0" else "SRS"
+        crs = "".join(f"<{crs_tag}>{c}</{crs_tag}>" for c in caps["crs"])
+        doc = (
+            f'<WMS_Capabilities version="{v}">'
+            f"<Capability><Request><GetMap>{formats}</GetMap></Request>"
+            f"<Layer><Title>root</Title>{crs}{layers}</Layer></Capability>"
+            f"</WMS_Capabilities>"
+        )
+    return ('<?xml version="1.0" encoding="UTF-8"?>' + doc).encode("utf-8")
+
+
+def _capabilities_document(url: str) -> bytes | None:
+    """The document a GetCapabilities request URL is answered with (None
+    for any other URL): the one of the service resource whose
+    ``capabilities_url`` it is, the same in every epoch."""
+    if "request=getcapabilities" not in url.lower():
+        return None
+    for fmt in ("wfs", "wms"):
+        resource = url[: -len(GET_CAPABILITIES.format(fmt=fmt)) - 1]
+        if capabilities_url(resource, fmt) == url:
+            return synthetic_capabilities_xml(resource, fmt)
+    fmt = _ogc_service(url)  # a resource URL that is its own request
+    return synthetic_capabilities_xml(url, fmt) if fmt else None
+
+
 def synthetic_download(url: str, epoch: int = 0, content_rows: int = 200) -> bytes:
-    """The file a synthetic URL serves, chosen by the URL's extension:
-    a workbook for .xlsx/.xls/.ods, fixed pseudo-bytes for
-    .pdf/.json/.geojson, and ``synthetic_text`` as UTF-8 otherwise."""
+    """The file a synthetic URL serves: an OGC capabilities document for
+    a GetCapabilities request, else by the URL's extension a workbook for
+    .xlsx/.xls/.ods, fixed pseudo-bytes for .pdf/.json/.geojson, and
+    ``synthetic_text`` as UTF-8 otherwise."""
+    doc = _capabilities_document(url)
+    if doc is not None:
+        return doc
     ext = _url_ext(url)
     if ext in ("pdf", "json", "geojson"):
         return hashlib.md5(f"{url}#{epoch}".encode()).digest() * 256

@@ -1,11 +1,14 @@
-"""Catalog CSV ingest (S1) + OGC analysis stub (S14)."""
+"""Catalog CSV ingest (S1) + OGC capabilities analysis (S14)."""
+
+from xml.etree import ElementTree
 
 import pyarrow as pa
 import pytest
 
-from hydra_ray.config import config_override
+from hydra_ray.config import config, config_override
 from hydra_ray.sources.catalog import load_catalog_from_csv, read_catalog_csv
-from hydra_ray.stages.ogc import analyse_ogc, detect_layer_name
+from hydra_ray.stages.fetcher import MockTransport, SyntheticTransport
+from hydra_ray.stages.ogc import analyse_ogc, capabilities_url, detect_layer_name
 
 CSV = """dataset.id;id;url;type;format;title;dataset.archived;harvest.modified_at
 d1;r1;https://a.example/x.csv;main;csv;file x;False;2024-01-02T10:00:00
@@ -50,68 +53,99 @@ def test_ogc_layer_name_detection():
     assert detect_layer_name("https://a/wfs?typeName=bad name!", "ns:t") == "ns:t"
 
 
+def _wfs_capabilities(layers: list[str]) -> bytes:
+    """A minimal WFS 2.0 GetCapabilities document listing ``layers``."""
+    fts = "".join(f"<FeatureType><Name>{name}</Name></FeatureType>" for name in layers)
+    return (
+        '<wfs:WFS_Capabilities version="2.0.0" xmlns:wfs="http://www.opengis.net/wfs/2.0">'
+        f"<FeatureTypeList>{fts}</FeatureTypeList></wfs:WFS_Capabilities>"
+    ).encode()
+
+
+def _served(url: str, body: bytes) -> MockTransport:
+    """A transport serving ``body`` as the WFS resource's GetCapabilities."""
+    return MockTransport(bodies={capabilities_url(url, "wfs"): body})
+
+
 def test_ogc_detected_layer_match_semantics():
     """Reference ogc/__init__.py:196-209: exact match kept, unlisted
     candidate discarded, namespace-less candidate resolved to the
     UNIQUE namespaced layer, ambiguous local names dropped."""
 
-    class T:
-        def __init__(self, layers):
-            self.layers = layers
-
-        def capabilities(self, url, fmt):
-            return {
-                "service_type": "wfs",
-                "version": "2.0.0",
-                "layers": self.layers,
-                "crs": [],
-                "output_formats": [],
-            }
+    def analyse(url, layers):
+        return analyse_ogc({"url": url, "format": "wfs"}, _served(url, _wfs_capabilities(layers)))
 
     with config_override(OGC_ANALYSIS_ENABLED=True):
         url = "https://a/wfs?typeName=ns:roads"
         # exact (namespace included)
-        m = analyse_ogc({"url": url, "format": "wfs"}, transport=T(["ns:roads", "x:other"]))
-        assert m["detected_layer"] == "ns:roads"
+        assert analyse(url, ["ns:roads", "x:other"])["detected_layer"] == "ns:roads"
         # unlisted candidate is discarded, not kept
-        m = analyse_ogc({"url": url, "format": "wfs"}, transport=T(["x:other"]))
-        assert m["detected_layer"] is None
+        assert analyse(url, ["x:other"])["detected_layer"] is None
         # namespace-less candidate resolves to the unique namespaced layer
         url2 = "https://a/wfs?typeName=roads"
-        m = analyse_ogc({"url": url2, "format": "wfs"}, transport=T(["ns:roads", "x:other"]))
-        assert m["detected_layer"] == "ns:roads"
+        assert analyse(url2, ["ns:roads", "x:other"])["detected_layer"] == "ns:roads"
         # ...but an ambiguous local name matches nothing
-        m = analyse_ogc({"url": url2, "format": "wfs"}, transport=T(["ns:roads", "x:roads"]))
-        assert m["detected_layer"] is None
+        assert analyse(url2, ["ns:roads", "x:roads"])["detected_layer"] is None
         # empty layer list: nothing to validate against, candidate dropped
-        m = analyse_ogc({"url": url, "format": "wfs"}, transport=T([]))
-        assert m["detected_layer"] is None
+        assert analyse(url, [])["detected_layer"] is None
+
+
+def test_ogc_capabilities_come_through_download():
+    """The GetCapabilities document is what ``transport.download`` serves
+    for the service's capabilities URL: a served XML body is parsed into
+    its layers, a non-capabilities body raises, a body over the format's
+    cap is refused, and nothing falls back to the simulated web."""
+    url = "https://geo.example/geoserver/wfs?typeName=ns:roads"
+    assert capabilities_url(url, "wfs") == url + "&service=wfs&request=GetCapabilities"
+    assert capabilities_url("https://g/wms", "wms") == "https://g/wms?service=wms&request=GetCapabilities"
+    own = "https://geo.example/wfs?service=WFS&request=GetCapabilities"
+    assert capabilities_url(own, "wfs") == own
+    body = _wfs_capabilities(["ns:roads", "ns:rivers"])
+    with config_override(OGC_ANALYSIS_ENABLED=True):
+        meta = analyse_ogc({"url": url, "format": "wfs"}, _served(url, body))
+        assert meta["layers"] == ["ns:roads", "ns:rivers"]
+        assert meta["service_type"] == "wfs" and meta["detected_layer"] == "ns:roads"
+        with pytest.raises(ValueError, match="not a WFS/WMS capabilities document"):
+            analyse_ogc({"url": url, "format": "wfs"}, _served(url, b"<html/>"))
+        # nothing served: an empty body is no document either
+        with pytest.raises(ElementTree.ParseError):
+            analyse_ogc({"url": url, "format": "wfs"}, MockTransport())
+    caps = {**config.MAX_FILESIZE_ALLOWED, "wfs": len(body) - 1}
+    with config_override(OGC_ANALYSIS_ENABLED=True, MAX_FILESIZE_ALLOWED=caps):
+        with pytest.raises(ValueError, match="File too large to download"):
+            analyse_ogc({"url": url, "format": "wfs"}, _served(url, body))
+    caps["wfs"] = len(body)
+    with config_override(OGC_ANALYSIS_ENABLED=True, MAX_FILESIZE_ALLOWED=caps):
+        assert analyse_ogc({"url": url, "format": "wfs"}, _served(url, body)) == meta
 
 
 def test_ogc_analyse_gated_and_deterministic():
     check = {"url": "https://a.example/geoserver/wfs?typeName=ns:roads", "format": "wfs"}
-    assert analyse_ogc(check) is None  # disabled by default
+    transport = SyntheticTransport()
+    assert analyse_ogc(check, transport) is None  # disabled by default
     with config_override(OGC_ANALYSIS_ENABLED=True):
-        meta = analyse_ogc(check)
+        meta = analyse_ogc(check, transport)
         assert meta["service_type"] == "wfs"
         # this URL's md5-parity is in the "served" half: the synthetic
         # capabilities list the requested layer, so the exact match keeps it
         assert meta["detected_layer"] == "ns:roads"
         assert "ns:roads" in meta["layers"]
         assert meta["layers"] and meta["version"] in ("2.0.0", "1.1.0", "1.0.0")
-        assert analyse_ogc(check) == meta  # deterministic
+        # deterministic, and the same in every epoch
+        assert analyse_ogc(check, SyntheticTransport(epoch=3)) == meta
         # non-OGC rows pass through
-        assert analyse_ogc({"url": "https://a/x.csv", "format": "csv"}) is None
+        assert analyse_ogc({"url": "https://a/x.csv", "format": "csv"}, transport) is None
 
 
 def test_ogc_capabilities_xml_parser_wfs_and_wms():
     """Real GetCapabilities XML (GeoServer-shaped) parses to the
     owslib-equivalent metadata; the synthetic document round-trips
     bit-exact through the same parser (S14 without owslib)."""
-    from hydra_ray.stages.ogc import (
-        parse_capabilities_xml,
+    from hydra_ray.stages.ogc import parse_capabilities_xml
+    from hydra_ray.synth import (
         synthetic_capabilities,
         synthetic_capabilities_xml,
+        synthetic_download,
     )
 
     wfs = b"""<?xml version="1.0"?>
@@ -151,6 +185,12 @@ def test_ogc_capabilities_xml_parser_wfs_and_wms():
             assert parse_capabilities_xml(
                 synthetic_capabilities_xml(url, fmt)
             ) == synthetic_capabilities(url, fmt)
+            # the synthetic web serves that document for the resource's
+            # GetCapabilities request, in every epoch
+            for epoch in (0, 5):
+                assert synthetic_download(capabilities_url(url, fmt), epoch) == (
+                    synthetic_capabilities_xml(url, fmt)
+                )
 
     import pytest as _pytest
 

@@ -122,10 +122,11 @@ def test_parse_export_lifecycle_e2e(tmp_path, make_crawl_engine):
     assert meta["detected_layer"] is None
     assert "ns:layer_3" not in meta["layers"]
     from hydra_ray.config import config_override
+    from hydra_ray.stages.fetcher import SyntheticTransport
     from hydra_ray.stages.ogc import analyse_ogc
 
     with config_override(OGC_ANALYSIS_ENABLED=True):
-        want = analyse_ogc({"url": WFS_URL, "format": "wfs"})
+        want = analyse_ogc({"url": WFS_URL, "format": "wfs"}, SyntheticTransport())
     assert meta == want
     assert wfs["parsing_started_at"] is not None
 
@@ -213,3 +214,52 @@ def test_mixed_block_rows_match_single_row_runs(tmp_path, make_crawl_engine):
     assert errors and all(e.startswith("copy_records_to_table:") for e in errors)
     assert sum(u is not None for u in block["geojson_url"].to_pylist()) >= 2
     eng.shutdown()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_ogc_capabilities_read_through_transport(tmp_path, make_crawl_engine):
+    """A crawl reads each WFS resource's GetCapabilities document with
+    the transport's ``download``: an XML body lands parsed in
+    ``ogc_metadata``, an HTML body is a parse failure recorded as
+    ``ogc_service_parsing:<cause>`` with no metadata."""
+    from hydra_ray.stages.ogc import capabilities_url
+
+    good = "https://good.example/geoserver/wfs?typeName=ns:roads"
+    html = "https://html.example/geoserver/wfs?typeName=ns:roads"
+    doc = (
+        b'<wfs:WFS_Capabilities version="2.0.0" xmlns:wfs="http://www.opengis.net/wfs/2.0">'
+        b"<FeatureTypeList><FeatureType><Name>ns:roads</Name></FeatureType>"
+        b"<FeatureType><Name>ns:rivers</Name></FeatureType></FeatureTypeList>"
+        b"</wfs:WFS_Capabilities>"
+    )
+    headers = {"content-type": "application/xml", "content-length": "100"}
+    urls = [good, html]
+    eng = make_crawl_engine(
+        str(tmp_path / "wd"),
+        transport={
+            "kind": "mock",
+            "responses": {("head", u): {"kind": "ok", "status": 200, "headers": headers} for u in urls},
+            "bodies": {capabilities_url(good, "wfs"): doc, capabilities_url(html, "wfs"): b"<html/>"},
+        },
+        batch_size=10,
+        analysis_config={"OGC_ANALYSIS_ENABLED": True},
+    )
+    eng.load_catalog(
+        pa.table(
+            {
+                "dataset_id": ["ds"] * 2,
+                "resource_id": [hashlib.md5(u.encode()).hexdigest() for u in urls],
+                "url": urls,
+                "format": ["wfs"] * 2,
+            }
+        )
+    )
+    eng.run_iteration()
+    checks = eng.checks.read_arrow()
+    meta = json.loads(_row(checks, good)["ogc_metadata"])
+    assert meta["layers"] == ["ns:roads", "ns:rivers"] and meta["detected_layer"] == "ns:roads"
+    assert _row(checks, good)["parsing_error"] is None
+    bad = _row(checks, html)
+    assert bad["ogc_metadata"] is None
+    assert bad["parsing_error"].startswith("ogc_service_parsing:")
+    assert bad["parsing_started_at"] is not None
