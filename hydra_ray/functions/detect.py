@@ -15,7 +15,12 @@ from __future__ import annotations
 
 from urllib.parse import parse_qs, urlparse
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
 from hydra_ray.config import config
+from hydra_ray.schemas import strings
 
 # (name, valid_mime_prefixes, check_url substring)
 _FORMATS: list[tuple[str, tuple[str, ...], str | None]] = [
@@ -66,6 +71,43 @@ def detect_format(
         if _detect_ogc(fmt, url, resource_format):
             return fmt
     return None
+
+
+def detect_formats(content_types, urls, resource_formats) -> pa.Array:
+    """``detect_format`` over a block's columns. Each row's format is the
+    first in the fixed order that its content-type, URL or catalog
+    format matches: the content-type and catalog-format matches are
+    worked out once per distinct value, the URL matches by one kernel
+    per ``check_url``. Rows no format matches try the OGC services row
+    by row (only when OGC analysis is on)."""
+    names = [name for name, _, _ in _FORMATS]
+    none = len(names)
+
+    def first_match(col, match) -> np.ndarray:
+        """Per row, the position in ``names`` of the first format
+        ``match(value)`` accepts (``none`` if no format does)."""
+        distinct = pc.unique(col)
+        ranks = [next((i for i, name in enumerate(names) if match(v, name)), none) for v in strings(distinct)]
+        return np.array(ranks, dtype=np.int64)[pc.index_in(col, value_set=distinct).to_numpy(zero_copy_only=False)]
+
+    mimes = dict((name, m) for name, m, _ in _FORMATS)
+    rank = np.minimum(
+        first_match(content_types, lambda ct, name: any((ct or "").lower().startswith(m) for m in mimes[name])),
+        first_match(
+            resource_formats,
+            lambda fmt, name: fmt == "csv.gz" if name == "csvgz" else name == (fmt or ""),
+        ),
+    )
+    for i, (_, _, check_url) in enumerate(_FORMATS):
+        if check_url is not None:
+            hit = pc.fill_null(pc.match_substring(urls, check_url), False).to_numpy(zero_copy_only=False)
+            rank = np.where(hit & (rank > i), i, rank)
+    found = np.array(names + [None], dtype=object)[rank]
+    if config.OGC_ANALYSIS_ENABLED:
+        url_of, fmt_of = strings(urls), strings(resource_formats)
+        for j in np.flatnonzero(rank == none):
+            found[j] = next((f for f in ("wfs", "wms") if _detect_ogc(f, url_of[j] or "", fmt_of[j])), None)
+    return pa.array(found, type=pa.string())
 
 
 # ---------------------------------------------------------------------------

@@ -16,31 +16,45 @@ A ``map_batches`` task stage (one call per block) reproducing the reference's
   4. detected_last_modified_at / next_check_at updates
      (resource.py:187-207) and format detection for routing
      (data_formats/detect.py) + the analysis payload for udata.
+
+Steps 1, 3 and 4 run as kernels over the block's columns (the
+scalars in ``functions/checks.py`` are their spec); the current
+check's headers come typed from the fetch stage and the previous
+check's from ``build_checks_batch``, so nothing here parses JSON.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from datetime import datetime, timezone
+from datetime import timedelta
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from hydra_ray.config import config
-from hydra_ray.functions.checks import (
-    Change,
-    calculate_next_check_date,
-    detect_change_from_checksum,
-    detect_change_on_early_hints,
+from hydra_ray.functions.check_kernels import (
+    CHANGE_NAMES,
+    CHANGED,
+    NOT_CHANGED,
+    TS,
+    content_length_ints,
+    early_hints,
+    iso_utc,
+    mask,
+    micros,
+    refine_with_checksum,
+    valid,
 )
-from hydra_ray.functions.detect import FORMAT_MIME, detect_format, sniff_mime
-from hydra_ray.functions.payload import flatten_payload
+from hydra_ray.functions.detect import FORMAT_MIME, detect_formats, sniff_mime
+from hydra_ray.functions.payload import category_fields, encode_payloads
+from hydra_ray.schemas import column, strings, with_columns
+from hydra_ray.stages.checks_stage import PREV_COLS
 from hydra_ray.stages.exports import _EXPORT_KEYS, export_artifacts
-from hydra_ray.stages.fetcher import make_transport
+from hydra_ray.stages.fetcher import HEADER_COLS, make_transport
 
-PARSEABLE_FORMATS = {"csv", "csvgz", "xls", "xlsx", "ods", "parquet"}
+PARSEABLE_FORMATS = pa.array(["csv", "csvgz", "xls", "xlsx", "ods", "parquet"])
 
 
 def workbook_readers() -> dict:
@@ -58,8 +72,10 @@ def workbook_readers() -> dict:
 
 class Analyser:
     """Analyse stage body, one task call per block; the transport is
-    built once per instance. The batch body is a per-row loop over the
-    change-detection decision tree (branchy row logic, not a kernel).
+    built once per instance. The change decision, the dates it sets,
+    the format route and the payloads are Arrow/numpy kernels over the
+    block (``functions/check_kernels.py``); only the work that needs a
+    body loops over rows: download, sha1 and mime sniff.
 
     Rows routed to a parseable format run the full content analysis
     inside this distributed stage: download → csv-detective-style
@@ -99,153 +115,122 @@ class Analyser:
 
     def _analyse(self, batch: pa.Table) -> pa.Table:
         n = len(batch)
-        urls = batch["url"].to_pylist()
-        rids = batch["resource_id"].to_pylist()
-        formats = batch["format"].to_pylist()
-        headers_js = batch["check_headers"].to_pylist()
-        created_at = batch["created_at"].to_pylist()
-        harvest = batch["harvest_modified_at"].to_pylist()
-        has_last = [x is not None for x in batch["last_check_id"].to_pylist()]
-        last_at = batch["last_check_at"].to_pylist()
-        last_headers_js = batch["last_headers"].to_pylist()
-        last_checksum = batch["last_checksum"].to_pylist()
-        last_filesize = batch["last_filesize"].to_pylist()
-        last_mime = batch["last_mime_type"].to_pylist()
-        prev_dlma = batch["detected_last_modified_at"].to_pylist()
-        next_check = batch["next_check_at"].to_pylist()
-        check_ids = batch["check_id"].to_pylist()
+        urls = strings(batch["url"])
+        rids = strings(batch["resource_id"])
+        ok = mask(pc.equal(batch["outcome"], "ok"))
+        has_last = valid(batch["last_check_id"])
+        created_at = column(batch, "created_at")
+        prev_dlma = column(batch, "detected_last_modified_at")
+        content_length = column(batch, "hdr_content_length")
+        # timeout / error checks skip analysis (the reference only
+        # enqueues analyse_resource on the success path): every output
+        # below is masked to the ok rows
+        decision = early_hints(
+            has_last,
+            column(batch, "harvest_modified_at"),
+            prev_dlma,
+            column(batch, "hdr_last_modified"),
+            column(batch, "prev_last_modified"),
+            content_length,
+            column(batch, "prev_content_length"),
+            created_at,
+        )
+        fmts = detect_formats(column(batch, "hdr_content_type"), column(batch, "url"), column(batch, "format"))
+        fmts = pc.if_else(pa.array(ok), fmts, pa.scalar(None, pa.string()))
 
-        out_change, out_checksum, out_filesize, out_mime = [], [], [], []
-        out_err, out_dlma, out_next, out_fmt, out_payload, out_parse = [], [], [], [], [], []
-        out_run: list[bool] = []  # run_further per row (feeds OGC analysis)
+        # the per-row work that needs a body: one download per changed
+        # (or unknown, or forced) resource, its sha1 and mime sniff
+        fetch = ok & ((decision.change != NOT_CHANGED) | self.force)
+        sizes = pc.fill_null(content_length_ints(content_length), 0).to_numpy(zero_copy_only=False)
+        fmt_of = strings(fmts)
         bodies: list[bytes | None] = [None] * n  # the downloaded file per row
         caps = [0] * n  # each downloaded body's size cap (bounds its gunzip too)
-
-        outcomes = batch["outcome"].to_pylist()
-
-        for j in range(n):
-            if outcomes[j] != "ok":
-                # timeout / error checks skip analysis (the reference only
-                # enqueues analyse_resource on the success path)
-                for col in (out_change, out_checksum, out_filesize, out_mime, out_err, out_dlma, out_fmt, out_payload):
-                    col.append(None)
-                out_next.append(next_check[j])
-                out_parse.append(False)
-                out_run.append(False)
+        dl = {k: [None] * n for k in ("checksum", "content-length", "error", "mime-type")}
+        for j in np.flatnonzero(fetch):
+            cap = config.MAX_FILESIZE_ALLOWED.get(fmt_of[j], config.DEFAULT_MAX_FILESIZE_ALLOWED)
+            max_allowed = caps[j] = (1 << 62) if rids[j] in self.exceptions else cap
+            # transports return at most max_allowed + 1 bytes: an
+            # oversize body shows even under a small Content-Length
+            body = None if sizes[j] > max_allowed else self.transport.download(urls[j], max_allowed)
+            if body is None or len(body) > max_allowed:
+                dl["error"][j] = "File too large to download"
                 continue
-            headers = json.loads(headers_js[j]) if headers_js[j] else {}
-            now = created_at[j].replace(tzinfo=timezone.utc)
-            cur = {
-                "created_at": now,
-                "last_modified": headers.get("last-modified"),
-                "content_length": headers.get("content-length"),
-                "detected_last_modified_at": None,
-            }
-            checks2 = [cur]
-            if has_last[j]:
-                lh = json.loads(last_headers_js[j]) if last_headers_js[j] else {}
-                prev_d = prev_dlma[j]
-                if prev_d is not None and prev_d.tzinfo is None:
-                    prev_d = prev_d.replace(tzinfo=timezone.utc)
-                checks2.append(
-                    {
-                        "created_at": last_at[j],
-                        "last_modified": lh.get("last-modified"),
-                        "content_length": lh.get("content-length"),
-                        "detected_last_modified_at": prev_d,
-                    }
-                )
-            hv = harvest[j]
-            if hv is not None and hv.tzinfo is None:
-                hv = hv.replace(tzinfo=timezone.utc)
-            change, payload = detect_change_on_early_hints(checks2, hv)
+            bodies[j] = body
+            dl["content-length"][j] = int(sizes[j]) or len(body)
+            dl["checksum"][j] = hashlib.sha1(body).hexdigest()
+            dl["mime-type"][j] = sniff_mime(body, fmt_of[j])
+        downloaded = np.array([b is not None for b in bodies], dtype=bool)
+        dl_cols = {
+            k: pa.array(v, type=pa.int64() if k == "content-length" else pa.string())
+            for k, v in dl.items()
+        }
+        refine_with_checksum(
+            decision,
+            downloaded,
+            has_last,
+            dl_cols["checksum"],
+            column(batch, "last_checksum"),
+            prev_dlma,
+            created_at,
+        )
+        change = decision.change
 
-            fmt = detect_format(headers.get("content-type"), urls[j], formats[j])
-            dl: dict = {}
-            if change != Change.HAS_NOT_CHANGED or self.force:
-                content_len = int(headers.get("content-length") or 0)
-                cap = config.MAX_FILESIZE_ALLOWED.get(fmt, config.DEFAULT_MAX_FILESIZE_ALLOWED)
-                max_allowed = caps[j] = (1 << 62) if rids[j] in self.exceptions else cap
-                # transports return at most max_allowed + 1 bytes: an
-                # oversize body shows even under a small Content-Length
-                body = None if content_len > max_allowed else self.transport.download(urls[j], max_allowed)
-                if body is None or len(body) > max_allowed:
-                    dl["analysis:error"] = "File too large to download"
-                else:
-                    bodies[j] = body
-                    dl["analysis:content-length"] = content_len or len(body)
-                    dl["analysis:checksum"] = hashlib.sha1(body).hexdigest()
-                    if change == Change.NO_GUESS:
-                        change, payload = detect_change_from_checksum(
-                            dl["analysis:checksum"],
-                            {
-                                "checksum": last_checksum[j],
-                                "detected_last_modified_at": checks2[1]["detected_last_modified_at"]
-                                if len(checks2) > 1
-                                else None,
-                            }
-                            if has_last[j]
-                            else None,
-                            now=now,
-                        )
-                    dl["analysis:mime-type"] = sniff_mime(body, fmt)
-                out_checksum.append(dl.get("analysis:checksum"))
-                out_filesize.append(dl.get("analysis:content-length"))
-                out_mime.append(dl.get("analysis:mime-type"))
-                out_err.append(dl.get("analysis:error"))
-            else:
-                out_checksum.append(last_checksum[j])
-                out_filesize.append(last_filesize[j])
-                out_mime.append(last_mime[j])
-                out_err.append(None)
+        # detected_last_modified_at / next_check_at updates
+        # (resource.py:187-207): a concluded decision's date, and the
+        # earliest delay after a change
+        dated = ok & valid(decision.dlma)
+        no_dlma = pa.scalar(None, TS)
+        d0 = timedelta(hours=config.CHECK_DELAYS[0]) // timedelta(microseconds=1)
+        next_at = pc.if_else(
+            pa.array(dated & (change == CHANGED)),
+            pa.array(micros(created_at) + d0, type=TS),
+            column(batch, "next_check_at"),
+        )
+        # a row not downloaded keeps the previous check's file facts
+        kept = pa.array(ok & ~fetch)
+        fetched = pa.array(fetch)
 
-            # detected_last_modified_at / next_check_at updates (resource.py:187-207)
-            dlma = None
-            nca = next_check[j]
-            lm = (payload or {}).get("analysis:last-modified-at")
-            if change in (Change.HAS_CHANGED, Change.HAS_NOT_CHANGED) and lm:
-                dlma_dt = datetime.fromisoformat(lm)
-                dlma = dlma_dt.replace(tzinfo=None) if dlma_dt.tzinfo else dlma_dt
-                if change == Change.HAS_CHANGED:
-                    prev_check = {"created_at": last_at[j].replace(tzinfo=timezone.utc)} if has_last[j] else None
-                    nca = calculate_next_check_date(
-                        True, prev_check, dlma_dt if dlma_dt.tzinfo else dlma_dt.replace(tzinfo=timezone.utc), now=now
-                    ).replace(tzinfo=None)
-            out_dlma.append(dlma)
-            out_next.append(nca)
-            out_change.append(change.name)
-            out_fmt.append(fmt)
+        def file_fact(key: str, last: str) -> pa.Array:
+            prev = column(batch, last)
+            return pc.if_else(fetched, dl_cols[key], pc.if_else(kept, prev, pa.scalar(None, prev.type)))
 
-            is_first = not has_last[j]
-            run_further = change == Change.HAS_CHANGED or is_first or self.force
-            out_parse.append(bool(run_further and fmt in PARSEABLE_FORMATS and bodies[j] is not None))
-            out_run.append(bool(run_further))
-            if run_further:
-                analysis_results = {"analysis:check_id": int(check_ids[j])} | dl | (payload or {})
-                out_payload.append(json.dumps(flatten_payload(analysis_results), sort_keys=True, default=str))
-            else:
-                out_payload.append(None)
+        run = ok & ((change == CHANGED) | ~has_last | self.force)
+        do_parse = run & mask(pc.is_in(fmts, value_set=PARSEABLE_FORMATS)) & downloaded
+        payload = encode_payloads(
+            category_fields(
+                "analysis",
+                {
+                    "check_id": column(batch, "check_id"),
+                    **{k: dl_cols[k] for k in dl},
+                    "last-modified-at": decision.at,
+                    "last-modified-detection": decision.detection,
+                },
+            ),
+            n,
+        )
 
         # full content analysis for parseable, changed resources — the
         # heavy distributed work (inspection, typed cast, span build)
         self._last_parse_errors: list[str | None] = [None] * n
         self._last_exports = {k: [None] * n for k in _EXPORT_KEYS}
-        spans_col, parsing_tables, inspections = self._parse_contents(batch, out_parse, bodies, caps)
+        spans_col, parsing_tables, inspections = self._parse_contents(batch, do_parse.tolist(), bodies, caps)
 
         # OGC capabilities analysis for service-format resources
-        # (reference data_formats/ogc/__init__.py:80-248: parse
-        # GetCapabilities, store the JSONB on the check row between
+        # (reference data_formats/ogc/__init__.py:80-268: parse
+        # GetCapabilities, detect the layer from the URL or the
+        # resource title, store the JSONB on the check row between
         # parsing_started_at / parsing_finished_at)
         out_ogc: list[str | None] = [None] * n
         if config.OGC_ANALYSIS_ENABLED:
             from hydra_ray.stages.ogc import analyse_ogc
 
-            for j in range(n):
-                if not out_run[j] or out_fmt[j] not in config.OGC_FORMATS:
-                    continue
+            services = run & mask(pc.is_in(fmts, value_set=pa.array(config.OGC_FORMATS, pa.string())))
+            for j in np.flatnonzero(services):
                 try:
                     meta = analyse_ogc(
-                        {"url": urls[j], "format": formats[j]}, transport=self.transport
+                        {"url": urls[j], "format": batch["format"][j].as_py()},
+                        transport=self.transport,
+                        title=batch["title"][j].as_py(),
                     )
                 except Exception as exc:  # noqa: BLE001
                     self._last_parse_errors[j] = f"ogc_service_parsing:{exc}"
@@ -258,73 +243,68 @@ class Analyser:
         # finished_at on BOTH success and parse failure). The virtual
         # clock has no sub-iteration resolution, so both are the check's
         # created_at — deterministic and oracle-reproducible.
-        parse_attempted = [
-            bool(
-                out_parse[j]
-                or out_ogc[j] is not None
-                or self._last_parse_errors[j] is not None
-            )
-            for j in range(n)
-        ]
-        ts_col = pa.array(
-            [created_at[j] if parse_attempted[j] else None for j in range(n)],
-            type=pa.timestamp("us"),
+        parse_attempted = pa.array(
+            do_parse
+            | np.array([v is not None for v in out_ogc], dtype=bool)
+            | np.array([e is not None for e in self._last_parse_errors], dtype=bool)
         )
+        ts_col = pc.if_else(parse_attempted, created_at, no_dlma)
+        lifecycle = {
+            "parsing_table": pa.array(parsing_tables, type=pa.string()),
+            "parsing_error": pa.array(self._last_parse_errors, type=pa.string()),
+            "ogc_metadata": pa.array(out_ogc, type=pa.string()),
+            **{
+                k: pa.array(v, type=pa.int64() if k.endswith("_size") else pa.string())
+                for k, v in self._last_exports.items()
+            },
+        }
 
         # udata notification for the parse/export lifecycle (reference
         # analysis/helpers.py:71-100 notify_udata: analysis:parsing:*
         # document, sent after every parse attempt — success or failure)
-        out_ppayload: list[str | None] = [None] * n
-        for j in range(n):
-            if not parse_attempted[j]:
-                continue
-            iso = created_at[j].replace(tzinfo=timezone.utc).isoformat()
-            d: dict = {
-                "analysis:parsing:error": self._last_parse_errors[j],
-                "analysis:parsing:started_at": iso,
-                "analysis:parsing:finished_at": iso,
-            }
-            if parsing_tables[j] is not None:
-                d["analysis:parsing:parsing_table"] = parsing_tables[j]
-            for k in _EXPORT_KEYS:
-                v = self._last_exports[k][j]
-                if v is not None:
-                    d[f"analysis:parsing:{k}"] = v
-            if out_ogc[j] is not None:
-                d["analysis:parsing:ogc_metadata"] = out_ogc[j]
-            out_ppayload[j] = json.dumps(flatten_payload(d), sort_keys=True, default=str)
+        iso = iso_utc(created_at)
+        parsing_payload = encode_payloads(
+            category_fields(
+                "analysis:parsing",
+                {
+                    "error": lifecycle["parsing_error"],
+                    "started_at": iso,
+                    "finished_at": iso,
+                    "parsing_table": lifecycle["parsing_table"],
+                    "ogc_metadata": lifecycle["ogc_metadata"],
+                    **{k: lifecycle[k] for k in _EXPORT_KEYS},
+                },
+            ),
+            n,
+        )
 
-        out = batch
-        for name, arr in (
-            ("change_status", pa.array(out_change, type=pa.string())),
-            ("checksum", pa.array(out_checksum, type=pa.string())),
-            ("filesize", pa.array(out_filesize, type=pa.int64())),
-            ("mime_type", pa.array(out_mime, type=pa.string())),
-            ("analysis_error", pa.array(out_err, type=pa.string())),
-            ("detected_last_modified_at_new", pa.array(out_dlma, type=pa.timestamp("us"))),
-            ("next_check_at", pa.array(out_next, type=pa.timestamp("us"))),
-            ("data_format", pa.array(out_fmt, type=pa.string())),
-            ("analysis_payload", pa.array(out_payload, type=pa.string())),
-            ("do_parse", pa.array(out_parse, type=pa.bool_())),
-            ("parsing_table", pa.array(parsing_tables, type=pa.string())),
-            ("parsing_error", pa.array(self._last_parse_errors, type=pa.string())),
-            ("parsing_payload", pa.array(out_ppayload, type=pa.string())),
-            ("parsing_started_at", ts_col),
-            ("parsing_finished_at", ts_col),
-            ("ogc_metadata", pa.array(out_ogc, type=pa.string())),
-            ("parquet_url", pa.array(self._last_exports["parquet_url"], type=pa.string())),
-            ("parquet_size", pa.array(self._last_exports["parquet_size"], type=pa.int64())),
-            ("geojson_url", pa.array(self._last_exports["geojson_url"], type=pa.string())),
-            ("geojson_size", pa.array(self._last_exports["geojson_size"], type=pa.int64())),
-            ("pmtiles_url", pa.array(self._last_exports["pmtiles_url"], type=pa.string())),
-            ("pmtiles_size", pa.array(self._last_exports["pmtiles_size"], type=pa.int64())),
-            ("spans", spans_col),
-            ("inspection", pa.array(inspections, type=pa.string())),
-        ):
-            if name in out.column_names:
-                out = out.drop_columns([name])
-            out = out.append_column(name, arr)
-        return out
+        no_text = pa.scalar(None, pa.string())
+        return with_columns(
+            batch,
+            {
+                "change_status": pa.array(np.where(ok, CHANGE_NAMES[change], None), type=pa.string()),
+                "checksum": file_fact("checksum", "last_checksum"),
+                "filesize": file_fact("content-length", "last_filesize"),
+                "mime_type": file_fact("mime-type", "last_mime_type"),
+                "analysis_error": dl_cols["error"],
+                "detected_last_modified_at_new": pc.if_else(pa.array(dated), decision.dlma, no_dlma),
+                "next_check_at": next_at,
+                "data_format": fmts,
+                "analysis_payload": pc.if_else(pa.array(run), payload, no_text),
+                "do_parse": pa.array(do_parse, type=pa.bool_()),
+                "parsing_table": lifecycle["parsing_table"],
+                "parsing_error": lifecycle["parsing_error"],
+                "parsing_payload": pc.if_else(parse_attempted, parsing_payload, no_text),
+                "parsing_started_at": ts_col,
+                "parsing_finished_at": ts_col,
+                "ogc_metadata": lifecycle["ogc_metadata"],
+                **{k: lifecycle[k] for k in _EXPORT_KEYS},
+                "spans": spans_col,
+                "inspection": pa.array(inspections, type=pa.string()),
+            },
+            # the typed header columns end here: no later stage reads them
+            drop=(*HEADER_COLS, *PREV_COLS),
+        )
 
     def _parse_contents(
         self, batch: pa.Table, do_parse: list[bool], bodies: list[bytes | None], caps: list[int]
@@ -347,12 +327,13 @@ class Analyser:
             decode_text,
             find_ragged_row,
             inspect_csv_texts_batch,
+            with_filled_rows,
         )
         from hydra_ray.stages.spans import build_spans_batch
 
         n = batch.num_rows
-        rids = batch["resource_id"].to_pylist()
-        md5s = batch["url_md5"].to_pylist()
+        rids = strings(batch["resource_id"])
+        md5s = strings(batch["url_md5"])
         # (row, span text, sweep item) per parse-routed row: workbook
         # Sheets first, then CSV texts (the span order)
         readers = workbook_readers()
@@ -371,6 +352,8 @@ class Analyser:
                 # reference ParseException step contract
                 # (csv_like/__init__.py:93 — inspection failures)
                 self._last_parse_errors[j] = f"csv_detective:{exc}"
+        # the blank-row masks both sweeps read, for all sheets at once
+        sheets = list(zip([j for j, _ in sheets], with_filled_rows([sheet for _j, sheet in sheets])))
         texts = _sheet_texts([sheet for _j, sheet in sheets])
         routed = [(j, text, sheet) for (j, sheet), text in zip(sheets, texts)] + csvs
         good, tables = [], []  # (row, text, sweep item, inspection), typed tables
@@ -430,4 +413,4 @@ def _sheet_texts(sheets: list) -> list[str]:
         return []
     rows = pc.binary_join(pa.concat_arrays([s.cells for s in sheets]), ",")
     offsets = np.cumsum([0, *(len(s.cells) for s in sheets)]).astype(np.int32)
-    return pc.binary_join(pa.ListArray.from_arrays(pa.array(offsets), rows), "\n").to_pylist()
+    return strings(pc.binary_join(pa.ListArray.from_arrays(pa.array(offsets), rows), "\n"))

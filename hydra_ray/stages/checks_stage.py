@@ -10,6 +10,14 @@ single vectorized pass emits
   - the udata webhook payload for changed checks (flattened with
     category completion, functions/payload.py).
 
+The block is decided with the Arrow/numpy kernels of
+``functions/check_kernels.py`` over the fetch stage's typed header
+columns (the scalars in ``functions/checks.py`` are their spec); the
+previous check's ``last_headers`` JSON is parsed once, on the rows
+that have one, and its values ride on to the Analyser as transient
+``PREV_COLS``. The payload column is written by the columnar encoder
+(``functions/payload.py``).
+
 Check ids are content-addressed instead of a Postgres serial:
 ``check_id = mix64(url_key ^ mix64(iteration ^ CONST))`` — a pure
 function of (url, iteration), unique w.h.p., stable under any
@@ -23,13 +31,28 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from hydra_ray.functions.checks import calculate_next_check_date, has_check_changed
-from hydra_ray.functions.headers import get_content_type_from_header, is_valid_status
-from hydra_ray.functions.payload import CORS_HEADER_FIELDS, flatten_payload
+from hydra_ray.functions.check_kernels import (
+    content_length_ints,
+    differ,
+    mask,
+    next_check_dates,
+    valid,
+    valid_status,
+)
 from hydra_ray.functions.hashing import _mix64
+from hydra_ray.functions.payload import HYDRA_UDATA_METADATA, Members, category_fields, encode_payloads
+from hydra_ray.schemas import column, strings, with_columns
 
 _ID_SALT = np.uint64(0xC0FFEE5EED)
+
+# transient columns: the previous check's header values, for the Analyser
+PREV_COLS = {
+    "prev_content_type": "content-type",
+    "prev_content_length": "content-length",
+    "prev_last_modified": "last-modified",
+}
 
 
 def check_ids_for(url_keys: np.ndarray, iteration: int) -> np.ndarray:
@@ -40,83 +63,119 @@ def check_ids_for(url_keys: np.ndarray, iteration: int) -> np.ndarray:
 
 def build_checks_batch(batch: pa.Table, iteration: int, now: datetime) -> pa.Table:
     """Fetch output rows (outcome != 'backoff') → appended check columns:
-    check_id, has_changed, next_check_at, payload (JSON or null)."""
+    check_id, has_changed, next_check_at, payload (JSON or null), and
+    the transient ``PREV_COLS``."""
     n = len(batch)
-    keys = batch["url_key"].to_numpy(zero_copy_only=False)
-    ids = check_ids_for(keys, iteration)
-
-    statuses = batch["check_status"].to_pylist()
-    headers_js = batch["check_headers"].to_pylist()
-    cors_js = batch["check_cors_headers"].to_pylist()
-    timeouts = batch["check_timeout"].to_pylist()
-    errors = batch["check_error"].to_pylist()
-
-    last_status = batch["last_status"].to_pylist()
-    last_timeout = batch["last_timeout"].to_pylist()
-    last_headers = batch["last_headers"].to_pylist()
-    last_cors = batch["last_cors_headers"].to_pylist()
-    has_last = pa.compute.is_valid(batch["last_check_id"]).to_pylist()
-    last_at = batch["last_check_at"].to_pylist()
-
-    changed_arr: list[bool] = []
-    next_at: list[datetime] = []
-    payloads: list[str | None] = []
+    ids = check_ids_for(batch["url_key"].to_numpy(zero_copy_only=False), iteration)
     now_utc = now if now.tzinfo else now.replace(tzinfo=timezone.utc)
-
-    for j in range(n):
-        check_data = {
-            "status": statuses[j],
-            "timeout": bool(timeouts[j]) if timeouts[j] is not None else False,
-            "headers": json.loads(headers_js[j]) if headers_js[j] else {},
-            "cors_headers": json.loads(cors_js[j]) if cors_js[j] else None,
-        }
-        last_check = None
-        if has_last[j]:
-            last_check = {
-                "status": last_status[j],
-                "timeout": last_timeout[j],
-                "headers": json.loads(last_headers[j]) if last_headers[j] else {},
-                "cors_headers": json.loads(last_cors[j]) if last_cors[j] else None,
-            }
-        changed = has_check_changed(check_data, last_check)
-        changed_arr.append(changed)
-        if last_check is not None:
-            prev_created = last_at[j]
-            if prev_created is not None and prev_created.tzinfo is None:
-                prev_created = prev_created.replace(tzinfo=timezone.utc)
-            last_check["created_at"] = prev_created or now_utc
-        next_at.append(calculate_next_check_date(changed, last_check, None, now=now_utc))
-        if changed:
-            payload = {
-                "check:id": int(ids[j]),
-                "check:available": is_valid_status(statuses[j]),
-                "check:status": statuses[j],
-                "check:timeout": check_data["timeout"],
-                "check:date": now_utc.isoformat(),
-                "check:error": errors[j],
-                "check:headers:content-type": get_content_type_from_header(check_data["headers"]),
-                "check:headers:content-length": int(check_data["headers"].get("content-length", 0)) or None,
-            }
-            cors_headers = check_data["cors_headers"]
-            if cors_headers:
-                payload["check:cors:status"] = cors_headers.get("status")
-                payload["check:cors:error"] = cors_headers.get("error")
-                for field in CORS_HEADER_FIELDS:
-                    payload[f"check:cors:{field}"] = cors_headers.get(field)
-            payloads.append(json.dumps(flatten_payload(payload), sort_keys=True))
-        else:
-            payloads.append(None)
-
     naive = now_utc.replace(tzinfo=None)
-    out = batch
-    for name, arr in (
-        ("check_id", pa.array(ids)),
-        ("has_changed", pa.array(changed_arr, type=pa.bool_())),
-        ("created_at", pa.array([naive] * n, type=pa.timestamp("us"))),
-        ("next_check_at", pa.array([d.replace(tzinfo=None) for d in next_at], type=pa.timestamp("us"))),
-        ("payload", pa.array(payloads, type=pa.string())),
-    ):
-        if name in out.column_names:
-            out = out.drop_columns([name])
-        out = out.append_column(name, arr)
-    return out
+
+    has_last = valid(batch["last_check_id"])
+    prev = previous_headers(column(batch, "last_headers"), has_last)
+    status = column(batch, "check_status")
+    timeout = pc.fill_null(column(batch, "check_timeout"), False)
+    cur_ct = column(batch, "hdr_content_type")
+    cur_cl = column(batch, "hdr_content_length")
+    cors_js = column(batch, "check_cors_headers")
+    # has_check_changed, row by row
+    last_status = column(batch, "last_status")
+    changed = ~has_last | (
+        differ(status, last_status)
+        | (valid_status(last_status) & ~valid_status(status))
+        | differ(timeout, column(batch, "last_timeout"))
+        | differ(cur_cl, prev["prev_content_length"])
+        | differ(cur_ct, prev["prev_content_type"])
+        | _cors_changed(cors_js, column(batch, "last_cors_headers"), has_last)
+    )
+    next_at = next_check_dates(changed, has_last, column(batch, "last_check_at"), naive)
+
+    return with_columns(
+        batch,
+        {
+            "check_id": pa.array(ids),
+            "has_changed": pa.array(changed, type=pa.bool_()),
+            "created_at": pa.array(np.full(n, np.datetime64(naive, "us")), type=pa.timestamp("us")),
+            "next_check_at": next_at,
+            "payload": _check_payloads(batch, ids, status, timeout, now_utc, changed),
+            **prev,
+        },
+    )
+
+
+def previous_headers(last_headers: pa.Array, has_last: np.ndarray) -> dict[str, pa.Array]:
+    """``PREV_COLS`` from the previous check's headers JSON, parsed on
+    the rows that have a previous check."""
+    rows = np.flatnonzero(has_last & valid(last_headers))
+    values: dict[str, list] = {c: [None] * len(last_headers) for c in PREV_COLS}
+    for j, text in zip(rows, strings(last_headers.take(pa.array(rows, type=pa.int64())))):
+        headers = json.loads(text) if text else {}
+        for col, name in PREV_COLS.items():
+            values[col][j] = headers.get(name)
+    return {c: pa.array(v, type=pa.string()) for c, v in values.items()}
+
+
+def _cors_changed(cur: pa.Array, last: pa.Array, has_last: np.ndarray) -> np.ndarray:
+    """``has_check_changed``'s CORS comparison: both sides are sorted
+    JSON dumps, so equal texts hold equal dicts; the rows whose texts
+    differ compare the parsed dicts."""
+    moved = differ(cur, last) & has_last
+    for j in np.flatnonzero(moved):
+        a, b = cur[j].as_py(), last[j].as_py()
+        moved[j] = ((json.loads(a) if a else None) or None) != ((json.loads(b) if b else None) or None)
+    return moved
+
+
+def _check_payloads(batch, ids, status, timeout, now_utc, changed) -> pa.Array:
+    """The udata check payload of each changed row (null elsewhere):
+    the ``check`` and ``check:headers`` categories, plus ``check:cors``
+    on rows with a CORS preflight (``_cors_members``)."""
+    n = len(batch)
+    content_length = content_length_ints(column(batch, "hdr_content_length"))
+    fields = {
+        **category_fields(
+            "check",
+            {
+                "id": pa.array(ids),
+                "available": pc.if_else(
+                    pa.array(mask(pc.equal(status, 429))),
+                    pa.scalar(None, pa.bool_()),
+                    pa.array(valid_status(status)),
+                ),
+                "status": status,
+                "timeout": timeout,
+                "date": now_utc.isoformat(),
+                "error": column(batch, "check_error"),
+            },
+        ),
+        **category_fields(
+            "check:headers",
+            {
+                "content-type": pc.replace_substring_regex(
+                    pc.fill_null(column(batch, "hdr_content_type"), ""), r"(?s);.*", ""
+                ),
+                "content-length": pc.if_else(
+                    pc.equal(content_length, 0), pa.scalar(None, pa.int64()), content_length
+                ),
+            },
+        ),
+    }
+    first_cors_key = f"check:cors:{min(HYDRA_UDATA_METADATA['check:cors'])}"
+    fields[first_cors_key] = Members(_cors_members(column(batch, "check_cors_headers")))
+    encoded = encode_payloads(fields, n)
+    return pc.if_else(pa.array(changed), encoded, pa.scalar(None, pa.string()))
+
+
+def _cors_members(cors_js: pa.Array) -> pa.Array:
+    """The complete ``check:cors`` category of each row's preflight
+    (none without one), written once per distinct stored preflight."""
+    names = sorted(HYDRA_UDATA_METADATA["check:cors"])
+    distinct = pc.unique(cors_js)
+    texts = []
+    for text in strings(distinct):
+        cors = json.loads(text) if text else None
+        texts.append(
+            "".join(f", {json.dumps(f'check:cors:{f}')}: {json.dumps(cors.get(f), sort_keys=True)}" for f in names)
+            if cors
+            else ""
+        )
+    return pa.array(texts, type=pa.string()).take(pc.index_in(cors_js, value_set=distinct))

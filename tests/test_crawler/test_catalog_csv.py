@@ -119,6 +119,35 @@ def test_ogc_capabilities_come_through_download():
         assert analyse_ogc({"url": url, "format": "wfs"}, _served(url, body)) == meta
 
 
+def test_ogc_capabilities_wms_1_1_1():
+    """A WMS 1.1.1 document's root is ``WMT_MS_Capabilities``, with no
+    namespace: its nested named layers, SRS elements and GetMap formats
+    parse like a 1.3.0 document's."""
+    from hydra_ray.stages.ogc import parse_capabilities_xml
+
+    doc = b"""<?xml version="1.0" encoding="UTF-8"?>
+    <!DOCTYPE WMT_MS_Capabilities SYSTEM "http://schemas.opengis.net/wms/1.1.1/capabilities_1_1_1.dtd">
+    <WMT_MS_Capabilities version="1.1.1">
+      <Service><Name>OGC:WMS</Name></Service>
+      <Capability>
+        <Request><GetMap><Format>image/png</Format><Format>image/jpeg</Format></GetMap></Request>
+        <Layer><Title>root</Title><SRS>EPSG:4326</SRS>
+          <Layer><Name>ign:regions</Name><SRS>EPSG:2154</SRS>
+            <Layer><Name>ign:departements</Name></Layer>
+          </Layer>
+        </Layer>
+      </Capability>
+    </WMT_MS_Capabilities>"""
+    out = parse_capabilities_xml(doc)
+    assert out == {
+        "service_type": "wms",
+        "version": "1.1.1",
+        "layers": ["ign:regions", "ign:departements"],
+        "crs": ["EPSG:4326", "EPSG:2154"],
+        "output_formats": ["image/png", "image/jpeg"],
+    }
+
+
 def test_ogc_analyse_gated_and_deterministic():
     check = {"url": "https://a.example/geoserver/wfs?typeName=ns:roads", "format": "wfs"}
     transport = SyntheticTransport()

@@ -263,3 +263,104 @@ def test_ogc_capabilities_read_through_transport(tmp_path, make_crawl_engine):
     assert bad["ogc_metadata"] is None
     assert bad["parsing_error"].startswith("ogc_service_parsing:")
     assert bad["parsing_started_at"] is not None
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_ogc_layer_falls_back_to_the_catalog_title(tmp_path, make_crawl_engine):
+    """A service URL without a typeName names its layer through the
+    resource's catalog title (reference ogc/__init__.py:250-268): a
+    title listed by the served document is the detected layer."""
+    from hydra_ray.stages.ogc import capabilities_url
+
+    url = "https://geo.example/geoserver/wfs"
+    doc = (
+        b'<wfs:WFS_Capabilities version="2.0.0" xmlns:wfs="http://www.opengis.net/wfs/2.0">'
+        b"<FeatureTypeList><FeatureType><Name>ns:rivers</Name></FeatureType>"
+        b"<FeatureType><Name>ns:roads</Name></FeatureType></FeatureTypeList>"
+        b"</wfs:WFS_Capabilities>"
+    )
+    headers = {"content-type": "application/xml", "content-length": "100"}
+    eng = make_crawl_engine(
+        str(tmp_path / "wd"),
+        transport={
+            "kind": "mock",
+            "responses": {("head", url): {"kind": "ok", "status": 200, "headers": headers}},
+            "bodies": {capabilities_url(url, "wfs"): doc},
+        },
+        batch_size=10,
+        analysis_config={"OGC_ANALYSIS_ENABLED": True},
+    )
+    eng.load_catalog(
+        pa.table(
+            {
+                "dataset_id": ["ds"],
+                "resource_id": [hashlib.md5(url.encode()).hexdigest()],
+                "url": [url],
+                "format": ["wfs"],
+                "title": ["ns:roads"],
+            }
+        )
+    )
+    eng.run_iteration()
+    meta = json.loads(_row(eng.checks.read_arrow(), url)["ogc_metadata"])
+    assert meta["detected_layer"] == "ns:roads"
+    eng.shutdown()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_sheet_blank_rows_masked_once_per_block(tmp_path, make_crawl_engine, monkeypatch):
+    """An analyse block sets its sheets' blank-row masks with one trim
+    kernel, which its inspect and cast sweeps both read; the reports
+    and tables equal those of sheets whose sweeps mask them anew."""
+    import hydra_ray.stages.inspection as inspection
+    from hydra_ray.functions.detect import sniff_mime
+    from hydra_ray.stages.analysis import workbook_readers
+    from hydra_ray.stages.inspection import Sheet, csv_texts_to_tables, inspect_csv_texts_batch
+    from hydra_ray.synth import synthetic_download, synthetic_response
+
+    # two resources of each workbook format and two CSVs, all served
+    urls = []
+    for k in range(200):
+        u = f"https://host{k:02d}.data.example/res/{9200 + k}.{['xlsx', 'ods', 'xls', 'csv'][k % 4]}"
+        if synthetic_response(u, "get")["kind"] == "ok" and sum(x[-4:] == u[-4:] for x in urls) < 2:
+            urls.append(u)
+    n = len(urls)
+    assert n == 8
+    eng = make_crawl_engine(str(tmp_path / "wd"), batch_size=n, politeness_kwargs={"backoff_nb_req": 10**9})
+    eng.load_catalog(
+        pa.table(
+            {
+                "dataset_id": ["ds"] * n,
+                "resource_id": [hashlib.md5(u.encode()).hexdigest() for u in urls],
+                "url": urls,
+                "format": [u.rsplit(".", 1)[1] for u in urls],
+            }
+        )
+    )
+    fetch, build_checks, analyse, _sink = eng._stages(0, *(str(tmp_path / d) for d in "abcd")).stages
+    rows = build_checks(fetch(eng._frontier()))
+
+    kernels = []
+    real = inspection.with_filled_rows
+
+    def spy(sheets):
+        kernels.append(sum(s.filled is None for s in sheets))
+        return real(sheets)
+
+    monkeypatch.setattr(inspection, "with_filled_rows", spy)
+    block = analyse(rows)
+    assert sum(block["do_parse"].to_pylist()) == n
+    assert len([k for k in kernels if k]) == 1 and max(kernels) == 6
+
+    readers = workbook_readers()
+    bodies = [synthetic_download(u, 0, eng.analysis_content_rows) for u in urls]
+    sheets = [
+        Sheet(readers[m][0](b), readers[m][1]) for b in bodies if (m := sniff_mime(b)) in readers
+    ]
+    masked = real(sheets)
+    assert all(s.filled is not None for s in masked)
+    insps = inspect_csv_texts_batch(sheets)
+    assert inspect_csv_texts_batch(masked) == insps
+    for a, b in zip(csv_texts_to_tables(masked, insps), csv_texts_to_tables(sheets, insps)):
+        assert a.equals(b)
+    eng.shutdown()
