@@ -344,10 +344,6 @@ class EngineApi:
         row = matched.slice(0, 1)
         row = row.set_column(row.column_names.index("deleted"), "deleted", pa.array([True]))
         self.engine.catalog.merge_insert(row, key="resource_id")
-        # the driver-held frontier cache predates this tombstone; the
-        # next checkpoint would write deleted=False back from it and
-        # resurrect the resource (then its documents escape any purge)
-        self.engine.invalidate_frontier_cache()
         return {"message": "deleted"}
 
     def get_resources_stats(self) -> dict:

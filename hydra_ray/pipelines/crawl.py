@@ -5,7 +5,10 @@ processes (crawler loop crawl/__init__.py:27-37, RQ workers, webhook
 sender): one iteration is a single streaming Dataset pipeline over the
 selected batch, with all shared state in actor pools
 (politeness/URL-seen) and versioned tables (catalog checkpoint, checks
-log, interleaved documents, payloads, metrics).
+log, interleaved documents, payloads, metrics). The catalog table is
+the frontier, as the reference's ``catalog`` table is: the engine holds
+no copy of it, reads it every iteration, and writes back only the rows
+the iteration touched.
 
 Determinism contract (replaces the reference's wall clock + ORDER BY
 random()): a virtual clock ``t0 + iteration * SLEEP_BETWEEN_BATCHES``
@@ -15,11 +18,11 @@ decisions, check rows and span documents is a pure function of the
 seed catalog — at any parallelism level, which is what the scaling
 benchmark and the cross-parallelism parity test assert.
 
-Checkpoint/resume: every iteration commits (a) the merged catalog
-version carrying last-check columns + frontier cursor in the manifest
-meta, (b) appended checks/docs/payloads/metrics versions, (c) the
-politeness + URL-seen shard state serialized next to the manifest. A
-killed run resumes from the last committed iteration (see
+Checkpoint/resume: every iteration commits (a) a catalog version
+upserting the touched rows' last-check columns + the frontier cursor in
+the manifest meta, (b) appended checks/docs/payloads/metrics
+versions, (c) the politeness + URL-seen shard state serialized next to
+the manifest. A killed run resumes from the last committed iteration (see
 ``CrawlEngine.resume``/tests/test_crawler/test_resume.py).
 """
 
@@ -28,7 +31,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import pickle
 from datetime import datetime, timezone
 
 import numpy as np
@@ -40,6 +42,7 @@ import ray.data as rd
 
 from hydra_ray.config import config
 from hydra_ray.functions.urls import canonicalize_batch
+from hydra_ray.schemas import strings
 from hydra_ray.sources.store import VersionedTable, _ds_to_arrow, blocks_dataset
 from hydra_ray.stages.analysis import Analyser
 from hydra_ray.stages.checks_stage import build_checks_batch
@@ -125,12 +128,6 @@ class CrawlEngine:
         # tombstones already purged this engine lifetime (resume
         # re-purges once — idempotent, see purge_deleted_resources)
         self._purged_resource_ids: set[str] = set()
-        # driver-side frontier cache: the catalog table stays in driver
-        # memory between iterations while it fits the driver (the
-        # store's ``fits_driver``: same kernels, no per-iteration Ray
-        # execution); above that the frontier is a Dataset — the
-        # 10^10-row shape.
-        self._frontier_cache: pa.Table | None = None
         self._maybe_restore_state()
 
     def shutdown(self) -> None:
@@ -177,7 +174,6 @@ class CrawlEngine:
         if self.catalog.is_empty():
             tbl = tbl.filter(pa.array(is_new))
             self.catalog.overwrite(tbl, meta={"iteration": self.iteration})
-            self._frontier_cache = tbl if self.catalog.fits_driver() else None
         else:
             # re-loads refresh existing rows (upsert by resource_id) and
             # add new ones — with the SAME URL-uniqueness contract as the
@@ -207,7 +203,6 @@ class CrawlEngine:
             preserve = [c for c in self._STATE_COLS if c not in seed_cols]
             tbl = self._carry_stored_columns(tbl, preserve, live_only=True)
             self.catalog.merge_insert(tbl, key="resource_id", meta={"iteration": self.iteration})
-            self._frontier_cache = None
         if self._purged_resource_ids:
             # a re-registered resource is live again: it must escape the
             # purge lifetime skip, or documents it re-creates (in files
@@ -239,7 +234,7 @@ class CrawlEngine:
 
         # politeness: deterministic per-iteration quota per domain, applied
         # in crawl (rank) order — selected is already sorted by (tier, rank)
-        domains = selected["domain"].to_pylist()
+        domains = strings(selected["domain"])
         dom_counts: dict[str, int] = {}
         for d in domains:
             dom_counts[d] = dom_counts.get(d, 0) + 1
@@ -346,7 +341,7 @@ class CrawlEngine:
         ``iterations``). GC keeps disk and driver state bounded across
         unbounded soaks: superseded catalog + documents versions and
         orphaned txn dirs are reclaimed, old manifests and
-        per-iteration state pickles pruned. ``compact_every`` rewrites
+        per-iteration state checkpoints pruned. ``compact_every`` rewrites
         the append-only documents table to one row per doc_id
         (merge-on-read → merge-on-write), bounding read amplification
         under re-parse churn; a crash mid-compaction is harmless —
@@ -399,12 +394,7 @@ class CrawlEngine:
         def is_deleted(t: pa.Table):
             return pc.fill_null(t["deleted"], False)
 
-        cat = self._frontier_cache
-        tomb = (
-            cat.filter(is_deleted(cat))
-            if cat is not None
-            else self.catalog.filter_rows(is_deleted, ["resource_id", "deleted"])
-        )
+        tomb = self.catalog.filter_rows(is_deleted, ["resource_id", "deleted"])
         deleted = set(tomb["resource_id"].to_pylist())
         # a resource observed live again (re-registered after a purge)
         # must escape the lifetime skip: documents it re-creates postdate
@@ -443,7 +433,7 @@ class CrawlEngine:
     def gc(self, keep_versions: int = 2, keep_state: int = 3) -> dict:
         """Reclaim storage: superseded catalog versions (the only table
         whose versions rewrite data), stale manifests on every table,
-        orphaned txn dirs, and old state pickles. Append-only tables
+        orphaned txn dirs, and old state checkpoints. Append-only tables
         (checks/documents/...) lose no data — their latest manifest
         references every live file."""
         import glob as _glob
@@ -472,11 +462,9 @@ class CrawlEngine:
         for p in _glob.glob(os.path.join(self.workdir, "state", "iter*")):
             if p in keep:
                 continue
-            if p in committed:
-                pass  # superseded committed checkpoint → prune
-            elif os.path.isdir(p) and self._state_iteration(p) >= newest_it:
+            if p not in committed and self._state_iteration(p) >= newest_it:
                 continue  # in-flight/aborted save newer than any commit: leave it
-            (_shutil.rmtree if os.path.isdir(p) else os.remove)(p)
+            _shutil.rmtree(p)  # superseded or aborted checkpoint
             pruned_state += 1
         removed["state_files"] = pruned_state
         return removed
@@ -490,12 +478,7 @@ class CrawlEngine:
         counters and upserts the frontier columns (so the row leaves the
         'unchecked' tier and the loop won't re-check it this iteration).
         Returns the check row as a dict."""
-        cat = self._frontier_table()
-        row = (
-            cat.filter(pc.equal(cat["resource_id"], resource_id))
-            if cat is not None
-            else self.catalog.lookup("resource_id", [resource_id])
-        )
+        row = self.catalog.lookup("resource_id", [resource_id])
         if row.num_rows == 0:
             raise KeyError(f"resource {resource_id!r} not in catalog")
         if "deleted" in row.column_names and bool(
@@ -517,24 +500,7 @@ class CrawlEngine:
         self.documents.register_files(_txn_files(docs_txn), skip_existing_basenames=True)
         self.tables_index.register_files(_txn_files(tables_txn), skip_existing_basenames=True)
         self.politeness.record_agg(_politeness_records(result), self.now_epoch(it))
-        upd = _frontier_update_fetched(result, now)
-        cache = self._frontier_cache
-        missing = [
-            c
-            for c in (
-                cache.column_names
-                if cache is not None
-                else (self.catalog.schema().names if not self.catalog.is_empty() else [])
-            )
-            if c not in upd.column_names
-        ]
-        upd = self._carry_stored_columns(upd, missing)
-        if cache is not None:
-            survivors = cache.filter(
-                pc.invert(pc.is_in(cache["resource_id"], value_set=upd["resource_id"].combine_chunks() if isinstance(upd["resource_id"], pa.ChunkedArray) else upd["resource_id"]))
-            )
-            upd_cast = upd.select(survivors.column_names).cast(survivors.schema)
-            self._frontier_cache = pa.concat_tables([survivors, upd_cast])
+        upd = self._with_stored_columns(_frontier_update_fetched(result, now))
         self.catalog.merge_insert(upd, key="resource_id", meta={"iteration": it})
         # the on-demand check advanced politeness actor state; checkpoint
         # it so a crash before the next iteration resumes the SAME
@@ -579,12 +545,10 @@ class CrawlEngine:
         )
 
     def invalidate_frontier_cache(self) -> None:
-        """MUST be called by any out-of-band catalog writer (e.g. the
-        serving API's DELETE tombstone): the next ``_finish_iteration``
-        checkpoint writes the driver-held cache back to disk, so a
-        catalog edit the cache doesn't know about would be silently
-        reverted."""
-        self._frontier_cache = None
+        """No-op. The engine holds no copy of the catalog (each
+        iteration reads the table and writes back only the rows it
+        touched), so another writer's edits need no notice. Kept for
+        ``perfbench/workloads.py``, its last caller."""
 
     def insert_priority_resource(self, row: "pa.Table | dict") -> None:
         """S2 parity (reference: on-demand resource registration gets
@@ -618,17 +582,9 @@ class CrawlEngine:
                 pc.fill_null(pc.less(t["status_since"], thr), True),
             )
 
-        # detect over the held frontier, else over three projected
-        # columns; fix only the (rare) stuck rows with a merge-on-read
-        # update — never a full-width rewrite
-        cat = self._frontier_cache
-        stuck = (
-            cat.filter(is_stuck(cat))
-            if cat is not None
-            else self.catalog.filter_rows(
-                is_stuck, ["resource_id", "status", "status_since"]
-            )
-        )
+        # detect over three projected columns; fix only the (rare) stuck
+        # rows with a merge-on-read update — never a full-width rewrite
+        stuck = self.catalog.filter_rows(is_stuck, ["resource_id", "status", "status_since"])
         ids = stuck["resource_id"].to_pylist()
         if ids:
             self.catalog.update_where(
@@ -636,7 +592,6 @@ class CrawlEngine:
                 set_values={"status": None, "status_since": now},
                 meta={"iteration": self.iteration},
             )
-            self.invalidate_frontier_cache()
         return len(ids)
 
     # -- documents (merge-on-read) ----------------------------------------
@@ -750,15 +705,11 @@ class CrawlEngine:
     ]
 
     def _stored_rows_for(self, ids, columns: list[str]) -> pa.Table | None:
-        """resource_id + `columns` for catalog rows matching `ids`
-        (the held frontier cache, else a store lookup; the pulled table
-        is O(matching ids), never O(catalog))."""
+        """resource_id + `columns` for catalog rows matching `ids` (a
+        store lookup: the pulled table is O(matching ids), never
+        O(catalog))."""
         if self.catalog.is_empty():
             return None
-        cache = self._frontier_cache
-        if cache is not None:
-            have = ["resource_id"] + [c for c in columns if c in cache.column_names]
-            return cache.select(have) if len(have) > 1 else None
         names = set(self.catalog.schema().names)
         have = ["resource_id"] + [c for c in columns if c in names]
         if len(have) == 1:
@@ -809,16 +760,21 @@ class CrawlEngine:
                 tbl = tbl.append_column(c, vals)
         return tbl
 
-    def _frontier_table(self) -> pa.Table | None:
-        """The driver-held frontier: the cache, read on first use while
-        the catalog fits the driver; None above that."""
-        if self._frontier_cache is None and self.catalog.fits_driver():
-            self._frontier_cache = self.catalog.read_arrow()
-        return self._frontier_cache
+    def _with_stored_columns(self, upd: pa.Table) -> pa.Table:
+        """`upd` plus the stored values of every catalog column it lacks
+        for its rows: passenger catalog columns (extra seed metadata,
+        add_column evolution) are outside _FRONTIER_COLS, and the
+        full-row merge_insert would null-fill them."""
+        if self.catalog.is_empty():
+            return upd
+        missing = [c for c in self.catalog.schema().names if c not in upd.column_names]
+        return self._carry_stored_columns(upd, missing)
 
     def _frontier(self) -> "rd.Dataset | pa.Table":
-        cat = self._frontier_table()
-        return cat if cat is not None else self.catalog.read()
+        """The catalog as this iteration's frontier: a driver table while
+        it fits the driver (the store's ``fits_driver``), else a Dataset
+        — the 10^10-row shape."""
+        return self.catalog.read_arrow() if self.catalog.fits_driver() else self.catalog.read()
 
     def _finish_iteration(self, updates: list[pa.Table], stats: dict) -> None:
         now = self.now_dt(self.iteration)
@@ -841,64 +797,15 @@ class CrawlEngine:
         # persist politeness/URL-seen state for iteration+1 BEFORE the
         # catalog manifest advances to iteration+1: a crash in between
         # then leaves meta=N with state files for both N and N+1 (restore
-        # at N uses N), never meta=N+1 with only iterN.pkl on disk
+        # at N uses N), never meta=N+1 with only iterN's state on disk
         self._save_state(self.iteration + 1)
         if updates:
-            upd = pa.concat_tables(updates, promote_options="default")
-            # passenger catalog columns (extra seed metadata, add_column
-            # evolution) are outside _FRONTIER_COLS, so the update rows
-            # lack them — carry the stored values for the touched rows or
-            # the select below crashes (cached) / the merge null-fills
-            # them (uncached)
-            have = set(upd.column_names)
-            missing = [
-                c
-                for c in (
-                    self._frontier_cache.column_names
-                    if self._frontier_cache is not None
-                    else (self.catalog.schema().names if not self.catalog.is_empty() else [])
-                )
-                if c not in have
-            ]
-            upd = self._carry_stored_columns(upd, missing)
-            cache = self._frontier_cache
-            if cache is not None:
-                # driver merge against the cached frontier (no read)
-                new_keys = upd["resource_id"].combine_chunks() if isinstance(
-                    upd["resource_id"], pa.ChunkedArray
-                ) else upd["resource_id"]
-                survivors = cache.filter(
-                    pc.invert(pc.is_in(cache["resource_id"], value_set=new_keys))
-                )
-                upd = upd.select(survivors.column_names).cast(survivors.schema)
-                # contiguous buffers: filter+concat leaves the cache
-                # more chunked every iteration, and both the partitioned
-                # write's take() and next iteration's filters pay
-                # per-chunk costs that compound (0.5s → 3s+ by iter 3)
-                merged = pa.concat_tables([survivors, upd]).combine_chunks()
-                touched_frac = 1.0
-                if (
-                    not self.catalog.is_empty()
-                    and self.catalog._partitioned_layout(self.catalog.files()) is not None
-                ):
-                    touched = set(int(p) for p in self.catalog._part_ids(upd))
-                    touched_frac = len(touched) / self.catalog.n_parts
-                if touched_frac <= 0.5:
-                    # incremental checkpoint: rewrite only touched
-                    # partitions; the in-memory cache stays authoritative.
-                    # When the batch touches most partitions (small
-                    # frontiers / huge batches), writing the cached merge
-                    # directly is cheaper than read+merge per partition.
-                    self.catalog.merge_insert(
-                        upd, key="resource_id", meta={"iteration": self.iteration + 1}
-                    )
-                else:
-                    self.catalog.overwrite(merged, meta={"iteration": self.iteration + 1})
-                self._frontier_cache = merged
-            else:
-                self.catalog.merge_insert(
-                    upd, key="resource_id", meta={"iteration": self.iteration + 1}
-                )
+            # only the rows this iteration touched are written back: an
+            # edit another writer committed to any other row stands
+            upd = self._with_stored_columns(pa.concat_tables(updates, promote_options="default"))
+            self.catalog.merge_insert(
+                upd, key="resource_id", meta={"iteration": self.iteration + 1}
+            )
         else:
             self.catalog.commit_meta({"iteration": self.iteration + 1})
         self.iteration += 1
@@ -945,15 +852,10 @@ class CrawlEngine:
     # one call — state bytes never pass through the driver, and the
     # slots write in parallel)
     # plus meta.json written LAST as the commit marker. A dir without
-    # meta.json is an aborted save and is ignored / GC'd. The legacy
-    # single-pickle iter{N:06d}.pkl format is still restorable.
+    # meta.json is an aborted save and is ignored / GC'd.
 
     def _state_dir(self, iteration: int) -> str:
         return os.path.join(self.workdir, "state", f"iter{iteration:06d}")
-
-    def _state_path(self, iteration: int) -> str:
-        """Legacy single-file path (read-compat only)."""
-        return self._state_dir(iteration) + ".pkl"
 
     def _save_state(self, iteration: int | None = None) -> None:
         it = self.iteration if iteration is None else iteration
@@ -974,26 +876,17 @@ class CrawlEngine:
 
     @staticmethod
     def _state_iteration(path: str) -> int:
-        return int(os.path.basename(path)[4:].split(".")[0])
+        return int(os.path.basename(path)[4:])
 
     def _committed_states(self) -> list[str]:
-        """Committed checkpoints (dirs with meta.json + legacy pkls),
-        sorted by iteration."""
+        """Committed checkpoints (dirs with meta.json), sorted by
+        iteration."""
         import glob as _glob
 
-        out = []
-        for p in _glob.glob(os.path.join(self.workdir, "state", "iter*")):
-            if p.endswith(".pkl") or os.path.exists(os.path.join(p, "meta.json")):
-                out.append(p)
-        return sorted(out, key=self._state_iteration)
+        out = _glob.glob(os.path.join(self.workdir, "state", "iter*", "meta.json"))
+        return sorted((os.path.dirname(p) for p in out), key=self._state_iteration)
 
     def _restore_from(self, path: str) -> None:
-        if path.endswith(".pkl"):
-            with open(path, "rb") as f:
-                blob = pickle.load(f)
-            self.politeness.restore(blob["politeness"])
-            self.urlseen.restore(blob["urlseen"])
-            return
         with open(os.path.join(path, "meta.json")) as f:
             meta = json.load(f)
         self.politeness.load_shards(
@@ -1177,7 +1070,7 @@ def _politeness_records(result: pa.Table) -> list[tuple]:
     via a grouped idxmax over check_id — only ~n_domains header JSONs
     are parsed, not one per check row (this runs serially on the
     driver every iteration)."""
-    doms = pd.Series(result["domain"].to_pylist())
+    doms = pd.Series(strings(result["domain"]))
     counts = doms.groupby(doms, sort=False).size()
     cids = pd.Series(result["check_id"].to_numpy(zero_copy_only=False))
     last_idx = cids.groupby(doms.values, sort=False).idxmax()

@@ -357,22 +357,31 @@ class VersionedTable:
         survivor merges this whole-table writer cannot express.)"""
         import numpy as np
 
-        txn_dir = os.path.join(self.data_dir, f"txn-{uuid.uuid4().hex[:12]}")
-        os.makedirs(txn_dir, exist_ok=True)
         parts = self._part_ids(tbl)
         # one stable gather + zero-copy slices beats n_parts full scans
         order = np.argsort(parts, kind="stable")
         sorted_tbl = tbl.take(pa.array(order))
         bounds = np.searchsorted(parts[order], np.arange(self.n_parts + 1))
-        jobs = []
-        for p in range(self.n_parts):
-            sub = sorted_tbl.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
-            out = os.path.join(txn_dir, f"part-p{p:04d}-{uuid.uuid4().hex[:8]}.parquet")
-            jobs.append((sub, out))
-        # parquet encode releases the GIL — write partitions concurrently
-        # (this runs serially on the driver every iteration; Amdahl)
+        return self._write_parts(
+            [
+                (p, sorted_tbl.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p])))
+                for p in range(self.n_parts)
+            ]
+        )
+
+    def _write_parts(self, parts: list[tuple[int, pa.Table]]) -> list[str]:
+        """Write each ``(partition id, table)`` to its own file in one new
+        txn dir, the id carried in the file name. Parquet encode releases
+        the GIL, so the files are written concurrently (this runs serially
+        on the driver every iteration; Amdahl)."""
         from concurrent.futures import ThreadPoolExecutor
 
+        txn_dir = os.path.join(self.data_dir, f"txn-{uuid.uuid4().hex[:12]}")
+        os.makedirs(txn_dir, exist_ok=True)
+        jobs = [
+            (tbl, os.path.join(txn_dir, f"part-p{p:04d}-{uuid.uuid4().hex[:8]}.parquet"))
+            for p, tbl in parts
+        ]
         with ThreadPoolExecutor(max_workers=min(8, max(1, len(jobs)))) as ex:
             list(ex.map(lambda j: pq.write_table(j[0], j[1], compression="snappy"), jobs))
         return [out for _, out in jobs]
@@ -1540,17 +1549,19 @@ class VersionedTable:
         incoming_tbl = data if isinstance(data, pa.Table) else _ds_to_arrow(data)
         # schema evolution: an incoming batch may predate an add_column
         incoming_tbl = self._fill_added(incoming_tbl, self.added_columns())
-        if pc.sum(pc.cast(pc.is_null(incoming_tbl[key]), pa.int64())).as_py():
-            # fail loud: a None key would crash np.unique's sort below
-            # with an opaque TypeError, and "upsert by null" has no
-            # last-wins meaning anyway
+        keys = incoming_tbl[key]
+        if keys.null_count:
+            # fail loud: "upsert by null" has no last-wins meaning
             raise ValueError(f"merge_insert: null values in key column {key!r}")
-        # last-wins dedup by key, Arrow/numpy only (pandas would mangle types)
-        keys = np.asarray(incoming_tbl[key].to_pylist())
-        if len(np.unique(keys)) < len(keys):
-            _, first_in_reversed = np.unique(keys[::-1], return_index=True)
-            idx = np.sort(len(keys) - 1 - first_in_reversed)
-            incoming_tbl = incoming_tbl.take(pa.array(idx))
+        # last-wins dedup by key: one distinct-count kernel decides; the
+        # per-key last row index is grouped only when keys repeat
+        if pc.count_distinct(keys).as_py() < len(keys):
+            last = (
+                pa.table({"k": keys, "i": np.arange(len(keys))})
+                .group_by("k", use_threads=False)
+                .aggregate([("i", "max")])["i_max"]
+            )
+            incoming_tbl = incoming_tbl.take(pa.array(np.sort(last.to_numpy())))
 
         # incremental path: when the stored layout is hash-partitioned on
         # this key, only the touched partitions are read + rewritten; the
@@ -1592,13 +1603,10 @@ class VersionedTable:
         """Upsert against a partitioned layout: per touched partition,
         read its files, drop updated keys, append the incoming slice,
         write one replacement file. Untouched partitions carry over."""
-        import numpy as np
         import pyarrow.compute as pc
 
         parts = self._part_ids(incoming_tbl)
         touched = sorted(set(int(p) for p in parts))
-        txn_dir = os.path.join(self.data_dir, f"txn-{uuid.uuid4().hex[:12]}")
-        os.makedirs(txn_dir, exist_ok=True)
         manifest = self._load_manifest()
         all_deletes = manifest.get("deletes") or {}
         added = manifest.get("added_columns") or []
@@ -1610,6 +1618,7 @@ class VersionedTable:
             if p not in touched:
                 new_files.extend(fs)
                 carried_deletes.update({f: all_deletes[f] for f in fs if f in all_deletes})
+        rewritten: list[tuple[int, pa.Table]] = []
         for p in touched:
             inc = incoming_tbl.filter(pa.array(parts == p))
             prev_files = by_part.get(p, [])
@@ -1633,9 +1642,8 @@ class VersionedTable:
                 merged = pa.concat_tables([survivors, inc])
             else:
                 merged = inc
-            out = os.path.join(txn_dir, f"part-p{p:04d}-{uuid.uuid4().hex[:8]}.parquet")
-            pq.write_table(merged, out, compression="snappy")
-            new_files.append(out)
+            rewritten.append((p, merged))
+        new_files.extend(self._write_parts(rewritten))
         return self._commit(
             sorted(new_files), meta, self.latest_version(),
             deletes=carried_deletes, added=manifest.get("added_columns") or [],

@@ -69,7 +69,7 @@ def table_route(monkeypatch):
     """Switch for the store's one table-size rule: ``with
     table_route("dataset"):`` runs its body with store.DRIVER_MAX_ROWS
     at 0, so every size test (lookup, filter_rows, merge_insert,
-    compact, the crawl's frontier cache and documents compaction) picks
+    compact, the crawl's frontier read and documents compaction) picks
     the Dataset side; ``"driver"`` keeps the default. A test runs its
     work on both routes and checks the results are equal."""
     from contextlib import contextmanager

@@ -43,6 +43,12 @@ class TestVersionedTable:
         vt.merge_insert(t(["b", "b"], [5, 6]), key="k")
         got = vt.read_arrow().sort_by("k")
         assert got["v"].to_pylist() == [1, 6]
+        # interleaved repeats: each key's last row wins, and the kept
+        # rows stay in incoming order after the stored survivors
+        vt.merge_insert(t(["c", "a", "c", "d", "a"], [7, 2, 8, 4, 3]), key="k")
+        got = vt.read_arrow()
+        assert got["k"].to_pylist() == ["b", "c", "d", "a"]
+        assert got["v"].to_pylist() == [6, 8, 4, 3]
 
     def test_meta_cursor(self, tmp_path):
         vt = VersionedTable(str(tmp_path / "t"))

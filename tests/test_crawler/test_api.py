@@ -93,7 +93,6 @@ class TestApi:
         )
         cat = cat.set_column(cat.column_names.index("deleted"), "deleted", deleted)
         eng.catalog.overwrite(cat, meta={"iteration": eng.iteration})
-        eng._frontier_cache = cat
         with pytest.raises(Gone):
             api.get_latest_check(resource_id=rid)
 
@@ -269,8 +268,8 @@ class TestDistributedLookupPath:
     def test_delete_resource_pruned_path(self, api):
         """delete_resource's row lookup is read_where_arrow: the
         tombstone it commits is the full-width stored row with
-        deleted=True, NotFound still raises, and the frontier cache is
-        invalidated."""
+        deleted=True, a check of it is Gone, and NotFound still
+        raises."""
         import pyarrow as pa
         import pyarrow.compute as pc
 
@@ -286,7 +285,6 @@ class TestDistributedLookupPath:
         assert row.num_rows == 1 and row["deleted"][0].as_py() is True
         assert set(after.column_names) == set(cat.column_names)
         assert row.select(want.column_names).to_pylist() == want.to_pylist()
-        assert api.engine._frontier_cache is None
         with pytest.raises(Gone):
             api.create_check(rid)
         with pytest.raises(NotFound):

@@ -88,7 +88,6 @@ def test_stuck_status_cleanup(tmp_workdir, make_crawl_engine):
         pa.array([stale_since], type=pa.timestamp("us")),
     )
     eng.catalog.overwrite(cat, meta={"iteration": eng.iteration})
-    eng._frontier_cache = cat
     assert eng.clean_up_statuses() == 1
     got = eng.catalog.read_arrow()
     assert got["status"].to_pylist() == [None]
@@ -100,7 +99,6 @@ def test_stuck_status_cleanup(tmp_workdir, make_crawl_engine):
         pa.array([eng.now_dt()], type=pa.timestamp("us")),
     )
     eng.catalog.overwrite(cat2, meta={"iteration": eng.iteration})
-    eng._frontier_cache = cat2
     assert eng.clean_up_statuses() == 0
 
 

@@ -118,7 +118,6 @@ def test_reload_above_driver_thresholds(tmp_path, make_crawl_engine, table_route
         assert checked
 
         with table_route(route):
-            eng.invalidate_frontier_cache()
             eng.load_catalog(
                 pa.concat_tables([refreshed, catalog_from_documents(new_docs), url_dup])
             )
@@ -252,7 +251,6 @@ def test_stuck_cleanup_distributed_path(tmp_path, make_crawl_engine, table_route
             pa.array(sinces, type=pa.timestamp("us")),
         )
         eng.catalog.overwrite(cat, meta={"iteration": eng.iteration})
-        eng.invalidate_frontier_cache()
         with table_route(route):
             assert isinstance(eng._frontier(), pa.Table) == (route == "driver")
             assert eng.clean_up_statuses() == 2  # the two STALE working rows only
@@ -318,8 +316,7 @@ def test_metrics_idempotent_across_crash_rerun(tmp_path, make_crawl_engine):
 def test_passenger_column_survives_iterations(tmp_path, make_crawl_engine, table_route):
     """A catalog column outside _FRONTIER_COLS (seed extras or
     add_column schema evolution) must survive iteration updates in both
-    frontier paths — the old cached-path select() crashed on it and the
-    uncached merge null-filled it."""
+    frontier paths (the full-row merge_insert would null-fill it)."""
     docs = pa.table({"doc_id": pa.array(np.arange(20), type=pa.int64())})
     seed = catalog_from_documents(docs).append_column(
         "steward", pa.array([f"team-{i % 3}" for i in range(20)])
@@ -327,7 +324,7 @@ def test_passenger_column_survives_iterations(tmp_path, make_crawl_engine, table
     eng = make_crawl_engine(str(tmp_path / "wd6"), **KW)
     eng.load_catalog(seed)
     want = dict(zip(seed["resource_id"].to_pylist(), seed["steward"].to_pylist()))
-    eng.run(2)  # cached path
+    eng.run(2)  # driver path
     got = eng.catalog.read_arrow()
     vals = dict(zip(got["resource_id"].to_pylist(), got["steward"].to_pylist()))
     assert vals == want
@@ -335,7 +332,6 @@ def test_passenger_column_survives_iterations(tmp_path, make_crawl_engine, table
 
     eng2 = make_crawl_engine(str(tmp_path / "wd6"), **KW)
     with table_route("dataset"):  # distributed frontier path
-        eng2.invalidate_frontier_cache()
         eng2.run(1)
     got2 = eng2.catalog.read_arrow()
     vals2 = dict(zip(got2["resource_id"].to_pylist(), got2["steward"].to_pylist()))

@@ -354,10 +354,10 @@ def test_docs_span_invariant_across_runs(tmp_path, make_crawl_engine, monkeypatc
 @pytest.mark.usefixtures("ray_session")
 def test_over_cache_frontier_dataset_path_identical(tmp_path, make_crawl_engine, table_route):
     """The Dataset side of the store's table-size rule (pipelines/crawl.py
-    _frontier: distributed Dataset read + non-cached merge_insert
+    _frontier: distributed Dataset read + Dataset merge_insert
     checkpointing) produces byte-identical checks and catalog state to
-    the driver-cached side — pins the 10^10-frontier branch at a
-    scaled-down threshold."""
+    the driver side — pins the 10^10-frontier branch at a scaled-down
+    threshold."""
     kw = dict(batch_size=30)
 
     e1 = make_crawl_engine(str(tmp_path / "cached"), **kw)
@@ -367,7 +367,6 @@ def test_over_cache_frontier_dataset_path_identical(tmp_path, make_crawl_engine,
     e2 = make_crawl_engine(str(tmp_path / "dataset"), **kw)
     with table_route("dataset"):
         e2.load_catalog(small_seed())
-        assert e2._frontier_cache is None
         e2.run(2)
         assert not isinstance(e2._frontier(), pa.Table)  # really on the Dataset path
 

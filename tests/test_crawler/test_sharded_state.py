@@ -6,9 +6,8 @@ single-writer bottleneck at 10^9-domain scale. The sharded format
 writes one file per state shard, by the shard actor itself, with a
 meta.json commit marker written last (write-then-commit, same pattern
 as the table manifests). These tests pin: layout, restore parity,
-legacy single-pickle read-compat, shard-count re-routing, GC, and
-URL-seen shard blobs in the older layout that also carried a cuckoo
-filter table.
+shard-count re-routing, GC, and URL-seen shard blobs in the older
+layout that also carried a cuckoo filter table.
 """
 
 import json
@@ -42,39 +41,6 @@ def test_state_dir_layout(tmp_path, make_crawl_engine):
     meta = json.load(open(os.path.join(d, "meta.json")))
     assert meta == {"iteration": 1, "politeness_shards": n_pol, "urlseen_shards": n_seen}
     e.shutdown()
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_legacy_single_pickle_still_restores(tmp_path, make_crawl_engine):
-    """A workdir checkpointed by the round-1 format resumes unchanged."""
-    import shutil
-
-    wd = str(tmp_path / "wd")
-    e = make_crawl_engine(wd, batch_size=30)
-    e.load_catalog(small_seed())
-    e.run(2)
-    # rewrite the newest checkpoint in the legacy single-file format
-    blob = {
-        "iteration": e.iteration,
-        "politeness": e.politeness.serialize(),
-        "urlseen": e.urlseen.serialize(),
-    }
-    for it in range(e.iteration + 1):
-        p = e._state_dir(it)
-        if os.path.isdir(p):
-            shutil.rmtree(p)
-    with open(e._state_path(e.iteration), "wb") as f:
-        pickle.dump(blob, f)
-    e.shutdown()
-
-    e2 = make_crawl_engine(wd, batch_size=30)
-    assert e2.iteration == 2
-    tbl = e2.catalog.read_arrow()
-    keys = tbl["url_key"].to_numpy(zero_copy_only=False).astype("int64")
-    assert not any(e2.urlseen.add_if_new(keys[:20]))
-    e2.run(1)
-    assert e2.checks.count() > 0
-    e2.shutdown()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -212,11 +178,9 @@ def test_cuckoo_layout_shard_files_restore(tmp_path, n_restore):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_cuckoo_layout_legacy_single_pickle_restores(tmp_path, make_crawl_engine):
-    """A legacy single iter{N}.pkl whose URL-seen blobs carry the filter
+def test_cuckoo_layout_checkpoint_dir_restores(tmp_path, make_crawl_engine):
+    """A committed state dir whose URL-seen shard files carry the filter
     restores the same membership the engine had when it wrote it."""
-    import shutil
-
     wd = str(tmp_path / "wd")
     e = make_crawl_engine(wd, batch_size=30)
     e.load_catalog(small_seed())
@@ -224,17 +188,12 @@ def test_cuckoo_layout_legacy_single_pickle_restores(tmp_path, make_crawl_engine
     keys = np.concatenate(
         [np.frombuffer(b["exact"], dtype=np.int64) for b in e.urlseen.serialize()]
     )
-    blob = {
-        "iteration": e.iteration,
-        "politeness": e.politeness.serialize(),
-        "urlseen": _cuckoo_layout_blobs(keys, e.urlseen.n),
-    }
-    for it in range(e.iteration + 1):
-        p = e._state_dir(it)
-        if os.path.isdir(p):
-            shutil.rmtree(p)
-    with open(e._state_path(e.iteration), "wb") as f:
-        pickle.dump(blob, f)
+    for path, blob in zip(
+        e.urlseen.shard_files(e._state_dir(e.iteration)),
+        _cuckoo_layout_blobs(keys, e.urlseen.n),
+    ):
+        with open(path, "wb") as f:
+            pickle.dump(blob, f)
     e.shutdown()
 
     e2 = make_crawl_engine(wd, batch_size=30)
