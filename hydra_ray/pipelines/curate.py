@@ -5,28 +5,35 @@ the engine's own operators, all streaming:
 
   documents
     → quality gate            (stages/text.py::quality_batch — Arrow kernels)
-    → exact dedup             (stages/dedup.py::dedup_exact — hash shuffle,
-                               min-id winner per content hash)
-    → semi-join survivors     (stages/joins.py::semi_join — a broadcast
-                               filter while the survivor set fits
-                               KEYS_BROADCAST_MAX, one keyed shuffle once
-                               it is corpus-sized)
-    → near-dup removal        (optional: stages/dedup.py::dedup_minhash
-                               over the quality-passing corpus, then an
+    → dedup, one of:
+      · exact dedup           (no near_dup_threshold: stages/dedup.py::
+                               dedup_exact — hash shuffle, min-id
+                               winner per content hash — then a
+                               stages/joins.py::semi_join of the
+                               survivors: a broadcast filter while the
+                               survivor set fits KEYS_BROADCAST_MAX, one
+                               keyed shuffle once it is corpus-sized)
+      · near-dup removal      (near_dup_threshold in (0, 1]:
+                               stages/dedup.py::dedup_minhash over the
+                               quality-passing corpus, then an
                                anti-semi-join of the higher id of every
-                               verified pair)
+                               verified pair; exact dedup is subsumed)
     → context-window chunking (stages/text.py::chunk_documents — shuffle-free)
     → per-language stats      (stages/agg.py::grouped_agg — partial agg)
 
-Near-dup pairs are found over the quality-passing corpus, which is
-materialized once for its three readers, not over the exact-dedup
-survivors: an exact-dup loser L has the text (hence the bands and
-every Jaccard) of its winner W < L, so a verified pair (L, D) with
-L < D implies the verified pair (W, D), and the same survivors drop.
+Near-dup removal subsumes exact dedup: an exact-dup loser L has the
+text, hence every band hash, of its winner W < L, so (W, L) is a
+candidate pair in every band and verifies at Jaccard 1.0 >= threshold,
+and L drops with the near-dup losers. Taking the pairs over the whole
+quality-passing corpus rather than over the exact-dedup survivors drops
+the same docs: a verified pair (L, D) with L < D implies the verified
+pair (W, D), with the same text on W's side. The quality-passing corpus
+is materialized once for its two readers (near-dup and the anti-join).
 
 No stage materializes the corpus on the driver; the all-to-all
-exchanges are the dedup hash shuffles and, above KEYS_BROADCAST_MAX
-keys, the semi-joins, all keyed on doc identity.
+exchanges are the dedup hash shuffles (the content-hash shuffle of
+exact dedup, or MinHash's band-bucket shuffle) and, above
+KEYS_BROADCAST_MAX keys, the semi-joins, all keyed on doc identity.
 """
 
 from __future__ import annotations
@@ -47,35 +54,37 @@ def curate_corpus(
 ) -> "rd.Dataset":
     """documents(doc_id, text, lang) → per-language curation stats
     (lang, n_docs, n_chunks, sum_toks) over the quality-passing,
-    exact-deduplicated corpus. With ``near_dup_threshold`` set, the
+    deduplicated corpus. Without ``near_dup_threshold`` the corpus is
+    exact-deduplicated (min doc_id per text). With it (in (0, 1]), the
     HIGHER doc_id of every verified MinHash-LSH near-dup pair of the
-    quality-passing corpus is dropped from the survivors (greedy
-    keep-smallest, via one anti-semi-join)."""
+    quality-passing corpus is dropped instead (greedy keep-smallest,
+    via one anti-semi-join), which drops every exact-dup loser too
+    (module docstring)."""
     from hydra_ray.stages.agg import grouped_agg
     from hydra_ray.stages.dedup import dedup_exact, dedup_minhash
     from hydra_ray.stages.joins import semi_join
     from hydra_ray.stages.text import chunk_documents, quality_batch
 
+    if near_dup_threshold is not None and not 0 < near_dup_threshold <= 1:
+        raise ValueError(f"near_dup_threshold must be in (0, 1], got {near_dup_threshold}")
+
     def qfilter(t: pa.Table) -> pa.Table:
         return t.filter(quality_batch(t, id_col, text_col)["keep"])
 
     good = ds.map_batches(qfilter, batch_format="pyarrow")
-    if near_dup_threshold is not None:
-        # three readers (exact dedup, the survivor filter, near-dup):
-        # the quality gate runs once
+    if near_dup_threshold is None:
+        winners = dedup_exact(good, id_col=id_col, text_col=text_col).map_batches(
+            lambda t: t.select([id_col]), batch_format="pyarrow"
+        )
+        survivors = semi_join(good, winners, id_col)
+    else:
+        # two readers (near-dup and the anti-join): the quality gate runs once
         good = good.materialize()
-    winners = dedup_exact(good, id_col=id_col, text_col=text_col).map_batches(
-        lambda t: t.select([id_col]), batch_format="pyarrow"
-    )
-    survivors = semi_join(good, winners, id_col)
-    if near_dup_threshold is not None:
-        # the same survivors drop as with pairs over the survivors
-        # (module docstring)
         pairs = dedup_minhash(good, threshold=near_dup_threshold)
         losers = pairs.map_batches(
             lambda t: pa.table({id_col: t["doc_b"]}), batch_format="pyarrow"
         )
-        survivors = semi_join(survivors, losers, id_col, anti=True)
+        survivors = semi_join(good, losers, id_col, anti=True)
     chunks = chunk_documents(
         survivors,
         max_tokens=max_tokens,

@@ -59,16 +59,18 @@ def grouped_agg(
     # distributed groupby.
     from hydra_ray.sources.store import ds_to_tables
 
+    # the result goes back as one driver-held block: rd.from_blocks reads
+    # its metadata here, where rd.from_arrow would start a task for it
     tables = [t for t in ds_to_tables(partials) if t.num_rows]
     if not tables:
-        return rd.from_arrow(_empty_final(keys, aggs))
+        return rd.from_blocks([_empty_final(keys, aggs)])
     merged = pa.concat_tables(tables, promote_options="default")
     if merged.num_rows <= DRIVER_MERGE_ROWS:
         spec = [(out, _MERGE_FN[fn]) for _, fn, out in aggs]
         g = merged.group_by(keys).aggregate(spec)
         rename = {f"{out}_{_MERGE_FN[fn]}": out for _, fn, out in aggs}
         g = g.rename_columns([rename.get(c, c) for c in g.column_names])
-        return rd.from_arrow(g)
+        return rd.from_blocks([g])
 
     from ray.data.aggregate import Max, Min, Sum
 

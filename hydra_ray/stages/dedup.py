@@ -7,8 +7,10 @@ ch.3) expressed as Ray Data pipelines:
 
   exact     : content-hash in map_batches → groupby(hash) → keep min id
   minhash   : shingle→minhash sig per batch → explode to (band, band
-              hash, doc) rows → groupby bands → candidate pairs →
-              verify true Jaccard → pairs above threshold
+              hash, doc) rows → groupby bands → candidate pairs, one
+              row per colliding band → keep each pair once (its lowest
+              colliding band) → verify true Jaccard → pairs above
+              threshold
 
 All hashing uses the deterministic splitmix64 mixer (functions/hashing.py)
 so results are parallelism-invariant.
@@ -230,16 +232,18 @@ BROADCAST_DOCS_MAX = 20_000  # below this, texts broadcast for verify
 def lsh_candidate_pairs(
     bands: "rd.Dataset",
     num_parts: int = 32,
-    unique: bool = True,
 ) -> "rd.Dataset":
-    """Band rows → candidate pairs, fully distributed.
+    """Band rows → (doc_a, doc_b, band_id) candidate rows, fully
+    distributed, in one exchange.
 
     Hash-partition by (band_id, band_hash) so every bucket is whole in
     one partition; emit pairs per bucket with a vectorized self-merge.
-    ``unique=True`` adds a (doc_a, doc_b) co-partition that drops pairs
-    colliding in several bands; the distributed verify path skips it
-    because its own (doc_a, doc_b) co-partition dedups for free. No
-    band row ever reaches the driver.
+    A pair that collides in several bands comes out once per colliding
+    band, each row tagged with its band; the verify downstream keeps one
+    (dedup_minhash: the broadcast verify keeps the row of the pair's
+    lowest colliding band, the distributed verify's (doc_a, doc_b)
+    co-partition dedups), so no pair-level shuffle runs here. No band
+    row ever reaches the driver.
     """
     from hydra_ray.stages.keyed import keyed_map_partitions
 
@@ -247,21 +251,31 @@ def lsh_candidate_pairs(
         dup = df[df.duplicated(["band_id", "band_hash"], keep=False)]
         if dup.empty:
             return pd.DataFrame(
-                {"doc_a": pd.Series(dtype=df["doc_id"].dtype), "doc_b": pd.Series(dtype=df["doc_id"].dtype)}
+                {
+                    "doc_a": pd.Series(dtype=df["doc_id"].dtype),
+                    "doc_b": pd.Series(dtype=df["doc_id"].dtype),
+                    "band_id": pd.Series(dtype=df["band_id"].dtype),
+                }
             )
         m = dup.merge(dup, on=["band_id", "band_hash"])
         m = m[m["doc_id_x"] < m["doc_id_y"]]
-        out = m[["doc_id_x", "doc_id_y"]].drop_duplicates()
+        out = m[["doc_id_x", "doc_id_y", "band_id"]].drop_duplicates()
         return out.rename(columns={"doc_id_x": "doc_a", "doc_id_y": "doc_b"})
 
-    cands = keyed_map_partitions(bands, ["band_id", "band_hash"], emit_pairs, num_parts)
-    if not unique:
-        return cands
+    return keyed_map_partitions(bands, ["band_id", "band_hash"], emit_pairs, num_parts)
 
-    def uniq(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(["doc_a", "doc_b"])
 
-    return keyed_map_partitions(cands, ["doc_a", "doc_b"], uniq, num_parts)
+def _first_colliding_band(docs: pa.Table, a: np.ndarray, b: np.ndarray, shingle_k: int) -> np.ndarray:
+    """The lowest band in which docs ``a[i]`` and ``b[i]`` (row indices
+    into ``docs``) share a band hash, per pair. The band hashes are
+    recomputed (minhash_bands_batch) once per distinct doc, and equal
+    the ones the pair was emitted under, so a candidate pair always has
+    one."""
+    rows, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    sub = docs.take(pa.array(rows)).select(["doc_id", "text"])
+    bh = minhash_bands_batch(sub, shingle_k)["band_hash"].to_numpy().reshape(len(rows), N_BANDS)
+    n = len(a)
+    return (bh[inv[:n]] == bh[inv[n:]]).argmax(axis=1)
 
 
 def _verify_distributed(
@@ -325,10 +339,9 @@ def _verify_distributed(
     halves = keyed_map_partitions(u, ["key"], attach_text, num_parts)
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
-        # candidate pairs may arrive multiple times (several colliding
-        # bands in different partitions) — the co-partition makes the
-        # global dedup free here, so the pair stream skips its own
-        # uniq shuffle stage
+        # a candidate pair arrives once per colliding band (band_id is
+        # not carried into the halves); the co-partition makes the
+        # global dedup free here
         a = (
             df[df["side"] == 1][["doc_a", "doc_b", "text"]]
             .drop_duplicates(["doc_a", "doc_b"])
@@ -371,23 +384,33 @@ def dedup_minhash(
     shingle_k: int = 3,
     distributed: bool | None = None,
 ) -> "rd.Dataset":
-    """MinHash-LSH near-duplicate pairs, verified by true Jaccard.
+    """MinHash-LSH near-duplicate pairs, verified by true Jaccard: each
+    pair ``doc_a < doc_b`` whose docs share at least one band hash and
+    whose Jaccard reaches ``threshold`` comes out exactly once, as
+    (doc_a, doc_b, jaccard).
 
     shingle→minhash per batch (minhash_bands_batch, a stateless task) →
     band rows → distributed bucket-collision pair emission
-    (lsh_candidate_pairs) → verify.
+    (lsh_candidate_pairs, the one exchange of the broadcast route) →
+    verify.
 
     The input is executed once (``materialize``); banding and verify
     both read those blocks. Verify routing: above BROADCAST_DOCS_MAX
     docs (or distributed=True) texts are attached by co-partitioned
-    joins — no driver materialization anywhere, driver memory O(1).
-    Below it each verify task ``ray.get``s the materialized blocks
-    themselves (their refs, no second execution and no driver-side
-    text map) and looks its pairs' texts up by doc id; no text
-    shuffle.
+    joins — no driver materialization anywhere, driver memory O(1) —
+    and the (doc_a, doc_b) co-partition drops a pair's repeats. Below
+    it each verify task ``ray.get``s the materialized blocks themselves
+    (their refs, no second execution and no driver-side text map) and
+    looks its pairs' texts up by doc id; no text shuffle. A pair
+    arrives once per band it collides in, so the task recomputes the
+    band hashes of its batch's distinct docs and keeps the row whose
+    ``band_id`` is the pair's lowest colliding band (the lowest-band
+    rule): every pair survives exactly once with no pair shuffle, and
+    Jaccard runs on kept rows only.
     """
     import ray
 
+    from hydra_ray.schemas import strings
     from hydra_ray.sources.store import block_to_table
 
     mat = ds.materialize()  # read by banding and by verify
@@ -397,29 +420,33 @@ def dedup_minhash(
     bands = mat.map_batches(
         minhash_bands_batch, fn_kwargs={"shingle_k": shingle_k}, batch_format="pyarrow"
     )
-
-    if distributed:
-        # unique=False: the verify co-partition dedups pairs for free
-        pairs = lsh_candidate_pairs(bands, unique=False)
-        return _verify_distributed(mat, pairs, threshold, shingle_k)
     pairs = lsh_candidate_pairs(bands)
+    if distributed:
+        return _verify_distributed(mat, pairs, threshold, shingle_k)
     block_refs = mat.to_arrow_refs()  # free: mat is already executed
 
     def verify(batch: pd.DataFrame) -> pd.DataFrame:
+        out = batch[["doc_a", "doc_b"]]
         if batch.empty:
-            return batch.assign(jaccard=pd.Series(dtype="float64"))
+            return out.assign(jaccard=pd.Series(dtype="float64"))
         blocks = [block_to_table(b) for b in ray.get(block_refs)]
         docs = pa.concat_tables([b.select(["doc_id", "text"]) for b in blocks if b.num_rows])
         ids = docs["doc_id"].combine_chunks()
         n = len(batch)
         ab = pa.array(pd.concat([batch["doc_a"], batch["doc_b"]])).cast(ids.type)
-        texts = docs["text"].take(pc.index_in(ab, value_set=ids)).to_pylist()
+        at = pc.index_in(ab, value_set=ids).to_numpy()
+        a, b = at[:n], at[n:]
+        # the lowest-band rule
+        keep = _first_colliding_band(docs, a, b, shingle_k) == batch["band_id"].to_numpy()
+        out = out[keep]
+        m = len(out)
+        texts = strings(docs["text"].take(pa.array(np.concatenate([a[keep], b[keep]]))))
         jac = [
             round(jaccard(ta or "", tb or "", shingle_k), 6)
-            for ta, tb in zip(texts[:n], texts[n:])
+            for ta, tb in zip(texts[:m], texts[m:])
         ]
-        batch = batch.assign(jaccard=jac)
-        return batch[batch["jaccard"] >= threshold]
+        out = out.assign(jaccard=jac)
+        return out[out["jaccard"] >= threshold]
 
     return pairs.map_batches(verify, batch_format="pandas", batch_size=2048)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from hydra_ray.schemas import SPAN_STRUCT
+from hydra_ray.schemas import SPAN_STRUCT, strings
 
 CHUNK = 256
 MEDIA_EVERY = 3
@@ -33,8 +33,9 @@ MEDIA_EVERY = 3
 
 def build_spans_batch(batch: pa.Table, doc_id_col: str = "doc_id", text_col: str = "text") -> pa.Table:
     """documents(doc_id, text) → (doc_id:string, spans:list<struct>)."""
-    doc_ids = batch[doc_id_col].cast(pa.string()).to_pylist()
-    texts = batch[text_col].to_pylist()
+    ids = batch[doc_id_col].cast(pa.string()).combine_chunks()
+    doc_ids = strings(ids)
+    texts = strings(batch[text_col])
 
     kinds: list[str] = []
     span_text: list[str | None] = []
@@ -70,7 +71,7 @@ def build_spans_batch(batch: pa.Table, doc_id_col: str = "doc_id", text_col: str
         fields=list(SPAN_STRUCT),
     )
     spans = pa.ListArray.from_arrays(pa.array(np.array(list_offsets, dtype=np.int32)), struct_arr)
-    return pa.table({"doc_id": pa.array(doc_ids, type=pa.string()), "spans": spans})
+    return pa.table({"doc_id": ids, "spans": spans})
 
 
 def explode_spans_batch(batch: pa.Table) -> pa.Table:

@@ -561,13 +561,19 @@ def count_executions():
     logger.setLevel(level)
 
 
-def test_near_dup_execution_counts(ray_session, count_executions, keyset_route):
+def test_near_dup_execution_counts(ray_session, count_executions, keyset_route, monkeypatch):
     """Executions per call (each costs ~45 ms before any UDF work), the
     same on both key-set-filter routes: dedup_minhash executes its input
     once and verify reads those blocks; span_near_dup keeps no exploded
     copy; curate_corpus runs near-dup on the materialized
-    quality-passing corpus; the shuffle route never executes the left
-    side just to learn its schema."""
+    quality-passing corpus and no exact dedup; the shuffle route never
+    executes the left side just to learn its schema. Exchanges
+    (``Dataset.sort`` calls) per call: MinHash's band-bucket shuffle
+    (the lowest-band rule leaves no pair shuffle), span_near_dup's doc
+    reassembly, and on the shuffle route each anti-join's keyed
+    shuffle."""
+    from ray.data import Dataset
+
     from hydra_ray.pipelines.curate import curate_corpus
     from hydra_ray.stages.spans import span_near_dup
 
@@ -585,6 +591,123 @@ def test_near_dup_execution_counts(ray_session, count_executions, keyset_route):
     def curate():
         return curate_corpus(rd.from_arrow(with_lang), near_dup_threshold=0.5).to_pandas()
 
-    assert count_executions(minhash) == 2
-    assert count_executions(spans) == 3
-    assert count_executions(curate) == 4
+    sorts = []
+    sort = Dataset.sort
+    monkeypatch.setattr(
+        Dataset, "sort", lambda self, *a, **kw: sorts.append(1) or sort(self, *a, **kw)
+    )
+
+    def counts(fn) -> tuple[int, int]:
+        sorts.clear()
+        return count_executions(fn), len(sorts)
+
+    anti = int(keyset_route == "shuffle")  # the anti-join's keyed shuffle
+    assert counts(minhash) == (2, 1)
+    assert counts(spans) == (3, 2 + anti)
+    assert counts(curate) == (3, 1 + anti)
+
+
+# Corpora whose pairs collide in many bands: exact-dup groups of 3 or
+# more docs (every band), near-dups of each group's text (some bands),
+# and unrelated docs, some too short for the quality gate. Doc ids are
+# shuffled, so a group's winner is not its first doc.
+_VOCAB = [c + v for c in "bdfgklmprst" for v in ("ar", "el", "io")]
+
+
+@st.composite
+def _dup_corpora(draw) -> pa.Table:
+    words = st.sampled_from(_VOCAB)
+    texts = []
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(st.lists(words, min_size=8, max_size=30))
+        texts += [" ".join(base)] * draw(st.integers(3, 5))
+        for _ in range(draw(st.integers(0, 3))):
+            near = list(base)
+            for _ in range(draw(st.integers(1, 3))):
+                near[draw(st.integers(0, len(near) - 1))] = draw(words)
+            texts += [" ".join(near)] * draw(st.integers(1, 2))
+    texts += draw(st.lists(st.lists(words, min_size=1, max_size=20).map(" ".join), max_size=4))
+    ids = draw(st.permutations(range(100, 100 + len(texts))))
+    return pa.table(
+        {
+            "doc_id": pa.array(ids, type=pa.int64()),
+            "text": pa.array(texts, type=pa.string()),
+            "lang": pa.array([f"l{i}" for i in ids]),
+        }
+    )
+
+
+def _brute_force_pairs(t: pa.Table, threshold: float) -> dict:
+    """(doc_a, doc_b) → rounded Jaccard for every id pair a < b that
+    shares at least one band hash and reaches ``threshold``."""
+    import itertools
+
+    ids = t["doc_id"].to_pylist()
+    texts = t["text"].to_pylist()
+    bh = bands_spec(ids, texts)["band_hash"].to_numpy().reshape(len(ids), N_BANDS)
+    out = {}
+    for i, j in itertools.combinations(range(len(ids)), 2):
+        if (bh[i] == bh[j]).any():
+            jac = round(jaccard(texts[i], texts[j]), 6)
+            if jac >= threshold:
+                out[tuple(sorted((ids[i], ids[j])))] = jac
+    return out
+
+
+def _blocks(t: pa.Table) -> "rd.Dataset":
+    cut = t.num_rows // 2
+    return rd.from_arrow([t.slice(0, cut), t.slice(cut)])
+
+
+@settings(max_examples=10, deadline=None)
+@given(t=_dup_corpora())
+def test_minhash_pairs_once_and_match_brute_force(ray_session, t):
+    """Both verify routes return each verified pair exactly once (a pair
+    of an exact-dup group collides in all 16 bands), and the pairs and
+    their Jaccard equal the brute-force reference."""
+    want = _brute_force_pairs(t, 0.5)
+    for distributed in (False, True):
+        out = dedup_minhash(
+            _blocks(t.select(["doc_id", "text"])), threshold=0.5, distributed=distributed
+        ).to_pandas()
+        got = list(zip(out["doc_a"], out["doc_b"]))
+        assert len(got) == len(set(got)), distributed
+        assert dict(zip(got, out["jaccard"])) == want, distributed
+
+
+@settings(max_examples=6, deadline=None)
+@given(t=_dup_corpora())
+def test_curate_near_dup_folds_exact_dedup(ray_session, t):
+    """curate_corpus with a near-dup threshold, which runs no exact
+    dedup, equals the quality gate, then dedup_exact, then near-dup
+    removal over the exact-dedup survivors. One lang per doc, so the
+    per-lang stats name every surviving doc."""
+    from hydra_ray.pipelines.curate import curate_corpus
+    from hydra_ray.stages.text import quality_batch
+
+    good = t.filter(quality_batch(t)["keep"])
+    winners = set(dedup_exact(rd.from_arrow(good)).to_pandas()["doc_id"])
+    surv = good.filter(pa.array([d in winners for d in good["doc_id"].to_pylist()]))
+    cols = ["lang", "n_docs", "n_chunks", "sum_toks"]
+
+    def stats(ds: "rd.Dataset", **kw):
+        out = curate_corpus(ds, **kw).to_pandas()
+        return out.sort_values("lang")[cols].reset_index(drop=True)
+
+    for threshold in (0.5, 1.0):
+        dropped = {b for _, b in _brute_force_pairs(surv, threshold)}
+        kept = [d for d in surv["doc_id"].to_pylist() if d not in dropped]
+        keep_t = t.filter(pa.array([d in kept for d in t["doc_id"].to_pylist()]))
+        got = stats(_blocks(t), near_dup_threshold=threshold)
+        assert sorted(int(lang[1:]) for lang in got["lang"]) == sorted(kept), threshold
+        assert got.equals(stats(rd.from_arrow(keep_t))), threshold
+
+
+@pytest.mark.parametrize("threshold", [0, -0.25, 1.000001, 2])
+def test_curate_near_dup_threshold_range(threshold):
+    """Near-dup removal folds exact dedup in only for thresholds in
+    (0, 1]: an exact-dup pair verifies at Jaccard 1.0."""
+    from hydra_ray.pipelines.curate import curate_corpus
+
+    with pytest.raises(ValueError, match="near_dup_threshold"):
+        curate_corpus(None, near_dup_threshold=threshold)
