@@ -336,14 +336,14 @@ class EngineApi:
     def delete_resource(self, resource_id: str) -> dict:
         """DELETE /api/resources/{id} (routes/resources.py:94-107):
         mark deleted=True (tombstone; the frontier excludes deleted).
-        The row lookup is the zone-map-pruned ``read_where_arrow``, like
-        every other serving lookup."""
-        matched = self.engine.catalog.read_where_arrow("resource_id", [resource_id])
-        if matched.num_rows == 0:
+        The upsert carries only ``deleted``: every other column keeps
+        its stored value."""
+        catalog = self.engine.catalog
+        if not catalog.lookup("resource_id", [resource_id], columns=["resource_id"]).num_rows:
             raise NotFound(resource_id)
-        row = matched.slice(0, 1)
-        row = row.set_column(row.column_names.index("deleted"), "deleted", pa.array([True]))
-        self.engine.catalog.merge_insert(row, key="resource_id")
+        catalog.merge_insert(
+            pa.table({"resource_id": [resource_id], "deleted": [True]}), key="resource_id"
+        )
         return {"message": "deleted"}
 
     def get_resources_stats(self) -> dict:

@@ -77,8 +77,6 @@ class CrawlEngine:
         resource_exceptions: set | None = None,
         partition_by_domain: bool = False,
         robots: bool = False,
-        catalog_parts: int = 16,
-        catalog_partition_min_rows: int = 50_000,
         analysis_config: dict | None = None,
     ):
         # robots.txt gate in the fetch stage (north-rule component)
@@ -103,15 +101,11 @@ class CrawlEngine:
         self.batch_size = batch_size or config.BATCH_SIZE
         self.transport = transport or {"kind": "synthetic"}
         os.makedirs(os.path.join(workdir, "state"), exist_ok=True)
-        # hash-partitioned checkpoint files (above the row threshold):
-        # merge_insert rewrites only the partitions an iteration touches,
-        # so per-iteration checkpoint I/O is O(checked rows), not O(frontier)
-        self.catalog = VersionedTable(
-            os.path.join(workdir, "catalog"),
-            partition_key="resource_id",
-            n_parts=catalog_parts,
-            partition_min_rows=catalog_partition_min_rows,
-        )
+        # keyed on resource_id: from store.PARTITION_MIN_ROWS rows on the
+        # catalog is stored as hash partitions, and an iteration's
+        # checkpoint rewrites only the partitions its rows hash to (a
+        # 40-row batch over 16 partitions still touches about 15)
+        self.catalog = VersionedTable(os.path.join(workdir, "catalog"), partition_key="resource_id")
         self.checks = VersionedTable(os.path.join(workdir, "checks"))
         self.documents = VersionedTable(os.path.join(workdir, "documents"))
         self.payloads = VersionedTable(os.path.join(workdir, "payloads"))
@@ -194,14 +188,15 @@ class CrawlEngine:
             keep = pc.or_(pa.array(is_new), known_rid)
             tbl = tbl.filter(keep)
             # a reload refreshes seed METADATA but must not reset crawl
-            # state: merge_insert is a full-row last-wins replace and the
-            # incoming rows carry NULL/default state columns (filled by
-            # _add_frontier_columns) — without this overlay, every reload
-            # reverted the whole frontier to tier-2 "never checked" and
-            # fired a change-detection re-parse storm. State a caller
-            # EXPLICITLY provides in the seed still wins.
+            # state: the incoming rows carry NULL/default state columns
+            # (filled by _add_frontier_columns), which merge_insert would
+            # write — without this overlay, every reload reverted the
+            # whole frontier to tier-2 "never checked" and fired a
+            # change-detection re-parse storm. State a caller EXPLICITLY
+            # provides in the seed still wins; catalog columns the seed
+            # lacks keep their stored values in merge_insert itself.
             preserve = [c for c in self._STATE_COLS if c not in seed_cols]
-            tbl = self._carry_stored_columns(tbl, preserve, live_only=True)
+            tbl = self._carry_stored_columns(tbl, preserve)
             self.catalog.merge_insert(tbl, key="resource_id", meta={"iteration": self.iteration})
         if self._purged_resource_ids:
             # a re-registered resource is live again: it must escape the
@@ -500,8 +495,9 @@ class CrawlEngine:
         self.documents.register_files(_txn_files(docs_txn), skip_existing_basenames=True)
         self.tables_index.register_files(_txn_files(tables_txn), skip_existing_basenames=True)
         self.politeness.record_agg(_politeness_records(result), self.now_epoch(it))
-        upd = self._with_stored_columns(_frontier_update_fetched(result, now))
-        self.catalog.merge_insert(upd, key="resource_id", meta={"iteration": it})
+        self.catalog.merge_insert(
+            _frontier_update_fetched(result, now), key="resource_id", meta={"iteration": it}
+        )
         # the on-demand check advanced politeness actor state; checkpoint
         # it so a crash before the next iteration resumes the SAME
         # per-domain window timeline the committed check row implies
@@ -704,45 +700,22 @@ class CrawlEngine:
         "detected_last_modified_at", "next_check_at",
     ]
 
-    def _stored_rows_for(self, ids, columns: list[str]) -> pa.Table | None:
-        """resource_id + `columns` for catalog rows matching `ids` (a
-        store lookup: the pulled table is O(matching ids), never
-        O(catalog))."""
-        if self.catalog.is_empty():
-            return None
-        names = set(self.catalog.schema().names)
-        have = ["resource_id"] + [c for c in columns if c in names]
-        if len(have) == 1:
-            return None
-        return self.catalog.lookup("resource_id", ids.to_pylist(), columns=have)
-
-    def _carry_stored_columns(
-        self, tbl: pa.Table, cols: list[str], live_only: bool = False
-    ) -> pa.Table:
-        """Give `tbl`'s rows the currently stored catalog values for
-        `cols`, matched by resource_id (rows new to the catalog keep
-        their incoming value / null). Columns already in `tbl` are
-        overridden for known rows; absent ones are appended — this is
-        what lets passenger/added catalog columns and reload-preserved
-        state survive a full-row merge_insert. ``live_only`` skips rows
-        whose STORED row is tombstoned: a re-registered deleted resource
-        returns as fresh (no last_checksum), so its next check re-parses
-        and re-creates the documents its purge entry removed."""
+    def _carry_stored_columns(self, tbl: pa.Table, cols: list[str]) -> pa.Table:
+        """Give `tbl`'s rows the stored catalog values of `cols` (columns
+        `tbl` carries), matched by resource_id, for rows whose stored
+        row is live; other rows keep their incoming values. A
+        tombstoned resource registered again returns as fresh (no
+        last_checksum), so its next check re-parses and re-creates the
+        documents its purge entry removed."""
         cols = [c for c in cols if c != "resource_id"]
-        if not cols or self.catalog.is_empty() or not tbl.num_rows:
+        if not cols or not tbl.num_rows:
             return tbl
-        fetch = cols + ["deleted"] if live_only and "deleted" not in cols else cols
-        stored = self._stored_rows_for(tbl["resource_id"], fetch)
-        if stored is None or not stored.num_rows:
+        names = set(self.catalog.schema().names)
+        have = ["resource_id", "deleted"] + [c for c in cols if c in names and c != "deleted"]
+        stored = self.catalog.lookup("resource_id", tbl["resource_id"].to_pylist(), columns=have)
+        stored = stored.filter(pc.invert(pc.fill_null(stored["deleted"], False)))
+        if not stored.num_rows:
             return tbl
-        if live_only and "deleted" in stored.column_names:
-            stored = stored.filter(
-                pc.invert(pc.fill_null(stored["deleted"], False))
-            )
-            if "deleted" not in cols:
-                stored = stored.drop_columns(["deleted"])
-            if not stored.num_rows:
-                return tbl
         idx = pc.index_in(tbl["resource_id"], value_set=stored["resource_id"].combine_chunks())
         known = pc.is_valid(idx)
         for c in cols:
@@ -751,24 +724,11 @@ class CrawlEngine:
             vals = stored[c].take(idx)  # null rows where idx is null
             if isinstance(vals, pa.ChunkedArray):
                 vals = vals.combine_chunks()
-            if c in tbl.column_names:
-                cur = tbl[c]
-                if vals.type != cur.type:
-                    vals = vals.cast(cur.type)
-                tbl = _set_column(tbl, c, pc.if_else(known, vals, cur))
-            else:
-                tbl = tbl.append_column(c, vals)
+            cur = tbl[c]
+            if vals.type != cur.type:
+                vals = vals.cast(cur.type)
+            tbl = _set_column(tbl, c, pc.if_else(known, vals, cur))
         return tbl
-
-    def _with_stored_columns(self, upd: pa.Table) -> pa.Table:
-        """`upd` plus the stored values of every catalog column it lacks
-        for its rows: passenger catalog columns (extra seed metadata,
-        add_column evolution) are outside _FRONTIER_COLS, and the
-        full-row merge_insert would null-fill them."""
-        if self.catalog.is_empty():
-            return upd
-        missing = [c for c in self.catalog.schema().names if c not in upd.column_names]
-        return self._carry_stored_columns(upd, missing)
 
     def _frontier(self) -> "rd.Dataset | pa.Table":
         """The catalog as this iteration's frontier: a driver table while
@@ -802,9 +762,10 @@ class CrawlEngine:
         if updates:
             # only the rows this iteration touched are written back: an
             # edit another writer committed to any other row stands
-            upd = self._with_stored_columns(pa.concat_tables(updates, promote_options="default"))
             self.catalog.merge_insert(
-                upd, key="resource_id", meta={"iteration": self.iteration + 1}
+                pa.concat_tables(updates, promote_options="default"),
+                key="resource_id",
+                meta={"iteration": self.iteration + 1},
             )
         else:
             self.catalog.commit_meta({"iteration": self.iteration + 1})

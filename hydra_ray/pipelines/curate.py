@@ -80,7 +80,14 @@ def curate_corpus(
     else:
         # two readers (near-dup and the anti-join): the quality gate runs once
         good = good.materialize()
-        pairs = dedup_minhash(good, threshold=near_dup_threshold)
+        near_in = good
+        if (id_col, text_col) != ("doc_id", "text"):
+            # dedup_minhash reads doc_id / text
+            near_in = good.map_batches(
+                lambda t: pa.table({"doc_id": t[id_col], "text": t[text_col]}),
+                batch_format="pyarrow",
+            )
+        pairs = dedup_minhash(near_in, threshold=near_dup_threshold)
         losers = pairs.map_batches(
             lambda t: pa.table({id_col: t["doc_b"]}), batch_format="pyarrow"
         )

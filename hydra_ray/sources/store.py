@@ -20,10 +20,15 @@ available in this environment, so this module provides the same
 - ``fits_driver()`` is the one table-size rule (``DRIVER_MAX_ROWS``):
   ``lookup``, ``filter_rows``, ``merge_insert`` and ``compact`` work on
   the driver at or below it and as Ray Datasets above it;
-- ``merge_insert`` implements last-wins upsert by key, the Lance
-  ``merge_insert`` / reference ``ON CONFLICT DO UPDATE`` equivalent
-  (udata_hydra/db/resource.py:64-79); with ``partition_key`` set the
-  layout is hash-bucketed and an upsert rewrites only touched buckets;
+- ``merge_insert`` is the one upsert, the Lance ``merge_insert`` /
+  reference ``ON CONFLICT DO UPDATE`` equivalent
+  (udata_hydra/db/resource.py:64-79): last-wins by key in the columns
+  the update carries, the stored values kept in the columns it lacks;
+- a keyed table (``partition_key``) that a driver write finds at
+  ``PARTITION_MIN_ROWS`` rows or more is stored as ``N_PARTS``
+  key-hash partition files, and an upsert rewrites only the partitions
+  its keys hash to; the write that picks this layout records it in the
+  manifest, and every later write and handle follows the record;
 - ``delete_where`` implements Lance deletion-file semantics: row
   deletes are POSITION vectors in per-data-file sidecar files, applied
   merge-on-read by every reader — no data file is rewritten at delete
@@ -71,6 +76,13 @@ import ray.data as rd
 # Ray execution; above it, as a Ray Dataset
 DRIVER_MAX_ROWS = 2_000_000
 
+# the layout a driver write picks for a keyed table of at least
+# PARTITION_MIN_ROWS rows: N_PARTS files, one per key-hash partition.
+# The manifest records the pick; later writes follow the record, so
+# changing these constants only affects tables that have none yet.
+N_PARTS = 16
+PARTITION_MIN_ROWS = 50_000
+
 
 class ConcurrentCommitError(RuntimeError):
     """Two writers raced to commit the same version number: the second
@@ -79,24 +91,18 @@ class ConcurrentCommitError(RuntimeError):
 
 
 class VersionedTable:
-    def __init__(
-        self,
-        path: str,
-        partition_key: str | None = None,
-        n_parts: int = 16,
-        partition_min_rows: int = 50_000,
-    ):
-        """``partition_key`` turns on hash-partitioned checkpoint files:
-        every version >= ``partition_min_rows`` is stored as ``n_parts``
-        key-hash-bucketed part files, and ``merge_insert`` rewrites ONLY
-        the partitions the incoming batch touches — untouched part files
-        are re-referenced by the new manifest. This is what makes a
-        10^10-row frontier checkpoint incremental: per-iteration write
-        I/O is O(touched partitions), not O(table)."""
+    def __init__(self, path: str, partition_key: str | None = None):
+        """``partition_key`` names the column to hash-partition on: the
+        first driver write of at least ``PARTITION_MIN_ROWS`` rows
+        stores the table as ``N_PARTS`` key-hash part files and records
+        that layout in the manifest. From then on ``merge_insert``
+        rewrites only the partitions its keys hash to, and untouched
+        part files are re-referenced by the new manifest, so the write
+        I/O of an upsert is O(touched partitions), not O(table). Every
+        handle on the path follows the recorded layout, whatever its
+        own ``partition_key``."""
         self.path = path
         self.partition_key = partition_key
-        self.n_parts = n_parts
-        self.partition_min_rows = partition_min_rows
         self.versions_dir = os.path.join(path, "_versions")
         self.data_dir = os.path.join(path, "data")
         os.makedirs(self.versions_dir, exist_ok=True)
@@ -167,7 +173,11 @@ class VersionedTable:
         added: list[dict] | None = None,
         eq_deletes: list[dict] | None = None,
         file_versions: dict | None = None,
+        layout: dict | None = None,
     ) -> int:
+        """Write manifest ``parent + 1``. Left at None, ``added``,
+        ``eq_deletes`` and ``layout`` carry the parent's; pass [] or {}
+        to clear them."""
         version = parent + 1
         # the parent manifest is always needed (file_versions fallback)
         prev = self._load_manifest(parent)
@@ -183,6 +193,9 @@ class VersionedTable:
             # compact pass [] explicitly — their data already excludes
             # the matched rows)
             eq_deletes = prev.get("eq_deletes") or []
+        if layout is None:
+            # {"key", "n_parts"} of a hash-partitioned table
+            layout = prev.get("layout")
         # per-file commit version (the Iceberg sequence number): an
         # equality delete applies only to files committed strictly
         # before it, so a later upsert of the same key stays visible
@@ -213,6 +226,8 @@ class VersionedTable:
             "eq_deletes": eq_deletes,
             "file_versions": file_versions,
         }
+        if layout:
+            manifest["layout"] = layout
         tmp = self._manifest_path(version) + f".tmp-{uuid.uuid4().hex[:8]}"
         with open(tmp, "w") as f:
             json.dump(manifest, f)
@@ -321,24 +336,34 @@ class VersionedTable:
 
     def overwrite(self, data: "rd.Dataset | pa.Table", meta: dict | None = None) -> int:
         parent = self.latest_version()
-        if (
-            self.partition_key is not None
-            and isinstance(data, pa.Table)
-            and data.num_rows >= self.partition_min_rows
-        ):
-            files = self._write_partitioned(data)
-        else:
-            files = self._write_data(data)
+        files, layout = self._write(data, self._load_manifest(parent).get("layout"))
         # a wholesale rewrite voids pending equality deletes: callers
         # built `data` from reads that already applied them
-        return self._commit(files, meta, parent, eq_deletes=[])
+        return self._commit(files, meta, parent, eq_deletes=[], layout=layout)
 
     # -- hash-partitioned layout ------------------------------------------
-    def _part_ids(self, tbl: pa.Table):
+    def _write(
+        self, data: "rd.Dataset | pa.Table", layout: dict | None
+    ) -> tuple[list[str], dict | None]:
+        """Write a whole table's rows as new files → (files, layout).
+        A driver table follows the recorded ``layout``; without one it
+        is hash-partitioned once a keyed table reaches
+        ``PARTITION_MIN_ROWS`` rows (that pick is the returned layout),
+        else one file. A Dataset's write tasks write one untagged file
+        per block."""
+        if isinstance(data, pa.Table):
+            if not layout and self.partition_key and data.num_rows >= PARTITION_MIN_ROWS:
+                layout = {"key": self.partition_key, "n_parts": N_PARTS}
+            if layout:
+                return self._write_partitioned(data, layout), layout
+        return self._write_data(data), layout
+
+    @staticmethod
+    def _part_ids(tbl: pa.Table, layout: dict):
         import numpy as np
         import pandas as pd
 
-        keys = tbl[self.partition_key].to_pandas()
+        keys = tbl[layout["key"]].to_pandas()
         # hash_pandas_object is dtype-WIDTH-sensitive: the same key as
         # int32 and int64 lands in different buckets, silently breaking
         # the last-wins contract when a source downcasts. Canonicalize
@@ -348,24 +373,23 @@ class VersionedTable:
         if pd.api.types.is_integer_dtype(keys.dtype) and keys.dtype != np.uint64:
             keys = keys.astype(np.int64)
         kh = pd.util.hash_pandas_object(keys, index=False).to_numpy().astype(np.uint64)
-        return (kh % np.uint64(self.n_parts)).astype(np.int64)
+        return (kh % np.uint64(layout["n_parts"])).astype(np.int64)
 
-    def _write_partitioned(self, tbl: pa.Table) -> list[str]:
+    def _write_partitioned(self, tbl: pa.Table, layout: dict) -> list[str]:
         """Split by key hash and write one file per partition; the
-        partition id is carried in the file name. (Partial rewrites are
-        _merge_insert_partitioned's job — it needs per-partition
-        survivor merges this whole-table writer cannot express.)"""
+        partition id is carried in the file name."""
         import numpy as np
 
-        parts = self._part_ids(tbl)
-        # one stable gather + zero-copy slices beats n_parts full scans
+        n = layout["n_parts"]
+        parts = self._part_ids(tbl, layout)
+        # one stable gather + zero-copy slices beats n full scans
         order = np.argsort(parts, kind="stable")
         sorted_tbl = tbl.take(pa.array(order))
-        bounds = np.searchsorted(parts[order], np.arange(self.n_parts + 1))
+        bounds = np.searchsorted(parts[order], np.arange(n + 1))
         return self._write_parts(
             [
                 (p, sorted_tbl.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p])))
-                for p in range(self.n_parts)
+                for p in range(n)
             ]
         )
 
@@ -1112,10 +1136,12 @@ class VersionedTable:
         # an update that may rewrite the partition key itself would leave
         # replacement rows in the wrong hash bucket — only keep the tag
         # when the update provably cannot touch the key (updater callables
-        # are opaque, so they conservatively untag; the layout then falls
-        # back to the full-overwrite merge path, correct but slower)
-        keeps_partition = self.partition_key is None or (
-            set_values is not None and self.partition_key not in set_values
+        # are opaque, so they conservatively untag; merge_insert then
+        # takes the table as one partition and rewrites it whole,
+        # correct but slower)
+        layout = prev.get("layout")
+        keeps_partition = not layout or (
+            set_values is not None and layout["key"] not in set_values
         )
 
         def out_name(src: str) -> str:
@@ -1179,6 +1205,7 @@ class VersionedTable:
             added=m.get("added_columns") or [],
             eq_deletes=m.get("eq_deletes") or [],
             file_versions=m.get("file_versions") or {},
+            layout=m.get("layout") or {},
         )
 
     def deleted_count(self, version: int | None = None) -> int:
@@ -1537,19 +1564,24 @@ class VersionedTable:
 
     # -- upsert -----------------------------------------------------------
     def merge_insert(self, data: "rd.Dataset | pa.Table", key: str, meta: dict | None = None) -> int:
-        """Last-wins upsert by ``key`` (new rows shadow existing ones).
+        """Last-wins upsert by ``key``, the reference ``ON CONFLICT DO
+        UPDATE``: an incoming row replaces its key's stored row in the
+        columns it carries and keeps the stored values in the columns it
+        lacks; a new key gets nulls there, or the ``add_column``
+        default. Of repeated incoming keys the last row wins. The table
+        keeps its stored column order and types (incoming columns it
+        lacks are dropped).
 
-        Implemented as a hash-partitioned anti-join: existing rows whose
-        key appears in the incoming batch are dropped, then the incoming
-        rows are appended. The incoming side is deduped last-wins.
-        """
+        Above ``fits_driver`` the stored rows stream through a Dataset
+        into the rewrite, and the lacking columns come from ``lookup``.
+        At or below it only the partitions the incoming keys hash to are
+        read and rewritten; a table without a recorded layout on
+        ``key``, or with untagged files, is one partition."""
         import numpy as np
         import pyarrow.compute as pc
 
-        incoming_tbl = data if isinstance(data, pa.Table) else _ds_to_arrow(data)
-        # schema evolution: an incoming batch may predate an add_column
-        incoming_tbl = self._fill_added(incoming_tbl, self.added_columns())
-        keys = incoming_tbl[key]
+        incoming = data if isinstance(data, pa.Table) else _ds_to_arrow(data)
+        keys = incoming[key]
         if keys.null_count:
             # fail loud: "upsert by null" has no last-wins meaning
             raise ValueError(f"merge_insert: null values in key column {key!r}")
@@ -1561,93 +1593,101 @@ class VersionedTable:
                 .group_by("k", use_threads=False)
                 .aggregate([("i", "max")])["i_max"]
             )
-            incoming_tbl = incoming_tbl.take(pa.array(np.sort(last.to_numpy())))
+            incoming = incoming.take(pa.array(np.sort(last.to_numpy())))
 
-        # incremental path: when the stored layout is hash-partitioned on
-        # this key, only the touched partitions are read + rewritten; the
-        # untouched part files are re-referenced as-is
-        if self.partition_key == key and not self.is_empty():
-            by_part = self._partitioned_layout(self.files())
-            if by_part is not None:
-                return self._merge_insert_partitioned(incoming_tbl, key, by_part, meta)
+        parent = self.latest_version()
+        m = self._load_manifest(parent)
+        if not m["files"]:
+            files, layout = self._write(incoming, None)
+            return self._commit(files, meta, parent, eq_deletes=[], layout=layout)
+        schema = self.schema(parent)
+        carried = [f for f in schema if f.name in incoming.column_names]
+        incoming = incoming.select([f.name for f in carried]).cast(pa.schema(carried))
+        added = m.get("added_columns") or []
 
-        if not self.is_empty():
-            # both routes commit the stored column order and types, also
-            # when no stored row survives the upsert
-            canon = self.schema()
-            incoming_tbl = incoming_tbl.select(canon.names).cast(canon)
-            new_keys = incoming_tbl[key].combine_chunks()
+        if not self.fits_driver():
+            # 10^10-row route: survivors stay a Dataset end to end —
+            # filtered blocks stream straight into the write tasks; the
+            # driver holds only the incoming rows and their stored matches
+            lacking = [n for n in schema.names if n not in incoming.column_names]
+            stored = (
+                self.lookup(key, incoming[key].to_pylist(), columns=[key] + lacking)
+                if lacking
+                else None
+            )
+            incoming = self._fill_lacking(incoming, stored, key, schema, added)
+            new_keys = incoming[key].combine_chunks()
 
             def drop_updated(batch: pa.Table) -> pa.Table:
                 return batch.filter(pc.invert(pc.is_in(batch[key], value_set=new_keys)))
 
-            if not self.fits_driver():
-                # 10^10-row path: survivors stay a Dataset end to end —
-                # filtered blocks stream straight into the overwrite's
-                # write tasks; the driver never holds table bytes
-                merged_ds = self.read().map_batches(
-                    drop_updated, batch_format="pyarrow"
-                ).union(rd.from_arrow(incoming_tbl))
-                return self.overwrite(merged_ds, meta=meta)
-            # fast path: merge in driver memory, no Ray execution — a
-            # per-execution fixed cost we would pay every iteration
-            survivors_tbl = drop_updated(self.read_arrow())
-            merged = pa.concat_tables([survivors_tbl, incoming_tbl])
-        else:
-            merged = incoming_tbl
-        return self.overwrite(merged, meta=meta)
+            merged = self.read(parent).map_batches(drop_updated, batch_format="pyarrow")
+            files = self._write_data(merged.union(rd.from_arrow(incoming)))
+            return self._commit(files, meta, parent, eq_deletes=[])
 
-    def _merge_insert_partitioned(
-        self, incoming_tbl: pa.Table, key: str, by_part: dict[int, list[str]], meta: dict | None
-    ) -> int:
-        """Upsert against a partitioned layout: per touched partition,
-        read its files, drop updated keys, append the incoming slice,
-        write one replacement file. Untouched partitions carry over."""
+        layout = m.get("layout")
+        groups = (
+            self._partitioned_layout(m["files"])
+            if layout and layout["key"] == key
+            else None
+        )
+        if groups is None:
+            touched = {None: (m["files"], incoming)}
+        else:
+            parts = self._part_ids(incoming, layout)
+            touched = {
+                int(p): (groups.get(int(p), []), incoming.filter(pa.array(parts == p)))
+                for p in np.unique(parts)
+            }
+        load = self._file_loader(m, None)
+        merged: dict = {}
+        for p, (files, inc) in touched.items():
+            stored = (
+                pa.concat_tables([load(f) for f in files], promote_options="default")
+                if files
+                else schema.empty_table()
+            )
+            inc = self._fill_lacking(inc, stored, key, schema, added)
+            survivors = stored.filter(
+                pc.invert(pc.is_in(stored[key], value_set=inc[key].combine_chunks()))
+            )
+            merged[p] = pa.concat_tables([survivors, inc], promote_options="default")
+        if groups is None:
+            # every file rewritten, with the equality deletes applied
+            files, layout = self._write(merged[None], layout)
+            return self._commit(files, meta, parent, eq_deletes=[], layout=layout)
+        kept = [f for p, fs in groups.items() if p not in touched for f in fs]
+        return self._commit(
+            sorted(kept + self._write_parts(list(merged.items()))), meta, parent,
+            deletes=m.get("deletes"),
+        )
+
+    def _fill_lacking(
+        self,
+        inc: pa.Table,
+        stored: pa.Table | None,
+        key: str,
+        schema: pa.Schema,
+        added: list[dict],
+    ) -> pa.Table:
+        """``inc`` in ``schema``: a column it lacks takes the value of the
+        row's key in ``stored`` (which holds ``key`` and those columns);
+        a key ``stored`` lacks gets null, or the column's ``add_column``
+        default."""
         import pyarrow.compute as pc
 
-        parts = self._part_ids(incoming_tbl)
-        touched = sorted(set(int(p) for p in parts))
-        manifest = self._load_manifest()
-        all_deletes = manifest.get("deletes") or {}
-        added = manifest.get("added_columns") or []
-        eq = manifest.get("eq_deletes") or []
-        fv = manifest.get("file_versions") or {}
-        new_files: list[str] = []
-        carried_deletes: dict[str, str] = {}
-        for p, fs in by_part.items():
-            if p not in touched:
-                new_files.extend(fs)
-                carried_deletes.update({f: all_deletes[f] for f in fs if f in all_deletes})
-        rewritten: list[tuple[int, pa.Table]] = []
-        for p in touched:
-            inc = incoming_tbl.filter(pa.array(parts == p))
-            prev_files = by_part.get(p, [])
-            if prev_files:
-                canon, fill_types = self._canonical_layout(prev_files, added, None)
-                prev = pa.concat_tables(
-                    [
-                        self._load_file_table(
-                            f, all_deletes.get(f), added, canon, fill_types,
-                            self._eq_entries_for(eq, fv.get(f, 0)),
-                        )
-                        for f in prev_files
-                    ],
-                    promote_options="default",
-                )
-                inc_keys = inc[key].combine_chunks() if isinstance(
-                    inc[key], pa.ChunkedArray
-                ) else inc[key]
-                survivors = prev.filter(pc.invert(pc.is_in(prev[key], value_set=inc_keys)))
-                inc = inc.select(survivors.column_names).cast(survivors.schema)
-                merged = pa.concat_tables([survivors, inc])
-            else:
-                merged = inc
-            rewritten.append((p, merged))
-        new_files.extend(self._write_parts(rewritten))
-        return self._commit(
-            sorted(new_files), meta, self.latest_version(),
-            deletes=carried_deletes, added=manifest.get("added_columns") or [],
-        )
+        lacking = [n for n in schema.names if n not in inc.column_names]
+        if not lacking:
+            return inc
+        pos = pc.index_in(inc[key], value_set=stored[key].combine_chunks())
+        known = pc.is_valid(pos)
+        defaults = self._fill_added(inc.select([key]), added, lacking)
+        for n in lacking:
+            vals = stored[n].take(pos)
+            if n in defaults.column_names:
+                vals = pc.if_else(known, vals, defaults[n])
+            inc = inc.append_column(schema.field(n), vals)
+        return inc.select(schema.names)
 
 
 def ds_to_table_refs(ds: "rd.Dataset") -> list:

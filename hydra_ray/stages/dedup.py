@@ -382,7 +382,6 @@ def dedup_minhash(
     ds: "rd.Dataset",
     threshold: float = 0.7,
     shingle_k: int = 3,
-    distributed: bool | None = None,
 ) -> "rd.Dataset":
     """MinHash-LSH near-duplicate pairs, verified by true Jaccard: each
     pair ``doc_a < doc_b`` whose docs share at least one band hash and
@@ -396,7 +395,7 @@ def dedup_minhash(
 
     The input is executed once (``materialize``); banding and verify
     both read those blocks. Verify routing: above BROADCAST_DOCS_MAX
-    docs (or distributed=True) texts are attached by co-partitioned
+    docs, texts are attached by co-partitioned
     joins — no driver materialization anywhere, driver memory O(1) —
     and the (doc_a, doc_b) co-partition drops a pair's repeats. Below
     it each verify task ``ray.get``s the materialized blocks themselves
@@ -414,14 +413,11 @@ def dedup_minhash(
     from hydra_ray.sources.store import block_to_table
 
     mat = ds.materialize()  # read by banding and by verify
-    if distributed is None:
-        distributed = mat.count() > BROADCAST_DOCS_MAX
-
     bands = mat.map_batches(
         minhash_bands_batch, fn_kwargs={"shingle_k": shingle_k}, batch_format="pyarrow"
     )
     pairs = lsh_candidate_pairs(bands)
-    if distributed:
+    if mat.count() > BROADCAST_DOCS_MAX:
         return _verify_distributed(mat, pairs, threshold, shingle_k)
     block_refs = mat.to_arrow_refs()  # free: mat is already executed
 

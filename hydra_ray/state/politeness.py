@@ -124,33 +124,12 @@ class PolitenessState:
         ratelimit_limit: str | float | None = None,
     ) -> None:
         """Record ``n_completed`` completed checks at ``now`` plus the
-        latest check's status/ratelimit headers (aggregate form of
-        ``record_check`` — O(1) actor traffic per domain per batch)."""
+        latest check's status/ratelimit headers (the reference counts
+        rows inserted into ``checks``; one call per domain per batch)."""
         st = self._state(domain)
         st.completed.extend([now] * n_completed)
         st.last_at = now
         st.last_status = last_status
-        try:
-            st.rl_remaining = float(ratelimit_remaining)  # type: ignore[arg-type]
-            st.rl_limit = float(ratelimit_limit)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            st.rl_remaining = None
-            st.rl_limit = None
-
-    def record_check(
-        self,
-        domain: str,
-        now: float,
-        status: int | None = None,
-        ratelimit_remaining: str | float | None = None,
-        ratelimit_limit: str | float | None = None,
-    ) -> None:
-        """A completed request on ``domain`` (the reference counts rows
-        inserted into ``checks``)."""
-        st = self._state(domain)
-        st.completed.append(now)
-        st.last_at = now
-        st.last_status = status
         try:
             st.rl_remaining = float(ratelimit_remaining)  # type: ignore[arg-type]
             st.rl_limit = float(ratelimit_limit)  # type: ignore[arg-type]
@@ -202,28 +181,6 @@ class PolitenessPool:
         from hydra_ray.state.shard import start_hosts
 
         return cls(start_hosts(n_shards, **kwargs))
-
-    def should_backoff(self, domains: list[str], now: float) -> list[tuple[bool, str]]:
-        by_shard: dict[int, list[int]] = {}
-        for i, d in enumerate(domains):
-            by_shard.setdefault(_domain_shard(d, self.n), []).append(i)
-        refs = {
-            s: self.shards[s].should_backoff_batch.remote([domains[i] for i in idxs], now)
-            for s, idxs in by_shard.items()
-        }
-        out: list[tuple[bool, str]] = [(False, "")] * len(domains)
-        for s, idxs in by_shard.items():
-            for i, res in zip(idxs, ray.get(refs[s])):
-                out[i] = tuple(res)
-        return out
-
-    def record_checks(self, records: list[tuple], now: float) -> None:
-        by_shard: dict[int, list[tuple]] = {}
-        for rec in records:
-            by_shard.setdefault(_domain_shard(rec[0], self.n), []).append(rec)
-        ray.get(
-            [self.shards[s].record_checks.remote(recs, now) for s, recs in by_shard.items()]
-        )
 
     def reserve(self, requests: list[tuple[str, int]], now: float) -> dict[str, int]:
         """(domain, requested) → allowed count per domain, this iteration."""

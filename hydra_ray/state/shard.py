@@ -52,14 +52,6 @@ class StateShard:
         return self.urlseen.stats()
 
     # -- politeness: one call per (shard, batch), never per row -----------
-    def should_backoff_batch(self, domains: list[str], now: float) -> list[tuple[bool, str]]:
-        return [self.politeness.should_backoff(d, now) for d in domains]
-
-    def record_checks(self, records: list[tuple], now: float) -> None:
-        """records: (domain, status, ratelimit_remaining, ratelimit_limit)."""
-        for domain, status, rl_rem, rl_lim in records:
-            self.politeness.record_check(domain, now, status, rl_rem, rl_lim)
-
     def reserve_batch(self, requests: list[tuple[str, int]], now: float) -> list[int]:
         return [self.politeness.reserve(d, n, now) for d, n in requests]
 

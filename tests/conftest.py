@@ -85,3 +85,18 @@ def table_route(monkeypatch):
             yield name
 
     return route
+
+
+@pytest.fixture()
+def hash_layout(monkeypatch):
+    """``hash_layout(n_parts)`` sets the layout the first driver write of
+    a keyed table picks (``store.N_PARTS``, ``store.PARTITION_MIN_ROWS``
+    → ``min_rows``, default 1), so small tables and crawl catalogs are
+    stored as hash partitions."""
+    from hydra_ray.sources import store
+
+    def set_layout(n_parts: int, min_rows: int = 1) -> None:
+        monkeypatch.setattr(store, "N_PARTS", n_parts)
+        monkeypatch.setattr(store, "PARTITION_MIN_ROWS", min_rows)
+
+    return set_layout

@@ -2,6 +2,8 @@
 near-dups, passage / paragraph / char-span dedup, decontamination and
 the PPJoin set-similarity join."""
 
+from unittest import mock
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydra_ray.functions.hashing import _mix64
+from hydra_ray.stages import dedup
 from hydra_ray.stages.dedup import (
     _MERSENNE,
     _PERM_A,
@@ -23,6 +26,14 @@ from hydra_ray.stages.dedup import (
     jaccard,
     minhash_bands_batch,
 )
+
+
+def minhash_on(distributed: bool, ds: "rd.Dataset", **kw) -> "rd.Dataset":
+    """``dedup_minhash`` on the co-partitioned verify route when
+    ``distributed`` (``BROADCAST_DOCS_MAX`` patched to 0), else on the
+    broadcast route of these small corpora."""
+    with mock.patch.object(dedup, "BROADCAST_DOCS_MAX", 0 if distributed else 10**9):
+        return dedup_minhash(ds, **kw)
 
 
 # Per-doc scalar spec of the batch band kernel: a signature is the
@@ -119,13 +130,13 @@ class TestDedup:
         no text broadcast) must produce byte-identical pairs to the
         broadcast path."""
         b = (
-            dedup_minhash(rd.from_arrow(corpus()), threshold=0.5, distributed=False)
+            minhash_on(False, rd.from_arrow(corpus()), threshold=0.5)
             .to_pandas()
             .sort_values(["doc_a", "doc_b"])
             .reset_index(drop=True)
         )
         d = (
-            dedup_minhash(rd.from_arrow(corpus()), threshold=0.5, distributed=True)
+            minhash_on(True, rd.from_arrow(corpus()), threshold=0.5)
             .to_pandas()
             .sort_values(["doc_a", "doc_b"])
             .reset_index(drop=True)
@@ -432,7 +443,7 @@ def test_minhash_distributed_matches_broadcast_string_ids(ray_session):
 
     def run(distributed):
         return (
-            dedup_minhash(rd.from_arrow(t), threshold=0.5, distributed=distributed)
+            minhash_on(distributed, rd.from_arrow(t), threshold=0.5)
             .to_pandas()
             .sort_values(["doc_a", "doc_b"])
             .reset_index(drop=True)
@@ -465,7 +476,7 @@ def test_minhash_paths_run_as_tasks(ray_session, monkeypatch):
     monkeypatch.setattr(Dataset, "map_batches", recording)
     docs = corpus()
     for distributed in (False, True):
-        dedup_minhash(rd.from_arrow(docs), threshold=0.5, distributed=distributed).materialize()
+        minhash_on(distributed, rd.from_arrow(docs), threshold=0.5).materialize()
     spans_in = rd.from_arrow(docs.select(["doc_id", "text"]))
     span_near_dup(spans_in, threshold=0.5, num_parts=4).materialize()
     with_lang = docs.append_column("lang", pa.array(["en"] * len(docs)))
@@ -582,7 +593,7 @@ def test_near_dup_execution_counts(ray_session, count_executions, keyset_route, 
 
     def minhash():
         src = rd.from_arrow(docs).map_batches(lambda t: t, batch_format="pyarrow")
-        return dedup_minhash(src, threshold=0.5, distributed=False).to_pandas()
+        return dedup_minhash(src, threshold=0.5).to_pandas()
 
     def spans():
         src = rd.from_arrow(docs.select(["doc_id", "text"]))
@@ -667,8 +678,8 @@ def test_minhash_pairs_once_and_match_brute_force(ray_session, t):
     their Jaccard equal the brute-force reference."""
     want = _brute_force_pairs(t, 0.5)
     for distributed in (False, True):
-        out = dedup_minhash(
-            _blocks(t.select(["doc_id", "text"])), threshold=0.5, distributed=distributed
+        out = minhash_on(
+            distributed, _blocks(t.select(["doc_id", "text"])), threshold=0.5
         ).to_pandas()
         got = list(zip(out["doc_a"], out["doc_b"]))
         assert len(got) == len(set(got)), distributed
@@ -701,6 +712,27 @@ def test_curate_near_dup_folds_exact_dedup(ray_session, t):
         got = stats(_blocks(t), near_dup_threshold=threshold)
         assert sorted(int(lang[1:]) for lang in got["lang"]) == sorted(kept), threshold
         assert got.equals(stats(rd.from_arrow(keep_t))), threshold
+
+
+def test_curate_near_dup_custom_columns(ray_session):
+    """``id_col`` / ``text_col`` reach the near-dup route: the corpus
+    under ``id`` / ``body`` curates to the same stats as under
+    ``doc_id`` / ``text``. One lang per doc, so the stats name every
+    surviving doc."""
+    from hydra_ray.pipelines.curate import curate_corpus
+
+    docs = corpus()
+    docs = docs.append_column("lang", pa.array([f"l{d}" for d in docs["doc_id"].to_pylist()]))
+    names = {"doc_id": "id", "text": "body"}
+    renamed = docs.rename_columns([names.get(c, c) for c in docs.column_names])
+
+    def stats(ds: "rd.Dataset", **kw):
+        out = curate_corpus(ds, near_dup_threshold=0.5, **kw).to_pandas()
+        return out.sort_values("lang").reset_index(drop=True)
+
+    want = stats(rd.from_arrow(docs))
+    assert "l1" not in set(want["lang"]) and "l3" not in set(want["lang"])  # near and exact dup losers
+    assert stats(rd.from_arrow(renamed), id_col="id", text_col="body").equals(want)
 
 
 @pytest.mark.parametrize("threshold", [0, -0.25, 1.000001, 2])

@@ -132,9 +132,9 @@ class TestDeletionVectors:
         assert got["k"].to_pylist() == ["b", "c"]
         assert got["v"].to_pylist() == [20, 3]
 
-    def test_partitioned_merge_carries_deletes(self, tmp_path):
-        vt = VersionedTable(str(tmp_path / "t"), partition_key="k",
-                            n_parts=4, partition_min_rows=1)
+    def test_partitioned_merge_carries_deletes(self, tmp_path, hash_layout):
+        hash_layout(4)
+        vt = VersionedTable(str(tmp_path / "t"), partition_key="k")
         keys = [f"k{i}" for i in range(40)]
         vt.overwrite(t(keys, list(range(40))))
         vt.delete_where("k", ["k1", "k2", "k3"])
@@ -472,7 +472,7 @@ def test_clustered_compaction_tightens_zone_maps(tmp_path, table_route):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_zone_maps_int_keys_and_update_preserves_partition_layout(tmp_path):
+def test_zone_maps_int_keys_and_update_preserves_partition_layout(tmp_path, hash_layout):
     """Zone maps work on int64 keys (doc_id shape), and update_where on
     a hash-partitioned table keeps every file part-tagged so the
     merge_insert partial-rewrite fast path survives."""
@@ -495,9 +495,8 @@ def test_zone_maps_int_keys_and_update_preserves_partition_layout(tmp_path):
     assert sorted(r["v"] for r in got) == [30, 2000]
 
     # partitioned layout survives an update
-    pt = VersionedTable(
-        str(tmp_path / "p"), partition_key="k", n_parts=4, partition_min_rows=0
-    )
+    hash_layout(4, min_rows=0)
+    pt = VersionedTable(str(tmp_path / "p"), partition_key="k")
     pt.overwrite(ti(list(range(40)), list(range(40))))
     assert pt._partitioned_layout(pt.files()) is not None
     pt.update_where("k", [7, 23], set_values={"v": -1})
@@ -579,15 +578,14 @@ class TestReviewHardening:
         got = sorted(vt.read(columns=["extra", "k"]).take_all(), key=lambda r: r["k"])
         assert [list(r.keys()) for r in got] == [["extra", "k"]] * 3
 
-    def test_update_rewriting_partition_key_stays_correct(self, tmp_path):
+    def test_update_rewriting_partition_key_stays_correct(self, tmp_path, hash_layout):
         def ti(ids, vals):
             return pa.table(
                 {"k": pa.array(ids, pa.int64()), "v": pa.array(vals, pa.int64())}
             )
 
-        pt = VersionedTable(
-            str(tmp_path / "p"), partition_key="k", n_parts=4, partition_min_rows=0
-        )
+        hash_layout(4, min_rows=0)
+        pt = VersionedTable(str(tmp_path / "p"), partition_key="k")
         pt.overwrite(ti(list(range(20)), list(range(20))))
         pt.update_where("v", [7], set_values={"k": 99})
         # rewriting the partition key must drop the part tags (rows would
@@ -879,15 +877,14 @@ class TestEqualityDeletes:
         assert got["k"].to_pylist() == ["a", "b"]
         assert got["v"].to_pylist() == [100, 2]
 
-    def test_partitioned_upsert_keeps_entries_for_untouched_files(self, tmp_path):
+    def test_partitioned_upsert_keeps_entries_for_untouched_files(self, tmp_path, hash_layout):
         def ti(ids, vals):
             return pa.table(
                 {"k": pa.array(ids, pa.int64()), "v": pa.array(vals, pa.int64())}
             )
 
-        pt = VersionedTable(
-            str(tmp_path / "p"), partition_key="k", n_parts=4, partition_min_rows=0
-        )
+        hash_layout(4, min_rows=0)
+        pt = VersionedTable(str(tmp_path / "p"), partition_key="k")
         pt.overwrite(ti(list(range(20)), list(range(20))))
         pt.delete_where("k", [3, 7], defer=True)
         assert pt.count() == 18
@@ -1257,14 +1254,14 @@ def test_merge_insert_null_key_raises(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_partition_hash_int_width_insensitive(tmp_path):
+def test_partition_hash_int_width_insensitive(tmp_path, hash_layout):
     """The documented dtype-WIDTH trap: an int32-keyed upsert against an
     int64-keyed partitioned layout must route each key to the partition
     holding its stored row, or the upsert leaves two live rows."""
     import numpy as np
 
-    vt = VersionedTable(str(tmp_path / "t"), partition_key="k", n_parts=8,
-                        partition_min_rows=1)
+    hash_layout(8)
+    vt = VersionedTable(str(tmp_path / "t"), partition_key="k")
     base = pa.table({"k": pa.array(range(64), type=pa.int64()),
                      "v": pa.array([0] * 64, type=pa.int64())})
     vt.overwrite(base)

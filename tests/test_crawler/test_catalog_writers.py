@@ -27,12 +27,7 @@ def _crawled_engine(tmp_path, make_crawl_engine):
 
 def _tombstone_unchecked(eng) -> str:
     """Tombstone one never-checked resource through a second handle."""
-    other = VersionedTable(
-        eng.catalog.path,
-        partition_key="resource_id",
-        n_parts=eng.catalog.n_parts,
-        partition_min_rows=eng.catalog.partition_min_rows,
-    )
+    other = VersionedTable(eng.catalog.path, partition_key="resource_id")
     cat = other.read_arrow()
     unchecked = cat.filter(pc.is_null(cat["last_check_id"]))
     assert unchecked.num_rows

@@ -14,10 +14,9 @@ from hydra_ray.synth import catalog_from_documents
 from .test_resume import checks_fingerprint, small_seed
 
 
-def test_versioned_table_partitioned_upsert(tmp_path):
-    t = VersionedTable(
-        str(tmp_path / "t"), partition_key="k", n_parts=8, partition_min_rows=1
-    )
+def test_versioned_table_partitioned_upsert(tmp_path, hash_layout):
+    hash_layout(8)
+    t = VersionedTable(str(tmp_path / "t"), partition_key="k")
     base = pa.table({"k": [f"k{i}" for i in range(200)], "v": list(range(200))})
     t.overwrite(base)
     v1_files = set(t.files())
@@ -41,25 +40,26 @@ def test_versioned_table_partitioned_upsert(tmp_path):
     assert t.count() == 201
 
 
-def test_versioned_table_below_threshold_single_file(tmp_path):
-    t = VersionedTable(
-        str(tmp_path / "t"), partition_key="k", n_parts=8, partition_min_rows=10_000
-    )
+def test_versioned_table_below_threshold_single_file(tmp_path, hash_layout):
+    hash_layout(8, min_rows=10_000)
+    t = VersionedTable(str(tmp_path / "t"), partition_key="k")
     t.overwrite(pa.table({"k": ["a", "b"], "v": [1, 2]}))
     assert len(t.files()) == 1  # small tables stay compact
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_crawl_partitioned_catalog_identical_and_incremental(tmp_path, make_crawl_engine):
-    # batch small enough that touched_parts/n_parts <= 0.5, so the
-    # incremental merge path (not the full-overwrite fallback) engages
+def test_crawl_partitioned_catalog_identical_and_incremental(
+    tmp_path, make_crawl_engine, hash_layout
+):
+    # a 6-row batch touches at most 6 of the 16 partitions, so every
+    # checkpoint rewrites only some of them
     kw = dict(batch_size=6)
-    a = make_crawl_engine(str(tmp_path / "single"), catalog_partition_min_rows=10**9, **kw)
+    a = make_crawl_engine(str(tmp_path / "single"), **kw)
     a.load_catalog(small_seed())
     a.run(3)
-    b = make_crawl_engine(
-        str(tmp_path / "parts"), catalog_parts=16, catalog_partition_min_rows=1, **kw
-    )
+    assert len(a.catalog.files()) == 1
+    hash_layout(16)
+    b = make_crawl_engine(str(tmp_path / "parts"), **kw)
     b.load_catalog(small_seed())
     b.run(3)
 
@@ -88,9 +88,10 @@ def test_crawl_partitioned_catalog_identical_and_incremental(tmp_path, make_craw
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_partitioned_catalog_resume(tmp_path, make_crawl_engine):
+def test_partitioned_catalog_resume(tmp_path, make_crawl_engine, hash_layout):
     """Kill+resume works identically on the partitioned layout."""
-    kw = dict(batch_size=12, catalog_parts=8, catalog_partition_min_rows=1)
+    hash_layout(8)
+    kw = dict(batch_size=12)
     wd = str(tmp_path / "resume")
     e1 = make_crawl_engine(wd, **kw)
     e1.load_catalog(small_seed())

@@ -338,6 +338,52 @@ def test_passenger_column_survives_iterations(tmp_path, make_crawl_engine, table
     assert vals2 == want
 
 
+def _described_engine(tmp_path, make_crawl_engine):
+    """An engine whose catalog carries a ``description`` column the
+    crawl never writes, crawled once."""
+    docs = pa.table({"doc_id": pa.array(np.arange(20), type=pa.int64())})
+    seed = catalog_from_documents(docs)
+    eng = make_crawl_engine(str(tmp_path / "wd"), **KW)
+    eng.load_catalog(
+        seed.append_column("description", pa.array([f"about {i}" for i in range(20)]))
+    )
+    eng.run(1)
+    want = dict(zip(seed["resource_id"].to_pylist(), (f"about {i}" for i in range(20))))
+    return eng, seed, want
+
+
+def _descriptions(eng) -> dict:
+    cat = eng.catalog.read_arrow(columns=["resource_id", "description"])
+    return dict(zip(cat["resource_id"].to_pylist(), cat["description"].to_pylist()))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_reload_lacking_a_column_keeps_it(tmp_path, make_crawl_engine):
+    """A reload whose seed lacks a column the first load carried updates
+    the columns it names and keeps the stored values of the rest, like
+    the reference's ON CONFLICT DO UPDATE (cli/catalog.py:62-76)."""
+    eng, seed, want = _described_engine(tmp_path, make_crawl_engine)
+    titles = pa.array([f"renamed {i}" for i in range(seed.num_rows)])
+    eng.load_catalog(seed.set_column(seed.column_names.index("title"), "title", titles))
+    assert _descriptions(eng) == want
+    cat = eng.catalog.read_arrow(columns=["resource_id", "title"])
+    assert set(cat["title"].to_pylist()) == set(titles.to_pylist())
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_update_resource_lacking_a_column_keeps_it(tmp_path, make_crawl_engine):
+    """PUT /api/resources/{id} names only resource_id, dataset_id and
+    url: the resource keeps its stored description."""
+    from hydra_ray.pipelines.api import EngineApi
+
+    eng, seed, want = _described_engine(tmp_path, make_crawl_engine)
+    row = seed.slice(3, 1).to_pylist()[0]
+    EngineApi(eng).update_resource(row["resource_id"], row["dataset_id"], row["url"])
+    assert _descriptions(eng) == want
+    cat = eng.catalog.lookup("resource_id", [row["resource_id"]], columns=["priority"])
+    assert cat["priority"].to_pylist() == [True]
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_on_demand_check_checkpoints_politeness(tmp_path, make_crawl_engine):
     """check_resource_now advances politeness actor state; a crash right

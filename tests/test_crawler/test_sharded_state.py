@@ -107,8 +107,8 @@ def test_pool_level_save_load_roundtrip(tmp_path):
 
     pol2 = PolitenessPool.create(n_shards=3)
     pol2.load_shards([os.path.join(d, f"politeness-{i:03d}.pkl") for i in range(3)])
-    assert pol2.should_backoff(["b.example"], now=101.0)[0][0]  # 429 cool-off
-    assert not pol2.should_backoff(["c.example"], now=101.0)[0][0]
+    assert pol2.reserve([("b.example", 1)], now=101.0) == {"b.example": 0}  # 429 cool-off
+    assert pol2.reserve([("c.example", 1)], now=101.0) == {"c.example": 1}
 
     # mismatched count → driver re-route, same membership
     seen2 = UrlSeenPool.create(n_shards=5)

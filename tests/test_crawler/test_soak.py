@@ -56,7 +56,7 @@ def test_ten_iteration_soak(tmp_path, make_crawl_engine):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_200_iteration_continuous_soak(tmp_path, make_crawl_engine):
+def test_200_iteration_continuous_soak(tmp_path, make_crawl_engine, hash_layout):
     """run_continuous over 200 virtual iterations with periodic GC:
     disk file count stays bounded (superseded versions + manifests +
     state pickles reclaimed) and driver RSS stays flat (high-water
@@ -65,11 +65,10 @@ def test_200_iteration_continuous_soak(tmp_path, make_crawl_engine):
     import resource
 
     docs = pa.table({"doc_id": pa.array(np.arange(120), type=pa.int64())})
+    hash_layout(8)
     eng = make_crawl_engine(
         str(tmp_path / "wd"),
         batch_size=40,
-        catalog_parts=8,
-        catalog_partition_min_rows=1,
         politeness_kwargs={"backoff_nb_req": 30, "backoff_period": 240, "cool_off_period": 240},
     )
     eng.load_catalog(catalog_from_documents(docs))
@@ -110,12 +109,7 @@ def test_200_iteration_continuous_soak(tmp_path, make_crawl_engine):
     assert rss_end - rss_warm < 256 * 1024, (rss_warm, rss_end)
 
     # resumable after the long soak (state + manifests consistent)
-    eng2 = make_crawl_engine(
-        str(tmp_path / "wd"),
-        batch_size=40,
-        catalog_parts=8,
-        catalog_partition_min_rows=1,
-    )
+    eng2 = make_crawl_engine(str(tmp_path / "wd"), batch_size=40)
     assert eng2.iteration == 200
     eng2.run(1)
 
@@ -155,7 +149,7 @@ def test_compact_documents_merges_and_preserves_reads(tmp_path, make_crawl_engin
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_500_iteration_soak_with_compaction(tmp_path, make_crawl_engine):
+def test_500_iteration_soak_with_compaction(tmp_path, make_crawl_engine, hash_layout):
     """500 virtual iterations of run_continuous with periodic document
     compaction + GC, a kill+resume across a simulated mid-compaction
     crash window, bounded file counts on every GC'd surface, flat
@@ -167,10 +161,9 @@ def test_500_iteration_soak_with_compaction(tmp_path, make_crawl_engine):
     import pyarrow.parquet as pq
 
     docs = pa.table({"doc_id": pa.array(np.arange(100), type=pa.int64())})
+    hash_layout(8)
     kw = dict(
         batch_size=40,
-        catalog_parts=8,
-        catalog_partition_min_rows=1,
         politeness_kwargs={"backoff_nb_req": 30, "backoff_period": 240, "cool_off_period": 240},
     )
     wd = str(tmp_path / "wd")

@@ -14,8 +14,14 @@ change to the crawl stages is byte-checked with a ``diff`` of two runs:
 
     python tools/crawl_digest.py > after.txt
 
-The workdir is removed and recreated on every run; keep its default
-when comparing runs, because export URLs name it.
+The workdir is removed and recreated on every run. Values are hashed
+with the workdir path cut out, so runs in different workdirs compare.
+``tests/test_crawler/crawl_digest.txt`` holds the default output, and
+``tests/test_crawler/test_crawl_digest.py`` runs the same crawl
+in-process and compares line by line; after a change that moves crawl
+output on purpose, regenerate it with
+
+    python tools/crawl_digest.py > tests/test_crawler/crawl_digest.txt
 """
 
 from __future__ import annotations
@@ -76,38 +82,28 @@ def digest_catalog(seed: int, n: int) -> pa.Table:
     return pa.concat_tables([cat, ogc.cast(cat.schema)])
 
 
-def column_digests(name: str, table: pa.Table) -> list[str]:
+def column_digests(name: str, table: pa.Table, workdir: str) -> list[str]:
     keys = [k for k in SORT_KEYS[name] if k in table.column_names]
     table = table.sort_by([(k, "ascending") for k in keys]) if keys else table
     lines = []
     for col in sorted(table.column_names):
         text = json.dumps(table[col].to_pylist(), default=str, sort_keys=True)
+        text = text.replace(workdir.rstrip(os.sep) + os.sep, "")
         lines.append(f"{name}.{col} {hashlib.sha256(text.encode()).hexdigest()}")
     return lines
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seed", type=int, default=1001)
-    ap.add_argument("--urls", type=int, default=400)
-    ap.add_argument(
-        "--workdir", default=os.path.join(tempfile.gettempdir(), "hydra-ray-crawl-digest")
-    )
-    args = ap.parse_args(argv)
-
-    import ray
-
+def digest_lines(workdir: str, seed: int = 1001, urls: int = 400) -> list[str]:
+    """Run the seeded crawl in ``workdir`` on the running Ray session and
+    return the digest lines; ``workdir`` is removed before and after."""
     from hydra_ray.config import config
     from hydra_ray.pipelines.crawl import CrawlEngine
 
-    shutil.rmtree(args.workdir, ignore_errors=True)
-    # workers import the program from this checkout
-    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
-    ray.init(address="local", num_cpus=2, include_dashboard=False, log_to_driver=False, logging_level="ERROR")
-    catalog = digest_catalog(args.seed, args.urls)
+    shutil.rmtree(workdir, ignore_errors=True)
+    catalog = digest_catalog(seed, urls)
     eng = CrawlEngine(
-        args.workdir,
-        seed=args.seed,
+        workdir,
+        seed=seed,
         batch_size=max(1, int(catalog.num_rows * 0.4)),
         politeness_kwargs={"backoff_nb_req": 10**9},
         urlseen_shards=2,
@@ -129,13 +125,34 @@ def main(argv: list[str] | None = None) -> int:
             "documents": eng.read_documents(),
             "tables_index": eng.tables_index.read_arrow(),
         }
+        lines = []
         for name, table in tables.items():
-            print(f"{name} rows {table.num_rows}")
-            print("\n".join(column_digests(name, table)))
+            lines.append(f"{name} rows {table.num_rows}")
+            lines.extend(column_digests(name, table, workdir))
+        return lines
     finally:
         eng.shutdown()
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=1001)
+    ap.add_argument("--urls", type=int, default=400)
+    ap.add_argument(
+        "--workdir", default=os.path.join(tempfile.gettempdir(), "hydra-ray-crawl-digest")
+    )
+    args = ap.parse_args(argv)
+
+    import ray
+
+    # workers import the program from this checkout
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
+    ray.init(address="local", num_cpus=2, include_dashboard=False, log_to_driver=False, logging_level="ERROR")
+    try:
+        print("\n".join(digest_lines(args.workdir, args.seed, args.urls)))
+    finally:
         ray.shutdown()
-        shutil.rmtree(args.workdir, ignore_errors=True)
     return 0
 
 
