@@ -93,8 +93,11 @@ class Config:
     ORDERING_SEED: int = 42  # replaces ORDER BY random(); see frontier.py
     URLSEEN_SHARDS: int = 8
     POLITENESS_SHARDS: int = 4
-    # max rows per crawl block = one task call of each of the four stages
-    FETCH_BATCH_SIZE: int = 256
+    # max rows per crawl task (one call of each of the four stages): a
+    # bound, not the block size; an iteration cuts full waves of one block
+    # per CPU slot, as few as this bound allows, and never more blocks
+    # than a quarter of it would cut (pipelines/crawl.py::block_count)
+    FETCH_BATCH_SIZE: int = 1024
 
     def override(self, **kwargs: Any) -> None:
         for k, v in kwargs.items():

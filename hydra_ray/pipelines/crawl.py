@@ -43,7 +43,7 @@ import ray.data as rd
 from hydra_ray.config import config
 from hydra_ray.functions.urls import canonicalize_batch
 from hydra_ray.schemas import strings
-from hydra_ray.sources.store import VersionedTable, _ds_to_arrow, blocks_dataset
+from hydra_ray.sources.store import VersionedTable, _ds_to_arrow, blocks_dataset, cpu_slots
 from hydra_ray.stages.analysis import Analyser
 from hydra_ray.stages.checks_stage import build_checks_batch
 from hydra_ray.stages.fetcher import Fetcher
@@ -248,12 +248,12 @@ class CrawlEngine:
             updates.append(_frontier_update_backoff(backoff_rows, now))
 
         if fetch_rows.num_rows:
-            # blocks of at most FETCH_BATCH_SIZE rows, each ONE call of every
-            # stage (batch_size=None): no re-bundled small blocks, no
-            # remainder calls paying each stage's fixed cost again, and the
-            # same layout at every parallelism level (a function of rows only)
+            # full waves of one block per CPU slot where the rows allow
+            # (see block_count); a block is ONE call of every stage
+            # (batch_size=None), so each stage's fixed cost is paid once
+            # per block. Outputs do not depend on the layout.
             n_rows = fetch_rows.num_rows
-            n_blocks = -(-n_rows // config.FETCH_BATCH_SIZE)
+            n_blocks = block_count(n_rows, cpu_slots(), config.FETCH_BATCH_SIZE)
             if self.partition_by_domain:
                 from hydra_ray.stages.partitioning import detect_hot_domains, partition_slices
 
@@ -896,6 +896,22 @@ class StageChain:
         for stage in self.stages:
             batch = stage(batch)
         return batch
+
+
+def block_count(rows: int, slots: int, cap: int) -> int:
+    """How many balanced row-range blocks an iteration of ``rows`` rows
+    is cut into on ``slots`` CPU slots with at most ``cap`` rows a block.
+
+    Ray Data dispatches a map in waves: a part-filled wave idles slots,
+    and each extra wave pays a dispatch gap. So the count is rounded up
+    to full waves of one block per slot, but never past the count of
+    ``cap // 4``-row blocks: a small iteration on a wide cluster is not
+    cut into many small blocks, each paying every stage's fixed cost
+    (task dispatch, four part files). At the default cap that is never
+    more blocks than a cut into 256-row blocks makes."""
+    fewest = -(-rows // cap)
+    most = -(-rows // max(1, cap // 4))
+    return min(slots * -(-fewest // slots), most)
 
 
 def _add_frontier_columns(batch: pa.Table) -> pa.Table:

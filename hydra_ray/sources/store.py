@@ -1728,6 +1728,11 @@ def ds_to_tables(ds: "rd.Dataset") -> list[pa.Table]:
     return [block_to_table(t) for t in ray.get(mat.to_arrow_refs())]
 
 
+def cpu_slots() -> int:
+    """The Ray cluster's CPU count: how many tasks run at once."""
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
 def blocks_dataset(tables: "pa.Table | list[pa.Table]") -> "rd.Dataset":
     """One block per table, whose blocks run side by side, in order.
 

@@ -577,11 +577,10 @@ def knn_hnsw(
     Shards are capped at half the cluster CPUs so the blocking query
     tasks can never starve the actor pool. Recall is gated (not
     structure): see q_knn_hnsw."""
-    from hydra_ray.sources.store import ds_to_table_refs
+    from hydra_ray.sources.store import cpu_slots, ds_to_table_refs
 
     refs = ds_to_table_refs(ds)
-    cpus = int(ray.cluster_resources().get("CPU", 1))
-    n_shards = max(1, min(len(refs), cpus // 2, 8))
+    n_shards = max(1, min(len(refs), cpu_slots() // 2, 8))
     shard_refs: list[list] = [[] for _ in range(n_shards)]
     for i, r in enumerate(refs):
         shard_refs[i % n_shards].append(r)

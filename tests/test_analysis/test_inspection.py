@@ -235,6 +235,7 @@ def test_vectorized_type_vote_parity():
     import random
 
     from hydra_ray.stages.inspection import (
+        _ASCII_RE2,
         _classify_cells,
         _TYPE_NAMES,
         Sheet,
@@ -244,6 +245,7 @@ def test_vectorized_type_vote_parity():
         sheet_cells,
     )
     import pyarrow as pa
+    import pyarrow.compute as pc
 
     pool = [
         "12", "-3", "+7", "007", "1.5", "1,5", ".5", "1e5", "+2.5E-3",
@@ -255,7 +257,9 @@ def test_vectorized_type_vote_parity():
     ]
     rng = random.Random(11)
     cells = [rng.choice(pool) for _ in range(2000)]
-    codes = _classify_cells(pa.array(cells, pa.string()))
+    arr = pa.array(cells, pa.string())
+    ascii_ok = pc.match_substring_regex(arr, _ASCII_RE2).to_numpy(zero_copy_only=False)
+    codes = _classify_cells(arr, ascii_ok)
     assert [_TYPE_NAMES[c] for c in codes] == [cell_type(v) for v in cells]
     items = []
     for _ in range(40):

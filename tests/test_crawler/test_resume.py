@@ -48,6 +48,19 @@ def crawl_blocks(monkeypatch):
     return seen
 
 
+@pytest.fixture()
+def pin_slots(monkeypatch):
+    """Pins the CPU slot count the crawl cuts an iteration's blocks by
+    (``crawl.cpu_slots``), so a layout does not depend on the test
+    cluster's CPUs."""
+    from hydra_ray.pipelines import crawl
+
+    def pin(n: int) -> None:
+        monkeypatch.setattr(crawl, "cpu_slots", lambda: n)
+
+    return pin
+
+
 def multi_block(blocks: list[list[int]]) -> bool:
     return bool(blocks) and all(len(b) > 1 for b in blocks)
 
@@ -134,12 +147,13 @@ def test_sink_part_names_deterministic(tmp_path, make_crawl_engine):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_results_identical_across_parallelism(tmp_path, make_crawl_engine, monkeypatch, crawl_blocks):
+def test_results_identical_across_parallelism(tmp_path, make_crawl_engine, monkeypatch, crawl_blocks, pin_slots):
     """Same seed catalog, different block boundaries (so a different
     number of concurrent stage tasks per iteration) → byte-identical
     checks (the scaling-criterion determinism prerequisite)."""
     from hydra_ray.config import config
 
+    pin_slots(2)
     monkeypatch.setattr(config, "FETCH_BATCH_SIZE", 7)
     a = make_crawl_engine(str(tmp_path / "p1"), batch_size=40)
     a.load_catalog(small_seed())
@@ -156,11 +170,12 @@ def test_results_identical_across_parallelism(tmp_path, make_crawl_engine, monke
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_iteration_blocks_sized_by_rows(tmp_path, make_crawl_engine, monkeypatch, crawl_blocks):
-    """A 100-row iteration at FETCH_BATCH_SIZE=16 is cut into 7 balanced
-    row-range blocks of at most 16 rows, and one map runs the four crawl
-    stages in order on whole blocks (batch_size=None): one call per
-    block, no re-bundling of small blocks and no remainder calls."""
+def test_iteration_blocks_sized_by_rows(tmp_path, make_crawl_engine, monkeypatch, crawl_blocks, pin_slots):
+    """A 100-row iteration at FETCH_BATCH_SIZE=16 on one CPU slot is cut
+    into 7 balanced row-range blocks of at most 16 rows, and one map runs
+    the four crawl stages in order on whole blocks (batch_size=None): one
+    call per block, no re-bundling of small blocks and no remainder
+    calls."""
     import inspect
     import os
 
@@ -169,6 +184,7 @@ def test_iteration_blocks_sized_by_rows(tmp_path, make_crawl_engine, monkeypatch
 
     from hydra_ray.config import config
 
+    pin_slots(1)
     monkeypatch.setattr(config, "FETCH_BATCH_SIZE", 16)
     e = make_crawl_engine(
         str(tmp_path / "b"),
@@ -200,6 +216,76 @@ def test_iteration_blocks_sized_by_rows(tmp_path, make_crawl_engine, monkeypatch
     # one sink call per block: one checks part file each, same rows
     parts = [f for f in e.checks.files() if os.path.basename(os.path.dirname(f)).startswith("txn-iter0-")]
     assert sorted(pq.read_metadata(f).num_rows for f in parts) == sorted(crawl_blocks[0])
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize(
+    ("rows", "slots", "cap", "sizes"),
+    [
+        (800, 2, 1024, [400, 400]),
+        (100, 4, 16, [12, 13] * 4),
+        (3, 4, 1024, [3]),
+        (40, 32, 16, [4] * 10),
+    ],
+)
+def test_iteration_blocks_one_per_slot(
+    tmp_path, make_crawl_engine, monkeypatch, crawl_blocks, pin_slots, rows, slots, cap, sizes
+):
+    """An iteration runs in full waves of one block per CPU slot, in the
+    fewest waves that keep a block at most FETCH_BATCH_SIZE rows, unless
+    that would cut more blocks than blocks of a quarter of
+    FETCH_BATCH_SIZE rows (a small iteration on many slots): blocks stay
+    balanced row ranges."""
+    from hydra_ray.config import config
+
+    pin_slots(slots)
+    monkeypatch.setattr(config, "FETCH_BATCH_SIZE", cap)
+    e = make_crawl_engine(
+        str(tmp_path / "w"), batch_size=rows, politeness_kwargs={"backoff_nb_req": 10**9}
+    )
+    e.load_catalog(small_seed(rows))
+    stats = e.run_iteration()
+    assert stats["selected"] == rows and stats["backoff"] == 0
+    assert crawl_blocks == [sizes]
+
+
+def test_block_count_bounds():
+    """Every block holds at most ``cap`` rows; there are never more
+    blocks than ``cap // 4``-row blocks would make (256-row blocks at the
+    default cap), and the count is a multiple of the slots whenever
+    those bounds allow one."""
+    from hydra_ray.pipelines.crawl import block_count
+
+    for cap in (1, 3, 4, 9, 16, 1024):
+        for slots in (1, 2, 3, 4, 8, 32):
+            for rows in range(1, 3001, 7):
+                n = block_count(rows, slots, cap)
+                most = -(-rows // max(1, cap // 4))
+                assert 1 <= n <= most
+                assert -(-rows // n) <= cap
+                if slots * -(-rows // (slots * cap)) <= most:
+                    assert n % slots == 0
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_checks_identical_across_slot_counts(tmp_path, make_crawl_engine, monkeypatch, crawl_blocks, pin_slots):
+    """One, two and four CPU slots cut the same iterations into
+    different blocks and commit identical checks."""
+    from hydra_ray.config import config
+
+    monkeypatch.setattr(config, "FETCH_BATCH_SIZE", 9)
+    layouts, prints = [], []
+    for slots in (1, 2, 4):
+        pin_slots(slots)
+        crawl_blocks.clear()
+        e = make_crawl_engine(str(tmp_path / f"s{slots}"), batch_size=40)
+        e.load_catalog(small_seed())
+        e.run(2)
+        layouts.append(crawl_blocks[:])
+        prints.append(checks_fingerprint(e))
+    # 40 rows at 9 rows per block: 5 blocks on 1 slot, 6 on 2, 8 on 4
+    assert [len(blocks[0]) for blocks in layouts] == [5, 6, 8]
+    assert prints[0] == prints[1] == prints[2]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -238,11 +324,12 @@ def test_crawl_stages_run_as_tasks(tmp_path, make_crawl_engine, monkeypatch):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_results_identical_with_domain_partitioning(tmp_path, make_crawl_engine, monkeypatch, crawl_blocks):
+def test_results_identical_with_domain_partitioning(tmp_path, make_crawl_engine, monkeypatch, crawl_blocks, pin_slots):
     """Row-range slicing vs hash-partitioned + hot-salted blocks → same
     checks (partitioning is a physical layout choice, not semantics)."""
     from hydra_ray.config import config
 
+    pin_slots(2)
     monkeypatch.setattr(config, "FETCH_BATCH_SIZE", 7)
     a = make_crawl_engine(str(tmp_path / "rows"), batch_size=60)
     a.load_catalog(small_seed())
@@ -260,7 +347,7 @@ def test_results_identical_with_domain_partitioning(tmp_path, make_crawl_engine,
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_429_domain_across_blocks_deterministic(tmp_path, make_crawl_engine, monkeypatch, crawl_blocks):
+def test_429_domain_across_blocks_deterministic(tmp_path, make_crawl_engine, monkeypatch, crawl_blocks, pin_slots):
     """A domain with mixed 200/429 responses spanning many blocks: the
     politeness 429 cool-off must key off the MAX-check_id row (a pure
     function of url+iteration), never row position in the
@@ -299,6 +386,8 @@ def test_429_domain_across_blocks_deterministic(tmp_path, make_crawl_engine, mon
 
     from hydra_ray.config import config
 
+    pin_slots(2)
+
     def run(sub, fetch_batch):
         monkeypatch.setattr(config, "FETCH_BATCH_SIZE", fetch_batch)
         crawl_blocks.clear()
@@ -327,10 +416,11 @@ def test_429_domain_across_blocks_deterministic(tmp_path, make_crawl_engine, mon
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_docs_span_invariant_across_runs(tmp_path, make_crawl_engine, monkeypatch, crawl_blocks):
+def test_docs_span_invariant_across_runs(tmp_path, make_crawl_engine, monkeypatch, crawl_blocks, pin_slots):
     from hydra_ray.config import config
     from hydra_ray.stages.spans import span_sequences_equal
 
+    pin_slots(2)
     monkeypatch.setattr(config, "FETCH_BATCH_SIZE", 7)
     a = make_crawl_engine(str(tmp_path / "d1"), batch_size=60)
     a.load_catalog(small_seed())
